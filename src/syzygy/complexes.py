@@ -4,10 +4,12 @@ integer homology.
 A complex is stored purely combinatorially: cells with a dimension and an
 optional label, plus a signed boundary list per cell.  Barycentric
 subdivision, links and dual blocks are all order-theoretic constructions on
-the face poset; no geometric realization exists anywhere.  Homology goes
-through Smith normal form, and chain groups may carry cyclic annotations
-(generator orders such as Z/2) which are realized as extra relation rows, so
-one engine serves both plain cellular homology and the coinvariant complexes
+the face poset; no geometric realization exists anywhere.  Chain groups may
+carry cyclic annotations (generator orders such as Z/2), and homology is read
+from invariant factors by one formula for plain and annotated chain groups
+alike (smith.presented_homology): the cycles are a kernel that records, per
+annotated target generator, which multiple of its relation a chain hits, so
+the same engine serves plain cellular homology and the coinvariant complexes
 produced by the surface-model machinery.
 
 The cellular-manifold test of validate() is deliberately only the homological
@@ -24,6 +26,7 @@ from .smith import (
     FGAbelianGroup,
     Matrix,
     is_zero_matrix,
+    lift_to_cycles,
     mat_mul,
     presented_homology,
     zeros,
@@ -300,34 +303,38 @@ class IntegerChainComplex:
     def top_degree(self) -> int:
         return len(self.ranks) - 1
 
+    def _window(self, degree: int) -> tuple:
+        """presented_homology's arguments at a degree: the outgoing and
+        incoming boundaries, the ranks at the degree and below it, and the
+        cyclic relations there."""
+        n_mid = self.ranks[degree]
+        a = self.boundaries[degree] if degree >= 1 else []
+        b = self.boundaries[degree + 1] if degree < self.top_degree else zeros(n_mid, 0)
+        return (
+            a,
+            b,
+            n_mid,
+            self.ranks[degree - 1] if degree >= 1 else 0,
+            self.cyclic.get(degree, {}),
+            self.cyclic.get(degree - 1, {}),
+        )
+
     def check_composition(self) -> bool:
-        for d in range(2, len(self.ranks)):
-            a, b = self.boundaries[d - 1], self.boundaries[d]
-            if a and b and not is_zero_matrix(mat_mul(a, b)):
-                if not self.cyclic:
-                    return False
-                # with annotations, defer to the homology engine's finer check
+        """d o d = 0 modulo the cyclic annotations: at every degree, the
+        outgoing boundary of each incoming column and of each m*e_i for an
+        order-m generator vanishes on plain rows and is divisible on
+        annotated ones."""
+        try:
+            for degree in range(1, self.top_degree + 1):
+                lift_to_cycles(*self._window(degree))
+        except ValueError:
+            return False
         return True
 
     def homology(self, degree: int) -> FGAbelianGroup:
         if degree < 0 or degree > self.top_degree:
             return FGAbelianGroup(0)
-        n_mid = self.ranks[degree]
-        n_target = self.ranks[degree - 1] if degree >= 1 else 0
-        a = self.boundaries[degree] if degree >= 1 else []
-        b = (
-            self.boundaries[degree + 1]
-            if degree + 1 <= self.top_degree
-            else zeros(n_mid, 0)
-        )
-        return presented_homology(
-            a,
-            b,
-            n_mid,
-            n_target,
-            relations_mid=self.cyclic.get(degree, {}),
-            relations_target=self.cyclic.get(degree - 1, {}),
-        )
+        return presented_homology(*self._window(degree))
 
     def all_homology(self) -> list[FGAbelianGroup]:
         return [self.homology(d) for d in range(self.top_degree + 1)]

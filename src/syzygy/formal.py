@@ -29,7 +29,9 @@ from .smith import (
     cokernel_group,
     is_zero_matrix,
     mat_mul,
+    partitions,
     presented_homology,
+    prime_factorization,
     smith_normal_form,
     zeros,
 )
@@ -475,42 +477,13 @@ def check_exact(seq: list[FormalHom]) -> list[ExactnessVerdict]:
 # -- extension problems ----------------------------------------------------------
 
 
-def _partitions_of(n: int) -> list[tuple]:
-    if n == 0:
-        return [()]
-    out = []
-
-    def rec(remaining, maxpart, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, maxpart), 0, -1):
-            rec(remaining - part, part, acc + [part])
-
-    rec(n, n, [])
-    return out
-
-
-def _factorize(n: int) -> dict:
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _abelian_groups_of_order(n: int) -> list[tuple]:
     """All abelian groups of order n, as tuples of cyclic orders."""
     if n == 1:
         return [()]
     per_prime = []
-    for p, e in sorted(_factorize(n).items()):
-        per_prime.append([tuple(p ** part for part in lam) for lam in _partitions_of(e)])
+    for p, e in sorted(prime_factorization(n).items()):
+        per_prime.append([tuple(p ** part for part in lam) for lam in partitions(e)])
     groups = [()]
     for choices in per_prime:
         groups = [g + c for g in groups for c in choices]

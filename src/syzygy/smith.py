@@ -302,22 +302,43 @@ def solve(a: Matrix, b: list[int], cols: int | None = None,
     return mat_vec(snf.V, y)
 
 
+def prime_factorization(n: int) -> dict[int, int]:
+    """Prime -> exponent for n >= 1, by trial division."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def partitions(k: int) -> list[tuple]:
+    """Partitions of k, largest part first, ordered by (number of parts,
+    parts)."""
+    out = []
+
+    def rec(remaining, maxpart, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        for part in range(min(remaining, maxpart), 0, -1):
+            rec(remaining - part, part, acc + [part])
+
+    rec(k, k, [])
+    out.sort(key=lambda p: (len(p), p))
+    return out
+
+
 def _merge_invariant_factors(orders: list[int]) -> list[int]:
     """Rewrite a list of cyclic orders (each >= 2) as a divisibility chain."""
     primes: dict[int, list[int]] = {}
     for n in orders:
-        m = n
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                primes.setdefault(p, []).append(e)
-            p += 1
-        if m > 1:
-            primes.setdefault(m, []).append(1)
+        for p, e in prime_factorization(n).items():
+            primes.setdefault(p, []).append(e)
     for exps in primes.values():
         exps.sort(reverse=True)
     chains = zip_longest(*primes.values(), fillvalue=0)
@@ -388,22 +409,46 @@ def cokernel_group(a: Matrix, ambient_rank: int) -> FGAbelianGroup:
     return FGAbelianGroup.from_orders(ambient_rank - len(nonzero), nonzero)
 
 
-def columns_to_matrix(cols: list[list[int]], height: int) -> Matrix:
-    out = zeros(height, len(cols))
-    for j, col in enumerate(cols):
-        for i, x in enumerate(col):
-            out[i][j] = x
-    return out
+def lift_to_cycles(
+    boundary_out: Matrix,
+    boundary_in: Matrix,
+    n_mid: int,
+    n_target: int,
+    relations_mid: dict[int, int] | None = None,
+    relations_target: dict[int, int] | None = None,
+) -> Matrix:
+    """The columns of ``boundary_in`` and the middle relations m*e_i, lifted
+    into the cycle module  K = ker[a | -R_t]  of  Z^k -> Z^n_mid -> Z^n_target.
 
-
-def _relation_matrix(n: int, relations: dict[int, int]) -> Matrix:
-    """Columns m_i * e_i for each annotated index i (modulus m_i >= 2)."""
-    cols = []
-    for idx in sorted(relations):
-        col = [0] * n
-        col[idx] = relations[idx]
-        cols.append(col)
-    return columns_to_matrix(cols, n)
+    R_t holds one column m*e_t per annotated target row t (sorted), so a
+    column c lifts to (c, y) with y = a*c divided exactly by R_t.  That
+    division is the complex check: it fails on a nonzero plain row or a
+    remainder on an annotated row, and raises ValueError.
+    """
+    relations_mid = relations_mid or {}
+    relations_target = relations_target or {}
+    a = boundary_out or zeros(n_target, n_mid)
+    b = boundary_in or zeros(n_mid, 0)
+    k = len(b[0]) if b else 0
+    rel_mid = sorted(relations_mid.items())
+    image = [
+        row + [m if i == idx else 0 for idx, m in rel_mid]
+        for i, row in enumerate(b)
+    ]
+    quotients = []
+    bad = set()
+    for i, row in enumerate(mat_mul(a, image)):
+        m = relations_target.get(i)
+        bad.update(j for j, v in enumerate(row) if (v % m if m else v))
+        if m:
+            quotients.append([v // m for v in row])
+    bad_relations = sorted(j - k for j in bad if j >= k)
+    if bad_relations:
+        idx, m = rel_mid[bad_relations[0]]
+        raise ValueError(f"boundary is incompatible with the order-{m} generator {idx}")
+    if bad:
+        raise ValueError("boundary maps do not compose to zero")
+    return image + quotients
 
 
 def presented_homology(
@@ -418,68 +463,29 @@ def presented_homology(
     where generators may carry cyclic annotations (index -> modulus).
 
     An annotated generator e_i with modulus m contributes the relation
-    m*e_i = 0, so the chain groups are Z^n modulo those relations and the
-    boundary maps must be compatible with them (columns out of an annotated
-    generator must vanish on plain rows and be divisible appropriately on
-    annotated rows).  Raises ValueError when the data is not a complex.
+    m*e_i = 0, so the chain groups are Z^n modulo those relations.  Let a be
+    the outgoing boundary and R_t the diagonal block of the w annotated target
+    relations.  The cycles are the pairs (x, y) with a*x = R_t*y, that is
+    K = ker[a | -R_t] in Z^(n_mid+w); the y part records which multiple of
+    each relation a*x hits.  The boundaries and the middle relations lift into
+    K (lift_to_cycles), and the homology is K modulo the lifted columns L.
+
+    K is a kernel, hence saturated: Z^(n_mid+w)/K is torsion-free, so K is a
+    direct summand and L has the same invariant factors in K as in the
+    ambient lattice.  With dim K = n_mid + w - rank[a | -R_t], the homology is
+    Z^(dim K - rank L) plus the torsion of L's invariant factors; two Smith
+    forms, read on the diagonal only.  For a free complex this is
+    H = Z^(n_mid - rank a - rank b) (+) tors(b).  Raises ValueError when the
+    data is not a complex.
     """
-    relations_mid = relations_mid or {}
     relations_target = relations_target or {}
-    a = boundary_out  # n_target x n_mid
-    b = boundary_in  # n_mid x k
-    k = len(b[0]) if b else 0
-
-    def in_relation_span(col: list[int]) -> bool:
-        for i, x in enumerate(col):
-            m = relations_target.get(i)
-            if m is None:
-                if x != 0:
-                    return False
-            elif x % m != 0:
-                return False
-        return True
-
-    # Compatibility of the boundary with the middle relations.
-    for idx, m in relations_mid.items():
-        col = [m * (a[i][idx] if a else 0) for i in range(n_target)]
-        if not in_relation_span(col):
-            raise ValueError(
-                f"boundary is incompatible with the order-{m} generator {idx}"
-            )
-    # d^2 = 0 modulo the target relations.
-    if a and b:
-        comp = mat_mul(a, b)
-        for j in range(k):
-            if not in_relation_span([comp[i][j] for i in range(n_target)]):
-                raise ValueError("boundary maps do not compose to zero")
-
-    rel_t = _relation_matrix(n_target, relations_target)
-    rel_m = _relation_matrix(n_mid, relations_mid)
-
-    # Cycles: x with a*x lying in the target relation span.
-    if n_target == 0 or not a:
-        cycle_basis = [[1 if i == j else 0 for i in range(n_mid)] for j in range(n_mid)]
-    else:
-        width_rel = len(rel_t[0]) if rel_t and rel_t[0] else 0
-        block = [a[i][:] + [-rel_t[i][j] for j in range(width_rel)] for i in range(n_target)]
-        raw = kernel_basis(block, cols=n_mid + width_rel)
-        cycle_basis = [vec[:n_mid] for vec in raw]
-    p = columns_to_matrix(cycle_basis, n_mid)
-    dim_cycles = len(cycle_basis)
-
-    # Boundaries plus middle relations, in cycle coordinates.
-    image_cols = []
-    if b:
-        for j in range(k):
-            image_cols.append([b[i][j] for i in range(n_mid)])
-    if rel_m and rel_m[0]:
-        for j in range(len(rel_m[0])):
-            image_cols.append([rel_m[i][j] for i in range(n_mid)])
-    coords = []
-    snf_p = smith_normal_form(p) if image_cols else None
-    for col in image_cols:
-        c = solve(p, col, cols=dim_cycles, snf=snf_p)
-        if c is None:
-            raise ValueError("an image or relation vector is not a cycle")
-        coords.append(c)
-    return cokernel_group(columns_to_matrix(coords, dim_cycles), dim_cycles)
+    lifted = lift_to_cycles(
+        boundary_out, boundary_in, n_mid, n_target, relations_mid, relations_target
+    )
+    annotated = sorted(relations_target)
+    cycle_matrix = [
+        row + [-relations_target[t] if i == t else 0 for t in annotated]
+        for i, row in enumerate(boundary_out or zeros(n_target, n_mid))
+    ]
+    dim_cycles = n_mid + len(annotated) - smith_normal_form(cycle_matrix).rank
+    return cokernel_group(lifted, dim_cycles)

@@ -750,7 +750,6 @@ def ruled_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
         raise ValueError("this builder is for the ruled universe")
     reg = registry or default_registry()
     bound = {r: u.e_max + (3 - r) for r in (1, 2, 3)}
-    Cs = FormalGroup.atom("C*")
 
     def entry(gen):
         if gen.rank == 1:
@@ -775,7 +774,6 @@ def ruled_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
 
     blocks21 = {}
     for g in gens[2]:
-        p = g.points[0]
         if g.family == "blowup":
             blocks21[(g, by(1, family="hirzebruch", e=1))] = [[1]]
         else:
@@ -817,7 +815,6 @@ def cremona_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
         raise ValueError("this builder is for the cremona universe")
     reg = registry or default_registry()
     bound = {r: u.e_max + (3 - r) for r in (1, 2, 3)}
-    Cs = FormalGroup.atom("C*")
 
     def block_entry(full, plus, mat):
         action = FormalHom(reg.get(full, 1), reg.get(plus, 1), mat)
@@ -968,9 +965,7 @@ def cremona_assemble(
     e21_bound = row1_degree2_bound(row1)
     e02 = reg.get("E_{0,2}(Cr2)", 2)
     candidates = [e02]
-    if not force_e21_zero and 3 in {d for d in e21_bound.cyclic} | {
-        f for d in e21_bound.cyclic for f in _prime_factors(d)
-    }:
+    if not force_e21_zero and any(d % 3 == 0 for d in e21_bound.cyclic):
         stripped = FormalGroup(
             atoms=e02.atoms,
             cyclic=tuple(d for d in e02.cyclic if d % 3 != 0),
@@ -992,16 +987,3 @@ def cremona_assemble(
         "candidates": candidates,
     }
 
-
-def _prime_factors(n: int) -> set:
-    out = set()
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.add(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.add(n)
-    return out

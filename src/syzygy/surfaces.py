@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .complexes import Cell, IntegerChainComplex, RegularCWComplex
 from .lattice import BlowupLattice
-from .smith import FGAbelianGroup
+from .smith import FGAbelianGroup, partitions, presented_homology
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -165,24 +165,6 @@ class GeneratorUniverse:
         return cls(BaseCase.CREMONA, (), e_max, r_max)
 
 
-def _partitions(k: int) -> list[tuple]:
-    """Partitions of k, largest part first, in a fixed canonical order."""
-    if k == 0:
-        return [()]
-    out = []
-
-    def rec(remaining, maxpart, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, maxpart), 0, -1):
-            rec(remaining - part, part, acc + [part])
-
-    rec(k, k, [])
-    out.sort(key=lambda p: (len(p), p))  # (k,) first is not wanted; sort by block count
-    return out
-
-
 def _mk(base, rank, family, points=(), e=0, partition=(), modulus=None):
     return SurfaceCentralModel(
         rank=rank,
@@ -209,7 +191,7 @@ def enumerate_generators(u: GeneratorUniverse, rank: int, e_bound: int | None = 
             out = [_mk(u.base, 1, "hirzebruch", e=e) for e in range(0, e_bound + 1)]
         else:
             for pts in combinations(sorted(u.labels), k):
-                for part in _partitions(k):
+                for part in partitions(k):
                     if part == (1,) * k and k == 4:
                         out.extend(
                             _mk(u.base, rank, "blowup", pts, partition=part, modulus=m)
@@ -233,11 +215,11 @@ def enumerate_generators(u: GeneratorUniverse, rank: int, e_bound: int | None = 
         out += [_mk(u.base, 2, "min_section", e=e) for e in range(1, e_bound + 1)]
     elif rank == 3:
         out = [_mk(u.base, 3, "dp7")]
-        out += [_mk(u.base, 3, "blowup", partition=p) for p in _partitions(2)]
+        out += [_mk(u.base, 3, "blowup", partition=p) for p in partitions(2)]
         out += [_mk(u.base, 3, "min_section", e=e) for e in range(1, e_bound + 1)]
     elif rank == 4:
         out = [_mk(u.base, 4, "dp6")]
-        out += [_mk(u.base, 4, "blowup", partition=p) for p in _partitions(3)]
+        out += [_mk(u.base, 4, "blowup", partition=p) for p in partitions(3)]
         out += [_mk(u.base, 4, "min_section", e=e) for e in range(1, e_bound + 1)]
     else:  # rank 5: only the del Pezzo is classified in this universe
         out = [_mk(u.base, 5, "dp5")]
@@ -295,7 +277,6 @@ def _ruled_boundary_targets(gen: SurfaceCentralModel):
     """List of (removed-point-position, target-descriptor, coefficient)."""
     out = []
     if gen.rank == 2:
-        p = gen.points[0] if gen.points else None
         if gen.family == "blowup":
             out.append((0, ("hirzebruch", 1), 1))
             out.append((0, ("hirzebruch", 0), -1))
@@ -443,8 +424,6 @@ def row0_reduced_h0(u: GeneratorUniverse) -> FGAbelianGroup:
     """Reduced degree-0 homology of the row-0 complex (augmentation kernel
     modulo rank-2 boundaries); vanishes exactly when the 1-skeleton of the
     truncation is connected."""
-    from .smith import presented_homology
-
     cc, gens = row0_complex(u)
     aug = [[1] * len(gens[1])]
     d1 = cc.boundaries[1] if cc.top_degree >= 1 else [[0] * 0 for _ in gens[1]]
@@ -472,10 +451,11 @@ def row0_homology(u: GeneratorUniverse, degree: int) -> FGAbelianGroup:
 
 
 def check_row0_squares_to_zero(u: GeneratorUniverse) -> bool:
-    """d o d = 0 on the full staircase complex (exact, all compositions)."""
+    """d o d = 0 on the full staircase complex, exactly and modulo the Z/2
+    annotations, at every degree; raises ValueError otherwise."""
     cc, _ = row0_complex(u)
-    for d in range(cc.top_degree + 1):
-        cc.homology(d)  # raises if any composition fails modulo the annotations
+    if not cc.check_composition():
+        raise ValueError("row-0 boundaries do not compose to zero modulo the annotations")
     return True
 
 

@@ -162,3 +162,20 @@ def test_non_complex_rejected():
     cc = IntegerChainComplex([1, 1, 1], [[], [[1]], [[1]]])
     with pytest.raises(ValueError):
         cc.homology(1)
+    assert not cc.check_composition()
+
+
+def test_check_composition_modulo_annotations():
+    # d1 = d2 = [1] into an order-3 generator: d1 d2 = 1 is not a multiple of 3
+    cc = IntegerChainComplex([1, 1, 1], [[], [[1]], [[1]]], {0: {0: 3}})
+    assert not cc.check_composition()
+    with pytest.raises(ValueError, match="compose to zero"):
+        cc.homology(1)
+    # d2 = [3] composes to 3 = 0 in Z/3
+    ok = IntegerChainComplex([1, 1, 1], [[], [[1]], [[3]]], {0: {0: 3}})
+    assert ok.check_composition()
+    assert ok.homology(1).is_trivial
+    # an order-2 generator mapping by 1 onto a plain one is no chain map
+    bad = IntegerChainComplex([1, 1], [[], [[1]]], {1: {0: 2}})
+    assert not bad.check_composition()
+    assert IntegerChainComplex([1, 1], [[], [[1]]], {0: {0: 2}, 1: {0: 2}}).check_composition()

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,8 @@ from syzygy.smith import (
     solve,
     zeros,
 )
+
+from helpers import cycle_basis_homology
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -113,3 +116,49 @@ def test_presented_homology_circle_and_torsion():
     assert presented_homology(a, zeros(6, 0), 6, 6) == FGAbelianGroup(1)
     assert presented_homology([], a, 6, 0) == FGAbelianGroup(1)
     assert presented_homology([], [[2]], 1, 0) == FGAbelianGroup(0, (2,))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def annotated_windows(draw):
+    """Z^k -> Z^n_mid -> Z^n_target with random Z/m annotations; b is built
+    from cycles of a so that a fair share of the windows are complexes."""
+    n_tgt, n_mid, k = (draw(st.integers(0, 4)) for _ in range(3))
+    entries = st.integers(-3, 3)
+    a = [[draw(entries) for _ in range(n_mid)] for _ in range(n_tgt)]
+    moduli = st.sampled_from([2, 3, 4])
+    rel_t = {i: draw(moduli) for i in range(n_tgt) if draw(st.booleans())}
+    rel_m = {i: draw(moduli) for i in range(n_mid) if draw(st.booleans())}
+    if draw(st.booleans()):
+        # make the annotated middle generators compatible with a
+        for i, m in rel_m.items():
+            for t in range(n_tgt):
+                a[t][i] = draw(entries) * (rel_t[t] // gcd(rel_t[t], m)) if t in rel_t else 0
+    width = len(rel_t)
+    block = [row + [-rel_t[t] if t == i else 0 for t in sorted(rel_t)] for i, row in enumerate(a)]
+    cycles = [v[:n_mid] for v in kernel_basis(block, cols=n_mid + width)] if n_tgt else [
+        [int(i == j) for i in range(n_mid)] for j in range(n_mid)
+    ]
+    b = [[0] * k for _ in range(n_mid)]
+    for j in range(k):
+        for v in cycles:
+            c = draw(entries)
+            for i in range(n_mid):
+                b[i][j] += c * v[i]
+    if draw(st.booleans()):
+        b = [[x + draw(st.integers(-1, 1)) for x in row] for row in b]
+    return (a if n_tgt else [], b if n_mid else [], n_mid, n_tgt, rel_m, rel_t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(annotated_windows())
+def test_presented_homology_matches_cycle_basis_oracle(window):
+    new = _outcome(presented_homology, *window)
+    old = _outcome(cycle_basis_homology, *window)
+    assert new == old

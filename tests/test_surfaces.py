@@ -19,6 +19,8 @@ from syzygy.surfaces import (
     two_ray_game,
 )
 
+from helpers import cycle_basis_homology
+
 
 def Z2n(n):
     return FGAbelianGroup.from_orders(0, [2] * n)
@@ -222,6 +224,27 @@ def test_row0_matches_independent_oracle(points, e_max):
     # the honest finite-truncation values
     assert e10 == Z2n(points - 1)
     assert e20 == Z2n(comb(points - 1, 2))
+
+
+ROW0_UNIVERSES = [
+    *((points, e_max, 4) for points in (3, 4, 5) for e_max in (3, 4, 5)),
+    (6, 3, 4),
+    *((points, 3, 5) for points in (4, 5, 6)),
+    (6, 5, 5),
+]
+
+
+@pytest.mark.parametrize(
+    "u",
+    [GeneratorUniverse.ruled(p, e, r_max=r) for p, e, r in ROW0_UNIVERSES]
+    + [GeneratorUniverse.cremona(3), GeneratorUniverse.cremona(60)],
+    ids=[f"ruled-{p}-{e}-{r}" for p, e, r in ROW0_UNIVERSES] + ["cremona-3", "cremona-60"],
+)
+def test_row0_homology_matches_cycle_basis_oracle(u):
+    cc, _ = row0_complex(u)
+    assert cc.check_composition()
+    for d in range(cc.top_degree + 1):
+        assert cc.homology(d) == cycle_basis_homology(*cc._window(d))
 
 
 @pytest.mark.parametrize("points", [4, 5])
