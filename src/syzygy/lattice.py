@@ -11,7 +11,8 @@ holds).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
+from math import factorial, gcd
 
 
 @dataclass(frozen=True, order=True)
@@ -143,7 +144,6 @@ class BlowupLattice:
 
     def enumerate_conic_classes(self) -> list[DivisorClass]:
         """All primitive fibration classes: F.F = 0, -K.F = 2, degree >= 0."""
-        from math import gcd
         out = []
         for c in self._search(0, 2, self.CONIC_BOX):
             if gcd(*(abs(x) for x in c.coefficients)) == 1:
@@ -185,21 +185,32 @@ class BlowupLattice:
 
     def count_fibration_configurations(self, pairs: int | None = None, reverse_order: bool = False):
         """Count tuples (E1..Ek, L1..Lk) of (-1)-classes with Ei.Li = 1 and all
-        other mutual intersections 0, where k = pairs (default: the number of
-        reducible fibres of a fibration on this surface).
+        other mutual intersections 0, where k = pairs.
+
+        The default k is n - 1: a conic bundle on the degree-(9 - n) surface
+        has n - 1 singular fibres, each a pair of (-1)-curves meeting once
+        (Manin, *Cubic Forms*, ch. IV).  P^2 (n = 0) has no conic bundle, so
+        k must be given there.
+
+        The walk is canonical: it picks meeting pairs (i < j) of line indices
+        in increasing pair order, each allowed only if it meets no line
+        already chosen, so every unordered set of unordered pairs is reached
+        exactly once.  The ordered count is then unordered * k! * 2^k, which
+        is exact: the pairs of one configuration are disjoint, so their k!
+        orders are distinct tuples, and E != L within a pair, so each pair
+        has two distinct orientations.
 
         Returns a dict with the ordered count, the count of unordered sets of
-        unordered pairs, and the list of unordered configurations.  Passing
-        reverse_order enumerates over the reversed line ordering, which must
-        give identical counts (order-independence oracle).
+        unordered pairs, and the sorted list of unordered configurations.
+        Passing reverse_order walks the reversed line ordering, which must
+        give identical results (order-independence check).
         """
         if pairs is None:
-            if self.n == 6:
-                pairs = 5
-            elif self.n == 3:
-                pairs = 2
-            else:
-                raise ValueError("specify the number of pairs for this lattice")
+            if self.n == 0:
+                raise ValueError("P^2 has no conic bundle; specify the number of pairs")
+            pairs = self.n - 1
+        if pairs < 0:
+            raise ValueError(f"number of pairs must be >= 0, got {pairs}")
         lines = self.enumerate_lines()
         if reverse_order:
             lines = list(reversed(lines))
@@ -210,30 +221,28 @@ class BlowupLattice:
                 if i != j and self.intersect(lines[i], lines[j]) == 0:
                     orthogonal[i] |= 1 << j
         meet_pairs = [
-            (i, j) for i in range(nl) for j in range(nl)
-            if i != j and self.intersect(lines[i], lines[j]) == 1
+            (i, j) for i, j in combinations(range(nl), 2)
+            if self.intersect(lines[i], lines[j]) == 1
         ]
-        ordered = 0
-        unordered = set()
+        found = []
 
-        def extend(chosen, allowed):
-            nonlocal ordered
+        def extend(start, chosen, allowed):
             if len(chosen) == pairs:
-                ordered += 1
-                unordered.add(frozenset(frozenset(p) for p in chosen))
+                found.append(chosen)
                 return
-            for i, j in meet_pairs:
+            for p in range(start, len(meet_pairs)):
+                i, j = meet_pairs[p]
                 if (allowed >> i) & 1 and (allowed >> j) & 1:
-                    extend(chosen + [(i, j)], allowed & orthogonal[i] & orthogonal[j])
+                    extend(p + 1, chosen + [(i, j)], allowed & orthogonal[i] & orthogonal[j])
 
-        extend([], (1 << nl) - 1)
+        extend(0, [], (1 << nl) - 1)
         return {
             "pairs": pairs,
-            "ordered": ordered,
-            "unordered": len(unordered),
+            "ordered": len(found) * factorial(pairs) * 2**pairs,
+            "unordered": len(found),
             "configurations": sorted(
                 tuple(sorted(tuple(sorted(lines[i].coefficients for i in p)) for p in cfg))
-                for cfg in unordered
+                for cfg in found
             ),
         }
 

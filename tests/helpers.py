@@ -139,3 +139,51 @@ def cycle_basis_homology(
             raise ValueError("an image or relation vector is not a cycle")
         coords.append(c)
     return cokernel_group(columns_to_matrix(coords, dim_cycles), dim_cycles)
+
+
+# -- oracle for count_fibration_configurations -----------------------------------
+#
+# The ordered walker: every ordered tuple of meeting pairs, each pair in both
+# orientations, deduplicated into unordered sets at the leaves.  It visits
+# unordered * k! * 2^k leaves, so it shares neither the canonical walk nor the
+# counting formula of the library.
+
+
+def ordered_fibration_configurations(lat, pairs, reverse_order=False):
+    """count_fibration_configurations by walking every ordered tuple."""
+    lines = lat.enumerate_lines()
+    if reverse_order:
+        lines = list(reversed(lines))
+    nl = len(lines)
+    orthogonal = [0] * nl  # bitmask of lines meeting line i in 0
+    for i in range(nl):
+        for j in range(nl):
+            if i != j and lat.intersect(lines[i], lines[j]) == 0:
+                orthogonal[i] |= 1 << j
+    meet_pairs = [
+        (i, j) for i in range(nl) for j in range(nl)
+        if i != j and lat.intersect(lines[i], lines[j]) == 1
+    ]
+    ordered = 0
+    unordered = set()
+
+    def extend(chosen, allowed):
+        nonlocal ordered
+        if len(chosen) == pairs:
+            ordered += 1
+            unordered.add(frozenset(frozenset(p) for p in chosen))
+            return
+        for i, j in meet_pairs:
+            if (allowed >> i) & 1 and (allowed >> j) & 1:
+                extend(chosen + [(i, j)], allowed & orthogonal[i] & orthogonal[j])
+
+    extend([], (1 << nl) - 1)
+    return {
+        "pairs": pairs,
+        "ordered": ordered,
+        "unordered": len(unordered),
+        "configurations": sorted(
+            tuple(sorted(tuple(sorted(lines[i].coefficients for i in p)) for p in cfg))
+            for cfg in unordered
+        ),
+    }

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from syzygy.lattice import BlowupLattice, DivisorClass
 
+from helpers import ordered_fibration_configurations
+
 LINE_COUNTS = {0: 0, 1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 CONIC_COUNTS = {0: 0, 1: 1, 2: 2, 3: 3, 4: 5, 5: 10, 6: 27}
 
@@ -137,6 +139,7 @@ def test_fibration_configurations_cubic():
     assert res["unordered"] == rev["unordered"]
     # every unordered configuration is the fibre set of one conic class
     assert res["unordered"] == len(lat.enumerate_conic_classes())
+    # true by construction of the count; the ordered oracle below checks it
     assert res["ordered"] == res["unordered"] * 120 * 32  # 5! orderings, 2^5 swaps
 
 
@@ -153,3 +156,72 @@ def test_fibration_configurations_bl3():
         for a, b in fibres:
             assert a + b == conic
             assert lat.intersect(a, b) == 1
+
+
+def test_fibration_configurations_reject_bad_pairs():
+    with pytest.raises(ValueError, match=">= 0"):
+        BlowupLattice(6).count_fibration_configurations(-1)
+    # P^2 has no conic bundle, so there is no default number of pairs
+    with pytest.raises(ValueError, match="no conic bundle"):
+        BlowupLattice(0).count_fibration_configurations()
+    assert BlowupLattice(0).count_fibration_configurations(0)["unordered"] == 1
+
+
+ORACLE_CASES = [
+    (n, pairs, reverse)
+    for n in range(2, 6)
+    for pairs in range(n)
+    for reverse in (False, True)
+] + [(6, 5, False), (6, 2, False), (6, 2, True)]
+
+
+@pytest.mark.parametrize("n,pairs,reverse", ORACLE_CASES)
+def test_fibration_configurations_match_ordered_oracle(n, pairs, reverse):
+    lat = BlowupLattice(n)
+    got = lat.count_fibration_configurations(pairs, reverse_order=reverse)
+    assert got == ordered_fibration_configurations(lat, pairs, reverse_order=reverse)
+
+
+def test_fibration_configurations_cubic_weyl_orbit():
+    """W(E6) permutes the 27 configurations transitively: the orbit of one
+    under the reflections in every root is the whole set."""
+    lat = BlowupLattice(6)
+    configurations = lat.count_fibration_configurations()["configurations"]
+
+    def as_set(cfg):
+        return frozenset(frozenset(DivisorClass(c) for c in pair) for pair in cfg)
+
+    def reflect(cfg, root):
+        return frozenset(frozenset(lat.weyl_reflect(c, root) for c in pair) for pair in cfg)
+
+    roots = lat.roots()
+    assert len(roots) == 51  # E_i - E_j both ways, H - E_i - E_j - E_k, 2H - sum E_i
+    start = as_set(configurations[0])
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        cfg = frontier.pop()
+        for root in roots:
+            image = reflect(cfg, root)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    assert orbit == {as_set(cfg) for cfg in configurations}
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_fibration_configurations_are_conic_bundles(n):
+    """With the default n - 1 pairs, each configuration is the set of singular
+    fibres of one conic bundle: all its pairs sum to the same fibre class, and
+    every primitive fibration class arises exactly once."""
+    lat = BlowupLattice(n)
+    res = lat.count_fibration_configurations()
+    assert res["pairs"] == n - 1
+    sums = []
+    for cfg in res["configurations"]:
+        fibres = {DivisorClass(a) + DivisorClass(b) for a, b in cfg}
+        assert len(fibres) == 1
+        sums.append(fibres.pop())
+    assert sorted(sums) == lat.enumerate_conic_classes()
+    if n == 7:
+        assert res["unordered"] == 126
