@@ -8,7 +8,7 @@ k-th power (k-multiple) map, entries into cyclic summands reduce, and maps
 between distinct atoms are forbidden unless registered.
 
 Kernels, cokernels and two-sided homology are computed per atom family
-through Smith normal form of the exponent blocks.  For a divisible atom D the
+from the invariant factors of the exponent blocks.  For a divisible atom D the
 structure theorems reduce everything to the integer homology of the exponent
 complex: the free rank contributes copies of D, finite cyclic pieces die
 (D/kD = 0), and the torsion of the next cokernel contributes D[k], which is
@@ -27,12 +27,12 @@ from pathlib import Path
 from .smith import (
     FGAbelianGroup,
     cokernel_group,
+    invariant_factors,
     is_zero_matrix,
     mat_mul,
     partitions,
     presented_homology,
     prime_factorization,
-    smith_normal_form,
     zeros,
 )
 
@@ -339,11 +339,9 @@ def kernel(h: FormalHom) -> FormalGroup:
         if not rows or not cols:
             out = out + FormalGroup.atom(fam, len(cols))
             continue
-        diag = smith_normal_form(block).diagonal()
-        ncols = len(cols)
-        nonzero = [d for d in diag if d != 0]
-        out = out + FormalGroup.atom(fam, ncols - len(nonzero))
-        for d in nonzero:
+        factors = invariant_factors(block)
+        out = out + FormalGroup.atom(fam, len(cols) - len(factors))
+        for d in factors:
             if d >= 2:
                 out = out + FormalGroup.from_fg(atom.torsion(d))
     return out
@@ -369,10 +367,9 @@ def cokernel(h: FormalHom) -> FormalGroup:
         if not cols:
             out = out + FormalGroup.atom(fam, len(rows))
             continue
-        diag = smith_normal_form(block).diagonal()
-        nonzero = [d for d in diag if d != 0]
-        out = out + FormalGroup.atom(fam, len(rows) - len(nonzero))
-        for d in nonzero:
+        factors = invariant_factors(block)
+        out = out + FormalGroup.atom(fam, len(rows) - len(factors))
+        for d in factors:
             if d >= 2 and not atom.divisible:
                 raise InsufficientAtomData(
                     f"{fam}/{d}{fam} is not computable for a non-divisible atom"

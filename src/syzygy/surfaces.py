@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -394,10 +395,14 @@ def displayed_boundary(u: GeneratorUniverse, gen: SurfaceCentralModel) -> dict:
     }
 
 
+@cache
 def row0_complex(u: GeneratorUniverse) -> tuple:
     """The coinvariant chain complex of the truncation (degree d = rank d+1).
 
-    Returns (IntegerChainComplex, generators per rank).
+    Returns (IntegerChainComplex, generators per rank).  Built once per
+    universe (equal universes share the entry) and handed to every caller,
+    so callers must not mutate it; the homology and composition checks only
+    read it.
     """
     staircase = {r: u.e_max + (u.r_max - r) for r in range(1, u.r_max + 1)}
     gens = {r: enumerate_generators(u, r, staircase[r]) for r in range(1, u.r_max + 1)}

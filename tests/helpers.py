@@ -2,8 +2,9 @@
 
 from itertools import combinations
 
+from syzygy import smith
 from syzygy.complexes import Cell, RegularCWComplex
-from syzygy.smith import cokernel_group, kernel_basis, mat_mul, smith_normal_form, solve, zeros
+from syzygy.smith import FGAbelianGroup, Matrix, mat_mul, smith_normal_form, solve, zeros
 
 
 def build_point():
@@ -62,7 +63,58 @@ def build_octahedron():
 # The cycle-basis route: an explicit basis of the cycles, every boundary and
 # relation vector solved for in that basis, then the cokernel of the
 # coordinates.  Three Smith forms with full transforms and one solve per image
-# column; slow, but it shares nothing with the invariant-factor formula.
+# column; slow, but it shares nothing with the invariant-factor formula: every
+# diagonal it reads comes from the dense smith_normal_form, never from
+# smith.invariant_factors.
+
+
+def kernel_basis(a: Matrix, cols: int | None = None) -> list[list[int]]:
+    """Basis (as column vectors) of the integer kernel of ``a``.
+
+    ``cols`` must be supplied when ``a`` has zero rows, since the width cannot
+    be recovered from an empty list.
+    """
+    rows = len(a)
+    if cols is None:
+        if rows == 0:
+            raise ValueError("kernel of a 0-row matrix needs an explicit column count")
+        cols = len(a[0]) if a else 0
+    if rows == 0:
+        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
+    snf = smith_normal_form(a)
+    diag = snf.diagonal()
+    basis = []
+    for j in range(cols):
+        d = diag[j] if j < len(diag) else 0
+        if d == 0:
+            basis.append([snf.V[i][j] for i in range(cols)])
+    return basis
+
+
+def dense_invariant_factors(a):
+    """The nonzero entries of the dense Smith diagonal of ``a``."""
+    return [d for d in smith_normal_form(a).diagonal() if d]
+
+
+def record_dense_shapes(monkeypatch):
+    """The list that receives the shape of every matrix reaching
+    smith.smith_normal_form from here on."""
+    shapes = []
+    dense = smith.smith_normal_form
+
+    def record(a):
+        shapes.append((len(a), len(a[0]) if a else 0))
+        return dense(a)
+
+    monkeypatch.setattr(smith, "smith_normal_form", record)
+    return shapes
+
+
+def dense_cokernel_group(a, ambient_rank):
+    """Z^ambient_rank modulo the column span of ``a``, from the dense Smith
+    diagonal."""
+    nonzero = dense_invariant_factors(a)
+    return FGAbelianGroup.from_orders(ambient_rank - len(nonzero), nonzero)
 
 
 def columns_to_matrix(cols, height):
@@ -138,7 +190,7 @@ def cycle_basis_homology(
         if c is None:
             raise ValueError("an image or relation vector is not a cycle")
         coords.append(c)
-    return cokernel_group(columns_to_matrix(coords, dim_cycles), dim_cycles)
+    return dense_cokernel_group(columns_to_matrix(coords, dim_cycles), dim_cycles)
 
 
 # -- oracle for count_fibration_configurations -----------------------------------

@@ -8,7 +8,7 @@ from syzygy.smith import (
     FGAbelianGroup,
     cokernel_group,
     determinant,
-    kernel_basis,
+    invariant_factors,
     mat_mul,
     mat_vec,
     presented_homology,
@@ -17,7 +17,7 @@ from syzygy.smith import (
     zeros,
 )
 
-from helpers import cycle_basis_homology
+from helpers import cycle_basis_homology, dense_invariant_factors, kernel_basis, record_dense_shapes
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -67,6 +67,57 @@ def test_snf_large_entries_stay_exact():
     assert mat_mul(mat_mul(s.U, a), s.V) == s.D
     assert s.diagonal()[0] == 1
     assert s.diagonal()[1] == 10**40 - 1
+
+
+@st.composite
+def sparse_unit_matrices(draw):
+    """Up to 12x12, mostly zeros and +-1 with a few larger entries, so that
+    unit elimination, fill-in and a residual without units all occur; the
+    shapes include 0 rows, 0 columns and all-zero matrices."""
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    zero_weight = draw(st.sampled_from([1, 3, 8]))
+    entries = st.sampled_from([0] * zero_weight + [1, -1, 1, -1, 2, -2, 3])
+    return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_unit_matrices())
+def test_invariant_factors_match_dense_diagonal(a):
+    assert invariant_factors(a) == dense_invariant_factors(a)
+
+
+def test_invariant_factors_edge_shapes():
+    assert invariant_factors([]) == []
+    assert invariant_factors([[], []]) == []
+    assert invariant_factors(zeros(3, 4)) == []
+    assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
+    assert invariant_factors([[-4]]) == [4]
+    # every pivot fills in a zero of another row; the determinant is -2
+    assert invariant_factors([[1, 1, 0], [1, 0, 1], [0, 1, 1]]) == [1, 1, 2]
+    assert invariant_factors([[1, 1, 1], [1, -1, 1], [1, 1, -1]]) == [1, 2, 2]
+
+
+def test_invariant_factors_pivot_on_least_fill_in(monkeypatch):
+    """The unit alone in its row (cost 0) goes first and leaves a unit at
+    the bottom left, so nothing reaches the dense form.  Pivoting on the
+    first unit found, top right, would leave the residual [[2], [3]]."""
+    shapes = record_dense_shapes(monkeypatch)
+    assert invariant_factors([[-2, 1], [0, 1], [1, 1]]) == [1, 1]
+    assert shapes == []
+
+
+def test_invariant_factors_match_sympy():
+    """A third opinion that shares no code with this package."""
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_unit_matrices().filter(lambda a: a and a[0]))
+    def check(a):
+        expected = normalforms.invariant_factors(Matrix(a), domain=ZZ)
+        assert invariant_factors(a) == [int(d) for d in expected if d]
+
+    check()
 
 
 def test_kernel_and_solve():

@@ -1,8 +1,17 @@
 import pytest
+from copy import deepcopy
 from itertools import combinations
 from math import comb
 
-from syzygy.smith import FGAbelianGroup, is_zero_matrix, mat_mul, presented_homology, zeros
+from syzygy.smith import (
+    FGAbelianGroup,
+    invariant_factors,
+    is_zero_matrix,
+    lift_to_cycles,
+    mat_mul,
+    presented_homology,
+    zeros,
+)
 from syzygy.surfaces import (
     BaseCase,
     GeneratorUniverse,
@@ -19,7 +28,7 @@ from syzygy.surfaces import (
     two_ray_game,
 )
 
-from helpers import cycle_basis_homology
+from helpers import cycle_basis_homology, dense_invariant_factors, record_dense_shapes
 
 
 def Z2n(n):
@@ -234,17 +243,76 @@ ROW0_UNIVERSES = [
 ]
 
 
-@pytest.mark.parametrize(
+ROW0_SUITE = pytest.mark.parametrize(
     "u",
     [GeneratorUniverse.ruled(p, e, r_max=r) for p, e, r in ROW0_UNIVERSES]
     + [GeneratorUniverse.cremona(3), GeneratorUniverse.cremona(60)],
     ids=[f"ruled-{p}-{e}-{r}" for p, e, r in ROW0_UNIVERSES] + ["cremona-3", "cremona-60"],
 )
+
+
+@ROW0_SUITE
 def test_row0_homology_matches_cycle_basis_oracle(u):
     cc, _ = row0_complex(u)
     assert cc.check_composition()
     for d in range(cc.top_degree + 1):
         assert cc.homology(d) == cycle_basis_homology(*cc._window(d))
+
+
+@ROW0_SUITE
+def test_row0_invariant_factors_match_dense_snf(u):
+    """Every boundary, every cycle matrix [a | -R_t] and every lifted matrix
+    that presented_homology reads has the nonzero dense Smith diagonal as its
+    invariant factors."""
+    cc, _ = row0_complex(u)
+    matrices = []
+    for d in range(cc.top_degree + 1):
+        window = cc._window(d)
+        a, rel_target = window[0], window[5]
+        annotated = sorted(rel_target)
+        cycle_matrix = [
+            row + [-rel_target[t] if i == t else 0 for t in annotated]
+            for i, row in enumerate(a)
+        ]
+        for m in (a, cycle_matrix, lift_to_cycles(*window)):
+            if m not in matrices:
+                matrices.append(m)
+    for m in matrices:
+        assert invariant_factors(m) == dense_invariant_factors(m)
+
+
+def test_row0_unit_elimination_leaves_a_small_residual(monkeypatch):
+    """The 315x385 degree-4 boundary (rank 5 to rank 4) at |T| = 7 reaches
+    the dense Smith form as one residual of at most 35x105."""
+    cc, _ = row0_complex(GeneratorUniverse.ruled(7, 5, r_max=5))
+    d4 = cc.boundaries[4]
+    assert (len(d4), len(d4[0])) == (315, 385)
+    shapes = record_dense_shapes(monkeypatch)
+    invariant_factors(d4)
+    assert len(shapes) == 1
+    rows, cols = shapes[0]
+    assert rows <= 35 and cols <= 105
+
+
+def test_row0_complex_is_built_once_per_universe():
+    u = GeneratorUniverse.ruled(4, 3, r_max=5)
+    assert row0_complex(u) is row0_complex(u)
+    twin = GeneratorUniverse.ruled(4, 3, r_max=5)
+    assert twin is not u and twin == u
+    assert row0_complex(twin) is row0_complex(u)
+
+
+@pytest.mark.parametrize(
+    "u", [GeneratorUniverse.ruled(4, 3, r_max=5), GeneratorUniverse.cremona(3)],
+    ids=["ruled-4-3-5", "cremona-3"],
+)
+def test_row0_complex_reads_leave_the_shared_complex_unchanged(u):
+    cc, gens = row0_complex(u)
+    before = deepcopy((cc.boundaries, cc.cyclic, gens))
+    assert cc.check_composition()
+    for d in range(cc.top_degree + 1):
+        cc.homology(d)
+    assert (cc.boundaries, cc.cyclic, gens) == before
 
 
 @pytest.mark.parametrize("points", [4, 5])
