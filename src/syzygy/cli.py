@@ -15,17 +15,15 @@ import time
 import click
 
 from . import __version__
-from .complexes import IntegerChainComplex, RegularCWComplex, load_complex_file
+from .complexes import RegularCWComplex, load_complex_file
 from .formal import FormalGroupError
 from .lattice import BlowupLattice
 from .spectral import (
     KnownHomologyRegistry,
     cremona_assemble,
-    cremona_row1_complex,
     default_registry,
     k2_prime_candidates,
     prop_s17_sequence,
-    row1_degree2_bound,
     row1_homology,
     ruled_row1_complex,
     schur_aut_quadric,
@@ -288,12 +286,11 @@ def cremona(ctx, points, e_max, r_max, rows):
             result["boundary_squares_to_zero"] = True
             for i in range(1, u.r_max - 1):
                 result[f"E_{{{i},0}}"] = str(row0_homology(u, i))
-        if 1 in wanted:
-            row1 = cremona_row1_complex(u, ctx.obj["registry"])
-            result["E_{0,1}"] = str(row1_homology(row1, 0))
-            result["E_{1,1}"] = str(row1_homology(row1, 1))
-            result["E_{2,1}_bound"] = str(row1_degree2_bound(row1))
         asm = cremona_assemble(ctx.obj["registry"], u)
+        if 1 in wanted:
+            result["E_{0,1}"] = str(asm["E_{0,1}"])
+            result["E_{1,1}"] = str(asm["E_{1,1}"])
+            result["E_{2,1}_bound"] = str(asm["E_{2,1} bound"])
         result["relation"] = asm["relation"]
         result["E_{0,2}"] = str(asm["E_{0,2}"])
         result["H2_candidates"] = [str(c) for c in asm["candidates"]]

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from .smith import (
     FGAbelianGroup,
-    Matrix,
     is_zero_matrix,
     lift_to_cycles,
     mat_mul,
@@ -335,9 +334,6 @@ class IntegerChainComplex:
         if degree < 0 or degree > self.top_degree:
             return FGAbelianGroup(0)
         return presented_homology(*self._window(degree))
-
-    def all_homology(self) -> list[FGAbelianGroup]:
-        return [self.homology(d) for d in range(self.top_degree + 1)]
 
     def to_json_dict(self) -> dict:
         return {

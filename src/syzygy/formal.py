@@ -185,9 +185,6 @@ class FormalGroup:
         out += [("free",)] * self.free_rank
         return out
 
-    def without_cyclic_part(self) -> "FormalGroup":
-        return FormalGroup(self.atoms, (), self.free_rank, self.infinite)
-
     def __str__(self) -> str:
         parts = [a for a in self.atoms]
         parts += [f"Z/{d}" for d in self.cyclic]

@@ -66,9 +66,6 @@ class BlowupLattice:
         self.n = n
         self.rank = n + 1
 
-    def basis_labels(self) -> list[str]:
-        return ["H"] + [f"E{i}" for i in range(1, self.n + 1)]
-
     def cls(self, *coefficients: int) -> DivisorClass:
         if len(coefficients) != self.rank:
             raise ValueError(f"expected {self.rank} coefficients, got {len(coefficients)}")

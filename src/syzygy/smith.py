@@ -437,11 +437,6 @@ class FGAbelianGroup:
             return None
         return prod(self.torsion) if self.torsion else 1
 
-    def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
-        return FGAbelianGroup.from_orders(
-            self.free_rank + other.free_rank, list(self.torsion) + list(other.torsion)
-        )
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

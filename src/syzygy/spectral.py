@@ -15,7 +15,7 @@ turning refuses and names the offending spot.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .formal import (
@@ -24,7 +24,6 @@ from .formal import (
     FormalGroupError,
     InsufficientAtomData,
     atom_registry,
-    check_exact,
     cokernel,
     homology_at,
     kernel,
@@ -34,7 +33,7 @@ from .formal import (
 from .surfaces import (
     BaseCase,
     GeneratorUniverse,
-    enumerate_generators,
+    boundary,
     row0_homology,
 )
 
@@ -167,14 +166,6 @@ def coinvariants_of_swap(m: FormalGroup) -> FormalGroup:
         mat[layout[0][j]][j] = 1
         mat[layout[1][j]][j] = -1
     return cokernel(FormalHom(m, total, mat))
-
-
-def kunneth_h2(h2_factor: FormalGroup, copies: int = 2) -> FormalGroup:
-    """H2 of a direct product of groups with vanishing H1: the sum of the H2s."""
-    out = FormalGroup.zero()
-    for _ in range(copies):
-        out = out + h2_factor
-    return out
 
 
 # -- spectral grids -------------------------------------------------------------
@@ -598,8 +589,9 @@ def schur_aut_quadric(registry: KnownHomologyRegistry | None = None) -> SchurDer
         "Aut(P1xP1)", 2, value,
         "stable page of the split swap extension; only E_{0,2} survives in total degree 2",
     )
+    h2 = reg.get("PGL(2,C)", 2)
     reg.add_derived(
-        "Aut+(P1xP1)", 2, kunneth_h2(reg.get("PGL(2,C)", 2)),
+        "Aut+(P1xP1)", 2, h2 + h2,
         "Kunneth for PGL2 x PGL2 with vanishing H1",
     )
     seq = five_term(grid)
@@ -743,13 +735,48 @@ def _make_place(entries):
     return (labels, total, layout)
 
 
+def _row1_complex(u: GeneratorUniverse, entry, extra_rank3=None) -> RowComplex:
+    """The row-1 complex at ranks 1..3, with the staircase invariant bounds.
+
+    Place p sums entry(gen) over the rank-(p+1) generators.  The cells and
+    their incidences are those of row 0, so a block is the row-0 coefficient
+    times the entry map, the product map (all ones) between entry tori; the
+    sign flips at rank 3, where row 0 orients every cell against the cube
+    convention (tests/test_row0_witness.py).  Generators whose entry group
+    has no slots carry no block.  extra_rank3(gen), keyed by the (family, e)
+    of the rank-2 target, adds the blocks that row 0 cannot see."""
+    bound = {r: u.e_max + (3 - r) for r in (1, 2, 3)}
+    bms = {
+        r: boundary(u, r, e_bound=bound[r], target_e_bound=bound[r - 1]) for r in (2, 3)
+    }
+    gens = {1: bms[2].rows, 2: bms[2].columns, 3: bms[3].columns}
+    places = {r: _make_place([(g, entry(g)) for g in gens[r]]) for r in (1, 2, 3)}
+    maps = []
+    for r, sign in ((2, 1), (3, -1)):
+        bm = bms[r]
+        if bm.clipped:
+            raise RuntimeError(f"row-1 staircase clipped a formula at rank {r}: {bm.clipped}")
+        src_layout, tgt_layout = places[r][2], places[r - 1][2]
+        blocks = {}
+        for i, row in enumerate(bm.matrix):
+            for j, c in enumerate(row):
+                if c and src_layout[j] and tgt_layout[i]:
+                    block = [[sign * c] * len(src_layout[j]) for _ in tgt_layout[i]]
+                    blocks[(bm.columns[j], bm.rows[i])] = block
+        if r == 3 and extra_rank3 is not None:
+            by_tag = {(g.family, g.e): g for g in gens[2]}
+            for g in gens[3]:
+                blocks.update(((g, by_tag[t]), b) for t, b in extra_rank3(g).items())
+        maps.append(_entry_hom(places[r], places[r - 1], blocks))
+    return RowComplex(places=[places[1], places[2], places[3]], maps=maps)
+
+
 def ruled_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
     """The abelianization row for the ruled universe at ranks 1..3, with the
     staircase invariant bounds."""
     if u.base is not BaseCase.RULED:
         raise ValueError("this builder is for the ruled universe")
     reg = registry or default_registry()
-    bound = {r: u.e_max + (3 - r) for r in (1, 2, 3)}
 
     def entry(gen):
         if gen.rank == 1:
@@ -761,50 +788,25 @@ def ruled_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
             return reg.get("Autf(S_e,2)", 1)
         return reg.get("Autf(S_g,2)" if gen.partition == (1, 1) else "Autf(S_s,2)", 1)
 
-    gens = {r: enumerate_generators(u, r, bound[r]) for r in (1, 2, 3)}
-    places = [
-        _make_place([(g, entry(g)) for g in gens[r]]) for r in (1, 2, 3)
-    ]
+    return _row1_complex(u, entry)
 
-    def by(r, **kw):
-        for g in gens[r]:
-            if all(getattr(g, k) == v for k, v in kw.items()):
-                return g
-        raise KeyError(kw)
 
-    blocks21 = {}
-    for g in gens[2]:
-        if g.family == "blowup":
-            blocks21[(g, by(1, family="hirzebruch", e=1))] = [[1]]
-        else:
-            blocks21[(g, by(1, family="hirzebruch", e=g.e + 1))] = [[1]]
-            if g.e >= 1:
-                tgt = by(1, family="hirzebruch", e=g.e)
-                if tgt.e >= 1:  # the quadric's entry is zero
-                    blocks21[(g, tgt)] = [[-1]]
-    blocks32 = {}
-    for g in gens[3]:
-        if g.family == "blowup" and g.partition == (1, 1):
-            continue  # zero entry
-        p, q = g.points
-        if g.family == "blowup":  # the special configuration
-            blocks32[(g, by(2, family="blowup", points=(p,)))] = [[1]]
-            blocks32[(g, by(2, family="blowup", points=(q,)))] = [[-1]]
-            blocks32[(g, by(2, family="min_section", points=(p,), e=1))] = [[-1]]
-            blocks32[(g, by(2, family="min_section", points=(q,), e=1))] = [[1]]
-        else:
-            e = g.e
-            blocks32[(g, by(2, family="min_section", points=(p,), e=e))] = [[1]]
-            blocks32[(g, by(2, family="min_section", points=(q,), e=e))] = [[-1]]
-            blocks32[(g, by(2, family="min_section", points=(p,), e=e + 1))] = [[-1]]
-            blocks32[(g, by(2, family="min_section", points=(q,), e=e + 1))] = [[1]]
-    return RowComplex(
-        places=places,
-        maps=[
-            _entry_hom(places[1], places[0], blocks21),
-            _entry_hom(places[2], places[1], blocks32),
-        ],
-    )
+def _cremona_rank3_blocks(gen) -> dict:
+    """Row-1 blocks out of a Cremona rank-3 generator, keyed by the (family, e)
+    of the rank-2 target.  The row-0 table gives these generators no target
+    with a nonzero entry: the true boundaries of S_g,2, S_s,2 and S_e,2 are
+    even, and the one target of Bl2P2, the quadric, has entry zero."""
+    if gen.family == "dp7":
+        # the twisted torus of Bl2P2 meets the conic bundle S_g,1 and F1
+        return {("blowup", 0): [[2], [1]], ("dp8_blowdown", 0): [[-3]]}
+    if gen.family == "blowup" and gen.partition == (1, 1):
+        # entry C* + Z/2 in slot order; only the torus maps, by squares
+        return {("blowup", 0): [[-2, 0], [2, 0]]}
+    if gen.family == "blowup":
+        # S_s,2: both blow-downs of the shared section, each antidiagonal
+        return {("blowup", 0): [[1], [-1]], ("min_section", 1): [[1], [-1]]}
+    # S_e,2: the blow-downs to e and e + 1, antidiagonal with opposite signs
+    return {("min_section", gen.e): [[1], [-1]], ("min_section", gen.e + 1): [[-1], [1]]}
 
 
 def cremona_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
@@ -814,7 +816,6 @@ def cremona_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
     if u.base is not BaseCase.CREMONA:
         raise ValueError("this builder is for the cremona universe")
     reg = registry or default_registry()
-    bound = {r: u.e_max + (3 - r) for r in (1, 2, 3)}
 
     def block_entry(full, plus, mat):
         action = FormalHom(reg.get(full, 1), reg.get(plus, 1), mat)
@@ -844,52 +845,7 @@ def cremona_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
             return block_entry("Aut(S_s,2/P1)", "Aut+(S_s,2/P1)", [[2], [0]])
         return block_entry("Aut(S_e,2/P1)", "Aut+(S_e,2/P1)", [[2], [0]])
 
-    gens = {r: enumerate_generators(u, r, bound[r]) for r in (1, 2, 3)}
-    places = [
-        _make_place([(g, entry(g)) for g in gens[r]]) for r in (1, 2, 3)
-    ]
-
-    def by(r, **kw):
-        for g in gens[r]:
-            if all(getattr(g, k) == v for k, v in kw.items()):
-                return g
-        raise KeyError(kw)
-
-    blocks21 = {}
-    for g in gens[2]:
-        if g.family == "dp8_blowdown":
-            blocks21[(g, by(1, family="hirzebruch", e=1))] = [[1]]
-        elif g.family == "blowup":
-            blocks21[(g, by(1, family="hirzebruch", e=1))] = [[1, 1]]
-        elif g.family == "min_section":
-            blocks21[(g, by(1, family="hirzebruch", e=g.e + 1))] = [[1, 1]]
-            if g.e >= 1:
-                tgt = by(1, family="hirzebruch", e=g.e)
-                if tgt.e >= 1:
-                    blocks21[(g, tgt)] = [[-1, -1]]
-    sg1 = by(2, family="blowup")
-    blocks32 = {}
-    for g in gens[3]:
-        if g.family == "dp7":
-            blocks32[(g, sg1)] = [[2], [1]]
-            blocks32[(g, by(2, family="dp8_blowdown"))] = [[-3]]
-        elif g.family == "blowup" and g.partition == (1, 1):
-            # entry C* + Z/2 in slot order; only the torus maps, by squares
-            blocks32[(g, sg1)] = [[-2, 0], [2, 0]]
-        elif g.family == "blowup":
-            blocks32[(g, sg1)] = [[1], [-1]]
-            blocks32[(g, by(2, family="min_section", e=1))] = [[1], [-1]]
-        else:
-            e = g.e
-            blocks32[(g, by(2, family="min_section", e=e))] = [[1], [-1]]
-            blocks32[(g, by(2, family="min_section", e=e + 1))] = [[-1], [1]]
-    return RowComplex(
-        places=places,
-        maps=[
-            _entry_hom(places[1], places[0], blocks21),
-            _entry_hom(places[2], places[1], blocks32),
-        ],
-    )
+    return _row1_complex(u, entry, _cremona_rank3_blocks)
 
 
 def row1_homology(row: RowComplex, i: int) -> FormalGroup:
@@ -909,6 +865,15 @@ def row1_degree2_bound(row: RowComplex) -> FormalGroup:
 # -- assembled applications --------------------------------------------------------
 
 
+def _row0_entries(u: GeneratorUniverse) -> dict:
+    """E_{i,0} for i = 1..3; None where the truncation does not reach
+    (i > r_max - 2)."""
+    return {
+        i: FormalGroup.from_fg(row0_homology(u, i)) if i <= u.r_max - 2 else None
+        for i in (1, 2, 3)
+    }
+
+
 def ruled_grid(u: GeneratorUniverse, registry=None) -> SpectralGrid:
     """Second page for the ruled universe at finite truncation: row 0 from the
     coinvariant complex, row 1 from the abelianization complex, row 2 unknown."""
@@ -916,11 +881,8 @@ def ruled_grid(u: GeneratorUniverse, registry=None) -> SpectralGrid:
     row1 = ruled_row1_complex(u, reg)
     entries = {}
     entries[(0, 0)] = FormalGroup.free(1)
-    for i in range(1, 4):
-        if i <= u.r_max - 2:
-            entries[(i, 0)] = FormalGroup.from_fg(row0_homology(u, i))
-        else:
-            entries[(i, 0)] = None
+    for i, group in _row0_entries(u).items():
+        entries[(i, 0)] = group
     entries[(0, 1)] = row1_homology(row1, 0)
     entries[(1, 1)] = row1_homology(row1, 1)
     entries[(2, 1)] = None
@@ -955,11 +917,13 @@ def cremona_assemble(
     The governing relation is H2 = E_{0,2} / Im(E_{2,1} -> E_{0,2}); the
     differential is undetermined, so both candidates are reported unless the
     caller forces E_{2,1} = 0.  The infinite 2-torsion sum absorbs any
-    2-torsion image, so only the 3-part of E_{2,1} can change the answer."""
+    2-torsion image, so only the 3-part of E_{2,1} can change the answer.
+    Row 0 is reported where the truncation reaches it (None elsewhere); the
+    candidates do not depend on it."""
     reg = registry or default_registry()
     u = universe or GeneratorUniverse.cremona(3, r_max=5)
     row1 = cremona_row1_complex(u, reg)
-    rows0 = {i: FormalGroup.from_fg(row0_homology(u, i)) for i in (1, 2, 3)}
+    rows0 = _row0_entries(u)
     e01 = row1_homology(row1, 0)
     e11 = row1_homology(row1, 1)
     e21_bound = row1_degree2_bound(row1)

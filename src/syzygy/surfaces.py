@@ -270,9 +270,6 @@ class BoundaryMatrix:
     row_orders: dict = field(default_factory=dict)  # row index -> 2 for Z/2 rows
     clipped: list = field(default_factory=list)
 
-    def column_vector(self, j: int) -> list[int]:
-        return [self.matrix[i][j] for i in range(len(self.rows))]
-
 
 def _ruled_boundary_targets(gen: SurfaceCentralModel):
     """List of (removed-point-position, target-descriptor, coefficient)."""
@@ -353,9 +350,7 @@ def boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
     non-orientable generators; entries out of an order-2 column into a plain
     row are necessarily zero, which the tables respect by construction.
     """
-    if rank < 1 or rank > u.r_max:
-        raise ValueError(f"rank must be in [1, {u.r_max}]")
-    cols = enumerate_generators(u, rank, e_bound)
+    cols = enumerate_generators(u, rank, e_bound)  # refuses ranks outside [1, r_max]
     if rank == 1:
         bm = BoundaryMatrix(rank=1, columns=cols, rows=["Z (augmentation)"],
                             matrix=[[1] * len(cols)])

@@ -4,7 +4,16 @@ from itertools import combinations
 
 from syzygy import smith
 from syzygy.complexes import Cell, RegularCWComplex
+from syzygy.formal import FormalGroup, FormalGroupError, FormalHom
 from syzygy.smith import FGAbelianGroup, Matrix, mat_mul, smith_normal_form, solve, zeros
+from syzygy.spectral import (
+    RowComplex,
+    _entry_hom,
+    _make_place,
+    default_registry,
+    nonorientable_block_homology,
+)
+from syzygy.surfaces import BaseCase, GeneratorUniverse, enumerate_generators
 
 
 def build_point():
@@ -239,3 +248,159 @@ def ordered_fibration_configurations(lat, pairs, reverse_order=False):
             for cfg in unordered
         ),
     }
+
+
+# -- oracle for the row-1 complexes ------------------------------------------------
+#
+# The two hand-written builders: each finds its targets by linear search and
+# lists every incidence block by hand, so they share neither the row-0
+# boundary nor the single assembly of the library.
+
+
+def table_ruled_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
+    """The abelianization row for the ruled universe at ranks 1..3, with the
+    staircase invariant bounds."""
+    if u.base is not BaseCase.RULED:
+        raise ValueError("this builder is for the ruled universe")
+    reg = registry or default_registry()
+    bound = {r: u.e_max + (3 - r) for r in (1, 2, 3)}
+
+    def entry(gen):
+        if gen.rank == 1:
+            return FormalGroup.zero() if gen.e == 0 else reg.get("Autf(Fe/P1)", 1)
+        if gen.rank == 2:
+            name = "Autf(S_g,1)" if gen.family == "blowup" else "Autf(S_e,1)"
+            return reg.get(name, 1)
+        if gen.family == "min_section":
+            return reg.get("Autf(S_e,2)", 1)
+        return reg.get("Autf(S_g,2)" if gen.partition == (1, 1) else "Autf(S_s,2)", 1)
+
+    gens = {r: enumerate_generators(u, r, bound[r]) for r in (1, 2, 3)}
+    places = [
+        _make_place([(g, entry(g)) for g in gens[r]]) for r in (1, 2, 3)
+    ]
+
+    def by(r, **kw):
+        for g in gens[r]:
+            if all(getattr(g, k) == v for k, v in kw.items()):
+                return g
+        raise KeyError(kw)
+
+    blocks21 = {}
+    for g in gens[2]:
+        if g.family == "blowup":
+            blocks21[(g, by(1, family="hirzebruch", e=1))] = [[1]]
+        else:
+            blocks21[(g, by(1, family="hirzebruch", e=g.e + 1))] = [[1]]
+            if g.e >= 1:
+                tgt = by(1, family="hirzebruch", e=g.e)
+                if tgt.e >= 1:  # the quadric's entry is zero
+                    blocks21[(g, tgt)] = [[-1]]
+    blocks32 = {}
+    for g in gens[3]:
+        if g.family == "blowup" and g.partition == (1, 1):
+            continue  # zero entry
+        p, q = g.points
+        if g.family == "blowup":  # the special configuration
+            blocks32[(g, by(2, family="blowup", points=(p,)))] = [[1]]
+            blocks32[(g, by(2, family="blowup", points=(q,)))] = [[-1]]
+            blocks32[(g, by(2, family="min_section", points=(p,), e=1))] = [[-1]]
+            blocks32[(g, by(2, family="min_section", points=(q,), e=1))] = [[1]]
+        else:
+            e = g.e
+            blocks32[(g, by(2, family="min_section", points=(p,), e=e))] = [[1]]
+            blocks32[(g, by(2, family="min_section", points=(q,), e=e))] = [[-1]]
+            blocks32[(g, by(2, family="min_section", points=(p,), e=e + 1))] = [[-1]]
+            blocks32[(g, by(2, family="min_section", points=(q,), e=e + 1))] = [[1]]
+    return RowComplex(
+        places=places,
+        maps=[
+            _entry_hom(places[1], places[0], blocks21),
+            _entry_hom(places[2], places[1], blocks32),
+        ],
+    )
+
+
+def table_cremona_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
+    """The abelianization row for the plane's universe at ranks 1..3; the
+    non-orientable classes contribute their twisted blocks, computed through
+    the long exact sequence."""
+    if u.base is not BaseCase.CREMONA:
+        raise ValueError("this builder is for the cremona universe")
+    reg = registry or default_registry()
+    bound = {r: u.e_max + (3 - r) for r in (1, 2, 3)}
+
+    def block_entry(full, plus, mat):
+        action = FormalHom(reg.get(full, 1), reg.get(plus, 1), mat)
+        out = nonorientable_block_homology(1, full, plus, action, reg)
+        if isinstance(out, list):
+            raise FormalGroupError(f"ambiguous degree-1 block for {full}")
+        return out
+
+    def entry(gen):
+        if gen.rank == 1:
+            if gen.family == "plane" or gen.e == 0:
+                return FormalGroup.zero()
+            return reg.get("Aut(Fe/P1)", 1)
+        if gen.rank == 2:
+            if gen.family == "dp8_blowdown":
+                return reg.get("Aut(F1)", 1)
+            if gen.family == "dp8_quadric":
+                return block_entry("Aut(P1xP1)", "Aut+(P1xP1)", [])
+            name = "Aut(S_g,1/P1)" if gen.family == "blowup" else "Aut(S_e,1/P1)"
+            return reg.get(name, 1)
+        if gen.family == "dp7":
+            # 1+sigma is the diagonal on the torus abelianization
+            return block_entry("Aut(Bl2P2)", "Aut+(Bl2P2)", [[1], [1]])
+        if gen.family == "blowup" and gen.partition == (1, 1):
+            return block_entry("Aut(S_g,2/P1)", "Aut+(S_g,2/P1)", [[0, 0], [0, 0]])
+        if gen.family == "blowup":
+            return block_entry("Aut(S_s,2/P1)", "Aut+(S_s,2/P1)", [[2], [0]])
+        return block_entry("Aut(S_e,2/P1)", "Aut+(S_e,2/P1)", [[2], [0]])
+
+    gens = {r: enumerate_generators(u, r, bound[r]) for r in (1, 2, 3)}
+    places = [
+        _make_place([(g, entry(g)) for g in gens[r]]) for r in (1, 2, 3)
+    ]
+
+    def by(r, **kw):
+        for g in gens[r]:
+            if all(getattr(g, k) == v for k, v in kw.items()):
+                return g
+        raise KeyError(kw)
+
+    blocks21 = {}
+    for g in gens[2]:
+        if g.family == "dp8_blowdown":
+            blocks21[(g, by(1, family="hirzebruch", e=1))] = [[1]]
+        elif g.family == "blowup":
+            blocks21[(g, by(1, family="hirzebruch", e=1))] = [[1, 1]]
+        elif g.family == "min_section":
+            blocks21[(g, by(1, family="hirzebruch", e=g.e + 1))] = [[1, 1]]
+            if g.e >= 1:
+                tgt = by(1, family="hirzebruch", e=g.e)
+                if tgt.e >= 1:
+                    blocks21[(g, tgt)] = [[-1, -1]]
+    sg1 = by(2, family="blowup")
+    blocks32 = {}
+    for g in gens[3]:
+        if g.family == "dp7":
+            blocks32[(g, sg1)] = [[2], [1]]
+            blocks32[(g, by(2, family="dp8_blowdown"))] = [[-3]]
+        elif g.family == "blowup" and g.partition == (1, 1):
+            # entry C* + Z/2 in slot order; only the torus maps, by squares
+            blocks32[(g, sg1)] = [[-2, 0], [2, 0]]
+        elif g.family == "blowup":
+            blocks32[(g, sg1)] = [[1], [-1]]
+            blocks32[(g, by(2, family="min_section", e=1))] = [[1], [-1]]
+        else:
+            e = g.e
+            blocks32[(g, by(2, family="min_section", e=e))] = [[1], [-1]]
+            blocks32[(g, by(2, family="min_section", e=e + 1))] = [[-1], [1]]
+    return RowComplex(
+        places=places,
+        maps=[
+            _entry_hom(places[1], places[0], blocks21),
+            _entry_hom(places[2], places[1], blocks32),
+        ],
+    )

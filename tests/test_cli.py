@@ -89,6 +89,21 @@ def test_cremona_command(runner):
     assert data["warnings"]  # --points is recorded but unused
 
 
+@pytest.mark.parametrize("r_max", [3, 4])
+def test_cremona_command_below_rank_five(runner, r_max):
+    # the row-1 bounds do not depend on r_max, and row 0 is read only where
+    # the truncation reaches
+    full = json.loads(invoke(runner, "cremona", "--r-max", "5").output)["result"]
+    for rows in ("0", "0,1"):
+        res = invoke(runner, "cremona", "--r-max", str(r_max), "--rows", rows)
+        assert res.exit_code == 0
+        result = json.loads(res.output)["result"]
+        assert result["H2_candidates"] == full["H2_candidates"]
+        assert sorted(k for k in result if k.endswith(",0}")) == [
+            f"E_{{{i},0}}" for i in range(1, r_max - 1)
+        ]
+
+
 def test_schur_commands(runner):
     for target, expected in (
         ("pgl2", "K2(C) (+) Z/2"),

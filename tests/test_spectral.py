@@ -1,6 +1,6 @@
 import pytest
 
-from syzygy.formal import FormalGroup, FormalGroupError, FormalHom, zero_hom
+from syzygy.formal import FormalGroup, FormalGroupError, FormalHom
 from syzygy.spectral import (
     ExactSequence,
     KnownHomologyRegistry,
@@ -9,14 +9,12 @@ from syzygy.spectral import (
     coinvariants_of_swap,
     cremona_assemble,
     cremona_row1_complex,
-    default_registry,
     direct_sum_with_layout,
     five_term,
     h_prime_grid,
     k2_prime_candidates,
     nonorientable_block_homology,
     pgl_grid,
-    prop_s17_sequence,
     row1_degree2_bound,
     row1_homology,
     ruled_grid,
@@ -26,6 +24,8 @@ from syzygy.spectral import (
     seven_term,
 )
 from syzygy.surfaces import GeneratorUniverse
+
+from helpers import table_cremona_row1_complex, table_ruled_row1_complex
 
 Cs = FormalGroup.atom("C*")
 K2 = FormalGroup.atom("K2(C)")
@@ -237,6 +237,43 @@ def test_cremona_row1(registry):
     assert row1_homology(row, 1).is_zero
     bound = row1_degree2_bound(row)
     assert bound == Zn(2) + Zn(6)  # = Z/3 + (Z/2)^2 in invariant factors
+
+
+def assert_same_row_complex(row, oracle):
+    for place, expected in zip(row.places, oracle.places):
+        assert place[0] == expected[0]  # labels
+        assert place[1] == expected[1]  # entry groups, summed
+        assert place[2] == expected[2]  # per-generator slots
+    assert len(row.maps) == len(oracle.maps) == 2
+    for hom, expected in zip(row.maps, oracle.maps):
+        assert (hom.source, hom.target) == (expected.source, expected.target)
+        assert hom.matrix == expected.matrix
+
+
+def test_ruled_row1_matches_table_oracle(registry):
+    for points in range(1, 7):
+        for e_max in range(1, 6):
+            for r_max in (3, 4, 5):
+                u = GeneratorUniverse.ruled(points, e_max, r_max)
+                assert_same_row_complex(
+                    ruled_row1_complex(u, registry), table_ruled_row1_complex(u, registry)
+                )
+
+
+@pytest.mark.parametrize("e_max", [1, 3, 5, 60])
+@pytest.mark.parametrize("r_max", [3, 4, 5])
+def test_cremona_row1_matches_table_oracle(e_max, r_max, registry):
+    u = GeneratorUniverse.cremona(e_max, r_max)
+    assert_same_row_complex(
+        cremona_row1_complex(u, registry), table_cremona_row1_complex(u, registry)
+    )
+
+
+def test_row1_builders_refuse_the_other_universe(registry):
+    with pytest.raises(ValueError):
+        ruled_row1_complex(GeneratorUniverse.cremona(3), registry)
+    with pytest.raises(ValueError):
+        cremona_row1_complex(GeneratorUniverse.ruled(3, 3), registry)
 
 
 def test_cremona_assemble(registry):
