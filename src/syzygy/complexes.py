@@ -12,6 +12,11 @@ annotated target generator, which multiple of its relation a chain hits, so
 the same engine serves plain cellular homology and the coinvariant complexes
 produced by the surface-model machinery.
 
+Boundary matrices are kept in smith's column format from assembly to the
+homology read: one dict per cell of the source degree, mapping the index of
+each face in the degree below to its nonzero incidence.  Only the chain
+complex JSON file keeps dense lists of rows.
+
 The cellular-manifold test of validate() is deliberately only the homological
 shadow of the real condition: it checks that every link has the homology of a
 sphere of the expected dimension, not that it is homeomorphic to one.
@@ -22,14 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .smith import (
-    FGAbelianGroup,
-    is_zero_matrix,
-    lift_to_cycles,
-    mat_mul,
-    presented_homology,
-    zeros,
-)
+from .smith import FGAbelianGroup, lift_to_cycles, presented_homology
 
 CellId = object  # hashable
 
@@ -107,11 +105,8 @@ class RegularCWComplex:
                 seen.add(fid)
             if dim > 0 and not faces:
                 failures.append(f"cell {cid!r} has dimension {dim} but empty boundary")
-        if not failures:
-            cc = self.chain_complex()
-            for d in range(2, self.dimension + 1):
-                if not is_zero_matrix(mat_mul(cc.boundaries[d - 1], cc.boundaries[d])):
-                    failures.append(f"d o d != 0 between degrees {d} and {d - 2}")
+        if not failures and not self.chain_complex().check_composition():
+            failures.append("d o d != 0")
         if not failures:
             n = self.dimension
             sd = self.barycentric_subdivision()
@@ -181,13 +176,16 @@ class RegularCWComplex:
             for i, c in enumerate(cells):
                 index[c.id] = (d, i)
         ranks = [len(cells) for cells in by_dim]
-        boundaries = [zeros(0, ranks[0]) if dim >= 0 else []]
+        boundaries = [[]]
         for d in range(1, dim + 1):
-            m = zeros(ranks[d - 1], ranks[d])
-            for j, cell in enumerate(by_dim[d]):
+            columns = []
+            for cell in by_dim[d]:
+                col = {}
                 for fid, sign in self.boundary[cell.id]:
-                    m[index[fid][1]][j] += sign
-            boundaries.append(m)
+                    i = index[fid][1]
+                    col[i] = col.get(i, 0) + sign
+                columns.append({i: x for i, x in col.items() if x})
+            boundaries.append(columns)
         return IntegerChainComplex(ranks=ranks, boundaries=boundaries)
 
     def homology(self, degree: int) -> FGAbelianGroup:
@@ -241,15 +239,10 @@ class ValidationReport:
 
 def _chain_subcomplex(base, sd, cid, include_cell):
     """Cells of the subdivision whose chains lie (weakly) above ``cid``."""
-    keep = []
-    for chain_id in sd.cells:
-        members = chain_id
-        if include_cell:
-            ok = all(m == cid or cid in base.faces(m) for m in members)
-        else:
-            ok = all(m != cid and cid in base.faces(m) for m in members)
-        if ok:
-            keep.append(chain_id)
+    above = {m for m in base.cells if m != cid and cid in base.faces(m)}
+    if include_cell:
+        above.add(cid)
+    keep = [chain_id for chain_id in sd.cells if above.issuperset(chain_id)]
     keep_set = set(keep)
     cells = [sd.cells[c] for c in keep]
     boundary = {
@@ -280,9 +273,11 @@ class IntegerChainComplex:
     """Chain complex of (possibly annotated) free abelian groups.
 
     ``ranks[d]`` is the number of degree-d generators; ``boundaries[d]`` is
-    the matrix of the map from degree d to degree d-1 (``boundaries[0]`` is an
-    empty matrix).  ``cyclic[d][i] = m`` marks generator i of degree d as a
-    Z/m generator; the homology engine appends the relation m*e_i = 0.
+    the map from degree d to degree d-1 as ranks[d] columns, each a dict
+    from a degree-(d-1) index to a nonzero int (``boundaries[0]``, the zero
+    map, is not read).  ``cyclic[d][i] = m`` marks generator i of degree d as
+    a Z/m generator (m >= 2); the homology engine appends the relation
+    m*e_i = 0.
     """
 
     def __init__(self, ranks, boundaries, cyclic=None):
@@ -290,13 +285,21 @@ class IntegerChainComplex:
         self.boundaries = boundaries
         self.cyclic = {int(d): {int(i): int(m) for i, m in v.items()} for d, v in (cyclic or {}).items()}
         for d in range(1, len(self.ranks)):
-            m = self.boundaries[d]
-            rows = len(m)
-            cols = len(m[0]) if m else 0
-            if self.ranks[d] and (rows != self.ranks[d - 1] or cols != self.ranks[d]):
-                if not (self.ranks[d - 1] == 0 and rows == 0):
-                    raise ValueError(f"boundary {d} has shape {rows}x{cols}, "
-                                     f"expected {self.ranks[d-1]}x{self.ranks[d]}")
+            columns = self.boundaries[d]
+            if len(columns) != self.ranks[d]:
+                raise ValueError(
+                    f"boundary {d} has {len(columns)} columns, expected {self.ranks[d]}"
+                )
+            if any(not 0 <= i < self.ranks[d - 1] for col in columns for i in col):
+                raise ValueError(
+                    f"boundary {d} has a row index outside [0, {self.ranks[d - 1]})"
+                )
+        for d, orders in self.cyclic.items():
+            for i, m in orders.items():
+                if not (0 <= d < len(self.ranks) and 0 <= i < self.ranks[d]):
+                    raise ValueError(f"annotated generator {i} of degree {d} is outside the ranks")
+                if m < 2:
+                    raise ValueError(f"annotated generator {i} of degree {d} has modulus {m} < 2")
 
     @property
     def top_degree(self) -> int:
@@ -307,11 +310,9 @@ class IntegerChainComplex:
         incoming boundaries, the ranks at the degree and below it, and the
         cyclic relations there."""
         n_mid = self.ranks[degree]
-        a = self.boundaries[degree] if degree >= 1 else []
-        b = self.boundaries[degree + 1] if degree < self.top_degree else zeros(n_mid, 0)
         return (
-            a,
-            b,
+            self.boundaries[degree] if degree >= 1 else [{}] * n_mid,
+            self.boundaries[degree + 1] if degree < self.top_degree else [],
             n_mid,
             self.ranks[degree - 1] if degree >= 1 else 0,
             self.cyclic.get(degree, {}),
@@ -336,27 +337,44 @@ class IntegerChainComplex:
         return presented_homology(*self._window(degree))
 
     def to_json_dict(self) -> dict:
+        """The file format: each boundary as a dense list of rows."""
         return {
             "ranks": self.ranks,
-            "boundaries": [self.boundaries[d] for d in range(1, len(self.ranks))],
+            "boundaries": [
+                [[col.get(i, 0) for col in columns] for i in range(self.ranks[d - 1])]
+                for d, columns in enumerate(self.boundaries[1:len(self.ranks)], start=1)
+            ],
             "cyclic": {str(d): {str(i): m for i, m in v.items()} for d, v in self.cyclic.items() if v},
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IntegerChainComplex":
-        ranks = [int(r) for r in data["ranks"]]
+        ranks = [_json_int(r) for r in data["ranks"]]
         mats = data.get("boundaries", [])
         if len(mats) != max(len(ranks) - 1, 0):
             raise ValueError(
                 f"expected {max(len(ranks) - 1, 0)} boundary matrices, got {len(mats)}"
             )
-        boundaries = [zeros(0, ranks[0]) if ranks else []]
+        boundaries = [[]]
         for d, mat in enumerate(mats, start=1):
-            m = [[int(x) for x in row] for row in mat]
-            if len(m) != ranks[d - 1] or any(len(row) != ranks[d] for row in m):
+            if len(mat) != ranks[d - 1] or any(len(row) != ranks[d] for row in mat):
                 raise ValueError(f"boundary {d} does not match the stated ranks")
-            boundaries.append(m)
-        return cls(ranks, boundaries, data.get("cyclic"))
+            boundaries.append([
+                {i: x for i, row in enumerate(mat) if (x := _json_int(row[j]))}
+                for j in range(ranks[d])
+            ])
+        cyclic = data.get("cyclic") or {}
+        return cls(ranks, boundaries, {
+            d: {i: _json_int(m) for i, m in v.items()} for d, v in cyclic.items()
+        })
+
+
+def _json_int(x) -> int:
+    """An integer read from a chain-complex file; floats, booleans and
+    strings are refused rather than converted."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"chain complex files hold integers only, got {x!r}")
+    return x
 
 
 def load_complex_file(path):

@@ -262,7 +262,8 @@ class FormalHom:
 
     def _family_blocks(self):
         """Split the matrix into per-atom blocks plus one finitely generated
-        block; raises when a registered cross-atom block is actually used."""
+        block, each as (target slots, source slots, columns over the target
+        slots); raises when a registered cross-atom block is actually used."""
         src, tgt = self.source.slots(), self.target.slots()
 
         def family(slot):
@@ -273,13 +274,14 @@ class FormalHom:
             key=str,
         )
         blocks = {}
+        m = self.matrix
         for fam in families:
             cols = [j for j, s in enumerate(src) if family(s) == fam]
             rows = [i for i, t in enumerate(tgt) if family(t) == fam]
             blocks[fam] = (
                 rows,
                 cols,
-                [[self.matrix[i][j] for j in cols] for i in rows],
+                [{r: m[i][j] for r, i in enumerate(rows) if m[i][j]} for j in cols],
             )
         for i, trow in enumerate(tgt):
             for j, scol in enumerate(src):
@@ -310,10 +312,8 @@ def _atom_result_from_window(atom: Atom, mat_out, mat_in, n_mid, n_tgt) -> Forma
         raise InsufficientAtomData(
             f"{atom.name}/{d}{atom.name} is not computable for a non-divisible atom"
         )
-    if n_tgt and mat_out:
-        lower = cokernel_group(mat_out, n_tgt)
-        for t in lower.torsion:
-            out = out + FormalGroup.from_fg(atom.torsion(t))
+    for t in cokernel_group(mat_out, n_tgt).torsion:
+        out = out + FormalGroup.from_fg(atom.torsion(t))
     return out
 
 
@@ -323,8 +323,8 @@ def kernel(h: FormalHom) -> FormalGroup:
     for fam, (rows, cols, block) in h._family_blocks().items():
         if fam == "fg":
             g = presented_homology(
-                block if rows else [],
-                zeros(len(cols), 0),
+                block,
+                [],
                 len(cols),
                 len(rows),
                 relations_mid=_fg_relations([src[j] for j in cols]),
@@ -333,9 +333,6 @@ def kernel(h: FormalHom) -> FormalGroup:
             out = out + FormalGroup.from_fg(g)
             continue
         atom = atom_registry()[fam]
-        if not rows or not cols:
-            out = out + FormalGroup.atom(fam, len(cols))
-            continue
         factors = invariant_factors(block)
         out = out + FormalGroup.atom(fam, len(cols) - len(factors))
         for d in factors:
@@ -350,8 +347,8 @@ def cokernel(h: FormalHom) -> FormalGroup:
     for fam, (rows, cols, block) in h._family_blocks().items():
         if fam == "fg":
             g = presented_homology(
-                [],
-                block if rows else zeros(len(rows), 0),
+                [{}] * len(rows),
+                block,
                 len(rows),
                 0,
                 relations_mid=_fg_relations([tgt[i] for i in rows]),
@@ -359,11 +356,6 @@ def cokernel(h: FormalHom) -> FormalGroup:
             out = out + FormalGroup.from_fg(g)
             continue
         atom = atom_registry()[fam]
-        if not rows:
-            continue
-        if not cols:
-            out = out + FormalGroup.atom(fam, len(rows))
-            continue
         factors = invariant_factors(block)
         out = out + FormalGroup.atom(fam, len(rows) - len(factors))
         for d in factors:
@@ -390,28 +382,21 @@ def homology_at(f: FormalHom, g: FormalHom) -> FormalGroup:
         g_rows, g_cols, g_block = gblocks.get(fam, ([], [], []))
         f_rows, f_cols, f_block = fblocks.get(fam, ([], [], []))
         mid_cols = g_cols or f_rows
+        n_mid, n_tgt = len(mid_cols), len(g_rows)
         if fam == "fg":
-            mid_slots = [mid[j] for j in mid_cols]
-            tgt_slots = [tgt[i] for i in g_rows]
-            n_mid, n_tgt = len(mid_slots), len(g_rows)
-            b_in = f_block if f_cols else zeros(n_mid, 0)
             out = out + FormalGroup.from_fg(
                 presented_homology(
-                    g_block if g_rows else [],
-                    b_in,
+                    g_block,
+                    f_block,
                     n_mid,
                     n_tgt,
-                    relations_mid=_fg_relations(mid_slots),
-                    relations_target=_fg_relations(tgt_slots),
+                    relations_mid=_fg_relations([mid[j] for j in mid_cols]),
+                    relations_target=_fg_relations([tgt[i] for i in g_rows]),
                 )
             )
             continue
         atom = atom_registry()[fam]
-        n_mid = len(mid_cols)
-        n_tgt = len(g_rows)
-        mat_out = g_block if g_rows else []
-        mat_in = f_block if f_cols else zeros(n_mid, 0)
-        out = out + _atom_result_from_window(atom, mat_out, mat_in, n_mid, n_tgt)
+        out = out + _atom_result_from_window(atom, g_block, f_block, n_mid, n_tgt)
     return out
 
 
@@ -504,16 +489,14 @@ def _has_extension(sub: tuple, total: tuple, quot: tuple) -> bool:
         return False
     if not sub:
         return FGAbelianGroup.from_orders(0, list(total)).torsion == tuple(quot)
-    s = len(total)
-    relations = [[total[i] if i == j else 0 for j in range(s)] for i in range(s)]
+    relations = [{i: t} for i, t in enumerate(total)]
     want = FGAbelianGroup.from_orders(0, list(quot)).torsion
     per_gen = [list(_elements_of_order_dividing(total, a)) for a in sub]
     from itertools import product as iproduct
 
     for images in iproduct(*per_gen):
-        cols = [list(x) for x in images] + [list(r) for r in relations]
-        mat = [[cols[c][r] for c in range(len(cols))] for r in range(s)]
-        quotient = cokernel_group(mat, s)
+        cols = [{i: x for i, x in enumerate(image) if x} for image in images]
+        quotient = cokernel_group(cols + relations, len(total))
         if quotient.free_rank == 0 and quotient.torsion == want:
             # the image subgroup then has the right order, so the map is injective
             return True

@@ -1,10 +1,18 @@
 """Exact integer linear algebra: Smith normal form and finitely generated
 abelian groups.
 
-Everything here works on plain Python ints (arbitrary precision) and
-list-of-list matrices.  Entries of intermediate matrices can grow far beyond
-machine words on harmless-looking inputs, so no floats and no fixed-width
-arrays appear anywhere.
+Everything here works on plain Python ints (arbitrary precision).  Entries
+of intermediate matrices can grow far beyond machine words on
+harmless-looking inputs, so no floats and no fixed-width arrays appear
+anywhere.
+
+Two matrix formats occur.  The homology readers (invariant_factors,
+cokernel_group, lift_to_cycles, presented_homology) take *columns*: a list
+with one dict per column, mapping row index -> nonzero int, with the row
+count passed separately where it matters.  Boundary matrices are
++-1-sparse, and a list of columns also holds a matrix without rows or
+without columns.  Dense lists of rows (Matrix) remain for
+smith_normal_form, solve and mat_mul.
 
 Every homology and cokernel read needs only the invariant factors of a
 matrix, and invariant_factors gets them in two steps.  First, sparse
@@ -30,6 +38,7 @@ from math import prod
 
 
 Matrix = list[list[int]]
+Columns = list[dict[int, int]]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -62,12 +71,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: list[int]) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
 
 
 def copy_matrix(a: Matrix) -> Matrix:
@@ -280,23 +283,21 @@ def _cheapest_unit(rows: dict, cols: dict) -> tuple[int, int] | None:
     return best
 
 
-def invariant_factors(a: Matrix) -> list[int]:
-    """The nonzero invariant factors d1 | d2 | ... of ``a``.
+def invariant_factors(a: Columns) -> list[int]:
+    """The nonzero invariant factors d1 | d2 | ... of the columns ``a``.
 
     Unit pivots are eliminated on a sparse copy first, each adding one factor
     1; a nonzero residual goes to smith_normal_form, looked up by its module
     name at call time.  See the module docstring for why the order cannot
     matter.
     """
-    rows = {}  # row index -> {column index: nonzero entry}
-    for i, row in enumerate(a):
-        entries = {j: x for j, x in enumerate(row) if x}
-        if entries:
-            rows[i] = entries
+    rows: dict[int, dict[int, int]] = {}  # row index -> {column index: entry}
     cols: dict[int, set[int]] = {}  # column index -> rows with an entry there
-    for i, entries in rows.items():
-        for j in entries:
-            cols.setdefault(j, set()).add(i)
+    for j, col in enumerate(a):
+        cols[j] = {i for i, x in col.items() if x}
+        for i in cols[j]:
+            rows.setdefault(i, {})[j] = col[i]
+    rows = {i: rows[i] for i in sorted(rows)}
     units = 0
     while (pivot := _cheapest_unit(rows, cols)) is not None:
         p, q = pivot
@@ -447,58 +448,63 @@ class FGAbelianGroup:
         return " (+) ".join(parts) if parts else "0"
 
 
-def cokernel_group(a: Matrix, ambient_rank: int) -> FGAbelianGroup:
-    """Z^ambient_rank modulo the column span of ``a``, read from the
-    invariant factors of ``a``."""
+def cokernel_group(a: Columns, ambient_rank: int) -> FGAbelianGroup:
+    """Z^ambient_rank modulo the span of the columns ``a``, read from their
+    invariant factors."""
     factors = invariant_factors(a)
     return FGAbelianGroup.from_orders(ambient_rank - len(factors), factors)
 
 
 def lift_to_cycles(
-    boundary_out: Matrix,
-    boundary_in: Matrix,
+    boundary_out: Columns,
+    boundary_in: Columns,
     n_mid: int,
     n_target: int,
     relations_mid: dict[int, int] | None = None,
     relations_target: dict[int, int] | None = None,
-) -> Matrix:
+) -> Columns:
     """The columns of ``boundary_in`` and the middle relations m*e_i, lifted
     into the cycle module  K = ker[a | -R_t]  of  Z^k -> Z^n_mid -> Z^n_target.
 
     R_t holds one column m*e_t per annotated target row t (sorted), so a
-    column c lifts to (c, y) with y = a*c divided exactly by R_t.  That
-    division is the complex check: it fails on a nonzero plain row or a
-    remainder on an annotated row, and raises ValueError.
+    column c lifts to (c, y) with y = a*c divided exactly by R_t; y_t sits
+    at row n_mid plus the position of t.  a*c is formed one sparse column at
+    a time.  That division is the complex check: it fails on a nonzero plain
+    row or a remainder on an annotated row, and raises ValueError, naming a
+    failing middle relation before any failing boundary column.
     """
-    relations_mid = relations_mid or {}
     relations_target = relations_target or {}
-    a = boundary_out or zeros(n_target, n_mid)
-    b = boundary_in or zeros(n_mid, 0)
-    k = len(b[0]) if b else 0
-    rel_mid = sorted(relations_mid.items())
-    image = [
-        row + [m if i == idx else 0 for idx, m in rel_mid]
-        for i, row in enumerate(b)
-    ]
-    quotients = []
-    bad = set()
-    for i, row in enumerate(mat_mul(a, image)):
-        m = relations_target.get(i)
-        bad.update(j for j, v in enumerate(row) if (v % m if m else v))
-        if m:
-            quotients.append([v // m for v in row])
-    bad_relations = sorted(j - k for j in bad if j >= k)
+    rel_mid = sorted((relations_mid or {}).items())
+    slot = {t: n_mid + pos for pos, t in enumerate(sorted(relations_target))}
+    image = list(boundary_in) + [{i: m} for i, m in rel_mid]
+    lifted = []
+    bad = []
+    for j, col in enumerate(image):
+        product: dict[int, int] = {}
+        for i, x in col.items():
+            for t, v in boundary_out[i].items():
+                product[t] = product.get(t, 0) + x * v
+        out = dict(col)
+        for t, v in product.items():
+            m = relations_target.get(t)
+            if v % m if m else v:
+                bad.append(j)
+                break
+            if v:
+                out[slot[t]] = v // m
+        lifted.append(out)
+    bad_relations = [j - len(boundary_in) for j in bad if j >= len(boundary_in)]
     if bad_relations:
         idx, m = rel_mid[bad_relations[0]]
         raise ValueError(f"boundary is incompatible with the order-{m} generator {idx}")
     if bad:
         raise ValueError("boundary maps do not compose to zero")
-    return image + quotients
+    return lifted
 
 
 def presented_homology(
-    boundary_out: Matrix,
-    boundary_in: Matrix,
+    boundary_out: Columns,
+    boundary_in: Columns,
     n_mid: int,
     n_target: int,
     relations_mid: dict[int, int] | None = None,
@@ -507,10 +513,12 @@ def presented_homology(
     """Homology ker/image at the middle of  Z^k -> Z^n_mid -> Z^n_target,
     where generators may carry cyclic annotations (index -> modulus).
 
-    An annotated generator e_i with modulus m contributes the relation
-    m*e_i = 0, so the chain groups are Z^n modulo those relations.  Let a be
-    the outgoing boundary and R_t the diagonal block of the w annotated target
-    relations.  The cycles are the pairs (x, y) with a*x = R_t*y, that is
+    ``boundary_out`` has n_mid columns with rows below n_target, and
+    ``boundary_in`` has k columns with rows below n_mid.  An annotated
+    generator e_i with modulus m contributes the relation m*e_i = 0, so the
+    chain groups are Z^n modulo those relations.  Let a be the outgoing
+    boundary and R_t the diagonal block of the w annotated target relations.
+    The cycles are the pairs (x, y) with a*x = R_t*y, that is
     K = ker[a | -R_t] in Z^(n_mid+w); the y part records which multiple of
     each relation a*x hits.  The boundaries and the middle relations lift into
     K (lift_to_cycles), and the homology is K modulo the lifted columns L.
@@ -529,9 +537,6 @@ def presented_homology(
         boundary_out, boundary_in, n_mid, n_target, relations_mid, relations_target
     )
     annotated = sorted(relations_target)
-    cycle_matrix = [
-        row + [-relations_target[t] if i == t else 0 for t in annotated]
-        for i, row in enumerate(boundary_out or zeros(n_target, n_mid))
-    ]
+    cycle_matrix = list(boundary_out) + [{t: -relations_target[t]} for t in annotated]
     dim_cycles = n_mid + len(annotated) - len(invariant_factors(cycle_matrix))
     return cokernel_group(lifted, dim_cycles)

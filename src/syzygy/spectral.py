@@ -758,9 +758,9 @@ def _row1_complex(u: GeneratorUniverse, entry, extra_rank3=None) -> RowComplex:
             raise RuntimeError(f"row-1 staircase clipped a formula at rank {r}: {bm.clipped}")
         src_layout, tgt_layout = places[r][2], places[r - 1][2]
         blocks = {}
-        for i, row in enumerate(bm.matrix):
-            for j, c in enumerate(row):
-                if c and src_layout[j] and tgt_layout[i]:
+        for j, column in enumerate(bm.matrix):
+            for i, c in column.items():
+                if src_layout[j] and tgt_layout[i]:
                     block = [[sign * c] * len(src_layout[j]) for _ in tgt_layout[i]]
                     blocks[(bm.columns[j], bm.rows[i])] = block
         if r == 3 and extra_rank3 is not None:
@@ -865,15 +865,6 @@ def row1_degree2_bound(row: RowComplex) -> FormalGroup:
 # -- assembled applications --------------------------------------------------------
 
 
-def _row0_entries(u: GeneratorUniverse) -> dict:
-    """E_{i,0} for i = 1..3; None where the truncation does not reach
-    (i > r_max - 2)."""
-    return {
-        i: FormalGroup.from_fg(row0_homology(u, i)) if i <= u.r_max - 2 else None
-        for i in (1, 2, 3)
-    }
-
-
 def ruled_grid(u: GeneratorUniverse, registry=None) -> SpectralGrid:
     """Second page for the ruled universe at finite truncation: row 0 from the
     coinvariant complex, row 1 from the abelianization complex, row 2 unknown."""
@@ -881,8 +872,8 @@ def ruled_grid(u: GeneratorUniverse, registry=None) -> SpectralGrid:
     row1 = ruled_row1_complex(u, reg)
     entries = {}
     entries[(0, 0)] = FormalGroup.free(1)
-    for i, group in _row0_entries(u).items():
-        entries[(i, 0)] = group
+    for i in (1, 2, 3):  # None where the truncation does not reach
+        entries[(i, 0)] = FormalGroup.from_fg(row0_homology(u, i)) if i <= u.r_max - 2 else None
     entries[(0, 1)] = row1_homology(row1, 0)
     entries[(1, 1)] = row1_homology(row1, 1)
     entries[(2, 1)] = None
@@ -917,13 +908,11 @@ def cremona_assemble(
     The governing relation is H2 = E_{0,2} / Im(E_{2,1} -> E_{0,2}); the
     differential is undetermined, so both candidates are reported unless the
     caller forces E_{2,1} = 0.  The infinite 2-torsion sum absorbs any
-    2-torsion image, so only the 3-part of E_{2,1} can change the answer.
-    Row 0 is reported where the truncation reaches it (None elsewhere); the
-    candidates do not depend on it."""
+    2-torsion image, so only the 3-part of E_{2,1} can change the answer;
+    row 0 does not enter."""
     reg = registry or default_registry()
     u = universe or GeneratorUniverse.cremona(3, r_max=5)
     row1 = cremona_row1_complex(u, reg)
-    rows0 = _row0_entries(u)
     e01 = row1_homology(row1, 0)
     e11 = row1_homology(row1, 1)
     e21_bound = row1_degree2_bound(row1)
@@ -941,9 +930,6 @@ def cremona_assemble(
     candidates = [unique[k] for k in sorted(unique, reverse=True)]
     return {
         "relation": "H2(Bir(P2)) = E_{0,2} / Im(E_{2,1} -> E_{0,2})",
-        "E_{1,0}": rows0[1],
-        "E_{2,0}": rows0[2],
-        "E_{3,0}": rows0[3],
         "E_{0,1}": e01,
         "E_{1,1}": e11,
         "E_{2,1} bound": e21_bound,

@@ -261,7 +261,8 @@ def _blowup_transitions(partition: tuple) -> list[tuple]:
 class BoundaryMatrix:
     """Annotated boundary matrix: columns are rank-r generators, rows are the
     rank-(r-1) generators they can hit (including invariant-(e_max+1) targets,
-    so nothing is ever silently clipped)."""
+    so nothing is ever silently clipped).  ``matrix`` holds one dict per
+    column, row index -> nonzero coefficient (smith's column format)."""
 
     rank: int
     columns: list = field(default_factory=list)
@@ -352,27 +353,28 @@ def boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
     """
     cols = enumerate_generators(u, rank, e_bound)  # refuses ranks outside [1, r_max]
     if rank == 1:
-        bm = BoundaryMatrix(rank=1, columns=cols, rows=["Z (augmentation)"],
-                            matrix=[[1] * len(cols)])
-        return bm
+        return BoundaryMatrix(rank=1, columns=cols, rows=["Z (augmentation)"],
+                              matrix=[{0: 1} for _ in cols])
     e_cols = u.e_max if e_bound is None else e_bound
     e_rows = (e_cols + 1) if target_e_bound is None else target_e_bound
     rows = enumerate_generators(u, rank - 1, e_rows)
     row_index = {m: i for i, m in enumerate(rows)}
-    matrix = [[0] * len(cols) for _ in rows]
+    matrix = []
     clipped = []
-    for j, gen in enumerate(cols):
+    for gen in cols:
         if u.base is BaseCase.RULED:
             targets = _ruled_boundary_targets(gen)
         else:
             targets = [(None, d, c) for d, c in _cremona_boundary_targets(gen)]
+        column = {}
         for pos, descriptor, coeff in targets:
             tgt = _target_model(u, rank, gen, pos, descriptor)
             i = row_index.get(tgt)
             if i is None:
                 clipped.append((gen, tgt, coeff))
                 continue
-            matrix[i][j] += coeff
+            column[i] = column.get(i, 0) + coeff
+        matrix.append({i: x for i, x in column.items() if x})
     bm = BoundaryMatrix(rank=rank, columns=cols, rows=rows, matrix=matrix, clipped=clipped)
     bm.row_orders = {i: 2 for i, m in enumerate(rows) if not m.orientable}
     return bm
@@ -382,12 +384,8 @@ def displayed_boundary(u: GeneratorUniverse, gen: SurfaceCentralModel) -> dict:
     """The boundary of one generator as a target -> coefficient mapping."""
     rank = gen.rank
     bm = boundary(u, rank, e_bound=max(u.e_max, gen.e), target_e_bound=max(u.e_max, gen.e) + 1)
-    j = bm.columns.index(gen)
-    return {
-        bm.rows[i]: bm.matrix[i][j]
-        for i in range(len(bm.rows))
-        if bm.matrix[i][j] != 0
-    }
+    column = bm.matrix[bm.columns.index(gen)]
+    return {bm.rows[i]: column[i] for i in sorted(column)}
 
 
 @cache
@@ -402,7 +400,7 @@ def row0_complex(u: GeneratorUniverse) -> tuple:
     staircase = {r: u.e_max + (u.r_max - r) for r in range(1, u.r_max + 1)}
     gens = {r: enumerate_generators(u, r, staircase[r]) for r in range(1, u.r_max + 1)}
     ranks = [len(gens[r]) for r in range(1, u.r_max + 1)]
-    boundaries = [[[0] * ranks[0] for _ in range(0)]]
+    boundaries = [[]]
     for d in range(1, u.r_max):
         rank = d + 1
         bm = boundary(u, rank, e_bound=staircase[rank], target_e_bound=staircase[rank - 1])
@@ -425,8 +423,8 @@ def row0_reduced_h0(u: GeneratorUniverse) -> FGAbelianGroup:
     modulo rank-2 boundaries); vanishes exactly when the 1-skeleton of the
     truncation is connected."""
     cc, gens = row0_complex(u)
-    aug = [[1] * len(gens[1])]
-    d1 = cc.boundaries[1] if cc.top_degree >= 1 else [[0] * 0 for _ in gens[1]]
+    aug = [{0: 1} for _ in gens[1]]
+    d1 = cc.boundaries[1] if cc.top_degree >= 1 else []
     return presented_homology(
         aug, d1, len(gens[1]), 1,
         relations_mid=cc.cyclic.get(0, {}),

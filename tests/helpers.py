@@ -100,6 +100,21 @@ def kernel_basis(a: Matrix, cols: int | None = None) -> list[list[int]]:
     return basis
 
 
+def columns(a, width=0):
+    """The dense matrix ``a`` (a list of rows) in the library's column
+    format: one dict per column, row index -> nonzero entry.  ``width`` is
+    the column count of a matrix without rows."""
+    return [
+        {i: row[j] for i, row in enumerate(a) if row[j]}
+        for j in range(len(a[0]) if a else width)
+    ]
+
+
+def dense(cols, height):
+    """The columns ``cols`` as a dense list of ``height`` rows."""
+    return [[col.get(i, 0) for col in cols] for i in range(height)]
+
+
 def dense_invariant_factors(a):
     """The nonzero entries of the dense Smith diagonal of ``a``."""
     return [d for d in smith_normal_form(a).diagonal() if d]

@@ -147,6 +147,29 @@ def test_homology_file_corrupt(runner, tmp_path):
     assert res2.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"ranks": [1, 1], "boundaries": [[[2.7]]]}',
+        '{"ranks": [1, 1], "boundaries": [[[true]]]}',
+        '{"ranks": [1, 1], "boundaries": [[["1"]]]}',
+        '{"ranks": [1, 1], "boundaries": [[[0]]], "cyclic": {"7": {"0": 2}}}',
+        '{"ranks": [1, 1], "boundaries": [[[0]]], "cyclic": {"0": {"5": 2}}}',
+        '{"ranks": [1, 1], "boundaries": [[[0]]], "cyclic": {"0": {"0": 0}}}',
+        '{"ranks": [1, 1], "boundaries": [[[0]]], "cyclic": {"0": {"0": 2.5}}}',
+    ],
+    ids=["float", "bool", "string", "degree", "generator", "modulus-0", "modulus-float"],
+)
+def test_homology_file_rejects_bad_values(runner, tmp_path, text):
+    """Each file used to be read with a guess (2.7 as 2, an annotation out of
+    range dropped, modulus 0 as no relation) and gave a wrong answer."""
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    res = invoke(runner, "homology", str(path))
+    assert res.exit_code == 1
+    assert "error" in json.loads(res.output)
+
+
 def test_five_term_command(runner):
     data = json.loads(invoke(runner, "five-term", "--points", "4").output)
     verdicts = {v["position"]: v["verdict"] for v in data["result"]["verdicts"]}

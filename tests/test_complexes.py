@@ -10,7 +10,7 @@ from syzygy.complexes import (
 )
 from syzygy.smith import FGAbelianGroup
 
-from helpers import build_cycle, build_interval, build_octahedron, build_point
+from helpers import build_cycle, build_interval, build_octahedron, build_point, columns
 
 Z = FGAbelianGroup(1)
 ZERO = FGAbelianGroup(0)
@@ -146,7 +146,7 @@ def test_annotated_homology():
     cc = IntegerChainComplex([1], [[]], {0: {0: 2}})
     assert cc.homology(0) == FGAbelianGroup(0, (2,))
     # order-2 generator killed by an order-2 source
-    cc2 = IntegerChainComplex([1, 1], [[], [[1]]], {0: {0: 2}, 1: {0: 2}})
+    cc2 = IntegerChainComplex([1, 1], [[], columns([[1]])], {0: {0: 2}, 1: {0: 2}})
     assert cc2.homology(0).is_trivial
     assert cc2.homology(1).is_trivial
 
@@ -158,8 +158,45 @@ def test_chain_complex_rejects_bad_shapes():
         IntegerChainComplex.from_json_dict({"ranks": [2, 1], "boundaries": []})
 
 
+def test_chain_complex_json_keeps_the_dense_file():
+    cc = build_octahedron().chain_complex()
+    data = cc.to_json_dict()
+    assert [(len(m), len(m[0])) for m in data["boundaries"]] == [(6, 12), (12, 8)]
+    again = IntegerChainComplex.from_json_dict(json.loads(json.dumps(data)))
+    assert again.boundaries[1:] == cc.boundaries[1:]
+    assert again.to_json_dict() == data
+    assert [again.homology(d) for d in range(3)] == [cc.homology(d) for d in range(3)]
+    annotated = IntegerChainComplex([1, 1], [[], columns([[2]])], {0: {0: 4}})
+    again = IntegerChainComplex.from_json_dict(json.loads(json.dumps(annotated.to_json_dict())))
+    assert again.to_json_dict() == {"ranks": [1, 1], "boundaries": [[[2]]], "cyclic": {"0": {"0": 4}}}
+    assert again.homology(0) == annotated.homology(0) == FGAbelianGroup(0, (2,))
+    assert again.homology(1) == annotated.homology(1) == FGAbelianGroup(1)
+
+
+def test_chain_complex_rejects_a_wrong_column_count():
+    with pytest.raises(ValueError, match="columns"):
+        IntegerChainComplex([2, 2], [[], [{0: 1}]])
+    with pytest.raises(ValueError, match="columns"):
+        IntegerChainComplex([2, 1], [[], [{0: 1}, {1: 1}]])
+
+
+def test_chain_complex_rejects_a_row_index_out_of_range():
+    with pytest.raises(ValueError, match="row index"):
+        IntegerChainComplex([2, 1], [[], [{2: 1}]])
+    with pytest.raises(ValueError, match="row index"):
+        IntegerChainComplex([2, 1], [[], [{-1: 1}]])
+    with pytest.raises(ValueError, match="row index"):
+        IntegerChainComplex([0, 1], [[], [{0: 1}]])
+
+
+def test_chain_complex_rejects_bad_annotations():
+    for cyclic in ({2: {0: 2}}, {-1: {0: 2}}, {0: {1: 2}}, {1: {-1: 2}}, {0: {0: 0}}, {0: {0: 1}}):
+        with pytest.raises(ValueError, match="annotated"):
+            IntegerChainComplex([1, 1], [[], [{0: 2}]], cyclic)
+
+
 def test_non_complex_rejected():
-    cc = IntegerChainComplex([1, 1, 1], [[], [[1]], [[1]]])
+    cc = IntegerChainComplex([1, 1, 1], [[], columns([[1]]), columns([[1]])])
     with pytest.raises(ValueError):
         cc.homology(1)
     assert not cc.check_composition()
@@ -167,15 +204,15 @@ def test_non_complex_rejected():
 
 def test_check_composition_modulo_annotations():
     # d1 = d2 = [1] into an order-3 generator: d1 d2 = 1 is not a multiple of 3
-    cc = IntegerChainComplex([1, 1, 1], [[], [[1]], [[1]]], {0: {0: 3}})
+    cc = IntegerChainComplex([1, 1, 1], [[], columns([[1]]), columns([[1]])], {0: {0: 3}})
     assert not cc.check_composition()
     with pytest.raises(ValueError, match="compose to zero"):
         cc.homology(1)
     # d2 = [3] composes to 3 = 0 in Z/3
-    ok = IntegerChainComplex([1, 1, 1], [[], [[1]], [[3]]], {0: {0: 3}})
+    ok = IntegerChainComplex([1, 1, 1], [[], columns([[1]]), columns([[3]])], {0: {0: 3}})
     assert ok.check_composition()
     assert ok.homology(1).is_trivial
     # an order-2 generator mapping by 1 onto a plain one is no chain map
-    bad = IntegerChainComplex([1, 1], [[], [[1]]], {1: {0: 2}})
+    bad = IntegerChainComplex([1, 1], [[], columns([[1]])], {1: {0: 2}})
     assert not bad.check_composition()
-    assert IntegerChainComplex([1, 1], [[], [[1]]], {0: {0: 2}, 1: {0: 2}}).check_composition()
+    assert IntegerChainComplex([1, 1], [[], columns([[1]])], {0: {0: 2}, 1: {0: 2}}).check_composition()

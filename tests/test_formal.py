@@ -18,6 +18,8 @@ from syzygy.formal import (
     zero_hom,
 )
 
+from helpers import columns
+
 Cs = FormalGroup.atom("C*")
 K2 = FormalGroup.atom("K2(C)")
 Z = FormalGroup.free(1)
@@ -197,8 +199,8 @@ def test_check_exact_kernel_cokernel_resolution():
         # verify with the generic engine on the finitely generated side
         from syzygy.smith import presented_homology, zeros
 
-        k = presented_homology(mat, zeros(2, 0), 2, 2)
-        c = presented_homology([], mat, 2, 0)
+        k = presented_homology(columns(mat), columns(zeros(2, 0)), 2, 2)
+        c = presented_homology(columns([], width=2), columns(mat), 2, 0)
         assert ker.fg_part() == k and cok.fg_part() == c
 
 

@@ -272,7 +272,7 @@ def test_derived_columns_match_program(points, e_max):
         rows = [program_key(m) for m in gens[rank - 1]]
         mat = cc.boundaries[rank - 1]
         for j, key in enumerate(keys):
-            program = {r: sign[r] * mat[i][j] for i, r in enumerate(rows) if mat[i][j]}
+            program = {rows[i]: sign[rows[i]] * x for i, x in mat[j].items()}
             derived = column(key)
             assert derived in (program, {r: -v for r, v in program.items()}), key
             sign[key] = 1 if derived == program else -1

@@ -17,7 +17,13 @@ from syzygy.smith import (
     zeros,
 )
 
-from helpers import cycle_basis_homology, dense_invariant_factors, kernel_basis, record_dense_shapes
+from helpers import (
+    columns,
+    cycle_basis_homology,
+    dense_invariant_factors,
+    kernel_basis,
+    record_dense_shapes,
+)
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -83,18 +89,19 @@ def sparse_unit_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(sparse_unit_matrices())
 def test_invariant_factors_match_dense_diagonal(a):
-    assert invariant_factors(a) == dense_invariant_factors(a)
+    assert invariant_factors(columns(a)) == dense_invariant_factors(a)
 
 
 def test_invariant_factors_edge_shapes():
     assert invariant_factors([]) == []
-    assert invariant_factors([[], []]) == []
-    assert invariant_factors(zeros(3, 4)) == []
-    assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
-    assert invariant_factors([[-4]]) == [4]
+    assert invariant_factors(columns([[], []])) == []
+    assert invariant_factors(columns([], width=3)) == []
+    assert invariant_factors(columns(zeros(3, 4))) == []
+    assert invariant_factors(columns([[2, 0], [0, 3]])) == [1, 6]
+    assert invariant_factors(columns([[-4]])) == [4]
     # every pivot fills in a zero of another row; the determinant is -2
-    assert invariant_factors([[1, 1, 0], [1, 0, 1], [0, 1, 1]]) == [1, 1, 2]
-    assert invariant_factors([[1, 1, 1], [1, -1, 1], [1, 1, -1]]) == [1, 2, 2]
+    assert invariant_factors(columns([[1, 1, 0], [1, 0, 1], [0, 1, 1]])) == [1, 1, 2]
+    assert invariant_factors(columns([[1, 1, 1], [1, -1, 1], [1, 1, -1]])) == [1, 2, 2]
 
 
 def test_invariant_factors_pivot_on_least_fill_in(monkeypatch):
@@ -102,7 +109,7 @@ def test_invariant_factors_pivot_on_least_fill_in(monkeypatch):
     the bottom left, so nothing reaches the dense form.  Pivoting on the
     first unit found, top right, would leave the residual [[2], [3]]."""
     shapes = record_dense_shapes(monkeypatch)
-    assert invariant_factors([[-2, 1], [0, 1], [1, 1]]) == [1, 1]
+    assert invariant_factors(columns([[-2, 1], [0, 1], [1, 1]])) == [1, 1]
     assert shapes == []
 
 
@@ -115,7 +122,7 @@ def test_invariant_factors_match_sympy():
     @given(sparse_unit_matrices().filter(lambda a: a and a[0]))
     def check(a):
         expected = normalforms.invariant_factors(Matrix(a), domain=ZZ)
-        assert invariant_factors(a) == [int(d) for d in expected if d]
+        assert invariant_factors(columns(a)) == [int(d) for d in expected if d]
 
     check()
 
@@ -143,20 +150,20 @@ def test_fg_group_normal_form():
 
 
 def test_cokernel_group():
-    assert cokernel_group([[2]], 1) == FGAbelianGroup(0, (2,))
-    assert cokernel_group([[1, 0], [0, 1]], 2).is_trivial
-    assert cokernel_group(zeros(3, 0), 3) == FGAbelianGroup(3)
+    assert cokernel_group(columns([[2]]), 1) == FGAbelianGroup(0, (2,))
+    assert cokernel_group(columns([[1, 0], [0, 1]]), 2).is_trivial
+    assert cokernel_group(columns(zeros(3, 0)), 3) == FGAbelianGroup(3)
 
 
 def test_presented_homology_with_relations():
     # Z/2 generator mapping with coefficient 1 onto a Z/2 target generator
     h = presented_homology(
-        [[1]], zeros(1, 0), 1, 1, relations_mid={0: 2}, relations_target={0: 2}
+        columns([[1]]), columns(zeros(1, 0)), 1, 1, relations_mid={0: 2}, relations_target={0: 2}
     )
     assert h.is_trivial
     # an incompatible boundary is rejected: order-2 source onto a free target
     with pytest.raises(ValueError):
-        presented_homology([[1]], zeros(1, 0), 1, 1, relations_mid={0: 2})
+        presented_homology(columns([[1]]), columns(zeros(1, 0)), 1, 1, relations_mid={0: 2})
 
 
 def test_presented_homology_circle_and_torsion():
@@ -164,9 +171,9 @@ def test_presented_homology_circle_and_torsion():
     for i in range(6):
         a[(i + 1) % 6][i] += 1
         a[i][i] -= 1
-    assert presented_homology(a, zeros(6, 0), 6, 6) == FGAbelianGroup(1)
-    assert presented_homology([], a, 6, 0) == FGAbelianGroup(1)
-    assert presented_homology([], [[2]], 1, 0) == FGAbelianGroup(0, (2,))
+    assert presented_homology(columns(a), columns(zeros(6, 0)), 6, 6) == FGAbelianGroup(1)
+    assert presented_homology(columns([], width=6), columns(a), 6, 0) == FGAbelianGroup(1)
+    assert presented_homology(columns([], width=1), columns([[2]]), 1, 0) == FGAbelianGroup(0, (2,))
 
 
 def _outcome(fn, *args):
@@ -210,6 +217,7 @@ def annotated_windows(draw):
 @settings(max_examples=300, deadline=None)
 @given(annotated_windows())
 def test_presented_homology_matches_cycle_basis_oracle(window):
-    new = _outcome(presented_homology, *window)
+    a, b, n_mid, *rest = window
+    new = _outcome(presented_homology, columns(a, width=n_mid), columns(b), n_mid, *rest)
     old = _outcome(cycle_basis_homology, *window)
     assert new == old
