@@ -35,7 +35,7 @@ from .surfaces import (
     cubic_summary,
     row0_homology,
     row0_reduced_h0,
-    syzygy_sphere_bl3,
+    validated_sphere_bl3,
 )
 
 SCHEMA_VERSION = 1
@@ -193,7 +193,7 @@ def graph(ctx, degree, blowups, threshold):
 def syzygy(ctx, target, check):
     """Build the elementary syzygy sphere of the three-point blowup."""
     def go():
-        sphere = syzygy_sphere_bl3()
+        sphere, rep = validated_sphere_bl3()
         result = {
             "vertices": len(sphere.cells_of_dim(0)),
             "edges": len(sphere.cells_of_dim(1)),
@@ -205,7 +205,6 @@ def syzygy(ctx, target, check):
             "homology": [str(sphere.homology(d)) for d in range(3)],
         }
         if check:
-            rep = sphere.validate()
             result["valid"] = rep.valid
             result["failures"] = rep.failures + rep.link_failures
         return (

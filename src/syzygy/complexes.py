@@ -277,12 +277,14 @@ class IntegerChainComplex:
     from a degree-(d-1) index to a nonzero int (``boundaries[0]``, the zero
     map, is not read).  ``cyclic[d][i] = m`` marks generator i of degree d as
     a Z/m generator (m >= 2); the homology engine appends the relation
-    m*e_i = 0.
+    m*e_i = 0.  The lift into the cycles is kept per degree once read, so a
+    complex is not changed after its first homology or composition check.
     """
 
     def __init__(self, ranks, boundaries, cyclic=None):
         self.ranks = list(ranks)
         self.boundaries = boundaries
+        self._lifts: dict = {}  # degree -> lift_to_cycles of its window
         self.cyclic = {int(d): {int(i): int(m) for i, m in v.items()} for d, v in (cyclic or {}).items()}
         for d in range(1, len(self.ranks)):
             columns = self.boundaries[d]
@@ -319,6 +321,15 @@ class IntegerChainComplex:
             self.cyclic.get(degree - 1, {}),
         )
 
+    def _lift(self, degree: int) -> list:
+        """The incoming boundary and middle relations at a degree, lifted
+        into its cycles; formed once per degree and shared by the d o d
+        check and the homology read.  A window that is not a complex raises
+        ValueError every time and caches nothing."""
+        if degree not in self._lifts:
+            self._lifts[degree] = lift_to_cycles(*self._window(degree))
+        return self._lifts[degree]
+
     def check_composition(self) -> bool:
         """d o d = 0 modulo the cyclic annotations: at every degree, the
         outgoing boundary of each incoming column and of each m*e_i for an
@@ -326,7 +337,7 @@ class IntegerChainComplex:
         annotated ones."""
         try:
             for degree in range(1, self.top_degree + 1):
-                lift_to_cycles(*self._window(degree))
+                self._lift(degree)
         except ValueError:
             return False
         return True
@@ -334,7 +345,7 @@ class IntegerChainComplex:
     def homology(self, degree: int) -> FGAbelianGroup:
         if degree < 0 or degree > self.top_degree:
             return FGAbelianGroup(0)
-        return presented_homology(*self._window(degree))
+        return presented_homology(*self._window(degree), lifted=self._lift(degree))
 
     def to_json_dict(self) -> dict:
         """The file format: each boundary as a dense list of rows."""
@@ -349,24 +360,40 @@ class IntegerChainComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IntegerChainComplex":
-        ranks = [_json_int(r) for r in data["ranks"]]
-        mats = data.get("boundaries", [])
+        """Read the file format; any wrong structure raises ValueError."""
+        ranks = [_json_int(r) for r in _json_list(data.get("ranks"), "ranks")]
+        if any(r < 0 for r in ranks):
+            raise ValueError(f"ranks must be non-negative, got {ranks}")
+        mats = _json_list(data.get("boundaries", []), "boundaries")
         if len(mats) != max(len(ranks) - 1, 0):
             raise ValueError(
                 f"expected {max(len(ranks) - 1, 0)} boundary matrices, got {len(mats)}"
             )
         boundaries = [[]]
         for d, mat in enumerate(mats, start=1):
-            if len(mat) != ranks[d - 1] or any(len(row) != ranks[d] for row in mat):
+            rows = [
+                _json_list(row, f"a row of boundary {d}")
+                for row in _json_list(mat, f"boundary {d}")
+            ]
+            if len(rows) != ranks[d - 1] or any(len(row) != ranks[d] for row in rows):
                 raise ValueError(f"boundary {d} does not match the stated ranks")
             boundaries.append([
-                {i: x for i, row in enumerate(mat) if (x := _json_int(row[j]))}
+                {i: x for i, row in enumerate(rows) if (x := _json_int(row[j]))}
                 for j in range(ranks[d])
             ])
         cyclic = data.get("cyclic") or {}
+        if not isinstance(cyclic, dict) or not all(isinstance(v, dict) for v in cyclic.values()):
+            raise ValueError("cyclic must map each degree to an object of index -> modulus")
         return cls(ranks, boundaries, {
             d: {i: _json_int(m) for i, m in v.items()} for d, v in cyclic.items()
         })
+
+
+def _json_list(x, what: str) -> list:
+    """A list read from a chain-complex file, or ValueError naming ``what``."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list, got {x!r}")
+    return x
 
 
 def _json_int(x) -> int:
@@ -381,6 +408,8 @@ def load_complex_file(path):
     """Read either a CW-complex or a chain-complex JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a complex file holds one JSON object")
     if "cells" in data:
         return RegularCWComplex.from_json_dict(data)
     if "ranks" in data:

@@ -15,24 +15,41 @@ without columns.  Dense lists of rows (Matrix) remain for
 smith_normal_form, solve and mat_mul.
 
 Every homology and cokernel read needs only the invariant factors of a
-matrix, and invariant_factors gets them in two steps.  First, sparse
-unit-pivot elimination: on a dict-of-rows copy, a +-1 entry with the least
-Markowitz cost (fill-in) clears its column by row operations, after which
-its row is cleared by column operations that touch nothing else, so the
-pivot splits off as a direct summand [1] and its row and column drop out.
-Second, the small residual, if any, has no unit left and goes to the dense
-smith_normal_form.  Both steps are unimodular equivalences, and the
-invariant factors of a matrix are unique up to such equivalence, so the
-pivot order can change the residual's size but never the answer.  The
-boundary matrices of the surface universes are +-1-sparse, and elimination
-removes nearly all of them (Kaczynski-Mischaikow-Mrozek, Computational
-Homology, ch. 3; Dumas-Saunders-Villard, JSC 2001).  The dense form with
-its transforms U and V remains for solve and as the test oracle.
+matrix, and invariant_factors gets them by sparse elimination on a
+dict-of-rows copy (Dumas-Saunders-Villard, JSC 2001; Kaczynski-Mischaikow-
+Mrozek, Computational Homology, ch. 3):
+
+- Divisor pivots.  An entry x whose absolute value divides every other
+  entry of its row and of its column clears its column by exact row
+  operations, after which its row is cleared by column operations that
+  touch nothing else, so [|x|] splits off as a direct summand and its row
+  and column drop out.  A +-1 entry always qualifies.
+- A pivot queue.  Candidates come off a heap keyed by (|x|, Markowitz cost
+  (row length - 1) * (column length - 1), row, column), so units go first,
+  least fill-in first.  Every queued key is a lower bound of its entry's
+  true key: a popped entry whose key has grown is queued again, and after
+  each pivot only new entries and those whose key fell are pushed.  An
+  entry that fails the divisor test waits until its row or column changes.
+- A residual.  What is left once no entry qualifies goes to the dense
+  smith_normal_form; the surface boundaries leave none.  The split-off
+  orders and the residual's diagonal merge into one divisibility chain,
+  padded with leading 1s to the rank.
+- A memo.  Each distinct column content is eliminated once per process
+  (a bounded LRU cache), so a boundary read again, or read as the cycle
+  matrix of the next degree, costs only its key.
+
+Every step is a unimodular equivalence or splits off a direct summand, and
+the invariant factors of a matrix are unique up to such equivalence, so the
+pivot order can change the work and the residual's size but never the
+answer.  The dense form with its transforms U and V remains for solve and
+as the test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import zip_longest
 from math import prod
 
@@ -266,51 +283,75 @@ def smith_normal_form(a: Matrix) -> SNFResult:
     return SNFResult(U=u, D=d, V=v)
 
 
-def _cheapest_unit(rows: dict, cols: dict) -> tuple[int, int] | None:
-    """The +-1 entry (i, j) of least Markowitz cost, (row length - 1) *
-    (column length - 1), a bound on the fill-in its elimination causes;
-    None when no unit is left."""
-    best, best_cost = None, 0
-    for i, entries in rows.items():
-        width = len(entries) - 1
-        for j, x in entries.items():
-            if x == 1 or x == -1:
-                cost = width * (len(cols[j]) - 1)
-                if not cost:
-                    return i, j
-                if best is None or cost < best_cost:
-                    best, best_cost = (i, j), cost
-    return best
+def _eliminate(key: tuple) -> list[int]:
+    """The nonzero invariant factors of the columns in ``key``: one tuple of
+    (row, nonzero value) pairs per column.
 
-
-def invariant_factors(a: Columns) -> list[int]:
-    """The nonzero invariant factors d1 | d2 | ... of the columns ``a``.
-
-    Unit pivots are eliminated on a sparse copy first, each adding one factor
-    1; a nonzero residual goes to smith_normal_form, looked up by its module
-    name at call time.  See the module docstring for why the order cannot
-    matter.
+    Divisor pivots leave by exact row and column operations in the heap's
+    order; the residual without one, if any, goes to smith_normal_form,
+    looked up by its module name at call time.  See the module docstring.
     """
     rows: dict[int, dict[int, int]] = {}  # row index -> {column index: entry}
     cols: dict[int, set[int]] = {}  # column index -> rows with an entry there
-    for j, col in enumerate(a):
-        cols[j] = {i for i, x in col.items() if x}
-        for i in cols[j]:
-            rows.setdefault(i, {})[j] = col[i]
-    rows = {i: rows[i] for i in sorted(rows)}
-    units = 0
-    while (pivot := _cheapest_unit(rows, cols)) is not None:
-        p, q = pivot
-        pivot_row = rows.pop(p)
-        unit = pivot_row.pop(q)  # +-1, its own inverse
+    for j, col in enumerate(key):
+        if col:
+            cols[j] = {i for i, _ in col}
+            for i, x in col:
+                rows.setdefault(i, {})[j] = x
+    # A heap item is one int that packs (|entry|, Markowitz cost, i, j), most
+    # significant first, so that comparing items compares those tuples:
+    # item = (|entry| * span + cost) * span + pos with pos = i * ncols + j,
+    # where both the cost and pos stay below span.
+    ncols = len(key)
+    span = (max(rows, default=0) + 1) * ncols
+    queued: dict[int, int] = {}  # pos -> the item that stands for the entry
+    for i, entries in rows.items():
+        width = len(entries) - 1
+        for j, x in entries.items():
+            pos = i * ncols + j
+            queued[pos] = (abs(x) * span + width * (len(cols[j]) - 1)) * span + pos
+    heap = list(queued.values())
+    heapify(heap)
+    waiting = set()  # pos of entries that failed the divisor test since touched
+    pivots = []  # |pivot| of every split-off summand
+    while heap:
+        item = heappop(heap)
+        pos = item % span
+        if queued.get(pos) != item:
+            continue
+        p, q = divmod(pos, ncols)
+        pivot_row = rows.get(p)
+        if pivot_row is None or q not in pivot_row:
+            del queued[pos]
+            continue
+        x = pivot_row[q]
+        size = abs(x)
+        now = (size * span + (len(pivot_row) - 1) * (len(cols[q]) - 1)) * span + pos
+        if now != item:
+            queued[pos] = now
+            heappush(heap, now)
+            continue
+        del queued[pos]
+        if size > 1 and (
+            any(v % x for v in pivot_row.values()) or any(rows[i][q] % x for i in cols[q])
+        ):
+            waiting.add(pos)
+            continue
+        del rows[p], pivot_row[q]
+        heights = {j: len(cols[j]) for j in pivot_row}
         for j in pivot_row:
             cols[j].remove(p)
         cols[q].remove(p)
-        for i in cols.pop(q):
+        # row operations clear column q; x divides the row, so column
+        # operations then clear row p without touching any other row
+        touched = cols.pop(q)
+        widths = {}
+        for i in touched:
             entries = rows[i]
-            factor = entries.pop(q) * unit
-            for j, x in pivot_row.items():
-                value = entries.get(j, 0) - factor * x
+            widths[i] = len(entries)
+            factor = entries.pop(q) // x
+            for j, v in pivot_row.items():
+                value = entries.get(j, 0) - factor * v
                 if value:
                     entries[j] = value
                     cols[j].add(i)
@@ -319,13 +360,67 @@ def invariant_factors(a: Columns) -> list[int]:
                     cols[j].remove(i)
             if not entries:
                 del rows[i]
-        units += 1
-    factors = [1] * units
+        pivots.append(size)
+        # every queued key stays a lower bound of its entry's true key, so
+        # the checked minimum is the true minimum: push where a key fell
+        for i, before in widths.items():
+            entries = rows.get(i)
+            if entries:
+                width = len(entries) - 1
+                for j in entries if width + 1 < before else pivot_row.keys() & entries.keys():
+                    pos = i * ncols + j
+                    item = (abs(entries[j]) * span + width * (len(cols[j]) - 1)) * span + pos
+                    old = queued.get(pos)
+                    if old is None or item < old:
+                        queued[pos] = item
+                        heappush(heap, item)
+        for j, before in heights.items():
+            height = len(cols[j]) - 1
+            if height + 1 >= before:
+                continue
+            for i in cols[j]:
+                entries = rows[i]
+                pos = i * ncols + j
+                item = (abs(entries[j]) * span + (len(entries) - 1) * height) * span + pos
+                old = queued.get(pos)
+                if old is not None and item < old:
+                    queued[pos] = item
+                    heappush(heap, item)
+        if waiting:
+            again = {pos for pos in waiting if pos // ncols in touched or pos % ncols in pivot_row}
+            waiting -= again
+            for pos in again:
+                i, j = divmod(pos, ncols)
+                if pos not in queued and j in rows.get(i, ()):
+                    queued[pos] = item = abs(rows[i][j]) * span * span + pos
+                    heappush(heap, item)
+    orders = [size for size in pivots if size > 1]
+    rank = len(pivots)
     if rows:
         residual_cols = sorted(j for j, members in cols.items() if members)
         residual = [[entries.get(j, 0) for j in residual_cols] for entries in rows.values()]
-        factors += [x for x in smith_normal_form(residual).diagonal() if x]
-    return factors
+        diagonal = [d for d in smith_normal_form(residual).diagonal() if d]
+        if not orders:  # units only: the residual's chain needs no merge
+            return [1] * rank + diagonal
+        rank += len(diagonal)
+        orders += diagonal
+    chain = _merge_invariant_factors(orders)
+    return [1] * (rank - len(chain)) + chain
+
+
+@lru_cache(maxsize=64)
+def _memo_factors(key: tuple) -> tuple[int, ...]:
+    return tuple(_eliminate(key))
+
+
+def invariant_factors(a: Columns) -> list[int]:
+    """The nonzero invariant factors d1 | d2 | ... of the columns ``a``.
+
+    Each distinct column content is eliminated once per process (a bounded
+    memo); every call returns a fresh list.
+    """
+    key = tuple(tuple(sorted((i, x) for i, x in col.items() if x)) for col in a)
+    return list(_memo_factors(key))
 
 
 def solve(a: Matrix, b: list[int], cols: int | None = None,
@@ -471,7 +566,9 @@ def lift_to_cycles(
     at row n_mid plus the position of t.  a*c is formed one sparse column at
     a time.  That division is the complex check: it fails on a nonzero plain
     row or a remainder on an annotated row, and raises ValueError, naming a
-    failing middle relation before any failing boundary column.
+    failing middle relation before any failing boundary column.  Without
+    annotated target rows a lifted column is the input column itself, not a
+    copy, so callers only read the result.
     """
     relations_target = relations_target or {}
     rel_mid = sorted((relations_mid or {}).items())
@@ -484,7 +581,7 @@ def lift_to_cycles(
         for i, x in col.items():
             for t, v in boundary_out[i].items():
                 product[t] = product.get(t, 0) + x * v
-        out = dict(col)
+        out = dict(col) if slot else col  # without annotated rows y = 0
         for t, v in product.items():
             m = relations_target.get(t)
             if v % m if m else v:
@@ -509,6 +606,8 @@ def presented_homology(
     n_target: int,
     relations_mid: dict[int, int] | None = None,
     relations_target: dict[int, int] | None = None,
+    *,
+    lifted: Columns | None = None,
 ) -> FGAbelianGroup:
     """Homology ker/image at the middle of  Z^k -> Z^n_mid -> Z^n_target,
     where generators may carry cyclic annotations (index -> modulus).
@@ -530,12 +629,14 @@ def presented_homology(
     invariant-factor reads, one of [a | -R_t] and one of L.  For a free
     complex this is
     H = Z^(n_mid - rank a - rank b) (+) tors(b).  Raises ValueError when the
-    data is not a complex.
+    data is not a complex.  A caller that holds lift_to_cycles' result for
+    the same window may pass it as ``lifted``.
     """
     relations_target = relations_target or {}
-    lifted = lift_to_cycles(
-        boundary_out, boundary_in, n_mid, n_target, relations_mid, relations_target
-    )
+    if lifted is None:
+        lifted = lift_to_cycles(
+            boundary_out, boundary_in, n_mid, n_target, relations_mid, relations_target
+        )
     annotated = sorted(relations_target)
     cycle_matrix = list(boundary_out) + [{t: -relations_target[t]} for t in annotated]
     dim_cycles = n_mid + len(annotated) - len(invariant_factors(cycle_matrix))

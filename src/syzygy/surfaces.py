@@ -507,6 +507,12 @@ def syzygy_sphere_bl3() -> RegularCWComplex:
     conic fibrations), edges its 21 rank-2 models, faces its 14 Mori models;
     every face is a triangle.
     """
+    return validated_sphere_bl3()[0]
+
+
+def validated_sphere_bl3() -> tuple:
+    """syzygy_sphere_bl3's sphere and the ValidationReport of its one full
+    validation; raises RuntimeError when the sphere fails it."""
     lat = BlowupLattice(3)
     lines = lat.enumerate_lines()
     conics = lat.enumerate_conic_classes()
@@ -580,7 +586,7 @@ def syzygy_sphere_bl3() -> RegularCWComplex:
     report = sphere.validate()
     if not report.valid:
         raise RuntimeError("sphere construction failed validation: " + report.summary())
-    return sphere
+    return sphere, report
 
 
 def cubic_summary() -> dict:

@@ -3,7 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from syzygy import smith
 from syzygy.cli import main
+from syzygy.complexes import RegularCWComplex, ValidationReport
+from syzygy.surfaces import GeneratorUniverse, row0_complex
 
 from helpers import build_cycle, build_octahedron
 
@@ -59,6 +62,30 @@ def test_syzygy_command(runner):
     assert data["vertices"] == 9
     assert data["euler_characteristic"] == 2
     assert data["valid"] is True
+
+
+def test_syzygy_check_validates_the_sphere_once(runner, monkeypatch):
+    calls = []
+    validate = RegularCWComplex.validate
+
+    def spy(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(RegularCWComplex, "validate", spy)
+    data = json.loads(invoke(runner, "syzygy", "bl3", "--check").output)["result"]
+    assert data["valid"] is True and data["failures"] == []
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("flag", ["--check", "--no-check"])
+def test_syzygy_failing_sphere_raises(runner, monkeypatch, flag):
+    monkeypatch.setattr(
+        RegularCWComplex, "validate",
+        lambda self: ValidationReport(structure_ok=False, failures=["broken"]),
+    )
+    with pytest.raises(RuntimeError, match="broken"):
+        invoke(runner, "syzygy", "bl3", flag)
 
 
 def test_cubic_warnings_recorded(runner):
@@ -168,6 +195,54 @@ def test_homology_file_rejects_bad_values(runner, tmp_path, text):
     res = invoke(runner, "homology", str(path))
     assert res.exit_code == 1
     assert "error" in json.loads(res.output)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"ranks": [1, 1], "boundaries": [[5]]}',
+        '{"ranks": [1], "boundaries": [], "cyclic": {"0": [2]}}',
+        '{"ranks": 2, "boundaries": []}',
+        '{"ranks": [1, 1], "boundaries": {"1": [[0]]}}',
+        '{"ranks": [1, 1], "boundaries": [5]}',
+        '{"ranks": [-1]}',
+        '{"ranks": [1], "boundaries": [], "cyclic": [2]}',
+        '[{"ranks": [1]}]',
+    ],
+    ids=["row", "cyclic-degree", "ranks", "boundaries", "matrix", "negative-rank",
+         "cyclic", "top-level"],
+)
+def test_homology_file_rejects_wrong_structure(runner, tmp_path, text):
+    """A file of the wrong shape exits 1 with the error JSON, not a
+    traceback."""
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    res = invoke(runner, "homology", str(path))
+    assert res.exit_code == 1
+    assert "error" in json.loads(res.output)
+
+
+def test_ruled_job_eliminates_each_distinct_matrix_once(runner, monkeypatch):
+    """A ruled job reads the boundaries at several degrees, as cycle
+    matrices and as lifted images, and in the d o d check; each distinct
+    matrix is still eliminated once."""
+    smith._memo_factors.cache_clear()
+    keys = []
+    eliminate = smith._eliminate
+
+    def spy(key):
+        keys.append(key)
+        return eliminate(key)
+
+    monkeypatch.setattr(smith, "_eliminate", spy)
+    res = invoke(runner, "ruled", "--points", "5", "--e-max", "4", "--r-max", "5")
+    assert res.exit_code == 0
+    reads = smith._memo_factors.cache_info()
+    assert len(keys) == len(set(keys)) == reads.misses
+    assert reads.hits >= 3
+    cc, _ = row0_complex(GeneratorUniverse.ruled(5, 4, r_max=5))
+    for d in (2, 3, 4):
+        assert tuple(tuple(sorted(col.items())) for col in cc.boundaries[d]) in keys
 
 
 def test_five_term_command(runner):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from syzygy import complexes
 from syzygy.complexes import (
     Cell,
     IntegerChainComplex,
@@ -216,3 +217,20 @@ def test_check_composition_modulo_annotations():
     bad = IntegerChainComplex([1, 1], [[], columns([[1]])], {1: {0: 2}})
     assert not bad.check_composition()
     assert IntegerChainComplex([1, 1], [[], columns([[1]])], {0: {0: 2}, 1: {0: 2}}).check_composition()
+
+
+def test_lift_is_formed_once_per_degree(monkeypatch):
+    """The d o d check and the homology read share one lift per degree."""
+    lifted = []
+    lift = complexes.lift_to_cycles
+
+    def spy(*window):
+        lifted.append(window[2])
+        return lift(*window)
+
+    monkeypatch.setattr(complexes, "lift_to_cycles", spy)
+    cc = build_octahedron().chain_complex()
+    assert cc.check_composition()
+    assert [str(cc.homology(d)) for d in range(3)] == ["Z", "0", "Z"]
+    assert cc.check_composition()
+    assert sorted(lifted) == sorted(cc.ranks)

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from syzygy import smith
 from syzygy.smith import (
     FGAbelianGroup,
     cokernel_group,
@@ -92,6 +93,64 @@ def test_invariant_factors_match_dense_diagonal(a):
     assert invariant_factors(columns(a)) == dense_invariant_factors(a)
 
 
+@st.composite
+def divisor_pivot_matrices(draw):
+    """Matrices whose pivots are not all units: a +-1 matrix scaled by 2 or
+    3, a diagonal such as diag(2, 3, 4) mixed with units and permuted, and a
+    row of multiples of x = 2 or 3 whose column holds an entry x does not
+    divide."""
+    kind = draw(st.sampled_from(["scaled", "diagonal", "row-divisor"]))
+    if kind == "scaled":
+        rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        scale = draw(st.sampled_from([2, 3]))
+        entries = st.sampled_from([0, 0, 1, -1])
+        return [[scale * draw(entries) for _ in range(cols)] for _ in range(rows)]
+    if kind == "diagonal":
+        diagonal = draw(st.lists(st.sampled_from([1, -1, 2, 3, 4, -6, 9]), min_size=1, max_size=7))
+        n = len(diagonal)
+        row_order, col_order = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+        a = zeros(n, n)
+        for k, d in enumerate(diagonal):
+            a[row_order[k]][col_order[k]] = d
+        return a
+    rows, cols = draw(st.integers(2, 7)), draw(st.integers(1, 7))
+    x = draw(st.sampled_from([2, 3]))
+    a = [[draw(st.integers(-4, 4)) for _ in range(cols)] for _ in range(rows)]
+    a[0] = [x] + [x * draw(st.integers(-2, 2)) for _ in range(cols - 1)]
+    a[1][0] = x * draw(st.integers(-2, 2)) + 1
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(divisor_pivot_matrices())
+def test_invariant_factors_with_divisor_pivots_match_dense_diagonal(a):
+    assert invariant_factors(columns(a)) == dense_invariant_factors(a)
+
+
+def test_invariant_factors_split_off_divisor_pivots(monkeypatch):
+    """2 times a +-1 matrix and a mixed diagonal leave by divisor pivots,
+    and the split-off orders merge into one divisibility chain."""
+    shapes = record_dense_shapes(monkeypatch)
+    assert invariant_factors(columns([[2, 2, 0], [2, 0, 2], [0, 2, 2]])) == [2, 2, 4]
+    assert invariant_factors(columns([[0, 3, 0], [2, 0, 0], [0, 0, 4]])) == [1, 2, 12]
+    assert shapes == []
+    # 2 divides its row but not the 3 below it; no entry qualifies
+    assert invariant_factors(columns([[2, 4], [3, 0]])) == [1, 12]
+    assert shapes == [(2, 2)]
+
+
+def test_invariant_factors_memo_returns_a_fresh_list():
+    smith._memo_factors.cache_clear()
+    a = columns([[2, 0], [0, 3]])
+    first = invariant_factors(a)
+    first[0] = 0
+    first.append(7)
+    again = invariant_factors([dict(reversed(col.items())) for col in a])
+    assert again == [1, 6]
+    assert again is not invariant_factors(a)
+    assert smith._memo_factors.cache_info().misses == 1
+
+
 def test_invariant_factors_edge_shapes():
     assert invariant_factors([]) == []
     assert invariant_factors(columns([[], []])) == []
@@ -120,6 +179,19 @@ def test_invariant_factors_match_sympy():
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_unit_matrices().filter(lambda a: a and a[0]))
+    def check(a):
+        expected = normalforms.invariant_factors(Matrix(a), domain=ZZ)
+        assert invariant_factors(columns(a)) == [int(d) for d in expected if d]
+
+    check()
+
+
+def test_invariant_factors_with_divisor_pivots_match_sympy():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+
+    @settings(max_examples=60, deadline=None)
+    @given(divisor_pivot_matrices())
     def check(a):
         expected = normalforms.invariant_factors(Matrix(a), domain=ZZ)
         assert invariant_factors(columns(a)) == [int(d) for d in expected if d]

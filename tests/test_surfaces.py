@@ -288,17 +288,30 @@ def test_row0_invariant_factors_match_dense_snf(u):
         assert invariant_factors(m) == dense_invariant_factors(dense(m, height))
 
 
-def test_row0_unit_elimination_leaves_a_small_residual(monkeypatch):
-    """The 315x385 degree-4 boundary (rank 5 to rank 4) at |T| = 7 reaches
-    the dense Smith form as one residual of at most 35x105."""
+def test_row0_elimination_leaves_no_residual(monkeypatch):
+    """No row-0 boundary at |T| = 6 or 7 (e_max = r_max = 5) reaches the
+    dense Smith form.  What the units leave of the 315x385 degree-4 boundary
+    at |T| = 7 is 2 times a +-1 matrix, and its +-2 entries are divisor
+    pivots."""
     cc, _ = row0_complex(GeneratorUniverse.ruled(7, 5, r_max=5))
-    d4 = cc.boundaries[4]
-    assert (cc.ranks[3], len(d4)) == (315, 385)
+    assert (cc.ranks[3], len(cc.boundaries[4])) == (315, 385)
     shapes = record_dense_shapes(monkeypatch)
-    invariant_factors(d4)
-    assert len(shapes) == 1
-    rows, cols = shapes[0]
-    assert rows <= 35 and cols <= 105
+    assert invariant_factors(cc.boundaries[4]).count(2) == 20
+    for points in (6, 7):
+        cc, _ = row0_complex(GeneratorUniverse.ruled(points, 5, r_max=5))
+        for d in range(1, cc.top_degree + 1):
+            invariant_factors(cc.boundaries[d])
+    assert shapes == []
+
+
+@pytest.mark.parametrize("points", range(2, 7))
+def test_ruled_row0_is_z2_to_the_binomial(points):
+    """At e_max = r_max = 5, E_{d,0} = (Z/2)^C(|T|-1, d) for d = 1, 2, 3,
+    with free rank 0."""
+    u = GeneratorUniverse.ruled(points, 5, r_max=5)
+    assert [row0_homology(u, d) for d in (1, 2, 3)] == [
+        Z2n(comb(points - 1, d)) for d in (1, 2, 3)
+    ]
 
 
 def test_row0_complex_is_built_once_per_universe():
