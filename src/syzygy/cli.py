@@ -230,6 +230,15 @@ def _universe_params(points, e_max, r_max):
     return {"points": points, "e_max": e_max, "r_max": r_max}
 
 
+def _wanted_rows(rows):
+    """The rows named in a comma-separated --rows value; the empty string
+    names none.  Only rows 0 and 1 are computed."""
+    wanted = {int(r) for r in rows.split(",") if r != ""}
+    if not wanted <= {0, 1}:
+        raise ReportError(f"--rows takes rows 0 and 1 only, got {rows!r}")
+    return wanted
+
+
 @main.command()
 @click.option("--points", type=int, required=True, help="Size of the base label set.")
 @click.option("--e-max", type=int, default=3, show_default=True)
@@ -240,7 +249,7 @@ def ruled(ctx, points, e_max, r_max, rows):
     """Row homology for the ruled universe at finite truncation."""
     def go():
         u = GeneratorUniverse.ruled(points, e_max, r_max)
-        wanted = {int(r) for r in rows.split(",") if r != ""}
+        wanted = _wanted_rows(rows)
         result = {}
         warnings = []
         if 0 in wanted:
@@ -272,7 +281,7 @@ def cremona(ctx, points, e_max, r_max, rows):
     """Row homology and the final candidates for the plane's universe."""
     def go():
         u = GeneratorUniverse.cremona(e_max, r_max)
-        wanted = {int(r) for r in rows.split(",") if r != ""}
+        wanted = _wanted_rows(rows)
         warnings = []
         if points:
             warnings.append(

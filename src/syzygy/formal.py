@@ -7,27 +7,29 @@ block matrices: an entry k between two copies of the same atom means the
 k-th power (k-multiple) map, entries into cyclic summands reduce, and maps
 between distinct atoms are forbidden unless registered.
 
-Kernels, cokernels and two-sided homology are computed per atom family
-from the invariant factors of the exponent blocks.  For a divisible atom D the
-structure theorems reduce everything to the integer homology of the exponent
-complex: the free rank contributes copies of D, finite cyclic pieces die
-(D/kD = 0), and the torsion of the next cokernel contributes D[k], which is
-resolved through the atom's declared torsion rule.  Atoms whose torsion is
-not declared (the wedge and tensor squares) make any computation that needs
-it fail loudly instead of guessing.
+The homology ker(g)/im(f) of a window A -> B -> C is computed per atom
+family from the exponent blocks; the kernel of h: A -> B is the homology of
+the window 0 -> A -> B, and its cokernel that of A -> B -> 0.  For a
+divisible atom D the structure theorems reduce everything to the integer
+homology of the exponent complex: the free rank contributes copies of D,
+finite cyclic pieces die (D/kD = 0), and the torsion of the next cokernel
+contributes D[k], which is resolved through the atom's declared torsion
+rule.  Atoms whose torsion is not declared (the wedge and tensor squares)
+make any computation that needs it fail loudly instead of guessing.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 from math import gcd, prod
 from pathlib import Path
 
 from .smith import (
     FGAbelianGroup,
     cokernel_group,
-    invariant_factors,
     is_zero_matrix,
     mat_mul,
     partitions,
@@ -75,6 +77,7 @@ class Atom:
         )
 
 
+@cache
 def _load_atoms() -> tuple[dict, set]:
     with open(_DATA_DIR / "atoms.json", "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -92,20 +95,12 @@ def _load_atoms() -> tuple[dict, set]:
     return atoms, cross
 
 
-_ATOMS = None
-_CROSS = None
-
-
 def atom_registry() -> dict:
-    global _ATOMS, _CROSS
-    if _ATOMS is None:
-        _ATOMS, _CROSS = _load_atoms()
-    return _ATOMS
+    return _load_atoms()[0]
 
 
 def registered_cross_maps() -> set:
-    atom_registry()
-    return _CROSS
+    return _load_atoms()[1]
 
 
 @dataclass(frozen=True)
@@ -318,52 +313,13 @@ def _atom_result_from_window(atom: Atom, mat_out, mat_in, n_mid, n_tgt) -> Forma
 
 
 def kernel(h: FormalHom) -> FormalGroup:
-    out = FormalGroup.zero()
-    src, tgt = h.source.slots(), h.target.slots()
-    for fam, (rows, cols, block) in h._family_blocks().items():
-        if fam == "fg":
-            g = presented_homology(
-                block,
-                [],
-                len(cols),
-                len(rows),
-                relations_mid=_fg_relations([src[j] for j in cols]),
-                relations_target=_fg_relations([tgt[i] for i in rows]),
-            )
-            out = out + FormalGroup.from_fg(g)
-            continue
-        atom = atom_registry()[fam]
-        factors = invariant_factors(block)
-        out = out + FormalGroup.atom(fam, len(cols) - len(factors))
-        for d in factors:
-            if d >= 2:
-                out = out + FormalGroup.from_fg(atom.torsion(d))
-    return out
+    """ker(h), the homology of the window 0 -> A -> B."""
+    return homology_at(zero_hom(ZERO, h.source), h)
 
 
 def cokernel(h: FormalHom) -> FormalGroup:
-    out = FormalGroup.zero()
-    src, tgt = h.source.slots(), h.target.slots()
-    for fam, (rows, cols, block) in h._family_blocks().items():
-        if fam == "fg":
-            g = presented_homology(
-                [{}] * len(rows),
-                block,
-                len(rows),
-                0,
-                relations_mid=_fg_relations([tgt[i] for i in rows]),
-            )
-            out = out + FormalGroup.from_fg(g)
-            continue
-        atom = atom_registry()[fam]
-        factors = invariant_factors(block)
-        out = out + FormalGroup.atom(fam, len(rows) - len(factors))
-        for d in factors:
-            if d >= 2 and not atom.divisible:
-                raise InsufficientAtomData(
-                    f"{fam}/{d}{fam} is not computable for a non-divisible atom"
-                )
-    return out
+    """coker(h), the homology of the window A -> B -> 0."""
+    return homology_at(h, zero_hom(h.target, ZERO))
 
 
 def homology_at(f: FormalHom, g: FormalHom) -> FormalGroup:
@@ -471,13 +427,11 @@ def _abelian_groups_of_order(n: int) -> list[tuple]:
 
 def _elements_of_order_dividing(orders: tuple, a: int):
     """All elements x of the group Z/orders with a*x = 0."""
-    from itertools import product as iproduct
-
     ranges = []
     for e in orders:
         step = e // gcd(a, e)
         ranges.append(range(0, e, step))
-    return iproduct(*ranges)
+    return product(*ranges)
 
 
 def _has_extension(sub: tuple, total: tuple, quot: tuple) -> bool:
@@ -492,9 +446,7 @@ def _has_extension(sub: tuple, total: tuple, quot: tuple) -> bool:
     relations = [{i: t} for i, t in enumerate(total)]
     want = FGAbelianGroup.from_orders(0, list(quot)).torsion
     per_gen = [list(_elements_of_order_dividing(total, a)) for a in sub]
-    from itertools import product as iproduct
-
-    for images in iproduct(*per_gen):
+    for images in product(*per_gen):
         cols = [{i: x for i, x in enumerate(image) if x} for image in images]
         quotient = cokernel_group(cols + relations, len(total))
         if quotient.free_rank == 0 and quotient.torsion == want:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 from .formal import (
@@ -23,7 +24,9 @@ from .formal import (
     FormalHom,
     FormalGroupError,
     InsufficientAtomData,
+    _zero_modulo_target,
     atom_registry,
+    check_exact,
     cokernel,
     homology_at,
     kernel,
@@ -100,14 +103,11 @@ class KnownHomologyRegistry:
         return sorted(self._entries.items(), key=lambda kv: (kv[0][0], kv[0][1]))
 
 
-_DEFAULT_REGISTRY = None
-
-
+@cache
 def default_registry() -> KnownHomologyRegistry:
-    global _DEFAULT_REGISTRY
-    if _DEFAULT_REGISTRY is None:
-        _DEFAULT_REGISTRY = KnownHomologyRegistry.load()
-    return _DEFAULT_REGISTRY
+    """The shared registry loaded from the package data; derived entries
+    added to it are seen by every later caller."""
+    return KnownHomologyRegistry.load()
 
 
 # -- layout helper -------------------------------------------------------------
@@ -158,14 +158,19 @@ def direct_sum_with_layout(parts: list[FormalGroup]):
     return total, layout
 
 
-def coinvariants_of_swap(m: FormalGroup) -> FormalGroup:
-    """(M + M) / (a, -a): the coinvariants of the factor swap on M + M."""
+def _swap_antidiagonal(m: FormalGroup) -> FormalHom:
+    """a -> (a, -a) from M into M + M."""
     total, layout = direct_sum_with_layout([m, m])
     mat = [[0] * len(m.slots()) for _ in total.slots()]
     for j in range(len(m.slots())):
         mat[layout[0][j]][j] = 1
         mat[layout[1][j]][j] = -1
-    return cokernel(FormalHom(m, total, mat))
+    return FormalHom(m, total, mat)
+
+
+def coinvariants_of_swap(m: FormalGroup) -> FormalGroup:
+    """(M + M) / (a, -a): the coinvariants of the factor swap on M + M."""
+    return cokernel(_swap_antidiagonal(m))
 
 
 # -- spectral grids -------------------------------------------------------------
@@ -196,9 +201,7 @@ class SpectralGrid:
         for (p, q), d in self.differentials.items():
             upstream = self.differentials.get((p + r, q - r + 1))
             if upstream is not None:
-                comp = d.compose(upstream)
-                from .formal import _zero_modulo_target
-                if not _zero_modulo_target(comp):
+                if not _zero_modulo_target(d.compose(upstream)):
                     raise FormalGroupError(f"d o d != 0 through {(p, q)}")
 
     def entry(self, p: int, q: int):
@@ -406,15 +409,8 @@ class ExactSequence:
             if f is None or g is None:
                 out.append((t.label, "unknown", "connecting maps not available"))
                 continue
-            try:
-                h = homology_at(f, g)
-            except InsufficientAtomData as exc:
-                out.append((t.label, "unknown", str(exc)))
-                continue
-            if h.is_zero:
-                out.append((t.label, "exact", ""))
-            else:
-                out.append((t.label, "fail", f"homology {h}"))
+            v = check_exact([f, g])[0]
+            out.append((t.label, v.verdict, v.detail))
         return out
 
     def fully_known_positions_exact(self) -> bool:
@@ -680,14 +676,9 @@ def k2_prime_candidates(registry: KnownHomologyRegistry | None = None) -> list:
         schur_aut_quadric(reg)
     h2_full = reg.get("Aut(P1xP1)", 2)
     h2_plus = reg.get("Aut+(P1xP1)", 2)
-    total, layout = direct_sum_with_layout([h2_full, h2_full])
-    if total != h2_plus:
+    diag = _swap_antidiagonal(h2_full)  # a -> (a, a^{-1}) across the swap
+    if diag.target != h2_plus:
         raise FormalGroupError("Kunneth shape mismatch for the quadric")
-    mat = [[0] * len(h2_full.slots()) for _ in total.slots()]
-    for j in range(len(h2_full.slots())):
-        mat[layout[0][j]][j] = 1
-        mat[layout[1][j]][j] = -1  # a -> (a, a^{-1}) across the swap
-    diag = FormalHom(h2_full, h2_plus, mat)
     result = nonorientable_block_homology(2, "Aut(P1xP1)", "Aut+(P1xP1)", diag, reg)
     return result if isinstance(result, list) else [result]
 

@@ -27,7 +27,7 @@ with the untruncated answers on the stabilized range.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cache
 from itertools import combinations
@@ -112,7 +112,8 @@ class SurfaceCentralModel:
         return self.display()
 
 
-def _load_orientability() -> dict:
+@cache
+def orientability_table() -> dict:
     with open(_DATA_DIR / "orientability.json", "r", encoding="utf-8") as fh:
         table = json.load(fh)
     for key, entry in table.items():
@@ -121,16 +122,7 @@ def _load_orientability() -> dict:
     return table
 
 
-_ORIENTABILITY = None
-
-
-def orientability_table() -> dict:
-    global _ORIENTABILITY
-    if _ORIENTABILITY is None:
-        _ORIENTABILITY = _load_orientability()
-    return _ORIENTABILITY
-
-
+@cache
 def is_orientable(base: BaseCase, family: str, k: int) -> bool:
     table = orientability_table()
     for key in (f"{base.value}/{family}/k={k}", f"{base.value}/{family}"):
@@ -159,6 +151,8 @@ class GeneratorUniverse:
 
     @classmethod
     def ruled(cls, points: int, e_max: int, r_max: int = 4, moduli=("l0", "l1")):
+        if points < 0:
+            raise ValueError(f"points must be >= 0, got {points}")
         return cls(BaseCase.RULED, tuple(f"P{i}" for i in range(1, points + 1)), e_max, r_max, tuple(moduli))
 
     @classmethod
@@ -469,7 +463,6 @@ def two_ray_game(model: SurfaceCentralModel):
     if model.family == "dp8_blowdown":
         return (_mk(base, 1, "hirzebruch", e=1), _mk(base, 1, "plane"))
     if model.family == "dp8_quadric":
-        from dataclasses import replace
         a = _mk(base, 1, "hirzebruch", e=0)
         return (a, replace(a, modulus="second ruling"))
     if model.family == "blowup":

@@ -4,8 +4,24 @@ from itertools import combinations
 
 from syzygy import smith
 from syzygy.complexes import Cell, RegularCWComplex
-from syzygy.formal import FormalGroup, FormalGroupError, FormalHom
-from syzygy.smith import FGAbelianGroup, Matrix, mat_mul, smith_normal_form, solve, zeros
+from syzygy.formal import (
+    FormalGroup,
+    FormalGroupError,
+    FormalHom,
+    InsufficientAtomData,
+    _fg_relations,
+    atom_registry,
+)
+from syzygy.smith import (
+    FGAbelianGroup,
+    Matrix,
+    invariant_factors,
+    mat_mul,
+    presented_homology,
+    smith_normal_form,
+    solve,
+    zeros,
+)
 from syzygy.spectral import (
     RowComplex,
     _entry_hom,
@@ -217,6 +233,64 @@ def cycle_basis_homology(
             raise ValueError("an image or relation vector is not a cycle")
         coords.append(c)
     return dense_cokernel_group(columns_to_matrix(coords, dim_cycles), dim_cycles)
+
+
+# -- oracle for formal kernel and cokernel ---------------------------------------
+#
+# One hand-written rule per family: the finitely generated block through
+# presented_homology with an empty image or an empty target, each atom block
+# through its invariant factors (free rank -> atom copies, factor d -> D[d]
+# in a kernel, D/dD in a cokernel).  It shares no window code with
+# formal.homology_at.
+
+
+def per_family_kernel(h: FormalHom) -> FormalGroup:
+    out = FormalGroup.zero()
+    src, tgt = h.source.slots(), h.target.slots()
+    for fam, (rows, cols, block) in h._family_blocks().items():
+        if fam == "fg":
+            g = presented_homology(
+                block,
+                [],
+                len(cols),
+                len(rows),
+                relations_mid=_fg_relations([src[j] for j in cols]),
+                relations_target=_fg_relations([tgt[i] for i in rows]),
+            )
+            out = out + FormalGroup.from_fg(g)
+            continue
+        atom = atom_registry()[fam]
+        factors = invariant_factors(block)
+        out = out + FormalGroup.atom(fam, len(cols) - len(factors))
+        for d in factors:
+            if d >= 2:
+                out = out + FormalGroup.from_fg(atom.torsion(d))
+    return out
+
+
+def per_family_cokernel(h: FormalHom) -> FormalGroup:
+    out = FormalGroup.zero()
+    src, tgt = h.source.slots(), h.target.slots()
+    for fam, (rows, cols, block) in h._family_blocks().items():
+        if fam == "fg":
+            g = presented_homology(
+                [{}] * len(rows),
+                block,
+                len(rows),
+                0,
+                relations_mid=_fg_relations([tgt[i] for i in rows]),
+            )
+            out = out + FormalGroup.from_fg(g)
+            continue
+        atom = atom_registry()[fam]
+        factors = invariant_factors(block)
+        out = out + FormalGroup.atom(fam, len(rows) - len(factors))
+        for d in factors:
+            if d >= 2 and not atom.divisible:
+                raise InsufficientAtomData(
+                    f"{fam}/{d}{fam} is not computable for a non-divisible atom"
+                )
+    return out
 
 
 # -- oracle for count_fibration_configurations -----------------------------------

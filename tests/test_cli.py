@@ -252,6 +252,33 @@ def test_five_term_command(runner):
     assert verdicts["E_{0,1}"] == "exact"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("ruled", "--points", "-2"),
+        ("five-term", "--points", "-1"),
+        ("ruled", "--points", "3", "--rows", "7"),
+        ("ruled", "--points", "3", "--rows", "0,5"),
+        ("cremona", "--rows", "2"),
+        ("cremona", "--rows", "0,5"),
+    ],
+    ids=["ruled-points", "five-term-points", "ruled-rows", "ruled-extra-row",
+         "cremona-rows", "cremona-extra-row"],
+)
+def test_impossible_parameters_are_refused(runner, args):
+    """Each request used to print a result for fewer labels or rows than
+    asked for and exit 0."""
+    res = invoke(runner, *args)
+    assert res.exit_code == 1
+    assert "error" in json.loads(res.output)
+
+
+def test_empty_rows_are_allowed(runner):
+    res = invoke(runner, "ruled", "--points", "2", "--rows", "")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["result"] == {}
+
+
 def test_table_format(runner):
     res = invoke(runner, "--format", "table", "lines", "--degree", "3")
     assert res.exit_code == 0

@@ -14,11 +14,12 @@ from syzygy.formal import (
     cokernel,
     homology_at,
     kernel,
+    registered_cross_maps,
     solve_extension,
     zero_hom,
 )
 
-from helpers import columns
+from helpers import columns, per_family_cokernel, per_family_kernel
 
 Cs = FormalGroup.atom("C*")
 K2 = FormalGroup.atom("K2(C)")
@@ -140,6 +141,51 @@ def test_kernel_cokernel_invariant_under_unimodular_changes(mat, ops1, ops2):
         conj = FormalHom(ambient, ambient, mat_mul(u, mat_mul(mat, v)))
         assert kernel(h) == kernel(conj)
         assert cokernel(h) == cokernel(conj)
+
+
+SUMMANDS = {
+    "C*": Cs,
+    "K2(C)": K2,
+    "C*^C*": FormalGroup.atom("C*^C*"),
+    "Z/2": Zn(2),
+    "Z/3": Zn(3),
+    "Z/4": Zn(4),
+    "Z": Z,
+}
+summand_lists = st.lists(st.sampled_from(sorted(SUMMANDS)), max_size=4)
+
+
+def _draw_entry(data, s, t):
+    """A random entry from source slot s to target slot t that keeps the
+    map well defined: same atom or a registered atom pair, nothing from a
+    cyclic group to Z, and k with k*n = 0 mod m from Z/n to Z/m."""
+    if s[0] == "atom" or t[0] == "atom":
+        if s[0] == t[0] == "atom" and (s[1] == t[1] or (s[1], t[1]) in registered_cross_maps()):
+            return data.draw(st.integers(-4, 4))
+        return 0
+    if s[0] == "cyclic" and t[0] == "free":
+        return 0
+    if s[0] == "cyclic" and t[0] == "cyclic":
+        return t[1] // gcd(s[1], t[1]) * data.draw(st.integers(-3, 3))
+    return data.draw(st.integers(-4, 4))
+
+
+def _outcome(fn, h):
+    try:
+        return fn(h)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(summand_lists, summand_lists, st.data())
+def test_kernel_cokernel_match_the_per_family_oracle(src_names, tgt_names, data):
+    source = sum((SUMMANDS[n] for n in src_names), FormalGroup.zero())
+    target = sum((SUMMANDS[n] for n in tgt_names), FormalGroup.zero())
+    mat = [[_draw_entry(data, s, t) for s in source.slots()] for t in target.slots()]
+    h = FormalHom(source, target, mat)
+    assert _outcome(kernel, h) == _outcome(per_family_kernel, h)
+    assert _outcome(cokernel, h) == _outcome(per_family_cokernel, h)
 
 
 def test_homology_at_examples():

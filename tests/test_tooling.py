@@ -21,3 +21,11 @@ def test_bench_spans_resolve_in_the_package(monkeypatch):
         # the tracer reads the raw attribute from the owner's own namespace
         assert attr in vars(owner), target
         assert callable(getattr(owner, attr)), target
+
+
+def test_bench_setup_probe_runs(monkeypatch):
+    """The benchmark's set-up probe loads the registry, orientability and
+    atom tables by name; a renamed loader would fail every probe."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = importlib.import_module("run")
+    exec(run.PROBE_CODE, {})
