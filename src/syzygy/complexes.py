@@ -207,18 +207,24 @@ class RegularCWComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RegularCWComplex":
-        cells = [Cell(id=c["id"], dim=c["dim"], label=c.get("label", "")) for c in data["cells"]]
+        cells = [
+            Cell(id=_as_id(c["id"]), dim=c["dim"], label=c.get("label", "")) for c in data["cells"]
+        ]
         ids = {str(c.id): c.id for c in cells}
         boundary = {}
         for key, faces in data.get("boundary", {}).items():
             if key not in ids:
                 raise ValueError(f"boundary references unknown cell {key!r}")
-            boundary[ids[key]] = [(f[0], f[1]) for f in faces]
-        # ids inside boundary lists may be strings in the file
-        fixed = {}
-        for cid, faces in boundary.items():
-            fixed[cid] = [(ids.get(str(fid), fid), sign) for fid, sign in faces]
-        return cls(cells, fixed)
+            faces = [(_as_id(f[0]), f[1]) for f in faces]
+            # ids inside boundary lists may be strings in the file
+            boundary[ids[key]] = [(ids.get(str(fid), fid), sign) for fid, sign in faces]
+        return cls(cells, boundary)
+
+
+def _as_id(value):
+    """A cell id as read from JSON, with the lists that JSON makes of tuples
+    turned back into tuples at every depth."""
+    return tuple(_as_id(x) for x in value) if isinstance(value, list) else value
 
 
 @dataclass

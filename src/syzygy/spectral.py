@@ -736,6 +736,8 @@ def _row1_complex(u: GeneratorUniverse, entry, extra_rank3=None) -> RowComplex:
     convention (tests/test_row0_witness.py).  Generators whose entry group
     has no slots carry no block.  extra_rank3(gen), keyed by the (family, e)
     of the rank-2 target, adds the blocks that row 0 cannot see."""
+    if u.r_max < 3:
+        raise ValueError(f"the row-1 complex needs r_max >= 3, got {u.r_max}")
     bound = {r: u.e_max + (3 - r) for r in (1, 2, 3)}
     bms = {
         r: boundary(u, r, e_bound=bound[r], target_e_bound=bound[r - 1]) for r in (2, 3)
@@ -745,8 +747,6 @@ def _row1_complex(u: GeneratorUniverse, entry, extra_rank3=None) -> RowComplex:
     maps = []
     for r, sign in ((2, 1), (3, -1)):
         bm = bms[r]
-        if bm.clipped:
-            raise RuntimeError(f"row-1 staircase clipped a formula at rank {r}: {bm.clipped}")
         src_layout, tgt_layout = places[r][2], places[r - 1][2]
         blocks = {}
         for j, column in enumerate(bm.matrix):

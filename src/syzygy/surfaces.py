@@ -10,12 +10,18 @@ ruled surface along its minimal section.  In the *cremona* universe base
 coordinates can move, the classification collapses to one generator per
 configuration tag, and the rank-r del Pezzo surfaces join the list.
 
-Boundaries are assembled from per-tag transition tables (the two blow-downs
-over each marked point) with alternating signs over the sorted point set;
-because each tag's transition multiset does not depend on which point is
-removed, d o d = 0 holds identically.  Non-orientable generators contribute
-order-2 rows, realized through the cyclic annotations of the chain-complex
-engine.
+Every generator list is the product of the point sets (the (r-1)-subsets of
+the sorted labels over the ruled base, the one empty set over the plane) and
+the configuration tags (family, partition, modulus, e), point set major.  The
+boundary of S x t is the sum over positions p of (-1)^p (S minus s_p) x t'
+over the tag's transitions t -> t' (the two blow-downs over each marked
+point), so the row of a target is plain index arithmetic: the face's index
+times the number of target tags, plus the target tag's index.  Because each
+tag's transition multiset does not depend on which point is removed,
+d o d = 0 holds identically.  A transition to a tag beyond the target
+invariant bound raises instead of being dropped.  Non-orientable generators
+contribute order-2 rows, realized through the cyclic annotations of the
+chain-complex engine.
 
 Truncation: generators are listed up to the requested e_max; internally the
 chain complex keeps rank r up to e_max + (r_max - r), a staircase under which
@@ -67,19 +73,6 @@ class SurfaceCentralModel:
     partition: tuple = ()
     modulus: str | None = None
     orientable: bool = True
-
-    def sort_key(self):
-        fam_order = {
-            "plane": 0, "dp8_blowdown": 1, "dp8_quadric": 2, "dp7": 1, "dp6": 1, "dp5": 1,
-            "hirzebruch": 3, "blowup": 4, "min_section": 5,
-        }
-        return (
-            self.points,
-            fam_order.get(self.family, 9),
-            self.partition,
-            self.modulus or "",
-            self.e,
-        )
 
     def display(self) -> str:
         k = len(self.points)
@@ -173,52 +166,46 @@ def _mk(base, rank, family, points=(), e=0, partition=(), modulus=None):
     )
 
 
-def enumerate_generators(u: GeneratorUniverse, rank: int, e_bound: int | None = None):
-    """Canonically ordered generators of the given rank, with e <= e_bound
-    (defaulting to the universe's e_max)."""
+def _point_sets(u: GeneratorUniverse, rank: int) -> list:
+    """The marked point sets of the rank's generators: the (rank-1)-subsets
+    of the sorted labels over the ruled base, the empty set over the plane."""
+    if u.base is BaseCase.RULED:
+        return list(combinations(sorted(u.labels), rank - 1))
+    return [()]
+
+
+def _tag(family, partition=(), e=0, modulus=None) -> tuple:
+    return (family, partition, modulus, e)
+
+
+def _tags(u: GeneratorUniverse, rank: int, e_bound: int) -> list:
+    """The configuration tags (family, partition, modulus, e) of the rank's
+    generators with e <= e_bound, in generator order: over the plane the del
+    Pezzo families first, then the blowups, then the minimal-section family."""
     if not 1 <= rank <= u.r_max:
         raise ValueError(f"rank must be in [1, {u.r_max}], got {rank}")
-    e_bound = u.e_max if e_bound is None else e_bound
     k = rank - 1
-    out = []
-    if u.base is BaseCase.RULED:
-        if rank == 1:
-            out = [_mk(u.base, 1, "hirzebruch", e=e) for e in range(0, e_bound + 1)]
-        else:
-            for pts in combinations(sorted(u.labels), k):
-                for part in partitions(k):
-                    if part == (1,) * k and k == 4:
-                        out.extend(
-                            _mk(u.base, rank, "blowup", pts, partition=part, modulus=m)
-                            for m in u.moduli
-                        )
-                    else:
-                        out.append(_mk(u.base, rank, "blowup", pts, partition=part))
-                out.extend(
-                    _mk(u.base, rank, "min_section", pts, e=e)
-                    for e in range(1, e_bound + 1)
-                )
-        out.sort(key=lambda m: m.sort_key())
-        return out
-    # cremona universe: one generator per configuration tag, no point labels
+    ruled = u.base is BaseCase.RULED
+    tags = [] if ruled else [_tag(f) for f in POINT_FAMILIES if DEL_PEZZO_RANK[f] == rank]
     if rank == 1:
-        out = [_mk(u.base, 1, "plane")]
-        out += [_mk(u.base, 1, "hirzebruch", e=e) for e in range(0, e_bound + 1)]
-    elif rank == 2:
-        out = [_mk(u.base, 2, "dp8_blowdown"), _mk(u.base, 2, "dp8_quadric")]
-        out += [_mk(u.base, 2, "blowup", partition=(1,))]
-        out += [_mk(u.base, 2, "min_section", e=e) for e in range(1, e_bound + 1)]
-    elif rank == 3:
-        out = [_mk(u.base, 3, "dp7")]
-        out += [_mk(u.base, 3, "blowup", partition=p) for p in partitions(2)]
-        out += [_mk(u.base, 3, "min_section", e=e) for e in range(1, e_bound + 1)]
-    elif rank == 4:
-        out = [_mk(u.base, 4, "dp6")]
-        out += [_mk(u.base, 4, "blowup", partition=p) for p in partitions(3)]
-        out += [_mk(u.base, 4, "min_section", e=e) for e in range(1, e_bound + 1)]
-    else:  # rank 5: only the del Pezzo is classified in this universe
-        out = [_mk(u.base, 5, "dp5")]
-    return out
+        return tags + [_tag("hirzebruch", e=e) for e in range(e_bound + 1)]
+    if rank == 5 and not ruled:
+        return tags  # only the del Pezzo is classified here
+    for part in sorted(partitions(k)) if ruled else partitions(k):
+        moduli = sorted(u.moduli) if part == (1,) * k and k == 4 else [None]
+        tags += [_tag("blowup", part, modulus=m) for m in moduli]
+    return tags + [_tag("min_section", e=e) for e in range(1, e_bound + 1)]
+
+
+def enumerate_generators(u: GeneratorUniverse, rank: int, e_bound: int | None = None):
+    """Canonically ordered generators of the given rank, with e <= e_bound
+    (defaulting to the universe's e_max): the point sets times the tags."""
+    tags = _tags(u, rank, u.e_max if e_bound is None else e_bound)
+    return [
+        _mk(u.base, rank, family, points, e, partition, modulus)
+        for points in _point_sets(u, rank)
+        for family, partition, modulus, e in tags
+    ]
 
 
 # Per-point transition tables for the ruled families.  A model with k marked
@@ -234,106 +221,80 @@ def enumerate_generators(u: GeneratorUniverse, rank: int, e_bound: int | None = 
 # from the negative sections of each configuration.
 def _blowup_transitions(partition: tuple) -> list[tuple]:
     k = sum(partition)
-    general = (1,) * (k - 1)
     if partition == (1,) * k:
-        return [(("blowup", general), 2)]
+        return [(_tag("blowup", (1,) * (k - 1)), 2)]
     if partition == (k,):
-        down = (k - 1,) if k - 1 >= 1 else ()
-        return [(("blowup", down), 1), (("min_section", 1), -1)]
+        return [(_tag("blowup", (k - 1,)), 1), (_tag("min_section", e=1), -1)]
     if partition == (2, 1):
-        return [(("blowup", (1, 1)), 1), (("blowup", (2,)), 1)]
+        return [(_tag("blowup", (1, 1)), 1), (_tag("blowup", (2,)), 1)]
     if partition == (2, 1, 1):
-        return [(("blowup", (1, 1, 1)), 1), (("blowup", (2, 1)), 1)]
+        return [(_tag("blowup", (1, 1, 1)), 1), (_tag("blowup", (2, 1)), 1)]
     if partition == (2, 2):
-        return [(("blowup", (2, 1)), 2)]
+        return [(_tag("blowup", (2, 1)), 2)]
     if partition == (3, 1):
-        return [(("blowup", (3,)), 1), (("blowup", (2, 1)), 1)]
+        return [(_tag("blowup", (3,)), 1), (_tag("blowup", (2, 1)), 1)]
     raise ValueError(f"no transition table for partition {partition}")
 
 
 @dataclass
 class BoundaryMatrix:
-    """Annotated boundary matrix: columns are rank-r generators, rows are the
-    rank-(r-1) generators they can hit (including invariant-(e_max+1) targets,
-    so nothing is ever silently clipped).  ``matrix`` holds one dict per
-    column, row index -> nonzero coefficient (smith's column format)."""
+    """Boundary matrix: columns are rank-r generators, rows the rank-(r-1)
+    generators up to the target invariant bound.  ``matrix`` holds one dict
+    per column, row index -> nonzero coefficient (smith's column format)."""
 
     rank: int
     columns: list = field(default_factory=list)
     rows: list = field(default_factory=list)
     matrix: list = field(default_factory=list)
-    row_orders: dict = field(default_factory=dict)  # row index -> 2 for Z/2 rows
-    clipped: list = field(default_factory=list)
 
 
-def _ruled_boundary_targets(gen: SurfaceCentralModel):
-    """List of (removed-point-position, target-descriptor, coefficient)."""
-    out = []
-    if gen.rank == 2:
-        if gen.family == "blowup":
-            out.append((0, ("hirzebruch", 1), 1))
-            out.append((0, ("hirzebruch", 0), -1))
-        else:
-            out.append((0, ("hirzebruch", gen.e + 1), 1))
-            out.append((0, ("hirzebruch", gen.e), -1))
-        return out
-    if gen.family == "min_section":
-        trans = [(("min_section", gen.e), 1), (("min_section", gen.e + 1), -1)]
+def _ruled_boundary_targets(rank: int, tag: tuple) -> list:
+    """(removed position, target tag, coefficient) for a rank-r tag over the
+    ruled base: each transition once per position p of the sorted point set,
+    with the sign (-1)^p.  At rank 2 the one point goes and a two-ray game
+    to the rank-1 surfaces e + 1 and e remains."""
+    family, partition, _, e = tag
+    if rank == 2:
+        return [(0, _tag("hirzebruch", e=e + 1), 1), (0, _tag("hirzebruch", e=e), -1)]
+    if family == "min_section":
+        trans = [(_tag("min_section", e=e), 1), (_tag("min_section", e=e + 1), -1)]
     else:
-        trans = _blowup_transitions(gen.partition)
-    for pos in range(len(gen.points)):
-        sign = (-1) ** pos
-        for target, coeff in trans:
-            out.append((pos, target, sign * coeff))
-    return out
+        trans = _blowup_transitions(partition)
+    return [
+        (pos, target, (-1) ** pos * coeff)
+        for pos in range(rank - 1) for target, coeff in trans
+    ]
 
 
-def _cremona_boundary_targets(gen: SurfaceCentralModel):
-    e = gen.e
-    if gen.family == "dp8_blowdown":
-        return [(("hirzebruch", 1), 1), (("plane", None), -1)]
-    if gen.family == "dp8_quadric":
-        return []
-    if gen.family == "blowup" and gen.rank == 2:
-        return [(("hirzebruch", 1), 1), (("hirzebruch", 0), -1)]
-    if gen.family == "min_section" and gen.rank == 2:
-        return [(("hirzebruch", e + 1), 1), (("hirzebruch", e), -1)]
-    if gen.family == "dp7":
-        return [(("dp8_quadric", None), 1)]
-    if gen.rank == 3:
-        return []  # S_g,2 / S_s,2 / S_e,2 all have even true boundaries
-    if gen.family == "dp6":
-        return [(("blowup", (1, 1)), 1)]
-    if gen.family == "blowup" and gen.partition == (1, 1, 1):
-        return []
-    if gen.family == "blowup" and gen.partition == (2, 1):
-        return [(("blowup", (1, 1)), 1), (("blowup", (2,)), 1)]
-    if gen.family == "blowup" and gen.partition == (3,):
-        return [(("min_section", 1), 1), (("blowup", (2,)), 1)]
-    if gen.family == "min_section" and gen.rank == 4:
-        return [(("min_section", e + 1), 1), (("min_section", e), 1)]
-    if gen.family == "dp5":
-        return [(("blowup", (1, 1, 1)), 1)]
-    raise ValueError(f"no boundary table for {gen}")
-
-
-def _target_model(u, rank, gen, removed_pos, descriptor):
-    fam, data = descriptor
-    if u.base is BaseCase.RULED and rank - 1 >= 2:
-        rest = gen.points[:removed_pos] + gen.points[removed_pos + 1:]
+def _cremona_boundary_targets(rank: int, tag: tuple) -> list:
+    """(removed position, target tag, coefficient) for a rank-r tag over the
+    plane, where the empty point set is its own one face, at position 0."""
+    family, partition, _, e = tag
+    if family == "dp8_blowdown":
+        trans = [(_tag("hirzebruch", e=1), 1), (_tag("plane"), -1)]
+    elif family == "dp8_quadric":
+        trans = []
+    elif rank == 2:  # S_g,1 and S_e,1: the two-ray games of the ruled base
+        return _ruled_boundary_targets(rank, tag)
+    elif family == "dp7":
+        trans = [(_tag("dp8_quadric"), 1)]
+    elif rank == 3:
+        trans = []  # S_g,2 / S_s,2 / S_e,2 all have even true boundaries
+    elif family == "dp6":
+        trans = [(_tag("blowup", (1, 1)), 1)]
+    elif partition == (1, 1, 1):
+        trans = []
+    elif partition == (2, 1):
+        trans = [(_tag("blowup", (1, 1)), 1), (_tag("blowup", (2,)), 1)]
+    elif partition == (3,):
+        trans = [(_tag("min_section", e=1), 1), (_tag("blowup", (2,)), 1)]
+    elif family == "min_section" and rank == 4:
+        trans = [(_tag("min_section", e=e + 1), 1), (_tag("min_section", e=e), 1)]
+    elif family == "dp5":
+        trans = [(_tag("blowup", (1, 1, 1)), 1)]
     else:
-        rest = ()
-    if fam == "hirzebruch":
-        return _mk(u.base, rank - 1, "hirzebruch", e=data)
-    if fam == "plane":
-        return _mk(u.base, rank - 1, "plane")
-    if fam == "dp8_quadric":
-        return _mk(u.base, rank - 1, "dp8_quadric")
-    if fam == "min_section":
-        return _mk(u.base, rank - 1, "min_section", rest, e=data)
-    if fam == "blowup":
-        return _mk(u.base, rank - 1, "blowup", rest, partition=data)
-    raise ValueError(f"unknown target family {fam}")
+        raise ValueError(f"no boundary table for {tag} at rank {rank}")
+    return [(0, target, coeff) for target, coeff in trans]
 
 
 def boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
@@ -341,37 +302,47 @@ def boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
     """Boundary matrix from rank to rank-1 generators.
 
     For rank 1 the result is the augmentation: a single row with every
-    coefficient 1.  Row annotations record the order-2 rows contributed by
-    non-orientable generators; entries out of an order-2 column into a plain
-    row are necessarily zero, which the tables respect by construction.
+    coefficient 1.  Above it, the column of S x t (point set S, tag t) is
+    the sum of (-1)^p (S minus its p-th point) x t' over the tag's
+    transitions; that row is face_index * len(target tags) + tag_index(t').
+    Raises RuntimeError when a transition reaches a tag beyond
+    target_e_bound (default e_bound + 1).  Order-2 rows (non-orientable
+    generators) take no entries out of plain columns, which the tables
+    respect by construction.
     """
-    cols = enumerate_generators(u, rank, e_bound)  # refuses ranks outside [1, r_max]
+    e_cols = u.e_max if e_bound is None else e_bound
+    cols = enumerate_generators(u, rank, e_cols)  # refuses ranks outside [1, r_max]
     if rank == 1:
         return BoundaryMatrix(rank=1, columns=cols, rows=["Z (augmentation)"],
                               matrix=[{0: 1} for _ in cols])
-    e_cols = u.e_max if e_bound is None else e_bound
     e_rows = (e_cols + 1) if target_e_bound is None else target_e_bound
     rows = enumerate_generators(u, rank - 1, e_rows)
-    row_index = {m: i for i, m in enumerate(rows)}
+    row_tags = _tags(u, rank - 1, e_rows)
+    tag_index = {t: j for j, t in enumerate(row_tags)}
+    face_offset = {s: i * len(row_tags) for i, s in enumerate(_point_sets(u, rank - 1))}
+    targets = _ruled_boundary_targets if u.base is BaseCase.RULED else _cremona_boundary_targets
+    transitions = []  # per column tag: (position, target tag index, coefficient)
+    for tag in _tags(u, rank, e_cols):
+        entries = []
+        for pos, target, coeff in targets(rank, tag):
+            if target not in tag_index:
+                raise RuntimeError(
+                    f"the rank-{rank} tag {tag} reaches {target}, beyond target_e_bound={e_rows}"
+                )
+            entries.append((pos, tag_index[target], coeff))
+        transitions.append(entries)
     matrix = []
-    clipped = []
-    for gen in cols:
-        if u.base is BaseCase.RULED:
-            targets = _ruled_boundary_targets(gen)
-        else:
-            targets = [(None, d, c) for d, c in _cremona_boundary_targets(gen)]
-        column = {}
-        for pos, descriptor, coeff in targets:
-            tgt = _target_model(u, rank, gen, pos, descriptor)
-            i = row_index.get(tgt)
-            if i is None:
-                clipped.append((gen, tgt, coeff))
-                continue
-            column[i] = column.get(i, 0) + coeff
-        matrix.append({i: x for i, x in column.items() if x})
-    bm = BoundaryMatrix(rank=rank, columns=cols, rows=rows, matrix=matrix, clipped=clipped)
-    bm.row_orders = {i: 2 for i, m in enumerate(rows) if not m.orientable}
-    return bm
+    for points in _point_sets(u, rank):
+        # the face without the point at each position; over the plane the
+        # empty point set is its own one face
+        offsets = [face_offset[points[:p] + points[p + 1:]] for p in range(len(points) or 1)]
+        for entries in transitions:
+            column = {}
+            for pos, j, coeff in entries:
+                i = offsets[pos] + j
+                column[i] = column.get(i, 0) + coeff
+            matrix.append({i: x for i, x in column.items() if x})
+    return BoundaryMatrix(rank=rank, columns=cols, rows=rows, matrix=matrix)
 
 
 def displayed_boundary(u: GeneratorUniverse, gen: SurfaceCentralModel) -> dict:
@@ -392,17 +363,14 @@ def row0_complex(u: GeneratorUniverse) -> tuple:
     read it.
     """
     staircase = {r: u.e_max + (u.r_max - r) for r in range(1, u.r_max + 1)}
-    gens = {r: enumerate_generators(u, r, staircase[r]) for r in range(1, u.r_max + 1)}
+    bms = [
+        boundary(u, r, e_bound=staircase[r], target_e_bound=staircase[r - 1])
+        for r in range(2, u.r_max + 1)
+    ]
+    gens = {1: bms[0].rows if bms else enumerate_generators(u, 1, staircase[1])}
+    gens.update((bm.rank, bm.columns) for bm in bms)
     ranks = [len(gens[r]) for r in range(1, u.r_max + 1)]
-    boundaries = [[]]
-    for d in range(1, u.r_max):
-        rank = d + 1
-        bm = boundary(u, rank, e_bound=staircase[rank], target_e_bound=staircase[rank - 1])
-        if bm.clipped:
-            raise RuntimeError(f"staircase truncation clipped a formula at rank {rank}: {bm.clipped}")
-        if bm.rows != gens[rank - 1]:
-            raise RuntimeError("generator ordering mismatch in row-0 assembly")
-        boundaries.append(bm.matrix)
+    boundaries = [[]] + [bm.matrix for bm in bms]
     cyclic = {}
     for d in range(0, u.r_max):
         orders = {i: 2 for i, m in enumerate(gens[d + 1]) if not m.orientable}

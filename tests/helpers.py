@@ -17,6 +17,7 @@ from syzygy.smith import (
     Matrix,
     invariant_factors,
     mat_mul,
+    partitions,
     presented_homology,
     smith_normal_form,
     solve,
@@ -29,7 +30,7 @@ from syzygy.spectral import (
     default_registry,
     nonorientable_block_homology,
 )
-from syzygy.surfaces import BaseCase, GeneratorUniverse, enumerate_generators
+from syzygy.surfaces import BaseCase, GeneratorUniverse, _mk, enumerate_generators
 
 
 def build_point():
@@ -495,3 +496,193 @@ def table_cremona_row1_complex(u: GeneratorUniverse, registry=None) -> RowComple
             _entry_hom(places[2], places[1], blocks32),
         ],
     )
+
+
+# -- oracle for the row-0 boundary assembly -----------------------------------------
+#
+# The model-by-model assembly: every generator list is sorted by a model key,
+# every boundary target is built as a fresh model and found in a dict keyed by
+# the models.  It shares the library's `_mk` and `partitions`, but neither its
+# point-set/tag product nor its transition tables nor its index arithmetic.
+
+
+def table_sort_key(m):
+    fam_order = {
+        "plane": 0, "dp8_blowdown": 1, "dp8_quadric": 2, "dp7": 1, "dp6": 1, "dp5": 1,
+        "hirzebruch": 3, "blowup": 4, "min_section": 5,
+    }
+    return (
+        m.points,
+        fam_order.get(m.family, 9),
+        m.partition,
+        m.modulus or "",
+        m.e,
+    )
+
+
+def table_enumerate_generators(u: GeneratorUniverse, rank: int, e_bound: int | None = None):
+    """Canonically ordered generators of the given rank, with e <= e_bound
+    (defaulting to the universe's e_max)."""
+    if not 1 <= rank <= u.r_max:
+        raise ValueError(f"rank must be in [1, {u.r_max}], got {rank}")
+    e_bound = u.e_max if e_bound is None else e_bound
+    k = rank - 1
+    out = []
+    if u.base is BaseCase.RULED:
+        if rank == 1:
+            out = [_mk(u.base, 1, "hirzebruch", e=e) for e in range(0, e_bound + 1)]
+        else:
+            for pts in combinations(sorted(u.labels), k):
+                for part in partitions(k):
+                    if part == (1,) * k and k == 4:
+                        out.extend(
+                            _mk(u.base, rank, "blowup", pts, partition=part, modulus=m)
+                            for m in u.moduli
+                        )
+                    else:
+                        out.append(_mk(u.base, rank, "blowup", pts, partition=part))
+                out.extend(
+                    _mk(u.base, rank, "min_section", pts, e=e)
+                    for e in range(1, e_bound + 1)
+                )
+        out.sort(key=table_sort_key)
+        return out
+    # cremona universe: one generator per configuration tag, no point labels
+    if rank == 1:
+        out = [_mk(u.base, 1, "plane")]
+        out += [_mk(u.base, 1, "hirzebruch", e=e) for e in range(0, e_bound + 1)]
+    elif rank == 2:
+        out = [_mk(u.base, 2, "dp8_blowdown"), _mk(u.base, 2, "dp8_quadric")]
+        out += [_mk(u.base, 2, "blowup", partition=(1,))]
+        out += [_mk(u.base, 2, "min_section", e=e) for e in range(1, e_bound + 1)]
+    elif rank == 3:
+        out = [_mk(u.base, 3, "dp7")]
+        out += [_mk(u.base, 3, "blowup", partition=p) for p in partitions(2)]
+        out += [_mk(u.base, 3, "min_section", e=e) for e in range(1, e_bound + 1)]
+    elif rank == 4:
+        out = [_mk(u.base, 4, "dp6")]
+        out += [_mk(u.base, 4, "blowup", partition=p) for p in partitions(3)]
+        out += [_mk(u.base, 4, "min_section", e=e) for e in range(1, e_bound + 1)]
+    else:  # rank 5: only the del Pezzo is classified in this universe
+        out = [_mk(u.base, 5, "dp5")]
+    return out
+
+
+def _table_blowup_transitions(partition: tuple) -> list[tuple]:
+    k = sum(partition)
+    general = (1,) * (k - 1)
+    if partition == (1,) * k:
+        return [(("blowup", general), 2)]
+    if partition == (k,):
+        down = (k - 1,) if k - 1 >= 1 else ()
+        return [(("blowup", down), 1), (("min_section", 1), -1)]
+    if partition == (2, 1):
+        return [(("blowup", (1, 1)), 1), (("blowup", (2,)), 1)]
+    if partition == (2, 1, 1):
+        return [(("blowup", (1, 1, 1)), 1), (("blowup", (2, 1)), 1)]
+    if partition == (2, 2):
+        return [(("blowup", (2, 1)), 2)]
+    if partition == (3, 1):
+        return [(("blowup", (3,)), 1), (("blowup", (2, 1)), 1)]
+    raise ValueError(f"no transition table for partition {partition}")
+
+
+def _table_ruled_boundary_targets(gen):
+    """List of (removed-point-position, target-descriptor, coefficient)."""
+    out = []
+    if gen.rank == 2:
+        if gen.family == "blowup":
+            out.append((0, ("hirzebruch", 1), 1))
+            out.append((0, ("hirzebruch", 0), -1))
+        else:
+            out.append((0, ("hirzebruch", gen.e + 1), 1))
+            out.append((0, ("hirzebruch", gen.e), -1))
+        return out
+    if gen.family == "min_section":
+        trans = [(("min_section", gen.e), 1), (("min_section", gen.e + 1), -1)]
+    else:
+        trans = _table_blowup_transitions(gen.partition)
+    for pos in range(len(gen.points)):
+        sign = (-1) ** pos
+        for target, coeff in trans:
+            out.append((pos, target, sign * coeff))
+    return out
+
+
+def _table_cremona_boundary_targets(gen):
+    e = gen.e
+    if gen.family == "dp8_blowdown":
+        return [(("hirzebruch", 1), 1), (("plane", None), -1)]
+    if gen.family == "dp8_quadric":
+        return []
+    if gen.family == "blowup" and gen.rank == 2:
+        return [(("hirzebruch", 1), 1), (("hirzebruch", 0), -1)]
+    if gen.family == "min_section" and gen.rank == 2:
+        return [(("hirzebruch", e + 1), 1), (("hirzebruch", e), -1)]
+    if gen.family == "dp7":
+        return [(("dp8_quadric", None), 1)]
+    if gen.rank == 3:
+        return []  # S_g,2 / S_s,2 / S_e,2 all have even true boundaries
+    if gen.family == "dp6":
+        return [(("blowup", (1, 1)), 1)]
+    if gen.family == "blowup" and gen.partition == (1, 1, 1):
+        return []
+    if gen.family == "blowup" and gen.partition == (2, 1):
+        return [(("blowup", (1, 1)), 1), (("blowup", (2,)), 1)]
+    if gen.family == "blowup" and gen.partition == (3,):
+        return [(("min_section", 1), 1), (("blowup", (2,)), 1)]
+    if gen.family == "min_section" and gen.rank == 4:
+        return [(("min_section", e + 1), 1), (("min_section", e), 1)]
+    if gen.family == "dp5":
+        return [(("blowup", (1, 1, 1)), 1)]
+    raise ValueError(f"no boundary table for {gen}")
+
+
+def _table_target_model(u, rank, gen, removed_pos, descriptor):
+    fam, data = descriptor
+    if u.base is BaseCase.RULED and rank - 1 >= 2:
+        rest = gen.points[:removed_pos] + gen.points[removed_pos + 1:]
+    else:
+        rest = ()
+    if fam == "hirzebruch":
+        return _mk(u.base, rank - 1, "hirzebruch", e=data)
+    if fam == "plane":
+        return _mk(u.base, rank - 1, "plane")
+    if fam == "dp8_quadric":
+        return _mk(u.base, rank - 1, "dp8_quadric")
+    if fam == "min_section":
+        return _mk(u.base, rank - 1, "min_section", rest, e=data)
+    if fam == "blowup":
+        return _mk(u.base, rank - 1, "blowup", rest, partition=data)
+    raise ValueError(f"unknown target family {fam}")
+
+
+def table_boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
+                   target_e_bound: int | None = None) -> tuple:
+    """(columns, rows, column dicts, clipped targets) of the boundary from
+    rank to rank-1 generators; clipped lists (generator, target, coefficient)
+    for every target missing from the rows."""
+    cols = table_enumerate_generators(u, rank, e_bound)
+    if rank == 1:
+        return cols, ["Z (augmentation)"], [{0: 1} for _ in cols], []
+    e_cols = u.e_max if e_bound is None else e_bound
+    e_rows = (e_cols + 1) if target_e_bound is None else target_e_bound
+    rows = table_enumerate_generators(u, rank - 1, e_rows)
+    row_index = {m: i for i, m in enumerate(rows)}
+    matrix = []
+    clipped = []
+    for gen in cols:
+        if u.base is BaseCase.RULED:
+            targets = _table_ruled_boundary_targets(gen)
+        else:
+            targets = [(None, d, c) for d, c in _table_cremona_boundary_targets(gen)]
+        column = {}
+        for pos, descriptor, coeff in targets:
+            tgt = _table_target_model(u, rank, gen, pos, descriptor)
+            i = row_index.get(tgt)
+            if i is None:
+                clipped.append((gen, tgt, coeff))
+                continue
+            column[i] = column.get(i, 0) + coeff
+        matrix.append({i: x for i, x in column.items() if x})
+    return cols, rows, matrix, clipped

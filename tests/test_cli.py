@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from syzygy import smith
 from syzygy.cli import main
 from syzygy.complexes import RegularCWComplex, ValidationReport
-from syzygy.surfaces import GeneratorUniverse, row0_complex
+from syzygy.surfaces import GeneratorUniverse, row0_complex, syzygy_sphere_bl3
 
 from helpers import build_cycle, build_octahedron
 
@@ -153,6 +153,15 @@ def test_homology_file_cw(runner, tmp_path):
     assert data["result"]["homology"] == ["Z", "0", "Z"]
 
 
+def test_homology_file_of_the_sphere(runner, tmp_path):
+    """The sphere's file has tuple cell ids, which JSON stores as lists."""
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(syzygy_sphere_bl3().to_json_dict()), encoding="utf-8")
+    res = invoke(runner, "homology", str(path))
+    assert res.exit_code == 0
+    assert json.loads(res.output)["result"]["homology"] == ["Z", "0", "Z"]
+
+
 def test_homology_file_chain(runner, tmp_path):
     path = tmp_path / "circle.json"
     path.write_text(
@@ -271,6 +280,28 @@ def test_impossible_parameters_are_refused(runner, args):
     res = invoke(runner, *args)
     assert res.exit_code == 1
     assert "error" in json.loads(res.output)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("ruled", "--points", "3", "--r-max", "2"),
+        ("cremona", "--r-max", "2", "--rows", "0"),
+    ],
+    ids=["ruled", "cremona"],
+)
+def test_row1_below_rank_three_is_refused_by_name(runner, args):
+    """Row 1 needs the rank-3 generators; the refusal says so instead of
+    naming an internal rank."""
+    res = invoke(runner, *args)
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == "the row-1 complex needs r_max >= 3, got 2"
+
+
+def test_row0_alone_runs_below_rank_three(runner):
+    res = invoke(runner, "ruled", "--points", "3", "--r-max", "2", "--rows", "0")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["result"]["boundary_squares_to_zero"] is True
 
 
 def test_empty_rows_are_allowed(runner):

@@ -10,6 +10,7 @@ from syzygy.complexes import (
     load_complex_file,
 )
 from syzygy.smith import FGAbelianGroup
+from syzygy.surfaces import syzygy_sphere_bl3
 
 from helpers import build_cycle, build_interval, build_octahedron, build_point, columns
 
@@ -140,6 +141,16 @@ def test_cw_json_round_trip(tmp_path):
     loaded = load_complex_file(path)
     assert isinstance(loaded, RegularCWComplex)
     assert loaded.homology(1) == Z
+
+
+def test_cw_json_round_trip_keeps_tuple_ids():
+    """JSON writes the sphere's tuple cell ids as lists; reading the file
+    turns them back into the same tuples, for cells and for faces."""
+    sphere = syzygy_sphere_bl3()
+    again = RegularCWComplex.from_json_dict(json.loads(json.dumps(sphere.to_json_dict())))
+    assert again.cells == sphere.cells
+    assert again.boundary == sphere.boundary
+    assert [str(again.homology(d)) for d in range(3)] == ["Z", "0", "Z"]
 
 
 def test_annotated_homology():

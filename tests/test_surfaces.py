@@ -1,6 +1,7 @@
 import pytest
 from copy import deepcopy
-from itertools import combinations
+from dataclasses import replace
+from itertools import combinations, permutations
 from math import comb
 
 from syzygy.smith import (
@@ -34,6 +35,7 @@ from helpers import (
     dense,
     dense_invariant_factors,
     record_dense_shapes,
+    table_boundary,
 )
 
 
@@ -155,9 +157,82 @@ def test_boundary_rank1_is_augmentation():
 
 
 def test_boundary_never_clips():
+    """At the default target bound every transition lands on a row; a target
+    beyond it would raise."""
     for u in (GeneratorUniverse.ruled(3, 2), GeneratorUniverse.cremona(2)):
         for rank in range(2, u.r_max + 1):
-            assert boundary(u, rank).clipped == []
+            boundary(u, rank)
+
+
+@pytest.mark.parametrize(
+    "u,rank", [(GeneratorUniverse.ruled(3, 2), 3), (GeneratorUniverse.cremona(2), 2)],
+    ids=["ruled", "cremona"],
+)
+def test_boundary_beyond_the_target_bound_raises(u, rank):
+    """S_e=2 blows down to e = 3, which a target bound of 2 leaves out."""
+    with pytest.raises(RuntimeError, match="beyond target_e_bound=2"):
+        boundary(u, rank, e_bound=2, target_e_bound=2)
+
+
+def _oracle_universes(points):
+    if points is None:
+        return [GeneratorUniverse.cremona(e) for e in (1, 2, 3, 4, 5, 60)]
+    return [
+        GeneratorUniverse.ruled(points, e_max, r_max=r_max)
+        for e_max in range(1, 5) for r_max in range(1, 6)
+    ]
+
+
+@pytest.mark.parametrize("points", [*range(7), None],
+                         ids=[f"ruled-{p}" for p in range(7)] + ["cremona"])
+def test_boundary_matches_the_model_table_assembly(points):
+    """Every rank's boundary, at the default bounds and at the row-0
+    staircase bounds, has the columns, rows and column dicts of the
+    model-by-model assembly, which never clips there."""
+    for u in _oracle_universes(points):
+        for rank in range(1, u.r_max + 1):
+            step = u.e_max + u.r_max - rank
+            for bounds in ((None, None), (step, step + 1)):
+                bm = boundary(u, rank, *bounds)
+                cols, rows, matrix, clipped = table_boundary(u, rank, *bounds)
+                assert (bm.columns, bm.rows, bm.matrix, clipped) == (cols, rows, matrix, []), (
+                    u, rank, bounds
+                )
+
+
+def _sort_sign(values):
+    """The sign of the permutation that sorts the distinct values."""
+    inversions = sum(a > b for a, b in combinations(values, 2))
+    return -1 if inversions % 2 else 1
+
+
+@pytest.mark.parametrize("sigma", list(permutations(range(4))))
+def test_row0_boundaries_commute_with_relabelling(sigma):
+    """A relabelling sigma of T maps S x t to sgn(sort) (sorted sigma S) x t,
+    and that map commutes with every row-0 boundary (|T| = 4, e_max = 3,
+    r_max = 5)."""
+    u = GeneratorUniverse.ruled(4, 3, r_max=5)
+    relabel = dict(zip(u.labels, (u.labels[i] for i in sigma)))
+    cc, gens = row0_complex(u)
+
+    def act(rank):
+        """Generator index -> (signed image index) of the relabelling."""
+        index = {m: i for i, m in enumerate(gens[rank])}
+        out = []
+        for m in gens[rank]:
+            image = [relabel[p] for p in m.points]
+            out.append((index[replace(m, points=tuple(sorted(image)))], _sort_sign(image)))
+        return out
+
+    def apply(perm, column):
+        return {perm[i][0]: perm[i][1] * x for i, x in column.items()}
+
+    for rank in range(2, u.r_max + 1):
+        src, tgt = act(rank), act(rank - 1)
+        d = cc.boundaries[rank - 1]
+        for j, column in enumerate(d):
+            image, sign = src[j]
+            assert apply(tgt, column) == {i: sign * x for i, x in d[image].items()}
 
 
 @pytest.mark.parametrize("points,e_max", [(3, 3), (4, 4), (5, 3)])
