@@ -114,10 +114,18 @@ def main(ctx, fmt, registry_path):
     ctx.ensure_object(dict)
     ctx.obj["format"] = fmt
     ctx.obj["t0"] = time.monotonic()
-    if registry_path:
-        ctx.obj["registry"] = KnownHomologyRegistry.load(registry_path)
-    else:
-        ctx.obj["registry"] = default_registry()
+    ctx.obj["registry_path"] = registry_path
+
+
+def _registry(ctx):
+    """The registry named by --registry or SYZ_REGISTRY, else the shared
+    default.  It is loaded the first time a command reads it, inside _run,
+    so that a bad file is reported as the command's error JSON and commands
+    that never read it do not depend on it."""
+    if "registry" not in ctx.obj:
+        path = ctx.obj["registry_path"]
+        ctx.obj["registry"] = KnownHomologyRegistry.load(path) if path else default_registry()
+    return ctx.obj["registry"]
 
 
 def _run(ctx, command, parameters, fn):
@@ -259,7 +267,7 @@ def ruled(ctx, points, e_max, r_max, rows):
             for i in range(1, u.r_max - 1):
                 result[f"E_{{{i},0}}"] = str(row0_homology(u, i))
         if 1 in wanted:
-            row1 = ruled_row1_complex(u, ctx.obj["registry"])
+            row1 = ruled_row1_complex(u, _registry(ctx))
             result["E_{0,1}"] = str(row1_homology(row1, 0))
             result["E_{1,1}"] = str(row1_homology(row1, 1))
         return (
@@ -294,7 +302,7 @@ def cremona(ctx, points, e_max, r_max, rows):
             result["boundary_squares_to_zero"] = True
             for i in range(1, u.r_max - 1):
                 result[f"E_{{{i},0}}"] = str(row0_homology(u, i))
-        asm = cremona_assemble(ctx.obj["registry"], u)
+        asm = cremona_assemble(_registry(ctx), u)
         if 1 in wanted:
             result["E_{0,1}"] = str(asm["E_{0,1}"])
             result["E_{1,1}"] = str(asm["E_{1,1}"])
@@ -317,7 +325,7 @@ def cremona(ctx, points, e_max, r_max, rows):
 def schur(ctx, target):
     """Second homology derivations for the automorphism groups."""
     def go():
-        reg = ctx.obj["registry"]
+        reg = _registry(ctx)
         if target in ("pgl2", "pgl3"):
             d = schur_pgl(2 if target == "pgl2" else 3, reg)
             return (
@@ -370,7 +378,7 @@ def five_term_cmd(ctx, points, e_max):
     """The low-degree exact sequence of the ruled universe's grid."""
     def go():
         u = GeneratorUniverse.ruled(points, e_max, r_max=5)
-        seq = prop_s17_sequence(u, ctx.obj["registry"])
+        seq = prop_s17_sequence(u, _registry(ctx))
         verdicts = [
             {"position": lbl, "verdict": v, "detail": d} for lbl, v, d in seq.check()
         ]

@@ -111,7 +111,7 @@ class RegularCWComplex:
             n = self.dimension
             sd = self.barycentric_subdivision()
             for cid, cell in sorted(self.cells.items(), key=lambda kv: repr(kv[0])):
-                link = _chain_subcomplex(self, sd, cid, include_cell=False)
+                link = _chain_subcomplex(sd, cid, include_cell=False)
                 expected = n - cell.dim - 1
                 if not _is_sphere_homology(link, expected):
                     link_failures.append(
@@ -158,13 +158,13 @@ class RegularCWComplex:
         """Subcomplex of the subdivision spanned by chains strictly above the cell."""
         if cid not in self.cells:
             raise KeyError(f"unknown cell {cid!r}")
-        return _chain_subcomplex(self, self.barycentric_subdivision(), cid, include_cell=False)
+        return _chain_subcomplex(self.barycentric_subdivision(), cid, include_cell=False)
 
     def dual_block(self, cid) -> "RegularCWComplex":
         """Closed dual block: chains whose members all contain the cell."""
         if cid not in self.cells:
             raise KeyError(f"unknown cell {cid!r}")
-        return _chain_subcomplex(self, self.barycentric_subdivision(), cid, include_cell=True)
+        return _chain_subcomplex(self.barycentric_subdivision(), cid, include_cell=True)
 
     # -- homology ------------------------------------------------------------
 
@@ -207,17 +207,46 @@ class RegularCWComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RegularCWComplex":
-        cells = [
-            Cell(id=_as_id(c["id"]), dim=c["dim"], label=c.get("label", "")) for c in data["cells"]
-        ]
-        ids = {str(c.id): c.id for c in cells}
+        """Read the file format; any wrong structure raises ValueError naming
+        the cell.  Every face must name a cell one dimension below its own;
+        the other conditions of a regular complex are left to validate()."""
+        cells = []
+        for c in _json_list(data.get("cells"), "cells"):
+            if not isinstance(c, dict) or "id" not in c:
+                raise ValueError(f"cell {c!r} is not an object with an id")
+            cid, dim = _as_id(c["id"]), c.get("dim")
+            try:
+                hash(cid)
+            except TypeError:
+                raise ValueError(f"cell id {c['id']!r} is not a string, number or list") from None
+            if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+                raise ValueError(f"cell {cid!r} has dim {dim!r}, not an integer >= 0")
+            cells.append(Cell(id=cid, dim=dim, label=c.get("label", "")))
+        # ids inside boundary lists, like the keys, are matched by their text
+        by_text = {str(c.id): c for c in cells}
+        boundary_data = data.get("boundary", {})
+        if not isinstance(boundary_data, dict):
+            raise ValueError("boundary must map each cell id to its list of faces")
         boundary = {}
-        for key, faces in data.get("boundary", {}).items():
-            if key not in ids:
+        for key, faces in boundary_data.items():
+            cell = by_text.get(key)
+            if cell is None:
                 raise ValueError(f"boundary references unknown cell {key!r}")
-            faces = [(_as_id(f[0]), f[1]) for f in faces]
-            # ids inside boundary lists may be strings in the file
-            boundary[ids[key]] = [(ids.get(str(fid), fid), sign) for fid, sign in faces]
+            entries = []
+            for f in _json_list(faces, f"the boundary of cell {cell.id!r}"):
+                if not isinstance(f, list) or len(f) != 2:
+                    raise ValueError(f"cell {cell.id!r}: face {f!r} is not an [id, sign] pair")
+                face, sign = by_text.get(str(_as_id(f[0]))), f[1]
+                if face is None:
+                    raise ValueError(f"cell {cell.id!r}: face {f[0]!r} names no cell")
+                if face.dim != cell.dim - 1:
+                    raise ValueError(
+                        f"cell {cell.id!r} (dim {cell.dim}): face {face.id!r} has dim {face.dim}"
+                    )
+                if isinstance(sign, bool) or not isinstance(sign, int):
+                    raise ValueError(f"cell {cell.id!r}: face {face.id!r} has sign {sign!r}")
+                entries.append((face.id, sign))
+            boundary[cell.id] = entries
         return cls(cells, boundary)
 
 
@@ -243,9 +272,11 @@ class ValidationReport:
         return "; ".join(self.failures + self.link_failures)
 
 
-def _chain_subcomplex(base, sd, cid, include_cell):
-    """Cells of the subdivision whose chains lie (weakly) above ``cid``."""
-    above = {m for m in base.cells if m != cid and cid in base.faces(m)}
+def _chain_subcomplex(sd, cid, include_cell):
+    """Cells of the barycentric subdivision ``sd`` whose chains lie (weakly)
+    above the cell ``cid``; the cells strictly above it are the tops of its
+    2-chains (cid, m), so no face closure is taken again."""
+    above = {chain[1] for chain in sd.cells if len(chain) == 2 and chain[0] == cid}
     if include_cell:
         above.add(cid)
     keep = [chain_id for chain_id in sd.cells if above.issuperset(chain_id)]

@@ -5,7 +5,10 @@ the second K-group of the complex numbers, wedge and tensor squares of C*,
 Q/Z), cyclic groups Z/n, and free summands Z.  Homomorphisms are integer
 block matrices: an entry k between two copies of the same atom means the
 k-th power (k-multiple) map, entries into cyclic summands reduce, and maps
-between distinct atoms are forbidden unless registered.
+between distinct atoms are forbidden unless registered.  A homomorphism is
+stored in smith's column format (one dict per source slot, target slot ->
+nonzero int), the format its family blocks are read in, so no dense matrix
+occurs in the calculus.
 
 The homology ker(g)/im(f) of a window A -> B -> C is computed per atom
 family from the exponent blocks; the kernel of h: A -> B is the homology of
@@ -30,12 +33,10 @@ from pathlib import Path
 from .smith import (
     FGAbelianGroup,
     cokernel_group,
-    is_zero_matrix,
-    mat_mul,
+    column_product,
     partitions,
     presented_homology,
     prime_factorization,
-    zeros,
 )
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -196,32 +197,40 @@ ZERO = FormalGroup.zero()
 
 
 class FormalHom:
-    """Integer block matrix between formal groups, rows indexed by target
-    slots and columns by source slots."""
+    """Integer block matrix between formal groups in smith's column format:
+    one dict per source slot, mapping a target slot index to a nonzero int.
+    ``columns=None`` is the zero map."""
 
-    def __init__(self, source: FormalGroup, target: FormalGroup, matrix=None):
+    def __init__(self, source: FormalGroup, target: FormalGroup, columns=None):
         if source.infinite or target.infinite:
             raise FormalGroupError("homomorphisms cannot touch infinite display summands")
         self.source = source
         self.target = target
         src, tgt = source.slots(), target.slots()
-        if matrix is None:
-            matrix = zeros(len(tgt), len(src))
-        if len(matrix) != len(tgt) or any(len(r) != len(src) for r in matrix):
+        if columns is None:
+            columns = [{}] * len(src)
+        if len(columns) != len(src):
             raise FormalGroupError(
-                f"matrix shape {len(matrix)}x{len(matrix[0]) if matrix else 0} does not "
-                f"match target x source = {len(tgt)}x{len(src)}"
+                f"{len(columns)} columns do not match the {len(src)} source slots"
             )
-        self.matrix = [[int(x) for x in row] for row in matrix]
+        self.columns = []
+        for j, col in enumerate(columns):
+            if not isinstance(col, dict):
+                raise FormalGroupError(
+                    f"column {j} is {col!r}, not a dict of target slot -> int"
+                )
+            if any(i not in range(len(tgt)) for i in col):
+                raise FormalGroupError(
+                    f"column {j} has a key outside the {len(tgt)} target slots: {col!r}"
+                )
+            self.columns.append({i: int(x) for i, x in col.items() if x})
         self._validate(src, tgt)
 
     def _validate(self, src, tgt):
         cross = registered_cross_maps()
-        for i, trow in enumerate(tgt):
-            for j, scol in enumerate(src):
-                k = self.matrix[i][j]
-                if k == 0:
-                    continue
+        for scol, col in zip(src, self.columns):
+            for i, k in col.items():
+                trow = tgt[i]
                 skind, tkind = scol[0], trow[0]
                 if skind == "atom" and tkind == "atom":
                     if scol[1] != trow[1] and (scol[1], trow[1]) not in cross:
@@ -242,13 +251,13 @@ class FormalHom:
                         )
 
     def is_zero(self) -> bool:
-        return is_zero_matrix(self.matrix)
+        return not any(self.columns)
 
     def compose(self, other: "FormalHom") -> "FormalHom":
         """self o other (apply other first)."""
         if other.target != self.source:
             raise FormalGroupError("composition shape mismatch")
-        return FormalHom(other.source, self.target, mat_mul(self.matrix, other.matrix))
+        return FormalHom(other.source, self.target, column_product(self.columns, other.columns))
 
     def __repr__(self):
         return f"FormalHom({self.source} -> {self.target})"
@@ -256,7 +265,7 @@ class FormalHom:
     # -- family decomposition ----------------------------------------------
 
     def _family_blocks(self):
-        """Split the matrix into per-atom blocks plus one finitely generated
+        """Split the map into per-atom blocks plus one finitely generated
         block, each as (target slots, source slots, columns over the target
         slots); raises when a registered cross-atom block is actually used."""
         src, tgt = self.source.slots(), self.target.slots()
@@ -264,27 +273,23 @@ class FormalHom:
         def family(slot):
             return slot[1] if slot[0] == "atom" else "fg"
 
-        families = sorted(
-            {family(s) for s in src} | {family(t) for t in tgt},
-            key=str,
-        )
         blocks = {}
-        m = self.matrix
-        for fam in families:
-            cols = [j for j, s in enumerate(src) if family(s) == fam]
-            rows = [i for i, t in enumerate(tgt) if family(t) == fam]
-            blocks[fam] = (
-                rows,
-                cols,
-                [{r: m[i][j] for r, i in enumerate(rows) if m[i][j]} for j in cols],
-            )
-        for i, trow in enumerate(tgt):
-            for j, scol in enumerate(src):
-                if family(scol) != family(trow) and self.matrix[i][j] != 0:
+        row_in_block = []  # target slot -> its row within its family's block
+        for i, t in enumerate(tgt):
+            rows = blocks.setdefault(family(t), ([], [], []))[0]
+            row_in_block.append(len(rows))
+            rows.append(i)
+        for j, (s, col) in enumerate(zip(src, self.columns)):
+            fam = family(s)
+            for i in col:
+                if family(tgt[i]) != fam:
                     raise InsufficientAtomData(
-                        f"cross-atom block {scol} -> {trow} has no computable "
+                        f"cross-atom block {s} -> {tgt[i]} has no computable "
                         "kernel/cokernel structure"
                     )
+            _, cols, block = blocks.setdefault(fam, ([], [], []))
+            cols.append(j)
+            block.append({row_in_block[i]: x for i, x in col.items()})
         return blocks
 
 
@@ -366,14 +371,12 @@ class ExactnessVerdict:
 
 def _zero_modulo_target(h: FormalHom) -> bool:
     """Is the hom zero as a map (entries into cyclic targets reduce)?"""
-    for i, slot in enumerate(h.target.slots()):
-        for x in h.matrix[i]:
-            if slot[0] == "cyclic":
-                if x % slot[1] != 0:
-                    return False
-            elif x != 0:
-                return False
-    return True
+    tgt = h.target.slots()
+    return all(
+        tgt[i][0] == "cyclic" and x % tgt[i][1] == 0
+        for col in h.columns
+        for i, x in col.items()
+    )
 
 
 def check_exact(seq: list[FormalHom]) -> list[ExactnessVerdict]:

@@ -7,12 +7,15 @@ harmless-looking inputs, so no floats and no fixed-width arrays appear
 anywhere.
 
 Two matrix formats occur.  The homology readers (invariant_factors,
-cokernel_group, lift_to_cycles, presented_homology) take *columns*: a list
-with one dict per column, mapping row index -> nonzero int, with the row
-count passed separately where it matters.  Boundary matrices are
-+-1-sparse, and a list of columns also holds a matrix without rows or
-without columns.  Dense lists of rows (Matrix) remain for
-smith_normal_form, solve and mat_mul.
+cokernel_group, lift_to_cycles, presented_homology) and column_product take
+*columns*: a list with one dict per column, mapping row index -> nonzero
+int, with the row count passed separately where it matters.  Boundary
+matrices and the formal calculus's homomorphisms are sparse, and a list of
+columns also holds a matrix without rows or without columns.  Dense lists
+of rows (Matrix) remain only in the dense cluster (smith_normal_form,
+solve, mat_mul and their helpers), which the tests use as an oracle and the
+benchmark's tracer names; in the library, only the residual of
+invariant_factors reaches it.
 
 Every homology and cokernel read needs only the invariant factors of a
 matrix, and invariant_factors gets them by sparse elimination on a
@@ -92,37 +95,6 @@ def mat_vec(a: Matrix, v: list[int]) -> list[int]:
 
 def copy_matrix(a: Matrix) -> Matrix:
     return [row[:] for row in a]
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def determinant(a: Matrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    m = copy_matrix(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -543,6 +515,19 @@ class FGAbelianGroup:
         return " (+) ".join(parts) if parts else "0"
 
 
+def column_product(a: Columns, b: Columns) -> Columns:
+    """The product a*b in column format: column j is the sum of the columns
+    a[i] weighted by b[j][i], with entries that cancel dropped."""
+    out = []
+    for col in b:
+        product: dict[int, int] = {}
+        for i, x in col.items():
+            for t, v in a[i].items():
+                product[t] = product.get(t, 0) + x * v
+        out.append({t: v for t, v in product.items() if v})
+    return out
+
+
 def cokernel_group(a: Columns, ambient_rank: int) -> FGAbelianGroup:
     """Z^ambient_rank modulo the span of the columns ``a``, read from their
     invariant factors."""
@@ -563,8 +548,8 @@ def lift_to_cycles(
 
     R_t holds one column m*e_t per annotated target row t (sorted), so a
     column c lifts to (c, y) with y = a*c divided exactly by R_t; y_t sits
-    at row n_mid plus the position of t.  a*c is formed one sparse column at
-    a time.  That division is the complex check: it fails on a nonzero plain
+    at row n_mid plus the position of t.  a*c comes from column_product.
+    That division is the complex check: it fails on a nonzero plain
     row or a remainder on an annotated row, and raises ValueError, naming a
     failing middle relation before any failing boundary column.  Without
     annotated target rows a lifted column is the input column itself, not a
@@ -576,11 +561,7 @@ def lift_to_cycles(
     image = list(boundary_in) + [{i: m} for i, m in rel_mid]
     lifted = []
     bad = []
-    for j, col in enumerate(image):
-        product: dict[int, int] = {}
-        for i, x in col.items():
-            for t, v in boundary_out[i].items():
-                product[t] = product.get(t, 0) + x * v
+    for j, (col, product) in enumerate(zip(image, column_product(boundary_out, image))):
         out = dict(col) if slot else col  # without annotated rows y = 0
         for t, v in product.items():
             m = relations_target.get(t)

@@ -24,6 +24,7 @@ from .formal import (
     FormalHom,
     FormalGroupError,
     InsufficientAtomData,
+    ZERO,
     _zero_modulo_target,
     atom_registry,
     check_exact,
@@ -66,8 +67,11 @@ class KnownHomologyRegistry:
         path = Path(path) if path else _DATA_DIR / "registry.json"
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        items = data.get("entries") if isinstance(data, dict) else None
+        if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
+            raise ValueError(f"registry {path} must hold an object with a list of entry objects")
         entries = {}
-        for item in data["entries"]:
+        for item in items:
             if not item.get("provenance"):
                 raise ValueError(
                     f"registry entry {item.get('group')!r} degree {item.get('degree')} "
@@ -116,56 +120,33 @@ def default_registry() -> KnownHomologyRegistry:
 def direct_sum_with_layout(parts: list[FormalGroup]):
     """Concatenate formal groups and return (sum, per-part slot indices).
 
-    The sum's canonical slot order regroups atoms by name and rewrites the
-    cyclic part in invariant-factor form; this helper tracks where each
-    part's slots land.  It refuses layouts in which distinct cyclic orders
-    merge (e.g. Z/2 + Z/3), since slots would then lose their identity.
+    The sum's canonical slot order is a stable sort of the parts'
+    concatenated slots: ("atom", name) < ("cyclic", d) < ("free",), atoms by
+    name.  The sort's permutation is the layout.  The cyclic part is
+    rewritten in invariant-factor form, so when distinct cyclic orders merge
+    (e.g. Z/2 + Z/3 = Z/6) the sorted slots differ from the sum's, slots
+    lose their identity, and the layout is refused.
     """
-    total = FormalGroup.zero()
-    for p in parts:
-        total = total + p
-    slots = total.slots()
-    atom_positions: dict = {}
-    cyclic_positions: dict = {}
-    free_positions = []
-    for i, s in enumerate(slots):
-        if s[0] == "atom":
-            atom_positions.setdefault(s[1], []).append(i)
-        elif s[0] == "cyclic":
-            cyclic_positions.setdefault(s[1], []).append(i)
-        else:
-            free_positions.append(i)
-    all_cyclic = sorted(d for p in parts for d in p.cyclic)
-    if all_cyclic != sorted(total.cyclic):
+    total = sum(parts, FormalGroup.zero())
+    slots = [s for p in parts for s in p.slots()]
+    order = sorted(range(len(slots)), key=slots.__getitem__)
+    if [slots[n] for n in order] != total.slots():
         raise FormalGroupError("cyclic parts merge under normalization; layout lost")
-    layout = []
-    atom_used = {k: 0 for k in atom_positions}
-    cyclic_used = {k: 0 for k in cyclic_positions}
-    free_used = 0
+    position = [0] * len(slots)
+    for pos, n in enumerate(order):
+        position[n] = pos
+    layout, start = [], 0
     for p in parts:
-        indices = []
-        for s in p.slots():
-            if s[0] == "atom":
-                indices.append(atom_positions[s[1]][atom_used[s[1]]])
-                atom_used[s[1]] += 1
-            elif s[0] == "cyclic":
-                indices.append(cyclic_positions[s[1]][cyclic_used[s[1]]])
-                cyclic_used[s[1]] += 1
-            else:
-                indices.append(free_positions[free_used])
-                free_used += 1
-        layout.append(indices)
+        width = len(p.slots())
+        layout.append(position[start:start + width])
+        start += width
     return total, layout
 
 
 def _swap_antidiagonal(m: FormalGroup) -> FormalHom:
     """a -> (a, -a) from M into M + M."""
-    total, layout = direct_sum_with_layout([m, m])
-    mat = [[0] * len(m.slots()) for _ in total.slots()]
-    for j in range(len(m.slots())):
-        mat[layout[0][j]][j] = 1
-        mat[layout[1][j]][j] = -1
-    return FormalHom(m, total, mat)
+    total, (first, second) = direct_sum_with_layout([m, m])
+    return FormalHom(m, total, [{a: 1, b: -1} for a, b in zip(first, second)])
 
 
 def coinvariants_of_swap(m: FormalGroup) -> FormalGroup:
@@ -218,14 +199,11 @@ class SpectralGrid:
         r = self.page
         tp, tq = p - r, q + r - 1
         src, tgt = self.entry(p, q), self.entry(tp, tq)
-        reason = self._forced_zero_reason(src, tgt, q)
-        if reason is not None:
-            if src is None or tgt is None:
-                # one side unknown but the other is zero: the map is zero and
-                # contributes nothing, representable only abstractly
-                return "zero"
-            return zero_hom(src, tgt)
-        return None
+        if self._forced_zero_reason(src, tgt, q) is None:
+            return None
+        # an unknown end of a forced-zero map stands in as 0: the map
+        # contributes nothing to the homology at its known end
+        return zero_hom(ZERO if src is None else src, ZERO if tgt is None else tgt)
 
     def _forced_zero_reason(self, src, tgt, src_q):
         reg = atom_registry()
@@ -286,10 +264,6 @@ class SpectralGrid:
                 if d_in is None:
                     missing.append((p + r, q - r + 1))
                     continue
-                if d_out == "zero":
-                    d_out = zero_hom(cur, FormalGroup.zero())
-                if d_in == "zero":
-                    d_in = zero_hom(FormalGroup.zero(), cur)
                 new_entries[(p, q)] = homology_at(d_in, d_out)
         if missing:
             raise FormalGroupError(
@@ -316,9 +290,7 @@ class SpectralGrid:
                     continue
                 for key in ((p, q), (p + r, q - r + 1)):
                     d = self._resolve_differential(*key)
-                    if d is None:
-                        return False
-                    if d != "zero" and not d.is_zero():
+                    if d is None or not d.is_zero():
                         return False
         return True
 
@@ -629,7 +601,6 @@ def nonorientable_block_homology(
     aut_plus: str,
     sigma_action: FormalHom,
     registry: KnownHomologyRegistry | None = None,
-    lower_action: FormalHom | None = None,
 ):
     """H_i of the twisted block of a non-orientable class, solved from the
     long exact sequence of 0 -> full -> plus -> block -> 0 coefficients:
@@ -654,8 +625,6 @@ def nonorientable_block_homology(
         low_plus = reg.get(aut_plus, i - 1)
         if low_plus.is_zero:
             quot = low_full
-        elif lower_action is not None:
-            quot = kernel(lower_action)
         elif low_full.is_zero:
             quot = FormalGroup.zero()
         else:
@@ -701,7 +670,7 @@ def _entry_hom(src_place, tgt_place, blocks):
     slots for those generators' entry groups)."""
     src_labels, src_group, src_layout = src_place
     tgt_labels, tgt_group, tgt_layout = tgt_place
-    mat = [[0] * len(src_group.slots()) for _ in tgt_group.slots()]
+    cols = [{} for _ in src_group.slots()]
     src_index = {lbl: k for k, lbl in enumerate(src_labels)}
     tgt_index = {lbl: k for k, lbl in enumerate(tgt_labels)}
     for (sl, tl), block in blocks.items():
@@ -714,9 +683,9 @@ def _entry_hom(src_place, tgt_place, blocks):
             )
         for a, row in enumerate(block):
             for b, x in enumerate(row):
-                if x:
-                    mat[ti[a]][si[b]] += x
-    return FormalHom(src_group, tgt_group, mat)
+                col = cols[si[b]]
+                col[ti[a]] = col.get(ti[a], 0) + x
+    return FormalHom(src_group, tgt_group, cols)
 
 
 def _make_place(entries):
@@ -808,8 +777,8 @@ def cremona_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
         raise ValueError("this builder is for the cremona universe")
     reg = registry or default_registry()
 
-    def block_entry(full, plus, mat):
-        action = FormalHom(reg.get(full, 1), reg.get(plus, 1), mat)
+    def block_entry(full, plus, columns):
+        action = FormalHom(reg.get(full, 1), reg.get(plus, 1), columns)
         out = nonorientable_block_homology(1, full, plus, action, reg)
         if isinstance(out, list):
             raise FormalGroupError(f"ambiguous degree-1 block for {full}")
@@ -824,17 +793,17 @@ def cremona_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
             if gen.family == "dp8_blowdown":
                 return reg.get("Aut(F1)", 1)
             if gen.family == "dp8_quadric":
-                return block_entry("Aut(P1xP1)", "Aut+(P1xP1)", [])
+                return block_entry("Aut(P1xP1)", "Aut+(P1xP1)", None)
             name = "Aut(S_g,1/P1)" if gen.family == "blowup" else "Aut(S_e,1/P1)"
             return reg.get(name, 1)
         if gen.family == "dp7":
             # 1+sigma is the diagonal on the torus abelianization
-            return block_entry("Aut(Bl2P2)", "Aut+(Bl2P2)", [[1], [1]])
+            return block_entry("Aut(Bl2P2)", "Aut+(Bl2P2)", [{0: 1, 1: 1}])
         if gen.family == "blowup" and gen.partition == (1, 1):
-            return block_entry("Aut(S_g,2/P1)", "Aut+(S_g,2/P1)", [[0, 0], [0, 0]])
+            return block_entry("Aut(S_g,2/P1)", "Aut+(S_g,2/P1)", [{}, {}])
         if gen.family == "blowup":
-            return block_entry("Aut(S_s,2/P1)", "Aut+(S_s,2/P1)", [[2], [0]])
-        return block_entry("Aut(S_e,2/P1)", "Aut+(S_e,2/P1)", [[2], [0]])
+            return block_entry("Aut(S_s,2/P1)", "Aut+(S_s,2/P1)", [{0: 2}])
+        return block_entry("Aut(S_e,2/P1)", "Aut+(S_e,2/P1)", [{0: 2}])
 
     return _row1_complex(u, entry, _cremona_rank3_blocks)
 

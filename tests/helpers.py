@@ -132,6 +132,37 @@ def dense(cols, height):
     return [[col.get(i, 0) for col in cols] for i in range(height)]
 
 
+def is_zero_matrix(a: Matrix) -> bool:
+    return all(x == 0 for row in a for x in row)
+
+
+def determinant(a: Matrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(a)
+    if n == 0:
+        return 1
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def dense_invariant_factors(a):
     """The nonzero entries of the dense Smith diagonal of ``a``."""
     return [d for d in smith_normal_form(a).diagonal() if d]
@@ -241,14 +272,48 @@ def cycle_basis_homology(
 # One hand-written rule per family: the finitely generated block through
 # presented_homology with an empty image or an empty target, each atom block
 # through its invariant factors (free rank -> atom copies, factor d -> D[d]
-# in a kernel, D/dD in a cokernel).  It shares no window code with
-# formal.homology_at.
+# in a kernel, D/dD in a cokernel).  The blocks come from a row-major scan of
+# the dense matrix, so the oracle shares neither the window code of
+# formal.homology_at nor the one-pass split of FormalHom._family_blocks.
+
+
+def dense_family_blocks(h: FormalHom):
+    """Split the matrix into per-atom blocks plus one finitely generated
+    block, each as (target slots, source slots, columns over the target
+    slots); raises when a registered cross-atom block is actually used."""
+    src, tgt = h.source.slots(), h.target.slots()
+
+    def family(slot):
+        return slot[1] if slot[0] == "atom" else "fg"
+
+    families = sorted(
+        {family(s) for s in src} | {family(t) for t in tgt},
+        key=str,
+    )
+    blocks = {}
+    m = dense(h.columns, len(tgt))
+    for fam in families:
+        cols = [j for j, s in enumerate(src) if family(s) == fam]
+        rows = [i for i, t in enumerate(tgt) if family(t) == fam]
+        blocks[fam] = (
+            rows,
+            cols,
+            [{r: m[i][j] for r, i in enumerate(rows) if m[i][j]} for j in cols],
+        )
+    for i, trow in enumerate(tgt):
+        for j, scol in enumerate(src):
+            if family(scol) != family(trow) and m[i][j] != 0:
+                raise InsufficientAtomData(
+                    f"cross-atom block {scol} -> {trow} has no computable "
+                    "kernel/cokernel structure"
+                )
+    return blocks
 
 
 def per_family_kernel(h: FormalHom) -> FormalGroup:
     out = FormalGroup.zero()
     src, tgt = h.source.slots(), h.target.slots()
-    for fam, (rows, cols, block) in h._family_blocks().items():
+    for fam, (rows, cols, block) in dense_family_blocks(h).items():
         if fam == "fg":
             g = presented_homology(
                 block,
@@ -272,7 +337,7 @@ def per_family_kernel(h: FormalHom) -> FormalGroup:
 def per_family_cokernel(h: FormalHom) -> FormalGroup:
     out = FormalGroup.zero()
     src, tgt = h.source.slots(), h.target.slots()
-    for fam, (rows, cols, block) in h._family_blocks().items():
+    for fam, (rows, cols, block) in dense_family_blocks(h).items():
         if fam == "fg":
             g = presented_homology(
                 [{}] * len(rows),
@@ -292,6 +357,58 @@ def per_family_cokernel(h: FormalHom) -> FormalGroup:
                     f"{fam}/{d}{fam} is not computable for a non-divisible atom"
                 )
     return out
+
+
+# -- oracle for the slot layout of a direct sum -----------------------------------
+#
+# The counting layout: positions are collected per slot kind and key, and
+# each part's slots take the next free position of their key in turn.  It
+# shares no code with the stable sort of spectral.direct_sum_with_layout.
+
+
+def counting_direct_sum_with_layout(parts: list[FormalGroup]):
+    """Concatenate formal groups and return (sum, per-part slot indices).
+
+    The sum's canonical slot order regroups atoms by name and rewrites the
+    cyclic part in invariant-factor form; this helper tracks where each
+    part's slots land.  It refuses layouts in which distinct cyclic orders
+    merge (e.g. Z/2 + Z/3), since slots would then lose their identity.
+    """
+    total = FormalGroup.zero()
+    for p in parts:
+        total = total + p
+    slots = total.slots()
+    atom_positions: dict = {}
+    cyclic_positions: dict = {}
+    free_positions = []
+    for i, s in enumerate(slots):
+        if s[0] == "atom":
+            atom_positions.setdefault(s[1], []).append(i)
+        elif s[0] == "cyclic":
+            cyclic_positions.setdefault(s[1], []).append(i)
+        else:
+            free_positions.append(i)
+    all_cyclic = sorted(d for p in parts for d in p.cyclic)
+    if all_cyclic != sorted(total.cyclic):
+        raise FormalGroupError("cyclic parts merge under normalization; layout lost")
+    layout = []
+    atom_used = {k: 0 for k in atom_positions}
+    cyclic_used = {k: 0 for k in cyclic_positions}
+    free_used = 0
+    for p in parts:
+        indices = []
+        for s in p.slots():
+            if s[0] == "atom":
+                indices.append(atom_positions[s[1]][atom_used[s[1]]])
+                atom_used[s[1]] += 1
+            elif s[0] == "cyclic":
+                indices.append(cyclic_positions[s[1]][cyclic_used[s[1]]])
+                cyclic_used[s[1]] += 1
+            else:
+                indices.append(free_positions[free_used])
+                free_used += 1
+        layout.append(indices)
+    return total, layout
 
 
 # -- oracle for count_fibration_configurations -----------------------------------
@@ -422,8 +539,8 @@ def table_cremona_row1_complex(u: GeneratorUniverse, registry=None) -> RowComple
     reg = registry or default_registry()
     bound = {r: u.e_max + (3 - r) for r in (1, 2, 3)}
 
-    def block_entry(full, plus, mat):
-        action = FormalHom(reg.get(full, 1), reg.get(plus, 1), mat)
+    def block_entry(full, plus, columns):
+        action = FormalHom(reg.get(full, 1), reg.get(plus, 1), columns)
         out = nonorientable_block_homology(1, full, plus, action, reg)
         if isinstance(out, list):
             raise FormalGroupError(f"ambiguous degree-1 block for {full}")
@@ -438,17 +555,17 @@ def table_cremona_row1_complex(u: GeneratorUniverse, registry=None) -> RowComple
             if gen.family == "dp8_blowdown":
                 return reg.get("Aut(F1)", 1)
             if gen.family == "dp8_quadric":
-                return block_entry("Aut(P1xP1)", "Aut+(P1xP1)", [])
+                return block_entry("Aut(P1xP1)", "Aut+(P1xP1)", None)
             name = "Aut(S_g,1/P1)" if gen.family == "blowup" else "Aut(S_e,1/P1)"
             return reg.get(name, 1)
         if gen.family == "dp7":
             # 1+sigma is the diagonal on the torus abelianization
-            return block_entry("Aut(Bl2P2)", "Aut+(Bl2P2)", [[1], [1]])
+            return block_entry("Aut(Bl2P2)", "Aut+(Bl2P2)", [{0: 1, 1: 1}])
         if gen.family == "blowup" and gen.partition == (1, 1):
-            return block_entry("Aut(S_g,2/P1)", "Aut+(S_g,2/P1)", [[0, 0], [0, 0]])
+            return block_entry("Aut(S_g,2/P1)", "Aut+(S_g,2/P1)", [{}, {}])
         if gen.family == "blowup":
-            return block_entry("Aut(S_s,2/P1)", "Aut+(S_s,2/P1)", [[2], [0]])
-        return block_entry("Aut(S_e,2/P1)", "Aut+(S_e,2/P1)", [[2], [0]])
+            return block_entry("Aut(S_s,2/P1)", "Aut+(S_s,2/P1)", [{0: 2}])
+        return block_entry("Aut(S_e,2/P1)", "Aut+(S_e,2/P1)", [{0: 2}])
 
     gens = {r: enumerate_generators(u, r, bound[r]) for r in (1, 2, 3)}
     places = [

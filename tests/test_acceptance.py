@@ -17,8 +17,6 @@ from syzygy.formal import FormalGroup, FormalHom, cokernel, kernel
 from syzygy.lattice import BlowupLattice
 from syzygy.smith import (
     FGAbelianGroup,
-    determinant,
-    is_zero_matrix,
     mat_mul,
     mat_vec,
     smith_normal_form,
@@ -43,7 +41,7 @@ from syzygy.surfaces import (
     syzygy_sphere_bl3,
 )
 
-from helpers import dense
+from helpers import columns, dense, determinant, is_zero_matrix
 
 
 def Z2n(n):
@@ -367,15 +365,15 @@ def test_acceptance_12_property_suites():
             rng2 = random.Random(seed)
             mat = [[rng2.randint(-4, 4) for _ in range(3)] for _ in range(3)]
             u, v = unimodular(rng2), unimodular(rng2)
-            h = FormalHom(ambient, ambient, mat)
-            conj = FormalHom(ambient, ambient, mat_mul(u, mat_mul(mat, v)))
+            h = FormalHom(ambient, ambient, columns(mat))
+            conj = FormalHom(ambient, ambient, columns(mat_mul(u, mat_mul(mat, v))))
             assert kernel(h) == kernel(conj)
             assert cokernel(h) == cokernel(conj)
 
         for n in range(2, 13):
             for k in range(0, 13):
                 zn = FormalGroup.cyclic_group(n)
-                h = FormalHom(zn, zn, [[k]])
+                h = FormalHom(zn, zn, [{0: k}])
                 expected = gcd(k, n)
                 want = (
                     FormalGroup.cyclic_group(expected)

@@ -1,8 +1,11 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import syzygy
 from syzygy import smith
 from syzygy.cli import main
 from syzygy.complexes import RegularCWComplex, ValidationReport
@@ -314,3 +317,78 @@ def test_table_format(runner):
     res = invoke(runner, "--format", "table", "lines", "--degree", "3")
     assert res.exit_code == 0
     assert "count = 27" in res.output
+
+
+SHIPPED_REGISTRY = Path(syzygy.__file__).parent / "data" / "registry.json"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,
+        "{not json",
+        '{"entries": [{"group": "X", "degree": 0, "value": {"free": 1}}]}',
+        '[{"group": "X", "degree": 0, "value": {"free": 1}, "provenance": "p"}]',
+    ],
+    ids=["missing", "not-json", "no-provenance", "top-level-list"],
+)
+def test_bad_registry_is_reported_as_the_error_json(runner, tmp_path, text):
+    """Each file used to end every command in a traceback, because the
+    registry was loaded outside the command's error handler."""
+    path = tmp_path / "registry.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    for res in (
+        invoke(runner, "--registry", str(path), "schur", "--target", "pgl2"),
+        runner.invoke(main, ["schur", "--target", "pgl2"], env={"SYZ_REGISTRY": str(path)},
+                      catch_exceptions=False),
+    ):
+        assert res.exit_code == 1
+        assert "error" in json.loads(res.output)
+
+
+def test_commands_without_the_registry_ignore_a_bad_one(runner, tmp_path):
+    res = runner.invoke(main, ["lines", "--degree", "3"],
+                        env={"SYZ_REGISTRY": str(tmp_path / "missing.json")},
+                        catch_exceptions=False)
+    assert res.exit_code == 0
+    assert json.loads(res.output)["result"]["count"] == 27
+
+
+def test_registry_copy_prints_the_default_bytes(runner, tmp_path):
+    path = tmp_path / "copy.json"
+    shutil.copyfile(SHIPPED_REGISTRY, path)
+    for target in ("pgl2", "quadric", "k2prime"):
+        default = invoke(runner, "schur", "--target", target)
+        by_option = invoke(runner, "--registry", str(path), "schur", "--target", target)
+        by_variable = runner.invoke(main, ["schur", "--target", target],
+                                    env={"SYZ_REGISTRY": str(path)}, catch_exceptions=False)
+        assert default.exit_code == 0
+        assert by_option.output == by_variable.output == default.output
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"cells": "nope"}',
+        '{"cells": [{"id": "a", "dim": "x"}]}',
+        '{"cells": [{"id": "a"}]}',
+        '{"cells": [{"id": "a", "dim": 0}, {"id": "e", "dim": 1}], "boundary": {"e": [["a"]]}}',
+        '{"cells": [{"id": "a", "dim": 0}, {"id": "e", "dim": 1}], "boundary": {"e": [["zz", 1]]}}',
+        '{"cells": [{"id": "a", "dim": 0}], "boundary": {"a": [["a", 1]]}}',
+        '{"cells": [{"id": "a", "dim": 0}, {"id": "b", "dim": 0}, {"id": "e", "dim": 1},'
+        ' {"id": "f", "dim": 2}], "boundary": {"e": [["b", 1], ["a", -1]], "f": [["a", 1]]}}',
+    ],
+    ids=["cells", "dim-string", "dim-missing", "face-no-sign", "face-unknown", "self-face",
+         "face-too-low"],
+)
+def test_homology_cw_file_rejects_malformed_cells(runner, tmp_path, text):
+    """Each file used to end in a traceback, an error that named only a
+    key, or homology of a complex the file does not describe; the error now
+    names the cell."""
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    res = invoke(runner, "homology", str(path))
+    assert res.exit_code == 1
+    error = json.loads(res.output)["error"]
+    assert "cell" in error

@@ -245,3 +245,26 @@ def test_lift_is_formed_once_per_degree(monkeypatch):
     assert [str(cc.homology(d)) for d in range(3)] == ["Z", "0", "Z"]
     assert cc.check_composition()
     assert sorted(lifted) == sorted(cc.ranks)
+
+
+def test_validate_takes_each_face_closure_once(monkeypatch):
+    """The cells above a cell are read from the subdivision's 2-chains, so
+    validate() takes one face closure per cell, in the subdivision (on the
+    44-cell bl3 sphere, 1,936 when every link took them again), and the
+    links and dual blocks still hold exactly the chains above the cell."""
+    sphere = syzygy_sphere_bl3()
+    closures = []
+    faces = RegularCWComplex.faces
+
+    def spy(self, cid):
+        closures.append(cid)
+        return faces(self, cid)
+
+    monkeypatch.setattr(RegularCWComplex, "faces", spy)
+    assert sphere.validate().valid
+    assert len(closures) == len(set(closures)) == len(sphere.cells) == 44
+    monkeypatch.undo()
+    for cid in sphere.cells:
+        above = {m for m in sphere.cells if m != cid and cid in sphere.faces(m)}
+        assert {m for chain in sphere.link(cid).cells for m in chain} == above
+        assert {m for chain in sphere.dual_block(cid).cells for m in chain} == above | {cid}

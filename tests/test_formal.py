@@ -2,7 +2,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from syzygy.formal import (
     FormalGroup,
@@ -19,7 +19,14 @@ from syzygy.formal import (
     zero_hom,
 )
 
-from helpers import columns, per_family_cokernel, per_family_kernel
+from syzygy.spectral import direct_sum_with_layout
+
+from helpers import (
+    columns,
+    counting_direct_sum_with_layout,
+    per_family_cokernel,
+    per_family_kernel,
+)
 
 Cs = FormalGroup.atom("C*")
 K2 = FormalGroup.atom("K2(C)")
@@ -55,31 +62,48 @@ def test_infinite_summand_display_only():
 
 def test_hom_validation():
     with pytest.raises(FormalGroupError):
-        FormalHom(Cs, K2, [[1]])  # unregistered atom pair
+        FormalHom(Cs, K2, [{0: 1}])  # unregistered atom pair
     with pytest.raises(FormalGroupError):
-        FormalHom(Zn(2), Z, [[1]])  # finite into free
+        FormalHom(Zn(2), Z, [{0: 1}])  # finite into free
     with pytest.raises(FormalGroupError):
-        FormalHom(Zn(4), Zn(8), [[1]])  # not well defined
-    FormalHom(Zn(4), Zn(8), [[2]])  # well defined
-    FormalHom(Z, Zn(8), [[3]])
-    FormalHom(FormalGroup.atom("C*^C*"), K2, [[1]])  # the registered surjection
+        FormalHom(Zn(4), Zn(8), [{0: 1}])  # not well defined
+    FormalHom(Zn(4), Zn(8), [{0: 2}])  # well defined
+    FormalHom(Z, Zn(8), [{0: 3}])
+    FormalHom(FormalGroup.atom("C*^C*"), K2, [{0: 1}])  # the registered surjection
+
+
+def test_hom_refuses_malformed_columns():
+    with pytest.raises(FormalGroupError):
+        FormalHom(Cs, Cs + Cs, [{0: 1}, {1: 1}])  # two columns, one source slot
+    with pytest.raises(FormalGroupError):
+        FormalHom(Cs, Cs + Cs, [{2: 1}])  # key outside the two target slots
+    with pytest.raises(FormalGroupError):
+        FormalHom(Cs, Cs, [{-1: 1}])
+    with pytest.raises(FormalGroupError):
+        FormalHom(Cs, Cs, [(1,)])  # a column that is not a dict
+    with pytest.raises(FormalGroupError):
+        FormalHom(Z, Z, [[2]])  # a dense list of rows is no fallback
+    with pytest.raises(FormalGroupError):
+        FormalHom(Z + Z, Z, [[1, 1]])
+    assert FormalHom(Cs, Cs, [{0: 0}]).columns == [{}]  # zeros are not stored
+    assert not hasattr(FormalHom(Cs, Cs), "matrix")
 
 
 def test_registered_cross_map_blocks_computations():
-    h = FormalHom(FormalGroup.atom("C*^C*"), K2, [[1]])
+    h = FormalHom(FormalGroup.atom("C*^C*"), K2, [{0: 1}])
     with pytest.raises(InsufficientAtomData):
         kernel(h)
 
 
 def test_kernel_cokernel_examples():
-    diag = FormalHom(Cs, Cs + Cs, [[1], [1]])
+    diag = FormalHom(Cs, Cs + Cs, [{0: 1, 1: 1}])
     assert cokernel(diag) == Cs
-    x2 = FormalHom(Z, Z, [[2]])
+    x2 = FormalHom(Z, Z, [{0: 2}])
     assert kernel(x2).is_zero
     assert cokernel(x2) == Zn(2)
-    square_graph = FormalHom(Cs, Cs + Cs, [[2], [1]])
+    square_graph = FormalHom(Cs, Cs + Cs, [{0: 2, 1: 1}])
     assert kernel(square_graph).is_zero
-    p6 = FormalHom(Cs, Cs, [[6]])
+    p6 = FormalHom(Cs, Cs, [{0: 6}])
     assert kernel(p6) == Zn(6)
     assert cokernel(p6).is_zero  # divisible
     assert kernel(zero_hom(Cs, Cs)) == Cs
@@ -89,16 +113,16 @@ def test_kernel_cokernel_examples():
 def test_unknown_torsion_fails_loudly():
     w = FormalGroup.atom("C*^C*")
     with pytest.raises(InsufficientAtomData):
-        kernel(FormalHom(w, w, [[2]]))
+        kernel(FormalHom(w, w, [{0: 2}]))
     # unimodular maps never need the torsion rule
-    assert kernel(FormalHom(w, w, [[1]])).is_zero
-    assert cokernel(FormalHom(w, w, [[-1]])).is_zero
+    assert kernel(FormalHom(w, w, [{0: 1}])).is_zero
+    assert cokernel(FormalHom(w, w, [{0: -1}])).is_zero
 
 
 def test_cyclic_kernel_cokernel_vs_brute_force():
     for n in range(2, 13):
         for k in range(0, 13):
-            h = FormalHom(Zn(n), Zn(n), [[k]]) if (k * n) % n == 0 else None
+            h = FormalHom(Zn(n), Zn(n), [{0: k}]) if (k * n) % n == 0 else None
             ker, cok = kernel(h), cokernel(h)
             elements = [x for x in range(n) if (k * x) % n == 0]
             image = {(k * x) % n for x in range(n)}
@@ -137,8 +161,8 @@ def test_kernel_cokernel_invariant_under_unimodular_changes(mat, ops1, ops2):
     u = _unimodular(3, ops1)
     v = _unimodular(3, ops2)
     for ambient in (Cs + Cs + Cs, Z + Z + Z):
-        h = FormalHom(ambient, ambient, mat)
-        conj = FormalHom(ambient, ambient, mat_mul(u, mat_mul(mat, v)))
+        h = FormalHom(ambient, ambient, columns(mat))
+        conj = FormalHom(ambient, ambient, columns(mat_mul(u, mat_mul(mat, v))))
         assert kernel(h) == kernel(conj)
         assert cokernel(h) == cokernel(conj)
 
@@ -183,9 +207,22 @@ def test_kernel_cokernel_match_the_per_family_oracle(src_names, tgt_names, data)
     source = sum((SUMMANDS[n] for n in src_names), FormalGroup.zero())
     target = sum((SUMMANDS[n] for n in tgt_names), FormalGroup.zero())
     mat = [[_draw_entry(data, s, t) for s in source.slots()] for t in target.slots()]
-    h = FormalHom(source, target, mat)
+    h = FormalHom(source, target, columns(mat, width=len(source.slots())))
     assert _outcome(kernel, h) == _outcome(per_family_kernel, h)
     assert _outcome(cokernel, h) == _outcome(per_family_cokernel, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(summand_lists, max_size=4))
+@example([["Z/2"], ["Z/3"]])
+@example([["C*", "Z/4"], ["Z/2", "K2(C)"], ["Z/3", "C*"]])
+def test_direct_sum_layout_matches_the_counting_oracle(part_names):
+    """The stable sort gives the counting layout, and both refuse the same
+    lists, such as [Z/2, Z/3], whose cyclic orders merge."""
+    parts = [sum((SUMMANDS[n] for n in names), FormalGroup.zero()) for names in part_names]
+    assert _outcome(direct_sum_with_layout, parts) == _outcome(
+        counting_direct_sum_with_layout, parts
+    )
 
 
 def test_homology_at_examples():
@@ -194,45 +231,45 @@ def test_homology_at_examples():
     h = homology_at(zero_hom(FormalGroup.zero(), mid), zero_hom(mid, FormalGroup.zero()))
     assert h == mid
     # exact at the middle of the standard diagonal sequence
-    diag = FormalHom(Cs, Cs + Cs, [[1], [1]])
-    anti = FormalHom(Cs + Cs, Cs, [[1, -1]])
+    diag = FormalHom(Cs, Cs + Cs, [{0: 1, 1: 1}])
+    anti = FormalHom(Cs + Cs, Cs, [{0: 1}, {0: -1}])
     assert homology_at(diag, anti).is_zero
     with pytest.raises(FormalGroupError):
-        homology_at(diag, FormalHom(Cs + Cs, Cs, [[1, 1]]))  # does not compose to zero
+        homology_at(diag, FormalHom(Cs + Cs, Cs, [{0: 1}, {0: 1}]))  # does not compose to zero
 
 
 def test_homology_at_torsion_correction():
     # On a divisible group the image of a power map is everything, so the
     # middle torsion dies: ker(0)/im(2) on C* is trivial ...
-    f = FormalHom(Cs, Cs, [[2]])
-    g = FormalHom(Cs, Cs, [[0]])
+    f = FormalHom(Cs, Cs, [{0: 2}])
+    g = FormalHom(Cs, Cs, [{}])
     assert homology_at(f, g).is_zero
     # ... while torsion enters through kernels of power maps: ker(c -> c^3)
     # is the cube roots of unity
-    h = homology_at(zero_hom(FormalGroup.zero(), Cs), FormalHom(Cs, Cs, [[3]]))
+    h = homology_at(zero_hom(FormalGroup.zero(), Cs), FormalHom(Cs, Cs, [{0: 3}]))
     assert h == Zn(3)
 
 
 def test_check_exact_reports():
-    x2 = FormalHom(Z, Z, [[2]])
+    x2 = FormalHom(Z, Z, [{0: 2}])
     seq = [
         zero_hom(FormalGroup.zero(), Z),
         x2,
-        FormalHom(Z, Zn(2), [[1]]),
+        FormalHom(Z, Zn(2), [{0: 1}]),
         zero_hom(Zn(2), FormalGroup.zero()),
     ]
     assert all(v.verdict == "exact" for v in check_exact(seq))
     bad = [
         zero_hom(FormalGroup.zero(), Z),
         x2,
-        FormalHom(Z, Zn(3), [[1]]),
+        FormalHom(Z, Zn(3), [{0: 1}]),
         zero_hom(Zn(3), FormalGroup.zero()),
     ]
     verdicts = check_exact(bad)
     assert [v.verdict for v in verdicts] == ["exact", "fail", "exact"]
     assert verdicts[1].position == 3
     with pytest.raises(FormalGroupError):
-        check_exact([x2, x2.compose(x2), FormalHom(Cs, Cs, [[1]])])
+        check_exact([x2, x2.compose(x2), FormalHom(Cs, Cs, [{0: 1}])])
 
 
 def test_check_exact_kernel_cokernel_resolution():
@@ -240,7 +277,7 @@ def test_check_exact_kernel_cokernel_resolution():
     rng = random.Random(3)
     for _ in range(20):
         mat = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
-        h = FormalHom(Z + Z, Z + Z, mat)
+        h = FormalHom(Z + Z, Z + Z, columns(mat))
         ker, cok = kernel(h), cokernel(h)
         # verify with the generic engine on the finitely generated side
         from syzygy.smith import presented_homology, zeros

@@ -8,7 +8,6 @@ from syzygy import smith
 from syzygy.smith import (
     FGAbelianGroup,
     cokernel_group,
-    determinant,
     invariant_factors,
     mat_mul,
     mat_vec,
@@ -22,6 +21,7 @@ from helpers import (
     columns,
     cycle_basis_homology,
     dense_invariant_factors,
+    determinant,
     kernel_basis,
     record_dense_shapes,
 )

@@ -7,7 +7,6 @@ from math import comb
 from syzygy.smith import (
     FGAbelianGroup,
     invariant_factors,
-    is_zero_matrix,
     lift_to_cycles,
     mat_mul,
     presented_homology,
@@ -34,6 +33,7 @@ from helpers import (
     cycle_basis_homology,
     dense,
     dense_invariant_factors,
+    is_zero_matrix,
     record_dense_shapes,
     table_boundary,
 )
