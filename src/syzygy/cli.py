@@ -14,29 +14,7 @@ import time
 
 import click
 
-from . import __version__
-from .complexes import RegularCWComplex, load_complex_file
-from .formal import FormalGroupError
-from .lattice import BlowupLattice
-from .spectral import (
-    KnownHomologyRegistry,
-    cremona_assemble,
-    default_registry,
-    k2_prime_candidates,
-    prop_s17_sequence,
-    row1_homology,
-    ruled_row1_complex,
-    schur_aut_quadric,
-    schur_pgl,
-)
-from .surfaces import (
-    GeneratorUniverse,
-    check_row0_squares_to_zero,
-    cubic_summary,
-    row0_homology,
-    row0_reduced_h0,
-    validated_sphere_bl3,
-)
+from . import __version__, complexes, lattice, spectral, surfaces
 
 SCHEMA_VERSION = 1
 
@@ -51,7 +29,7 @@ def _lattice_from(degree, blowups):
     n = 9 - degree if degree is not None else blowups
     if not 0 <= n <= 8:
         raise ReportError(f"blowup count {n} out of range [0, 8]")
-    return BlowupLattice(n)
+    return lattice.BlowupLattice(n)
 
 
 def _emit(ctx, command, parameters, result, provenance=(), warnings=()):
@@ -117,6 +95,11 @@ def main(ctx, fmt, registry_path):
     ctx.obj["registry_path"] = registry_path
 
 
+def default_registry():
+    """The shared default registry, loaded once per process."""
+    return spectral.default_registry()
+
+
 def _registry(ctx):
     """The registry named by --registry or SYZ_REGISTRY, else the shared
     default.  It is loaded the first time a command reads it, inside _run,
@@ -124,14 +107,14 @@ def _registry(ctx):
     that never read it do not depend on it."""
     if "registry" not in ctx.obj:
         path = ctx.obj["registry_path"]
-        ctx.obj["registry"] = KnownHomologyRegistry.load(path) if path else default_registry()
+        ctx.obj["registry"] = spectral.KnownHomologyRegistry.load(path) if path else default_registry()
     return ctx.obj["registry"]
 
 
 def _run(ctx, command, parameters, fn):
     try:
         result, provenance, warnings = fn()
-    except (ReportError, ValueError, KeyError, FormalGroupError, OSError) as exc:
+    except (ReportError, ValueError, KeyError, OSError) as exc:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
@@ -201,7 +184,7 @@ def graph(ctx, degree, blowups, threshold):
 def syzygy(ctx, target, check):
     """Build the elementary syzygy sphere of the three-point blowup."""
     def go():
-        sphere, rep = validated_sphere_bl3()
+        sphere, rep = surfaces.validated_sphere_bl3()
         result = {
             "vertices": len(sphere.cells_of_dim(0)),
             "edges": len(sphere.cells_of_dim(1)),
@@ -228,7 +211,7 @@ def syzygy(ctx, target, check):
 def cubic(ctx):
     """Counting report for the cubic surface."""
     def go():
-        report = cubic_summary()
+        report = lattice.cubic_summary()
         flags = report.pop("flags")
         return report, [], flags
     _run(ctx, "cubic", {}, go)
@@ -256,20 +239,20 @@ def _wanted_rows(rows):
 def ruled(ctx, points, e_max, r_max, rows):
     """Row homology for the ruled universe at finite truncation."""
     def go():
-        u = GeneratorUniverse.ruled(points, e_max, r_max)
+        u = surfaces.GeneratorUniverse.ruled(points, e_max, r_max)
         wanted = _wanted_rows(rows)
         result = {}
         warnings = []
         if 0 in wanted:
-            check_row0_squares_to_zero(u)
+            surfaces.check_row0_squares_to_zero(u)
             result["boundary_squares_to_zero"] = True
-            result["reduced_H0"] = str(row0_reduced_h0(u))
+            result["reduced_H0"] = str(surfaces.row0_reduced_h0(u))
             for i in range(1, u.r_max - 1):
-                result[f"E_{{{i},0}}"] = str(row0_homology(u, i))
+                result[f"E_{{{i},0}}"] = str(surfaces.row0_homology(u, i))
         if 1 in wanted:
-            row1 = ruled_row1_complex(u, _registry(ctx))
-            result["E_{0,1}"] = str(row1_homology(row1, 0))
-            result["E_{1,1}"] = str(row1_homology(row1, 1))
+            row1 = spectral.ruled_row1_complex(u, _registry(ctx))
+            result["E_{0,1}"] = str(spectral.row1_homology(row1, 0))
+            result["E_{1,1}"] = str(spectral.row1_homology(row1, 1))
         return (
             result,
             ["coinvariant rows of the central-model complex over the fixed base"],
@@ -288,7 +271,7 @@ def ruled(ctx, points, e_max, r_max, rows):
 def cremona(ctx, points, e_max, r_max, rows):
     """Row homology and the final candidates for the plane's universe."""
     def go():
-        u = GeneratorUniverse.cremona(e_max, r_max)
+        u = surfaces.GeneratorUniverse.cremona(e_max, r_max)
         wanted = _wanted_rows(rows)
         warnings = []
         if points:
@@ -298,11 +281,11 @@ def cremona(ctx, points, e_max, r_max, rows):
             )
         result = {}
         if 0 in wanted:
-            check_row0_squares_to_zero(u)
+            surfaces.check_row0_squares_to_zero(u)
             result["boundary_squares_to_zero"] = True
             for i in range(1, u.r_max - 1):
-                result[f"E_{{{i},0}}"] = str(row0_homology(u, i))
-        asm = cremona_assemble(_registry(ctx), u)
+                result[f"E_{{{i},0}}"] = str(surfaces.row0_homology(u, i))
+        asm = spectral.cremona_assemble(_registry(ctx), u)
         if 1 in wanted:
             result["E_{0,1}"] = str(asm["E_{0,1}"])
             result["E_{1,1}"] = str(asm["E_{1,1}"])
@@ -327,7 +310,7 @@ def schur(ctx, target):
     def go():
         reg = _registry(ctx)
         if target in ("pgl2", "pgl3"):
-            d = schur_pgl(2 if target == "pgl2" else 3, reg)
+            d = spectral.schur_pgl(2 if target == "pgl2" else 3, reg)
             return (
                 {"group": d.group, "H2": str(d.value),
                  "sequence": d.sequence.render()},
@@ -335,13 +318,13 @@ def schur(ctx, target):
                 [],
             )
         if target == "quadric":
-            d = schur_aut_quadric(reg)
+            d = spectral.schur_aut_quadric(reg)
             return (
                 {"group": d.group, "H2": str(d.value)},
                 d.notes,
                 [],
             )
-        cands = k2_prime_candidates(reg)
+        cands = spectral.k2_prime_candidates(reg)
         return (
             {"candidates": [str(c) for c in cands]},
             ["extension of Z/2 by K2(C) + Z/2; undetermined, both candidates kept"],
@@ -356,8 +339,8 @@ def schur(ctx, target):
 def homology(ctx, path):
     """Homology of a CW-complex or chain-complex JSON file."""
     def go():
-        obj = load_complex_file(path)
-        if isinstance(obj, RegularCWComplex):
+        obj = complexes.load_complex_file(path)
+        if isinstance(obj, complexes.RegularCWComplex):
             cc = obj.chain_complex()
         else:
             cc = obj
@@ -377,8 +360,8 @@ def homology(ctx, path):
 def five_term_cmd(ctx, points, e_max):
     """The low-degree exact sequence of the ruled universe's grid."""
     def go():
-        u = GeneratorUniverse.ruled(points, e_max, r_max=5)
-        seq = prop_s17_sequence(u, _registry(ctx))
+        u = surfaces.GeneratorUniverse.ruled(points, e_max, r_max=5)
+        seq = spectral.prop_s17_sequence(u, _registry(ctx))
         verdicts = [
             {"position": lbl, "verdict": v, "detail": d} for lbl, v, d in seq.check()
         ]

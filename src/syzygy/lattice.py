@@ -287,3 +287,48 @@ class IncidenceGraph:
             "vertices": [list(v.coefficients) for v in self.vertices],
             "edges": [list(e) for e in self.edges],
         }
+
+
+def cubic_summary() -> dict:
+    """Counting report for the cubic surface: lines, conic fibrations,
+    configuration counts by the canonical walk over the line order and over
+    its reverse, and the recorded source values 216 / 243 with discrepancy
+    flags instead of assertions."""
+    lat = BlowupLattice(6)
+    lines = lat.enumerate_lines()
+    conics = lat.enumerate_conic_classes()
+    graph = lat.incidence_graph(lines, 1)
+    cfg = lat.count_fibration_configurations()
+    cfg_rev = lat.count_fibration_configurations(reverse_order=True)
+    disjoint_pairs = sum(
+        1 for a, b in combinations(lines, 2) if lat.intersect(a, b) == 0
+    )
+    recorded_fibrations = 216
+    recorded_vertices = 243
+    report = {
+        "line_count": len(lines),
+        "divisorial_facet_models": len(lines),
+        "conic_class_count": len(conics),
+        "line_graph_regular_degree": 10 if graph.is_regular(10) else None,
+        "fibration_configurations_ordered": cfg["ordered"],
+        "fibration_configurations_unordered": cfg["unordered"],
+        "enumeration_order_independent": cfg == cfg_rev,
+        "disjoint_line_pairs": disjoint_pairs,
+        "recorded_fibration_count": recorded_fibrations,
+        "recorded_vertex_count": recorded_vertices,
+        "vertex_count_from_unordered": len(lines) + cfg["unordered"],
+        "vertex_count_from_recorded": len(lines) + recorded_fibrations,
+        "flags": [],
+    }
+    if cfg["unordered"] != recorded_fibrations:
+        report["flags"].append(
+            f"recorded fibration count {recorded_fibrations} differs from the "
+            f"unordered configuration count {cfg['unordered']} (= the conic class count); "
+            f"it coincides with the number of disjoint line pairs {disjoint_pairs}"
+        )
+    if report["vertex_count_from_unordered"] != recorded_vertices:
+        report["flags"].append(
+            f"recorded vertex count {recorded_vertices} differs from "
+            f"lines + unordered configurations = {report['vertex_count_from_unordered']}"
+        )
+    return report

@@ -34,25 +34,36 @@ from .formal import (
     solve_extension,
     zero_hom,
 )
-from .surfaces import (
-    BaseCase,
-    GeneratorUniverse,
-    boundary,
-    row0_homology,
-)
+from . import surfaces
 
 _DATA_DIR = Path(__file__).parent / "data"
 
 
+_VALUE_SHAPES = {  # key of a registry value -> (default, test of a well-formed entry)
+    "atoms": ([], lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v)),
+    "cyclic": ([], lambda v: isinstance(v, list) and all(type(d) is int for d in v)),
+    "free": (0, lambda v: type(v) is int),
+    "infinite": ([], lambda v: isinstance(v, list) and all(
+        isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) for p in v)),
+}
+
+
 def parse_value(data: dict) -> FormalGroup:
-    infinite = tuple(
-        (label, parse_value(inner)) for label, inner in data.get("infinite", [])
-    )
+    """A registry value: an object with the optional keys "atoms" (a list of
+    names), "cyclic" (a list of orders), "free" (a rank) and "infinite" (a
+    list of [label, value] pairs).  Any other shape raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"value {data!r} is not an object")
+    fields = {}
+    for key, (default, well_formed) in _VALUE_SHAPES.items():
+        fields[key] = data.get(key, default)
+        if not well_formed(fields[key]):
+            raise ValueError(f"malformed {key!r}: {fields[key]!r}")
     return FormalGroup(
-        atoms=tuple(data.get("atoms", [])),
-        cyclic=tuple(data.get("cyclic", [])),
-        free_rank=data.get("free", 0),
-        infinite=infinite,
+        atoms=tuple(fields["atoms"]),
+        cyclic=tuple(fields["cyclic"]),
+        free_rank=fields["free"],
+        infinite=tuple((label, parse_value(inner)) for label, inner in fields["infinite"]),
     )
 
 
@@ -72,13 +83,15 @@ class KnownHomologyRegistry:
             raise ValueError(f"registry {path} must hold an object with a list of entry objects")
         entries = {}
         for item in items:
-            if not item.get("provenance"):
-                raise ValueError(
-                    f"registry entry {item.get('group')!r} degree {item.get('degree')} "
-                    "lacks a provenance note"
-                )
-            key = (item["group"], int(item["degree"]))
-            entries[key] = (parse_value(item.get("value", {})), item["provenance"])
+            key = (item.get("group"), item.get("degree"))
+            try:
+                if not isinstance(key[0], str) or type(key[1]) is not int:
+                    raise ValueError("the group must be a string and the degree an integer")
+                if not item.get("provenance"):
+                    raise ValueError("lacks a provenance note")
+                entries[key] = (parse_value(item.get("value", {})), item["provenance"])
+            except ValueError as exc:
+                raise ValueError(f"registry entry {key[0]!r} degree {key[1]!r}: {exc}") from None
         return cls(entries)
 
     def get(self, group: str, degree: int) -> FormalGroup:
@@ -572,29 +585,6 @@ def schur_aut_quadric(registry: KnownHomologyRegistry | None = None) -> SchurDer
     )
 
 
-def h_prime_grid(e: int, registry: KnownHomologyRegistry | None = None) -> SpectralGrid:
-    """Second page for the extension of the e-th ruled surface's fibrewise
-    automorphism group: C^(e+1) -> G -> C*, with the scaling action."""
-    reg = registry or default_registry()
-    entries = {}
-    for p in range(4):
-        entries[(p, 0)] = reg.get("C*", p)
-        entries[(p, 1)] = FormalGroup.zero()
-        entries[(p, 2)] = FormalGroup.zero()
-        entries[(p, 3)] = FormalGroup.zero()
-    return SpectralGrid(
-        page=2,
-        box=(3, 3),
-        entries=entries,
-        notes=[
-            f"extension C^{e + 1} -> Aut(F{e}/P1) -> C* with scaling action",
-            "rows q >= 1 vanish: a central scalar acts on H_q(C^(e+1)) by a"
-            " nontrivial unit of a rational vector space, and center-kills"
-            " annihilates the homology",
-        ],
-    )
-
-
 def nonorientable_block_homology(
     i: int,
     aut_full: str,
@@ -695,7 +685,7 @@ def _make_place(entries):
     return (labels, total, layout)
 
 
-def _row1_complex(u: GeneratorUniverse, entry, extra_rank3=None) -> RowComplex:
+def _row1_complex(u: surfaces.GeneratorUniverse, entry, extra_rank3=None) -> RowComplex:
     """The row-1 complex at ranks 1..3, with the staircase invariant bounds.
 
     Place p sums entry(gen) over the rank-(p+1) generators.  The cells and
@@ -709,7 +699,8 @@ def _row1_complex(u: GeneratorUniverse, entry, extra_rank3=None) -> RowComplex:
         raise ValueError(f"the row-1 complex needs r_max >= 3, got {u.r_max}")
     bound = {r: u.e_max + (3 - r) for r in (1, 2, 3)}
     bms = {
-        r: boundary(u, r, e_bound=bound[r], target_e_bound=bound[r - 1]) for r in (2, 3)
+        r: surfaces.boundary(u, r, e_bound=bound[r], target_e_bound=bound[r - 1])
+        for r in (2, 3)
     }
     gens = {1: bms[2].rows, 2: bms[2].columns, 3: bms[3].columns}
     places = {r: _make_place([(g, entry(g)) for g in gens[r]]) for r in (1, 2, 3)}
@@ -731,10 +722,10 @@ def _row1_complex(u: GeneratorUniverse, entry, extra_rank3=None) -> RowComplex:
     return RowComplex(places=[places[1], places[2], places[3]], maps=maps)
 
 
-def ruled_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
+def ruled_row1_complex(u: surfaces.GeneratorUniverse, registry=None) -> RowComplex:
     """The abelianization row for the ruled universe at ranks 1..3, with the
     staircase invariant bounds."""
-    if u.base is not BaseCase.RULED:
+    if u.base is not surfaces.BaseCase.RULED:
         raise ValueError("this builder is for the ruled universe")
     reg = registry or default_registry()
 
@@ -769,11 +760,11 @@ def _cremona_rank3_blocks(gen) -> dict:
     return {("min_section", gen.e): [[1], [-1]], ("min_section", gen.e + 1): [[-1], [1]]}
 
 
-def cremona_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
+def cremona_row1_complex(u: surfaces.GeneratorUniverse, registry=None) -> RowComplex:
     """The abelianization row for the plane's universe at ranks 1..3; the
     non-orientable classes contribute their twisted blocks, computed through
     the long exact sequence."""
-    if u.base is not BaseCase.CREMONA:
+    if u.base is not surfaces.BaseCase.CREMONA:
         raise ValueError("this builder is for the cremona universe")
     reg = registry or default_registry()
 
@@ -825,7 +816,7 @@ def row1_degree2_bound(row: RowComplex) -> FormalGroup:
 # -- assembled applications --------------------------------------------------------
 
 
-def ruled_grid(u: GeneratorUniverse, registry=None) -> SpectralGrid:
+def ruled_grid(u: surfaces.GeneratorUniverse, registry=None) -> SpectralGrid:
     """Second page for the ruled universe at finite truncation: row 0 from the
     coinvariant complex, row 1 from the abelianization complex, row 2 unknown."""
     reg = registry or default_registry()
@@ -833,7 +824,7 @@ def ruled_grid(u: GeneratorUniverse, registry=None) -> SpectralGrid:
     entries = {}
     entries[(0, 0)] = FormalGroup.free(1)
     for i in (1, 2, 3):  # None where the truncation does not reach
-        entries[(i, 0)] = FormalGroup.from_fg(row0_homology(u, i)) if i <= u.r_max - 2 else None
+        entries[(i, 0)] = FormalGroup.from_fg(surfaces.row0_homology(u, i)) if i <= u.r_max - 2 else None
     entries[(0, 1)] = row1_homology(row1, 0)
     entries[(1, 1)] = row1_homology(row1, 1)
     entries[(2, 1)] = None
@@ -852,7 +843,7 @@ def ruled_grid(u: GeneratorUniverse, registry=None) -> SpectralGrid:
     )
 
 
-def prop_s17_sequence(u: GeneratorUniverse, registry=None) -> ExactSequence:
+def prop_s17_sequence(u: surfaces.GeneratorUniverse, registry=None) -> ExactSequence:
     """The seven-term sequence of the ruled grid (finite instance of the
     low-degree exact sequence for the relative automorphism group)."""
     return seven_term(ruled_grid(u, registry))
@@ -860,7 +851,7 @@ def prop_s17_sequence(u: GeneratorUniverse, registry=None) -> ExactSequence:
 
 def cremona_assemble(
     registry=None,
-    universe: GeneratorUniverse | None = None,
+    universe: surfaces.GeneratorUniverse | None = None,
     force_e21_zero: bool = False,
 ) -> dict:
     """Candidates for H2 of the plane's birational automorphism group.
@@ -871,7 +862,7 @@ def cremona_assemble(
     2-torsion image, so only the 3-part of E_{2,1} can change the answer;
     row 0 does not enter."""
     reg = registry or default_registry()
-    u = universe or GeneratorUniverse.cremona(3, r_max=5)
+    u = universe or surfaces.GeneratorUniverse.cremona(3, r_max=5)
     row1 = cremona_row1_complex(u, reg)
     e01 = row1_homology(row1, 0)
     e11 = row1_homology(row1, 1)

@@ -24,7 +24,9 @@ from syzygy.smith import (
     zeros,
 )
 from syzygy.spectral import (
+    KnownHomologyRegistry,
     RowComplex,
+    SpectralGrid,
     _entry_hom,
     _make_place,
     default_registry,
@@ -409,6 +411,32 @@ def counting_direct_sum_with_layout(parts: list[FormalGroup]):
                 free_used += 1
         layout.append(indices)
     return total, layout
+
+
+# -- a grid concentrated in row 0 --------------------------------------------------
+
+
+def h_prime_grid(e: int, registry: KnownHomologyRegistry | None = None) -> SpectralGrid:
+    """Second page for the extension of the e-th ruled surface's fibrewise
+    automorphism group: C^(e+1) -> G -> C*, with the scaling action."""
+    reg = registry or default_registry()
+    entries = {}
+    for p in range(4):
+        entries[(p, 0)] = reg.get("C*", p)
+        entries[(p, 1)] = FormalGroup.zero()
+        entries[(p, 2)] = FormalGroup.zero()
+        entries[(p, 3)] = FormalGroup.zero()
+    return SpectralGrid(
+        page=2,
+        box=(3, 3),
+        entries=entries,
+        notes=[
+            f"extension C^{e + 1} -> Aut(F{e}/P1) -> C* with scaling action",
+            "rows q >= 1 vanish: a central scalar acts on H_q(C^(e+1)) by a"
+            " nontrivial unit of a rational vector space, and center-kills"
+            " annihilates the homology",
+        ],
+    )
 
 
 # -- oracle for count_fibration_configurations -----------------------------------

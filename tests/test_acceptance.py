@@ -14,7 +14,7 @@ from math import comb, gcd
 import pytest
 
 from syzygy.formal import FormalGroup, FormalHom, cokernel, kernel
-from syzygy.lattice import BlowupLattice
+from syzygy.lattice import BlowupLattice, cubic_summary
 from syzygy.smith import (
     FGAbelianGroup,
     mat_mul,
@@ -35,7 +35,6 @@ from syzygy.spectral import (
 )
 from syzygy.surfaces import (
     GeneratorUniverse,
-    cubic_summary,
     row0_complex,
     row0_homology,
     syzygy_sphere_bl3,

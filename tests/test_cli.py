@@ -347,6 +347,35 @@ def test_bad_registry_is_reported_as_the_error_json(runner, tmp_path, text):
         assert "error" in json.loads(res.output)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        '"group": "SL(2,C)", "degree": 2, "value": {"free": "a"}',
+        '"group": "SL(2,C)", "degree": 2, "value": {"free": true}',
+        '"group": "SL(2,C)", "degree": 2, "value": {"cyclic": 2}',
+        '"group": "SL(2,C)", "degree": 2, "value": {"cyclic": ["2"]}',
+        '"group": "SL(2,C)", "degree": 2, "value": {"atoms": 5}',
+        '"group": "SL(2,C)", "degree": 2, "value": {"atoms": "K2(C)"}',
+        '"group": "SL(2,C)", "degree": 2, "value": {"infinite": [["Z"]]}',
+        '"group": "SL(2,C)", "degree": 2, "value": {"infinite": [["Z", {"cyclic": [2.5]}]]}',
+        '"group": "SL(2,C)", "degree": 2, "value": [1]',
+        '"group": ["SL(2,C)"], "degree": 2, "value": {}',
+        '"group": "SL(2,C)", "degree": [2], "value": {}',
+        '"group": "SL(2,C)", "degree": 2.5, "value": {}',
+        '"degree": 2, "value": {}',
+    ],
+)
+def test_malformed_registry_entry_is_reported_as_the_error_json(runner, tmp_path, entry):
+    """The load refuses a value of the wrong shape, a group that is not a
+    string and a degree that is not an integer, naming the entry.  These used
+    to end in a TypeError traceback, a bare KeyError or a truncated degree."""
+    path = tmp_path / "registry.json"
+    path.write_text('{"entries": [{%s, "provenance": "p"}]}' % entry, encoding="utf-8")
+    res = invoke(runner, "--registry", str(path), "schur", "--target", "pgl2")
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"].startswith("registry entry ")
+
+
 def test_commands_without_the_registry_ignore_a_bad_one(runner, tmp_path):
     res = runner.invoke(main, ["lines", "--degree", "3"],
                         env={"SYZ_REGISTRY": str(tmp_path / "missing.json")},

@@ -11,7 +11,6 @@ from syzygy.spectral import (
     cremona_row1_complex,
     direct_sum_with_layout,
     five_term,
-    h_prime_grid,
     k2_prime_candidates,
     nonorientable_block_homology,
     pgl_grid,
@@ -25,7 +24,7 @@ from syzygy.spectral import (
 )
 from syzygy.surfaces import GeneratorUniverse
 
-from helpers import table_cremona_row1_complex, table_ruled_row1_complex
+from helpers import h_prime_grid, table_cremona_row1_complex, table_ruled_row1_complex
 
 Cs = FormalGroup.atom("C*")
 K2 = FormalGroup.atom("K2(C)")

@@ -4,6 +4,7 @@ from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
 
+from syzygy.lattice import cubic_summary
 from syzygy.smith import (
     FGAbelianGroup,
     invariant_factors,
@@ -17,7 +18,6 @@ from syzygy.surfaces import (
     GeneratorUniverse,
     boundary,
     check_row0_squares_to_zero,
-    cubic_summary,
     displayed_boundary,
     elementary_transformation,
     enumerate_generators,

@@ -1,15 +1,22 @@
 """The benchmark's in-process tracer wraps library functions by name; every
 name it lists must resolve, or a traced run fails with a KeyError.  Every
-benchmark job must still print the output whose digest the benchmark keeps.
+benchmark job must still print the output whose digest the benchmark keeps,
+traced or not.  The package loads its submodules on first use: each command
+executes only the modules it calls, and every exported name still resolves.
 The project runs no linter, so two import rules of the library are checked here
 on its syntax trees."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import syzygy
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -59,18 +66,105 @@ def test_bench_job_output_matches_its_digest(args):
     assert record["sha256"] == workloads.load_digests()[workloads.job_key(args)]
 
 
+@pytest.mark.parametrize(
+    "args, layer",
+    [
+        (["graph", "--degree", "3"], "lattice.incidence_graph"),
+        (["ruled", "--points", "6", "--e-max", "5", "--r-max", "5"], "surfaces.boundary"),
+        (["schur", "--target", "pgl2"], "formal.solve_extension"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_traced_bench_job_prints_its_digest(args, layer):
+    """One job per workload, traced in its own process as the benchmark runs
+    it: the tracer finds every module it wraps, the output keeps its digest,
+    and a layer the job uses is counted."""
+    workloads = _bench_module("workloads")
+    out = subprocess.run(
+        [sys.executable, str(BENCH / "inproc.py"), "1", *args],
+        capture_output=True, text=True, check=False,
+    )
+    assert out.returncode == 0, out.stderr
+    record = json.loads(out.stdout)
+    assert record["exit"] == 0
+    assert record["sha256"] == workloads.load_digests()[workloads.job_key(args)]
+    assert record["layers"][f"{layer}.calls"] > 0
+
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "syzygy"
+# Runs one command and prints the syzygy modules it left executed.  A module
+# that is registered but was never read holds only its spec attributes; the
+# namespace is read through object.__getattribute__, which does not load it.
+EXECUTED = """
+import contextlib, io, sys
+import syzygy.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main.main(args=sys.argv[1:], standalone_mode=False)
+    except SystemExit:
+        pass
+for name, module in list(sys.modules.items()):
+    if name.startswith("syzygy.") and "__builtins__" in object.__getattribute__(module, "__dict__"):
+        print(name[len("syzygy."):])
+"""
+
+
+def _executed_modules(*args):
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", EXECUTED, *args], capture_output=True,
+                         text=True, env=env, check=False)
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.split())
+
+
+@pytest.mark.parametrize("args", [["lines", "--degree", "3"], ["cubic"], ["graph", "--degree", "3"]],
+                         ids=" ".join)
+def test_lattice_commands_execute_only_the_lattice(args):
+    assert _executed_modules(*args) == {"cli", "lattice"}
+
+
+def test_schur_skips_the_row_complexes():
+    assert not _executed_modules("schur", "--target", "pgl2") & {"surfaces", "complexes", "lattice"}
+
+
+def test_sphere_skips_the_formal_calculus():
+    assert not _executed_modules("syzygy", "bl3") & {"formal", "spectral"}
+
+
+# every name the package exported when it imported its submodules eagerly
+EXPORTS = {
+    "smith": "FGAbelianGroup SNFResult smith_normal_form",
+    "lattice": "BlowupLattice DivisorClass IncidenceGraph cubic_summary",
+    "complexes": "Cell IntegerChainComplex RegularCWComplex load_complex_file",
+    "surfaces": "BaseCase GeneratorUniverse SurfaceCentralModel boundary elementary_transformation"
+    " enumerate_generators row0_complex row0_homology syzygy_sphere_bl3 two_ray_game",
+    "formal": "Atom FormalGroup FormalHom check_exact cokernel homology_at kernel solve_extension",
+    "spectral": "KnownHomologyRegistry SpectralGrid cremona_assemble default_registry five_term"
+    " k2_prime_candidates schur_aut_quadric schur_pgl seven_term",
+}
+
+
+@pytest.mark.parametrize("module", EXPORTS)
+def test_package_exports_resolve_to_their_module(module):
+    mod = importlib.import_module(f"syzygy.{module}")
+    assert getattr(syzygy, module) is mod is sys.modules[f"syzygy.{module}"]
+    for name in EXPORTS[module].split():
+        scope = {}
+        exec(f"from syzygy import {name}", scope)
+        assert scope[name] is getattr(syzygy, name) is getattr(mod, name), name
+    with pytest.raises(AttributeError):
+        syzygy.no_such_name
+
+
 # the dense Smith cluster: the tests' oracle and the benchmark's traced names
 DENSE = {"mat_mul", "zeros", "smith_normal_form", "solve"}
 
 
 def _library_modules():
-    """(name, parsed module) for every library module but the package's
-    re-exporting __init__.py."""
+    """(name, parsed module) for every library module, __init__.py included."""
     return [
         (path.name, ast.parse(path.read_text(encoding="utf-8")))
         for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
     ]
 
 
