@@ -1,18 +1,27 @@
-"""Batch command-line front end.
+"""Batch command-line front end: the `syz` console script, also run as
+`python -m syzygy.cli`.
 
 Every command reads its parameters, dispatches to the library, and prints a
 deterministic report: JSON with stable key order, or an aligned text table.
 Wall-clock duration is shown only in table mode so that identical requests
 produce byte-identical JSON.
+
+The command line is parsed with the standard library's argparse, so
+importing this module loads nothing outside the standard library and this
+package.  A command line the parser refuses exits 2, with argparse's usage
+message on stderr; a request the library refuses prints an error JSON on
+stdout and exits 1.  `--registry` names an alternative known-homology
+registry; when it is absent the SYZ_REGISTRY environment variable is read,
+and an empty or unset value means the shipped registry.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 import time
-
-import click
 
 from . import __version__, complexes, lattice, spectral, surfaces
 
@@ -32,7 +41,16 @@ def _lattice_from(degree, blowups):
     return lattice.BlowupLattice(n)
 
 
-def _emit(ctx, command, parameters, result, provenance=(), warnings=()):
+def _echo(line):
+    """Write one line in one write, and flush it.  A reader that closes
+    stdout early then interrupts a single write: unbuffered, it returns
+    short and nothing follows; buffered, it raises BrokenPipeError, which
+    main turns into exit 1."""
+    sys.stdout.write(f"{line}\n")
+    sys.stdout.flush()
+
+
+def _emit(args, command, parameters, result, provenance=(), warnings=()):
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -41,20 +59,19 @@ def _emit(ctx, command, parameters, result, provenance=(), warnings=()):
         "provenance": list(provenance),
         "warnings": list(warnings),
     }
-    fmt = ctx.obj["format"]
-    if fmt == "json":
-        click.echo(json.dumps(report, sort_keys=True, indent=2))
+    if args.format == "json":
+        _echo(json.dumps(report, sort_keys=True, indent=2))
     else:
-        click.echo(f"== {command} ==")
+        _echo(f"== {command} ==")
         for k, v in parameters.items():
-            click.echo(f"  param {k} = {v}")
+            _echo(f"  param {k} = {v}")
         _render_table(result, indent=1)
         for w in warnings:
-            click.echo(f"  warning: {w}")
+            _echo(f"  warning: {w}")
         for p in provenance:
-            click.echo(f"  note: {p}")
-        dt = time.monotonic() - ctx.obj["t0"]
-        click.echo(f"  ({dt:.3f}s)", err=False)
+            _echo(f"  note: {p}")
+        dt = time.monotonic() - args.t0
+        _echo(f"  ({dt:.3f}s)")
     return report
 
 
@@ -63,15 +80,15 @@ def _render_table(value, indent=0):
     if isinstance(value, dict):
         for k, v in value.items():
             if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                click.echo(f"{pad}{k}:")
+                _echo(f"{pad}{k}:")
                 _render_table(v, indent + 1)
             else:
-                click.echo(f"{pad}{k} = {v}")
+                _echo(f"{pad}{k} = {v}")
     elif isinstance(value, list):
         for v in value:
             _render_table(v, indent)
     else:
-        click.echo(f"{pad}{value}")
+        _echo(f"{pad}{value}")
 
 
 def _is_flat(v):
@@ -80,108 +97,76 @@ def _is_flat(v):
     return False
 
 
-@click.group()
-@click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json",
-              show_default=True)
-@click.option("--registry", "registry_path", envvar="SYZ_REGISTRY", default=None,
-              help="Path to an alternative known-homology registry (JSON).")
-@click.version_option(__version__)
-@click.pass_context
-def main(ctx, fmt, registry_path):
-    """Exact computations for central models of rational surfaces."""
-    ctx.ensure_object(dict)
-    ctx.obj["format"] = fmt
-    ctx.obj["t0"] = time.monotonic()
-    ctx.obj["registry_path"] = registry_path
-
-
 def default_registry():
     """The shared default registry, loaded once per process."""
     return spectral.default_registry()
 
 
-def _registry(ctx):
-    """The registry named by --registry or SYZ_REGISTRY, else the shared
-    default.  It is loaded the first time a command reads it, inside _run,
-    so that a bad file is reported as the command's error JSON and commands
-    that never read it do not depend on it."""
-    if "registry" not in ctx.obj:
-        path = ctx.obj["registry_path"]
-        ctx.obj["registry"] = spectral.KnownHomologyRegistry.load(path) if path else default_registry()
-    return ctx.obj["registry"]
+def _registry(args):
+    """The registry named by --registry, else by SYZ_REGISTRY, else the
+    shared default.  A command reads it at most once, inside _run, so that
+    a bad file is reported as the command's error JSON and commands that
+    never read it do not depend on it."""
+    path = args.registry if args.registry is not None else os.environ.get("SYZ_REGISTRY")
+    return spectral.KnownHomologyRegistry.load(path) if path else default_registry()
 
 
-def _run(ctx, command, parameters, fn):
+def _run(args, command, parameters, fn):
     try:
         result, provenance, warnings = fn()
     except (ReportError, ValueError, KeyError, OSError) as exc:
+        # str() of a KeyError is the repr of its one argument, quotes and all
+        one_key = isinstance(exc, KeyError) and len(exc.args) == 1
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
-            "error": str(exc),
+            "error": str(exc.args[0]) if one_key else str(exc),
         }
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+        _echo(json.dumps(payload, sort_keys=True, indent=2))
         sys.exit(1)
-    _emit(ctx, command, parameters, result, provenance, warnings)
+    _emit(args, command, parameters, result, provenance, warnings)
 
 
-@main.command()
-@click.option("--degree", type=int, default=None, help="Anticanonical degree 9-n.")
-@click.option("--blowups", type=int, default=None, help="Number n of blown-up points.")
-@click.pass_context
-def lines(ctx, degree, blowups):
+def lines(args):
     """Enumerate the (-1)-classes."""
     def go():
-        lat = _lattice_from(degree, blowups)
+        lat = _lattice_from(args.degree, args.blowups)
         cls = lat.enumerate_lines()
         return (
             {"count": len(cls), "classes": [list(c.coefficients) for c in cls]},
             [f"exhaustive box search over the {lat.n}-point lattice"],
             [],
         )
-    _run(ctx, "lines", {"degree": degree, "blowups": blowups}, go)
+    _run(args, "lines", {"degree": args.degree, "blowups": args.blowups}, go)
 
 
-@main.command()
-@click.option("--degree", type=int, default=None)
-@click.option("--blowups", type=int, default=None)
-@click.pass_context
-def conics(ctx, degree, blowups):
+def conics(args):
     """Enumerate the primitive fibration classes."""
     def go():
-        lat = _lattice_from(degree, blowups)
+        lat = _lattice_from(args.degree, args.blowups)
         cls = lat.enumerate_conic_classes()
         return (
             {"count": len(cls), "classes": [list(c.coefficients) for c in cls]},
             [f"exhaustive box search over the {lat.n}-point lattice"],
             [],
         )
-    _run(ctx, "conics", {"degree": degree, "blowups": blowups}, go)
+    _run(args, "conics", {"degree": args.degree, "blowups": args.blowups}, go)
 
 
-@main.command()
-@click.option("--degree", type=int, default=None)
-@click.option("--blowups", type=int, default=None)
-@click.option("--threshold", type=int, default=1, show_default=True)
-@click.pass_context
-def graph(ctx, degree, blowups, threshold):
+def graph(args):
     """Incidence graph of the (-1)-classes at a pairing threshold."""
     def go():
-        lat = _lattice_from(degree, blowups)
-        g = lat.incidence_graph(lat.enumerate_lines(), threshold)
+        lat = _lattice_from(args.degree, args.blowups)
+        g = lat.incidence_graph(lat.enumerate_lines(), args.threshold)
         data = g.to_json_dict()
         data["degree_sequence"] = g.degree_sequence()
         data["single_cycle"] = g.is_single_cycle()
         return data, [], []
-    _run(ctx, "graph", {"degree": degree, "blowups": blowups, "threshold": threshold}, go)
+    _run(args, "graph",
+         {"degree": args.degree, "blowups": args.blowups, "threshold": args.threshold}, go)
 
 
-@main.command()
-@click.argument("target", type=click.Choice(["bl3"]))
-@click.option("--check/--no-check", default=True, show_default=True,
-              help="Run the full validation, including link homology.")
-@click.pass_context
-def syzygy(ctx, target, check):
+def syzygy(args):
     """Build the elementary syzygy sphere of the three-point blowup."""
     def go():
         sphere, rep = surfaces.validated_sphere_bl3()
@@ -195,7 +180,7 @@ def syzygy(ctx, target, check):
             ),
             "homology": [str(sphere.homology(d)) for d in range(3)],
         }
-        if check:
+        if args.check:
             result["valid"] = rep.valid
             result["failures"] = rep.failures + rep.link_failures
         return (
@@ -203,22 +188,20 @@ def syzygy(ctx, target, check):
             ["vertices = rank-3 models: 6 contractions + 3 conic fibrations"],
             [],
         )
-    _run(ctx, "syzygy", {"target": target, "check": check}, go)
+    _run(args, "syzygy", {"target": args.target, "check": args.check}, go)
 
 
-@main.command()
-@click.pass_context
-def cubic(ctx):
+def cubic(args):
     """Counting report for the cubic surface."""
     def go():
         report = lattice.cubic_summary()
         flags = report.pop("flags")
         return report, [], flags
-    _run(ctx, "cubic", {}, go)
+    _run(args, "cubic", {}, go)
 
 
-def _universe_params(points, e_max, r_max):
-    return {"points": points, "e_max": e_max, "r_max": r_max}
+def _universe_params(args):
+    return {"points": args.points, "e_max": args.e_max, "r_max": args.r_max}
 
 
 def _wanted_rows(rows):
@@ -230,17 +213,11 @@ def _wanted_rows(rows):
     return wanted
 
 
-@main.command()
-@click.option("--points", type=int, required=True, help="Size of the base label set.")
-@click.option("--e-max", type=int, default=3, show_default=True)
-@click.option("--r-max", type=int, default=4, show_default=True)
-@click.option("--rows", default="0,1", show_default=True)
-@click.pass_context
-def ruled(ctx, points, e_max, r_max, rows):
+def ruled(args):
     """Row homology for the ruled universe at finite truncation."""
     def go():
-        u = surfaces.GeneratorUniverse.ruled(points, e_max, r_max)
-        wanted = _wanted_rows(rows)
+        u = surfaces.GeneratorUniverse.ruled(args.points, args.e_max, args.r_max)
+        wanted = _wanted_rows(args.rows)
         result = {}
         warnings = []
         if 0 in wanted:
@@ -250,7 +227,7 @@ def ruled(ctx, points, e_max, r_max, rows):
             for i in range(1, u.r_max - 1):
                 result[f"E_{{{i},0}}"] = str(surfaces.row0_homology(u, i))
         if 1 in wanted:
-            row1 = spectral.ruled_row1_complex(u, _registry(ctx))
+            row1 = spectral.ruled_row1_complex(u, _registry(args))
             result["E_{0,1}"] = str(spectral.row1_homology(row1, 0))
             result["E_{1,1}"] = str(spectral.row1_homology(row1, 1))
         return (
@@ -258,23 +235,16 @@ def ruled(ctx, points, e_max, r_max, rows):
             ["coinvariant rows of the central-model complex over the fixed base"],
             warnings,
         )
-    _run(ctx, "ruled", {**_universe_params(points, e_max, r_max), "rows": rows}, go)
+    _run(args, "ruled", {**_universe_params(args), "rows": args.rows}, go)
 
 
-@main.command()
-@click.option("--points", type=int, default=0,
-              help="Accepted for interface symmetry; the classification over the plane carries no marked points.")
-@click.option("--e-max", type=int, default=3, show_default=True)
-@click.option("--r-max", type=int, default=5, show_default=True)
-@click.option("--rows", default="0,1", show_default=True)
-@click.pass_context
-def cremona(ctx, points, e_max, r_max, rows):
+def cremona(args):
     """Row homology and the final candidates for the plane's universe."""
     def go():
-        u = surfaces.GeneratorUniverse.cremona(e_max, r_max)
-        wanted = _wanted_rows(rows)
+        u = surfaces.GeneratorUniverse.cremona(args.e_max, args.r_max)
+        wanted = _wanted_rows(args.rows)
         warnings = []
-        if points:
+        if args.points:
             warnings.append(
                 "the classification over the plane has one class per configuration"
                 " tag; --points is recorded but does not change the complex"
@@ -285,7 +255,7 @@ def cremona(ctx, points, e_max, r_max, rows):
             result["boundary_squares_to_zero"] = True
             for i in range(1, u.r_max - 1):
                 result[f"E_{{{i},0}}"] = str(surfaces.row0_homology(u, i))
-        asm = spectral.cremona_assemble(_registry(ctx), u)
+        asm = spectral.cremona_assemble(_registry(args), u)
         if 1 in wanted:
             result["E_{0,1}"] = str(asm["E_{0,1}"])
             result["E_{1,1}"] = str(asm["E_{1,1}"])
@@ -298,17 +268,15 @@ def cremona(ctx, points, e_max, r_max, rows):
             ["final candidates from the edge value and the undetermined differential"],
             warnings,
         )
-    _run(ctx, "cremona", {**_universe_params(points, e_max, r_max), "rows": rows}, go)
+    _run(args, "cremona", {**_universe_params(args), "rows": args.rows}, go)
 
 
-@main.command()
-@click.option("--target", type=click.Choice(["pgl2", "pgl3", "quadric", "k2prime"]),
-              required=True)
-@click.pass_context
-def schur(ctx, target):
+def schur(args):
     """Second homology derivations for the automorphism groups."""
+    target = args.target
+
     def go():
-        reg = _registry(ctx)
+        reg = _registry(args)
         if target in ("pgl2", "pgl3"):
             d = spectral.schur_pgl(2 if target == "pgl2" else 3, reg)
             return (
@@ -330,16 +298,13 @@ def schur(ctx, target):
             ["extension of Z/2 by K2(C) + Z/2; undetermined, both candidates kept"],
             [],
         )
-    _run(ctx, "schur", {"target": target}, go)
+    _run(args, "schur", {"target": target}, go)
 
 
-@main.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.pass_context
-def homology(ctx, path):
+def homology(args):
     """Homology of a CW-complex or chain-complex JSON file."""
     def go():
-        obj = complexes.load_complex_file(path)
+        obj = complexes.load_complex_file(args.path)
         if isinstance(obj, complexes.RegularCWComplex):
             cc = obj.chain_complex()
         else:
@@ -350,18 +315,14 @@ def homology(ctx, path):
             [],
             [],
         )
-    _run(ctx, "homology", {"path": str(path)}, go)
+    _run(args, "homology", {"path": args.path}, go)
 
 
-@main.command("five-term")
-@click.option("--points", type=int, default=4, show_default=True)
-@click.option("--e-max", type=int, default=3, show_default=True)
-@click.pass_context
-def five_term_cmd(ctx, points, e_max):
+def five_term_cmd(args):
     """The low-degree exact sequence of the ruled universe's grid."""
     def go():
-        u = surfaces.GeneratorUniverse.ruled(points, e_max, r_max=5)
-        seq = spectral.prop_s17_sequence(u, _registry(ctx))
+        u = surfaces.GeneratorUniverse.ruled(args.points, args.e_max, r_max=5)
+        seq = spectral.prop_s17_sequence(u, _registry(args))
         verdicts = [
             {"position": lbl, "verdict": v, "detail": d} for lbl, v, d in seq.check()
         ]
@@ -370,8 +331,113 @@ def five_term_cmd(ctx, points, e_max):
             ["seven-term sequence of the first-quadrant grid at finite truncation"],
             [],
         )
-    _run(ctx, "five-term", {"points": points, "e_max": e_max}, go)
+    _run(args, "five-term", {"points": args.points, "e_max": args.e_max}, go)
+
+
+def _existing_file(path):
+    """The homology PATH: a readable file that exists, as given."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"file {path!r} is not readable")
+    return path
+
+
+_SHOW_DEFAULT = "(default: %(default)s)"
+
+
+def _parser(prog=None):
+    """The command line: global options, then one command with its own.
+    No parser expands an option prefix (--thresh is refused)."""
+    parser = argparse.ArgumentParser(
+        prog=prog, description="Exact computations for central models of rational surfaces.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--format", choices=["json", "table"], default="json",
+                        help="Report format " + _SHOW_DEFAULT + ".")
+    parser.add_argument("--registry", help="Path to an alternative known-homology registry"
+                        " (JSON); default: $SYZ_REGISTRY, else the shipped one.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    def lattice_command(name, run):
+        sub = command(name, run)
+        sub.add_argument("--degree", type=int, help="Anticanonical degree 9-n.")
+        sub.add_argument("--blowups", type=int, help="Number n of blown-up points.")
+        return sub
+
+    lattice_command("lines", lines)
+    lattice_command("conics", conics)
+    lattice_command("graph", graph).add_argument("--threshold", type=int, default=1,
+                                                 help=_SHOW_DEFAULT)
+
+    sub = command("syzygy", syzygy)
+    sub.add_argument("target", choices=["bl3"])
+    sub.add_argument("--check", action=argparse.BooleanOptionalAction, default=True,
+                     help="Run the full validation, including link homology.")
+
+    command("cubic", cubic)
+
+    sub = command("ruled", ruled)
+    sub.add_argument("--points", type=int, required=True, help="Size of the base label set.")
+    sub.add_argument("--e-max", type=int, default=3, help=_SHOW_DEFAULT)
+    sub.add_argument("--r-max", type=int, default=4, help=_SHOW_DEFAULT)
+    sub.add_argument("--rows", default="0,1", help=_SHOW_DEFAULT)
+
+    sub = command("cremona", cremona)
+    sub.add_argument("--points", type=int, default=0,
+                     help="Accepted for interface symmetry; the classification over the"
+                     " plane carries no marked points.")
+    sub.add_argument("--e-max", type=int, default=3, help=_SHOW_DEFAULT)
+    sub.add_argument("--r-max", type=int, default=5, help=_SHOW_DEFAULT)
+    sub.add_argument("--rows", default="0,1", help=_SHOW_DEFAULT)
+
+    command("schur", schur).add_argument(
+        "--target", choices=["pgl2", "pgl3", "quadric", "k2prime"], required=True)
+    command("homology", homology).add_argument("path", metavar="PATH", type=_existing_file)
+
+    sub = command("five-term", five_term_cmd)
+    sub.add_argument("--points", type=int, default=4, help=_SHOW_DEFAULT)
+    sub.add_argument("--e-max", type=int, default=3, help=_SHOW_DEFAULT)
+    return parser
+
+
+def main(argv=None, prog=None):
+    """Run one `syz` command line.  argv defaults to sys.argv[1:] and prog,
+    the name shown by usage messages and --version, to argparse's default.
+    Returns on success; exits 1 when the library refuses the request and 2
+    when the parser refuses the command line."""
+    args = _parser(prog).parse_args(argv)
+    args.t0 = time.monotonic()
+    try:
+        args.run(args)
+    except BrokenPipeError:
+        # the reader closed stdout: leave without a traceback, and point stdout
+        # at /dev/null so that the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
+def _click_shaped_main(args=None, prog_name=None, standalone_mode=False):
+    """`main.main(args=..., prog_name=..., standalone_mode=False)`, the call
+    shape of click's `Command.main`.  It exists only for bench/inproc.py and
+    tests/test_tooling.py, which call main that way.  It runs
+    main(args, prog_name), which returns on success and raises SystemExit on
+    an error, as click's standalone_mode=False did; the flag itself is
+    ignored.  Other callers use main(argv)."""
+    main(args, prog_name)
+
+
+main.main = _click_shaped_main
 
 
 if __name__ == "__main__":
-    main()
+    main(prog="python -m syzygy.cli")

@@ -39,8 +39,8 @@ from functools import cache
 from itertools import combinations
 from pathlib import Path
 
+from . import lattice
 from .complexes import Cell, IntegerChainComplex, RegularCWComplex
-from .lattice import BlowupLattice
 from .smith import FGAbelianGroup, partitions, presented_homology
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -474,7 +474,7 @@ def syzygy_sphere_bl3() -> RegularCWComplex:
 def validated_sphere_bl3() -> tuple:
     """syzygy_sphere_bl3's sphere and the ValidationReport of its one full
     validation; raises RuntimeError when the sphere fails it."""
-    lat = BlowupLattice(3)
+    lat = lattice.BlowupLattice(3)
     lines = lat.enumerate_lines()
     conics = lat.enumerate_conic_classes()
 

@@ -1,8 +1,12 @@
 """Shared complex builders and test oracles for the test suite."""
 
+import contextlib
+import io
 from itertools import combinations
+from typing import NamedTuple
 
 from syzygy import smith
+from syzygy.cli import main
 from syzygy.complexes import Cell, RegularCWComplex
 from syzygy.formal import (
     FormalGroup,
@@ -33,6 +37,26 @@ from syzygy.spectral import (
     nonorientable_block_homology,
 )
 from syzygy.surfaces import BaseCase, GeneratorUniverse, _mk, enumerate_generators
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str
+
+
+def invoke(*args) -> CliResult:
+    """Run `syz` with `args` in this process; return its exit code and what
+    it printed to stdout.  A SystemExit with no code counts as 0 and one with
+    a message as 1, as the interpreter would exit; any other exception
+    propagates."""
+    out = io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code if isinstance(exc.code, int) else 1
+    return CliResult(code, out.getvalue())
 
 
 def build_point():

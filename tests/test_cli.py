@@ -1,31 +1,22 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import syzygy
 from syzygy import smith
-from syzygy.cli import main
 from syzygy.complexes import RegularCWComplex, ValidationReport
 from syzygy.surfaces import GeneratorUniverse, row0_complex, syzygy_sphere_bl3
 
-from helpers import build_cycle, build_octahedron
+from helpers import build_cycle, build_octahedron, invoke
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args):
-    result = runner.invoke(main, list(args), catch_exceptions=False)
-    return result
-
-
-def test_lines_cubic(runner):
-    res = invoke(runner, "lines", "--degree", "3")
+def test_lines_cubic():
+    res = invoke("lines", "--degree", "3")
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data["result"]["count"] == 27
@@ -33,41 +24,49 @@ def test_lines_cubic(runner):
     assert data["provenance"]
 
 
-def test_lines_by_blowups_and_conflicts(runner):
-    res = invoke(runner, "lines", "--blowups", "3")
+def test_lines_by_blowups_and_conflicts():
+    res = invoke("lines", "--blowups", "3")
     assert json.loads(res.output)["result"]["count"] == 6
-    res = invoke(runner, "lines", "--degree", "3", "--blowups", "3")
+    res = invoke("lines", "--degree", "3", "--blowups", "3")
     assert res.exit_code == 1
     assert "error" in json.loads(res.output)
-    res = invoke(runner, "lines")
+    res = invoke("lines")
     assert res.exit_code == 1
 
 
-def test_json_output_is_deterministic(runner):
-    out1 = invoke(runner, "cubic").output
-    out2 = invoke(runner, "cubic").output
+def test_json_output_is_deterministic():
+    out1 = invoke("cubic").output
+    out2 = invoke("cubic").output
     assert out1 == out2
-    out3 = invoke(runner, "cremona", "--e-max", "3").output
-    out4 = invoke(runner, "cremona", "--e-max", "3").output
+    out3 = invoke("cremona", "--e-max", "3").output
+    out4 = invoke("cremona", "--e-max", "3").output
     assert out3 == out4
 
 
-def test_graph_hexagon(runner):
-    res = invoke(runner, "graph", "--blowups", "3")
+def test_graph_hexagon():
+    res = invoke("graph", "--blowups", "3")
     data = json.loads(res.output)["result"]
     assert data["single_cycle"] is True
     assert len(data["vertices"]) == 6
 
 
-def test_syzygy_command(runner):
-    res = invoke(runner, "syzygy", "bl3", "--check")
+def test_syzygy_command():
+    res = invoke("syzygy", "bl3", "--check")
     data = json.loads(res.output)["result"]
     assert data["vertices"] == 9
     assert data["euler_characteristic"] == 2
     assert data["valid"] is True
 
 
-def test_syzygy_check_validates_the_sphere_once(runner, monkeypatch):
+def test_syzygy_no_check_drops_the_validation_fields():
+    res = invoke("syzygy", "bl3", "--no-check")
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    assert data["parameters"] == {"target": "bl3", "check": False}
+    assert not {"valid", "failures"} & data["result"].keys()
+
+
+def test_syzygy_check_validates_the_sphere_once(monkeypatch):
     calls = []
     validate = RegularCWComplex.validate
 
@@ -76,29 +75,29 @@ def test_syzygy_check_validates_the_sphere_once(runner, monkeypatch):
         return validate(self)
 
     monkeypatch.setattr(RegularCWComplex, "validate", spy)
-    data = json.loads(invoke(runner, "syzygy", "bl3", "--check").output)["result"]
+    data = json.loads(invoke("syzygy", "bl3", "--check").output)["result"]
     assert data["valid"] is True and data["failures"] == []
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("flag", ["--check", "--no-check"])
-def test_syzygy_failing_sphere_raises(runner, monkeypatch, flag):
+def test_syzygy_failing_sphere_raises(monkeypatch, flag):
     monkeypatch.setattr(
         RegularCWComplex, "validate",
         lambda self: ValidationReport(structure_ok=False, failures=["broken"]),
     )
     with pytest.raises(RuntimeError, match="broken"):
-        invoke(runner, "syzygy", "bl3", flag)
+        invoke("syzygy", "bl3", flag)
 
 
-def test_cubic_warnings_recorded(runner):
-    data = json.loads(invoke(runner, "cubic").output)
+def test_cubic_warnings_recorded():
+    data = json.loads(invoke("cubic").output)
     assert data["result"]["recorded_vertex_count"] == 243
     assert data["warnings"]  # the 216/243 discrepancy is flagged, not silent
 
 
-def test_ruled_command(runner):
-    res = invoke(runner, "ruled", "--points", "3", "--e-max", "3")
+def test_ruled_command():
+    res = invoke("ruled", "--points", "3", "--e-max", "3")
     data = json.loads(res.output)["result"]
     assert data["E_{1,0}"] == "Z/2 (+) Z/2"
     assert data["E_{0,1}"] == "0"
@@ -106,8 +105,8 @@ def test_ruled_command(runner):
     assert data["boundary_squares_to_zero"] is True
 
 
-def test_cremona_command(runner):
-    res = invoke(runner, "cremona", "--points", "4", "--e-max", "4")
+def test_cremona_command():
+    res = invoke("cremona", "--points", "4", "--e-max", "4")
     data = json.loads(res.output)
     result = data["result"]
     assert result["E_{1,0}"] == "0"
@@ -120,12 +119,12 @@ def test_cremona_command(runner):
 
 
 @pytest.mark.parametrize("r_max", [3, 4])
-def test_cremona_command_below_rank_five(runner, r_max):
+def test_cremona_command_below_rank_five(r_max):
     # the row-1 bounds do not depend on r_max, and row 0 is read only where
     # the truncation reaches
-    full = json.loads(invoke(runner, "cremona", "--r-max", "5").output)["result"]
+    full = json.loads(invoke("cremona", "--r-max", "5").output)["result"]
     for rows in ("0", "0,1"):
-        res = invoke(runner, "cremona", "--r-max", str(r_max), "--rows", rows)
+        res = invoke("cremona", "--r-max", str(r_max), "--rows", rows)
         assert res.exit_code == 0
         result = json.loads(res.output)["result"]
         assert result["H2_candidates"] == full["H2_candidates"]
@@ -134,55 +133,55 @@ def test_cremona_command_below_rank_five(runner, r_max):
         ]
 
 
-def test_schur_commands(runner):
+def test_schur_commands():
     for target, expected in (
         ("pgl2", "K2(C) (+) Z/2"),
         ("pgl3", "K2(C) (+) Z/3"),
         ("quadric", "K2(C) (+) Z/2"),
     ):
-        data = json.loads(invoke(runner, "schur", "--target", target).output)
+        data = json.loads(invoke("schur", "--target", target).output)
         assert data["result"]["H2"] == expected
-    data = json.loads(invoke(runner, "schur", "--target", "k2prime").output)
+    data = json.loads(invoke("schur", "--target", "k2prime").output)
     assert sorted(data["result"]["candidates"]) == [
         "K2(C) (+) Z/2 (+) Z/2",
         "K2(C) (+) Z/4",
     ]
 
 
-def test_homology_file_cw(runner, tmp_path):
+def test_homology_file_cw(tmp_path):
     path = tmp_path / "octa.json"
     path.write_text(json.dumps(build_octahedron().to_json_dict()), encoding="utf-8")
-    data = json.loads(invoke(runner, "homology", str(path)).output)
+    data = json.loads(invoke("homology", str(path)).output)
     assert data["result"]["homology"] == ["Z", "0", "Z"]
 
 
-def test_homology_file_of_the_sphere(runner, tmp_path):
+def test_homology_file_of_the_sphere(tmp_path):
     """The sphere's file has tuple cell ids, which JSON stores as lists."""
     path = tmp_path / "sphere.json"
     path.write_text(json.dumps(syzygy_sphere_bl3().to_json_dict()), encoding="utf-8")
-    res = invoke(runner, "homology", str(path))
+    res = invoke("homology", str(path))
     assert res.exit_code == 0
     assert json.loads(res.output)["result"]["homology"] == ["Z", "0", "Z"]
 
 
-def test_homology_file_chain(runner, tmp_path):
+def test_homology_file_chain(tmp_path):
     path = tmp_path / "circle.json"
     path.write_text(
         json.dumps(build_cycle(6).chain_complex().to_json_dict()), encoding="utf-8"
     )
-    data = json.loads(invoke(runner, "homology", str(path)).output)
+    data = json.loads(invoke("homology", str(path)).output)
     assert data["result"]["homology"] == ["Z", "Z"]
 
 
-def test_homology_file_corrupt(runner, tmp_path):
+def test_homology_file_corrupt(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"ranks": [2, 1], "boundaries": [[[1, 0]], [[9]]]}', encoding="utf-8")
-    res = invoke(runner, "homology", str(path))
+    res = invoke("homology", str(path))
     assert res.exit_code == 1
     assert "error" in json.loads(res.output)
     path2 = tmp_path / "bad2.json"
     path2.write_text('{"something": 1}', encoding="utf-8")
-    res2 = invoke(runner, "homology", str(path2))
+    res2 = invoke("homology", str(path2))
     assert res2.exit_code == 1
 
 
@@ -199,12 +198,12 @@ def test_homology_file_corrupt(runner, tmp_path):
     ],
     ids=["float", "bool", "string", "degree", "generator", "modulus-0", "modulus-float"],
 )
-def test_homology_file_rejects_bad_values(runner, tmp_path, text):
+def test_homology_file_rejects_bad_values(tmp_path, text):
     """Each file used to be read with a guess (2.7 as 2, an annotation out of
     range dropped, modulus 0 as no relation) and gave a wrong answer."""
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")
-    res = invoke(runner, "homology", str(path))
+    res = invoke("homology", str(path))
     assert res.exit_code == 1
     assert "error" in json.loads(res.output)
 
@@ -224,17 +223,17 @@ def test_homology_file_rejects_bad_values(runner, tmp_path, text):
     ids=["row", "cyclic-degree", "ranks", "boundaries", "matrix", "negative-rank",
          "cyclic", "top-level"],
 )
-def test_homology_file_rejects_wrong_structure(runner, tmp_path, text):
+def test_homology_file_rejects_wrong_structure(tmp_path, text):
     """A file of the wrong shape exits 1 with the error JSON, not a
     traceback."""
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")
-    res = invoke(runner, "homology", str(path))
+    res = invoke("homology", str(path))
     assert res.exit_code == 1
     assert "error" in json.loads(res.output)
 
 
-def test_ruled_job_eliminates_each_distinct_matrix_once(runner, monkeypatch):
+def test_ruled_job_eliminates_each_distinct_matrix_once(monkeypatch):
     """A ruled job reads the boundaries at several degrees, as cycle
     matrices and as lifted images, and in the d o d check; each distinct
     matrix is still eliminated once."""
@@ -247,7 +246,7 @@ def test_ruled_job_eliminates_each_distinct_matrix_once(runner, monkeypatch):
         return eliminate(key)
 
     monkeypatch.setattr(smith, "_eliminate", spy)
-    res = invoke(runner, "ruled", "--points", "5", "--e-max", "4", "--r-max", "5")
+    res = invoke("ruled", "--points", "5", "--e-max", "4", "--r-max", "5")
     assert res.exit_code == 0
     reads = smith._memo_factors.cache_info()
     assert len(keys) == len(set(keys)) == reads.misses
@@ -257,8 +256,8 @@ def test_ruled_job_eliminates_each_distinct_matrix_once(runner, monkeypatch):
         assert tuple(tuple(sorted(col.items())) for col in cc.boundaries[d]) in keys
 
 
-def test_five_term_command(runner):
-    data = json.loads(invoke(runner, "five-term", "--points", "4").output)
+def test_five_term_command():
+    data = json.loads(invoke("five-term", "--points", "4").output)
     verdicts = {v["position"]: v["verdict"] for v in data["result"]["verdicts"]}
     assert "fail" not in verdicts.values()
     assert verdicts["E_{0,1}"] == "exact"
@@ -277,10 +276,10 @@ def test_five_term_command(runner):
     ids=["ruled-points", "five-term-points", "ruled-rows", "ruled-extra-row",
          "cremona-rows", "cremona-extra-row"],
 )
-def test_impossible_parameters_are_refused(runner, args):
+def test_impossible_parameters_are_refused(args):
     """Each request used to print a result for fewer labels or rows than
     asked for and exit 0."""
-    res = invoke(runner, *args)
+    res = invoke(*args)
     assert res.exit_code == 1
     assert "error" in json.loads(res.output)
 
@@ -293,28 +292,106 @@ def test_impossible_parameters_are_refused(runner, args):
     ],
     ids=["ruled", "cremona"],
 )
-def test_row1_below_rank_three_is_refused_by_name(runner, args):
+def test_row1_below_rank_three_is_refused_by_name(args):
     """Row 1 needs the rank-3 generators; the refusal says so instead of
     naming an internal rank."""
-    res = invoke(runner, *args)
+    res = invoke(*args)
     assert res.exit_code == 1
     assert json.loads(res.output)["error"] == "the row-1 complex needs r_max >= 3, got 2"
 
 
-def test_row0_alone_runs_below_rank_three(runner):
-    res = invoke(runner, "ruled", "--points", "3", "--r-max", "2", "--rows", "0")
+def test_row0_alone_runs_below_rank_three():
+    res = invoke("ruled", "--points", "3", "--r-max", "2", "--rows", "0")
     assert res.exit_code == 0
     assert json.loads(res.output)["result"]["boundary_squares_to_zero"] is True
 
 
-def test_empty_rows_are_allowed(runner):
-    res = invoke(runner, "ruled", "--points", "2", "--rows", "")
+def test_empty_rows_are_allowed():
+    res = invoke("ruled", "--points", "2", "--rows", "")
     assert res.exit_code == 0
     assert json.loads(res.output)["result"] == {}
 
 
-def test_table_format(runner):
-    res = invoke(runner, "--format", "table", "lines", "--degree", "3")
+def test_negative_points_reach_the_library():
+    """`-2` is read as the value of --points, not as an option, so the
+    library's own check refuses it."""
+    res = invoke("ruled", "--points", "-2")
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == "points must be >= 0, got -2"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("ruled",),
+        ("schur", "--target", "foo"),
+        ("graph", "--degree", "3", "--thresh", "1"),
+        ("homology", "missing.json"),
+        ("homology", "."),
+        (),
+    ],
+    ids=["missing-points", "bad-choice", "option-prefix", "missing-path", "directory-path",
+         "no-command"],
+)
+def test_usage_errors_exit_2_with_nothing_on_stdout(tmp_path, monkeypatch, args):
+    """A command line the parser refuses exits 2 before any command runs.
+    An option prefix such as --thresh is refused, not expanded."""
+    monkeypatch.chdir(tmp_path)
+    res = invoke(*args)
+    assert res.exit_code == 2
+    assert res.output == ""
+
+
+SRC = Path(syzygy.__file__).resolve().parent.parent
+
+
+def _child_env(**extra):
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "SYZ_REGISTRY")}
+    return {**env, "PYTHONPATH": str(SRC), **extra}
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["-c", "import sys; sys.argv[0] = 'syz'; from syzygy.cli import main; sys.exit(main())"],
+         "syz"),
+        (["-m", "syzygy.cli"], "python -m syzygy.cli"),
+    ],
+    ids=["script", "module"],
+)
+def test_version_names_the_program(argv, name):
+    """The console script (argv[0] `syz`, then `sys.exit(main())`) and the
+    module run print their own name."""
+    out = subprocess.run([sys.executable, *argv, "--version"], capture_output=True, text=True,
+                         env=_child_env(), check=False)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"{name}, version {syzygy.__version__}\n"
+
+
+@pytest.mark.parametrize("unbuffered, code", [(True, 0), (False, 1)],
+                         ids=["unbuffered", "buffered"])
+def test_reader_closing_stdout_early_ends_without_a_traceback(unbuffered, code):
+    """`conics --blowups 8` prints ~265 kB, more than a pipe holds, in one
+    write.  When the reader takes 10 bytes and closes, the job writes nothing
+    to stderr.  Unbuffered, the interrupted write returns short and nothing
+    follows it, so the job exits 0; buffered, the rest of the write fails
+    with EPIPE and the job exits 1."""
+    env = _child_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    proc = subprocess.Popen([sys.executable, "-m", "syzygy.cli", "conics", "--blowups", "8"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+    finally:
+        proc.stderr.close()
+        returncode = proc.wait(timeout=60)
+    assert err == b""
+    assert returncode == code
+
+
+def test_table_format():
+    res = invoke("--format", "table", "lines", "--degree", "3")
     assert res.exit_code == 0
     assert "count = 27" in res.output
 
@@ -332,19 +409,41 @@ SHIPPED_REGISTRY = Path(syzygy.__file__).parent / "data" / "registry.json"
     ],
     ids=["missing", "not-json", "no-provenance", "top-level-list"],
 )
-def test_bad_registry_is_reported_as_the_error_json(runner, tmp_path, text):
+def test_bad_registry_is_reported_as_the_error_json(tmp_path, monkeypatch, text):
     """Each file used to end every command in a traceback, because the
     registry was loaded outside the command's error handler."""
     path = tmp_path / "registry.json"
     if text is not None:
         path.write_text(text, encoding="utf-8")
-    for res in (
-        invoke(runner, "--registry", str(path), "schur", "--target", "pgl2"),
-        runner.invoke(main, ["schur", "--target", "pgl2"], env={"SYZ_REGISTRY": str(path)},
-                      catch_exceptions=False),
-    ):
+    by_option = invoke("--registry", str(path), "schur", "--target", "pgl2")
+    monkeypatch.setenv("SYZ_REGISTRY", str(path))
+    for res in (by_option, invoke("schur", "--target", "pgl2")):
         assert res.exit_code == 1
         assert "error" in json.loads(res.output)
+
+
+def test_registry_option_wins_over_the_variable(tmp_path, monkeypatch):
+    """SYZ_REGISTRY is read only when --registry is absent, and an empty
+    SYZ_REGISTRY names no file."""
+    path = tmp_path / "copy.json"
+    shutil.copyfile(SHIPPED_REGISTRY, path)
+    default = invoke("schur", "--target", "pgl2")
+    monkeypatch.setenv("SYZ_REGISTRY", str(tmp_path / "missing.json"))
+    assert invoke("--registry", str(path), "schur", "--target", "pgl2") == default
+    monkeypatch.setenv("SYZ_REGISTRY", "")
+    assert invoke("schur", "--target", "pgl2") == default
+    assert default.exit_code == 0
+
+
+def test_registry_without_the_entry_names_it_in_the_error(tmp_path):
+    """The lookup raises KeyError; its message is printed, not its repr."""
+    path = tmp_path / "registry.json"
+    path.write_text('{"entries": []}', encoding="utf-8")
+    res = invoke("--registry", str(path), "schur", "--target", "pgl2")
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == (
+        "registry has no entry for group 'PGL(2,C)' in degree 1"
+    )
 
 
 @pytest.mark.parametrize(
@@ -365,33 +464,33 @@ def test_bad_registry_is_reported_as_the_error_json(runner, tmp_path, text):
         '"degree": 2, "value": {}',
     ],
 )
-def test_malformed_registry_entry_is_reported_as_the_error_json(runner, tmp_path, entry):
+def test_malformed_registry_entry_is_reported_as_the_error_json(tmp_path, entry):
     """The load refuses a value of the wrong shape, a group that is not a
     string and a degree that is not an integer, naming the entry.  These used
     to end in a TypeError traceback, a bare KeyError or a truncated degree."""
     path = tmp_path / "registry.json"
     path.write_text('{"entries": [{%s, "provenance": "p"}]}' % entry, encoding="utf-8")
-    res = invoke(runner, "--registry", str(path), "schur", "--target", "pgl2")
+    res = invoke("--registry", str(path), "schur", "--target", "pgl2")
     assert res.exit_code == 1
     assert json.loads(res.output)["error"].startswith("registry entry ")
 
 
-def test_commands_without_the_registry_ignore_a_bad_one(runner, tmp_path):
-    res = runner.invoke(main, ["lines", "--degree", "3"],
-                        env={"SYZ_REGISTRY": str(tmp_path / "missing.json")},
-                        catch_exceptions=False)
+def test_commands_without_the_registry_ignore_a_bad_one(tmp_path, monkeypatch):
+    monkeypatch.setenv("SYZ_REGISTRY", str(tmp_path / "missing.json"))
+    res = invoke("lines", "--degree", "3")
     assert res.exit_code == 0
     assert json.loads(res.output)["result"]["count"] == 27
 
 
-def test_registry_copy_prints_the_default_bytes(runner, tmp_path):
+def test_registry_copy_prints_the_default_bytes(tmp_path, monkeypatch):
     path = tmp_path / "copy.json"
     shutil.copyfile(SHIPPED_REGISTRY, path)
     for target in ("pgl2", "quadric", "k2prime"):
-        default = invoke(runner, "schur", "--target", target)
-        by_option = invoke(runner, "--registry", str(path), "schur", "--target", target)
-        by_variable = runner.invoke(main, ["schur", "--target", target],
-                                    env={"SYZ_REGISTRY": str(path)}, catch_exceptions=False)
+        default = invoke("schur", "--target", target)
+        by_option = invoke("--registry", str(path), "schur", "--target", target)
+        with monkeypatch.context() as env:
+            env.setenv("SYZ_REGISTRY", str(path))
+            by_variable = invoke("schur", "--target", target)
         assert default.exit_code == 0
         assert by_option.output == by_variable.output == default.output
 
@@ -411,13 +510,13 @@ def test_registry_copy_prints_the_default_bytes(runner, tmp_path):
     ids=["cells", "dim-string", "dim-missing", "face-no-sign", "face-unknown", "self-face",
          "face-too-low"],
 )
-def test_homology_cw_file_rejects_malformed_cells(runner, tmp_path, text):
+def test_homology_cw_file_rejects_malformed_cells(tmp_path, text):
     """Each file used to end in a traceback, an error that named only a
     key, or homology of a complex the file does not describe; the error now
     names the cell."""
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")
-    res = invoke(runner, "homology", str(path))
+    res = invoke("homology", str(path))
     assert res.exit_code == 1
     error = json.loads(res.output)["error"]
     assert "cell" in error

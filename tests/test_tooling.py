@@ -3,6 +3,7 @@ name it lists must resolve, or a traced run fails with a KeyError.  Every
 benchmark job must still print the output whose digest the benchmark keeps,
 traced or not.  The package loads its submodules on first use: each command
 executes only the modules it calls, and every exported name still resolves.
+Importing the CLI loads nothing outside the standard library and the package.
 The project runs no linter, so two import rules of the library are checked here
 on its syntax trees."""
 
@@ -121,6 +122,42 @@ def _executed_modules(*args):
                          ids=" ".join)
 def test_lattice_commands_execute_only_the_lattice(args):
     assert _executed_modules(*args) == {"cli", "lattice"}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["ruled", "--points", "3"], ["cremona"], ["five-term"]],
+    ids=" ".join,
+)
+def test_row_commands_skip_the_lattice(args):
+    executed = _executed_modules(*args)
+    assert "surfaces" in executed and "lattice" not in executed
+
+
+def test_sphere_executes_the_lattice():
+    assert "lattice" in _executed_modules("syzygy", "bl3")
+
+
+# Prints the modules that `import syzygy.cli` adds to those the interpreter's
+# start-up (site and any .pth file) already loaded.
+IMPORTED = """
+import sys
+before = set(sys.modules)
+import syzygy.cli
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_imports_only_the_standard_library_and_the_package():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", IMPORTED], capture_output=True, text=True,
+                         env=env, check=False)
+    assert out.returncode == 0, out.stderr
+    imported = out.stdout.split()
+    assert "syzygy.cli" in imported
+    outside = [name for name in imported
+               if name.split(".")[0] not in sys.stdlib_module_names | {"syzygy"}]
+    assert not outside
 
 
 def test_schur_skips_the_row_complexes():
