@@ -18,6 +18,7 @@ and an empty or unset value means the shipped registry.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -42,12 +43,21 @@ def _lattice_from(degree, blowups):
 
 
 def _echo(line):
-    """Write one line in one write, and flush it.  A reader that closes
-    stdout early then interrupts a single write: unbuffered, it returns
-    short and nothing follows; buffered, it raises BrokenPipeError, which
-    main turns into exit 1."""
-    sys.stdout.write(f"{line}\n")
-    sys.stdout.flush()
+    """Write one line and flush it.  When stdout's binary layer is
+    unbuffered (PYTHONUNBUFFERED, -u), the text layer would drop the rest of
+    a short write, so the encoded line goes to the raw stream until every
+    byte is out.  A reader that closes stdout early then makes a write fail
+    with BrokenPipeError, buffered or not, which main turns into exit 1."""
+    out = sys.stdout
+    text = f"{line}\n"
+    raw = getattr(out, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        out.write(text)
+        out.flush()
+        return
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[raw.write(data):]
 
 
 def _emit(args, command, parameters, result, provenance=(), warnings=()):

@@ -25,18 +25,43 @@ sphere of the expected dimension, not that it is homeomorphic to one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .smith import FGAbelianGroup, lift_to_cycles, presented_homology
 
 CellId = object  # hashable
 
 
-@dataclass(frozen=True)
 class Cell:
-    id: object
-    dim: int
-    label: str = ""
+    """One cell: a hashable id, its dimension and a display label.  Cells
+    are immutable values, equal when their fields are."""
+
+    __slots__ = ("id", "dim", "label")
+
+    def __init__(self, id, dim: int, label: str = ""):
+        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
+        setattr_(self, "id", id)
+        setattr_(self, "dim", dim)
+        setattr_(self, "label", label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.id == other.id and self.dim == other.dim and self.label == other.label
+
+    def __hash__(self):
+        return hash((self.id, self.dim, self.label))
+
+    def __reduce__(self):
+        return (Cell, (self.id, self.dim, self.label))
+
+    def __repr__(self):
+        return f"Cell(id={self.id!r}, dim={self.dim!r}, label={self.label!r})"
 
 
 class RegularCWComplex:
@@ -154,18 +179,6 @@ class RegularCWComplex:
             boundary[chain] = faces
         return RegularCWComplex(cells, boundary)
 
-    def link(self, cid) -> "RegularCWComplex":
-        """Subcomplex of the subdivision spanned by chains strictly above the cell."""
-        if cid not in self.cells:
-            raise KeyError(f"unknown cell {cid!r}")
-        return _chain_subcomplex(self.barycentric_subdivision(), cid, include_cell=False)
-
-    def dual_block(self, cid) -> "RegularCWComplex":
-        """Closed dual block: chains whose members all contain the cell."""
-        if cid not in self.cells:
-            raise KeyError(f"unknown cell {cid!r}")
-        return _chain_subcomplex(self.barycentric_subdivision(), cid, include_cell=True)
-
     # -- homology ------------------------------------------------------------
 
     def chain_complex(self) -> "IntegerChainComplex":
@@ -256,11 +269,13 @@ def _as_id(value):
     return tuple(_as_id(x) for x in value) if isinstance(value, list) else value
 
 
-@dataclass
 class ValidationReport:
-    structure_ok: bool
-    failures: list = field(default_factory=list)
-    link_failures: list = field(default_factory=list)
+    __slots__ = ("structure_ok", "failures", "link_failures")
+
+    def __init__(self, structure_ok: bool, failures=None, link_failures=None):
+        self.structure_ok = structure_ok
+        self.failures = [] if failures is None else failures
+        self.link_failures = [] if link_failures is None else link_failures
 
     @property
     def valid(self) -> bool:

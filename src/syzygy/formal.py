@@ -24,7 +24,6 @@ make any computation that needs it fail loudly instead of guessing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import gcd, prod
@@ -50,18 +49,45 @@ class InsufficientAtomData(FormalGroupError):
     """Raised when a computation would need structure an atom does not declare."""
 
 
-@dataclass(frozen=True)
 class Atom:
-    name: str
-    divisible: bool
-    torsion_rule: str  # "cyclic" | "none" | "unknown"
-    uniquely_divisible: bool
+    """A named infinite group with its declared structure; an immutable
+    value.  ``torsion_rule`` is "cyclic", "none" or "unknown"."""
 
-    def __post_init__(self):
-        if self.torsion_rule not in ("cyclic", "none", "unknown"):
-            raise ValueError(f"bad torsion rule {self.torsion_rule!r}")
-        if self.uniquely_divisible and not (self.divisible and self.torsion_rule == "none"):
-            raise ValueError(f"atom {self.name}: uniquely divisible needs divisible and torsion-free")
+    __slots__ = ("name", "divisible", "torsion_rule", "uniquely_divisible")
+
+    def __init__(self, name: str, divisible: bool, torsion_rule: str, uniquely_divisible: bool):
+        if torsion_rule not in ("cyclic", "none", "unknown"):
+            raise ValueError(f"bad torsion rule {torsion_rule!r}")
+        if uniquely_divisible and not (divisible and torsion_rule == "none"):
+            raise ValueError(f"atom {name}: uniquely divisible needs divisible and torsion-free")
+        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
+        setattr_(self, "name", name)
+        setattr_(self, "divisible", divisible)
+        setattr_(self, "torsion_rule", torsion_rule)
+        setattr_(self, "uniquely_divisible", uniquely_divisible)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name == other.name and self.divisible == other.divisible
+                and self.torsion_rule == other.torsion_rule
+                and self.uniquely_divisible == other.uniquely_divisible)
+
+    def __hash__(self):
+        return hash((self.name, self.divisible, self.torsion_rule, self.uniquely_divisible))
+
+    def __reduce__(self):
+        return (Atom, (self.name, self.divisible, self.torsion_rule, self.uniquely_divisible))
+
+    def __repr__(self):
+        return (f"Atom(name={self.name!r}, divisible={self.divisible!r}, torsion_rule="
+                f"{self.torsion_rule!r}, uniquely_divisible={self.uniquely_divisible!r})")
 
     def torsion(self, k: int) -> FGAbelianGroup:
         """The k-torsion subgroup D[k], as an abstract group."""
@@ -104,28 +130,49 @@ def registered_cross_maps() -> set:
     return _load_atoms()[1]
 
 
-@dataclass(frozen=True)
 class FormalGroup:
     """Normal form: sorted atom multiset, cyclic part as an invariant-factor
     chain, free rank; optionally display-level infinite summands, each a pair
-    (index-set label, finite group), which no computation may touch."""
+    (index-set label, finite group), which no computation may touch.  An
+    immutable value, equal to another exactly when the normal forms agree."""
 
-    atoms: tuple = ()
-    cyclic: tuple = ()
-    free_rank: int = 0
-    infinite: tuple = ()
+    __slots__ = ("atoms", "cyclic", "free_rank", "infinite")
 
-    def __post_init__(self):
+    def __init__(self, atoms: tuple = (), cyclic: tuple = (), free_rank: int = 0,
+                 infinite: tuple = ()):
         reg = atom_registry()
-        for a in self.atoms:
+        for a in atoms:
             if a not in reg:
                 raise FormalGroupError(f"unknown atom {a!r}")
-        object.__setattr__(self, "atoms", tuple(sorted(self.atoms)))
-        object.__setattr__(
-            self, "cyclic", FGAbelianGroup.from_orders(0, list(self.cyclic)).torsion
-        )
-        if self.free_rank < 0:
+        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
+        setattr_(self, "atoms", tuple(sorted(atoms)))
+        setattr_(self, "cyclic", FGAbelianGroup.from_orders(0, list(cyclic)).torsion)
+        setattr_(self, "free_rank", free_rank)
+        setattr_(self, "infinite", infinite)
+        if free_rank < 0:
             raise FormalGroupError("negative free rank")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.atoms == other.atoms and self.cyclic == other.cyclic
+                and self.free_rank == other.free_rank and self.infinite == other.infinite)
+
+    def __hash__(self):
+        return hash((self.atoms, self.cyclic, self.free_rank, self.infinite))
+
+    def __reduce__(self):
+        return (FormalGroup, (self.atoms, self.cyclic, self.free_rank, self.infinite))
+
+    def __repr__(self):
+        return (f"FormalGroup(atoms={self.atoms!r}, cyclic={self.cyclic!r}, "
+                f"free_rank={self.free_rank!r}, infinite={self.infinite!r})")
 
     # -- constructors -------------------------------------------------------
 
@@ -148,10 +195,6 @@ class FormalGroup:
     @classmethod
     def from_fg(cls, g: FGAbelianGroup):
         return cls(cyclic=g.torsion, free_rank=g.free_rank)
-
-    @classmethod
-    def infinite_sum(cls, index_label: str, inner: "FormalGroup"):
-        return cls(infinite=((index_label, inner),))
 
     def __add__(self, other: "FormalGroup") -> "FormalGroup":
         return FormalGroup(
@@ -361,12 +404,17 @@ def homology_at(f: FormalHom, g: FormalHom) -> FormalGroup:
     return out
 
 
-@dataclass
 class ExactnessVerdict:
-    position: int  # 1-based index of the term in the chain A_1 -> A_2 -> ...
-    group: FormalGroup | None
-    verdict: str  # "exact" | "fail" | "unknown"
-    detail: str = ""
+    """The verdict at one term of a chain A_1 -> A_2 -> ...: ``position`` is
+    its 1-based index, ``verdict`` "exact", "fail" or "unknown"."""
+
+    __slots__ = ("position", "group", "verdict", "detail")
+
+    def __init__(self, position: int, group: FormalGroup | None, verdict: str, detail: str = ""):
+        self.position = position
+        self.group = group
+        self.verdict = verdict
+        self.detail = detail
 
 
 def _zero_modulo_target(h: FormalHom) -> bool:

@@ -10,16 +10,58 @@ holds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import factorial, gcd
 
 
-@dataclass(frozen=True, order=True)
 class DivisorClass:
-    """Integer vector a0*H + a1*E1 + ... + an*En."""
+    """Integer vector a0*H + a1*E1 + ... + an*En; an immutable value,
+    ordered by its coefficient tuple."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]):
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients < other.coefficients
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients <= other.coefficients
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients > other.coefficients
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients >= other.coefficients
+
+    def __hash__(self):
+        return hash((self.coefficients,))
+
+    def __reduce__(self):
+        return (DivisorClass, (self.coefficients,))
+
+    def __repr__(self):
+        return f"DivisorClass(coefficients={self.coefficients!r})"
 
     def __add__(self, other):
         return DivisorClass(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
@@ -244,12 +286,36 @@ class BlowupLattice:
         }
 
 
-@dataclass(frozen=True)
 class IncidenceGraph:
-    """Simple graph on canonically ordered divisor classes."""
+    """Simple graph on canonically ordered divisor classes; an immutable
+    value."""
 
-    vertices: tuple[DivisorClass, ...]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("vertices", "edges")
+
+    def __init__(self, vertices: tuple[DivisorClass, ...], edges: tuple[tuple[int, int], ...]):
+        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
+        setattr_(self, "vertices", vertices)
+        setattr_(self, "edges", edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __reduce__(self):
+        return (IncidenceGraph, (self.vertices, self.edges))
+
+    def __repr__(self):
+        return f"IncidenceGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     def degree_sequence(self) -> list[int]:
         deg = [0] * len(self.vertices)

@@ -50,7 +50,6 @@ as the test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import zip_longest
@@ -97,17 +96,38 @@ def copy_matrix(a: Matrix) -> Matrix:
     return [row[:] for row in a]
 
 
-@dataclass(frozen=True)
 class SNFResult:
     """Smith normal form U*A*V = D with unimodular U, V.
 
     The diagonal of D is non-negative and satisfies d1 | d2 | ... ; off
-    diagonal entries are zero.
+    diagonal entries are zero.  The fields cannot be reassigned; results
+    compare by their matrices, and are not hashable, since those are lists.
     """
 
-    U: Matrix
-    D: Matrix
-    V: Matrix
+    __slots__ = ("U", "D", "V")
+
+    def __init__(self, U: Matrix, D: Matrix, V: Matrix):
+        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
+        setattr_(self, "U", U)
+        setattr_(self, "D", D)
+        setattr_(self, "V", V)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.U == other.U and self.D == other.D and self.V == other.V
+
+    def __reduce__(self):
+        return (SNFResult, (self.U, self.D, self.V))
+
+    def __repr__(self):
+        return f"SNFResult(U={self.U!r}, D={self.D!r}, V={self.V!r})"
 
     def diagonal(self) -> list[int]:
         return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0]) if self.D else 0))]
@@ -471,25 +491,47 @@ def _merge_invariant_factors(orders: list[int]) -> list[int]:
     return factors
 
 
-@dataclass(frozen=True)
 class FGAbelianGroup:
     """A finitely generated abelian group in invariant-factor normal form.
 
     ``torsion`` is the chain d1 | d2 | ... with every di >= 2; the
-    representation is unique, so equality is structural.
+    representation is unique, so equality is structural.  An immutable
+    value.
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
-        if any(d < 2 for d in self.torsion):
+                raise ValueError(f"torsion {torsion} is not a divisibility chain")
+        if any(d < 2 for d in torsion):
             raise ValueError("torsion orders must be >= 2")
+        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
+        setattr_(self, "free_rank", free_rank)
+        setattr_(self, "torsion", torsion)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.free_rank == other.free_rank and self.torsion == other.torsion
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
+
+    def __reduce__(self):
+        return (FGAbelianGroup, (self.free_rank, self.torsion))
+
+    def __repr__(self):
+        return f"FGAbelianGroup(free_rank={self.free_rank!r}, torsion={self.torsion!r})"
 
     @classmethod
     def from_orders(cls, free_rank: int, orders: list[int]) -> "FGAbelianGroup":

@@ -15,7 +15,6 @@ turning refuses and names the offending spot.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
@@ -113,12 +112,6 @@ class KnownHomologyRegistry:
             raise ValueError("derived entries need a provenance note")
         self._entries[(group, degree)] = (value, "derived: " + provenance)
 
-    def audit(self) -> bool:
-        return all(prov for _, prov in self._entries.values())
-
-    def items(self):
-        return sorted(self._entries.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-
 
 @cache
 def default_registry() -> KnownHomologyRegistry:
@@ -170,17 +163,28 @@ def coinvariants_of_swap(m: FormalGroup) -> FormalGroup:
 # -- spectral grids -------------------------------------------------------------
 
 
-@dataclass
 class SpectralGrid:
-    page: int
-    box: tuple  # (p_max, q_max) inclusive
-    entries: dict = field(default_factory=dict)  # (p, q) -> FormalGroup | None
-    differentials: dict = field(default_factory=dict)  # (p, q) -> FormalHom
-    abutment: dict = field(default_factory=dict)  # n -> FormalGroup
-    notes: list = field(default_factory=list)
-    zero_from_row0: bool = False  # split extension: differentials leaving q = 0 vanish
+    """One page of a first-quadrant spectral sequence in a box.
 
-    def __post_init__(self):
+    ``box`` is (p_max, q_max), inclusive; ``entries`` maps (p, q) to a
+    FormalGroup or None (unknown), ``differentials`` maps (p, q) to the
+    FormalHom leaving it, and ``abutment`` maps n to the degree-n target.
+    ``zero_from_row0`` marks a split extension, whose differentials leaving
+    q = 0 vanish.  The differentials are checked on construction.
+    """
+
+    __slots__ = ("page", "box", "entries", "differentials", "abutment", "notes",
+                 "zero_from_row0")
+
+    def __init__(self, page: int, box: tuple, entries=None, differentials=None,
+                 abutment=None, notes=None, zero_from_row0: bool = False):
+        self.page = page
+        self.box = box
+        self.entries = {} if entries is None else entries
+        self.differentials = {} if differentials is None else differentials
+        self.abutment = {} if abutment is None else abutment
+        self.notes = [] if notes is None else notes
+        self.zero_from_row0 = zero_from_row0
         for (p, q), hom in self.differentials.items():
             tp, tq = p - self.page, q + self.page - 1
             src, tgt = self.entry(p, q), self.entry(tp, tq)
@@ -340,10 +344,14 @@ class SpectralGrid:
 # -- low-degree exact sequences ---------------------------------------------------
 
 
-@dataclass
 class SequenceTerm:
-    label: str
-    group: FormalGroup | None
+    """A labelled term of an exact sequence; ``group`` None is unknown."""
+
+    __slots__ = ("label", "group")
+
+    def __init__(self, label: str, group: FormalGroup | None):
+        self.label = label
+        self.group = group
 
 
 class ExactSequence:
@@ -483,13 +491,19 @@ def pgl_grid(n: int, registry: KnownHomologyRegistry | None = None) -> SpectralG
     return grid
 
 
-@dataclass
 class SchurDerivation:
-    group: str
-    value: FormalGroup
-    candidates: list
-    sequence: ExactSequence
-    notes: list
+    """The second homology of one group, with the candidates it was chosen
+    from, its exact sequence and the notes of its derivation."""
+
+    __slots__ = ("group", "value", "candidates", "sequence", "notes")
+
+    def __init__(self, group: str, value: FormalGroup, candidates: list,
+                 sequence: ExactSequence, notes: list):
+        self.group = group
+        self.value = value
+        self.candidates = candidates
+        self.sequence = sequence
+        self.notes = notes
 
 
 def schur_pgl(n: int, registry: KnownHomologyRegistry | None = None) -> SchurDerivation:
@@ -645,12 +659,16 @@ def k2_prime_candidates(registry: KnownHomologyRegistry | None = None) -> list:
 # -- row-1 complexes -------------------------------------------------------------
 
 
-@dataclass
 class RowComplex:
-    """One row of the second page as a three-place complex of formal groups."""
+    """One row of the second page as a three-place complex of formal groups:
+    ``places`` holds (labels, FormalGroup, layout) per place, and ``maps[i]``
+    maps place i+1 to place i."""
 
-    places: list  # per place: (labels, FormalGroup, layout)
-    maps: list  # maps[i]: place i+1 -> place i
+    __slots__ = ("places", "maps")
+
+    def __init__(self, places: list, maps: list):
+        self.places = places
+        self.maps = maps
 
 
 def _entry_hom(src_place, tgt_place, blocks):

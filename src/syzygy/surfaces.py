@@ -33,7 +33,6 @@ with the untruncated answers on the stabilized range.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cache
 from itertools import combinations
@@ -63,16 +62,51 @@ POINT_FAMILIES = ("plane", "dp8_blowdown", "dp8_quadric", "dp7", "dp6", "dp5")
 DEL_PEZZO_RANK = {"plane": 1, "dp8_blowdown": 2, "dp8_quadric": 2, "dp7": 3, "dp6": 4, "dp5": 5}
 
 
-@dataclass(frozen=True)
 class SurfaceCentralModel:
-    rank: int
-    base: BaseCase
-    family: str
-    points: tuple = ()
-    e: int = 0
-    partition: tuple = ()
-    modulus: str | None = None
-    orientable: bool = True
+    """One central model: its rank, base case and family, marked points,
+    invariant e, partition tag, modulus and orientability.  An immutable
+    value, used as a generator label and a dict key."""
+
+    __slots__ = ("rank", "base", "family", "points", "e", "partition", "modulus", "orientable")
+
+    def __init__(self, rank: int, base: BaseCase, family: str, points: tuple = (), e: int = 0,
+                 partition: tuple = (), modulus: str | None = None, orientable: bool = True):
+        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
+        setattr_(self, "rank", rank)
+        setattr_(self, "base", base)
+        setattr_(self, "family", family)
+        setattr_(self, "points", points)
+        setattr_(self, "e", e)
+        setattr_(self, "partition", partition)
+        setattr_(self, "modulus", modulus)
+        setattr_(self, "orientable", orientable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank == other.rank and self.base == other.base
+                and self.family == other.family and self.points == other.points
+                and self.e == other.e and self.partition == other.partition
+                and self.modulus == other.modulus and self.orientable == other.orientable)
+
+    def __hash__(self):
+        return hash((self.rank, self.base, self.family, self.points, self.e, self.partition,
+                     self.modulus, self.orientable))
+
+    def __reduce__(self):
+        return (SurfaceCentralModel, (self.rank, self.base, self.family, self.points, self.e,
+                                      self.partition, self.modulus, self.orientable))
+
+    def __repr__(self):
+        return (f"SurfaceCentralModel(rank={self.rank!r}, base={self.base!r}, family="
+                f"{self.family!r}, points={self.points!r}, e={self.e!r}, partition="
+                f"{self.partition!r}, modulus={self.modulus!r}, orientable={self.orientable!r})")
 
     def display(self) -> str:
         k = len(self.points)
@@ -124,23 +158,49 @@ def is_orientable(base: BaseCase, family: str, k: int) -> bool:
     raise KeyError(f"no orientability entry for {base.value}/{family} at k={k}")
 
 
-@dataclass(frozen=True)
 class GeneratorUniverse:
-    """Finite truncation parameters: label set, invariant bound, rank bound."""
+    """Finite truncation parameters: label set, invariant bound, rank bound.
+    An immutable value; equal universes share row0_complex's cache entry."""
 
-    base: BaseCase
-    labels: tuple
-    e_max: int
-    r_max: int
-    moduli: tuple = ("l0", "l1")
+    __slots__ = ("base", "labels", "e_max", "r_max", "moduli")
 
-    def __post_init__(self):
-        if self.e_max < 1:
+    def __init__(self, base: BaseCase, labels: tuple, e_max: int, r_max: int,
+                 moduli: tuple = ("l0", "l1")):
+        if e_max < 1:
             raise ValueError("e_max must be >= 1")
-        if not 1 <= self.r_max <= 5:
+        if not 1 <= r_max <= 5:
             raise ValueError("r_max must be in [1, 5]")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
+        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
+        setattr_(self, "base", base)
+        setattr_(self, "labels", labels)
+        setattr_(self, "e_max", e_max)
+        setattr_(self, "r_max", r_max)
+        setattr_(self, "moduli", moduli)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base == other.base and self.labels == other.labels
+                and self.e_max == other.e_max and self.r_max == other.r_max
+                and self.moduli == other.moduli)
+
+    def __hash__(self):
+        return hash((self.base, self.labels, self.e_max, self.r_max, self.moduli))
+
+    def __reduce__(self):
+        return (GeneratorUniverse, (self.base, self.labels, self.e_max, self.r_max, self.moduli))
+
+    def __repr__(self):
+        return (f"GeneratorUniverse(base={self.base!r}, labels={self.labels!r}, e_max="
+                f"{self.e_max!r}, r_max={self.r_max!r}, moduli={self.moduli!r})")
 
     @classmethod
     def ruled(cls, points: int, e_max: int, r_max: int = 4, moduli=("l0", "l1")):
@@ -236,16 +296,18 @@ def _blowup_transitions(partition: tuple) -> list[tuple]:
     raise ValueError(f"no transition table for partition {partition}")
 
 
-@dataclass
 class BoundaryMatrix:
     """Boundary matrix: columns are rank-r generators, rows the rank-(r-1)
     generators up to the target invariant bound.  ``matrix`` holds one dict
     per column, row index -> nonzero coefficient (smith's column format)."""
 
-    rank: int
-    columns: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
-    matrix: list = field(default_factory=list)
+    __slots__ = ("rank", "columns", "rows", "matrix")
+
+    def __init__(self, rank: int, columns=None, rows=None, matrix=None):
+        self.rank = rank
+        self.columns = [] if columns is None else columns
+        self.rows = [] if rows is None else rows
+        self.matrix = [] if matrix is None else matrix
 
 
 def _ruled_boundary_targets(rank: int, tag: tuple) -> list:
@@ -345,14 +407,6 @@ def boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
     return BoundaryMatrix(rank=rank, columns=cols, rows=rows, matrix=matrix)
 
 
-def displayed_boundary(u: GeneratorUniverse, gen: SurfaceCentralModel) -> dict:
-    """The boundary of one generator as a target -> coefficient mapping."""
-    rank = gen.rank
-    bm = boundary(u, rank, e_bound=max(u.e_max, gen.e), target_e_bound=max(u.e_max, gen.e) + 1)
-    column = bm.matrix[bm.columns.index(gen)]
-    return {bm.rows[i]: column[i] for i in sorted(column)}
-
-
 @cache
 def row0_complex(u: GeneratorUniverse) -> tuple:
     """The coinvariant chain complex of the truncation (degree d = rank d+1).
@@ -431,8 +485,8 @@ def two_ray_game(model: SurfaceCentralModel):
     if model.family == "dp8_blowdown":
         return (_mk(base, 1, "hirzebruch", e=1), _mk(base, 1, "plane"))
     if model.family == "dp8_quadric":
-        a = _mk(base, 1, "hirzebruch", e=0)
-        return (a, replace(a, modulus="second ruling"))
+        return (_mk(base, 1, "hirzebruch", e=0),
+                _mk(base, 1, "hirzebruch", e=0, modulus="second ruling"))
     if model.family == "blowup":
         return (_mk(base, 1, "hirzebruch", e=1), _mk(base, 1, "hirzebruch", e=0))
     if model.family == "min_section":

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 from syzygy import smith
 from syzygy.cli import main
-from syzygy.complexes import Cell, RegularCWComplex
+from syzygy.complexes import Cell, RegularCWComplex, _chain_subcomplex
 from syzygy.formal import (
     FormalGroup,
     FormalGroupError,
@@ -36,7 +36,14 @@ from syzygy.spectral import (
     default_registry,
     nonorientable_block_homology,
 )
-from syzygy.surfaces import BaseCase, GeneratorUniverse, _mk, enumerate_generators
+from syzygy.surfaces import (
+    BaseCase,
+    GeneratorUniverse,
+    SurfaceCentralModel,
+    _mk,
+    boundary,
+    enumerate_generators,
+)
 
 
 class CliResult(NamedTuple):
@@ -108,6 +115,46 @@ def build_octahedron():
                     sides.append((eid, sign))
                 boundary[fid] = sides
     return RegularCWComplex(cells, boundary)
+
+
+def link_of(cx: RegularCWComplex, cid) -> RegularCWComplex:
+    """Subcomplex of the subdivision spanned by chains strictly above the cell."""
+    if cid not in cx.cells:
+        raise KeyError(f"unknown cell {cid!r}")
+    return _chain_subcomplex(cx.barycentric_subdivision(), cid, include_cell=False)
+
+
+def dual_block_of(cx: RegularCWComplex, cid) -> RegularCWComplex:
+    """Closed dual block: chains whose members all contain the cell."""
+    if cid not in cx.cells:
+        raise KeyError(f"unknown cell {cid!r}")
+    return _chain_subcomplex(cx.barycentric_subdivision(), cid, include_cell=True)
+
+
+# -- registry and display readers ---------------------------------------------------
+
+
+def registry_items(registry: KnownHomologyRegistry) -> list:
+    """The registry's ((group, degree), (value, provenance)) entries, sorted."""
+    return sorted(registry._entries.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+
+
+def registry_audit(registry: KnownHomologyRegistry) -> bool:
+    """Does every registry entry carry a provenance note?"""
+    return all(prov for _, prov in registry._entries.values())
+
+
+def infinite_sum(index_label: str, inner: FormalGroup) -> FormalGroup:
+    """The display-only infinite sum of copies of ``inner`` over the label."""
+    return FormalGroup(infinite=((index_label, inner),))
+
+
+def displayed_boundary(u: GeneratorUniverse, gen: SurfaceCentralModel) -> dict:
+    """The boundary of one generator as a target -> coefficient mapping."""
+    bm = boundary(u, gen.rank, e_bound=max(u.e_max, gen.e),
+                  target_e_bound=max(u.e_max, gen.e) + 1)
+    column = bm.matrix[bm.columns.index(gen)]
+    return {bm.rows[i]: column[i] for i in sorted(column)}
 
 
 # -- oracle for presented_homology ----------------------------------------------

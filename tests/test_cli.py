@@ -368,14 +368,13 @@ def test_version_names_the_program(argv, name):
     assert out.stdout == f"{name}, version {syzygy.__version__}\n"
 
 
-@pytest.mark.parametrize("unbuffered, code", [(True, 0), (False, 1)],
-                         ids=["unbuffered", "buffered"])
-def test_reader_closing_stdout_early_ends_without_a_traceback(unbuffered, code):
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_reader_closing_stdout_early_ends_without_a_traceback(unbuffered):
     """`conics --blowups 8` prints ~265 kB, more than a pipe holds, in one
-    write.  When the reader takes 10 bytes and closes, the job writes nothing
-    to stderr.  Unbuffered, the interrupted write returns short and nothing
-    follows it, so the job exits 0; buffered, the rest of the write fails
-    with EPIPE and the job exits 1."""
+    line.  When the reader takes 10 bytes and closes, the rest of the line
+    fails with EPIPE, so the job exits 1 with nothing on stderr, whether
+    stdout is buffered or not: unbuffered, a short write is followed by
+    another for the bytes left, instead of being dropped."""
     env = _child_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
     proc = subprocess.Popen([sys.executable, "-m", "syzygy.cli", "conics", "--blowups", "8"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
@@ -387,7 +386,7 @@ def test_reader_closing_stdout_early_ends_without_a_traceback(unbuffered, code):
         proc.stderr.close()
         returncode = proc.wait(timeout=60)
     assert err == b""
-    assert returncode == code
+    assert returncode == 1
 
 
 def test_table_format():

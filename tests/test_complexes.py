@@ -12,7 +12,15 @@ from syzygy.complexes import (
 from syzygy.smith import FGAbelianGroup
 from syzygy.surfaces import syzygy_sphere_bl3
 
-from helpers import build_cycle, build_interval, build_octahedron, build_point, columns
+from helpers import (
+    build_cycle,
+    build_interval,
+    build_octahedron,
+    build_point,
+    columns,
+    dual_block_of,
+    link_of,
+)
 
 Z = FGAbelianGroup(1)
 ZERO = FGAbelianGroup(0)
@@ -86,23 +94,23 @@ def test_links_and_dual_blocks():
     octa = build_octahedron()
     # top cell: dual block is a point, link empty
     face = octa.cells_of_dim(2)[0].id
-    assert len(octa.dual_block(face).cells) == 1
-    assert not octa.link(face).cells
+    assert len(dual_block_of(octa, face).cells) == 1
+    assert not link_of(octa, face).cells
     # vertex of the hexagon: link is two points
     hexagon = build_cycle(6)
-    link = hexagon.link("v0")
+    link = link_of(hexagon, "v0")
     assert len(link.cells_of_dim(0)) == 2 and link.dimension == 0
     # vertex of the octahedron: link has circle homology
-    vlink = octa.link("v0")
+    vlink = link_of(octa, "v0")
     assert vlink.homology(0) == Z
     assert vlink.homology(1) == Z
     with pytest.raises(KeyError):
-        octa.link("nope")
+        link_of(octa, "nope")
 
 
 def test_dual_block_of_vertex_is_cone():
     octa = build_octahedron()
-    block = octa.dual_block("v0")
+    block = dual_block_of(octa, "v0")
     # a cone over the link: contractible
     assert block.homology(0) == Z
     for d in (1, 2):
@@ -266,5 +274,5 @@ def test_validate_takes_each_face_closure_once(monkeypatch):
     monkeypatch.undo()
     for cid in sphere.cells:
         above = {m for m in sphere.cells if m != cid and cid in sphere.faces(m)}
-        assert {m for chain in sphere.link(cid).cells for m in chain} == above
-        assert {m for chain in sphere.dual_block(cid).cells for m in chain} == above | {cid}
+        assert {m for chain in link_of(sphere, cid).cells for m in chain} == above
+        assert {m for chain in dual_block_of(sphere, cid).cells for m in chain} == above | {cid}

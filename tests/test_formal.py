@@ -24,6 +24,7 @@ from syzygy.spectral import direct_sum_with_layout
 from helpers import (
     columns,
     counting_direct_sum_with_layout,
+    infinite_sum,
     per_family_cokernel,
     per_family_kernel,
 )
@@ -54,7 +55,7 @@ def test_normal_form_idempotent_and_sorted():
 
 
 def test_infinite_summand_display_only():
-    g = FormalGroup.infinite_sum("Z", Zn(2))
+    g = infinite_sum("Z", Zn(2))
     assert str(g) == "(+)_{Z}(Z/2)"
     with pytest.raises(FormalGroupError):
         FormalHom(g, g)

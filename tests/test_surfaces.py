@@ -1,6 +1,5 @@
 import pytest
 from copy import deepcopy
-from dataclasses import replace
 from itertools import combinations, permutations
 from math import comb
 
@@ -16,9 +15,9 @@ from syzygy.smith import (
 from syzygy.surfaces import (
     BaseCase,
     GeneratorUniverse,
+    SurfaceCentralModel,
     boundary,
     check_row0_squares_to_zero,
-    displayed_boundary,
     elementary_transformation,
     enumerate_generators,
     row0_complex,
@@ -33,6 +32,7 @@ from helpers import (
     cycle_basis_homology,
     dense,
     dense_invariant_factors,
+    displayed_boundary,
     is_zero_matrix,
     record_dense_shapes,
     table_boundary,
@@ -221,7 +221,9 @@ def test_row0_boundaries_commute_with_relabelling(sigma):
         out = []
         for m in gens[rank]:
             image = [relabel[p] for p in m.points]
-            out.append((index[replace(m, points=tuple(sorted(image)))], _sort_sign(image)))
+            moved = SurfaceCentralModel(m.rank, m.base, m.family, tuple(sorted(image)), m.e,
+                                        m.partition, m.modulus, m.orientable)
+            out.append((index[moved], _sort_sign(image)))
         return out
 
     def apply(perm, column):

@@ -3,9 +3,12 @@ name it lists must resolve, or a traced run fails with a KeyError.  Every
 benchmark job must still print the output whose digest the benchmark keeps,
 traced or not.  The package loads its submodules on first use: each command
 executes only the modules it calls, and every exported name still resolves.
-Importing the CLI loads nothing outside the standard library and the package.
-The project runs no linter, so two import rules of the library are checked here
-on its syntax trees."""
+Importing the CLI loads nothing outside the standard library and the package,
+and no job loads `inspect` or `dataclasses`, whose import costs more than
+most jobs compute.  The project runs no linter, so three import rules of the
+library are checked here on its syntax trees: every module-level import is
+read, only smith touches the dense Smith cluster, and no module imports
+`dataclasses`."""
 
 import ast
 import importlib
@@ -160,6 +163,29 @@ def test_cli_imports_only_the_standard_library_and_the_package():
     assert not outside
 
 
+# Runs one job of each module group in one process and prints the modules
+# that `import syzygy.cli` and the jobs added to the interpreter's start-up.
+JOBS_IMPORTED = """
+import contextlib, io, sys
+before = set(sys.modules)
+import syzygy.cli as cli
+for argv in (["cubic"], ["schur", "--target", "pgl2"], ["cremona"], ["syzygy", "bl3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_jobs_load_neither_inspect_nor_dataclasses():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", JOBS_IMPORTED], capture_output=True, text=True,
+                         env=env, check=False)
+    assert out.returncode == 0, out.stderr
+    imported = set(out.stdout.split())
+    assert {"syzygy.lattice", "syzygy.spectral", "syzygy.surfaces"} <= imported
+    assert not imported & {"inspect", "dataclasses"}
+
+
 def test_schur_skips_the_row_complexes():
     assert not _executed_modules("schur", "--target", "pgl2") & {"surfaces", "complexes", "lattice"}
 
@@ -232,4 +258,16 @@ def test_only_smith_touches_the_dense_cluster():
             elif isinstance(node, ast.Attribute) and node.attr in DENSE:
                 if isinstance(node.value, ast.Name) and node.value.id == "smith":
                     users.append(f"{name}:{node.lineno} smith.{node.attr}")
+    assert not users
+
+
+def test_no_library_module_imports_dataclasses():
+    users = []
+    for name, tree in _library_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                users += [f"{name}:{node.lineno}" for a in node.names
+                          if a.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                users.append(f"{name}:{node.lineno}")
     assert not users
