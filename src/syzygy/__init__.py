@@ -11,8 +11,46 @@ first access (PEP 562)."""
 
 import importlib.util
 import sys
+from operator import attrgetter
 
 __version__ = "0.1.0"
+
+
+class _Value:
+    """Base of the immutable value types.  A subclass lists its fields in
+    ``__slots__`` in the order its ``__init__`` takes them, and sets them
+    there with ``object.__setattr__``; it gets equality, a hash, a pickle and
+    a dataclass-style repr over that field tuple, and refuses assignment."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._field_tuple = staticmethod(get if len(cls.__slots__) > 1 else lambda v: (get(v),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_tuple(self) == self._field_tuple(other)
+
+    def __hash__(self):
+        return hash(self._field_tuple(self))
+
+    def __reduce__(self):
+        return (self.__class__, self._field_tuple(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}"
+                          for name, value in zip(self.__slots__, self._field_tuple(self)))
+        return f"{self.__class__.__name__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
 
 # submodule -> the names the package exports from it
 _SUBMODULES = {

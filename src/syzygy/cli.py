@@ -137,30 +137,27 @@ def _run(args, command, parameters, fn):
     _emit(args, command, parameters, result, provenance, warnings)
 
 
-def lines(args):
-    """Enumerate the (-1)-classes."""
+def _classes(args, command, enumerate_classes):
+    """Report the classes that enumerate_classes(lattice) lists."""
     def go():
         lat = _lattice_from(args.degree, args.blowups)
-        cls = lat.enumerate_lines()
+        cls = enumerate_classes(lat)
         return (
             {"count": len(cls), "classes": [list(c.coefficients) for c in cls]},
             [f"exhaustive box search over the {lat.n}-point lattice"],
             [],
         )
-    _run(args, "lines", {"degree": args.degree, "blowups": args.blowups}, go)
+    _run(args, command, {"degree": args.degree, "blowups": args.blowups}, go)
+
+
+def lines(args):
+    """Enumerate the (-1)-classes."""
+    _classes(args, "lines", lambda lat: lat.enumerate_lines())
 
 
 def conics(args):
     """Enumerate the primitive fibration classes."""
-    def go():
-        lat = _lattice_from(args.degree, args.blowups)
-        cls = lat.enumerate_conic_classes()
-        return (
-            {"count": len(cls), "classes": [list(c.coefficients) for c in cls]},
-            [f"exhaustive box search over the {lat.n}-point lattice"],
-            [],
-        )
-    _run(args, "conics", {"degree": args.degree, "blowups": args.blowups}, go)
+    _classes(args, "conics", lambda lat: lat.enumerate_conic_classes())
 
 
 def graph(args):

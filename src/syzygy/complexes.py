@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import json
 
+from . import _Value
 from .smith import FGAbelianGroup, lift_to_cycles, presented_homology
 
 CellId = object  # hashable
 
 
-class Cell:
+class Cell(_Value):
     """One cell: a hashable id, its dimension and a display label.  Cells
     are immutable values, equal when their fields are."""
 
@@ -42,26 +43,6 @@ class Cell:
         setattr_(self, "id", id)
         setattr_(self, "dim", dim)
         setattr_(self, "label", label)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.id == other.id and self.dim == other.dim and self.label == other.label
-
-    def __hash__(self):
-        return hash((self.id, self.dim, self.label))
-
-    def __reduce__(self):
-        return (Cell, (self.id, self.dim, self.label))
-
-    def __repr__(self):
-        return f"Cell(id={self.id!r}, dim={self.dim!r}, label={self.label!r})"
 
 
 class RegularCWComplex:

@@ -29,6 +29,7 @@ from itertools import product
 from math import gcd, prod
 from pathlib import Path
 
+from . import _Value
 from .smith import (
     FGAbelianGroup,
     cokernel_group,
@@ -49,7 +50,7 @@ class InsufficientAtomData(FormalGroupError):
     """Raised when a computation would need structure an atom does not declare."""
 
 
-class Atom:
+class Atom(_Value):
     """A named infinite group with its declared structure; an immutable
     value.  ``torsion_rule`` is "cyclic", "none" or "unknown"."""
 
@@ -65,29 +66,6 @@ class Atom:
         setattr_(self, "divisible", divisible)
         setattr_(self, "torsion_rule", torsion_rule)
         setattr_(self, "uniquely_divisible", uniquely_divisible)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name == other.name and self.divisible == other.divisible
-                and self.torsion_rule == other.torsion_rule
-                and self.uniquely_divisible == other.uniquely_divisible)
-
-    def __hash__(self):
-        return hash((self.name, self.divisible, self.torsion_rule, self.uniquely_divisible))
-
-    def __reduce__(self):
-        return (Atom, (self.name, self.divisible, self.torsion_rule, self.uniquely_divisible))
-
-    def __repr__(self):
-        return (f"Atom(name={self.name!r}, divisible={self.divisible!r}, torsion_rule="
-                f"{self.torsion_rule!r}, uniquely_divisible={self.uniquely_divisible!r})")
 
     def torsion(self, k: int) -> FGAbelianGroup:
         """The k-torsion subgroup D[k], as an abstract group."""
@@ -130,7 +108,7 @@ def registered_cross_maps() -> set:
     return _load_atoms()[1]
 
 
-class FormalGroup:
+class FormalGroup(_Value):
     """Normal form: sorted atom multiset, cyclic part as an invariant-factor
     chain, free rank; optionally display-level infinite summands, each a pair
     (index-set label, finite group), which no computation may touch.  An
@@ -151,28 +129,6 @@ class FormalGroup:
         setattr_(self, "infinite", infinite)
         if free_rank < 0:
             raise FormalGroupError("negative free rank")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.atoms == other.atoms and self.cyclic == other.cyclic
-                and self.free_rank == other.free_rank and self.infinite == other.infinite)
-
-    def __hash__(self):
-        return hash((self.atoms, self.cyclic, self.free_rank, self.infinite))
-
-    def __reduce__(self):
-        return (FormalGroup, (self.atoms, self.cyclic, self.free_rank, self.infinite))
-
-    def __repr__(self):
-        return (f"FormalGroup(atoms={self.atoms!r}, cyclic={self.cyclic!r}, "
-                f"free_rank={self.free_rank!r}, infinite={self.infinite!r})")
 
     # -- constructors -------------------------------------------------------
 
@@ -301,9 +257,6 @@ class FormalHom:
         if other.target != self.source:
             raise FormalGroupError("composition shape mismatch")
         return FormalHom(other.source, self.target, column_product(self.columns, other.columns))
-
-    def __repr__(self):
-        return f"FormalHom({self.source} -> {self.target})"
 
     # -- family decomposition ----------------------------------------------
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 from itertools import combinations
 from math import factorial, gcd
 
+from . import _Value
 
-class DivisorClass:
+
+class DivisorClass(_Value):
     """Integer vector a0*H + a1*E1 + ... + an*En; an immutable value,
     ordered by its coefficient tuple."""
 
@@ -22,17 +24,6 @@ class DivisorClass:
 
     def __init__(self, coefficients: tuple[int, ...]):
         object.__setattr__(self, "coefficients", coefficients)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients == other.coefficients
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
@@ -53,15 +44,6 @@ class DivisorClass:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.coefficients >= other.coefficients
-
-    def __hash__(self):
-        return hash((self.coefficients,))
-
-    def __reduce__(self):
-        return (DivisorClass, (self.coefficients,))
-
-    def __repr__(self):
-        return f"DivisorClass(coefficients={self.coefficients!r})"
 
     def __add__(self, other):
         return DivisorClass(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
@@ -100,7 +82,6 @@ class BlowupLattice:
     # The enumerators assert that no solution touches a box wall.
     LINE_BOX = (7, -2, 4)  # (degree max, mult min, mult max)
     CONIC_BOX = (12, -2, 5)
-    ROOT_BOX = (7, -2, 4)
 
     def __init__(self, n: int):
         if not 0 <= n <= 8:
@@ -188,15 +169,6 @@ class BlowupLattice:
             if gcd(*(abs(x) for x in c.coefficients)) == 1:
                 out.append(c)
         return out
-
-    def roots(self) -> list[DivisorClass]:
-        """All (-2)-classes orthogonal to K (simple reflections live here)."""
-        return self._search(-2, 0, self.ROOT_BOX)
-
-    def weyl_reflect(self, c: DivisorClass, root: DivisorClass) -> DivisorClass:
-        if self.intersect(root, root) != -2 or self.intersect(self.canonical_class(), root) != 0:
-            raise ValueError(f"{root} is not a root (needs r.r = -2 and K.r = 0)")
-        return c + root.scale(self.intersect(c, root))
 
     # -- derived combinatorics -------------------------------------------------
 
@@ -286,7 +258,7 @@ class BlowupLattice:
         }
 
 
-class IncidenceGraph:
+class IncidenceGraph(_Value):
     """Simple graph on canonically ordered divisor classes; an immutable
     value."""
 
@@ -296,26 +268,6 @@ class IncidenceGraph:
         setattr_ = object.__setattr__  # the class's own __setattr__ refuses
         setattr_(self, "vertices", vertices)
         setattr_(self, "edges", edges)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
-
-    def __reduce__(self):
-        return (IncidenceGraph, (self.vertices, self.edges))
-
-    def __repr__(self):
-        return f"IncidenceGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     def degree_sequence(self) -> list[int]:
         deg = [0] * len(self.vertices)

@@ -55,6 +55,8 @@ from heapq import heapify, heappop, heappush
 from itertools import zip_longest
 from math import prod
 
+from . import _Value
+
 
 Matrix = list[list[int]]
 Columns = list[dict[int, int]]
@@ -96,7 +98,7 @@ def copy_matrix(a: Matrix) -> Matrix:
     return [row[:] for row in a]
 
 
-class SNFResult:
+class SNFResult(_Value):
     """Smith normal form U*A*V = D with unimodular U, V.
 
     The diagonal of D is non-negative and satisfies d1 | d2 | ... ; off
@@ -105,29 +107,13 @@ class SNFResult:
     """
 
     __slots__ = ("U", "D", "V")
+    __hash__ = None
 
     def __init__(self, U: Matrix, D: Matrix, V: Matrix):
         setattr_ = object.__setattr__  # the class's own __setattr__ refuses
         setattr_(self, "U", U)
         setattr_(self, "D", D)
         setattr_(self, "V", V)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.U == other.U and self.D == other.D and self.V == other.V
-
-    def __reduce__(self):
-        return (SNFResult, (self.U, self.D, self.V))
-
-    def __repr__(self):
-        return f"SNFResult(U={self.U!r}, D={self.D!r}, V={self.V!r})"
 
     def diagonal(self) -> list[int]:
         return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0]) if self.D else 0))]
@@ -491,7 +477,7 @@ def _merge_invariant_factors(orders: list[int]) -> list[int]:
     return factors
 
 
-class FGAbelianGroup:
+class FGAbelianGroup(_Value):
     """A finitely generated abelian group in invariant-factor normal form.
 
     ``torsion`` is the chain d1 | d2 | ... with every di >= 2; the
@@ -512,26 +498,6 @@ class FGAbelianGroup:
         setattr_ = object.__setattr__  # the class's own __setattr__ refuses
         setattr_(self, "free_rank", free_rank)
         setattr_(self, "torsion", torsion)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.free_rank == other.free_rank and self.torsion == other.torsion
-
-    def __hash__(self):
-        return hash((self.free_rank, self.torsion))
-
-    def __reduce__(self):
-        return (FGAbelianGroup, (self.free_rank, self.torsion))
-
-    def __repr__(self):
-        return f"FGAbelianGroup(free_rank={self.free_rank!r}, torsion={self.torsion!r})"
 
     @classmethod
     def from_orders(cls, free_rank: int, orders: list[int]) -> "FGAbelianGroup":

@@ -329,17 +329,6 @@ class SpectralGrid:
         unique = {str(c): c for c in candidates}
         return [unique[k] for k in sorted(unique)]
 
-    def render(self) -> str:
-        rows = []
-        for q in range(self.box[1], -1, -1):
-            cells = []
-            for p in range(self.box[0] + 1):
-                e = self.entry(p, q)
-                cells.append("?" if e is None else str(e))
-            rows.append(f"q={q} | " + " | ".join(f"{c:>24}" for c in cells))
-        rows.append("      " + " | ".join(f"{'p=' + str(p):>24}" for p in range(self.box[0] + 1)))
-        return "\n".join(rows)
-
 
 # -- low-degree exact sequences ---------------------------------------------------
 

@@ -38,7 +38,7 @@ from functools import cache
 from itertools import combinations
 from pathlib import Path
 
-from . import lattice
+from . import _Value, lattice
 from .complexes import Cell, IntegerChainComplex, RegularCWComplex
 from .smith import FGAbelianGroup, partitions, presented_homology
 
@@ -62,7 +62,7 @@ POINT_FAMILIES = ("plane", "dp8_blowdown", "dp8_quadric", "dp7", "dp6", "dp5")
 DEL_PEZZO_RANK = {"plane": 1, "dp8_blowdown": 2, "dp8_quadric": 2, "dp7": 3, "dp6": 4, "dp5": 5}
 
 
-class SurfaceCentralModel:
+class SurfaceCentralModel(_Value):
     """One central model: its rank, base case and family, marked points,
     invariant e, partition tag, modulus and orientability.  An immutable
     value, used as a generator label and a dict key."""
@@ -80,33 +80,6 @@ class SurfaceCentralModel:
         setattr_(self, "partition", partition)
         setattr_(self, "modulus", modulus)
         setattr_(self, "orientable", orientable)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rank == other.rank and self.base == other.base
-                and self.family == other.family and self.points == other.points
-                and self.e == other.e and self.partition == other.partition
-                and self.modulus == other.modulus and self.orientable == other.orientable)
-
-    def __hash__(self):
-        return hash((self.rank, self.base, self.family, self.points, self.e, self.partition,
-                     self.modulus, self.orientable))
-
-    def __reduce__(self):
-        return (SurfaceCentralModel, (self.rank, self.base, self.family, self.points, self.e,
-                                      self.partition, self.modulus, self.orientable))
-
-    def __repr__(self):
-        return (f"SurfaceCentralModel(rank={self.rank!r}, base={self.base!r}, family="
-                f"{self.family!r}, points={self.points!r}, e={self.e!r}, partition="
-                f"{self.partition!r}, modulus={self.modulus!r}, orientable={self.orientable!r})")
 
     def display(self) -> str:
         k = len(self.points)
@@ -158,7 +131,7 @@ def is_orientable(base: BaseCase, family: str, k: int) -> bool:
     raise KeyError(f"no orientability entry for {base.value}/{family} at k={k}")
 
 
-class GeneratorUniverse:
+class GeneratorUniverse(_Value):
     """Finite truncation parameters: label set, invariant bound, rank bound.
     An immutable value; equal universes share row0_complex's cache entry."""
 
@@ -178,29 +151,6 @@ class GeneratorUniverse:
         setattr_(self, "e_max", e_max)
         setattr_(self, "r_max", r_max)
         setattr_(self, "moduli", moduli)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base == other.base and self.labels == other.labels
-                and self.e_max == other.e_max and self.r_max == other.r_max
-                and self.moduli == other.moduli)
-
-    def __hash__(self):
-        return hash((self.base, self.labels, self.e_max, self.r_max, self.moduli))
-
-    def __reduce__(self):
-        return (GeneratorUniverse, (self.base, self.labels, self.e_max, self.r_max, self.moduli))
-
-    def __repr__(self):
-        return (f"GeneratorUniverse(base={self.base!r}, labels={self.labels!r}, e_max="
-                f"{self.e_max!r}, r_max={self.r_max!r}, moduli={self.moduli!r})")
 
     @classmethod
     def ruled(cls, points: int, e_max: int, r_max: int = 4, moduli=("l0", "l1")):

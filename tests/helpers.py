@@ -510,6 +510,22 @@ def h_prime_grid(e: int, registry: KnownHomologyRegistry | None = None) -> Spect
     )
 
 
+# -- the Weyl group of the blowup lattice -----------------------------------------
+
+ROOT_BOX = (7, -2, 4)  # (degree max, mult min, mult max), as BlowupLattice.LINE_BOX
+
+
+def lattice_roots(lat) -> list:
+    """All (-2)-classes orthogonal to K (simple reflections live here)."""
+    return lat._search(-2, 0, ROOT_BOX)
+
+
+def weyl_reflect(lat, c, root):
+    if lat.intersect(root, root) != -2 or lat.intersect(lat.canonical_class(), root) != 0:
+        raise ValueError(f"{root} is not a root (needs r.r = -2 and K.r = 0)")
+    return c + root.scale(lat.intersect(c, root))
+
+
 # -- oracle for count_fibration_configurations -----------------------------------
 #
 # The ordered walker: every ordered tuple of meeting pairs, each pair in both

@@ -8,7 +8,10 @@ and no job loads `inspect` or `dataclasses`, whose import costs more than
 most jobs compute.  The project runs no linter, so three import rules of the
 library are checked here on its syntax trees: every module-level import is
 read, only smith touches the dense Smith cluster, and no module imports
-`dataclasses`."""
+`dataclasses`.  One class rule is checked there too: the value contract is
+written once, so no class but the value base `_Value` in the package's
+`__init__.py` defines `__setattr__`, `__delattr__`, `__reduce__`, `__hash__`
+or `__repr__` with a `def`."""
 
 import ast
 import importlib
@@ -271,3 +274,17 @@ def test_no_library_module_imports_dataclasses():
             elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
                 users.append(f"{name}:{node.lineno}")
     assert not users
+
+
+VALUE_METHODS = {"__setattr__", "__delattr__", "__reduce__", "__hash__", "__repr__"}
+
+
+def test_only_the_value_base_defines_the_value_methods():
+    defined = []
+    for name, tree in _library_modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or (name, node.name) == ("__init__.py", "_Value"):
+                continue
+            defined += [f"{name}:{item.lineno} {node.name}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef) and item.name in VALUE_METHODS]
+    assert not defined

@@ -1,10 +1,13 @@
 """The contract of the library's record classes.  Nine of them are values:
 compared, hashed, and used as cache and dict keys, so equal fields give
 equal objects with equal hashes, any one field told apart makes them
-unequal, and no field can be reassigned.  The mutable records get a fresh
-container for every defaulted list or dict field."""
+unequal, and no field can be reassigned.  A value's fields are its
+``__slots__``, in the order its constructor takes them: its hash, its pickle
+and its repr are read from them in that order.  The mutable records get a
+fresh container for every defaulted list or dict field."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -84,9 +87,46 @@ def test_one_field_apart_gives_unequal_values(cls, name):
 def test_fields_cannot_be_reassigned(cls, name):
     fields, other = VALUES[cls]
     a = cls(**fields)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
         setattr(a, name, other[name])
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+        delattr(a, name)
     assert a == cls(**fields)
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda c: c.__name__)
+def test_constructor_parameters_are_the_slots_in_order(cls):
+    assert tuple(inspect.signature(cls).parameters) == cls.__slots__ == tuple(VALUES[cls][0])
+
+
+def _field_tuple(value):
+    return tuple(getattr(value, name) for name in value.__slots__)
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda c: c.__name__)
+def test_hash_is_the_hash_of_the_field_tuple(cls):
+    a = cls(**VALUES[cls][0])
+    if cls in UNHASHABLE:
+        assert cls.__hash__ is None
+    else:
+        assert hash(a) == hash(_field_tuple(a))
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda c: c.__name__)
+def test_values_reduce_to_their_constructor_arguments(cls):
+    a = cls(**VALUES[cls][0])
+    assert a.__reduce__() == (cls, _field_tuple(a))
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda c: c.__name__)
+def test_repr_names_each_field_in_slot_order(cls):
+    a = cls(**VALUES[cls][0])
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__slots__, _field_tuple(a)))
+    assert repr(a) == f"{cls.__name__}({shown})"
+
+
+def test_repr_of_a_one_field_value():
+    assert repr(DivisorClass((1, -1))) == "DivisorClass(coefficients=(1, -1))"
 
 
 @pytest.mark.parametrize("cls", VALUES, ids=lambda c: c.__name__)
