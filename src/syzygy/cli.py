@@ -1,10 +1,14 @@
 """Batch command-line front end: the `syz` console script, also run as
 `python -m syzygy.cli`.
 
-Every command reads its parameters, dispatches to the library, and prints a
-deterministic report: JSON with stable key order, or an aligned text table.
-Wall-clock duration is shown only in table mode so that identical requests
-produce byte-identical JSON.
+Every command is a plain function of the parsed arguments that calls the
+library and returns (result, provenance, warnings); _run alone prints the
+report: JSON with stable key order, or an aligned text table.  A report's
+command is the subcommand's name, set as a parser default beside the
+function, and its parameters are the subcommand's own options in the order
+the parser declares them, read from the parsed namespace.  Wall-clock
+duration is shown only in table mode so that identical requests produce
+byte-identical JSON.
 
 The command line is parsed with the standard library's argparse, so
 importing this module loads nothing outside the standard library and this
@@ -29,16 +33,12 @@ from . import __version__, complexes, lattice, spectral, surfaces
 SCHEMA_VERSION = 1
 
 
-class ReportError(Exception):
-    pass
-
-
 def _lattice_from(degree, blowups):
     if (degree is None) == (blowups is None):
-        raise ReportError("give exactly one of --degree or --blowups")
+        raise ValueError("give exactly one of --degree or --blowups")
     n = 9 - degree if degree is not None else blowups
     if not 0 <= n <= 8:
-        raise ReportError(f"blowup count {n} out of range [0, 8]")
+        raise ValueError(f"blowup count {n} out of range [0, 8]")
     return lattice.BlowupLattice(n)
 
 
@@ -58,31 +58,6 @@ def _echo(line):
     data = memoryview(text.encode(out.encoding, out.errors))
     while data:
         data = data[raw.write(data):]
-
-
-def _emit(args, command, parameters, result, provenance=(), warnings=()):
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "parameters": parameters,
-        "result": result,
-        "provenance": list(provenance),
-        "warnings": list(warnings),
-    }
-    if args.format == "json":
-        _echo(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        _echo(f"== {command} ==")
-        for k, v in parameters.items():
-            _echo(f"  param {k} = {v}")
-        _render_table(result, indent=1)
-        for w in warnings:
-            _echo(f"  warning: {w}")
-        for p in provenance:
-            _echo(f"  note: {p}")
-        dt = time.monotonic() - args.t0
-        _echo(f"  ({dt:.3f}s)")
-    return report
 
 
 def _render_table(value, indent=0):
@@ -121,224 +96,188 @@ def _registry(args):
     return spectral.KnownHomologyRegistry.load(path) if path else default_registry()
 
 
-def _run(args, command, parameters, fn):
+# the namespace's global options and dispatch fields; the rest are the
+# command's own options, in the order its parser declares them
+_NOT_PARAMETERS = ("format", "registry", "run", "command")
+
+
+def _run(args):
+    """Run the parsed command and print its report, or the error JSON and
+    exit 1 when the library refuses the request."""
+    t0 = time.monotonic()
+    report = {"schema_version": SCHEMA_VERSION, "command": args.command}
     try:
-        result, provenance, warnings = fn()
-    except (ReportError, ValueError, KeyError, OSError) as exc:
+        result, provenance, warnings = args.run(args)
+    except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its one argument, quotes and all
         one_key = isinstance(exc, KeyError) and len(exc.args) == 1
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "error": str(exc.args[0]) if one_key else str(exc),
-        }
-        _echo(json.dumps(payload, sort_keys=True, indent=2))
+        report["error"] = str(exc.args[0]) if one_key else str(exc)
+        _echo(json.dumps(report, sort_keys=True, indent=2))
         sys.exit(1)
-    _emit(args, command, parameters, result, provenance, warnings)
+    parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    if args.format == "json":
+        report.update(parameters=parameters, result=result, provenance=list(provenance),
+                      warnings=list(warnings))
+        _echo(json.dumps(report, sort_keys=True, indent=2))
+        return
+    _echo(f"== {args.command} ==")
+    for k, v in parameters.items():
+        _echo(f"  param {k} = {v}")
+    _render_table(result, indent=1)
+    for w in warnings:
+        _echo(f"  warning: {w}")
+    for p in provenance:
+        _echo(f"  note: {p}")
+    _echo(f"  ({time.monotonic() - t0:.3f}s)")
 
 
-def _classes(args, command, enumerate_classes):
+def _classes(args, enumerate_classes):
     """Report the classes that enumerate_classes(lattice) lists."""
-    def go():
-        lat = _lattice_from(args.degree, args.blowups)
-        cls = enumerate_classes(lat)
-        return (
-            {"count": len(cls), "classes": [list(c.coefficients) for c in cls]},
-            [f"exhaustive box search over the {lat.n}-point lattice"],
-            [],
-        )
-    _run(args, command, {"degree": args.degree, "blowups": args.blowups}, go)
+    lat = _lattice_from(args.degree, args.blowups)
+    cls = enumerate_classes(lat)
+    return (
+        {"count": len(cls), "classes": [list(c.coefficients) for c in cls]},
+        [f"exhaustive box search over the {lat.n}-point lattice"],
+        [],
+    )
 
 
 def lines(args):
     """Enumerate the (-1)-classes."""
-    _classes(args, "lines", lambda lat: lat.enumerate_lines())
+    return _classes(args, lambda lat: lat.enumerate_lines())
 
 
 def conics(args):
     """Enumerate the primitive fibration classes."""
-    _classes(args, "conics", lambda lat: lat.enumerate_conic_classes())
+    return _classes(args, lambda lat: lat.enumerate_conic_classes())
 
 
 def graph(args):
     """Incidence graph of the (-1)-classes at a pairing threshold."""
-    def go():
-        lat = _lattice_from(args.degree, args.blowups)
-        g = lat.incidence_graph(lat.enumerate_lines(), args.threshold)
-        data = g.to_json_dict()
-        data["degree_sequence"] = g.degree_sequence()
-        data["single_cycle"] = g.is_single_cycle()
-        return data, [], []
-    _run(args, "graph",
-         {"degree": args.degree, "blowups": args.blowups, "threshold": args.threshold}, go)
+    lat = _lattice_from(args.degree, args.blowups)
+    g = lat.incidence_graph(lat.enumerate_lines(), args.threshold)
+    data = g.to_json_dict()
+    data["degree_sequence"] = g.degree_sequence()
+    data["single_cycle"] = g.is_single_cycle()
+    return data, [], []
 
 
 def syzygy(args):
     """Build the elementary syzygy sphere of the three-point blowup."""
-    def go():
-        sphere, rep = surfaces.validated_sphere_bl3()
-        result = {
-            "vertices": len(sphere.cells_of_dim(0)),
-            "edges": len(sphere.cells_of_dim(1)),
-            "faces": len(sphere.cells_of_dim(2)),
-            "euler_characteristic": sphere.euler_characteristic(),
-            "all_faces_triangles": all(
-                len(sphere.boundary[c.id]) == 3 for c in sphere.cells_of_dim(2)
-            ),
-            "homology": [str(sphere.homology(d)) for d in range(3)],
-        }
-        if args.check:
-            result["valid"] = rep.valid
-            result["failures"] = rep.failures + rep.link_failures
-        return (
-            result,
-            ["vertices = rank-3 models: 6 contractions + 3 conic fibrations"],
-            [],
-        )
-    _run(args, "syzygy", {"target": args.target, "check": args.check}, go)
+    sphere, rep = surfaces.validated_sphere_bl3()
+    result = {
+        "vertices": len(sphere.cells_of_dim(0)),
+        "edges": len(sphere.cells_of_dim(1)),
+        "faces": len(sphere.cells_of_dim(2)),
+        "euler_characteristic": sphere.euler_characteristic(),
+        "all_faces_triangles": all(
+            len(sphere.boundary[c.id]) == 3 for c in sphere.cells_of_dim(2)
+        ),
+        "homology": [str(sphere.homology(d)) for d in range(3)],
+    }
+    if args.check:
+        result["valid"] = rep.valid
+        result["failures"] = rep.failures + rep.link_failures
+    return result, ["vertices = rank-3 models: 6 contractions + 3 conic fibrations"], []
 
 
 def cubic(args):
     """Counting report for the cubic surface."""
-    def go():
-        report = lattice.cubic_summary()
-        flags = report.pop("flags")
-        return report, [], flags
-    _run(args, "cubic", {}, go)
+    report = lattice.cubic_summary()
+    flags = report.pop("flags")
+    return report, [], flags
 
 
-def _universe_params(args):
-    return {"points": args.points, "e_max": args.e_max, "r_max": args.r_max}
-
-
-def _wanted_rows(rows):
-    """The rows named in a comma-separated --rows value; the empty string
-    names none.  Only rows 0 and 1 are computed."""
-    wanted = {int(r) for r in rows.split(",") if r != ""}
-    if not wanted <= {0, 1}:
-        raise ReportError(f"--rows takes rows 0 and 1 only, got {rows!r}")
-    return wanted
+def _row0(u, rows, reduced_h0=False):
+    """The rows that a comma-separated --rows value names (the empty string
+    names none; only rows 0 and 1 are computed), and a result holding the
+    row-0 entries E_{i,0} when row 0 is among them, after the d o d check."""
+    try:
+        wanted = {int(r) for r in rows.split(",") if r != ""}
+    except ValueError:
+        wanted = None
+    if wanted is None or not wanted <= {0, 1}:
+        raise ValueError(f"--rows takes rows 0 and 1 only, got {rows!r}")
+    result = {}
+    if 0 in wanted:
+        surfaces.check_row0_squares_to_zero(u)
+        result["boundary_squares_to_zero"] = True
+        if reduced_h0:
+            result["reduced_H0"] = str(surfaces.row0_reduced_h0(u))
+        for i in range(1, u.r_max - 1):
+            result[f"E_{{{i},0}}"] = str(surfaces.row0_homology(u, i))
+    return wanted, result
 
 
 def ruled(args):
     """Row homology for the ruled universe at finite truncation."""
-    def go():
-        u = surfaces.GeneratorUniverse.ruled(args.points, args.e_max, args.r_max)
-        wanted = _wanted_rows(args.rows)
-        result = {}
-        warnings = []
-        if 0 in wanted:
-            surfaces.check_row0_squares_to_zero(u)
-            result["boundary_squares_to_zero"] = True
-            result["reduced_H0"] = str(surfaces.row0_reduced_h0(u))
-            for i in range(1, u.r_max - 1):
-                result[f"E_{{{i},0}}"] = str(surfaces.row0_homology(u, i))
-        if 1 in wanted:
-            row1 = spectral.ruled_row1_complex(u, _registry(args))
-            result["E_{0,1}"] = str(spectral.row1_homology(row1, 0))
-            result["E_{1,1}"] = str(spectral.row1_homology(row1, 1))
-        return (
-            result,
-            ["coinvariant rows of the central-model complex over the fixed base"],
-            warnings,
-        )
-    _run(args, "ruled", {**_universe_params(args), "rows": args.rows}, go)
+    u = surfaces.GeneratorUniverse.ruled(args.points, args.e_max, args.r_max)
+    wanted, result = _row0(u, args.rows, reduced_h0=True)
+    if 1 in wanted:
+        row1 = spectral.ruled_row1_complex(u, _registry(args))
+        result["E_{0,1}"] = str(spectral.row1_homology(row1, 0))
+        result["E_{1,1}"] = str(spectral.row1_homology(row1, 1))
+    return result, ["coinvariant rows of the central-model complex over the fixed base"], []
 
 
 def cremona(args):
     """Row homology and the final candidates for the plane's universe."""
-    def go():
-        u = surfaces.GeneratorUniverse.cremona(args.e_max, args.r_max)
-        wanted = _wanted_rows(args.rows)
-        warnings = []
-        if args.points:
-            warnings.append(
-                "the classification over the plane has one class per configuration"
-                " tag; --points is recorded but does not change the complex"
-            )
-        result = {}
-        if 0 in wanted:
-            surfaces.check_row0_squares_to_zero(u)
-            result["boundary_squares_to_zero"] = True
-            for i in range(1, u.r_max - 1):
-                result[f"E_{{{i},0}}"] = str(surfaces.row0_homology(u, i))
-        asm = spectral.cremona_assemble(_registry(args), u)
-        if 1 in wanted:
-            result["E_{0,1}"] = str(asm["E_{0,1}"])
-            result["E_{1,1}"] = str(asm["E_{1,1}"])
-            result["E_{2,1}_bound"] = str(asm["E_{2,1} bound"])
-        result["relation"] = asm["relation"]
-        result["E_{0,2}"] = str(asm["E_{0,2}"])
-        result["H2_candidates"] = [str(c) for c in asm["candidates"]]
-        return (
-            result,
-            ["final candidates from the edge value and the undetermined differential"],
-            warnings,
-        )
-    _run(args, "cremona", {**_universe_params(args), "rows": args.rows}, go)
+    u = surfaces.GeneratorUniverse.cremona(args.e_max, args.r_max)
+    wanted, result = _row0(u, args.rows)
+    asm = spectral.cremona_assemble(_registry(args), u)
+    if 1 in wanted:
+        result["E_{0,1}"] = str(asm["E_{0,1}"])
+        result["E_{1,1}"] = str(asm["E_{1,1}"])
+        result["E_{2,1}_bound"] = str(asm["E_{2,1} bound"])
+    result["relation"] = asm["relation"]
+    result["E_{0,2}"] = str(asm["E_{0,2}"])
+    result["H2_candidates"] = [str(c) for c in asm["candidates"]]
+    warnings = [
+        "the classification over the plane has one class per configuration"
+        " tag; --points is recorded but does not change the complex"
+    ] if args.points else []
+    return (
+        result,
+        ["final candidates from the edge value and the undetermined differential"],
+        warnings,
+    )
 
 
 def schur(args):
     """Second homology derivations for the automorphism groups."""
-    target = args.target
-
-    def go():
-        reg = _registry(args)
-        if target in ("pgl2", "pgl3"):
-            d = spectral.schur_pgl(2 if target == "pgl2" else 3, reg)
-            return (
-                {"group": d.group, "H2": str(d.value),
-                 "sequence": d.sequence.render()},
-                d.notes,
-                [],
-            )
-        if target == "quadric":
-            d = spectral.schur_aut_quadric(reg)
-            return (
-                {"group": d.group, "H2": str(d.value)},
-                d.notes,
-                [],
-            )
-        cands = spectral.k2_prime_candidates(reg)
-        return (
-            {"candidates": [str(c) for c in cands]},
-            ["extension of Z/2 by K2(C) + Z/2; undetermined, both candidates kept"],
-            [],
-        )
-    _run(args, "schur", {"target": target}, go)
+    reg = _registry(args)
+    if args.target in ("pgl2", "pgl3"):
+        d = spectral.schur_pgl(2 if args.target == "pgl2" else 3, reg)
+        return {"group": d.group, "H2": str(d.value), "sequence": d.sequence.render()}, d.notes, []
+    if args.target == "quadric":
+        d = spectral.schur_aut_quadric(reg)
+        return {"group": d.group, "H2": str(d.value)}, d.notes, []
+    cands = spectral.k2_prime_candidates(reg)
+    return (
+        {"candidates": [str(c) for c in cands]},
+        ["extension of Z/2 by K2(C) + Z/2; undetermined, both candidates kept"],
+        [],
+    )
 
 
 def homology(args):
     """Homology of a CW-complex or chain-complex JSON file."""
-    def go():
-        obj = complexes.load_complex_file(args.path)
-        if isinstance(obj, complexes.RegularCWComplex):
-            cc = obj.chain_complex()
-        else:
-            cc = obj
-        groups = [str(cc.homology(d)) for d in range(cc.top_degree + 1)]
-        return (
-            {"degrees": list(range(cc.top_degree + 1)), "homology": groups},
-            [],
-            [],
-        )
-    _run(args, "homology", {"path": args.path}, go)
+    obj = complexes.load_complex_file(args.path)
+    cc = obj.chain_complex() if isinstance(obj, complexes.RegularCWComplex) else obj
+    degrees = list(range(cc.top_degree + 1))
+    return {"degrees": degrees, "homology": [str(cc.homology(d)) for d in degrees]}, [], []
 
 
 def five_term_cmd(args):
     """The low-degree exact sequence of the ruled universe's grid."""
-    def go():
-        u = surfaces.GeneratorUniverse.ruled(args.points, args.e_max, r_max=5)
-        seq = spectral.prop_s17_sequence(u, _registry(args))
-        verdicts = [
-            {"position": lbl, "verdict": v, "detail": d} for lbl, v, d in seq.check()
-        ]
-        return (
-            {"sequence": seq.render(), "verdicts": verdicts},
-            ["seven-term sequence of the first-quadrant grid at finite truncation"],
-            [],
-        )
-    _run(args, "five-term", {"points": args.points, "e_max": args.e_max}, go)
+    u = surfaces.GeneratorUniverse.ruled(args.points, args.e_max, r_max=5)
+    seq = spectral.prop_s17_sequence(u, _registry(args))
+    verdicts = [{"position": lbl, "verdict": v, "detail": d} for lbl, v, d in seq.check()]
+    return (
+        {"sequence": seq.render(), "verdicts": verdicts},
+        ["seven-term sequence of the first-quadrant grid at finite truncation"],
+        [],
+    )
 
 
 def _existing_file(path):
@@ -372,7 +311,7 @@ def _parser(prog=None):
     def command(name, run):
         sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
                                   allow_abbrev=False)
-        sub.set_defaults(run=run)
+        sub.set_defaults(run=run, command=name)
         return sub
 
     def lattice_command(name, run):
@@ -423,9 +362,8 @@ def main(argv=None, prog=None):
     Returns on success; exits 1 when the library refuses the request and 2
     when the parser refuses the command line."""
     args = _parser(prog).parse_args(argv)
-    args.t0 = time.monotonic()
     try:
-        args.run(args)
+        _run(args)
     except BrokenPipeError:
         # the reader closed stdout: leave without a traceback, and point stdout
         # at /dev/null so that the interpreter's final flush cannot fail again
@@ -435,8 +373,8 @@ def main(argv=None, prog=None):
 
 def _click_shaped_main(args=None, prog_name=None, standalone_mode=False):
     """`main.main(args=..., prog_name=..., standalone_mode=False)`, the call
-    shape of click's `Command.main`.  It exists only for bench/inproc.py and
-    tests/test_tooling.py, which call main that way.  It runs
+    shape of click's `Command.main`.  It exists only for bench/inproc.py,
+    which calls main that way.  It runs
     main(args, prog_name), which returns on success and raises SystemExit on
     an error, as click's standalone_mode=False did; the flag itself is
     ignored.  Other callers use main(argv)."""

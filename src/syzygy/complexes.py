@@ -216,8 +216,13 @@ class RegularCWComplex:
             if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
                 raise ValueError(f"cell {cid!r} has dim {dim!r}, not an integer >= 0")
             cells.append(Cell(id=cid, dim=dim, label=c.get("label", "")))
-        # ids inside boundary lists, like the keys, are matched by their text
-        by_text = {str(c.id): c for c in cells}
+        # ids inside boundary lists, like the keys, are matched by their text,
+        # so two ids may not share one
+        by_text = {}
+        for c in cells:
+            other = by_text.setdefault(str(c.id), c)
+            if other.id != c.id:
+                raise ValueError(f"cells {other.id!r} and {c.id!r} share the id text {str(c.id)!r}")
         boundary_data = data.get("boundary", {})
         if not isinstance(boundary_data, dict):
             raise ValueError("boundary must map each cell id to its list of faces")

@@ -40,7 +40,7 @@ _DATA_DIR = Path(__file__).parent / "data"
 
 _VALUE_SHAPES = {  # key of a registry value -> (default, test of a well-formed entry)
     "atoms": ([], lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v)),
-    "cyclic": ([], lambda v: isinstance(v, list) and all(type(d) is int for d in v)),
+    "cyclic": ([], lambda v: isinstance(v, list) and all(type(d) is int and d >= 2 for d in v)),
     "free": (0, lambda v: type(v) is int),
     "infinite": ([], lambda v: isinstance(v, list) and all(
         isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) for p in v)),
@@ -49,7 +49,7 @@ _VALUE_SHAPES = {  # key of a registry value -> (default, test of a well-formed 
 
 def parse_value(data: dict) -> FormalGroup:
     """A registry value: an object with the optional keys "atoms" (a list of
-    names), "cyclic" (a list of orders), "free" (a rank) and "infinite" (a
+    names), "cyclic" (a list of orders >= 2), "free" (a rank) and "infinite" (a
     list of [label, value] pairs).  Any other shape raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"value {data!r} is not an object")

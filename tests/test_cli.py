@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -264,24 +265,27 @@ def test_five_term_command():
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, error",
     [
-        ("ruled", "--points", "-2"),
-        ("five-term", "--points", "-1"),
-        ("ruled", "--points", "3", "--rows", "7"),
-        ("ruled", "--points", "3", "--rows", "0,5"),
-        ("cremona", "--rows", "2"),
-        ("cremona", "--rows", "0,5"),
+        (("ruled", "--points", "-2"), "points must be >= 0, got -2"),
+        (("five-term", "--points", "-1"), "points must be >= 0, got -1"),
+        (("ruled", "--points", "3", "--rows", "7"), "--rows takes rows 0 and 1 only, got '7'"),
+        (("ruled", "--points", "3", "--rows", "0,5"),
+         "--rows takes rows 0 and 1 only, got '0,5'"),
+        (("cremona", "--rows", "2"), "--rows takes rows 0 and 1 only, got '2'"),
+        (("cremona", "--rows", "0,5"), "--rows takes rows 0 and 1 only, got '0,5'"),
+        (("ruled", "--points", "3", "--rows", "a"), "--rows takes rows 0 and 1 only, got 'a'"),
     ],
     ids=["ruled-points", "five-term-points", "ruled-rows", "ruled-extra-row",
-         "cremona-rows", "cremona-extra-row"],
+         "cremona-rows", "cremona-extra-row", "ruled-row-not-a-number"],
 )
-def test_impossible_parameters_are_refused(args):
+def test_impossible_parameters_are_refused(args, error):
     """Each request used to print a result for fewer labels or rows than
-    asked for and exit 0."""
+    asked for and exit 0; a row that is not a number used to be refused in
+    the words of Python's int()."""
     res = invoke(*args)
     assert res.exit_code == 1
-    assert "error" in json.loads(res.output)
+    assert json.loads(res.output)["error"] == error
 
 
 @pytest.mark.parametrize(
@@ -395,6 +399,66 @@ def test_table_format():
     assert "count = 27" in res.output
 
 
+@pytest.mark.parametrize(
+    "args, parameters",
+    [
+        (("lines", "--degree", "3"), {"degree": 3, "blowups": None}),
+        (("conics", "--blowups", "2"), {"degree": None, "blowups": 2}),
+        (("graph", "--degree", "3"), {"degree": 3, "blowups": None, "threshold": 1}),
+        (("syzygy", "bl3"), {"target": "bl3", "check": True}),
+        (("cubic",), {}),
+        (("ruled", "--points", "2"), {"points": 2, "e_max": 3, "r_max": 4, "rows": "0,1"}),
+        (("cremona",), {"points": 0, "e_max": 3, "r_max": 5, "rows": "0,1"}),
+        (("schur", "--target", "quadric"), {"target": "quadric"}),
+        (("homology", "cycle.json"), {"path": "cycle.json"}),
+        (("five-term",), {"points": 4, "e_max": 3}),
+    ],
+    ids=["lines", "conics", "graph", "syzygy", "cubic", "ruled", "cremona", "schur", "homology",
+         "five-term"],
+)
+def test_report_names_the_command_and_its_own_options(tmp_path, monkeypatch, args, parameters):
+    """A report's command is the subcommand's name and its parameters are
+    that command's options with their values, defaults included; the global
+    options are not among them."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cycle.json").write_text(json.dumps(build_cycle(3).to_json_dict()),
+                                         encoding="utf-8")
+    res = invoke("--format", "json", *args)
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    assert data["command"] == args[0]
+    assert data["parameters"] == parameters
+
+
+@pytest.mark.parametrize(
+    "args, head",
+    [
+        (("ruled", "--points", "3"),
+         ["== ruled ==", "  param points = 3", "  param e_max = 3", "  param r_max = 4",
+          "  param rows = 0,1"]),
+        (("cremona", "--rows", "0", "--e-max", "3"),
+         ["== cremona ==", "  param points = 0", "  param e_max = 3", "  param r_max = 5",
+          "  param rows = 0"]),
+        (("graph", "--blowups", "3", "--threshold", "0"),
+         ["== graph ==", "  param degree = None", "  param blowups = 3",
+          "  param threshold = 0"]),
+        (("syzygy", "bl3", "--no-check"),
+         ["== syzygy ==", "  param target = bl3", "  param check = False"]),
+    ],
+    ids=["ruled", "cremona", "graph", "syzygy"],
+)
+def test_table_header_lists_the_options_in_parser_order(args, head):
+    """The table opens with the command's name, then one param line per
+    option in the order the parser declares them, whatever order the
+    command line gives them in; it closes with the wall-clock time."""
+    res = invoke("--format", "table", *args)
+    assert res.exit_code == 0
+    out = res.output.splitlines()
+    assert out[:len(head)] == head
+    assert not out[len(head)].startswith("  param ")
+    assert re.fullmatch(r"  \(\d+\.\d{3}s\)", out[-1])
+
+
 SHIPPED_REGISTRY = Path(syzygy.__file__).parent / "data" / "registry.json"
 
 
@@ -452,6 +516,9 @@ def test_registry_without_the_entry_names_it_in_the_error(tmp_path):
         '"group": "SL(2,C)", "degree": 2, "value": {"free": true}',
         '"group": "SL(2,C)", "degree": 2, "value": {"cyclic": 2}',
         '"group": "SL(2,C)", "degree": 2, "value": {"cyclic": ["2"]}',
+        '"group": "SL(2,C)", "degree": 2, "value": {"cyclic": [0]}',
+        '"group": "SL(2,C)", "degree": 2, "value": {"cyclic": [-2]}',
+        '"group": "SL(2,C)", "degree": 2, "value": {"cyclic": [1]}',
         '"group": "SL(2,C)", "degree": 2, "value": {"atoms": 5}',
         '"group": "SL(2,C)", "degree": 2, "value": {"atoms": "K2(C)"}',
         '"group": "SL(2,C)", "degree": 2, "value": {"infinite": [["Z"]]}',
@@ -466,7 +533,8 @@ def test_registry_without_the_entry_names_it_in_the_error(tmp_path):
 def test_malformed_registry_entry_is_reported_as_the_error_json(tmp_path, entry):
     """The load refuses a value of the wrong shape, a group that is not a
     string and a degree that is not an integer, naming the entry.  These used
-    to end in a TypeError traceback, a bare KeyError or a truncated degree."""
+    to end in a TypeError traceback, a bare KeyError or a truncated degree;
+    a cyclic order below 2 used to be dropped, so Z/0 or Z/1 read as 0."""
     path = tmp_path / "registry.json"
     path.write_text('{"entries": [{%s, "provenance": "p"}]}' % entry, encoding="utf-8")
     res = invoke("--registry", str(path), "schur", "--target", "pgl2")
@@ -505,9 +573,11 @@ def test_registry_copy_prints_the_default_bytes(tmp_path, monkeypatch):
         '{"cells": [{"id": "a", "dim": 0}], "boundary": {"a": [["a", 1]]}}',
         '{"cells": [{"id": "a", "dim": 0}, {"id": "b", "dim": 0}, {"id": "e", "dim": 1},'
         ' {"id": "f", "dim": 2}], "boundary": {"e": [["b", 1], ["a", -1]], "f": [["a", 1]]}}',
+        '{"cells": [{"id": 1, "dim": 0}, {"id": "1", "dim": 0}, {"id": "e", "dim": 1}],'
+        ' "boundary": {"e": [[1, 1], ["1", -1]]}}',
     ],
     ids=["cells", "dim-string", "dim-missing", "face-no-sign", "face-unknown", "self-face",
-         "face-too-low"],
+         "face-too-low", "same-id-text"],
 )
 def test_homology_cw_file_rejects_malformed_cells(tmp_path, text):
     """Each file used to end in a traceback, an error that named only a

@@ -107,7 +107,7 @@ import contextlib, io, sys
 import syzygy.cli as cli
 with contextlib.redirect_stdout(io.StringIO()):
     try:
-        cli.main.main(args=sys.argv[1:], standalone_mode=False)
+        cli.main(sys.argv[1:])
     except SystemExit:
         pass
 for name, module in list(sys.modules.items()):
