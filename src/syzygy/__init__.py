@@ -58,8 +58,7 @@ _SUBMODULES = {
     "lattice": "BlowupLattice DivisorClass IncidenceGraph cubic_summary",
     "complexes": "Cell IntegerChainComplex RegularCWComplex load_complex_file",
     "surfaces": "BaseCase GeneratorUniverse SurfaceCentralModel boundary"
-    " elementary_transformation enumerate_generators row0_complex"
-    " row0_homology syzygy_sphere_bl3 two_ray_game",
+    " enumerate_generators row0_complex row0_homology validated_sphere_bl3",
     "formal": "Atom FormalGroup FormalHom check_exact cokernel homology_at"
     " kernel solve_extension",
     "spectral": "KnownHomologyRegistry SpectralGrid cremona_assemble"

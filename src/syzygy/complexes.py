@@ -29,8 +29,6 @@ import json
 from . import _Value
 from .smith import FGAbelianGroup, lift_to_cycles, presented_homology
 
-CellId = object  # hashable
-
 
 class Cell(_Value):
     """One cell: a hashable id, its dimension and a display label.  Cells
@@ -186,18 +184,6 @@ class RegularCWComplex:
         return self.chain_complex().homology(degree)
 
     # -- serialization ---------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        cells = [
-            {"id": c.id, "dim": c.dim, "label": c.label}
-            for c in sorted(self.cells.values(), key=lambda c: (c.dim, repr(c.id)))
-        ]
-        boundary = {
-            str(cid): [[fid, sign] for fid, sign in faces]
-            for cid, faces in sorted(self.boundary.items(), key=lambda kv: repr(kv[0]))
-            if faces
-        }
-        return {"cells": cells, "boundary": boundary}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RegularCWComplex":
@@ -385,17 +371,6 @@ class IntegerChainComplex:
             return FGAbelianGroup(0)
         return presented_homology(*self._window(degree), lifted=self._lift(degree))
 
-    def to_json_dict(self) -> dict:
-        """The file format: each boundary as a dense list of rows."""
-        return {
-            "ranks": self.ranks,
-            "boundaries": [
-                [[col.get(i, 0) for col in columns] for i in range(self.ranks[d - 1])]
-                for d, columns in enumerate(self.boundaries[1:len(self.ranks)], start=1)
-            ],
-            "cyclic": {str(d): {str(i): m for i, m in v.items()} for d, v in self.cyclic.items() if v},
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "IntegerChainComplex":
         """Read the file format; any wrong structure raises ValueError."""
@@ -423,7 +398,8 @@ class IntegerChainComplex:
         if not isinstance(cyclic, dict) or not all(isinstance(v, dict) for v in cyclic.values()):
             raise ValueError("cyclic must map each degree to an object of index -> modulus")
         return cls(ranks, boundaries, {
-            d: {i: _json_int(m) for i, m in v.items()} for d, v in cyclic.items()
+            _json_index(d): {_json_index(i): _json_int(m) for i, m in v.items()}
+            for d, v in cyclic.items()
         })
 
 
@@ -440,6 +416,17 @@ def _json_int(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"chain complex files hold integers only, got {x!r}")
     return x
+
+
+def _json_index(key: str) -> int:
+    """An index read from a key of the cyclic object: canonical decimal text
+    only, so that no two keys name one degree or generator."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except ValueError:
+        pass
+    raise ValueError(f"cyclic key {key!r} is not a canonical decimal integer")
 
 
 def load_complex_file(path):

@@ -141,10 +141,6 @@ class FormalGroup(_Value):
         return cls(free_rank=n)
 
     @classmethod
-    def cyclic_group(cls, n):
-        return cls(cyclic=(n,))
-
-    @classmethod
     def atom(cls, name, copies=1):
         return cls(atoms=(name,) * copies)
 
@@ -169,9 +165,6 @@ class FormalGroup(_Value):
     @property
     def is_finite(self) -> bool:
         return not self.atoms and self.free_rank == 0 and not self.infinite
-
-    def fg_part(self) -> FGAbelianGroup:
-        return FGAbelianGroup(self.free_rank, self.cyclic)
 
     def slots(self) -> list:
         """Slot descriptors in canonical order: atoms, cyclic, free."""

@@ -17,45 +17,15 @@ from . import _Value
 
 
 class DivisorClass(_Value):
-    """Integer vector a0*H + a1*E1 + ... + an*En; an immutable value,
-    ordered by its coefficient tuple."""
+    """Integer vector a0*H + a1*E1 + ... + an*En; an immutable value."""
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: tuple[int, ...]):
         object.__setattr__(self, "coefficients", coefficients)
 
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients < other.coefficients
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients <= other.coefficients
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients > other.coefficients
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients >= other.coefficients
-
-    def __add__(self, other):
-        return DivisorClass(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
-
     def __sub__(self, other):
         return DivisorClass(tuple(a - b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __neg__(self):
-        return DivisorClass(tuple(-a for a in self.coefficients))
-
-    def scale(self, k: int) -> "DivisorClass":
-        return DivisorClass(tuple(k * a for a in self.coefficients))
 
     def __str__(self) -> str:
         names = ["H"] + [f"E{i}" for i in range(1, len(self.coefficients))]
@@ -89,21 +59,6 @@ class BlowupLattice:
         self.n = n
         self.rank = n + 1
 
-    def cls(self, *coefficients: int) -> DivisorClass:
-        if len(coefficients) != self.rank:
-            raise ValueError(f"expected {self.rank} coefficients, got {len(coefficients)}")
-        return DivisorClass(tuple(int(c) for c in coefficients))
-
-    def h(self) -> DivisorClass:
-        return self.cls(1, *([0] * self.n))
-
-    def e(self, i: int) -> DivisorClass:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"E{i} does not exist in a rank-{self.rank} lattice")
-        coeffs = [0] * self.rank
-        coeffs[i] = 1
-        return DivisorClass(tuple(coeffs))
-
     def intersect(self, a: DivisorClass, b: DivisorClass) -> int:
         if len(a.coefficients) != self.rank or len(b.coefficients) != self.rank:
             raise ValueError("divisor class does not match the lattice rank")
@@ -111,9 +66,6 @@ class BlowupLattice:
         for x, y in zip(a.coefficients[1:], b.coefficients[1:]):
             s -= x * y
         return s
-
-    def canonical_class(self) -> DivisorClass:
-        return DivisorClass((-3,) + (1,) * self.n)
 
     # -- enumeration ---------------------------------------------------------
 

@@ -503,16 +503,6 @@ class FGAbelianGroup(_Value):
     def from_orders(cls, free_rank: int, orders: list[int]) -> "FGAbelianGroup":
         return cls(free_rank, tuple(_merge_invariant_factors([n for n in orders if n > 1])))
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        return prod(self.torsion) if self.torsion else 1
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

@@ -86,6 +86,8 @@ class KnownHomologyRegistry:
             try:
                 if not isinstance(key[0], str) or type(key[1]) is not int:
                     raise ValueError("the group must be a string and the degree an integer")
+                if key in entries:
+                    raise ValueError("repeats an earlier entry")
                 if not item.get("provenance"):
                     raise ValueError("lacks a provenance note")
                 entries[key] = (parse_value(item.get("value", {})), item["provenance"])
@@ -394,9 +396,6 @@ class ExactSequence:
             v = check_exact([f, g])[0]
             out.append((t.label, v.verdict, v.detail))
         return out
-
-    def fully_known_positions_exact(self) -> bool:
-        return all(v != "fail" for _, v, _ in self.check())
 
     def render(self) -> str:
         return " -> ".join(
@@ -774,13 +773,15 @@ def cremona_row1_complex(u: surfaces.GeneratorUniverse, registry=None) -> RowCom
     if u.base is not surfaces.BaseCase.CREMONA:
         raise ValueError("this builder is for the cremona universe")
     reg = registry or default_registry()
+    blocks = {}  # (full, plus) -> the block's group, solved on first use
 
     def block_entry(full, plus, columns):
-        action = FormalHom(reg.get(full, 1), reg.get(plus, 1), columns)
-        out = nonorientable_block_homology(1, full, plus, action, reg)
-        if isinstance(out, list):
+        if (full, plus) not in blocks:
+            action = FormalHom(reg.get(full, 1), reg.get(plus, 1), columns)
+            blocks[full, plus] = nonorientable_block_homology(1, full, plus, action, reg)
+        if isinstance(blocks[full, plus], list):
             raise FormalGroupError(f"ambiguous degree-1 block for {full}")
-        return out
+        return blocks[full, plus]
 
     def entry(gen):
         if gen.rank == 1:

@@ -135,10 +135,9 @@ class GeneratorUniverse(_Value):
     """Finite truncation parameters: label set, invariant bound, rank bound.
     An immutable value; equal universes share row0_complex's cache entry."""
 
-    __slots__ = ("base", "labels", "e_max", "r_max", "moduli")
+    __slots__ = ("base", "labels", "e_max", "r_max")
 
-    def __init__(self, base: BaseCase, labels: tuple, e_max: int, r_max: int,
-                 moduli: tuple = ("l0", "l1")):
+    def __init__(self, base: BaseCase, labels: tuple, e_max: int, r_max: int):
         if e_max < 1:
             raise ValueError("e_max must be >= 1")
         if not 1 <= r_max <= 5:
@@ -150,13 +149,12 @@ class GeneratorUniverse(_Value):
         setattr_(self, "labels", labels)
         setattr_(self, "e_max", e_max)
         setattr_(self, "r_max", r_max)
-        setattr_(self, "moduli", moduli)
 
     @classmethod
-    def ruled(cls, points: int, e_max: int, r_max: int = 4, moduli=("l0", "l1")):
+    def ruled(cls, points: int, e_max: int, r_max: int = 4):
         if points < 0:
             raise ValueError(f"points must be >= 0, got {points}")
-        return cls(BaseCase.RULED, tuple(f"P{i}" for i in range(1, points + 1)), e_max, r_max, tuple(moduli))
+        return cls(BaseCase.RULED, tuple(f"P{i}" for i in range(1, points + 1)), e_max, r_max)
 
     @classmethod
     def cremona(cls, e_max: int, r_max: int = 5):
@@ -202,7 +200,7 @@ def _tags(u: GeneratorUniverse, rank: int, e_bound: int) -> list:
     if rank == 5 and not ruled:
         return tags  # only the del Pezzo is classified here
     for part in sorted(partitions(k)) if ruled else partitions(k):
-        moduli = sorted(u.moduli) if part == (1,) * k and k == 4 else [None]
+        moduli = ("l0", "l1") if part == (1,) * k and k == 4 else (None,)
         tags += [_tag("blowup", part, modulus=m) for m in moduli]
     return tags + [_tag("min_section", e=e) for e in range(1, e_bound + 1)]
 
@@ -423,61 +421,18 @@ def check_row0_squares_to_zero(u: GeneratorUniverse) -> bool:
     return True
 
 
-def two_ray_game(model: SurfaceCentralModel):
-    """The two rank-1 models under a rank-2 central model.
-
-    The pair matches the model's boundary column: the two targets appear there
-    with opposite signs (and cancel to zero for the quadric over a point,
-    whose two rulings are distinct models in the same isomorphism class)."""
-    if model.rank != 2:
-        raise ValueError("the two-ray game needs a rank-2 central model")
-    base = model.base
-    if model.family == "dp8_blowdown":
-        return (_mk(base, 1, "hirzebruch", e=1), _mk(base, 1, "plane"))
-    if model.family == "dp8_quadric":
-        return (_mk(base, 1, "hirzebruch", e=0),
-                _mk(base, 1, "hirzebruch", e=0, modulus="second ruling"))
-    if model.family == "blowup":
-        return (_mk(base, 1, "hirzebruch", e=1), _mk(base, 1, "hirzebruch", e=0))
-    if model.family == "min_section":
-        return (
-            _mk(base, 1, "hirzebruch", e=model.e + 1),
-            _mk(base, 1, "hirzebruch", e=model.e),
-        )
-    raise ValueError(f"no two-ray game for {model}")
-
-
-def elementary_transformation(e: int, on_minimal_section: bool) -> int:
-    """Invariant after one elementary transformation of the e-th ruled surface.
-
-    Every point of the quadric lies on a minimal section, so e = 0 always
-    climbs to 1; otherwise the invariant moves up on the minimal section and
-    down off it.
-    """
-    if e < 0:
-        raise ValueError("invariant must be non-negative")
-    if e == 0:
-        return 1
-    return e + 1 if on_minimal_section else e - 1
-
-
 # -- the rank-4 sphere ---------------------------------------------------------
 
 
-def syzygy_sphere_bl3() -> RegularCWComplex:
+def validated_sphere_bl3() -> tuple:
     """The 2-sphere decomposition attached to the three-point blowup of the
-    plane, assembled from Picard-lattice data.
+    plane, assembled from Picard-lattice data, and the ValidationReport of its
+    one full validation; raises RuntimeError when the sphere fails it.
 
     Vertices are its nine rank-3 models (six curve contractions plus three
     conic fibrations), edges its 21 rank-2 models, faces its 14 Mori models;
     every face is a triangle.
     """
-    return validated_sphere_bl3()[0]
-
-
-def validated_sphere_bl3() -> tuple:
-    """syzygy_sphere_bl3's sphere and the ValidationReport of its one full
-    validation; raises RuntimeError when the sphere fails it."""
     lat = lattice.BlowupLattice(3)
     lines = lat.enumerate_lines()
     conics = lat.enumerate_conic_classes()

@@ -1,13 +1,15 @@
-"""Shared complex builders and test oracles for the test suite."""
+"""Shared complex builders, test oracles, and the library functions that
+only the test suite calls."""
 
 import contextlib
 import io
 from itertools import combinations
+from math import prod
 from typing import NamedTuple
 
 from syzygy import smith
 from syzygy.cli import main
-from syzygy.complexes import Cell, RegularCWComplex, _chain_subcomplex
+from syzygy.complexes import Cell, IntegerChainComplex, RegularCWComplex, _chain_subcomplex
 from syzygy.formal import (
     FormalGroup,
     FormalGroupError,
@@ -16,6 +18,7 @@ from syzygy.formal import (
     _fg_relations,
     atom_registry,
 )
+from syzygy.lattice import BlowupLattice, DivisorClass
 from syzygy.smith import (
     FGAbelianGroup,
     Matrix,
@@ -28,6 +31,7 @@ from syzygy.smith import (
     zeros,
 )
 from syzygy.spectral import (
+    ExactSequence,
     KnownHomologyRegistry,
     RowComplex,
     SpectralGrid,
@@ -155,6 +159,136 @@ def displayed_boundary(u: GeneratorUniverse, gen: SurfaceCentralModel) -> dict:
                   target_e_bound=max(u.e_max, gen.e) + 1)
     column = bm.matrix[bm.columns.index(gen)]
     return {bm.rows[i]: column[i] for i in sorted(column)}
+
+
+# -- divisor arithmetic, group readers and file writers -----------------------------
+#
+# Plain functions over the library's types for what only the tests need:
+# building and combining divisor classes, reading formal and finitely
+# generated groups, and writing the complex file formats that
+# load_complex_file reads.
+
+
+def divisor(lat: BlowupLattice, *coefficients: int) -> DivisorClass:
+    """The class with the given coefficients in lat's basis (H, E1..En)."""
+    if len(coefficients) != lat.rank:
+        raise ValueError(f"expected {lat.rank} coefficients, got {len(coefficients)}")
+    return DivisorClass(tuple(int(c) for c in coefficients))
+
+
+def hyperplane_class(lat: BlowupLattice) -> DivisorClass:
+    return divisor(lat, 1, *([0] * lat.n))
+
+
+def exceptional_class(lat: BlowupLattice, i: int) -> DivisorClass:
+    if not 1 <= i <= lat.n:
+        raise ValueError(f"E{i} does not exist in a rank-{lat.rank} lattice")
+    return divisor(lat, *(1 if j == i else 0 for j in range(lat.rank)))
+
+
+def canonical_class(lat: BlowupLattice) -> DivisorClass:
+    return DivisorClass((-3,) + (1,) * lat.n)
+
+
+def divisor_sum(a: DivisorClass, b: DivisorClass) -> DivisorClass:
+    return DivisorClass(tuple(x + y for x, y in zip(a.coefficients, b.coefficients)))
+
+
+def divisor_multiple(a: DivisorClass, k: int) -> DivisorClass:
+    return DivisorClass(tuple(k * x for x in a.coefficients))
+
+
+def cyclic_group(n: int) -> FormalGroup:
+    return FormalGroup(cyclic=(n,))
+
+
+def fg_part(g: FormalGroup) -> FGAbelianGroup:
+    """The finitely generated part of a formal group: its free and cyclic
+    summands."""
+    return FGAbelianGroup(g.free_rank, g.cyclic)
+
+
+def is_trivial(g: FGAbelianGroup) -> bool:
+    return g.free_rank == 0 and not g.torsion
+
+
+def group_order(g: FGAbelianGroup):
+    """The order of g, or None when g is infinite."""
+    if g.free_rank:
+        return None
+    return prod(g.torsion)
+
+
+def fully_known_positions_exact(seq: ExactSequence) -> bool:
+    """No interior term of the sequence fails its exactness check."""
+    return all(verdict != "fail" for _, verdict, _ in seq.check())
+
+
+def cw_complex_json(cx: RegularCWComplex) -> dict:
+    """The CW-complex file format: cells by dimension, then boundaries."""
+    cells = [
+        {"id": c.id, "dim": c.dim, "label": c.label}
+        for c in sorted(cx.cells.values(), key=lambda c: (c.dim, repr(c.id)))
+    ]
+    faces_of = {
+        str(cid): [[fid, sign] for fid, sign in faces]
+        for cid, faces in sorted(cx.boundary.items(), key=lambda kv: repr(kv[0]))
+        if faces
+    }
+    return {"cells": cells, "boundary": faces_of}
+
+
+def chain_complex_json(cc: IntegerChainComplex) -> dict:
+    """The chain-complex file format: each boundary as a dense list of rows."""
+    return {
+        "ranks": cc.ranks,
+        "boundaries": [
+            [[col.get(i, 0) for col in columns] for i in range(cc.ranks[d - 1])]
+            for d, columns in enumerate(cc.boundaries[1:len(cc.ranks)], start=1)
+        ],
+        "cyclic": {str(d): {str(i): m for i, m in v.items()} for d, v in cc.cyclic.items() if v},
+    }
+
+
+# -- two-ray games and elementary transformations -----------------------------------
+
+
+def two_ray_game(model: SurfaceCentralModel):
+    """The two rank-1 models under a rank-2 central model.
+
+    The pair matches the model's boundary column: the two targets appear there
+    with opposite signs (and cancel to zero for the quadric over a point,
+    whose two rulings are distinct models in the same isomorphism class)."""
+    if model.rank != 2:
+        raise ValueError("the two-ray game needs a rank-2 central model")
+    base = model.base
+    if model.family == "dp8_blowdown":
+        return (_mk(base, 1, "hirzebruch", e=1), _mk(base, 1, "plane"))
+    if model.family == "dp8_quadric":
+        return (_mk(base, 1, "hirzebruch", e=0),
+                _mk(base, 1, "hirzebruch", e=0, modulus="second ruling"))
+    if model.family == "blowup":
+        return (_mk(base, 1, "hirzebruch", e=1), _mk(base, 1, "hirzebruch", e=0))
+    if model.family == "min_section":
+        return (
+            _mk(base, 1, "hirzebruch", e=model.e + 1),
+            _mk(base, 1, "hirzebruch", e=model.e),
+        )
+    raise ValueError(f"no two-ray game for {model}")
+
+
+def elementary_transformation(e: int, on_minimal_section: bool) -> int:
+    """Invariant after one elementary transformation of the e-th ruled surface.
+
+    Every point of the quadric lies on a minimal section, so e = 0 always
+    climbs to 1; otherwise the invariant moves up on the minimal section and
+    down off it.
+    """
+    if e < 0:
+        raise ValueError("invariant must be non-negative")
+    if e == 0:
+        return 1
+    return e + 1 if on_minimal_section else e - 1
 
 
 # -- oracle for presented_homology ----------------------------------------------
@@ -521,9 +655,9 @@ def lattice_roots(lat) -> list:
 
 
 def weyl_reflect(lat, c, root):
-    if lat.intersect(root, root) != -2 or lat.intersect(lat.canonical_class(), root) != 0:
+    if lat.intersect(root, root) != -2 or lat.intersect(canonical_class(lat), root) != 0:
         raise ValueError(f"{root} is not a root (needs r.r = -2 and K.r = 0)")
-    return c + root.scale(lat.intersect(c, root))
+    return divisor_sum(c, divisor_multiple(root, lat.intersect(c, root)))
 
 
 # -- oracle for count_fibration_configurations -----------------------------------
@@ -769,7 +903,7 @@ def table_enumerate_generators(u: GeneratorUniverse, rank: int, e_bound: int | N
                     if part == (1,) * k and k == 4:
                         out.extend(
                             _mk(u.base, rank, "blowup", pts, partition=part, modulus=m)
-                            for m in u.moduli
+                            for m in ("l0", "l1")
                         )
                     else:
                         out.append(_mk(u.base, rank, "blowup", pts, partition=part))

@@ -37,10 +37,21 @@ from syzygy.surfaces import (
     GeneratorUniverse,
     row0_complex,
     row0_homology,
-    syzygy_sphere_bl3,
+    validated_sphere_bl3,
 )
 
-from helpers import columns, dense, determinant, is_zero_matrix, lattice_roots, weyl_reflect
+from helpers import (
+    columns,
+    cyclic_group,
+    dense,
+    determinant,
+    fg_part,
+    fully_known_positions_exact,
+    is_trivial,
+    is_zero_matrix,
+    lattice_roots,
+    weyl_reflect,
+)
 
 
 def Z2n(n):
@@ -81,7 +92,7 @@ def test_acceptance_02_hexagon():
 
 def test_acceptance_03_syzygy_sphere():
     with Timer() as t:
-        sphere = syzygy_sphere_bl3()
+        sphere = validated_sphere_bl3()[0]
         report = sphere.validate()
         vertices = len(sphere.cells_of_dim(0))
         triangles = all(len(sphere.boundary[c.id]) == 3 for c in sphere.cells_of_dim(2))
@@ -229,7 +240,7 @@ def test_acceptance_07_row0_cremona():
         e20 = row0_homology(u4, 2)
         u5 = GeneratorUniverse.cremona(3, r_max=5)
         e30 = row0_homology(u5, 3)
-    ok = e10.is_trivial and e20.is_trivial and e30.is_trivial and t.elapsed < 10.0
+    ok = is_trivial(e10) and is_trivial(e20) and is_trivial(e30) and t.elapsed < 10.0
     assert announce(
         7, ok,
         f"plane universe: E_{{1,0}}={e10}, E_{{2,0}}={e20} (r_max=4); "
@@ -291,13 +302,13 @@ def test_acceptance_10_five_term_instance():
         ]
         e30 = seq.terms[0].group
         e11 = seq.terms[1].group
-        known_ok = seq.fully_known_positions_exact()
+        known_ok = fully_known_positions_exact(seq)
     ok = (
         shape_ok
         and known_ok
         and e11 == FormalGroup.atom("C*", 3)
-        and e30 is not None and e30.fg_part().torsion and
-        all(d == 2 for d in e30.fg_part().torsion)
+        and e30 is not None and fg_part(e30).torsion and
+        all(d == 2 for d in fg_part(e30).torsion)
         and t.elapsed < 5.0
     )
     assert announce(
@@ -371,11 +382,11 @@ def test_acceptance_12_property_suites():
 
         for n in range(2, 13):
             for k in range(0, 13):
-                zn = FormalGroup.cyclic_group(n)
+                zn = cyclic_group(n)
                 h = FormalHom(zn, zn, [{0: k}])
                 expected = gcd(k, n)
                 want = (
-                    FormalGroup.cyclic_group(expected)
+                    cyclic_group(expected)
                     if expected > 1
                     else FormalGroup.zero()
                 )

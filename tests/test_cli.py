@@ -11,9 +11,9 @@ import pytest
 import syzygy
 from syzygy import smith
 from syzygy.complexes import RegularCWComplex, ValidationReport
-from syzygy.surfaces import GeneratorUniverse, row0_complex, syzygy_sphere_bl3
+from syzygy.surfaces import GeneratorUniverse, row0_complex, validated_sphere_bl3
 
-from helpers import build_cycle, build_octahedron, invoke
+from helpers import build_cycle, build_octahedron, chain_complex_json, cw_complex_json, invoke
 
 
 def test_lines_cubic():
@@ -151,7 +151,7 @@ def test_schur_commands():
 
 def test_homology_file_cw(tmp_path):
     path = tmp_path / "octa.json"
-    path.write_text(json.dumps(build_octahedron().to_json_dict()), encoding="utf-8")
+    path.write_text(json.dumps(cw_complex_json(build_octahedron())), encoding="utf-8")
     data = json.loads(invoke("homology", str(path)).output)
     assert data["result"]["homology"] == ["Z", "0", "Z"]
 
@@ -159,7 +159,7 @@ def test_homology_file_cw(tmp_path):
 def test_homology_file_of_the_sphere(tmp_path):
     """The sphere's file has tuple cell ids, which JSON stores as lists."""
     path = tmp_path / "sphere.json"
-    path.write_text(json.dumps(syzygy_sphere_bl3().to_json_dict()), encoding="utf-8")
+    path.write_text(json.dumps(cw_complex_json(validated_sphere_bl3()[0])), encoding="utf-8")
     res = invoke("homology", str(path))
     assert res.exit_code == 0
     assert json.loads(res.output)["result"]["homology"] == ["Z", "0", "Z"]
@@ -168,7 +168,7 @@ def test_homology_file_of_the_sphere(tmp_path):
 def test_homology_file_chain(tmp_path):
     path = tmp_path / "circle.json"
     path.write_text(
-        json.dumps(build_cycle(6).chain_complex().to_json_dict()), encoding="utf-8"
+        json.dumps(chain_complex_json(build_cycle(6).chain_complex())), encoding="utf-8"
     )
     data = json.loads(invoke("homology", str(path)).output)
     assert data["result"]["homology"] == ["Z", "Z"]
@@ -207,6 +207,32 @@ def test_homology_file_rejects_bad_values(tmp_path, text):
     res = invoke("homology", str(path))
     assert res.exit_code == 1
     assert "error" in json.loads(res.output)
+
+
+@pytest.mark.parametrize(
+    "cyclic, key",
+    [
+        ('{"0": {"1": 2, " 1": 3}}', " 1"),
+        ('{"0": {"+1": 3}}', "+1"),
+        ('{"0": {"01": 3}}', "01"),
+        ('{"00": {"1": 3}}', "00"),
+        ('{"0": {"x": 2}}', "x"),
+    ],
+    ids=["space", "plus", "leading-zero", "degree", "letter"],
+)
+def test_homology_file_refuses_aliased_cyclic_keys(tmp_path, cyclic, key):
+    """Keys were read with int(), so " 1", "+1" and "01" also named
+    generator 1 and the last of two aliases won: {"1": 2, " 1": 3} read as
+    Z (+) Z/3.  Only canonical decimal keys are read, and the error names
+    the key; "x" used to report int()'s own message."""
+    path = tmp_path / "bad.json"
+    path.write_text('{"ranks": [2], "boundaries": [], "cyclic": %s}' % cyclic,
+                    encoding="utf-8")
+    res = invoke("homology", str(path))
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == (
+        f"cyclic key {key!r} is not a canonical decimal integer"
+    )
 
 
 @pytest.mark.parametrize(
@@ -421,7 +447,7 @@ def test_report_names_the_command_and_its_own_options(tmp_path, monkeypatch, arg
     that command's options with their values, defaults included; the global
     options are not among them."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cycle.json").write_text(json.dumps(build_cycle(3).to_json_dict()),
+    (tmp_path / "cycle.json").write_text(json.dumps(cw_complex_json(build_cycle(3))),
                                          encoding="utf-8")
     res = invoke("--format", "json", *args)
     assert res.exit_code == 0
@@ -540,6 +566,22 @@ def test_malformed_registry_entry_is_reported_as_the_error_json(tmp_path, entry)
     res = invoke("--registry", str(path), "schur", "--target", "pgl2")
     assert res.exit_code == 1
     assert json.loads(res.output)["error"].startswith("registry entry ")
+
+
+def test_repeated_registry_entry_is_refused(tmp_path):
+    """A second entry for one (group, degree) used to replace the first, so
+    an SL(2,C) degree-2 entry of Z/5 appended to the shipped registry made
+    H2(PGL(2,C)) read Z/10."""
+    data = json.loads(SHIPPED_REGISTRY.read_text(encoding="utf-8"))
+    data["entries"].append({"group": "SL(2,C)", "degree": 2, "value": {"cyclic": [5]},
+                            "provenance": "p"})
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    res = invoke("--registry", str(path), "schur", "--target", "pgl2")
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == (
+        "registry entry 'SL(2,C)' degree 2: repeats an earlier entry"
+    )
 
 
 def test_commands_without_the_registry_ignore_a_bad_one(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import pytest
 
+from syzygy import spectral
+
 from syzygy.formal import FormalGroup, FormalGroupError, FormalHom
 from syzygy.spectral import (
     ExactSequence,
@@ -25,6 +27,8 @@ from syzygy.spectral import (
 from syzygy.surfaces import GeneratorUniverse
 
 from helpers import (
+    cyclic_group,
+    fully_known_positions_exact,
     h_prime_grid,
     registry_audit,
     registry_items,
@@ -37,7 +41,7 @@ K2 = FormalGroup.atom("K2(C)")
 
 
 def Zn(n):
-    return FormalGroup.cyclic_group(n)
+    return cyclic_group(n)
 
 
 @pytest.fixture()
@@ -89,7 +93,7 @@ def test_schur_pgl(n, registry):
     assert str(d.value) == f"K2(C) (+) Z/{n}"
     assert len(d.candidates) == 1
     assert registry.get(f"PGL({n},C)", 2) == d.value
-    assert d.sequence.fully_known_positions_exact()
+    assert fully_known_positions_exact(d.sequence)
 
 
 def test_schur_aut_quadric(registry):
@@ -274,6 +278,24 @@ def test_cremona_row1_matches_table_oracle(e_max, r_max, registry):
     )
 
 
+def test_cremona_row1_solves_each_twisted_block_once(monkeypatch, registry):
+    """Generators that share a twisted block share its group: at e_max = 60
+    the 64 generators with a block need five distinct (full, plus) pairs,
+    each solved once."""
+    pairs = []
+    solve_block = spectral.nonorientable_block_homology
+
+    def counting(i, full, plus, action, reg=None):
+        pairs.append((full, plus))
+        return solve_block(i, full, plus, action, reg)
+
+    monkeypatch.setattr(spectral, "nonorientable_block_homology", counting)
+    u = GeneratorUniverse.cremona(60)
+    row = cremona_row1_complex(u, registry)
+    assert len(pairs) == len(set(pairs)) <= 5
+    assert_same_row_complex(row, table_cremona_row1_complex(u, registry))
+
+
 def test_row1_builders_refuse_the_other_universe(registry):
     with pytest.raises(ValueError):
         ruled_row1_complex(GeneratorUniverse.cremona(3), registry)
@@ -310,7 +332,7 @@ def test_ruled_grid_and_seven_term(registry):
         "E_{3,0}", "E_{1,1}", "coker(E_{0,2}->H2)", "E_{2,0}",
         "E_{0,1}", "H1", "E_{1,0}", "0",
     ]
-    assert seq.fully_known_positions_exact()
+    assert fully_known_positions_exact(seq)
     verdicts = dict((lbl, v) for lbl, v, _ in seq.check())
     assert verdicts["E_{0,1}"] == "exact"
 
@@ -323,7 +345,7 @@ def test_five_term_forced_zero_inference():
     seq = five_term(grid)
     h1 = next(t for t in seq.terms if t.label == "H1")
     assert h1.group is not None and h1.group.is_zero
-    assert seq.fully_known_positions_exact()
+    assert fully_known_positions_exact(seq)
 
 
 def test_exact_sequence_detects_failure():

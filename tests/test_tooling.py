@@ -11,7 +11,12 @@ read, only smith touches the dense Smith cluster, and no module imports
 `dataclasses`.  One class rule is checked there too: the value contract is
 written once, so no class but the value base `_Value` in the package's
 `__init__.py` defines `__setattr__`, `__delattr__`, `__reduce__`, `__hash__`
-or `__repr__` with a `def`."""
+or `__repr__` with a `def`.  And the library holds only code that runs: every
+top-level function and method is referenced by name somewhere in the library
+outside its own definition, unless it is a package export, a dunder, a name
+the benchmark's own code reaches (its traced SPANS, its set-up probe, its
+in-process runner), or on a short allowlist that gives its reason.  Code only
+tests call lives in tests/helpers.py."""
 
 import ast
 import importlib
@@ -19,6 +24,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -197,13 +203,14 @@ def test_sphere_skips_the_formal_calculus():
     assert not _executed_modules("syzygy", "bl3") & {"formal", "spectral"}
 
 
-# every name the package exported when it imported its submodules eagerly
+# every name the package exports, pinned apart from _SUBMODULES in its
+# __init__.py, so that an export is dropped or added only on purpose
 EXPORTS = {
     "smith": "FGAbelianGroup SNFResult smith_normal_form",
     "lattice": "BlowupLattice DivisorClass IncidenceGraph cubic_summary",
     "complexes": "Cell IntegerChainComplex RegularCWComplex load_complex_file",
-    "surfaces": "BaseCase GeneratorUniverse SurfaceCentralModel boundary elementary_transformation"
-    " enumerate_generators row0_complex row0_homology syzygy_sphere_bl3 two_ray_game",
+    "surfaces": "BaseCase GeneratorUniverse SurfaceCentralModel boundary enumerate_generators"
+    " row0_complex row0_homology validated_sphere_bl3",
     "formal": "Atom FormalGroup FormalHom check_exact cokernel homology_at kernel solve_extension",
     "spectral": "KnownHomologyRegistry SpectralGrid cremona_assemble default_registry five_term"
     " k2_prime_candidates schur_aut_quadric schur_pgl seven_term",
@@ -214,6 +221,7 @@ EXPORTS = {
 def test_package_exports_resolve_to_their_module(module):
     mod = importlib.import_module(f"syzygy.{module}")
     assert getattr(syzygy, module) is mod is sys.modules[f"syzygy.{module}"]
+    assert syzygy._SUBMODULES[module].split() == EXPORTS[module].split()
     for name in EXPORTS[module].split():
         scope = {}
         exec(f"from syzygy import {name}", scope)
@@ -288,3 +296,73 @@ def test_only_the_value_base_defines_the_value_methods():
             defined += [f"{name}:{item.lineno} {node.name}.{item.name}" for item in node.body
                         if isinstance(item, ast.FunctionDef) and item.name in VALUE_METHODS]
     assert not defined
+
+
+# library names kept although no library code refers to them, with the reason
+UNREFERENCED_ALLOWED = {
+    "KnownHomologyRegistry.provenance": "reads an entry's provenance note, which the"
+    " planned per-result provenance trace reports",
+}
+
+
+def _bench_reached_names():
+    """The library names the benchmark's own code reaches: the last part of
+    each traced SPANS target, the names its set-up probe imports from the
+    package, and the attributes its set-up probe and in-process runner read
+    off `cli`."""
+    inproc, run = _bench_module("inproc"), _bench_module("run")
+    names = {t.split(":")[1].split(".")[-1] for ts in inproc.SPANS.values() for t in ts}
+    for tree in (ast.parse(run.PROBE_CODE), ast.parse((BENCH / "inproc.py").read_text())):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("syzygy"):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id == "cli":
+                    names.add(node.attr)
+    return names
+
+
+def _reads(tree):
+    """(attribute names read, plain names read) under a syntax tree."""
+    attrs, names = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
+        elif isinstance(node, ast.Name):
+            names[node.id] += 1
+    return attrs, names
+
+
+def test_every_library_function_is_referenced_in_the_library():
+    """A top-level function counts as referenced when its name is read as a
+    name or an attribute elsewhere in the library; a method only as an
+    attribute (`obj.method`)."""
+    attrs, names = Counter(), Counter()
+    defs = []  # (module, owning class or None, def node)
+    for module, tree in _library_modules():
+        tree_attrs, tree_names = _reads(tree)
+        attrs += tree_attrs
+        names += tree_names
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((module, None, node))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(module, node.name, item) for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
+    exempt = _bench_reached_names() | {n for ns in syzygy._SUBMODULES.values() for n in ns.split()}
+    unreferenced = []
+    for module, owner, fn in defs:
+        qualname = f"{owner}.{fn.name}" if owner else fn.name
+        dunder = fn.name.startswith("__") and fn.name.endswith("__")
+        if dunder or fn.name in exempt or qualname in UNREFERENCED_ALLOWED:
+            continue
+        own_attrs, own_names = _reads(fn)
+        reads = attrs[fn.name] - own_attrs[fn.name]
+        if owner is None:
+            reads += names[fn.name] - own_names[fn.name]
+        if not reads:
+            unreferenced.append(f"{module}:{fn.lineno} {qualname}")
+    assert not unreferenced
