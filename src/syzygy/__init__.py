@@ -7,13 +7,83 @@ The six submodules load on first use: importing the package registers each
 in sys.modules and binds it here, and a submodule runs its code the first
 time one of its attributes is read, so a command executes only the modules
 it calls.  The names in _SUBMODULES are read from their submodule on
-first access (PEP 562)."""
+first access (PEP 562).
+
+Every JSON input, shipped table or user file, is read here: read_json
+parses a file and unpack checks one object against its declared keys."""
 
 import importlib.util
+import json
 import sys
 from operator import attrgetter
+from pathlib import Path
 
 __version__ = "0.1.0"
+
+DATA_DIR = Path(__file__).parent / "data"
+
+
+def _refuse_repeated_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ValueError(f"key {key!r} is repeated in one object")
+    return obj
+
+
+def read_json(path) -> object:
+    """The JSON document in a UTF-8 file.  A key given twice in one object
+    raises ValueError naming it; json would keep the last copy."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, object_pairs_hook=_refuse_repeated_keys)
+
+
+_NAMES = {int: "an integer", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
+
+
+def _check(key: str, what: str, value, kind) -> None:
+    """Refuse a value that is not of ``kind``, naming the key (see unpack)."""
+    shape = type(kind) if isinstance(kind, (list, dict, set)) else kind
+    fits = value in kind if shape is set and type(value) is str else type(value) is shape
+    if not fits and shape is not object:
+        name = f"one of {sorted(kind)}" if shape is set else _NAMES[shape]
+        raise ValueError(f"{what}: {key!r} holds {value!r}, not {name}")
+    if isinstance(kind, list):
+        for item in value:
+            _check(key, what, item, kind[0])
+    elif isinstance(kind, dict):
+        [(key_kind, item_kind)] = kind.items()
+        for index, item in value.items():
+            try:
+                canonical = key_kind is str or str(int(index)) == index
+            except ValueError:  # not decimal, or too long to convert
+                canonical = False
+            if not canonical:
+                raise ValueError(f"{key} key {index!r} is not a canonical decimal integer")
+            _check(key, what, item, item_kind)
+
+
+def unpack(obj, what: str, required: dict, optional: dict | None = None) -> list:
+    """The values of ``obj``, an object read by read_json, for the required
+    keys, then the optional ones (None where absent), in declared order.
+    Each key is declared with the kind of its value: int (never a bool),
+    bool, str, list, dict, object (any value), a set of the strings allowed,
+    ``[kind]`` for a list of that kind, ``{str: kind}`` for an object of that
+    kind and ``{int: kind}`` for one keyed by canonical decimal integers.  A
+    non-object, an unknown key, a value of another kind, and a missing
+    required key or empty required string each raise ValueError naming
+    ``what`` and the key."""
+    if type(obj) is not dict:
+        raise ValueError(f"{what} must be an object, got {obj!r}")
+    declared = {**required, **(optional or {})}
+    for key, value in obj.items():
+        if key not in declared:
+            raise ValueError(f"{what} has the unknown key {key!r}")
+        _check(key, what, value, declared[key])
+    for key, kind in required.items():
+        if key not in obj or obj[key] == "" and kind is str:
+            raise ValueError(f"{what} lacks {key!r}")
+    return [obj.get(key) for key in declared]
 
 
 class _Value:

@@ -24,9 +24,7 @@ sphere of the expected dimension, not that it is homeomorphic to one.
 
 from __future__ import annotations
 
-import json
-
-from . import _Value
+from . import _Value, read_json, unpack
 from .smith import FGAbelianGroup, lift_to_cycles, presented_homology
 
 
@@ -187,21 +185,23 @@ class RegularCWComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RegularCWComplex":
-        """Read the file format; any wrong structure raises ValueError naming
+        """Read the file format of load_complex_file, or raise ValueError naming
         the cell.  Every face must name a cell one dimension below its own;
         the other conditions of a regular complex are left to validate()."""
+        cells_data, boundary_data = unpack(data, "the CW complex", {"cells": [dict]},
+                                           {"boundary": {str: [list]}})
         cells = []
-        for c in _json_list(data.get("cells"), "cells"):
-            if not isinstance(c, dict) or "id" not in c:
-                raise ValueError(f"cell {c!r} is not an object with an id")
-            cid, dim = _as_id(c["id"]), c.get("dim")
+        for c in cells_data:
+            raw_id, dim, label = unpack(c, f"cell {c.get('id', c)!r}", {"id": object, "dim": int},
+                                        {"label": str})
+            cid = _as_id(raw_id)
             try:
                 hash(cid)
             except TypeError:
-                raise ValueError(f"cell id {c['id']!r} is not a string, number or list") from None
-            if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
-                raise ValueError(f"cell {cid!r} has dim {dim!r}, not an integer >= 0")
-            cells.append(Cell(id=cid, dim=dim, label=c.get("label", "")))
+                raise ValueError(f"cell id {raw_id!r} is not a string, number or list") from None
+            if dim < 0:
+                raise ValueError(f"cell {cid!r} has dim {dim}, not an integer >= 0")
+            cells.append(Cell(id=cid, dim=dim, label=label or ""))
         # ids inside boundary lists, like the keys, are matched by their text,
         # so two ids may not share one
         by_text = {}
@@ -209,17 +209,14 @@ class RegularCWComplex:
             other = by_text.setdefault(str(c.id), c)
             if other.id != c.id:
                 raise ValueError(f"cells {other.id!r} and {c.id!r} share the id text {str(c.id)!r}")
-        boundary_data = data.get("boundary", {})
-        if not isinstance(boundary_data, dict):
-            raise ValueError("boundary must map each cell id to its list of faces")
         boundary = {}
-        for key, faces in boundary_data.items():
+        for key, faces in (boundary_data or {}).items():
             cell = by_text.get(key)
             if cell is None:
                 raise ValueError(f"boundary references unknown cell {key!r}")
             entries = []
-            for f in _json_list(faces, f"the boundary of cell {cell.id!r}"):
-                if not isinstance(f, list) or len(f) != 2:
+            for f in faces:
+                if len(f) != 2:
                     raise ValueError(f"cell {cell.id!r}: face {f!r} is not an [id, sign] pair")
                 face, sign = by_text.get(str(_as_id(f[0]))), f[1]
                 if face is None:
@@ -228,7 +225,7 @@ class RegularCWComplex:
                     raise ValueError(
                         f"cell {cell.id!r} (dim {cell.dim}): face {face.id!r} has dim {face.dim}"
                     )
-                if isinstance(sign, bool) or not isinstance(sign, int):
+                if type(sign) is not int:
                     raise ValueError(f"cell {cell.id!r}: face {face.id!r} has sign {sign!r}")
                 entries.append((face.id, sign))
             boundary[cell.id] = entries
@@ -373,70 +370,37 @@ class IntegerChainComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IntegerChainComplex":
-        """Read the file format; any wrong structure raises ValueError."""
-        ranks = [_json_int(r) for r in _json_list(data.get("ranks"), "ranks")]
+        """Read the file format of load_complex_file, or raise ValueError."""
+        ranks, mats, cyclic = unpack(data, "the chain complex", {"ranks": [int]},
+                                     {"boundaries": [[[int]]], "cyclic": {int: {int: int}}})
         if any(r < 0 for r in ranks):
             raise ValueError(f"ranks must be non-negative, got {ranks}")
-        mats = _json_list(data.get("boundaries", []), "boundaries")
+        mats = mats or []
         if len(mats) != max(len(ranks) - 1, 0):
-            raise ValueError(
-                f"expected {max(len(ranks) - 1, 0)} boundary matrices, got {len(mats)}"
-            )
+            raise ValueError(f"expected {max(len(ranks) - 1, 0)} boundary matrices, got {len(mats)}")
         boundaries = [[]]
-        for d, mat in enumerate(mats, start=1):
-            rows = [
-                _json_list(row, f"a row of boundary {d}")
-                for row in _json_list(mat, f"boundary {d}")
-            ]
+        for d, rows in enumerate(mats, start=1):
             if len(rows) != ranks[d - 1] or any(len(row) != ranks[d] for row in rows):
                 raise ValueError(f"boundary {d} does not match the stated ranks")
             boundaries.append([
-                {i: x for i, row in enumerate(rows) if (x := _json_int(row[j]))}
-                for j in range(ranks[d])
+                {i: x for i, row in enumerate(rows) if (x := row[j])} for j in range(ranks[d])
             ])
-        cyclic = data.get("cyclic") or {}
-        if not isinstance(cyclic, dict) or not all(isinstance(v, dict) for v in cyclic.values()):
-            raise ValueError("cyclic must map each degree to an object of index -> modulus")
-        return cls(ranks, boundaries, {
-            _json_index(d): {_json_index(i): _json_int(m) for i, m in v.items()}
-            for d, v in cyclic.items()
-        })
-
-
-def _json_list(x, what: str) -> list:
-    """A list read from a chain-complex file, or ValueError naming ``what``."""
-    if not isinstance(x, list):
-        raise ValueError(f"{what} must be a list, got {x!r}")
-    return x
-
-
-def _json_int(x) -> int:
-    """An integer read from a chain-complex file; floats, booleans and
-    strings are refused rather than converted."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"chain complex files hold integers only, got {x!r}")
-    return x
-
-
-def _json_index(key: str) -> int:
-    """An index read from a key of the cyclic object: canonical decimal text
-    only, so that no two keys name one degree or generator."""
-    try:
-        if str(int(key)) == key:
-            return int(key)
-    except ValueError:
-        pass
-    raise ValueError(f"cyclic key {key!r} is not a canonical decimal integer")
+        return cls(ranks, boundaries, cyclic)
 
 
 def load_complex_file(path):
-    """Read either a CW-complex or a chain-complex JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("a complex file holds one JSON object")
-    if "cells" in data:
-        return RegularCWComplex.from_json_dict(data)
-    if "ranks" in data:
-        return IntegerChainComplex.from_json_dict(data)
-    raise ValueError("file is neither a CW complex ('cells') nor a chain complex ('ranks')")
+    """Read a CW-complex file (it has "cells") or a chain-complex file (it
+    has "ranks"); no key may repeat in an object or be unknown.  CW complex:
+    required "cells", a list of objects with required "id" (a string,
+    number or list) and "dim" (an integer >= 0) and optional "label" (a
+    string); optional "boundary", an object from the text of a cell id to
+    its faces, each an [id, sign] pair with an integer sign.  Chain complex:
+    required "ranks", a list of integers >= 0; optional "boundaries", for
+    each degree d >= 1 a list of ranks[d - 1] rows of ranks[d] integers, and
+    "cyclic", an object from a degree to an object from a generator index to
+    its order (an integer >= 2), all keys canonical decimal integers."""
+    data = read_json(path)
+    for key, cls in (("cells", RegularCWComplex), ("ranks", IntegerChainComplex)):
+        if type(data) is dict and key in data:
+            return cls.from_json_dict(data)
+    raise ValueError("a complex file is an object with the key 'cells' or 'ranks'")

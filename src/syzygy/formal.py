@@ -23,13 +23,11 @@ make any computation that needs it fail loudly instead of guessing.
 
 from __future__ import annotations
 
-import json
 from functools import cache
 from itertools import product
 from math import gcd, prod
-from pathlib import Path
 
-from . import _Value
+from . import DATA_DIR, _Value, read_json, unpack
 from .smith import (
     FGAbelianGroup,
     cokernel_group,
@@ -38,8 +36,6 @@ from .smith import (
     presented_homology,
     prime_factorization,
 )
-
-_DATA_DIR = Path(__file__).parent / "data"
 
 
 class FormalGroupError(ValueError):
@@ -84,20 +80,14 @@ class Atom(_Value):
 
 @cache
 def _load_atoms() -> tuple[dict, set]:
-    with open(_DATA_DIR / "atoms.json", "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    atoms = {}
-    for entry in data["atoms"]:
-        if not entry.get("provenance"):
-            raise ValueError(f"atom {entry['name']!r} lacks a provenance note")
-        atoms[entry["name"]] = Atom(
-            name=entry["name"],
-            divisible=entry["divisible"],
-            torsion_rule=entry["torsion_rule"],
-            uniquely_divisible=entry["uniquely_divisible"],
-        )
-    cross = {(m["from"], m["to"]) for m in data.get("registered_maps", [])}
-    return atoms, cross
+    atoms_data, maps = unpack(read_json(DATA_DIR / "atoms.json"), "the atom table",
+                              {"atoms": [dict], "registered_maps": [dict]})
+    atoms = [Atom(*unpack(entry, f"atom {entry.get('name')!r}", {
+        "name": str, "divisible": bool, "torsion_rule": {"cyclic", "none", "unknown"},
+        "uniquely_divisible": bool, "provenance": str})[:4]) for entry in atoms_data]
+    cross = {tuple(unpack(m, f"registered map {m.get('from')!r} -> {m.get('to')!r}", {
+        "from": str, "to": str, "kind": str, "provenance": str})[:2]) for m in maps}
+    return {atom.name: atom for atom in atoms}, cross
 
 
 def atom_registry() -> dict:

@@ -14,9 +14,7 @@ turning refuses and names the offending spot.
 
 from __future__ import annotations
 
-import json
 from functools import cache
-from pathlib import Path
 
 from .formal import (
     FormalGroup,
@@ -33,37 +31,23 @@ from .formal import (
     solve_extension,
     zero_hom,
 )
-from . import surfaces
-
-_DATA_DIR = Path(__file__).parent / "data"
+from . import DATA_DIR, read_json, surfaces, unpack
 
 
-_VALUE_SHAPES = {  # key of a registry value -> (default, test of a well-formed entry)
-    "atoms": ([], lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v)),
-    "cyclic": ([], lambda v: isinstance(v, list) and all(type(d) is int and d >= 2 for d in v)),
-    "free": (0, lambda v: type(v) is int),
-    "infinite": ([], lambda v: isinstance(v, list) and all(
-        isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) for p in v)),
-}
-
-
-def parse_value(data: dict) -> FormalGroup:
-    """A registry value: an object with the optional keys "atoms" (a list of
-    names), "cyclic" (a list of orders >= 2), "free" (a rank) and "infinite" (a
-    list of [label, value] pairs).  Any other shape raises ValueError."""
-    if not isinstance(data, dict):
-        raise ValueError(f"value {data!r} is not an object")
-    fields = {}
-    for key, (default, well_formed) in _VALUE_SHAPES.items():
-        fields[key] = data.get(key, default)
-        if not well_formed(fields[key]):
-            raise ValueError(f"malformed {key!r}: {fields[key]!r}")
-    return FormalGroup(
-        atoms=tuple(fields["atoms"]),
-        cyclic=tuple(fields["cyclic"]),
-        free_rank=fields["free"],
-        infinite=tuple((label, parse_value(inner)) for label, inner in fields["infinite"]),
-    )
+def parse_value(data: dict, what: str) -> FormalGroup:
+    """A registry value (see KnownHomologyRegistry.load), or ValueError naming ``what``."""
+    atoms, cyclic, free, infinite = unpack(data, what, {}, {
+        "atoms": [str], "cyclic": [int], "free": int, "infinite": [list]})
+    if any(d < 2 for d in cyclic or ()):
+        raise ValueError(f"{what}: 'cyclic' holds an order below 2: {cyclic}")
+    if any(len(p) != 2 or type(p[0]) is not str for p in infinite or ()):
+        raise ValueError(f"{what}: 'infinite' holds a pair other than [label, value]")
+    infinite = [(label, parse_value(inner, f"{what} summand {label!r}"))
+                for label, inner in infinite or ()]
+    try:
+        return FormalGroup(tuple(atoms or ()), tuple(cyclic or ()), free or 0, tuple(infinite))
+    except FormalGroupError as exc:  # an unknown atom or a negative rank
+        raise ValueError(f"{what}: {exc}") from None
 
 
 class KnownHomologyRegistry:
@@ -74,34 +58,29 @@ class KnownHomologyRegistry:
 
     @classmethod
     def load(cls, path=None) -> "KnownHomologyRegistry":
-        path = Path(path) if path else _DATA_DIR / "registry.json"
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        items = data.get("entries") if isinstance(data, dict) else None
-        if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
-            raise ValueError(f"registry {path} must hold an object with a list of entry objects")
+        """Read a registry file, the shipped one by default: an object whose one
+        key "entries" lists entries.  An entry has exactly the keys "group" (a
+        non-empty string), "degree" (an integer), "value" and "provenance" (a
+        non-empty note), all required; no two share a group and degree.  A
+        value has the optional keys "atoms" (atom names), "cyclic" (orders
+        >= 2), "free" (a rank) and "infinite" ([label, value] pairs), each a
+        list but "free".  No key may repeat in an object."""
+        path = path or DATA_DIR / "registry.json"
+        [items] = unpack(read_json(path), f"registry {path}", {"entries": [dict]})
         entries = {}
         for item in items:
-            key = (item.get("group"), item.get("degree"))
-            try:
-                if not isinstance(key[0], str) or type(key[1]) is not int:
-                    raise ValueError("the group must be a string and the degree an integer")
-                if key in entries:
-                    raise ValueError("repeats an earlier entry")
-                if not item.get("provenance"):
-                    raise ValueError("lacks a provenance note")
-                entries[key] = (parse_value(item.get("value", {})), item["provenance"])
-            except ValueError as exc:
-                raise ValueError(f"registry entry {key[0]!r} degree {key[1]!r}: {exc}") from None
+            what = f"registry entry {item.get('group')!r} degree {item.get('degree')!r}"
+            group, degree, value, note = unpack(item, what, {
+                "group": str, "degree": int, "value": dict, "provenance": str})
+            if (group, degree) in entries:
+                raise ValueError(f"{what}: repeats an earlier entry")
+            entries[group, degree] = (parse_value(value, f"{what} value"), note)
         return cls(entries)
 
     def get(self, group: str, degree: int) -> FormalGroup:
-        try:
-            return self._entries[(group, degree)][0]
-        except KeyError:
-            raise KeyError(
-                f"registry has no entry for group {group!r} in degree {degree}"
-            ) from None
+        if (group, degree) not in self._entries:
+            raise KeyError(f"registry has no entry for group {group!r} in degree {degree}")
+        return self._entries[group, degree][0]
 
     def provenance(self, group: str, degree: int) -> str:
         return self._entries[(group, degree)][1]

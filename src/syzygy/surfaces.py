@@ -32,17 +32,13 @@ with the untruncated answers on the stabilized range.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from functools import cache
 from itertools import combinations
-from pathlib import Path
 
-from . import _Value, lattice
+from . import DATA_DIR, _Value, lattice, read_json, unpack
 from .complexes import Cell, IntegerChainComplex, RegularCWComplex
 from .smith import FGAbelianGroup, partitions, presented_homology
-
-_DATA_DIR = Path(__file__).parent / "data"
 
 
 class BaseCase(Enum):
@@ -114,12 +110,13 @@ class SurfaceCentralModel(_Value):
 
 @cache
 def orientability_table() -> dict:
-    with open(_DATA_DIR / "orientability.json", "r", encoding="utf-8") as fh:
-        table = json.load(fh)
-    for key, entry in table.items():
-        if not entry.get("provenance"):
-            raise ValueError(f"orientability entry {key!r} lacks a provenance note")
-    return table
+    """Table key -> orientable, each entry read with its provenance note."""
+    table = read_json(DATA_DIR / "orientability.json")
+    if type(table) is not dict:
+        raise ValueError("the orientability table must be an object")
+    return {key: unpack(entry, f"orientability entry {key!r}",
+                        {"orientable": bool, "provenance": str})[0]
+            for key, entry in table.items()}
 
 
 @cache
@@ -127,7 +124,7 @@ def is_orientable(base: BaseCase, family: str, k: int) -> bool:
     table = orientability_table()
     for key in (f"{base.value}/{family}/k={k}", f"{base.value}/{family}"):
         if key in table:
-            return bool(table[key]["orientable"])
+            return table[key]
     raise KeyError(f"no orientability entry for {base.value}/{family} at k={k}")
 
 

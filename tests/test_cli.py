@@ -236,28 +236,38 @@ def test_homology_file_refuses_aliased_cyclic_keys(tmp_path, cyclic, key):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, key",
     [
-        '{"ranks": [1, 1], "boundaries": [[5]]}',
-        '{"ranks": [1], "boundaries": [], "cyclic": {"0": [2]}}',
-        '{"ranks": 2, "boundaries": []}',
-        '{"ranks": [1, 1], "boundaries": {"1": [[0]]}}',
-        '{"ranks": [1, 1], "boundaries": [5]}',
-        '{"ranks": [-1]}',
-        '{"ranks": [1], "boundaries": [], "cyclic": [2]}',
-        '[{"ranks": [1]}]',
+        ('{"ranks": [1, 1], "boundaries": [[5]]}', "boundaries"),
+        ('{"ranks": [1], "boundaries": [], "cyclic": {"0": [2]}}', "cyclic"),
+        ('{"ranks": 2, "boundaries": []}', "ranks"),
+        ('{"ranks": [1, 1], "boundaries": {"1": [[0]]}}', "boundaries"),
+        ('{"ranks": [1, 1], "boundaries": [5]}', "boundaries"),
+        ('{"ranks": [-1]}', "ranks"),
+        ('{"ranks": [1], "boundaries": [], "cyclic": [2]}', "cyclic"),
+        ('[{"ranks": [1]}]', "ranks"),
+        ('{"ranks": [2], "boundaries": [], "cyclic": {"0": {"1": 2, "1": 3}}}', "'1'"),
+        ('{"ranks": [2], "boundaries": [], "cylic": {"0": {"1": 2}}}', "'cylic'"),
+        ('{"ranks": [2], "boundaries": [], "cyclic": []}', "'cyclic'"),
+        ('{"ranks": [2], "boundaries": [], "cyclic": false}', "'cyclic'"),
+        ('{"ranks": [1, 1], "boundaries": [[[0]]], "boundaries": [[[1]]]}', "'boundaries'"),
+        ('{"cells": [{"id": "a", "dim": 0}, {"id": "b", "dim": 0}, {"id": "e", "dim": 1}],'
+         ' "boundery": {"e": [["b", 1], ["a", -1]]}}', "'boundery'"),
     ],
     ids=["row", "cyclic-degree", "ranks", "boundaries", "matrix", "negative-rank",
-         "cyclic", "top-level"],
+         "cyclic", "top-level", "repeated-cyclic-key", "misspelled-cyclic", "cyclic-list",
+         "cyclic-false", "repeated-boundaries", "misspelled-boundary"],
 )
-def test_homology_file_rejects_wrong_structure(tmp_path, text):
-    """A file of the wrong shape exits 1 with the error JSON, not a
-    traceback."""
+def test_homology_file_rejects_wrong_structure(tmp_path, text, key):
+    """A file of the wrong shape exits 1 with the error JSON naming the key,
+    not a traceback.  The last six used to print a wrong answer and exit 0:
+    the last copy of a repeated key won (Z (+) Z/3; 0, 0), an unknown key
+    was ignored (Z^2; Z^2, Z) and a false or empty cyclic read as none (Z^2)."""
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")
     res = invoke("homology", str(path))
     assert res.exit_code == 1
-    assert "error" in json.loads(res.output)
+    assert key in json.loads(res.output)["error"]
 
 
 def test_ruled_job_eliminates_each_distinct_matrix_once(monkeypatch):
@@ -536,36 +546,43 @@ def test_registry_without_the_entry_names_it_in_the_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "entry",
+    "entry, named",
     [
-        '"group": "SL(2,C)", "degree": 2, "value": {"free": "a"}',
-        '"group": "SL(2,C)", "degree": 2, "value": {"free": true}',
-        '"group": "SL(2,C)", "degree": 2, "value": {"cyclic": 2}',
-        '"group": "SL(2,C)", "degree": 2, "value": {"cyclic": ["2"]}',
-        '"group": "SL(2,C)", "degree": 2, "value": {"cyclic": [0]}',
-        '"group": "SL(2,C)", "degree": 2, "value": {"cyclic": [-2]}',
-        '"group": "SL(2,C)", "degree": 2, "value": {"cyclic": [1]}',
-        '"group": "SL(2,C)", "degree": 2, "value": {"atoms": 5}',
-        '"group": "SL(2,C)", "degree": 2, "value": {"atoms": "K2(C)"}',
-        '"group": "SL(2,C)", "degree": 2, "value": {"infinite": [["Z"]]}',
-        '"group": "SL(2,C)", "degree": 2, "value": {"infinite": [["Z", {"cyclic": [2.5]}]]}',
-        '"group": "SL(2,C)", "degree": 2, "value": [1]',
-        '"group": ["SL(2,C)"], "degree": 2, "value": {}',
-        '"group": "SL(2,C)", "degree": [2], "value": {}',
-        '"group": "SL(2,C)", "degree": 2.5, "value": {}',
-        '"degree": 2, "value": {}',
+        ('"group": "SL(2,C)", "degree": 2, "value": {"free": "a"}', "free"),
+        ('"group": "SL(2,C)", "degree": 2, "value": {"free": true}', "free"),
+        ('"group": "SL(2,C)", "degree": 2, "value": {"cyclic": 2}', "cyclic"),
+        ('"group": "SL(2,C)", "degree": 2, "value": {"cyclic": ["2"]}', "cyclic"),
+        ('"group": "SL(2,C)", "degree": 2, "value": {"cyclic": [0]}', "cyclic"),
+        ('"group": "SL(2,C)", "degree": 2, "value": {"cyclic": [-2]}', "cyclic"),
+        ('"group": "SL(2,C)", "degree": 2, "value": {"cyclic": [1]}', "cyclic"),
+        ('"group": "SL(2,C)", "degree": 2, "value": {"atoms": 5}', "atoms"),
+        ('"group": "SL(2,C)", "degree": 2, "value": {"atoms": "K2(C)"}', "atoms"),
+        ('"group": "SL(2,C)", "degree": 2, "value": {"infinite": [["Z"]]}', "infinite"),
+        ('"group": "SL(2,C)", "degree": 2, "value": {"infinite": [["Z", {"cyclic": [2.5]}]]}',
+         "cyclic"),
+        ('"group": "SL(2,C)", "degree": 2, "value": [1]', "value"),
+        ('"group": ["SL(2,C)"], "degree": 2, "value": {}', "group"),
+        ('"group": "SL(2,C)", "degree": [2], "value": {}', "degree"),
+        ('"group": "SL(2,C)", "degree": 2.5, "value": {}', "degree"),
+        ('"degree": 2, "value": {}', "group"),
+        ('"group": "SL(2,C)", "degree": 2, "value": {"atoms": ["nope"]}', "nope"),
+        ('"group": "SL(2,C)", "degree": 2, "vaule": {"atoms": ["K2(C)"]}', "vaule"),
     ],
 )
-def test_malformed_registry_entry_is_reported_as_the_error_json(tmp_path, entry):
+def test_malformed_registry_entry_is_reported_as_the_error_json(tmp_path, entry, named):
     """The load refuses a value of the wrong shape, a group that is not a
-    string and a degree that is not an integer, naming the entry.  These used
-    to end in a TypeError traceback, a bare KeyError or a truncated degree;
-    a cyclic order below 2 used to be dropped, so Z/0 or Z/1 read as 0."""
+    string and a degree that is not an integer, naming the entry and the key
+    (or the unknown atom).  These used to end in a TypeError traceback, a
+    bare KeyError or a truncated degree; a cyclic order below 2 used to be
+    dropped, so Z/0 or Z/1 read as 0.  A misspelled "value" used to read as
+    the zero group."""
     path = tmp_path / "registry.json"
     path.write_text('{"entries": [{%s, "provenance": "p"}]}' % entry, encoding="utf-8")
     res = invoke("--registry", str(path), "schur", "--target", "pgl2")
     assert res.exit_code == 1
-    assert json.loads(res.output)["error"].startswith("registry entry ")
+    error = json.loads(res.output)["error"]
+    assert error.startswith("registry entry ")
+    assert repr(named) in error
 
 
 def test_repeated_registry_entry_is_refused(tmp_path):

@@ -11,12 +11,14 @@ read, only smith touches the dense Smith cluster, and no module imports
 `dataclasses`.  One class rule is checked there too: the value contract is
 written once, so no class but the value base `_Value` in the package's
 `__init__.py` defines `__setattr__`, `__delattr__`, `__reduce__`, `__hash__`
-or `__repr__` with a `def`.  And the library holds only code that runs: every
-top-level function and method is referenced by name somewhere in the library
-outside its own definition, unless it is a package export, a dunder, a name
-the benchmark's own code reaches (its traced SPANS, its set-up probe, its
-in-process runner), or on a short allowlist that gives its reason.  Code only
-tests call lives in tests/helpers.py."""
+or `__repr__` with a `def`.  One reading rule as well: only `__init__.py`
+opens a file, parses JSON or names the data directory.  And the library
+holds only code that runs: every top-level function and method is
+referenced by name somewhere in the library outside its own definition,
+unless it is a package export, a dunder, a name the benchmark's own code
+reaches (its traced SPANS, its set-up probe, its in-process runner), or on
+a short allowlist that gives its reason.  Code only tests call lives in
+tests/helpers.py."""
 
 import ast
 import importlib
@@ -282,6 +284,26 @@ def test_no_library_module_imports_dataclasses():
             elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
                 users.append(f"{name}:{node.lineno}")
     assert not users
+
+
+def test_only_the_package_init_reads_files():
+    """Every JSON input goes through the one reader in __init__.py, which
+    also names the data directory: no other module calls open, json.load or
+    json.loads, or spells the directory's name."""
+    readers = []
+    for name, tree in _library_modules():
+        if name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == "open" or (
+                        isinstance(func, ast.Attribute) and func.attr in ("load", "loads")
+                        and isinstance(func.value, ast.Name) and func.value.id == "json"):
+                    readers.append(f"{name}:{node.lineno} {ast.unparse(func)}")
+            elif isinstance(node, ast.Constant) and node.value == "data":
+                readers.append(f"{name}:{node.lineno} 'data'")
+    assert not readers
 
 
 VALUE_METHODS = {"__setattr__", "__delattr__", "__reduce__", "__hash__", "__repr__"}
