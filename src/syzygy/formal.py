@@ -82,12 +82,18 @@ class Atom(_Value):
 def _load_atoms() -> tuple[dict, set]:
     atoms_data, maps = unpack(read_json(DATA_DIR / "atoms.json"), "the atom table",
                               {"atoms": [dict], "registered_maps": [dict]})
-    atoms = [Atom(*unpack(entry, f"atom {entry.get('name')!r}", {
-        "name": str, "divisible": bool, "torsion_rule": {"cyclic", "none", "unknown"},
-        "uniquely_divisible": bool, "provenance": str})[:4]) for entry in atoms_data]
+    atoms = {}
+    for entry in atoms_data:
+        what = f"atom {entry.get('name')!r}"
+        atom = Atom(*unpack(entry, what, {
+            "name": str, "divisible": bool, "torsion_rule": {"cyclic", "none", "unknown"},
+            "uniquely_divisible": bool, "provenance": str})[:4])
+        if atom.name in atoms:
+            raise ValueError(f"{what}: repeats an earlier atom")
+        atoms[atom.name] = atom
     cross = {tuple(unpack(m, f"registered map {m.get('from')!r} -> {m.get('to')!r}", {
         "from": str, "to": str, "kind": str, "provenance": str})[:2]) for m in maps}
-    return {atom.name: atom for atom in atoms}, cross
+    return atoms, cross
 
 
 def atom_registry() -> dict:

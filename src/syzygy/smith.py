@@ -52,8 +52,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import zip_longest
-from math import prod
+from math import gcd
 
 from . import _Value
 
@@ -460,21 +459,17 @@ def partitions(k: int) -> list[tuple]:
 
 
 def _merge_invariant_factors(orders: list[int]) -> list[int]:
-    """Rewrite a list of cyclic orders (each >= 2) as a divisibility chain."""
-    primes: dict[int, list[int]] = {}
-    for n in orders:
-        for p, e in prime_factorization(n).items():
-            primes.setdefault(p, []).append(e)
-    for exps in primes.values():
-        exps.sort(reverse=True)
-    chains = zip_longest(*primes.values(), fillvalue=0)
-    factors = [
-        prod(p ** e for p, e in zip(primes.keys(), exps))
-        for exps in chains
-    ]
-    factors = [f for f in factors if f > 1]
-    factors.sort()
-    return factors
+    """Rewrite a list of cyclic orders (each >= 2) as a divisibility chain
+    without factoring: each pair (a, b) in turn becomes (gcd, lcm), which keeps
+    every prime's exponents, and an entry that has met all later ones divides them."""
+    chain = sorted(orders)
+    for i, a in enumerate(chain):
+        for j in range(i + 1, len(chain)):
+            g = gcd(a, chain[j])
+            chain[j] = a // g * chain[j]
+            a = g
+        chain[i] = a
+    return [d for d in chain if d > 1]
 
 
 class FGAbelianGroup(_Value):

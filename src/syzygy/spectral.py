@@ -5,11 +5,13 @@ the plane.
 
 Group homology of matrix groups made discrete is never computed here: it is
 axiomatized in a registry whose every entry carries a provenance note citing
-the classical fact it imports.  Differentials the source material leaves
-implicit are defaulted to zero only when a sound rule forces it (a zero end,
-a finite source against a torsion-free target, a uniquely divisible source
-against a finite target, or a split extension's bottom row); otherwise page
-turning refuses and names the offending spot.
+the classical fact it imports.  The registry is read-only and every
+derivation requires it; a derived H2 is returned, never read from the
+registry, so an entry for a derived group goes unread.  Differentials the
+source material leaves implicit are defaulted to zero only when a sound rule
+forces it (a zero end, a finite source against a torsion-free target, a
+uniquely divisible source against a finite target, or a split extension's
+bottom row); otherwise page turning refuses and names the offending spot.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ def parse_value(data: dict, what: str) -> FormalGroup:
 
 
 class KnownHomologyRegistry:
-    """(group name, degree) -> formal group, each entry with provenance."""
+    """(group name, degree) -> formal group, each entry with provenance: a
+    read-only table of imported facts, never written after load.  Groups
+    the derivations compute are not looked up here."""
 
     def __init__(self, entries: dict):
         self._entries = entries
@@ -85,19 +89,12 @@ class KnownHomologyRegistry:
     def provenance(self, group: str, degree: int) -> str:
         return self._entries[(group, degree)][1]
 
-    def has(self, group: str, degree: int) -> bool:
-        return (group, degree) in self._entries
-
-    def add_derived(self, group: str, degree: int, value: FormalGroup, provenance: str):
-        if not provenance:
-            raise ValueError("derived entries need a provenance note")
-        self._entries[(group, degree)] = (value, "derived: " + provenance)
-
 
 @cache
 def default_registry() -> KnownHomologyRegistry:
-    """The shared registry loaded from the package data; derived entries
-    added to it are seen by every later caller."""
+    """The shipped registry, loaded once per process.  It is read-only, so
+    every caller sees exactly the shipped entries; derived groups are never
+    read from it."""
     return KnownHomologyRegistry.load()
 
 
@@ -419,13 +416,12 @@ def seven_term(grid: SpectralGrid) -> ExactSequence:
 # -- the three extension grids -----------------------------------------------------
 
 
-def pgl_grid(n: int, registry: KnownHomologyRegistry | None = None) -> SpectralGrid:
+def pgl_grid(n: int, registry: KnownHomologyRegistry) -> SpectralGrid:
     """Second page for the central extension of the projective linear group by
     its scalar subgroup Z/n (n = 2 or 3): rows are homology of Z/n, column
     p carries homology of the quotient; (2,0) and (3,0) are the unknowns."""
     if n not in (2, 3):
         raise ValueError("only n = 2, 3 are wired up")
-    reg = registry or default_registry()
     name = f"PGL({n},C)"
     zn = f"Z/{n}"
     entries = {}
@@ -433,10 +429,10 @@ def pgl_grid(n: int, registry: KnownHomologyRegistry | None = None) -> SpectralG
         for q in range(3):
             entries[(p, q)] = None
     entries[(0, 0)] = FormalGroup.free(1)
-    entries[(1, 0)] = reg.get(name, 1)
+    entries[(1, 0)] = registry.get(name, 1)
     entries[(2, 0)] = None  # the goal
     entries[(3, 0)] = None
-    entries[(0, 1)] = reg.get(zn, 1)
+    entries[(0, 1)] = registry.get(zn, 1)
     # H1(quotient) = 0 and H0 = Z make E_{1,1} collapse (coefficients are a
     # trivial module; universal coefficients leave H1 tensor + H0 torsion).
     entries[(1, 1)] = FormalGroup.zero()
@@ -444,18 +440,17 @@ def pgl_grid(n: int, registry: KnownHomologyRegistry | None = None) -> SpectralG
     entries[(3, 1)] = None
     for p in range(4):
         entries[(p, 2)] = FormalGroup.zero()  # H2 of a cyclic group vanishes
-    grid = SpectralGrid(
+    return SpectralGrid(
         page=2,
         box=(3, 2),
         entries=entries,
-        abutment={i: reg.get(f"SL({n},C)", i) for i in (0, 1, 2)},
+        abutment={i: registry.get(f"SL({n},C)", i) for i in (0, 1, 2)},
         notes=[
             f"central extension: Z/{n} -> SL({n},C) -> PGL({n},C)",
             "row q=1: E_{1,1} = 0 by universal coefficients from H1(PGL) = 0",
             "row q=2: H2 of a cyclic group vanishes",
         ],
     )
-    return grid
 
 
 class SchurDerivation:
@@ -473,12 +468,11 @@ class SchurDerivation:
         self.notes = notes
 
 
-def schur_pgl(n: int, registry: KnownHomologyRegistry | None = None) -> SchurDerivation:
+def schur_pgl(n: int, registry: KnownHomologyRegistry) -> SchurDerivation:
     """H2 of PGL(n,C) for n = 2, 3, solved from the five-term sequence of the
     central extension: 0 -> K2(C) -> H2 -> Z/n -> 0, split by unique
     divisibility."""
-    reg = registry or default_registry()
-    grid = pgl_grid(n, reg)
+    grid = pgl_grid(n, registry)
     h2_cover = grid.abutment[2]
     e01 = grid.entry(0, 1)
     if not grid.entry(1, 1).is_zero or not grid.entry(0, 2).is_zero:
@@ -491,14 +485,8 @@ def schur_pgl(n: int, registry: KnownHomologyRegistry | None = None) -> SchurDer
     value = candidates[0]
     seq = five_term(grid)
     seq.terms[1].group = value
-    name = f"PGL({n},C)"
-    reg.add_derived(
-        name, 2, value,
-        f"five-term sequence of the central extension by Z/{n}; "
-        "the kernel is uniquely divisible so the extension splits",
-    )
     return SchurDerivation(
-        group=name,
+        group=f"PGL({n},C)",
         value=value,
         candidates=candidates,
         sequence=seq,
@@ -506,21 +494,17 @@ def schur_pgl(n: int, registry: KnownHomologyRegistry | None = None) -> SchurDer
     )
 
 
-def aut_quadric_grid(registry: KnownHomologyRegistry | None = None) -> SpectralGrid:
+def aut_quadric_grid(h2_pgl2: FormalGroup, registry: KnownHomologyRegistry) -> SpectralGrid:
     """Second page for the extension of the quadric's automorphism group by
-    the ruling swap: 0 -> PGL2 x PGL2 -> Aut -> Z/2 -> 0 (split)."""
-    reg = registry or default_registry()
-    if not reg.has("PGL(2,C)", 2):
-        schur_pgl(2, reg)
-    h2_pgl2 = reg.get("PGL(2,C)", 2)
-    swap_coinv = coinvariants_of_swap(h2_pgl2)
+    the ruling swap: 0 -> PGL2 x PGL2 -> Aut -> Z/2 -> 0 (split), where
+    h2_pgl2 is H2(PGL(2,C)) as schur_pgl derives it."""
     entries = {}
     for p in range(4):
-        entries[(p, 0)] = reg.get("Z/2", p)
+        entries[(p, 0)] = registry.get("Z/2", p)
         entries[(p, 1)] = FormalGroup.zero()
         entries[(p, 2)] = FormalGroup.zero()
-    entries[(0, 2)] = swap_coinv
-    grid = SpectralGrid(
+    entries[(0, 2)] = coinvariants_of_swap(h2_pgl2)
+    return SpectralGrid(
         page=2,
         box=(3, 2),
         entries=entries,
@@ -533,93 +517,70 @@ def aut_quadric_grid(registry: KnownHomologyRegistry | None = None) -> SpectralG
         ],
         zero_from_row0=True,
     )
-    return grid
 
 
-def schur_aut_quadric(registry: KnownHomologyRegistry | None = None) -> SchurDerivation:
-    """H2 of the quadric's automorphism group: K2(C) + Z/2."""
-    reg = registry or default_registry()
-    grid = aut_quadric_grid(reg)
+def _schur_aut_quadric(h2_pgl2: FormalGroup, registry: KnownHomologyRegistry) -> SchurDerivation:
+    """schur_aut_quadric from an already derived H2(PGL(2,C))."""
+    grid = aut_quadric_grid(h2_pgl2, registry)
     page = grid
     while not page.is_stable():
         page = page.turn_page()
     candidates = page.converged_total(2)
     if len(candidates) != 1:
         raise FormalGroupError(f"abutment not unique: {[str(c) for c in candidates]}")
-    value = candidates[0]
-    reg.add_derived(
-        "Aut(P1xP1)", 2, value,
-        "stable page of the split swap extension; only E_{0,2} survives in total degree 2",
-    )
-    h2 = reg.get("PGL(2,C)", 2)
-    reg.add_derived(
-        "Aut+(P1xP1)", 2, h2 + h2,
-        "Kunneth for PGL2 x PGL2 with vanishing H1",
-    )
-    seq = five_term(grid)
     return SchurDerivation(
         group="Aut(P1xP1)",
-        value=value,
+        value=candidates[0],
         candidates=candidates,
-        sequence=seq,
+        sequence=five_term(grid),
         notes=page.notes,
     )
 
 
-def nonorientable_block_homology(
-    i: int,
-    aut_full: str,
-    aut_plus: str,
-    sigma_action: FormalHom,
-    registry: KnownHomologyRegistry | None = None,
-):
+def schur_aut_quadric(registry: KnownHomologyRegistry) -> SchurDerivation:
+    """H2 of the quadric's automorphism group: K2(C) + Z/2, the one group
+    surviving in total degree 2 on the stable page of the swap extension."""
+    return _schur_aut_quadric(schur_pgl(2, registry).value, registry)
+
+
+def nonorientable_block_homology(i: int, sigma_action: FormalHom, low_full: FormalGroup,
+                                 low_plus: FormalGroup):
     """H_i of the twisted block of a non-orientable class, solved from the
     long exact sequence of 0 -> full -> plus -> block -> 0 coefficients:
 
         H_i(full) --(1+s)--> H_i(plus) -> X -> H_{i-1}(full) -> H_{i-1}(plus)
 
-    Returns the unique group when the extension is determined, else the
-    candidate list."""
-    reg = registry or default_registry()
-    hi_full = reg.get(aut_full, i)
-    hi_plus = reg.get(aut_plus, i)
-    if sigma_action.source != hi_full or sigma_action.target != hi_plus:
-        raise FormalGroupError(
-            f"sigma action must map H_{i}({aut_full}) = {hi_full} to "
-            f"H_{i}({aut_plus}) = {hi_plus}"
-        )
+    ``sigma_action`` is 1+s, from H_i(full) to H_i(plus); ``low_full`` and
+    ``low_plus`` are H_{i-1}(full) and H_{i-1}(plus).  Returns the unique
+    group when the extension is determined, else the candidate list."""
     sub = cokernel(sigma_action)
     if i - 1 == 0:
         quot = FormalGroup.zero()  # 1+sigma is multiplication by 2 on H0 = Z
+    elif low_plus.is_zero:
+        quot = low_full
+    elif low_full.is_zero:
+        quot = FormalGroup.zero()
     else:
-        low_full = reg.get(aut_full, i - 1)
-        low_plus = reg.get(aut_plus, i - 1)
-        if low_plus.is_zero:
-            quot = low_full
-        elif low_full.is_zero:
-            quot = FormalGroup.zero()
-        else:
-            raise InsufficientAtomData(
-                f"need the degree-{i - 1} comparison map for {aut_full}"
-            )
+        raise InsufficientAtomData(
+            f"need the degree-{i - 1} comparison map {low_full} -> {low_plus}"
+        )
     candidates = solve_extension(sub, quot)
     if len(candidates) == 1:
         return candidates[0]
     return candidates
 
 
-def k2_prime_candidates(registry: KnownHomologyRegistry | None = None) -> list:
+def k2_prime_candidates(registry: KnownHomologyRegistry) -> list:
     """The two candidates for the degree-2 twisted block of the quadric over a
     point: the extension of Z/2 by K2(C) + Z/2."""
-    reg = registry or default_registry()
-    if not reg.has("Aut(P1xP1)", 2):
-        schur_aut_quadric(reg)
-    h2_full = reg.get("Aut(P1xP1)", 2)
-    h2_plus = reg.get("Aut+(P1xP1)", 2)
+    h2_pgl2 = schur_pgl(2, registry).value
+    h2_full = _schur_aut_quadric(h2_pgl2, registry).value
+    h2_plus = h2_pgl2 + h2_pgl2  # Kunneth for PGL2 x PGL2 with vanishing H1
     diag = _swap_antidiagonal(h2_full)  # a -> (a, a^{-1}) across the swap
     if diag.target != h2_plus:
         raise FormalGroupError("Kunneth shape mismatch for the quadric")
-    result = nonorientable_block_homology(2, "Aut(P1xP1)", "Aut+(P1xP1)", diag, reg)
+    result = nonorientable_block_homology(
+        2, diag, registry.get("Aut(P1xP1)", 1), registry.get("Aut+(P1xP1)", 1))
     return result if isinstance(result, list) else [result]
 
 
@@ -707,22 +668,21 @@ def _row1_complex(u: surfaces.GeneratorUniverse, entry, extra_rank3=None) -> Row
     return RowComplex(places=[places[1], places[2], places[3]], maps=maps)
 
 
-def ruled_row1_complex(u: surfaces.GeneratorUniverse, registry=None) -> RowComplex:
+def ruled_row1_complex(u: surfaces.GeneratorUniverse, registry) -> RowComplex:
     """The abelianization row for the ruled universe at ranks 1..3, with the
     staircase invariant bounds."""
     if u.base is not surfaces.BaseCase.RULED:
         raise ValueError("this builder is for the ruled universe")
-    reg = registry or default_registry()
 
     def entry(gen):
         if gen.rank == 1:
-            return FormalGroup.zero() if gen.e == 0 else reg.get("Autf(Fe/P1)", 1)
+            return FormalGroup.zero() if gen.e == 0 else registry.get("Autf(Fe/P1)", 1)
         if gen.rank == 2:
             name = "Autf(S_g,1)" if gen.family == "blowup" else "Autf(S_e,1)"
-            return reg.get(name, 1)
+            return registry.get(name, 1)
         if gen.family == "min_section":
-            return reg.get("Autf(S_e,2)", 1)
-        return reg.get("Autf(S_g,2)" if gen.partition == (1, 1) else "Autf(S_s,2)", 1)
+            return registry.get("Autf(S_e,2)", 1)
+        return registry.get("Autf(S_g,2)" if gen.partition == (1, 1) else "Autf(S_s,2)", 1)
 
     return _row1_complex(u, entry)
 
@@ -745,19 +705,19 @@ def _cremona_rank3_blocks(gen) -> dict:
     return {("min_section", gen.e): [[1], [-1]], ("min_section", gen.e + 1): [[-1], [1]]}
 
 
-def cremona_row1_complex(u: surfaces.GeneratorUniverse, registry=None) -> RowComplex:
+def cremona_row1_complex(u: surfaces.GeneratorUniverse, registry) -> RowComplex:
     """The abelianization row for the plane's universe at ranks 1..3; the
     non-orientable classes contribute their twisted blocks, computed through
     the long exact sequence."""
     if u.base is not surfaces.BaseCase.CREMONA:
         raise ValueError("this builder is for the cremona universe")
-    reg = registry or default_registry()
     blocks = {}  # (full, plus) -> the block's group, solved on first use
+    h0 = FormalGroup.free(1)  # H0 of every group
 
     def block_entry(full, plus, columns):
         if (full, plus) not in blocks:
-            action = FormalHom(reg.get(full, 1), reg.get(plus, 1), columns)
-            blocks[full, plus] = nonorientable_block_homology(1, full, plus, action, reg)
+            action = FormalHom(registry.get(full, 1), registry.get(plus, 1), columns)
+            blocks[full, plus] = nonorientable_block_homology(1, action, h0, h0)
         if isinstance(blocks[full, plus], list):
             raise FormalGroupError(f"ambiguous degree-1 block for {full}")
         return blocks[full, plus]
@@ -766,14 +726,14 @@ def cremona_row1_complex(u: surfaces.GeneratorUniverse, registry=None) -> RowCom
         if gen.rank == 1:
             if gen.family == "plane" or gen.e == 0:
                 return FormalGroup.zero()
-            return reg.get("Aut(Fe/P1)", 1)
+            return registry.get("Aut(Fe/P1)", 1)
         if gen.rank == 2:
             if gen.family == "dp8_blowdown":
-                return reg.get("Aut(F1)", 1)
+                return registry.get("Aut(F1)", 1)
             if gen.family == "dp8_quadric":
                 return block_entry("Aut(P1xP1)", "Aut+(P1xP1)", None)
             name = "Aut(S_g,1/P1)" if gen.family == "blowup" else "Aut(S_e,1/P1)"
-            return reg.get(name, 1)
+            return registry.get(name, 1)
         if gen.family == "dp7":
             # 1+sigma is the diagonal on the torus abelianization
             return block_entry("Aut(Bl2P2)", "Aut+(Bl2P2)", [{0: 1, 1: 1}])
@@ -803,11 +763,10 @@ def row1_degree2_bound(row: RowComplex) -> FormalGroup:
 # -- assembled applications --------------------------------------------------------
 
 
-def ruled_grid(u: surfaces.GeneratorUniverse, registry=None) -> SpectralGrid:
+def ruled_grid(u: surfaces.GeneratorUniverse, registry) -> SpectralGrid:
     """Second page for the ruled universe at finite truncation: row 0 from the
     coinvariant complex, row 1 from the abelianization complex, row 2 unknown."""
-    reg = registry or default_registry()
-    row1 = ruled_row1_complex(u, reg)
+    row1 = ruled_row1_complex(u, registry)
     entries = {}
     entries[(0, 0)] = FormalGroup.free(1)
     for i in (1, 2, 3):  # None where the truncation does not reach
@@ -830,14 +789,14 @@ def ruled_grid(u: surfaces.GeneratorUniverse, registry=None) -> SpectralGrid:
     )
 
 
-def prop_s17_sequence(u: surfaces.GeneratorUniverse, registry=None) -> ExactSequence:
+def prop_s17_sequence(u: surfaces.GeneratorUniverse, registry) -> ExactSequence:
     """The seven-term sequence of the ruled grid (finite instance of the
     low-degree exact sequence for the relative automorphism group)."""
     return seven_term(ruled_grid(u, registry))
 
 
 def cremona_assemble(
-    registry=None,
+    registry,
     universe: surfaces.GeneratorUniverse | None = None,
     force_e21_zero: bool = False,
 ) -> dict:
@@ -848,13 +807,12 @@ def cremona_assemble(
     caller forces E_{2,1} = 0.  The infinite 2-torsion sum absorbs any
     2-torsion image, so only the 3-part of E_{2,1} can change the answer;
     row 0 does not enter."""
-    reg = registry or default_registry()
     u = universe or surfaces.GeneratorUniverse.cremona(3, r_max=5)
-    row1 = cremona_row1_complex(u, reg)
+    row1 = cremona_row1_complex(u, registry)
     e01 = row1_homology(row1, 0)
     e11 = row1_homology(row1, 1)
     e21_bound = row1_degree2_bound(row1)
-    e02 = reg.get("E_{0,2}(Cr2)", 2)
+    e02 = registry.get("E_{0,2}(Cr2)", 2)
     candidates = [e02]
     if not force_e21_zero and any(d % 3 == 0 for d in e21_bound.cyclic):
         stripped = FormalGroup(

@@ -26,6 +26,7 @@ from syzygy.smith import (
     mat_mul,
     partitions,
     presented_homology,
+    prime_factorization,
     smith_normal_form,
     solve,
     zeros,
@@ -37,7 +38,6 @@ from syzygy.spectral import (
     SpectralGrid,
     _entry_hom,
     _make_place,
-    default_registry,
     nonorientable_block_homology,
 )
 from syzygy.surfaces import (
@@ -375,6 +375,21 @@ def dense_invariant_factors(a):
     return [d for d in smith_normal_form(a).diagonal() if d]
 
 
+def prime_power_chain(orders: list[int]) -> list[int]:
+    """The divisibility chain of the cyclic orders (each >= 1), built from
+    their factorizations: the k-th largest factor collects every prime's k-th
+    largest exponent."""
+    exponents = {}
+    for n in orders:
+        for p, e in prime_factorization(n).items():
+            exponents.setdefault(p, []).append(e)
+    chain = [1] * max(map(len, exponents.values()), default=0)
+    for p, es in exponents.items():
+        for k, e in enumerate(sorted(es, reverse=True)):
+            chain[k] *= p ** e
+    return sorted(chain)
+
+
 def record_dense_shapes(monkeypatch):
     """The list that receives the shape of every matrix reaching
     smith.smith_normal_form from here on.  The invariant-factor memo is
@@ -621,13 +636,12 @@ def counting_direct_sum_with_layout(parts: list[FormalGroup]):
 # -- a grid concentrated in row 0 --------------------------------------------------
 
 
-def h_prime_grid(e: int, registry: KnownHomologyRegistry | None = None) -> SpectralGrid:
+def h_prime_grid(e: int, registry: KnownHomologyRegistry) -> SpectralGrid:
     """Second page for the extension of the e-th ruled surface's fibrewise
     automorphism group: C^(e+1) -> G -> C*, with the scaling action."""
-    reg = registry or default_registry()
     entries = {}
     for p in range(4):
-        entries[(p, 0)] = reg.get("C*", p)
+        entries[(p, 0)] = registry.get("C*", p)
         entries[(p, 1)] = FormalGroup.zero()
         entries[(p, 2)] = FormalGroup.zero()
         entries[(p, 3)] = FormalGroup.zero()
@@ -715,23 +729,22 @@ def ordered_fibration_configurations(lat, pairs, reverse_order=False):
 # boundary nor the single assembly of the library.
 
 
-def table_ruled_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
+def table_ruled_row1_complex(u: GeneratorUniverse, registry: KnownHomologyRegistry) -> RowComplex:
     """The abelianization row for the ruled universe at ranks 1..3, with the
     staircase invariant bounds."""
     if u.base is not BaseCase.RULED:
         raise ValueError("this builder is for the ruled universe")
-    reg = registry or default_registry()
     bound = {r: u.e_max + (3 - r) for r in (1, 2, 3)}
 
     def entry(gen):
         if gen.rank == 1:
-            return FormalGroup.zero() if gen.e == 0 else reg.get("Autf(Fe/P1)", 1)
+            return FormalGroup.zero() if gen.e == 0 else registry.get("Autf(Fe/P1)", 1)
         if gen.rank == 2:
             name = "Autf(S_g,1)" if gen.family == "blowup" else "Autf(S_e,1)"
-            return reg.get(name, 1)
+            return registry.get(name, 1)
         if gen.family == "min_section":
-            return reg.get("Autf(S_e,2)", 1)
-        return reg.get("Autf(S_g,2)" if gen.partition == (1, 1) else "Autf(S_s,2)", 1)
+            return registry.get("Autf(S_e,2)", 1)
+        return registry.get("Autf(S_g,2)" if gen.partition == (1, 1) else "Autf(S_s,2)", 1)
 
     gens = {r: enumerate_generators(u, r, bound[r]) for r in (1, 2, 3)}
     places = [
@@ -779,18 +792,18 @@ def table_ruled_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
     )
 
 
-def table_cremona_row1_complex(u: GeneratorUniverse, registry=None) -> RowComplex:
+def table_cremona_row1_complex(u: GeneratorUniverse,
+                               registry: KnownHomologyRegistry) -> RowComplex:
     """The abelianization row for the plane's universe at ranks 1..3; the
     non-orientable classes contribute their twisted blocks, computed through
     the long exact sequence."""
     if u.base is not BaseCase.CREMONA:
         raise ValueError("this builder is for the cremona universe")
-    reg = registry or default_registry()
     bound = {r: u.e_max + (3 - r) for r in (1, 2, 3)}
 
     def block_entry(full, plus, columns):
-        action = FormalHom(reg.get(full, 1), reg.get(plus, 1), columns)
-        out = nonorientable_block_homology(1, full, plus, action, reg)
+        action = FormalHom(registry.get(full, 1), registry.get(plus, 1), columns)
+        out = nonorientable_block_homology(1, action, FormalGroup.free(1), FormalGroup.free(1))
         if isinstance(out, list):
             raise FormalGroupError(f"ambiguous degree-1 block for {full}")
         return out
@@ -799,14 +812,14 @@ def table_cremona_row1_complex(u: GeneratorUniverse, registry=None) -> RowComple
         if gen.rank == 1:
             if gen.family == "plane" or gen.e == 0:
                 return FormalGroup.zero()
-            return reg.get("Aut(Fe/P1)", 1)
+            return registry.get("Aut(Fe/P1)", 1)
         if gen.rank == 2:
             if gen.family == "dp8_blowdown":
-                return reg.get("Aut(F1)", 1)
+                return registry.get("Aut(F1)", 1)
             if gen.family == "dp8_quadric":
                 return block_entry("Aut(P1xP1)", "Aut+(P1xP1)", None)
             name = "Aut(S_g,1/P1)" if gen.family == "blowup" else "Aut(S_e,1/P1)"
-            return reg.get(name, 1)
+            return registry.get(name, 1)
         if gen.family == "dp7":
             # 1+sigma is the diagonal on the torus abelianization
             return block_entry("Aut(Bl2P2)", "Aut+(Bl2P2)", [{0: 1, 1: 1}])

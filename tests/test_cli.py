@@ -4,16 +4,26 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import syzygy
 from syzygy import smith
+from syzygy.cli import default_registry
 from syzygy.complexes import RegularCWComplex, ValidationReport
+from syzygy.spectral import KnownHomologyRegistry
 from syzygy.surfaces import GeneratorUniverse, row0_complex, validated_sphere_bl3
 
-from helpers import build_cycle, build_octahedron, chain_complex_json, cw_complex_json, invoke
+from helpers import (
+    build_cycle,
+    build_octahedron,
+    chain_complex_json,
+    cw_complex_json,
+    invoke,
+    registry_items,
+)
 
 
 def test_lines_cubic():
@@ -172,6 +182,19 @@ def test_homology_file_chain(tmp_path):
     )
     data = json.loads(invoke("homology", str(path)).output)
     assert data["result"]["homology"] == ["Z", "Z"]
+
+
+def test_homology_file_of_large_coprime_orders_is_prompt(tmp_path):
+    """The invariant-factor merge used to factor each order by trial
+    division, so this file took about 20 s, growing with the smaller prime."""
+    path = tmp_path / "primes.json"
+    path.write_text('{"ranks": [3, 3], "boundaries": '
+                    '[[[2, 0, 0], [0, 100000007, 0], [0, 2, 100000037]]]}', encoding="utf-8")
+    start = time.monotonic()
+    res = invoke("homology", str(path))
+    assert time.monotonic() - start < 2.0
+    assert res.exit_code == 0
+    assert json.loads(res.output)["result"]["homology"] == ["Z/20000008800000518", "0"]
 
 
 def test_homology_file_corrupt(tmp_path):
@@ -619,6 +642,32 @@ def test_registry_copy_prints_the_default_bytes(tmp_path, monkeypatch):
             by_variable = invoke("schur", "--target", target)
         assert default.exit_code == 0
         assert by_option.output == by_variable.output == default.output
+
+
+@pytest.mark.parametrize("group", ["PGL(2,C)", "Aut(P1xP1)"])
+def test_registry_entry_for_a_derived_group_goes_unread(tmp_path, group):
+    """The derivations used to memoize their H2 values in the registry and
+    skip the work when an entry existed.  With a PGL(2,C) degree-2 entry of
+    Z/5, `quadric` printed Z/5 and `k2prime` Z/10 while `pgl2` overwrote the
+    entry; with an Aut(P1xP1) one, `k2prime` exited 1 for want of an
+    Aut+(P1xP1) entry."""
+    data = json.loads(SHIPPED_REGISTRY.read_text(encoding="utf-8"))
+    data["entries"].append({"group": group, "degree": 2, "value": {"cyclic": [5]},
+                            "provenance": "p"})
+    path = tmp_path / "derived.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for target in ("pgl2", "quadric", "k2prime"):
+        res = invoke("--registry", str(path), "schur", "--target", target)
+        assert res.exit_code == 0
+        assert res.output == invoke("schur", "--target", target).output
+
+
+def test_commands_leave_the_default_registry_as_loaded():
+    """`schur --target k2prime` used to write H2 of PGL(2,C), Aut(P1xP1) and
+    Aut+(P1xP1) into the process's shared registry."""
+    for args in (("schur", "--target", "k2prime"), ("cremona",)):
+        assert invoke(*args).exit_code == 0
+    assert registry_items(default_registry()) == registry_items(KnownHomologyRegistry.load())
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from helpers import (
     determinant,
     is_trivial,
     kernel_basis,
+    prime_power_chain,
     record_dense_shapes,
 )
 
@@ -220,6 +221,16 @@ def test_fg_group_normal_form():
     assert is_trivial(FGAbelianGroup.from_orders(0, [1, 1]))
     with pytest.raises(ValueError):
         FGAbelianGroup(0, (4, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 64), st.integers(1, 10**6),
+                          st.builds(lambda a, b: 2 ** a * 3 ** b, st.integers(0, 6),
+                                    st.integers(0, 3))), max_size=8))
+def test_fg_group_merge_matches_the_prime_power_chain(orders):
+    """The orders merge by gcd and lcm, without factoring, into the chain
+    that collecting each prime's exponents gives."""
+    assert FGAbelianGroup.from_orders(0, orders).torsion == tuple(prime_power_chain(orders))
 
 
 def test_cokernel_group():

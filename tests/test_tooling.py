@@ -12,7 +12,9 @@ read, only smith touches the dense Smith cluster, and no module imports
 written once, so no class but the value base `_Value` in the package's
 `__init__.py` defines `__setattr__`, `__delattr__`, `__reduce__`, `__hash__`
 or `__repr__` with a `def`.  One reading rule as well: only `__init__.py`
-opens a file, parses JSON or names the data directory.  And the library
+opens a file, parses JSON or names the data directory.  A registry rule:
+only `cli.py` calls `default_registry`, and no function in `spectral.py`
+gives its `registry` parameter a default.  And the library
 holds only code that runs: every top-level function and method is
 referenced by name somewhere in the library outside its own definition,
 unless it is a package export, a dunder, a name the benchmark's own code
@@ -304,6 +306,27 @@ def test_only_the_package_init_reads_files():
             elif isinstance(node, ast.Constant) and node.value == "data":
                 readers.append(f"{name}:{node.lineno} 'data'")
     assert not readers
+
+
+def test_only_the_cli_falls_back_to_the_default_registry():
+    """A derivation reads the registry it is given: no library module but
+    cli.py calls default_registry, and no spectral function lets `registry`
+    default to anything."""
+    fallbacks = []
+    for name, tree in _library_modules():
+        for node in ast.walk(tree):
+            if name != "cli.py" and isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "default_registry":
+                    fallbacks.append(f"{name}:{node.lineno} calls default_registry")
+            if name == "spectral.py" and isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                if "registry" in [a.arg for a in defaulted]:
+                    fallbacks.append(f"{name}:{node.lineno} {node.name} defaults registry")
+    assert not fallbacks
 
 
 VALUE_METHODS = {"__setattr__", "__delattr__", "__reduce__", "__hash__", "__repr__"}
