@@ -2,12 +2,12 @@
 integer homology.
 
 A complex is stored purely combinatorially: cells with a dimension and an
-optional label, plus a signed boundary list per cell.  Barycentric
-subdivision, links and dual blocks are all order-theoretic constructions on
-the face poset; no geometric realization exists anywhere.  Chain groups may
-carry cyclic annotations (generator orders such as Z/2), and homology is read
-from invariant factors by one formula for plain and annotated chain groups
-alike (smith.presented_homology): the cycles are a kernel that records, per
+optional label, plus a signed boundary list per cell.  A cell's link is the
+order complex of the cells above it in the face poset; no geometric
+realization exists anywhere.  Chain groups may carry cyclic annotations
+(generator orders such as Z/2), and homology is read from invariant factors
+by one formula for plain and annotated chain groups alike
+(smith.presented_homology): the cycles are a kernel that records, per
 annotated target generator, which multiple of its relation a chain hits, so
 the same engine serves plain cellular homology and the coinvariant complexes
 produced by the surface-model machinery.
@@ -111,9 +111,10 @@ class RegularCWComplex:
             failures.append("d o d != 0")
         if not failures:
             n = self.dimension
-            sd = self.barycentric_subdivision()
+            face_sets = {cid: self.faces(cid) for cid in self.cells}
             for cid, cell in sorted(self.cells.items(), key=lambda kv: repr(kv[0])):
-                link = _chain_subcomplex(sd, cid, include_cell=False)
+                above = [m for m in self.cells if cid in face_sets[m]]
+                link = _order_complex(above, face_sets)
                 expected = n - cell.dim - 1
                 if not _is_sphere_homology(link, expected):
                     link_failures.append(
@@ -124,37 +125,6 @@ class RegularCWComplex:
             failures=failures,
             link_failures=link_failures,
         )
-
-    # -- subdivision and blocks ---------------------------------------------
-
-    def barycentric_subdivision(self) -> "RegularCWComplex":
-        """Simplicial complex with one vertex per cell and one simplex per
-        strict inclusion chain of cells."""
-        order = {cid: (self.cells[cid].dim, repr(cid)) for cid in self.cells}
-        face_sets = {cid: self.faces(cid) for cid in self.cells}
-        chains = [(cid,) for cid in self.cells]
-        frontier = list(chains)
-        while frontier:
-            new = []
-            for chain in frontier:
-                top = chain[-1]
-                for cid in self.cells:
-                    if top in face_sets[cid]:
-                        new.append(chain + (cid,))
-            chains.extend(new)
-            frontier = new
-        cells = []
-        boundary = {}
-        for chain in chains:
-            labels = "<".join(str(self.cells[c].label or c) for c in chain)
-            cells.append(Cell(id=chain, dim=len(chain) - 1, label=labels))
-            faces = []
-            if len(chain) > 1:
-                for i in range(len(chain)):
-                    sub = chain[:i] + chain[i + 1:]
-                    faces.append((sub, (-1) ** i))
-            boundary[chain] = faces
-        return RegularCWComplex(cells, boundary)
 
     # -- homology ------------------------------------------------------------
 
@@ -256,19 +226,20 @@ class ValidationReport:
         return "; ".join(self.failures + self.link_failures)
 
 
-def _chain_subcomplex(sd, cid, include_cell):
-    """Cells of the barycentric subdivision ``sd`` whose chains lie (weakly)
-    above the cell ``cid``; the cells strictly above it are the tops of its
-    2-chains (cid, m), so no face closure is taken again."""
-    above = {chain[1] for chain in sd.cells if len(chain) == 2 and chain[0] == cid}
-    if include_cell:
-        above.add(cid)
-    keep = [chain_id for chain_id in sd.cells if above.issuperset(chain_id)]
-    keep_set = set(keep)
-    cells = [sd.cells[c] for c in keep]
-    boundary = {
-        c: [(f, s) for f, s in sd.boundary[c] if f in keep_set] for c in keep
-    }
+def _order_complex(ids, face_sets) -> RegularCWComplex:
+    """The simplicial complex of the strict chains among the cells ``ids``
+    under the face order (a below b when a is in face_sets[b]), each chain
+    listed from its least cell up.  On the cells above a cell it is that
+    cell's link in the barycentric subdivision."""
+    chains = [(cid,) for cid in ids]
+    frontier = list(chains)
+    while frontier:
+        frontier = [chain + (cid,) for chain in frontier for cid in ids
+                    if chain[-1] in face_sets[cid]]
+        chains += frontier
+    cells = [Cell(id=chain, dim=len(chain) - 1) for chain in chains]
+    boundary = {chain: [(chain[:i] + chain[i + 1:], (-1) ** i) for i in range(len(chain))]
+                for chain in chains if len(chain) > 1}
     return RegularCWComplex(cells, boundary)
 
 

@@ -34,6 +34,7 @@ from .formal import (
     zero_hom,
 )
 from . import DATA_DIR, read_json, surfaces, unpack
+from .smith import prime_factorization
 
 
 def parse_value(data: dict, what: str) -> FormalGroup:
@@ -551,8 +552,8 @@ def nonorientable_block_homology(i: int, sigma_action: FormalHom, low_full: Form
         H_i(full) --(1+s)--> H_i(plus) -> X -> H_{i-1}(full) -> H_{i-1}(plus)
 
     ``sigma_action`` is 1+s, from H_i(full) to H_i(plus); ``low_full`` and
-    ``low_plus`` are H_{i-1}(full) and H_{i-1}(plus).  Returns the unique
-    group when the extension is determined, else the candidate list."""
+    ``low_plus`` are H_{i-1}(full) and H_{i-1}(plus).  Returns the candidate
+    list, one group when the extension is determined."""
     sub = cokernel(sigma_action)
     if i - 1 == 0:
         quot = FormalGroup.zero()  # 1+sigma is multiplication by 2 on H0 = Z
@@ -564,10 +565,7 @@ def nonorientable_block_homology(i: int, sigma_action: FormalHom, low_full: Form
         raise InsufficientAtomData(
             f"need the degree-{i - 1} comparison map {low_full} -> {low_plus}"
         )
-    candidates = solve_extension(sub, quot)
-    if len(candidates) == 1:
-        return candidates[0]
-    return candidates
+    return solve_extension(sub, quot)
 
 
 def k2_prime_candidates(registry: KnownHomologyRegistry) -> list:
@@ -579,9 +577,8 @@ def k2_prime_candidates(registry: KnownHomologyRegistry) -> list:
     diag = _swap_antidiagonal(h2_full)  # a -> (a, a^{-1}) across the swap
     if diag.target != h2_plus:
         raise FormalGroupError("Kunneth shape mismatch for the quadric")
-    result = nonorientable_block_homology(
+    return nonorientable_block_homology(
         2, diag, registry.get("Aut(P1xP1)", 1), registry.get("Aut+(P1xP1)", 1))
-    return result if isinstance(result, list) else [result]
 
 
 # -- row-1 complexes -------------------------------------------------------------
@@ -631,35 +628,84 @@ def _make_place(entries):
     return (labels, total, layout)
 
 
-def _row1_complex(u: surfaces.GeneratorUniverse, entry, extra_rank3=None) -> RowComplex:
-    """The row-1 complex at ranks 1..3, with the staircase invariant bounds.
+def _model_group(gen) -> str:
+    """The registry name of a generator's automorphism group, the same for
+    every point set and e: Autf(...) over the ruled base; over the plane
+    Aut(...) for a surface, Aut(.../P1) for a conic bundle's pair."""
+    k = gen.rank - 1
+    if gen.family in surfaces.POINT_MODEL_NAMES:
+        return f"Aut({surfaces.POINT_MODEL_NAMES[gen.family]})"
+    if gen.family == "hirzebruch":
+        name = "P1xP1/P1" if gen.e == 0 else "Fe/P1"
+    elif gen.family == "min_section":
+        name = f"S_e,{k}"
+    elif gen.partition in ((1,) * k, (k,)):
+        name = f"S_{'g' if gen.partition == (1,) * k else 's'},{k}"
+    else:
+        name = "S_(" + ",".join(map(str, gen.partition)) + f"),{k}"
+    if gen.base is surfaces.BaseCase.RULED:
+        return f"Autf({name})"
+    return f"Aut({name})" if gen.family == "hirzebruch" else f"Aut({name}/P1)"
 
-    Place p sums entry(gen) over the rank-(p+1) generators.  The cells and
-    their incidences are those of row 0, so a block is the row-0 coefficient
-    times the entry map, the product map (all ones) between entry tori; the
-    sign flips at rank 3, where row 0 orients every cell against the cube
-    convention (tests/test_row0_witness.py).  Generators whose entry group
-    has no slots carry no block.  extra_rank3(gen), keyed by the (family, e)
-    of the rank-2 target, adds the blocks that row 0 cannot see."""
+
+# 1+sigma from H1 of a non-orientable group to H1 of its orientation-preserving
+# subgroup Aut+(...), in smith's column format; None is the zero map
+SIGMA_ACTIONS = {
+    "Aut(P1xP1)": None,
+    "Aut(Bl2P2)": [{0: 1, 1: 1}],  # the diagonal on the torus abelianization
+    "Aut(S_g,2/P1)": [{}, {}],
+    "Aut(S_s,2/P1)": [{0: 2}],
+    "Aut(S_e,2/P1)": [{0: 2}],
+}
+
+
+def _twisted_entry(group: str, registry) -> FormalGroup:
+    """The degree-1 twisted block of a non-orientable group, solved through
+    the long exact sequence of its 1+sigma action."""
+    if group not in SIGMA_ACTIONS:
+        raise FormalGroupError(f"no 1+sigma action is known for the non-orientable group {group!r}")
+    plus = "Aut+" + group[len("Aut"):]
+    action = FormalHom(registry.get(group, 1), registry.get(plus, 1), SIGMA_ACTIONS[group])
+    h0 = FormalGroup.free(1)  # H0 of every group, so the block's quotient vanishes
+    [block] = nonorientable_block_homology(1, action, h0, h0)
+    return block
+
+
+def _row1_complex(u: surfaces.GeneratorUniverse, registry, extra_rank3=None) -> RowComplex:
+    """The row-1 complex at ranks 1..3, on the cells of the rank-3 row 0.
+
+    Place p sums the entries of the rank-(p+1) generators: H1 of the
+    generator's group (_model_group) from the registry, or its twisted block
+    when the generator is not orientable.  The cells and incidences are those
+    of row 0 truncated at rank 3, whose staircase is the row's, so a block
+    is the row-0 coefficient times the entry map, the product map (all ones)
+    between entry tori; the sign flips at rank 3, where row 0 orients every
+    cell against the cube convention (tests/test_row0_witness.py).
+    Generators whose entry group has no slots carry no block.
+    extra_rank3(gen), keyed by the (family, e) of the rank-2 target, adds
+    the blocks that row 0 cannot see."""
     if u.r_max < 3:
         raise ValueError(f"the row-1 complex needs r_max >= 3, got {u.r_max}")
-    bound = {r: u.e_max + (3 - r) for r in (1, 2, 3)}
-    bms = {
-        r: surfaces.boundary(u, r, e_bound=bound[r], target_e_bound=bound[r - 1])
-        for r in (2, 3)
-    }
-    gens = {1: bms[2].rows, 2: bms[2].columns, 3: bms[3].columns}
+    cc, gens = surfaces.row0_complex(surfaces.GeneratorUniverse(u.base, u.labels, u.e_max, 3))
+    entries = {}  # model group -> its entry, so each twisted block is solved once
+
+    def entry(gen):
+        group = _model_group(gen)
+        if group not in entries:
+            entries[group] = (registry.get(group, 1) if gen.orientable
+                              else _twisted_entry(group, registry))
+        return entries[group]
+
     places = {r: _make_place([(g, entry(g)) for g in gens[r]]) for r in (1, 2, 3)}
     maps = []
     for r, sign in ((2, 1), (3, -1)):
-        bm = bms[r]
         src_layout, tgt_layout = places[r][2], places[r - 1][2]
         blocks = {}
-        for j, column in enumerate(bm.matrix):
+        for j, column in enumerate(cc.boundaries[r - 1]):
             for i, c in column.items():
                 if src_layout[j] and tgt_layout[i]:
                     block = [[sign * c] * len(src_layout[j]) for _ in tgt_layout[i]]
-                    blocks[(bm.columns[j], bm.rows[i])] = block
+                    blocks[(gens[r][j], gens[r - 1][i])] = block
         if r == 3 and extra_rank3 is not None:
             by_tag = {(g.family, g.e): g for g in gens[2]}
             for g in gens[3]:
@@ -673,18 +719,7 @@ def ruled_row1_complex(u: surfaces.GeneratorUniverse, registry) -> RowComplex:
     staircase invariant bounds."""
     if u.base is not surfaces.BaseCase.RULED:
         raise ValueError("this builder is for the ruled universe")
-
-    def entry(gen):
-        if gen.rank == 1:
-            return FormalGroup.zero() if gen.e == 0 else registry.get("Autf(Fe/P1)", 1)
-        if gen.rank == 2:
-            name = "Autf(S_g,1)" if gen.family == "blowup" else "Autf(S_e,1)"
-            return registry.get(name, 1)
-        if gen.family == "min_section":
-            return registry.get("Autf(S_e,2)", 1)
-        return registry.get("Autf(S_g,2)" if gen.partition == (1, 1) else "Autf(S_s,2)", 1)
-
-    return _row1_complex(u, entry)
+    return _row1_complex(u, registry)
 
 
 def _cremona_rank3_blocks(gen) -> dict:
@@ -711,39 +746,7 @@ def cremona_row1_complex(u: surfaces.GeneratorUniverse, registry) -> RowComplex:
     the long exact sequence."""
     if u.base is not surfaces.BaseCase.CREMONA:
         raise ValueError("this builder is for the cremona universe")
-    blocks = {}  # (full, plus) -> the block's group, solved on first use
-    h0 = FormalGroup.free(1)  # H0 of every group
-
-    def block_entry(full, plus, columns):
-        if (full, plus) not in blocks:
-            action = FormalHom(registry.get(full, 1), registry.get(plus, 1), columns)
-            blocks[full, plus] = nonorientable_block_homology(1, action, h0, h0)
-        if isinstance(blocks[full, plus], list):
-            raise FormalGroupError(f"ambiguous degree-1 block for {full}")
-        return blocks[full, plus]
-
-    def entry(gen):
-        if gen.rank == 1:
-            if gen.family == "plane" or gen.e == 0:
-                return FormalGroup.zero()
-            return registry.get("Aut(Fe/P1)", 1)
-        if gen.rank == 2:
-            if gen.family == "dp8_blowdown":
-                return registry.get("Aut(F1)", 1)
-            if gen.family == "dp8_quadric":
-                return block_entry("Aut(P1xP1)", "Aut+(P1xP1)", None)
-            name = "Aut(S_g,1/P1)" if gen.family == "blowup" else "Aut(S_e,1/P1)"
-            return registry.get(name, 1)
-        if gen.family == "dp7":
-            # 1+sigma is the diagonal on the torus abelianization
-            return block_entry("Aut(Bl2P2)", "Aut+(Bl2P2)", [{0: 1, 1: 1}])
-        if gen.family == "blowup" and gen.partition == (1, 1):
-            return block_entry("Aut(S_g,2/P1)", "Aut+(S_g,2/P1)", [{}, {}])
-        if gen.family == "blowup":
-            return block_entry("Aut(S_s,2/P1)", "Aut+(S_s,2/P1)", [{0: 2}])
-        return block_entry("Aut(S_e,2/P1)", "Aut+(S_e,2/P1)", [{0: 2}])
-
-    return _row1_complex(u, entry, _cremona_rank3_blocks)
+    return _row1_complex(u, registry, _cremona_rank3_blocks)
 
 
 def row1_homology(row: RowComplex, i: int) -> FormalGroup:
@@ -803,27 +806,33 @@ def cremona_assemble(
     """Candidates for H2 of the plane's birational automorphism group.
 
     The governing relation is H2 = E_{0,2} / Im(E_{2,1} -> E_{0,2}); the
-    differential is undetermined, so both candidates are reported unless the
+    differential is undetermined, so every candidate is reported unless the
     caller forces E_{2,1} = 0.  The infinite 2-torsion sum absorbs any
-    2-torsion image, so only the 3-part of E_{2,1} can change the answer;
-    row 0 does not enter."""
+    2-torsion image, so only the 3-part of E_{2,1} can change the answer:
+    with 3^m its largest cyclic 3-power, the image divides E_{0,2}'s one
+    3-divisible cyclic factor by 3^j for j = 0..m, as far as that factor
+    allows.  Row 0 does not enter."""
     u = universe or surfaces.GeneratorUniverse.cremona(3, r_max=5)
     row1 = cremona_row1_complex(u, registry)
     e01 = row1_homology(row1, 0)
     e11 = row1_homology(row1, 1)
     e21_bound = row1_degree2_bound(row1)
     e02 = registry.get("E_{0,2}(Cr2)", 2)
+    reach = 0 if force_e21_zero else max(
+        (prime_factorization(d).get(3, 0) for d in e21_bound.cyclic), default=0)
+    threes = [d for d in e02.cyclic if d % 3 == 0]
+    if reach and len(threes) > 1:
+        raise InsufficientAtomData(
+            f"E_{{0,2}} = {e02} has {len(threes)} cyclic factors divisible by 3;"
+            " the quotient by a 3-torsion image is not determined")
     candidates = [e02]
-    if not force_e21_zero and any(d % 3 == 0 for d in e21_bound.cyclic):
-        stripped = FormalGroup(
-            atoms=e02.atoms,
-            cyclic=tuple(d for d in e02.cyclic if d % 3 != 0),
-            free_rank=e02.free_rank,
-            infinite=e02.infinite,
-        )
-        candidates.append(stripped)
-    unique = {str(c): c for c in candidates}
-    candidates = [unique[k] for k in sorted(unique, reverse=True)]
+    if reach and threes:
+        [d] = threes
+        rest = tuple(c for c in e02.cyclic if c % 3)
+        candidates += [
+            FormalGroup(e02.atoms, rest + (d // 3 ** j,), e02.free_rank, e02.infinite)
+            for j in range(1, min(prime_factorization(d)[3], reach) + 1)
+        ]
     return {
         "relation": "H2(Bir(P2)) = E_{0,2} / Im(E_{2,1} -> E_{0,2})",
         "E_{0,1}": e01,

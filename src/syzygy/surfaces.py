@@ -56,6 +56,8 @@ class BaseCase(Enum):
 #   plane, dp8_blowdown, dp8_quadric, dp7, dp6, dp5
 POINT_FAMILIES = ("plane", "dp8_blowdown", "dp8_quadric", "dp7", "dp6", "dp5")
 DEL_PEZZO_RANK = {"plane": 1, "dp8_blowdown": 2, "dp8_quadric": 2, "dp7": 3, "dp6": 4, "dp5": 5}
+POINT_MODEL_NAMES = {"plane": "P2", "dp8_blowdown": "F1", "dp8_quadric": "P1xP1", "dp7": "Bl2P2",
+                     "dp6": "Bl3P2", "dp5": "Bl4P2"}
 
 
 class SurfaceCentralModel(_Value):
@@ -82,14 +84,8 @@ class SurfaceCentralModel(_Value):
         pts = "{" + ",".join(self.points) + "}" if self.points else ""
         if self.family == "hirzebruch":
             name = "P1xP1/P1" if self.e == 0 else f"F{self.e}/P1"
-        elif self.family == "plane":
-            name = "P2"
-        elif self.family == "dp8_blowdown":
-            name = "F1"
-        elif self.family == "dp8_quadric":
-            name = "P1xP1"
-        elif self.family in ("dp7", "dp6", "dp5"):
-            name = {"dp7": "Bl2P2", "dp6": "Bl3P2", "dp5": "Bl4P2"}[self.family]
+        elif self.family in POINT_MODEL_NAMES:
+            name = POINT_MODEL_NAMES[self.family]
         elif self.family == "min_section":
             name = f"S_e={self.e},{k or self.rank - 1}"
         else:  # blowup

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 from syzygy import smith
 from syzygy.cli import main
-from syzygy.complexes import Cell, IntegerChainComplex, RegularCWComplex, _chain_subcomplex
+from syzygy.complexes import Cell, IntegerChainComplex, RegularCWComplex
 from syzygy.formal import (
     FormalGroup,
     FormalGroupError,
@@ -121,18 +121,64 @@ def build_octahedron():
     return RegularCWComplex(cells, boundary)
 
 
+def barycentric_subdivision(cx: RegularCWComplex) -> RegularCWComplex:
+    """Simplicial complex with one vertex per cell and one simplex per
+    strict inclusion chain of cells."""
+    order = {cid: (cx.cells[cid].dim, repr(cid)) for cid in cx.cells}
+    face_sets = {cid: cx.faces(cid) for cid in cx.cells}
+    chains = [(cid,) for cid in cx.cells]
+    frontier = list(chains)
+    while frontier:
+        new = []
+        for chain in frontier:
+            top = chain[-1]
+            for cid in cx.cells:
+                if top in face_sets[cid]:
+                    new.append(chain + (cid,))
+        chains.extend(new)
+        frontier = new
+    cells = []
+    boundary = {}
+    for chain in chains:
+        labels = "<".join(str(cx.cells[c].label or c) for c in chain)
+        cells.append(Cell(id=chain, dim=len(chain) - 1, label=labels))
+        faces = []
+        if len(chain) > 1:
+            for i in range(len(chain)):
+                sub = chain[:i] + chain[i + 1:]
+                faces.append((sub, (-1) ** i))
+        boundary[chain] = faces
+    return RegularCWComplex(cells, boundary)
+
+
+def _chain_subcomplex(sd, cid, include_cell):
+    """Cells of the barycentric subdivision ``sd`` whose chains lie (weakly)
+    above the cell ``cid``; the cells strictly above it are the tops of its
+    2-chains (cid, m), so no face closure is taken again."""
+    above = {chain[1] for chain in sd.cells if len(chain) == 2 and chain[0] == cid}
+    if include_cell:
+        above.add(cid)
+    keep = [chain_id for chain_id in sd.cells if above.issuperset(chain_id)]
+    keep_set = set(keep)
+    cells = [sd.cells[c] for c in keep]
+    boundary = {
+        c: [(f, s) for f, s in sd.boundary[c] if f in keep_set] for c in keep
+    }
+    return RegularCWComplex(cells, boundary)
+
+
 def link_of(cx: RegularCWComplex, cid) -> RegularCWComplex:
     """Subcomplex of the subdivision spanned by chains strictly above the cell."""
     if cid not in cx.cells:
         raise KeyError(f"unknown cell {cid!r}")
-    return _chain_subcomplex(cx.barycentric_subdivision(), cid, include_cell=False)
+    return _chain_subcomplex(barycentric_subdivision(cx), cid, include_cell=False)
 
 
 def dual_block_of(cx: RegularCWComplex, cid) -> RegularCWComplex:
     """Closed dual block: chains whose members all contain the cell."""
     if cid not in cx.cells:
         raise KeyError(f"unknown cell {cid!r}")
-    return _chain_subcomplex(cx.barycentric_subdivision(), cid, include_cell=True)
+    return _chain_subcomplex(barycentric_subdivision(cx), cid, include_cell=True)
 
 
 # -- registry and display readers ---------------------------------------------------
@@ -489,6 +535,37 @@ def cycle_basis_homology(
     return dense_cokernel_group(columns_to_matrix(coords, dim_cycles), dim_cycles)
 
 
+# -- ranks over F_p -------------------------------------------------------------------
+
+
+def rank_mod_p(cols: list, p: int) -> int:
+    """Rank over F_p of an integer matrix in smith's column format, by
+    sparse elimination: each column is reduced against the pivots kept so
+    far, keyed by their leading row, and becomes one when it survives."""
+    pivots = {}  # leading row -> column scaled to a leading 1
+    for col in cols:
+        v = {i: x % p for i, x in col.items() if x % p}
+        while v:
+            lead = min(v)
+            if lead not in pivots:
+                inverse = pow(v[lead], -1, p)
+                pivots[lead] = {i: x * inverse % p for i, x in v.items()}
+                break
+            factor = v[lead]
+            for i, x in pivots[lead].items():
+                y = (v.get(i, 0) - factor * x) % p
+                if y:
+                    v[i] = y
+                else:
+                    v.pop(i, None)
+    return len(pivots)
+
+
+def torsion_count(g: FGAbelianGroup, p: int) -> int:
+    """t_p: the number of invariant factors of g that p divides."""
+    return sum(1 for d in g.torsion if d % p == 0)
+
+
 # -- oracle for formal kernel and cokernel ---------------------------------------
 #
 # One hand-written rule per family: the finitely generated block through
@@ -804,9 +881,9 @@ def table_cremona_row1_complex(u: GeneratorUniverse,
     def block_entry(full, plus, columns):
         action = FormalHom(registry.get(full, 1), registry.get(plus, 1), columns)
         out = nonorientable_block_homology(1, action, FormalGroup.free(1), FormalGroup.free(1))
-        if isinstance(out, list):
+        if len(out) != 1:
             raise FormalGroupError(f"ambiguous degree-1 block for {full}")
-        return out
+        return out[0]
 
     def entry(gen):
         if gen.rank == 1:

@@ -670,6 +670,65 @@ def test_commands_leave_the_default_registry_as_loaded():
     assert registry_items(default_registry()) == registry_items(KnownHomologyRegistry.load())
 
 
+def _registry_file(tmp_path, edit):
+    """A copy of the shipped registry whose entries are edit(entries), as a path."""
+    data = json.loads(SHIPPED_REGISTRY.read_text(encoding="utf-8"))
+    data["entries"] = edit(data["entries"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("group, commands", [
+    ("Aut(P2)", [("cremona",)]),
+    ("Autf(P1xP1/P1)", [("ruled", "--points", "4"), ("five-term",)]),
+])
+def test_row1_reads_every_entry_group_from_the_registry(tmp_path, group, commands):
+    """Row 1 used to write the plane's and the quadric's entries in as zero
+    groups, so a registry without them still exited 0."""
+    path = _registry_file(tmp_path, lambda entries: [e for e in entries if e["group"] != group])
+    for args in commands:
+        res = invoke("--registry", path, *args)
+        assert res.exit_code == 1
+        assert json.loads(res.output)["error"] == (
+            f"registry has no entry for group {group!r} in degree 1")
+
+
+def _e02_registry(tmp_path, cyclic):
+    """The shipped registry with the cyclic part of E_{0,2}(Cr2) replaced."""
+    def edit(entries):
+        [e02] = [e for e in entries if e["group"] == "E_{0,2}(Cr2)"]
+        e02["value"]["cyclic"] = cyclic
+        return entries
+    return _registry_file(tmp_path, edit)
+
+
+@pytest.mark.parametrize("cyclic, middles", [
+    ([9], ["Z/9 (+) ", "Z/3 (+) "]),
+    ([6], ["Z/6 (+) ", "Z/2 (+) "]),
+    ([3], ["Z/3 (+) ", ""]),
+])
+def test_cremona_candidates_divide_by_the_image(tmp_path, cyclic, middles):
+    """The 3-part of E_{2,1}_bound is Z/3, so the second candidate divides
+    E_{0,2}'s 3-divisible factor by 3.  It used to drop the factor, so with
+    Z/9 or Z/6 the second candidate read K2(C) (+) (+)_{Z}(Z/2).  With the
+    shipped Z/3 the output is unchanged."""
+    res = invoke("--registry", _e02_registry(tmp_path, cyclic), "cremona")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["result"]["H2_candidates"] == [
+        f"K2(C) (+) {m}(+)_{{Z}}(Z/2)" for m in middles]
+    if cyclic == [3]:
+        assert res.output == invoke("cremona").output
+
+
+def test_cremona_candidates_refuse_two_factors_divisible_by_3(tmp_path):
+    """With Z/3 + Z/3 the quotient by a Z/3 image is not determined by the
+    groups alone; the candidates used to drop both factors."""
+    res = invoke("--registry", _e02_registry(tmp_path, [3, 3]), "cremona")
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"].startswith("E_{0,2} = ")
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -13,6 +13,7 @@ from syzygy.smith import FGAbelianGroup
 from syzygy.surfaces import validated_sphere_bl3
 
 from helpers import (
+    barycentric_subdivision,
     build_cycle,
     build_interval,
     build_octahedron,
@@ -68,14 +69,14 @@ def test_interval_is_manifold_with_boundary_not_closed():
 
 
 def test_barycentric_subdivision_interval():
-    sd = build_interval().barycentric_subdivision()
+    sd = barycentric_subdivision(build_interval())
     assert len(sd.cells_of_dim(0)) == 3
     assert len(sd.cells_of_dim(1)) == 2
     assert sd.validate().structure_ok
 
 
 def test_barycentric_subdivision_hexagon():
-    sd = build_cycle(6).barycentric_subdivision()
+    sd = barycentric_subdivision(build_cycle(6))
     assert len(sd.cells_of_dim(0)) == 12
     assert len(sd.cells_of_dim(1)) == 12
     assert sd.homology(0) == Z
@@ -87,7 +88,7 @@ def test_barycentric_subdivision_hexagon():
 )
 def test_subdivision_preserves_homology(builder):
     complex_ = builder()
-    sd = complex_.barycentric_subdivision()
+    sd = barycentric_subdivision(complex_)
     top = max(complex_.dimension, 0)
     for d in range(top + 1):
         assert complex_.homology(d) == sd.homology(d)
@@ -259,10 +260,10 @@ def test_lift_is_formed_once_per_degree(monkeypatch):
 
 
 def test_validate_takes_each_face_closure_once(monkeypatch):
-    """The cells above a cell are read from the subdivision's 2-chains, so
-    validate() takes one face closure per cell, in the subdivision (on the
-    44-cell bl3 sphere, 1,936 when every link took them again), and the
-    links and dual blocks still hold exactly the chains above the cell."""
+    """validate() takes each cell's face closure once and reads the cells
+    above every cell from those closures (on the 44-cell bl3 sphere, 1,936
+    closures when every link took them again), and the links and dual
+    blocks of the subdivision still hold exactly the chains above the cell."""
     sphere = validated_sphere_bl3()[0]
     closures = []
     faces = RegularCWComplex.faces
@@ -279,3 +280,28 @@ def test_validate_takes_each_face_closure_once(monkeypatch):
         above = {m for m in sphere.cells if m != cid and cid in sphere.faces(m)}
         assert {m for chain in link_of(sphere, cid).cells for m in chain} == above
         assert {m for chain in dual_block_of(sphere, cid).cells for m in chain} == above | {cid}
+
+
+@pytest.mark.parametrize("builder", [build_octahedron, lambda: validated_sphere_bl3()[0]],
+                         ids=["octahedron", "bl3-sphere"])
+def test_validate_links_are_the_subdivision_links(builder, monkeypatch):
+    """validate() builds each link as the order complex of the cells above
+    the cell, not by filtering the whole barycentric subdivision; the two
+    agree chain for chain, dimension and signed faces included."""
+    cx = builder()
+    links = []
+    is_sphere = complexes._is_sphere_homology
+
+    def capture(link, n):
+        links.append(link)
+        return is_sphere(link, n)
+
+    monkeypatch.setattr(complexes, "_is_sphere_homology", capture)
+    assert cx.validate().valid
+    cids = sorted(cx.cells, key=repr)
+    assert len(links) == len(cids)
+    for cid, link in zip(cids, links):
+        oracle = link_of(cx, cid)
+        assert {c.id: c.dim for c in link.cells.values()} == {
+            c.id: c.dim for c in oracle.cells.values()}
+        assert link.boundary == oracle.boundary

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from syzygy import spectral
+from syzygy import spectral, surfaces
 
 from syzygy.formal import FormalGroup, FormalGroupError, FormalHom
 from syzygy.spectral import (
@@ -30,6 +32,7 @@ from helpers import (
     cyclic_group,
     fully_known_positions_exact,
     h_prime_grid,
+    invoke,
     registry_audit,
     registry_items,
     table_cremona_row1_complex,
@@ -119,11 +122,11 @@ def test_nonorientable_block_degree1(registry):
         registry.get("Aut(Bl2P2)", 1), registry.get("Aut+(Bl2P2)", 1), [{0: 1, 1: 1}]
     )
     h0 = FormalGroup.free(1)
-    out = nonorientable_block_homology(1, action, h0, h0)
+    [out] = nonorientable_block_homology(1, action, h0, h0)
     assert out == Cs
     # the quadric over a point in degree 1: trivial block
     action = FormalHom(registry.get("Aut(P1xP1)", 1), registry.get("Aut+(P1xP1)", 1))
-    out = nonorientable_block_homology(1, action, h0, h0)
+    [out] = nonorientable_block_homology(1, action, h0, h0)
     assert out.is_zero
 
 
@@ -300,6 +303,46 @@ def test_cremona_row1_solves_each_twisted_block_once(monkeypatch, registry):
     row = cremona_row1_complex(u, registry)
     assert len(calls) == 5
     assert_same_row_complex(row, table_cremona_row1_complex(u, registry))
+
+
+@pytest.mark.parametrize(
+    "args", [("ruled", "--points", "4", "--r-max", "3"), ("cremona", "--r-max", "3")], ids=" ".join)
+def test_row1_reads_its_cells_from_row0(args, monkeypatch):
+    """Row 1 takes its generators and incidences from row 0 truncated at
+    rank 3, which at --r-max 3 is row 0's own cached build: the ranks 2 and
+    3 boundaries are built once each.  Row 1 used to build them again from
+    its own copy of the staircase, 4 builds in all."""
+    built = []
+    build = surfaces.boundary
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(surfaces, "boundary", counting)
+    surfaces.row0_complex.cache_clear()
+    try:
+        assert invoke(*args).exit_code == 0
+    finally:
+        surfaces.row0_complex.cache_clear()
+    assert len(built) == 2
+
+
+def test_row1_twists_exactly_the_non_orientable_generators(monkeypatch, registry):
+    """A generator gets a twisted block exactly when it is not orientable.
+    Marked non-orientable, F1 has no known 1+sigma action, so row 1 refuses
+    it by its group's name; it used to read F1's plain H1 whatever the
+    orientability table said."""
+    orientable = surfaces.is_orientable
+    monkeypatch.setattr(surfaces, "is_orientable",
+                        lambda base, family, k: family != "dp8_blowdown"
+                        and orientable(base, family, k))
+    surfaces.row0_complex.cache_clear()
+    try:
+        with pytest.raises(FormalGroupError, match=re.escape("'Aut(F1)'")):
+            cremona_row1_complex(GeneratorUniverse.cremona(3), registry)
+    finally:
+        surfaces.row0_complex.cache_clear()
 
 
 def test_row1_builders_refuse_the_other_universe(registry):

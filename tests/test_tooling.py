@@ -12,7 +12,8 @@ read, only smith touches the dense Smith cluster, and no module imports
 written once, so no class but the value base `_Value` in the package's
 `__init__.py` defines `__setattr__`, `__delattr__`, `__reduce__`, `__hash__`
 or `__repr__` with a `def`.  One reading rule as well: only `__init__.py`
-opens a file, parses JSON or names the data directory.  A registry rule:
+opens a file, parses JSON or names the data directory.  A row rule: only
+`surfaces.row0_complex` calls the boundary builder.  A registry rule:
 only `cli.py` calls `default_registry`, and no function in `spectral.py`
 gives its `registry` parameter a default.  And the library
 holds only code that runs: every top-level function and method is
@@ -327,6 +328,19 @@ def test_only_the_cli_falls_back_to_the_default_registry():
                 if "registry" in [a.arg for a in defaulted]:
                     fallbacks.append(f"{name}:{node.lineno} {node.name} defaults registry")
     assert not fallbacks
+
+
+def test_only_row0_complex_builds_boundaries():
+    """Row 1 reads its cells and incidences from row 0, so no library
+    function but surfaces.row0_complex calls the boundary builder."""
+    callers = []
+    for name, tree in _library_modules():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [f"{name}:{fn.name}" for node in ast.walk(fn)
+                            if isinstance(node, ast.Call) and "boundary" in (
+                                getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert callers == ["surfaces.py:row0_complex"]
 
 
 VALUE_METHODS = {"__setattr__", "__delattr__", "__reduce__", "__hash__", "__repr__"}
