@@ -6,10 +6,10 @@ optional label, plus a signed boundary list per cell.  A cell's link is the
 order complex of the cells above it in the face poset; no geometric
 realization exists anywhere.  Chain groups may carry cyclic annotations
 (generator orders such as Z/2), and homology is read from invariant factors
-by one formula for plain and annotated chain groups alike
-(smith.presented_homology): the cycles are a kernel that records, per
-annotated target generator, which multiple of its relation a chain hits, so
-the same engine serves plain cellular homology and the coinvariant complexes
+by one sweep over the degrees for plain and annotated chain groups alike
+(smith.homology_step): the cycles are a kernel that records, per annotated
+target generator, which multiple of its relation a chain hits, so the same
+engine serves plain cellular homology and the coinvariant complexes
 produced by the surface-model machinery.
 
 Boundary matrices are kept in smith's column format from assembly to the
@@ -25,7 +25,7 @@ sphere of the expected dimension, not that it is homeomorphic to one.
 from __future__ import annotations
 
 from . import _Value, read_json, unpack
-from .smith import FGAbelianGroup, lift_to_cycles, presented_homology
+from .smith import FGAbelianGroup, homology_step, lift_to_cycles
 
 
 class Cell(_Value):
@@ -269,14 +269,18 @@ class IntegerChainComplex:
     from a degree-(d-1) index to a nonzero int (``boundaries[0]``, the zero
     map, is not read).  ``cyclic[d][i] = m`` marks generator i of degree d as
     a Z/m generator (m >= 2); the homology engine appends the relation
-    m*e_i = 0.  The lift into the cycles is kept per degree once read, so a
-    complex is not changed after its first homology or composition check.
+    m*e_i = 0.  Homology is one sweep from degree 0 up (smith's row-drop
+    rule): degree k eliminates its lift L_k without the rows settled by the
+    unit pivots of L_{k-1}, whose columns are those rows and whose kernel is
+    the cycles up to the signs of the relation columns.  Lifts and steps are
+    kept once formed, so a complex is not changed after its first read.
     """
 
     def __init__(self, ranks, boundaries, cyclic=None):
         self.ranks = list(ranks)
         self.boundaries = boundaries
         self._lifts: dict = {}  # degree -> lift_to_cycles of its window
+        self._sweep: list = [(None, ((), frozenset()))]  # then (H, elimination) per degree
         self.cyclic = {int(d): {int(i): int(m) for i, m in v.items()} for d, v in (cyclic or {}).items()}
         for d in range(1, len(self.ranks)):
             columns = self.boundaries[d]
@@ -300,9 +304,8 @@ class IntegerChainComplex:
         return len(self.ranks) - 1
 
     def _window(self, degree: int) -> tuple:
-        """presented_homology's arguments at a degree: the outgoing and
-        incoming boundaries, the ranks at the degree and below it, and the
-        cyclic relations there."""
+        """lift_to_cycles' arguments at a degree: both boundaries, both ranks
+        and both cyclic relations."""
         n_mid = self.ranks[degree]
         return (
             self.boundaries[degree] if degree >= 1 else [{}] * n_mid,
@@ -316,7 +319,7 @@ class IntegerChainComplex:
     def _lift(self, degree: int) -> list:
         """The incoming boundary and middle relations at a degree, lifted
         into its cycles; formed once per degree and shared by the d o d
-        check and the homology read.  A window that is not a complex raises
+        check and the sweep.  A window that is not a complex raises
         ValueError every time and caches nothing."""
         if degree not in self._lifts:
             self._lifts[degree] = lift_to_cycles(*self._window(degree))
@@ -337,7 +340,10 @@ class IntegerChainComplex:
     def homology(self, degree: int) -> FGAbelianGroup:
         if degree < 0 or degree > self.top_degree:
             return FGAbelianGroup(0)
-        return presented_homology(*self._window(degree), lifted=self._lift(degree))
+        for k in range(len(self._sweep) - 1, degree + 1):
+            rank = self.ranks[k] + len(self.cyclic.get(k - 1, {}))
+            self._sweep.append(homology_step(self._lift(k), rank, self._sweep[-1][1]))
+        return self._sweep[degree + 1][0]
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IntegerChainComplex":

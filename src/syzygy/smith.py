@@ -14,8 +14,8 @@ matrices and the formal calculus's homomorphisms are sparse, and a list of
 columns also holds a matrix without rows or without columns.  Dense lists
 of rows (Matrix) remain only in the dense cluster (smith_normal_form,
 solve, mat_mul and their helpers), which the tests use as an oracle and the
-benchmark's tracer names; in the library, only the residual of
-invariant_factors reaches it.
+benchmark's tracer names; in the library, only the residual of the sparse
+elimination reaches it.
 
 Every homology and cokernel read needs only the invariant factors of a
 matrix, and invariant_factors gets them by sparse elimination on a
@@ -37,9 +37,15 @@ Mrozek, Computational Homology, ch. 3):
   smith_normal_form; the surface boundaries leave none.  The split-off
   orders and the residual's diagonal merge into one divisibility chain,
   padded with leading 1s to the rank.
-- A memo.  Each distinct column content is eliminated once per process
-  (a bounded LRU cache), so a boundary read again, or read as the cycle
-  matrix of the next degree, costs only its key.
+- A memo.  Each distinct column content and set of dropped rows is
+  eliminated once per process (a bounded LRU cache).
+- A sweep.  Homology is read low degree to high (homology_step), each
+  degree's lift eliminated once without the rows that the unit pivots of
+  the degree below settled, by the row-drop rule: if eliminating N takes
+  unit pivots in the columns Q and A's columns lie in ker N, then A without
+  any of the rows Q has A's invariant factors.  Proof: on ker N a unit
+  pivot's row makes x_q an integral function of the coordinates outside Q,
+  so forgetting Q maps ker N isomorphically onto a saturated lattice.
 
 Every step is a unimodular equivalence or splits off a direct summand, and
 the invariant factors of a matrix are unique up to such equivalence, so the
@@ -260,9 +266,11 @@ def smith_normal_form(a: Matrix) -> SNFResult:
     return SNFResult(U=u, D=d, V=v)
 
 
-def _eliminate(key: tuple) -> list[int]:
-    """The nonzero invariant factors of the columns in ``key``: one tuple of
-    (row, nonzero value) pairs per column.
+@lru_cache(maxsize=64)
+def _eliminate(key: tuple, settled: frozenset = frozenset()) -> tuple:
+    """The nonzero invariant factors of the columns in ``key``, one tuple of
+    (row, nonzero value) pairs per column, without the rows ``settled``, and
+    the frozenset of the columns of the unit pivots taken on the way.
 
     Divisor pivots leave by exact row and column operations in the heap's
     order; the residual without one, if any, goes to smith_normal_form,
@@ -271,10 +279,10 @@ def _eliminate(key: tuple) -> list[int]:
     rows: dict[int, dict[int, int]] = {}  # row index -> {column index: entry}
     cols: dict[int, set[int]] = {}  # column index -> rows with an entry there
     for j, col in enumerate(key):
-        if col:
-            cols[j] = {i for i, _ in col}
-            for i, x in col:
+        for i, x in col:
+            if i not in settled:
                 rows.setdefault(i, {})[j] = x
+                cols.setdefault(j, set()).add(i)
     # A heap item is one int that packs (|entry|, Markowitz cost, i, j), most
     # significant first, so that comparing items compares those tuples:
     # item = (|entry| * span + cost) * span + pos with pos = i * ncols + j,
@@ -290,7 +298,7 @@ def _eliminate(key: tuple) -> list[int]:
     heap = list(queued.values())
     heapify(heap)
     waiting = set()  # pos of entries that failed the divisor test since touched
-    pivots = []  # |pivot| of every split-off summand
+    pivots = []  # (|pivot|, its column) of every split-off summand
     while heap:
         item = heappop(heap)
         pos = item % span
@@ -337,7 +345,7 @@ def _eliminate(key: tuple) -> list[int]:
                     cols[j].remove(i)
             if not entries:
                 del rows[i]
-        pivots.append(size)
+        pivots.append((size, q))
         # every queued key stays a lower bound of its entry's true key, so
         # the checked minimum is the true minimum: push where a key fell
         for i, before in widths.items():
@@ -371,33 +379,38 @@ def _eliminate(key: tuple) -> list[int]:
                 if pos not in queued and j in rows.get(i, ()):
                     queued[pos] = item = abs(rows[i][j]) * span * span + pos
                     heappush(heap, item)
-    orders = [size for size in pivots if size > 1]
+    orders = [size for size, _ in pivots if size > 1]
+    units = frozenset(q for size, q in pivots if size == 1)
     rank = len(pivots)
     if rows:
         residual_cols = sorted(j for j, members in cols.items() if members)
         residual = [[entries.get(j, 0) for j in residual_cols] for entries in rows.values()]
         diagonal = [d for d in smith_normal_form(residual).diagonal() if d]
         if not orders:  # units only: the residual's chain needs no merge
-            return [1] * rank + diagonal
+            return (1,) * rank + tuple(diagonal), units
         rank += len(diagonal)
         orders += diagonal
     chain = _merge_invariant_factors(orders)
-    return [1] * (rank - len(chain)) + chain
+    return (1,) * (rank - len(chain)) + tuple(chain), units
 
 
-@lru_cache(maxsize=64)
-def _memo_factors(key: tuple) -> tuple[int, ...]:
-    return tuple(_eliminate(key))
+def _read(a: Columns, settled: frozenset = frozenset()) -> tuple:
+    """_eliminate's result for the columns ``a``, keyed by their content."""
+    key = tuple(tuple(sorted((i, x) for i, x in col.items() if x)) for col in a)
+    return _eliminate(key, settled)
 
 
 def invariant_factors(a: Columns) -> list[int]:
-    """The nonzero invariant factors d1 | d2 | ... of the columns ``a``.
+    """The nonzero invariant factors d1 | d2 | ... of the columns ``a``, in a new list."""
+    return list(_read(a)[0])
 
-    Each distinct column content is eliminated once per process (a bounded
-    memo); every call returns a fresh list.
-    """
-    key = tuple(tuple(sorted((i, x) for i, x in col.items() if x)) for col in a)
-    return list(_memo_factors(key))
+
+def homology_step(lifted: Columns, rank: int, previous: tuple) -> tuple:
+    """One sweep step: the homology where ``lifted`` lies in the cycles, the kernel
+    in Z^rank of the matrix eliminated as ``previous``, and this elimination."""
+    factors, units = _read(lifted, previous[1])
+    free = rank - len(previous[0]) - len(factors)
+    return FGAbelianGroup.from_orders(free, factors), (factors, units)
 
 
 def solve(a: Matrix, b: list[int], cols: int | None = None,
@@ -594,24 +607,16 @@ def presented_homology(
     The cycles are the pairs (x, y) with a*x = R_t*y, that is
     K = ker[a | -R_t] in Z^(n_mid+w); the y part records which multiple of
     each relation a*x hits.  The boundaries and the middle relations lift into
-    K (lift_to_cycles), and the homology is K modulo the lifted columns L.
-
-    K is a kernel, hence saturated: Z^(n_mid+w)/K is torsion-free, so K is a
-    direct summand and L has the same invariant factors in K as in the
-    ambient lattice.  With dim K = n_mid + w - rank[a | -R_t], the homology is
-    Z^(dim K - rank L) plus the torsion of L's invariant factors; two
-    invariant-factor reads, one of [a | -R_t] and one of L.  For a free
-    complex this is
-    H = Z^(n_mid - rank a - rank b) (+) tors(b).  Raises ValueError when the
-    data is not a complex.  A caller that holds lift_to_cycles' result for
-    the same window may pass it as ``lifted``.
+    K (lift_to_cycles), and the homology is K modulo the lifted columns L:
+    Z^(dim K - rank L) plus the torsion of L (K is a kernel, so saturated),
+    read by the sweep's two steps, [a | -R_t] and then L.  Raises ValueError
+    when the data is not a complex.  A caller that holds lift_to_cycles'
+    result for the same window may pass it as ``lifted``.
     """
     relations_target = relations_target or {}
     if lifted is None:
         lifted = lift_to_cycles(
             boundary_out, boundary_in, n_mid, n_target, relations_mid, relations_target
         )
-    annotated = sorted(relations_target)
-    cycle_matrix = list(boundary_out) + [{t: -relations_target[t]} for t in annotated]
-    dim_cycles = n_mid + len(annotated) - len(invariant_factors(cycle_matrix))
-    return cokernel_group(lifted, dim_cycles)
+    cycle_matrix = list(boundary_out) + [{t: -m} for t, m in sorted(relations_target.items())]
+    return homology_step(lifted, n_mid + len(relations_target), _read(cycle_matrix))[0]

@@ -112,7 +112,10 @@ def direct_sum_with_layout(parts: list[FormalGroup]):
     (e.g. Z/2 + Z/3 = Z/6) the sorted slots differ from the sum's, slots
     lose their identity, and the layout is refused.
     """
-    total = sum(parts, FormalGroup.zero())
+    total = FormalGroup(atoms=tuple(a for p in parts for a in p.atoms),
+                        cyclic=tuple(d for p in parts for d in p.cyclic),
+                        free_rank=sum(p.free_rank for p in parts),
+                        infinite=tuple(x for p in parts for x in p.infinite))
     slots = [s for p in parts for s in p.slots()]
     order = sorted(range(len(slots)), key=slots.__getitem__)
     if [slots[n] for n in order] != total.slots():

@@ -38,7 +38,7 @@ from itertools import combinations
 
 from . import DATA_DIR, _Value, lattice, read_json, unpack
 from .complexes import Cell, IntegerChainComplex, RegularCWComplex
-from .smith import FGAbelianGroup, partitions, presented_homology
+from .smith import FGAbelianGroup, partitions
 
 
 class BaseCase(Enum):
@@ -301,8 +301,8 @@ def _cremona_boundary_targets(rank: int, tag: tuple) -> list:
 
 
 def boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
-             target_e_bound: int | None = None) -> BoundaryMatrix:
-    """Boundary matrix from rank to rank-1 generators.
+             target_e_bound: int | None = None, rows: list | None = None) -> BoundaryMatrix:
+    """Boundary matrix from rank to rank-1 generators; ``rows`` reuses the latter's list.
 
     For rank 1 the result is the augmentation: a single row with every
     coefficient 1.  Above it, the column of S x t (point set S, tag t) is
@@ -319,7 +319,7 @@ def boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
         return BoundaryMatrix(rank=1, columns=cols, rows=["Z (augmentation)"],
                               matrix=[{0: 1} for _ in cols])
     e_rows = (e_cols + 1) if target_e_bound is None else target_e_bound
-    rows = enumerate_generators(u, rank - 1, e_rows)
+    rows = enumerate_generators(u, rank - 1, e_rows) if rows is None else rows
     row_tags = _tags(u, rank - 1, e_rows)
     tag_index = {t: j for j, t in enumerate(row_tags)}
     face_offset = {s: i * len(row_tags) for i, s in enumerate(_point_sets(u, rank - 1))}
@@ -358,14 +358,13 @@ def row0_complex(u: GeneratorUniverse) -> tuple:
     read it.
     """
     staircase = {r: u.e_max + (u.r_max - r) for r in range(1, u.r_max + 1)}
-    bms = [
-        boundary(u, r, e_bound=staircase[r], target_e_bound=staircase[r - 1])
-        for r in range(2, u.r_max + 1)
-    ]
-    gens = {1: bms[0].rows if bms else enumerate_generators(u, 1, staircase[1])}
-    gens.update((bm.rank, bm.columns) for bm in bms)
+    gens = {1: enumerate_generators(u, 1, staircase[1])}
+    boundaries = [[]]
+    for r in range(2, u.r_max + 1):  # each rank's list is built once and handed on
+        bm = boundary(u, r, staircase[r], staircase[r - 1], rows=gens[r - 1])
+        gens[r] = bm.columns
+        boundaries.append(bm.matrix)
     ranks = [len(gens[r]) for r in range(1, u.r_max + 1)]
-    boundaries = [[]] + [bm.matrix for bm in bms]
     cyclic = {}
     for d in range(0, u.r_max):
         orders = {i: 2 for i, m in enumerate(gens[d + 1]) if not m.orientable}
@@ -378,15 +377,12 @@ def row0_complex(u: GeneratorUniverse) -> tuple:
 def row0_reduced_h0(u: GeneratorUniverse) -> FGAbelianGroup:
     """Reduced degree-0 homology of the row-0 complex (augmentation kernel
     modulo rank-2 boundaries); vanishes exactly when the 1-skeleton of the
-    truncation is connected."""
-    cc, gens = row0_complex(u)
-    aug = [{0: 1} for _ in gens[1]]
-    d1 = cc.boundaries[1] if cc.top_degree >= 1 else []
-    return presented_homology(
-        aug, d1, len(gens[1]), 1,
-        relations_mid=cc.cyclic.get(0, {}),
-        relations_target={},
-    )
+    truncation is connected.  The augmentation splits one Z off H_0."""
+    cc, _ = row0_complex(u)
+    if cc.cyclic.get(0):
+        raise ValueError("the augmentation is not defined on an order-2 rank-1 generator")
+    h0 = cc.homology(0)
+    return FGAbelianGroup(h0.free_rank - 1, h0.torsion)
 
 
 def row0_homology(u: GeneratorUniverse, degree: int) -> FGAbelianGroup:

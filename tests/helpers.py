@@ -440,7 +440,7 @@ def record_dense_shapes(monkeypatch):
     """The list that receives the shape of every matrix reaching
     smith.smith_normal_form from here on.  The invariant-factor memo is
     cleared first, so a matrix read by an earlier test is eliminated again."""
-    smith._memo_factors.cache_clear()
+    smith._eliminate.cache_clear()
     shapes = []
     dense = smith.smith_normal_form
 

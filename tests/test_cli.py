@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import syzygy
-from syzygy import smith
+from syzygy import complexes, surfaces
 from syzygy.cli import default_registry
 from syzygy.complexes import RegularCWComplex, ValidationReport
 from syzygy.spectral import KnownHomologyRegistry
@@ -293,27 +293,29 @@ def test_homology_file_rejects_wrong_structure(tmp_path, text, key):
     assert key in json.loads(res.output)["error"]
 
 
-def test_ruled_job_eliminates_each_distinct_matrix_once(monkeypatch):
-    """A ruled job reads the boundaries at several degrees, as cycle
-    matrices and as lifted images, and in the d o d check; each distinct
-    matrix is still eliminated once."""
-    smith._memo_factors.cache_clear()
-    keys = []
-    eliminate = smith._eliminate
+def test_ruled_job_eliminates_each_degree_once_on_fewer_rows(monkeypatch):
+    """A ruled job reads row 0 at degrees 1..3, the sweep's steps at degrees
+    0..3, and the d o d check; each degree's lift is eliminated once, and
+    from degree 1 on without the rows that the unit pivots one degree down
+    settled, so on fewer rows than its boundary has."""
+    steps = []
+    step = complexes.homology_step
 
-    def spy(key):
-        keys.append(key)
-        return eliminate(key)
+    def spy(lifted, rank, previous):
+        steps.append((lifted, previous[1]))
+        return step(lifted, rank, previous)
 
-    monkeypatch.setattr(smith, "_eliminate", spy)
+    monkeypatch.setattr(complexes, "homology_step", spy)
+    u = GeneratorUniverse.ruled(5, 4, r_max=5)
+    surfaces.row0_complex.cache_clear()  # a complex read by an earlier test keeps its sweep
     res = invoke("ruled", "--points", "5", "--e-max", "4", "--r-max", "5")
     assert res.exit_code == 0
-    reads = smith._memo_factors.cache_info()
-    assert len(keys) == len(set(keys)) == reads.misses
-    assert reads.hits >= 3
-    cc, _ = row0_complex(GeneratorUniverse.ruled(5, 4, r_max=5))
-    for d in (2, 3, 4):
-        assert tuple(tuple(sorted(col.items())) for col in cc.boundaries[d]) in keys
+    cc, _ = row0_complex(u)
+    assert len(steps) == 4
+    assert all(lifted is cc._lifts[k] for k, (lifted, _) in enumerate(steps))
+    for k, (lifted, settled) in enumerate(steps[1:], start=1):
+        rows = {i for col in lifted for i in col}
+        assert len(rows - set(settled)) < len(rows) <= cc.ranks[k], k
 
 
 def test_five_term_command():

@@ -1,6 +1,8 @@
 import json
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syzygy import complexes
 from syzygy.complexes import (
@@ -21,6 +23,8 @@ from helpers import (
     chain_complex_json,
     columns,
     cw_complex_json,
+    cycle_basis_homology,
+    dense,
     dual_block_of,
     is_trivial,
     link_of,
@@ -240,6 +244,72 @@ def test_check_composition_modulo_annotations():
     bad = IntegerChainComplex([1, 1], [[], columns([[1]])], {1: {0: 2}})
     assert not bad.check_composition()
     assert IntegerChainComplex([1, 1], [[], columns([[1]])], {0: {0: 2}, 1: {0: 2}}).check_composition()
+
+
+@st.composite
+def chain_complexes(draw):
+    """A chain complex with d o d = 0: pieces Z --m--> Z and free generators
+    under random unimodular changes of basis in every degree, then, in half
+    the draws, Z/m annotations, from degree 0 up, on generators whose
+    relation m*e_i the boundary sends into the relations below."""
+    top = draw(st.integers(1, 3))
+    pieces = [draw(st.lists(st.sampled_from([1, 1, 2, 3, 4, 6]), max_size=3)) for _ in range(top)]
+    # degree k: the targets of pieces[k], the sources of pieces[k - 1], free generators
+    first = [len(pieces[k]) if k < top else 0 for k in range(top + 1)]
+    ranks = [first[k] + (len(pieces[k - 1]) if k else 0) + draw(st.integers(0, 2))
+             for k in range(top + 1)]
+    d = [None] + [[[0] * ranks[k] for _ in range(ranks[k - 1])] for k in range(1, top + 1)]
+    for k in range(1, top + 1):
+        for p, m in enumerate(pieces[k - 1]):
+            d[k][p][first[k] + p] = m
+    for _ in range(draw(st.integers(0, 12))):
+        # e_i -> e_i + c e_j in degree k: row i of d_{k+1} gains c times row j,
+        # column j of d_k loses c times column i
+        k = draw(st.integers(0, top))
+        if ranks[k] < 2:
+            continue
+        i, j = draw(st.permutations(range(ranks[k])))[:2]
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        if k < top:
+            d[k + 1][i] = [x + c * y for x, y in zip(d[k + 1][i], d[k + 1][j])]
+        if k:
+            for row in d[k]:
+                row[j] -= c * row[i]
+    boundaries = [[]] + [columns(d[k], width=ranks[k]) for k in range(1, top + 1)]
+    cyclic = {}
+    for k in range(top + 1) if draw(st.booleans()) else ():
+        below = cyclic.get(k - 1, {})
+        for i in range(ranks[k]):
+            col = boundaries[k][i] if k else {}
+            if any(t not in below for t in col) or not draw(st.booleans()):
+                continue
+            m = 1
+            for t, x in col.items():
+                r = below[t] // gcd(below[t], x)
+                m = m * r // gcd(m, r)
+            cyclic.setdefault(k, {})[i] = m * draw(st.sampled_from([2, 3])) if m < 2 else m
+    return ranks, boundaries, cyclic
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_complexes(), st.data())
+def test_sweep_matches_the_cycle_basis_oracle(case, data):
+    """Every degree of the sweep, read in any order, agrees with the
+    cycle-basis oracle (dense Smith forms only) on that degree's window."""
+    ranks, boundaries, cyclic = case
+    cc = IntegerChainComplex(ranks, boundaries, cyclic)
+    assert cc.check_composition()
+    top = len(ranks) - 1
+    for k in data.draw(st.permutations(range(top + 1))):
+        window = (
+            dense(boundaries[k], ranks[k - 1]) if k else [],
+            dense(boundaries[k + 1], ranks[k]) if k < top else [],
+            ranks[k],
+            ranks[k - 1] if k else 0,
+            cyclic.get(k, {}),
+            cyclic.get(k - 1, {}),
+        )
+        assert cc.homology(k) == cycle_basis_homology(*window), k
 
 
 def test_lift_is_formed_once_per_degree(monkeypatch):

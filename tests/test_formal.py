@@ -229,6 +229,13 @@ def test_direct_sum_layout_matches_the_counting_oracle(part_names):
     )
 
 
+def test_direct_sum_is_the_sum_of_its_parts():
+    parts = [Cs + Zn(2), infinite_sum("P1", Zn(2)), Z + K2, Zn(4) + Cs, infinite_sum("P2", Z)]
+    total, layout = direct_sum_with_layout(parts)
+    assert total == sum(parts, FormalGroup.zero())
+    assert sorted(n for indices in layout for n in indices) == list(range(len(total.slots())))
+
+
 def test_homology_at_examples():
     # zero maps leave the middle group unchanged
     mid = Cs + Zn(4)

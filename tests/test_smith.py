@@ -141,8 +141,48 @@ def test_invariant_factors_split_off_divisor_pivots(monkeypatch):
     assert shapes == [(2, 2)]
 
 
+@st.composite
+def kernel_column_matrices(draw):
+    """N with entries in [-2, 2], so that its elimination takes unit pivots,
+    and A whose columns are integer combinations of a kernel basis of N."""
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    width = draw(st.integers(0, 5))
+    n = [[draw(st.integers(-2, 2)) for _ in range(n_cols)] for _ in range(n_rows)]
+    a = [[0] * width for _ in range(n_cols)]
+    for v in kernel_basis(n):
+        for j in range(width):
+            c = draw(st.integers(-3, 3))
+            for i in range(n_cols):
+                a[i][j] += c * v[i]
+    return n, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_column_matrices(), st.data())
+def test_rows_of_unit_pivots_drop_from_kernel_columns(case, data):
+    """The row-drop rule: when the elimination of N takes unit pivots in the
+    columns Q, a matrix A whose columns lie in ker N has the invariant
+    factors of A without any subset of the rows Q, by the dense oracle on
+    both sides and by the elimination that skips those rows."""
+    n, a = case
+    units = smith._read(columns(n))[1]
+    dropped = data.draw(st.frozensets(st.sampled_from(sorted(units)))) if units else frozenset()
+    want = dense_invariant_factors(a)
+    assert dense_invariant_factors([row for i, row in enumerate(a) if i not in dropped]) == want
+    assert list(smith._read(columns(a), dropped)[0]) == want
+
+
+def test_unit_pivot_columns_are_reported():
+    assert smith._read(columns([[1, 1, 0], [0, 2, 2]])) == ((1, 2), {0})
+    assert smith._read(columns([[2, 0], [0, 3]])) == ((1, 6), set())
+    # ker [1 -1] is spanned by (1, 1): 2 (1, 1) keeps its factor without row 0
+    units = smith._read(columns([[1, -1]]))[1]
+    assert units == {0}
+    assert smith._read(columns([[2], [2]]), units) == ((2,), set())
+
+
 def test_invariant_factors_memo_returns_a_fresh_list():
-    smith._memo_factors.cache_clear()
+    smith._eliminate.cache_clear()
     a = columns([[2, 0], [0, 3]])
     first = invariant_factors(a)
     first[0] = 0
@@ -150,7 +190,7 @@ def test_invariant_factors_memo_returns_a_fresh_list():
     again = invariant_factors([dict(reversed(col.items())) for col in a])
     assert again == [1, 6]
     assert again is not invariant_factors(a)
-    assert smith._memo_factors.cache_info().misses == 1
+    assert smith._eliminate.cache_info().misses == 1
 
 
 def test_invariant_factors_edge_shapes():

@@ -3,6 +3,8 @@ from copy import deepcopy
 from itertools import combinations, permutations
 from math import comb
 
+from syzygy import surfaces
+from syzygy.complexes import IntegerChainComplex
 from syzygy.lattice import cubic_summary
 from syzygy.smith import (
     FGAbelianGroup,
@@ -395,7 +397,7 @@ def test_ruled_row0_is_z2_to_the_binomial(points):
     ]
 
 
-@pytest.mark.parametrize("points", range(2, 10))
+@pytest.mark.parametrize("points", range(2, 12))
 def test_ruled_row0_agrees_with_its_ranks_mod_p(points):
     """Universal coefficients for a free complex: dim H_d(C (x) F_p) =
     b_d + t_p(H_d) + t_p(H_{d-1}), where t_p counts the invariant factors
@@ -474,6 +476,31 @@ def test_row0_degree_guard():
 def test_reduced_h0_vanishes():
     assert is_trivial(row0_reduced_h0(GeneratorUniverse.ruled(3, 3)))
     assert is_trivial(row0_reduced_h0(GeneratorUniverse.cremona(3)))
+
+
+@pytest.mark.parametrize(
+    "u", [GeneratorUniverse.ruled(3, 3, r_max=1), GeneratorUniverse.ruled(4, 2, r_max=2),
+          GeneratorUniverse.ruled(3, 3), GeneratorUniverse.cremona(3, r_max=1),
+          GeneratorUniverse.cremona(3)],
+    ids=["ruled-3-3-1", "ruled-4-2-2", "ruled-3-3-4", "cremona-3-1", "cremona-3-5"],
+)
+def test_reduced_h0_is_the_augmentation_kernel_modulo_boundaries(u):
+    """H_0 with the one Z that the augmentation splits off removed equals
+    ker(augmentation) / im(d_1), read as its own window; without rank-2
+    generators nothing divides out, and every rank-1 generator but one is free."""
+    cc, gens = row0_complex(u)
+    d1 = cc.boundaries[1] if cc.top_degree >= 1 else []
+    window = presented_homology([{0: 1} for _ in gens[1]], d1, len(gens[1]), 1)
+    assert row0_reduced_h0(u) == window
+    if u.r_max == 1:
+        assert window == FGAbelianGroup(len(gens[1]) - 1)
+
+
+def test_reduced_h0_refuses_order_two_rank_one_generators(monkeypatch):
+    annotated = IntegerChainComplex([2], [[]], {0: {1: 2}})
+    monkeypatch.setattr(surfaces, "row0_complex", lambda u: (annotated, {}))
+    with pytest.raises(ValueError, match="augmentation"):
+        row0_reduced_h0(GeneratorUniverse.ruled(2, 1))
 
 
 # -- two-ray games and elementary transformations ---------------------------------------

@@ -109,6 +109,25 @@ def test_traced_bench_job_prints_its_digest(args, layer):
     assert record["layers"][f"{layer}.calls"] > 0
 
 
+@pytest.mark.parametrize(
+    "args, annotated",
+    [(["ruled", "--points", "6", "--e-max", "5", "--r-max", "5"], False), (["cremona"], True)],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_traced_job_keeps_its_workload_design(args, annotated):
+    """bench/selftest.py holds the workloads to their design: the ruled jobs
+    make no annotated presented_homology call, the Cremona jobs make some.
+    Chain-complex homology reads its degrees without presented_homology, so
+    the annotated calls left are the formal calculus's."""
+    out = subprocess.run(
+        [sys.executable, str(BENCH / "inproc.py"), "1", *args],
+        capture_output=True, text=True, check=False,
+    )
+    assert out.returncode == 0, out.stderr
+    calls = json.loads(out.stdout)["layers"]["smith.presented_homology.annotated_calls"]
+    assert calls > 0 if annotated else calls == 0
+
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "syzygy"
 # Runs one command and prints the syzygy modules it left executed.  A module
 # that is registered but was never read holds only its spec attributes; the
