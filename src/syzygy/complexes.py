@@ -45,7 +45,8 @@ class RegularCWComplex:
     """Face poset with signed boundary incidences.
 
     ``boundary[cid]`` lists (face id, sign) pairs, one per codimension-1 face
-    of the cell; regularity demands that no face is listed twice.
+    of the cell; regularity demands that no face is listed twice.  The chain
+    complex is built once, and its d o d check and homology share one sweep.
     """
 
     def __init__(self, cells, boundary):
@@ -58,6 +59,7 @@ class RegularCWComplex:
         for cid, faces in boundary.items():
             if cid not in self.cells:
                 raise ValueError(f"boundary given for unknown cell {cid!r}")
+        self._chain = None  # the cellular chain complex, built at its first read
 
     # -- basic queries ----------------------------------------------------
 
@@ -129,6 +131,8 @@ class RegularCWComplex:
     # -- homology ------------------------------------------------------------
 
     def chain_complex(self) -> "IntegerChainComplex":
+        if self._chain is not None:
+            return self._chain
         dim = self.dimension
         by_dim = [self.cells_of_dim(d) for d in range(dim + 1)]
         index = {}
@@ -146,7 +150,8 @@ class RegularCWComplex:
                     col[i] = col.get(i, 0) + sign
                 columns.append({i: x for i, x in col.items() if x})
             boundaries.append(columns)
-        return IntegerChainComplex(ranks=ranks, boundaries=boundaries)
+        self._chain = IntegerChainComplex(ranks=ranks, boundaries=boundaries)
+        return self._chain
 
     def homology(self, degree: int) -> FGAbelianGroup:
         return self.chain_complex().homology(degree)
@@ -245,20 +250,11 @@ def _order_complex(ids, face_sets) -> RegularCWComplex:
 
 def _is_sphere_homology(complex_, n: int) -> bool:
     """Does the complex have the homology of S^n?  (S^-1 is the empty space.)"""
-    if n < 0:
-        return not complex_.cells
-    if not complex_.cells:
-        return False
-    top = max(n, complex_.dimension)
-    for d in range(top + 1):
-        h = complex_.homology(d)
-        if n == 0:
-            want = FGAbelianGroup(2) if d == 0 else FGAbelianGroup(0)
-        else:
-            want = FGAbelianGroup(1) if d in (0, n) else FGAbelianGroup(0)
-        if h != want:
-            return False
-    return True
+    if n < 0 or not complex_.cells:
+        return n < 0 and not complex_.cells
+    ranks = {0: 1, n: 1} if n else {0: 2}
+    return all(complex_.homology(d) == FGAbelianGroup(ranks.get(d, 0))
+               for d in range(max(n, complex_.dimension) + 1))
 
 
 class IntegerChainComplex:
@@ -273,7 +269,8 @@ class IntegerChainComplex:
     rule): degree k eliminates its lift L_k without the rows settled by the
     unit pivots of L_{k-1}, whose columns are those rows and whose kernel is
     the cycles up to the signs of the relation columns.  Lifts and steps are
-    kept once formed, so a complex is not changed after its first read.
+    kept once formed, so each degree is eliminated once per object, and a
+    complex is not changed after its first read.
     """
 
     def __init__(self, ranks, boundaries, cyclic=None):

@@ -10,15 +10,16 @@ stored in smith's column format (one dict per source slot, target slot ->
 nonzero int), the format its family blocks are read in, so no dense matrix
 occurs in the calculus.
 
-The homology ker(g)/im(f) of a window A -> B -> C is computed per atom
-family from the exponent blocks; the kernel of h: A -> B is the homology of
-the window 0 -> A -> B, and its cokernel that of A -> B -> 0.  For a
-divisible atom D the structure theorems reduce everything to the integer
-homology of the exponent complex: the free rank contributes copies of D,
-finite cyclic pieces die (D/kD = 0), and the torsion of the next cokernel
-contributes D[k], which is resolved through the atom's declared torsion
-rule.  Atoms whose torsion is not declared (the wedge and tensor squares)
-make any computation that needs it fail loudly instead of guessing.
+Homology is read per family (one atom's copies, or the cyclic and free
+slots): a chain of homomorphisms by one sweep of each family's exponent
+complex (ChainHomology), a window A -> B -> C (homology_at) as the middle
+of that chain with its finitely generated family by presented_homology, and
+kernel and cokernel as the windows 0 -> A -> B and A -> B -> 0.  For a
+divisible atom D, universal coefficients give H_p (x) D (+) Tor(H_{p-1}, D):
+the free rank of H_p contributes copies of D, its finite cyclic pieces die
+(D/kD = 0), and each torsion order k of H_{p-1} contributes D[k] by the
+atom's declared torsion rule.  Atoms whose torsion is not declared (the
+wedge and tensor squares) make any computation needing it fail loudly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cache
 from itertools import product
 from math import gcd, prod
 
-from . import DATA_DIR, _Value, read_json, unpack
+from . import DATA_DIR, _Value, complexes, read_json, unpack
 from .smith import (
     FGAbelianGroup,
     cokernel_group,
@@ -249,32 +250,24 @@ class FormalHom:
 
     # -- family decomposition ----------------------------------------------
 
-    def _family_blocks(self):
-        """Split the map into per-atom blocks plus one finitely generated
-        block, each as (target slots, source slots, columns over the target
-        slots); raises when a registered cross-atom block is actually used."""
+    def _family_blocks(self) -> dict:
+        """Split the map into one block per family of its source slots (see
+        _family), each as columns over that family's target slots; raises
+        when a registered cross-atom block is actually used."""
         src, tgt = self.source.slots(), self.target.slots()
-
-        def family(slot):
-            return slot[1] if slot[0] == "atom" else "fg"
-
+        row_in_block, rows = [], {}  # target slot -> its row in its family's block
+        for t in tgt:
+            rows[_family(t)] = rows.get(_family(t), -1) + 1
+            row_in_block.append(rows[_family(t)])
         blocks = {}
-        row_in_block = []  # target slot -> its row within its family's block
-        for i, t in enumerate(tgt):
-            rows = blocks.setdefault(family(t), ([], [], []))[0]
-            row_in_block.append(len(rows))
-            rows.append(i)
-        for j, (s, col) in enumerate(zip(src, self.columns)):
-            fam = family(s)
+        for s, col in zip(src, self.columns):
             for i in col:
-                if family(tgt[i]) != fam:
+                if _family(tgt[i]) != _family(s):
                     raise InsufficientAtomData(
                         f"cross-atom block {s} -> {tgt[i]} has no computable "
                         "kernel/cokernel structure"
                     )
-            _, cols, block = blocks.setdefault(fam, ([], [], []))
-            cols.append(j)
-            block.append({row_in_block[i]: x for i, x in col.items()})
+            blocks.setdefault(_family(s), []).append({row_in_block[i]: x for i, x in col.items()})
         return blocks
 
 
@@ -282,24 +275,72 @@ def zero_hom(source: FormalGroup, target: FormalGroup) -> FormalHom:
     return FormalHom(source, target)
 
 
+def _family(slot) -> str:
+    """The family of a slot: its atom's name, or "fg" for a cyclic or free slot."""
+    return slot[1] if slot[0] == "atom" else "fg"
+
+
 def _fg_relations(slots):
     return {i: s[1] for i, s in enumerate(slots) if s[0] == "cyclic"}
 
 
-def _atom_result_from_window(atom: Atom, mat_out, mat_in, n_mid, n_tgt) -> FormalGroup:
-    """ker(mat_out)/im(mat_in) on copies of a divisible atom, via the integer
-    homology of the exponent window (universal coefficients)."""
-    h_mid = presented_homology(mat_out, mat_in, n_mid, n_tgt)
-    out = FormalGroup.atom(atom.name, h_mid.free_rank)
-    for d in h_mid.torsion:
-        if atom.divisible:
-            continue  # D/dD = 0
-        raise InsufficientAtomData(
-            f"{atom.name}/{d}{atom.name} is not computable for a non-divisible atom"
-        )
-    for t in cokernel_group(mat_out, n_tgt).torsion:
-        out = out + FormalGroup.from_fg(atom.torsion(t))
-    return out
+class ChainHomology:
+    """The homology at each place of a chain of homomorphisms, ``maps[i]``
+    from place i+1 to place i, each family swept once: its degree-p chain
+    group is the family's slots at place p, annotated by the cyclic ones.
+    A place is formed only when read, so one needing undeclared atom torsion
+    fails alone.  A map with a cross-atom block refuses the places at its
+    ends, as homology_at does, and is swept as zero, which no other place
+    sees.  A family whose maps do not compose to zero raises ValueError."""
+
+    def __init__(self, maps: list):
+        for a, b in zip(maps, maps[1:]):
+            if a.source != b.target:
+                raise FormalGroupError(f"chain is not composable: {b.target} then {a.source}")
+        self.maps = maps
+        self._splits = []  # per map: its family blocks, or the refusal of its split
+        self._complexes = None  # family -> IntegerChainComplex
+
+    def _families(self, p: int) -> dict:
+        """The complexes, once the maps at place p have split into families."""
+        if self._complexes is None:
+            for h in self.maps:
+                try:
+                    self._splits.append(h._family_blocks())
+                except InsufficientAtomData as exc:
+                    self._splits.append(exc)
+            slots = [self.maps[0].target.slots()] + [h.source.slots() for h in self.maps]
+            self._complexes = {}
+            for fam in sorted({_family(s) for place in slots for s in place}, key=str):
+                members = [[s for s in place if _family(s) == fam] for place in slots]
+                boundaries = [[]] + [[{}] * len(members[i + 1]) if isinstance(split, Exception)
+                                     else split.get(fam, []) for i, split in enumerate(self._splits)]
+                self._complexes[fam] = complexes.IntegerChainComplex(
+                    [len(m) for m in members], boundaries,
+                    {d: _fg_relations(m) for d, m in enumerate(members)} if fam == "fg" else None)
+        for i in (p, p - 1):  # as homology_at splits its incoming map first
+            if 0 <= i < len(self.maps) and isinstance(self._splits[i], Exception):
+                raise self._splits[i]
+        return self._complexes
+
+    def atoms_at(self, p: int) -> FormalGroup:
+        """The atom families' part of place p: H_p (x) D (+) Tor(H_{p-1}, D)."""
+        out = ZERO
+        for fam, cc in self._families(p).items():
+            if fam != "fg":
+                atom, h = atom_registry()[fam], cc.homology(p)
+                if h.torsion and not atom.divisible:
+                    raise InsufficientAtomData(
+                        f"{fam}/{h.torsion[0]}{fam} is not computable for a non-divisible atom")
+                out = out + FormalGroup.atom(fam, h.free_rank)
+                for t in cc.homology(p - 1).torsion:
+                    out = out + FormalGroup.from_fg(atom.torsion(t))
+        return out
+
+    def at(self, p: int) -> FormalGroup:
+        """The homology at place p: ker(maps[p-1]) / im(maps[p])."""
+        fg = self._families(p).get("fg")
+        return self.atoms_at(p) + (FormalGroup.from_fg(fg.homology(p)) if fg else ZERO)
 
 
 def kernel(h: FormalHom) -> FormalGroup:
@@ -313,37 +354,15 @@ def cokernel(h: FormalHom) -> FormalGroup:
 
 
 def homology_at(f: FormalHom, g: FormalHom) -> FormalGroup:
-    """ker(g)/im(f) for a two-step window  f: A -> B,  g: B -> C."""
-    if f.target != g.source:
-        raise FormalGroupError("homology window mismatch: target of f must be source of g")
+    """ker(g)/im(f) for a two-step window  f: A -> B,  g: B -> C: the middle
+    place of the chain g, f, whose finitely generated family is read by
+    presented_homology."""
     if not _zero_modulo_target(g.compose(f)):
         raise FormalGroupError("the window does not compose to zero")
-    mid, tgt = g.source.slots(), g.target.slots()
-    src = f.source.slots()
-    fblocks = f._family_blocks()
-    gblocks = g._family_blocks()
-    out = FormalGroup.zero()
-    fams = sorted(set(fblocks) | set(gblocks), key=str)
-    for fam in fams:
-        g_rows, g_cols, g_block = gblocks.get(fam, ([], [], []))
-        f_rows, f_cols, f_block = fblocks.get(fam, ([], [], []))
-        mid_cols = g_cols or f_rows
-        n_mid, n_tgt = len(mid_cols), len(g_rows)
-        if fam == "fg":
-            out = out + FormalGroup.from_fg(
-                presented_homology(
-                    g_block,
-                    f_block,
-                    n_mid,
-                    n_tgt,
-                    relations_mid=_fg_relations([mid[j] for j in mid_cols]),
-                    relations_target=_fg_relations([tgt[i] for i in g_rows]),
-                )
-            )
-            continue
-        atom = atom_registry()[fam]
-        out = out + _atom_result_from_window(atom, g_block, f_block, n_mid, n_tgt)
-    return out
+    chain = ChainHomology([g, f])
+    fg = chain._families(1).get("fg")
+    return chain.atoms_at(1) + (FormalGroup.from_fg(presented_homology(*fg._window(1)))
+                                if fg else ZERO)
 
 
 class ExactnessVerdict:

@@ -37,8 +37,9 @@ Mrozek, Computational Homology, ch. 3):
   smith_normal_form; the surface boundaries leave none.  The split-off
   orders and the residual's diagonal merge into one divisibility chain,
   padded with leading 1s to the rank.
-- A memo.  Each distinct column content and set of dropped rows is
-  eliminated once per process (a bounded LRU cache).
+- One read.  Nothing is cached here: a caller eliminates each matrix once
+  and keeps the result, so a chain complex is read by one sweep over its
+  degrees, and a chain of formal homomorphisms by one sweep per family.
 - A sweep.  Homology is read low degree to high (homology_step), each
   degree's lift eliminated once without the rows that the unit pivots of
   the degree below settled, by the row-drop rule: if eliminating N takes
@@ -56,7 +57,6 @@ as the test oracle.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -266,11 +266,10 @@ def smith_normal_form(a: Matrix) -> SNFResult:
     return SNFResult(U=u, D=d, V=v)
 
 
-@lru_cache(maxsize=64)
-def _eliminate(key: tuple, settled: frozenset = frozenset()) -> tuple:
-    """The nonzero invariant factors of the columns in ``key``, one tuple of
-    (row, nonzero value) pairs per column, without the rows ``settled``, and
-    the frozenset of the columns of the unit pivots taken on the way.
+def _eliminate(a: Columns, settled: frozenset = frozenset()) -> tuple:
+    """The nonzero invariant factors of the columns ``a`` without the rows
+    ``settled``, as a tuple, and the frozenset of the columns of the unit
+    pivots taken on the way.
 
     Divisor pivots leave by exact row and column operations in the heap's
     order; the residual without one, if any, goes to smith_normal_form,
@@ -278,16 +277,16 @@ def _eliminate(key: tuple, settled: frozenset = frozenset()) -> tuple:
     """
     rows: dict[int, dict[int, int]] = {}  # row index -> {column index: entry}
     cols: dict[int, set[int]] = {}  # column index -> rows with an entry there
-    for j, col in enumerate(key):
-        for i, x in col:
-            if i not in settled:
+    for j, col in enumerate(a):
+        for i, x in col.items():
+            if x and i not in settled:
                 rows.setdefault(i, {})[j] = x
                 cols.setdefault(j, set()).add(i)
     # A heap item is one int that packs (|entry|, Markowitz cost, i, j), most
     # significant first, so that comparing items compares those tuples:
     # item = (|entry| * span + cost) * span + pos with pos = i * ncols + j,
     # where both the cost and pos stay below span.
-    ncols = len(key)
+    ncols = len(a)
     span = (max(rows, default=0) + 1) * ncols
     queued: dict[int, int] = {}  # pos -> the item that stands for the entry
     for i, entries in rows.items():
@@ -394,21 +393,15 @@ def _eliminate(key: tuple, settled: frozenset = frozenset()) -> tuple:
     return (1,) * (rank - len(chain)) + tuple(chain), units
 
 
-def _read(a: Columns, settled: frozenset = frozenset()) -> tuple:
-    """_eliminate's result for the columns ``a``, keyed by their content."""
-    key = tuple(tuple(sorted((i, x) for i, x in col.items() if x)) for col in a)
-    return _eliminate(key, settled)
-
-
 def invariant_factors(a: Columns) -> list[int]:
     """The nonzero invariant factors d1 | d2 | ... of the columns ``a``, in a new list."""
-    return list(_read(a)[0])
+    return list(_eliminate(a)[0])
 
 
 def homology_step(lifted: Columns, rank: int, previous: tuple) -> tuple:
     """One sweep step: the homology where ``lifted`` lies in the cycles, the kernel
     in Z^rank of the matrix eliminated as ``previous``, and this elimination."""
-    factors, units = _read(lifted, previous[1])
+    factors, units = _eliminate(lifted, previous[1])
     free = rank - len(previous[0]) - len(factors)
     return FGAbelianGroup.from_orders(free, factors), (factors, units)
 
@@ -541,14 +534,9 @@ def cokernel_group(a: Columns, ambient_rank: int) -> FGAbelianGroup:
     return FGAbelianGroup.from_orders(ambient_rank - len(factors), factors)
 
 
-def lift_to_cycles(
-    boundary_out: Columns,
-    boundary_in: Columns,
-    n_mid: int,
-    n_target: int,
-    relations_mid: dict[int, int] | None = None,
-    relations_target: dict[int, int] | None = None,
-) -> Columns:
+def lift_to_cycles(boundary_out: Columns, boundary_in: Columns, n_mid: int, n_target: int,
+                   relations_mid: dict[int, int] | None = None,
+                   relations_target: dict[int, int] | None = None) -> Columns:
     """The columns of ``boundary_in`` and the middle relations m*e_i, lifted
     into the cycle module  K = ker[a | -R_t]  of  Z^k -> Z^n_mid -> Z^n_target.
 
@@ -586,16 +574,9 @@ def lift_to_cycles(
     return lifted
 
 
-def presented_homology(
-    boundary_out: Columns,
-    boundary_in: Columns,
-    n_mid: int,
-    n_target: int,
-    relations_mid: dict[int, int] | None = None,
-    relations_target: dict[int, int] | None = None,
-    *,
-    lifted: Columns | None = None,
-) -> FGAbelianGroup:
+def presented_homology(boundary_out: Columns, boundary_in: Columns, n_mid: int, n_target: int,
+                       relations_mid: dict[int, int] | None = None,
+                       relations_target: dict[int, int] | None = None) -> FGAbelianGroup:
     """Homology ker/image at the middle of  Z^k -> Z^n_mid -> Z^n_target,
     where generators may carry cyclic annotations (index -> modulus).
 
@@ -610,13 +591,10 @@ def presented_homology(
     K (lift_to_cycles), and the homology is K modulo the lifted columns L:
     Z^(dim K - rank L) plus the torsion of L (K is a kernel, so saturated),
     read by the sweep's two steps, [a | -R_t] and then L.  Raises ValueError
-    when the data is not a complex.  A caller that holds lift_to_cycles'
-    result for the same window may pass it as ``lifted``.
+    when the data is not a complex.
     """
     relations_target = relations_target or {}
-    if lifted is None:
-        lifted = lift_to_cycles(
-            boundary_out, boundary_in, n_mid, n_target, relations_mid, relations_target
-        )
+    lifted = lift_to_cycles(boundary_out, boundary_in, n_mid, n_target, relations_mid,
+                            relations_target)
     cycle_matrix = list(boundary_out) + [{t: -m} for t, m in sorted(relations_target.items())]
-    return homology_step(lifted, n_mid + len(relations_target), _read(cycle_matrix))[0]
+    return homology_step(lifted, n_mid + len(relations_target), _eliminate(cycle_matrix))[0]

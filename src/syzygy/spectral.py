@@ -19,6 +19,7 @@ from __future__ import annotations
 from functools import cache
 
 from .formal import (
+    ChainHomology,
     FormalGroup,
     FormalHom,
     FormalGroupError,
@@ -29,7 +30,6 @@ from .formal import (
     check_exact,
     cokernel,
     homology_at,
-    kernel,
     solve_extension,
     zero_hom,
 )
@@ -589,14 +589,15 @@ def k2_prime_candidates(registry: KnownHomologyRegistry) -> list:
 
 class RowComplex:
     """One row of the second page as a three-place complex of formal groups:
-    ``places`` holds (labels, FormalGroup, layout) per place, and ``maps[i]``
-    maps place i+1 to place i."""
+    ``places`` holds (labels, FormalGroup, layout) per place, ``maps[i]``
+    maps place i+1 to place i, and ``homology`` reads the places."""
 
-    __slots__ = ("places", "maps")
+    __slots__ = ("places", "maps", "homology")
 
     def __init__(self, places: list, maps: list):
         self.places = places
         self.maps = maps
+        self.homology = ChainHomology(maps)
 
 
 def _entry_hom(src_place, tgt_place, blocks):
@@ -754,16 +755,14 @@ def cremona_row1_complex(u: surfaces.GeneratorUniverse, registry) -> RowComplex:
 
 def row1_homology(row: RowComplex, i: int) -> FormalGroup:
     """E_{i,1} for i = 0, 1 from a three-place row complex."""
-    if i == 0:
-        return cokernel(row.maps[0])
-    if i == 1:
-        return homology_at(row.maps[1], row.maps[0])
-    raise ValueError("the three-place row supports degrees 0 and 1")
+    if i not in (0, 1):
+        raise ValueError("the three-place row supports degrees 0 and 1")
+    return row.homology.at(i)
 
 
 def row1_degree2_bound(row: RowComplex) -> FormalGroup:
     """The closed chains at the third place; E_{2,1} is a quotient of this."""
-    return kernel(row.maps[1])
+    return row.homology.at(2)
 
 
 # -- assembled applications --------------------------------------------------------

@@ -32,6 +32,7 @@ with the untruncated answers on the stabilized range.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from functools import cache
 from itertools import combinations
@@ -106,10 +107,16 @@ class SurfaceCentralModel(_Value):
 
 @cache
 def orientability_table() -> dict:
-    """Table key -> orientable, each entry read with its provenance note."""
+    """Table key -> orientable, each entry read with its provenance note.  A key
+    is <base>/<family> or <base>/<family>/k=<n>, n >= 1; others are refused."""
     table = read_json(DATA_DIR / "orientability.json")
     if type(table) is not dict:
         raise ValueError("the orientability table must be an object")
+    families = POINT_FAMILIES + ("hirzebruch", "blowup", "min_section")
+    key_form = f"({'|'.join(b.value for b in BaseCase)})/({'|'.join(families)})(/k=[1-9][0-9]*)?"
+    for key in table:
+        if not re.fullmatch(key_form, key):
+            raise ValueError(f"the orientability table has the unknown key {key!r}")
     return {key: unpack(entry, f"orientability entry {key!r}",
                         {"orientable": bool, "provenance": str})[0]
             for key, entry in table.items()}

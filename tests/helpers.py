@@ -11,17 +11,21 @@ from syzygy import smith
 from syzygy.cli import main
 from syzygy.complexes import Cell, IntegerChainComplex, RegularCWComplex
 from syzygy.formal import (
+    ZERO,
     FormalGroup,
     FormalGroupError,
     FormalHom,
     InsufficientAtomData,
     _fg_relations,
+    _zero_modulo_target,
     atom_registry,
+    zero_hom,
 )
 from syzygy.lattice import BlowupLattice, DivisorClass
 from syzygy.smith import (
     FGAbelianGroup,
     Matrix,
+    cokernel_group,
     invariant_factors,
     mat_mul,
     partitions,
@@ -438,9 +442,7 @@ def prime_power_chain(orders: list[int]) -> list[int]:
 
 def record_dense_shapes(monkeypatch):
     """The list that receives the shape of every matrix reaching
-    smith.smith_normal_form from here on.  The invariant-factor memo is
-    cleared first, so a matrix read by an earlier test is eliminated again."""
-    smith._eliminate.cache_clear()
+    smith.smith_normal_form from here on."""
     shapes = []
     dense = smith.smith_normal_form
 
@@ -656,6 +658,67 @@ def per_family_cokernel(h: FormalHom) -> FormalGroup:
                     f"{fam}/{d}{fam} is not computable for a non-divisible atom"
                 )
     return out
+
+
+# -- oracle for the one-sweep chain read ------------------------------------------
+#
+# The window reads that formal.ChainHomology replaced: a window reads each
+# atom family's middle by presented_homology and the torsion of its next
+# cokernel by cokernel_group, eliminating the outgoing block twice, and a
+# three-place row is read by three windows, its cokernel, its middle and its
+# kernel.
+
+
+def _window_atom_result(atom, mat_out, mat_in, n_mid, n_tgt) -> FormalGroup:
+    """ker(mat_out)/im(mat_in) on copies of a divisible atom, via the integer
+    homology of the exponent window (universal coefficients)."""
+    h_mid = presented_homology(mat_out, mat_in, n_mid, n_tgt)
+    out = FormalGroup.atom(atom.name, h_mid.free_rank)
+    for d in h_mid.torsion:
+        if atom.divisible:
+            continue  # D/dD = 0
+        raise InsufficientAtomData(
+            f"{atom.name}/{d}{atom.name} is not computable for a non-divisible atom"
+        )
+    for t in cokernel_group(mat_out, n_tgt).torsion:
+        out = out + FormalGroup.from_fg(atom.torsion(t))
+    return out
+
+
+def window_homology_at(f: FormalHom, g: FormalHom) -> FormalGroup:
+    """ker(g)/im(f) for a two-step window  f: A -> B,  g: B -> C."""
+    if f.target != g.source:
+        raise FormalGroupError("homology window mismatch: target of f must be source of g")
+    if not _zero_modulo_target(g.compose(f)):
+        raise FormalGroupError("the window does not compose to zero")
+    mid, tgt = g.source.slots(), g.target.slots()
+    fblocks = dense_family_blocks(f)
+    gblocks = dense_family_blocks(g)
+    out = FormalGroup.zero()
+    for fam in sorted(set(fblocks) | set(gblocks), key=str):
+        g_rows, g_cols, g_block = gblocks.get(fam, ([], [], []))
+        f_rows, f_cols, f_block = fblocks.get(fam, ([], [], []))
+        mid_cols = g_cols or f_rows
+        n_mid, n_tgt = len(mid_cols), len(g_rows)
+        if fam == "fg":
+            out = out + FormalGroup.from_fg(presented_homology(
+                g_block, f_block, n_mid, n_tgt,
+                relations_mid=_fg_relations([mid[j] for j in mid_cols]),
+                relations_target=_fg_relations([tgt[i] for i in g_rows]),
+            ))
+            continue
+        out = out + _window_atom_result(atom_registry()[fam], g_block, f_block, n_mid, n_tgt)
+    return out
+
+
+def window_row_read(maps: list, place: int) -> FormalGroup:
+    """The homology at a place of the three-place row whose ``maps[i]`` maps
+    place i+1 to place i, by the window that holds the place."""
+    if place == 0:
+        return window_homology_at(maps[0], zero_hom(maps[0].target, ZERO))
+    if place == 1:
+        return window_homology_at(maps[1], maps[0])
+    return window_homology_at(zero_hom(ZERO, maps[1].source), maps[1])
 
 
 # -- oracle for the slot layout of a direct sum -----------------------------------

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import syzygy
-from syzygy import complexes, surfaces
+from syzygy import complexes, smith, surfaces
 from syzygy.cli import default_registry
 from syzygy.complexes import RegularCWComplex, ValidationReport
+from syzygy.formal import ChainHomology
 from syzygy.spectral import KnownHomologyRegistry
 from syzygy.surfaces import GeneratorUniverse, row0_complex, validated_sphere_bl3
 
@@ -297,7 +298,8 @@ def test_ruled_job_eliminates_each_degree_once_on_fewer_rows(monkeypatch):
     """A ruled job reads row 0 at degrees 1..3, the sweep's steps at degrees
     0..3, and the d o d check; each degree's lift is eliminated once, and
     from degree 1 on without the rows that the unit pivots one degree down
-    settled, so on fewer rows than its boundary has."""
+    settled, so on fewer rows than its boundary has.  Row 1's sweeps are
+    steps too; only row 0's lifts are counted here."""
     steps = []
     step = complexes.homology_step
 
@@ -311,11 +313,57 @@ def test_ruled_job_eliminates_each_degree_once_on_fewer_rows(monkeypatch):
     res = invoke("ruled", "--points", "5", "--e-max", "4", "--r-max", "5")
     assert res.exit_code == 0
     cc, _ = row0_complex(u)
+    row0_lifts = [id(lifted) for lifted in cc._lifts.values()]
+    steps = [(lifted, settled) for lifted, settled in steps if id(lifted) in row0_lifts]
     assert len(steps) == 4
     assert all(lifted is cc._lifts[k] for k, (lifted, _) in enumerate(steps))
     for k, (lifted, settled) in enumerate(steps[1:], start=1):
         rows = {i for col in lifted for i in col}
         assert len(rows - set(settled)) < len(rows) <= cc.ranks[k], k
+
+
+@pytest.mark.parametrize(
+    "args, bound",
+    [
+        (["ruled", "--points", "6", "--e-max", "5", "--r-max", "5"], 6),
+        (["five-term", "--points", "6", "--e-max", "5"], 6),
+        (["cremona", "--e-max", "60"], 11),
+        (["schur", "--target", "quadric"], 2),
+        (["schur", "--target", "k2prime"], 8),
+        (["syzygy", "bl3", "--check"], 11),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_each_job_reads_each_complex_once(args, bound, monkeypatch):
+    """No memo stands between a caller and the elimination, so each
+    elimination of a non-empty matrix is counted.  Row 0 is one sweep, each
+    row of formal groups one sweep per family, and each CW complex one
+    sweep, whose chain complex the d o d check and the homology reads
+    share.  Where a bound exceeds the number of distinct matrices, distinct
+    computations read equal ones: twisted blocks with the same action,
+    equal swap antidiagonals, or links with equal matrices."""
+    eliminated = []
+    eliminate = smith._eliminate
+
+    def counting(a, *settled):
+        if any(a):
+            eliminated.append(len(a))
+        return eliminate(a, *settled)
+
+    monkeypatch.setattr(smith, "_eliminate", counting)
+    surfaces.row0_complex.cache_clear()  # a complex read by an earlier test keeps its sweep
+    assert invoke(*args).exit_code == 0
+    assert len(eliminated) <= bound
+
+
+def test_ruled_forms_two_places_of_row_1(monkeypatch):
+    """`ruled` prints E_{0,1} and E_{1,1} only, so the third place of row 1
+    is never formed."""
+    places = []
+    at = ChainHomology.at
+    monkeypatch.setattr(ChainHomology, "at", lambda chain, p: places.append(p) or at(chain, p))
+    assert invoke("ruled", "--points", "4").exit_code == 0
+    assert places == [0, 1]
 
 
 def test_five_term_command():

@@ -123,6 +123,19 @@ def test_shipped_tables_declare_their_value_types(name, edit, key):
         load()
 
 
+@pytest.mark.parametrize("key", ["ruled/hirzebruchx", "ruled/blowup/k=1 ", "ruled/blowup/k=0",
+                                 "cremona/dp7/k=01", "ruled/blowup/k=", "ruled/blowup/k=1/k=2",
+                                 "ruled/plane/x", "plane/ruled", "ruled"])
+def test_orientability_table_refuses_an_undeclared_key(key):
+    """A row key names a base, a family and optionally k >= 1.  A misspelled
+    row used to be read as an extra row, and the lookup of the row it
+    stood for failed later with a KeyError naming that row."""
+    table = dict(DOCS["orientability.json"], **{key: DOCS["orientability.json"]["ruled/hirzebruch"]})
+    with reading("orientability.json", json.dumps(table)), \
+            pytest.raises(ValueError, match=re.escape(repr(key))):
+        surfaces.orientability_table()
+
+
 def _shuffled(value, rnd):
     if isinstance(value, dict):
         keys = list(value)
@@ -176,9 +189,7 @@ def _repeat(name, doc, draw):
 
 
 def _misspell(name, doc, draw):
-    # the orientability table's own keys are open: any text names a table row
-    path = draw(st.sampled_from([p for p, v in _places(doc) if isinstance(v, dict) and v
-                                 and (p or name != "orientability.json")]))
+    path = draw(st.sampled_from([p for p, v in _places(doc) if isinstance(v, dict) and v]))
     obj = _at(doc, path)
     key = draw(st.sampled_from(sorted(obj)))
     typo = key + draw(st.sampled_from(["x", "_", " "]))

@@ -35,6 +35,9 @@ from pathlib import Path
 import pytest
 
 import syzygy
+from syzygy.spectral import KnownHomologyRegistry
+
+from helpers import invoke
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -82,6 +85,30 @@ def test_bench_job_output_matches_its_digest(args):
     record = inproc.run_job(list(args), traced=False)
     assert record["exit"] == 0
     assert record["sha256"] == workloads.load_digests()[workloads.job_key(args)]
+
+
+# shipped registry entries that no command reads, with the reason each is kept
+UNREAD_ENTRIES = {
+    **{("C*", d): "read by tests/helpers.py::h_prime_grid" for d in range(4)},
+    **{(group, 2): "kept for the degree-2 row that is to derive E_{0,2}"
+       for group in ("Aut(F1)", "Aut(Se->P1)", "Aut(S_e,1->P1)", "Autf(Fe/P1)")},
+}
+
+
+def test_every_shipped_registry_entry_is_read_or_kept_for_a_reason(monkeypatch):
+    """The registry-reading bench jobs and the small ruled and five-term
+    jobs read every shipped entry but those listed with a reason."""
+    read = set()
+    get = KnownHomologyRegistry.get
+    monkeypatch.setattr(KnownHomologyRegistry, "get",
+                        lambda registry, group, degree: read.add((group, degree))
+                        or get(registry, group, degree))
+    jobs = [args for jobs in _bench_module("workloads").WORKLOADS.values() for args in jobs
+            if args[0] in ("ruled", "five-term", "cremona", "schur")]
+    for args in jobs + [["ruled", "--points", "4"], ["five-term", "--points", "4"]]:
+        assert invoke(*args).exit_code == 0, args
+    shipped = set(KnownHomologyRegistry.load()._entries)
+    assert shipped - read == set(UNREAD_ENTRIES)
 
 
 @pytest.mark.parametrize(
