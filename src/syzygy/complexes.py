@@ -267,7 +267,7 @@ class IntegerChainComplex:
     a Z/m generator (m >= 2); the homology engine appends the relation
     m*e_i = 0.  Homology is one sweep from degree 0 up (smith's row-drop
     rule): degree k eliminates its lift L_k without the rows settled by the
-    unit pivots of L_{k-1}, whose columns are those rows and whose kernel is
+    pivots of L_{k-1}, whose columns are those rows and whose kernel is
     the cycles up to the signs of the relation columns.  Lifts and steps are
     kept once formed, so each degree is eliminated once per object, and a
     complex is not changed after its first read.
@@ -301,8 +301,8 @@ class IntegerChainComplex:
         return len(self.ranks) - 1
 
     def _window(self, degree: int) -> tuple:
-        """lift_to_cycles' arguments at a degree: both boundaries, both ranks
-        and both cyclic relations."""
+        """presented_homology's arguments at a degree: both boundaries, both
+        ranks and both cyclic relations."""
         n_mid = self.ranks[degree]
         return (
             self.boundaries[degree] if degree >= 1 else [{}] * n_mid,
@@ -319,7 +319,8 @@ class IntegerChainComplex:
         check and the sweep.  A window that is not a complex raises
         ValueError every time and caches nothing."""
         if degree not in self._lifts:
-            self._lifts[degree] = lift_to_cycles(*self._window(degree))
+            out, into, n_mid, _, rel_mid, rel_target = self._window(degree)
+            self._lifts[degree] = lift_to_cycles(out, into, n_mid, rel_mid, rel_target)
         return self._lifts[degree]
 
     def check_composition(self) -> bool:

@@ -41,12 +41,14 @@ Mrozek, Computational Homology, ch. 3):
   and keeps the result, so a chain complex is read by one sweep over its
   degrees, and a chain of formal homomorphisms by one sweep per family.
 - A sweep.  Homology is read low degree to high (homology_step), each
-  degree's lift eliminated once without the rows that the unit pivots of
-  the degree below settled, by the row-drop rule: if eliminating N takes
-  unit pivots in the columns Q and A's columns lie in ker N, then A without
-  any of the rows Q has A's invariant factors.  Proof: on ker N a unit
-  pivot's row makes x_q an integral function of the coordinates outside Q,
-  so forgetting Q maps ker N isomorphically onto a saturated lattice.
+  degree's lift eliminated once without the rows that the pivots of the
+  degree below settled, by the row-drop rule: if eliminating N takes
+  divisor pivots in the columns Q and A's columns lie in ker N, then A
+  without any of the rows Q has A's invariant factors.  Proof: a pivot x
+  divides its row, so on ker N that row gives x_q as an integer combination
+  of the other coordinates; the pivots are triangular, so back-substitution
+  writes all of Q through the coordinates outside it, and forgetting Q maps
+  ker N isomorphically onto a saturated lattice.
 
 Every step is a unimodular equivalence or splits off a direct summand, and
 the invariant factors of a matrix are unique up to such equivalence, so the
@@ -268,7 +270,7 @@ def smith_normal_form(a: Matrix) -> SNFResult:
 
 def _eliminate(a: Columns, settled: frozenset = frozenset()) -> tuple:
     """The nonzero invariant factors of the columns ``a`` without the rows
-    ``settled``, as a tuple, and the frozenset of the columns of the unit
+    ``settled``, as a tuple, and the frozenset of the columns of the divisor
     pivots taken on the way.
 
     Divisor pivots leave by exact row and column operations in the heap's
@@ -379,18 +381,18 @@ def _eliminate(a: Columns, settled: frozenset = frozenset()) -> tuple:
                     queued[pos] = item = abs(rows[i][j]) * span * span + pos
                     heappush(heap, item)
     orders = [size for size, _ in pivots if size > 1]
-    units = frozenset(q for size, q in pivots if size == 1)
+    pivot_columns = frozenset(q for _, q in pivots)
     rank = len(pivots)
     if rows:
         residual_cols = sorted(j for j, members in cols.items() if members)
         residual = [[entries.get(j, 0) for j in residual_cols] for entries in rows.values()]
         diagonal = [d for d in smith_normal_form(residual).diagonal() if d]
         if not orders:  # units only: the residual's chain needs no merge
-            return (1,) * rank + tuple(diagonal), units
+            return (1,) * rank + tuple(diagonal), pivot_columns
         rank += len(diagonal)
         orders += diagonal
     chain = _merge_invariant_factors(orders)
-    return (1,) * (rank - len(chain)) + tuple(chain), units
+    return (1,) * (rank - len(chain)) + tuple(chain), pivot_columns
 
 
 def invariant_factors(a: Columns) -> list[int]:
@@ -401,9 +403,9 @@ def invariant_factors(a: Columns) -> list[int]:
 def homology_step(lifted: Columns, rank: int, previous: tuple) -> tuple:
     """One sweep step: the homology where ``lifted`` lies in the cycles, the kernel
     in Z^rank of the matrix eliminated as ``previous``, and this elimination."""
-    factors, units = _eliminate(lifted, previous[1])
+    factors, pivot_columns = _eliminate(lifted, previous[1])
     free = rank - len(previous[0]) - len(factors)
-    return FGAbelianGroup.from_orders(free, factors), (factors, units)
+    return FGAbelianGroup.from_orders(free, factors), (factors, pivot_columns)
 
 
 def solve(a: Matrix, b: list[int], cols: int | None = None,
@@ -534,7 +536,7 @@ def cokernel_group(a: Columns, ambient_rank: int) -> FGAbelianGroup:
     return FGAbelianGroup.from_orders(ambient_rank - len(factors), factors)
 
 
-def lift_to_cycles(boundary_out: Columns, boundary_in: Columns, n_mid: int, n_target: int,
+def lift_to_cycles(boundary_out: Columns, boundary_in: Columns, n_mid: int,
                    relations_mid: dict[int, int] | None = None,
                    relations_target: dict[int, int] | None = None) -> Columns:
     """The columns of ``boundary_in`` and the middle relations m*e_i, lifted
@@ -591,10 +593,10 @@ def presented_homology(boundary_out: Columns, boundary_in: Columns, n_mid: int, 
     K (lift_to_cycles), and the homology is K modulo the lifted columns L:
     Z^(dim K - rank L) plus the torsion of L (K is a kernel, so saturated),
     read by the sweep's two steps, [a | -R_t] and then L.  Raises ValueError
-    when the data is not a complex.
+    when the data is not a complex.  n_target is not read; it keeps the
+    relations at positions 4 and 5, where the benchmark's tracer reads them.
     """
     relations_target = relations_target or {}
-    lifted = lift_to_cycles(boundary_out, boundary_in, n_mid, n_target, relations_mid,
-                            relations_target)
+    lifted = lift_to_cycles(boundary_out, boundary_in, n_mid, relations_mid, relations_target)
     cycle_matrix = list(boundary_out) + [{t: -m} for t, m in sorted(relations_target.items())]
     return homology_step(lifted, n_mid + len(relations_target), _eliminate(cycle_matrix))[0]

@@ -728,9 +728,9 @@ def ruled_row1_complex(u: surfaces.GeneratorUniverse, registry) -> RowComplex:
 
 def _cremona_rank3_blocks(gen) -> dict:
     """Row-1 blocks out of a Cremona rank-3 generator, keyed by the (family, e)
-    of the rank-2 target.  The row-0 table gives these generators no target
-    with a nonzero entry: the true boundaries of S_g,2, S_s,2 and S_e,2 are
-    even, and the one target of Bl2P2, the quadric, has entry zero."""
+    of the rank-2 target.  Row 0 gives these no target with a nonzero entry:
+    the two positions of S_g,2, S_s,2 and S_e,2 cancel, and the one target of
+    Bl2P2, the quadric, has entry zero."""
     if gen.family == "dp7":
         # the twisted torus of Bl2P2 meets the conic bundle S_g,1 and F1
         return {("blowup", 0): [[2], [1]], ("dp8_blowdown", 0): [[-3]]}

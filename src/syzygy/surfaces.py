@@ -21,7 +21,11 @@ tag's transition multiset does not depend on which point is removed,
 d o d = 0 holds identically.  A transition to a tag beyond the target
 invariant bound raises instead of being dropped.  Non-orientable generators
 contribute order-2 rows, realized through the cyclic annotations of the
-chain-complex engine.
+chain-complex engine.  Over the plane a cell of the base curve's families
+is the class of the ruled cell with its points forgotten: every position's
+face is the one empty point set, the positions' terms add up, and an entry on
+an order-2 row is kept mod 2 (a cell whose stabiliser reverses its orientation
+leaves a Z/2 among the coinvariants).  Only the del Pezzo families keep a table.
 
 Truncation: generators are listed up to the requested e_max; internally the
 chain complex keeps rank r up to e_max + (r_max - r), a staircase under which
@@ -259,10 +263,10 @@ class BoundaryMatrix:
 
 
 def _ruled_boundary_targets(rank: int, tag: tuple) -> list:
-    """(removed position, target tag, coefficient) for a rank-r tag over the
-    ruled base: each transition once per position p of the sorted point set,
-    with the sign (-1)^p.  At rank 2 the one point goes and a two-ray game
-    to the rank-1 surfaces e + 1 and e remains."""
+    """(removed position, target tag, coefficient) for a rank-r tag of the
+    base curve's families: each transition once per position p of the sorted
+    point set, with the sign (-1)^p.  At rank 2 the one point goes and a
+    two-ray game to the rank-1 surfaces e + 1 and e remains."""
     family, partition, _, e = tag
     if rank == 2:
         return [(0, _tag("hirzebruch", e=e + 1), 1), (0, _tag("hirzebruch", e=e), -1)]
@@ -276,35 +280,14 @@ def _ruled_boundary_targets(rank: int, tag: tuple) -> list:
     ]
 
 
-def _cremona_boundary_targets(rank: int, tag: tuple) -> list:
-    """(removed position, target tag, coefficient) for a rank-r tag over the
-    plane, where the empty point set is its own one face, at position 0."""
-    family, partition, _, e = tag
-    if family == "dp8_blowdown":
-        trans = [(_tag("hirzebruch", e=1), 1), (_tag("plane"), -1)]
-    elif family == "dp8_quadric":
-        trans = []
-    elif rank == 2:  # S_g,1 and S_e,1: the two-ray games of the ruled base
-        return _ruled_boundary_targets(rank, tag)
-    elif family == "dp7":
-        trans = [(_tag("dp8_quadric"), 1)]
-    elif rank == 3:
-        trans = []  # S_g,2 / S_s,2 / S_e,2 all have even true boundaries
-    elif family == "dp6":
-        trans = [(_tag("blowup", (1, 1)), 1)]
-    elif partition == (1, 1, 1):
-        trans = []
-    elif partition == (2, 1):
-        trans = [(_tag("blowup", (1, 1)), 1), (_tag("blowup", (2,)), 1)]
-    elif partition == (3,):
-        trans = [(_tag("min_section", e=1), 1), (_tag("blowup", (2,)), 1)]
-    elif family == "min_section" and rank == 4:
-        trans = [(_tag("min_section", e=e + 1), 1), (_tag("min_section", e=e), 1)]
-    elif family == "dp5":
-        trans = [(_tag("blowup", (1, 1, 1)), 1)]
-    else:
-        raise ValueError(f"no boundary table for {tag} at rank {rank}")
-    return [(0, target, coeff) for target, coeff in trans]
+# The targets of the families that exist only over the plane, at the empty face.
+_DEL_PEZZO_TRANSITIONS = {
+    "dp8_blowdown": [(0, _tag("hirzebruch", e=1), 1), (0, _tag("plane"), -1)],
+    "dp8_quadric": [],
+    "dp7": [(0, _tag("dp8_quadric"), 1)],
+    "dp6": [(0, _tag("blowup", (1, 1)), 1)],
+    "dp5": [(0, _tag("blowup", (1, 1, 1)), 1)],
+}
 
 
 def boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
@@ -316,9 +299,9 @@ def boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
     the sum of (-1)^p (S minus its p-th point) x t' over the tag's
     transitions; that row is face_index * len(target tags) + tag_index(t').
     Raises RuntimeError when a transition reaches a tag beyond
-    target_e_bound (default e_bound + 1).  Order-2 rows (non-orientable
-    generators) take no entries out of plain columns, which the tables
-    respect by construction.
+    target_e_bound (default e_bound + 1).  An entry on an order-2 row (a
+    non-orientable generator) is kept mod 2.  An order-2 column has no
+    nonzero entry on a plain row, which check_composition enforces.
     """
     e_cols = u.e_max if e_bound is None else e_bound
     cols = enumerate_generators(u, rank, e_cols)  # refuses ranks outside [1, r_max]
@@ -330,11 +313,13 @@ def boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
     row_tags = _tags(u, rank - 1, e_rows)
     tag_index = {t: j for j, t in enumerate(row_tags)}
     face_offset = {s: i * len(row_tags) for i, s in enumerate(_point_sets(u, rank - 1))}
-    targets = _ruled_boundary_targets if u.base is BaseCase.RULED else _cremona_boundary_targets
+    order2 = {i for i, m in enumerate(rows) if not m.orientable}
     transitions = []  # per column tag: (position, target tag index, coefficient)
     for tag in _tags(u, rank, e_cols):
         entries = []
-        for pos, target, coeff in targets(rank, tag):
+        targets = (_DEL_PEZZO_TRANSITIONS[tag[0]] if tag[0] in _DEL_PEZZO_TRANSITIONS
+                   else _ruled_boundary_targets(rank, tag))
+        for pos, target, coeff in targets:
             if target not in tag_index:
                 raise RuntimeError(
                     f"the rank-{rank} tag {tag} reaches {target}, beyond target_e_bound={e_rows}"
@@ -343,14 +328,15 @@ def boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
         transitions.append(entries)
     matrix = []
     for points in _point_sets(u, rank):
-        # the face without the point at each position; over the plane the
-        # empty point set is its own one face
-        offsets = [face_offset[points[:p] + points[p + 1:]] for p in range(len(points) or 1)]
+        # the face without each position's point; over the plane, the empty set
+        offsets = [face_offset[points[:p] + points[p + 1:]] for p in range(rank - 1)]
         for entries in transitions:
             column = {}
             for pos, j, coeff in entries:
                 i = offsets[pos] + j
                 column[i] = column.get(i, 0) + coeff
+            if order2:
+                column = {i: x % 2 if i in order2 else x for i, x in column.items()}
             matrix.append({i: x for i, x in column.items() if x})
     return BoundaryMatrix(rank=rank, columns=cols, rows=rows, matrix=matrix)
 

@@ -297,7 +297,7 @@ def test_homology_file_rejects_wrong_structure(tmp_path, text, key):
 def test_ruled_job_eliminates_each_degree_once_on_fewer_rows(monkeypatch):
     """A ruled job reads row 0 at degrees 1..3, the sweep's steps at degrees
     0..3, and the d o d check; each degree's lift is eliminated once, and
-    from degree 1 on without the rows that the unit pivots one degree down
+    from degree 1 on without the rows that the pivots one degree down
     settled, so on fewer rows than its boundary has.  Row 1's sweeps are
     steps too; only row 0's lifts are counted here."""
     steps = []

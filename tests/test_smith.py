@@ -143,8 +143,9 @@ def test_invariant_factors_split_off_divisor_pivots(monkeypatch):
 
 @st.composite
 def kernel_column_matrices(draw):
-    """N with entries in [-2, 2], so that its elimination takes unit pivots,
-    and A whose columns are integer combinations of a kernel basis of N."""
+    """N with entries in [-2, 2], so that its elimination takes unit and
+    divisor pivots, and A whose columns are integer combinations of a kernel
+    basis of N."""
     n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 7))
     width = draw(st.integers(0, 5))
     n = [[draw(st.integers(-2, 2)) for _ in range(n_cols)] for _ in range(n_rows)]
@@ -159,26 +160,33 @@ def kernel_column_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_column_matrices(), st.data())
-def test_rows_of_unit_pivots_drop_from_kernel_columns(case, data):
-    """The row-drop rule: when the elimination of N takes unit pivots in the
-    columns Q, a matrix A whose columns lie in ker N has the invariant
+def test_rows_of_pivots_drop_from_kernel_columns(case, data):
+    """The row-drop rule: when the elimination of N takes divisor pivots in
+    the columns Q, a matrix A whose columns lie in ker N has the invariant
     factors of A without any subset of the rows Q, by the dense oracle on
     both sides and by the elimination that skips those rows."""
     n, a = case
-    units = smith._eliminate(columns(n))[1]
-    dropped = data.draw(st.frozensets(st.sampled_from(sorted(units)))) if units else frozenset()
+    pivots = smith._eliminate(columns(n))[1]
+    dropped = data.draw(st.frozensets(st.sampled_from(sorted(pivots)))) if pivots else frozenset()
     want = dense_invariant_factors(a)
     assert dense_invariant_factors([row for i, row in enumerate(a) if i not in dropped]) == want
     assert list(smith._eliminate(columns(a), dropped)[0]) == want
 
 
-def test_unit_pivot_columns_are_reported():
-    assert smith._eliminate(columns([[1, 1, 0], [0, 2, 2]])) == ((1, 2), {0})
-    assert smith._eliminate(columns([[2, 0], [0, 3]])) == ((1, 6), set())
+def test_pivot_columns_are_reported():
+    """The columns of every divisor pivot, unit or not, and none of the
+    residual's."""
+    assert smith._eliminate(columns([[1, 1, 0], [0, 2, 2]])) == ((1, 2), {0, 1})
+    assert smith._eliminate(columns([[2, 0], [0, 3]])) == ((1, 6), {0, 1})
+    assert smith._eliminate(columns([[2, 4], [3, 0]])) == ((1, 12), set())
     # ker [1 -1] is spanned by (1, 1): 2 (1, 1) keeps its factor without row 0
-    units = smith._eliminate(columns([[1, -1]]))[1]
-    assert units == {0}
-    assert smith._eliminate(columns([[2], [2]]), units) == ((2,), set())
+    pivots = smith._eliminate(columns([[1, -1]]))[1]
+    assert pivots == {0}
+    assert smith._eliminate(columns([[2], [2]]), pivots) == ((2,), {0})
+    # ker [2 4] is spanned by (-2, 1): its multiples keep their factors without row 0
+    pivots = smith._eliminate(columns([[2, 4]]))[1]
+    assert pivots == {0}
+    assert smith._eliminate(columns([[-6], [3]]), pivots) == ((3,), {0})
 
 
 def test_invariant_factors_returns_a_fresh_list():

@@ -171,13 +171,56 @@ def test_boundary_never_clips():
 
 
 @pytest.mark.parametrize(
-    "u,rank", [(GeneratorUniverse.ruled(3, 2), 3), (GeneratorUniverse.cremona(2), 2)],
-    ids=["ruled", "cremona"],
+    "u,rank",
+    [(GeneratorUniverse.ruled(3, 2), 3), (GeneratorUniverse.cremona(2), 2),
+     (GeneratorUniverse.cremona(2), 3)],
+    ids=["ruled", "cremona", "cremona-rank3"],
 )
 def test_boundary_beyond_the_target_bound_raises(u, rank):
-    """S_e=2 blows down to e = 3, which a target bound of 2 leaves out."""
+    """S_e=2 blows down to e = 3, which a target bound of 2 leaves out, also
+    over the plane at rank 3, where the two positions' terms would cancel."""
     with pytest.raises(RuntimeError, match="beyond target_e_bound=2"):
         boundary(u, rank, e_bound=2, target_e_bound=2)
+
+
+def _tag_of(m):
+    return (m.family, m.partition, m.modulus, m.e)
+
+
+@pytest.mark.parametrize("e_max", [1, 2, 3, 5])
+def test_cremona_columns_are_ruled_columns_with_the_points_forgotten(e_max):
+    """Each plane blowup or minimal-section column of rank 2..4 is the ruled
+    column of the same tag on rank - 1 points, summed by target tag, with the
+    entries on the plane's order-2 rows taken mod 2.  The universes order
+    their partitions differently, so both sides are keyed by tag."""
+    plane = GeneratorUniverse.cremona(e_max)
+    checked = 0
+    for rank in (2, 3, 4):
+        ruled = boundary(GeneratorUniverse.ruled(rank - 1, e_max), rank)
+        ruled_columns = {_tag_of(m): col for m, col in zip(ruled.columns, ruled.matrix)}
+        bm = boundary(plane, rank)
+        order2 = {_tag_of(m) for m in bm.rows if not m.orientable}
+        for m, col in zip(bm.columns, bm.matrix):
+            if m.family not in ("blowup", "min_section"):
+                continue
+            summed = {}
+            for i, x in ruled_columns[_tag_of(m)].items():
+                target = _tag_of(ruled.rows[i])
+                summed[target] = summed.get(target, 0) + x
+            summed = {t: x % 2 if t in order2 else x for t, x in summed.items()}
+            assert {t: x for t, x in summed.items() if x} == {
+                _tag_of(bm.rows[i]): x for i, x in col.items()
+            }, (rank, m)
+            checked += 1
+    assert checked == 6 + 3 * e_max
+
+
+def test_del_pezzo_table_covers_the_point_families_above_rank_one():
+    """A point family missing from the table would take the base curve's
+    transitions, a two-ray game at rank 2, without an error."""
+    above_one = {f for f in surfaces.POINT_FAMILIES if surfaces.DEL_PEZZO_RANK[f] >= 2}
+    assert above_one == set(surfaces.POINT_FAMILIES) - {"plane"}
+    assert set(surfaces._DEL_PEZZO_TRANSITIONS) == above_one
 
 
 def _oracle_universes(points):
@@ -363,7 +406,7 @@ def test_row0_invariant_factors_match_dense_snf(u):
         window = cc._window(d)
         a, n_mid, n_target, rel_target = window[0], window[2], window[3], window[5]
         cycle_matrix = a + [{t: -rel_target[t]} for t in sorted(rel_target)]
-        lifted = lift_to_cycles(*window)
+        lifted = lift_to_cycles(*window[:3], *window[4:])
         for m in ((a, n_target), (cycle_matrix, n_target), (lifted, n_mid + len(rel_target))):
             if m not in matrices:
                 matrices.append(m)
