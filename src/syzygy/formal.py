@@ -20,18 +20,24 @@ the free rank of H_p contributes copies of D, its finite cyclic pieces die
 (D/kD = 0), and each torsion order k of H_{p-1} contributes D[k] by the
 atom's declared torsion rule.  Atoms whose torsion is not declared (the
 wedge and tensor squares) make any computation needing it fail loudly.
+
+Extension problems 0 -> A -> E -> B -> 0 of finite groups are solved prime by
+prime.  If the p-parts of A, E and B have types mu, lam and nu (their
+exponent partitions), such an extension exists if and only if the
+Littlewood-Richardson coefficient c^lam_{mu nu} is nonzero (Green's theorem
+on Hall polynomials; Macdonald, Symmetric Functions and Hall Polynomials,
+2nd ed., ch. II, section 4), which one LR tableau of shape lam/mu and
+content nu witnesses.  No homomorphism is enumerated.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from math import gcd, prod
 
 from . import DATA_DIR, _Value, complexes, read_json, unpack
 from .smith import (
     FGAbelianGroup,
-    cokernel_group,
     column_product,
     partitions,
     presented_homology,
@@ -424,47 +430,43 @@ def check_exact(seq: list[FormalHom]) -> list[ExactnessVerdict]:
 # -- extension problems ----------------------------------------------------------
 
 
-def _abelian_groups_of_order(n: int) -> list[tuple]:
-    """All abelian groups of order n, as tuples of cyclic orders."""
-    if n == 1:
-        return [()]
-    per_prime = []
-    for p, e in sorted(prime_factorization(n).items()):
-        per_prime.append([tuple(p ** part for part in lam) for lam in partitions(e)])
-    groups = [()]
-    for choices in per_prime:
-        groups = [g + c for g in groups for c in choices]
-    return [tuple(FGAbelianGroup.from_orders(0, list(g)).torsion) for g in groups]
+def _types(orders: tuple) -> dict:
+    """Prime p -> the type of the p-part of the cyclic group Z/orders: its
+    exponents of p, largest first."""
+    types = {}
+    for n in orders:
+        for p, e in prime_factorization(n).items():
+            types.setdefault(p, []).append(e)
+    return {p: tuple(sorted(es, reverse=True)) for p, es in types.items()}
 
 
-def _elements_of_order_dividing(orders: tuple, a: int):
-    """All elements x of the group Z/orders with a*x = 0."""
-    ranges = []
-    for e in orders:
-        step = e // gcd(a, e)
-        ranges.append(range(0, e, step))
-    return product(*ranges)
-
-
-def _has_extension(sub: tuple, total: tuple, quot: tuple) -> bool:
-    """Is there an exact sequence 0 -> Z/sub -> Z/total -> Z/quot -> 0?"""
-    sub_order = prod(sub) if sub else 1
-    total_order = prod(total) if total else 1
-    quot_order = prod(quot) if quot else 1
-    if sub_order * quot_order != total_order:
+def _has_lr_tableau(lam: tuple, mu: tuple, nu: tuple) -> bool:
+    """Is c^lam_{mu nu} > 0: is there a filling of the skew shape lam/mu with
+    nu_k entries k, rows weakly increasing, columns strictly increasing, whose
+    reverse reading word (rows top to bottom, each right to left) is a
+    lattice word?  Searched cell by cell in that reading order."""
+    if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
         return False
-    if not sub:
-        return FGAbelianGroup.from_orders(0, list(total)).torsion == tuple(quot)
-    relations = [{i: t} for i, t in enumerate(total)]
-    want = FGAbelianGroup.from_orders(0, list(quot)).torsion
-    per_gen = [list(_elements_of_order_dividing(total, a)) for a in sub]
-    for images in product(*per_gen):
-        cols = [{i: x for i, x in enumerate(image) if x} for image in images]
-        quotient = cokernel_group(cols + relations, len(total))
-        if quotient.free_rank == 0 and quotient.torsion == want:
-            # the image subgroup then has the right order, so the map is injective
+    cells = [(i, j) for i, length in enumerate(lam)
+             for j in range(length - 1, (mu[i] if i < len(mu) else 0) - 1, -1)]
+    filling = {}
+    count = [0] * (len(nu) + 1)  # count[k]: entries k read so far
+
+    def fill(n: int) -> bool:
+        if n == len(cells):  # |lam/mu| = |nu| and no count exceeds nu
             return True
-    return False
+        i, j = cells[n]
+        for k in range(filling.get((i - 1, j), 0) + 1, filling.get((i, j + 1), len(nu)) + 1):
+            if count[k] < nu[k - 1] and (k == 1 or count[k] < count[k - 1]):
+                filling[i, j] = k
+                count[k] += 1
+                if fill(n + 1):
+                    return True
+                count[k] -= 1
+        filling.pop((i, j), None)
+        return False
+
+    return fill(0)
 
 
 def solve_extension(sub: FormalGroup, quot: FormalGroup) -> list[FormalGroup]:
@@ -472,8 +474,10 @@ def solve_extension(sub: FormalGroup, quot: FormalGroup) -> list[FormalGroup]:
     0 -> sub -> E -> quot -> 0.
 
     Divisible atom summands of ``sub`` are injective, hence split off; the
-    remaining problem must be finite-by-finite, where candidates are
-    enumerated exhaustively.
+    remaining problem must be finite-by-finite.  It splits into p-primary
+    parts, and a p-part of type lam is a middle for parts of types mu and nu
+    exactly when c^lam_{mu nu} > 0 (see the module docstring), so the
+    candidates are the products over p of such lam, sorted by their str.
     """
     if sub.infinite or quot.infinite:
         raise FormalGroupError("extension solving does not touch infinite display summands")
@@ -492,11 +496,12 @@ def solve_extension(sub: FormalGroup, quot: FormalGroup) -> list[FormalGroup]:
             "only extensions of a finite group by (divisible atoms + finite) are supported"
         )
     head = FormalGroup(atoms=sub.atoms)
-    a, b = sub.cyclic, quot.cyclic
-    order = (prod(a) if a else 1) * (prod(b) if b else 1)
-    found = []
-    for total in _abelian_groups_of_order(order):
-        if _has_extension(a, total, b):
-            found.append(head + FormalGroup(cyclic=total))
+    mu, nu = _types(sub.cyclic), _types(quot.cyclic)
+    per_prime = []
+    for p in sorted(mu.keys() | nu.keys()):
+        m, n = mu.get(p, ()), nu.get(p, ())
+        per_prime.append([tuple(p ** e for e in lam) for lam in partitions(sum(m) + sum(n))
+                          if _has_lr_tableau(lam, m, n)])
+    found = [head + FormalGroup(cyclic=sum(choice, ())) for choice in product(*per_prime)]
     found.sort(key=str)
     return found

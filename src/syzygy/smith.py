@@ -6,21 +6,21 @@ of intermediate matrices can grow far beyond machine words on
 harmless-looking inputs, so no floats and no fixed-width arrays appear
 anywhere.
 
-Two matrix formats occur.  The homology readers (invariant_factors,
-cokernel_group, lift_to_cycles, presented_homology) and column_product take
-*columns*: a list with one dict per column, mapping row index -> nonzero
-int, with the row count passed separately where it matters.  Boundary
-matrices and the formal calculus's homomorphisms are sparse, and a list of
-columns also holds a matrix without rows or without columns.  Dense lists
-of rows (Matrix) remain only in the dense cluster (smith_normal_form,
-solve, mat_mul and their helpers), which the tests use as an oracle and the
+Two matrix formats occur.  The homology readers (homology_step,
+lift_to_cycles, presented_homology) and column_product take *columns*: a
+list with one dict per column, mapping row index -> nonzero int, with the
+row count passed separately where it matters.  Boundary matrices and the
+formal calculus's homomorphisms are sparse, and a list of columns also
+holds a matrix without rows or without columns.  Dense lists of rows
+(Matrix) remain only in the dense cluster (smith_normal_form, solve,
+mat_mul and their helpers), which the tests use as an oracle and the
 benchmark's tracer names; in the library, only the residual of the sparse
 elimination reaches it.
 
 Every homology and cokernel read needs only the invariant factors of a
-matrix, and invariant_factors gets them by sparse elimination on a
-dict-of-rows copy (Dumas-Saunders-Villard, JSC 2001; Kaczynski-Mischaikow-
-Mrozek, Computational Homology, ch. 3):
+matrix, and _eliminate gets them by sparse elimination on a dict-of-rows
+copy (Dumas-Saunders-Villard, JSC 2001; Kaczynski-Mischaikow-Mrozek,
+Computational Homology, ch. 3):
 
 - Divisor pivots.  An entry x whose absolute value divides every other
   entry of its row and of its column clears its column by exact row
@@ -395,11 +395,6 @@ def _eliminate(a: Columns, settled: frozenset = frozenset()) -> tuple:
     return (1,) * (rank - len(chain)) + tuple(chain), pivot_columns
 
 
-def invariant_factors(a: Columns) -> list[int]:
-    """The nonzero invariant factors d1 | d2 | ... of the columns ``a``, in a new list."""
-    return list(_eliminate(a)[0])
-
-
 def homology_step(lifted: Columns, rank: int, previous: tuple) -> tuple:
     """One sweep step: the homology where ``lifted`` lies in the cycles, the kernel
     in Z^rank of the matrix eliminated as ``previous``, and this elimination."""
@@ -527,13 +522,6 @@ def column_product(a: Columns, b: Columns) -> Columns:
                 product[t] = product.get(t, 0) + x * v
         out.append({t: v for t, v in product.items() if v})
     return out
-
-
-def cokernel_group(a: Columns, ambient_rank: int) -> FGAbelianGroup:
-    """Z^ambient_rank modulo the span of the columns ``a``, read from their
-    invariant factors."""
-    factors = invariant_factors(a)
-    return FGAbelianGroup.from_orders(ambient_rank - len(factors), factors)
 
 
 def lift_to_cycles(boundary_out: Columns, boundary_in: Columns, n_mid: int,

@@ -3,8 +3,8 @@ only the test suite calls."""
 
 import contextlib
 import io
-from itertools import combinations
-from math import prod
+from itertools import combinations, product
+from math import gcd, prod
 from typing import NamedTuple
 
 from syzygy import smith
@@ -25,8 +25,6 @@ from syzygy.lattice import BlowupLattice, DivisorClass
 from syzygy.smith import (
     FGAbelianGroup,
     Matrix,
-    cokernel_group,
-    invariant_factors,
     mat_mul,
     partitions,
     presented_homology,
@@ -347,8 +345,8 @@ def elementary_transformation(e: int, on_minimal_section: bool) -> int:
 # relation vector solved for in that basis, then the cokernel of the
 # coordinates.  Three Smith forms with full transforms and one solve per image
 # column; slow, but it shares nothing with the invariant-factor formula: every
-# diagonal it reads comes from the dense smith_normal_form, never from
-# smith.invariant_factors.
+# diagonal it reads comes from the dense smith_normal_form, never from the
+# sparse elimination.
 
 
 def kernel_basis(a: Matrix, cols: int | None = None) -> list[list[int]]:
@@ -418,6 +416,11 @@ def determinant(a: Matrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def invariant_factors(a):
+    """The nonzero invariant factors of the columns ``a`` by the sparse elimination."""
+    return list(smith._eliminate(a)[0])
 
 
 def dense_invariant_factors(a):
@@ -664,9 +667,9 @@ def per_family_cokernel(h: FormalHom) -> FormalGroup:
 #
 # The window reads that formal.ChainHomology replaced: a window reads each
 # atom family's middle by presented_homology and the torsion of its next
-# cokernel by cokernel_group, eliminating the outgoing block twice, and a
-# three-place row is read by three windows, its cokernel, its middle and its
-# kernel.
+# cokernel by its invariant factors, eliminating the outgoing block twice,
+# and a three-place row is read by three windows, its cokernel, its middle
+# and its kernel.
 
 
 def _window_atom_result(atom, mat_out, mat_in, n_mid, n_tgt) -> FormalGroup:
@@ -680,7 +683,7 @@ def _window_atom_result(atom, mat_out, mat_in, n_mid, n_tgt) -> FormalGroup:
         raise InsufficientAtomData(
             f"{atom.name}/{d}{atom.name} is not computable for a non-divisible atom"
         )
-    for t in cokernel_group(mat_out, n_tgt).torsion:
+    for t in (d for d in invariant_factors(mat_out) if d > 1):
         out = out + FormalGroup.from_fg(atom.torsion(t))
     return out
 
@@ -771,6 +774,50 @@ def counting_direct_sum_with_layout(parts: list[FormalGroup]):
                 free_used += 1
         layout.append(indices)
     return total, layout
+
+
+# -- oracle for solve_extension ---------------------------------------------------
+#
+# The brute-force search that formal.solve_extension replaced: every abelian
+# group of the right order, and for each every homomorphism from the subgroup,
+# with one dense cokernel per homomorphism.  It shares no code with the
+# Littlewood-Richardson search: it neither factors orders nor lists
+# partitions, and reads its cokernels from the dense Smith form.
+
+
+def abelian_groups_of_order(n: int, least: int = 1) -> list[tuple]:
+    """All abelian groups of order n, as invariant-factor chains whose first
+    factor is a multiple of ``least``."""
+    if n == 1:
+        return [()]
+    return [(d,) + rest for d in range(least, n + 1, least) if d > 1 and n % d == 0
+            for rest in abelian_groups_of_order(n // d, d)]
+
+
+def _elements_of_order_dividing(orders: tuple, a: int):
+    """All elements x of the group Z/orders with a*x = 0."""
+    return product(*(range(0, e, e // gcd(a, e)) for e in orders))
+
+
+def _has_extension(sub: tuple, total: tuple, quot: tuple) -> bool:
+    """Is there an exact sequence 0 -> Z/sub -> Z/total -> Z/quot -> 0?  The
+    order of Z/total must be that of Z/sub times that of Z/quot."""
+    relations = tuple(tuple(t if i == j else 0 for i in range(len(total)))
+                      for j, t in enumerate(total))
+    want = FGAbelianGroup.from_orders(0, list(quot))
+    for images in product(*(_elements_of_order_dividing(total, a) for a in sub)):
+        # the quotient has the order of Z/quot, so the map is injective
+        if dense_cokernel_group(columns_to_matrix(images + relations, len(total)),
+                                len(total)) == want:
+            return True
+    return False
+
+
+def oracle_solve_extension(sub: tuple, quot: tuple) -> list[tuple]:
+    """The invariant-factor chains of every middle of 0 -> Z/sub -> E -> Z/quot -> 0
+    for finite cyclic orders ``sub`` and ``quot``, sorted."""
+    return sorted(total for total in abelian_groups_of_order(prod(sub) * prod(quot))
+                  if _has_extension(sub, total, quot))
 
 
 # -- a grid concentrated in row 0 --------------------------------------------------

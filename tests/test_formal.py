@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, prod
 from types import SimpleNamespace
 
 import pytest
@@ -25,12 +25,14 @@ from syzygy.formal import (
 from syzygy.spectral import direct_sum_with_layout
 
 from helpers import (
+    abelian_groups_of_order,
     columns,
     counting_direct_sum_with_layout,
     cyclic_group,
     fg_part,
     group_order,
     infinite_sum,
+    oracle_solve_extension,
     per_family_cokernel,
     per_family_kernel,
     window_row_read,
@@ -353,7 +355,7 @@ def test_solve_extension_examples():
     assert solve_extension(K2, FormalGroup.zero()) == [K2]
 
 
-def test_solve_extension_brute_force_small():
+def test_solve_extension_small_cases():
     # extensions of Z/2 by Z/4: Z/8 and Z/4 + Z/2 but not (Z/2)^3
     cands = {str(c) for c in solve_extension(Zn(4), Zn(2))}
     assert cands == {"Z/8", "Z/2 (+) Z/4"}
@@ -363,6 +365,53 @@ def test_solve_extension_brute_force_small():
     # subgroups of elementary abelian quotients
     cands = {str(c) for c in solve_extension(Zn(2) + Zn(2), Zn(2))}
     assert cands == {"Z/2 (+) Z/2 (+) Z/2", "Z/2 (+) Z/4"}
+
+
+def test_solve_extension_matches_the_brute_force_oracle():
+    """Every pair of nonzero finite abelian groups of total order at most 31:
+    the Littlewood-Richardson search finds exactly the middles that some
+    homomorphism realises, listed in the order of their str."""
+    pairs = 0
+    for a in range(2, 16):
+        for b in range(2, 31 // a + 1):
+            for sub in abelian_groups_of_order(a):
+                for quot in abelian_groups_of_order(b):
+                    cands = solve_extension(FormalGroup(cyclic=sub), FormalGroup(cyclic=quot))
+                    assert [str(c) for c in cands] == sorted(str(c) for c in cands)
+                    assert sorted(c.cyclic for c in cands) == oracle_solve_extension(sub, quot)
+                    pairs += 1
+    assert pairs == 79
+
+
+def finite_groups(orders=st.integers(2, 36)):
+    return st.lists(orders, min_size=1, max_size=4).map(lambda o: FormalGroup(cyclic=o))
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_groups(), finite_groups())
+def test_solve_extension_is_symmetric_and_keeps_the_order(a, b):
+    """c^lam_{mu nu} = c^lam_{nu mu}, so A by B and B by A have the same
+    middles, and every middle has order |A| |B|."""
+    cands = solve_extension(a, b)
+    assert cands and cands == solve_extension(b, a)
+    for c in cands:
+        assert prod(c.cyclic) == prod(a.cyclic) * prod(b.cyclic)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.integers(1, 6))
+def test_elementary_abelian_extensions(p, a, b):
+    """(Z/p)^a by (Z/p)^b: exactly (Z/p^2)^k (+) (Z/p)^(a+b-2k), k = 0..min(a, b)."""
+    cands = solve_extension(FormalGroup(cyclic=(p,) * a), FormalGroup(cyclic=(p,) * b))
+    assert sorted(c.cyclic for c in cands) == sorted(
+        (p,) * (a + b - 2 * k) + (p * p,) * k for k in range(min(a, b) + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_groups(st.builds(lambda i, j: 2 ** i * 5 ** j, st.integers(0, 4), st.integers(0, 2))),
+       finite_groups(st.builds(lambda i, j: 3 ** i * 7 ** j, st.integers(0, 3), st.integers(0, 2))))
+def test_coprime_extensions_split(a, b):
+    assert solve_extension(a, b) == [a + b]
 
 
 def test_solve_extension_rejects_unbounded():

@@ -216,6 +216,18 @@ def test_aut_quadric_grid_structure(registry):
     assert [str(c) for c in page.converged_total(2)] == ["K2(C) (+) Z/2"]
 
 
+def test_converged_total_at_ruled_row0_sizes():
+    """E_{1,1} = (Z/2)^4 below E_{2,0} = (Z/2)^6: the abutment candidates are
+    (Z/4)^k (+) (Z/2)^(10-2k), k = 0..4, out of reach of a search over every
+    homomorphism (Z/2)^4 -> E."""
+    entries = {(p, q): FormalGroup.zero() for p in range(3) for q in range(3)}
+    entries[1, 1] = FormalGroup(cyclic=(2,) * 4)
+    entries[2, 0] = FormalGroup(cyclic=(2,) * 6)
+    grid = SpectralGrid(page=2, box=(2, 2), entries=entries)
+    assert sorted(c.cyclic for c in grid.converged_total(2)) == sorted(
+        (2,) * (10 - 2 * k) + (4,) * k for k in range(5))
+
+
 def test_dd_zero_enforced():
     entries = {(p, q): Zn(2) for p in range(5) for q in range(2)}
     g = Zn(2)

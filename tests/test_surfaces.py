@@ -8,7 +8,6 @@ from syzygy.complexes import IntegerChainComplex
 from syzygy.lattice import cubic_summary
 from syzygy.smith import (
     FGAbelianGroup,
-    invariant_factors,
     lift_to_cycles,
     mat_mul,
     presented_homology,
@@ -35,6 +34,7 @@ from helpers import (
     dense_invariant_factors,
     displayed_boundary,
     elementary_transformation,
+    invariant_factors,
     is_trivial,
     is_zero_matrix,
     rank_mod_p,
