@@ -215,8 +215,8 @@ def ruled(args):
     wanted, result = _row0(u, args.rows, reduced_h0=True)
     if 1 in wanted:
         row1 = spectral.ruled_row1_complex(u, _registry(args))
-        result["E_{0,1}"] = str(spectral.row1_homology(row1, 0))
-        result["E_{1,1}"] = str(spectral.row1_homology(row1, 1))
+        result["E_{0,1}"] = str(row1.at(0))
+        result["E_{1,1}"] = str(row1.at(1))
     return result, ["coinvariant rows of the central-model complex over the fixed base"], []
 
 

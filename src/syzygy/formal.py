@@ -125,6 +125,8 @@ class FormalGroup(_Value):
         for a in atoms:
             if a not in reg:
                 raise FormalGroupError(f"unknown atom {a!r}")
+        if any(d < 1 for d in cyclic):  # Z/1 = 0 is dropped, but Z/0 is Z
+            raise FormalGroupError(f"cyclic order below 1: {cyclic}")
         setattr_ = object.__setattr__  # the class's own __setattr__ refuses
         setattr_(self, "atoms", tuple(sorted(atoms)))
         setattr_(self, "cyclic", FGAbelianGroup.from_orders(0, list(cyclic)).torsion)

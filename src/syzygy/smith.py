@@ -488,11 +488,11 @@ class FGAbelianGroup(_Value):
     def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
         if free_rank < 0:
             raise ValueError("negative free rank")
+        if any(d < 2 for d in torsion):  # before the chain check divides by d
+            raise ValueError("torsion orders must be >= 2")
         for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError(f"torsion {torsion} is not a divisibility chain")
-        if any(d < 2 for d in torsion):
-            raise ValueError("torsion orders must be >= 2")
         setattr_ = object.__setattr__  # the class's own __setattr__ refuses
         setattr_(self, "free_rank", free_rank)
         setattr_(self, "torsion", torsion)

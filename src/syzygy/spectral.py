@@ -12,6 +12,8 @@ source material leaves implicit are defaulted to zero only when a sound rule
 forces it (a zero end, a finite source against a torsion-free target, a
 uniquely divisible source against a finite target, or a split extension's
 bottom row); otherwise page turning refuses and names the offending spot.
+Row q = 1 is built in smith's column format straight from row 0 and read
+by formal.ChainHomology, as every other formal chain is.
 """
 
 from __future__ import annotations
@@ -587,51 +589,6 @@ def k2_prime_candidates(registry: KnownHomologyRegistry) -> list:
 # -- row-1 complexes -------------------------------------------------------------
 
 
-class RowComplex:
-    """One row of the second page as a three-place complex of formal groups:
-    ``places`` holds (labels, FormalGroup, layout) per place, ``maps[i]``
-    maps place i+1 to place i, and ``homology`` reads the places."""
-
-    __slots__ = ("places", "maps", "homology")
-
-    def __init__(self, places: list, maps: list):
-        self.places = places
-        self.maps = maps
-        self.homology = ChainHomology(maps)
-
-
-def _entry_hom(src_place, tgt_place, blocks):
-    """Assemble a FormalHom from per-(source gen, target gen) exponent blocks.
-
-    blocks: dict (src_label, tgt_label) -> matrix (target slots x source
-    slots for those generators' entry groups)."""
-    src_labels, src_group, src_layout = src_place
-    tgt_labels, tgt_group, tgt_layout = tgt_place
-    cols = [{} for _ in src_group.slots()]
-    src_index = {lbl: k for k, lbl in enumerate(src_labels)}
-    tgt_index = {lbl: k for k, lbl in enumerate(tgt_labels)}
-    for (sl, tl), block in blocks.items():
-        si = src_layout[src_index[sl]]
-        ti = tgt_layout[tgt_index[tl]]
-        if len(block) != len(ti) or any(len(row) != len(si) for row in block):
-            raise FormalGroupError(
-                f"block {sl} -> {tl} has shape {len(block)}x"
-                f"{len(block[0]) if block else 0}, expected {len(ti)}x{len(si)}"
-            )
-        for a, row in enumerate(block):
-            for b, x in enumerate(row):
-                col = cols[si[b]]
-                col[ti[a]] = col.get(ti[a], 0) + x
-    return FormalHom(src_group, tgt_group, cols)
-
-
-def _make_place(entries):
-    """entries: list of (label, FormalGroup); returns (labels, sum, layout)."""
-    labels = [lbl for lbl, _ in entries]
-    total, layout = direct_sum_with_layout([g for _, g in entries])
-    return (labels, total, layout)
-
-
 def _model_group(gen) -> str:
     """The registry name of a generator's automorphism group, the same for
     every point set and e: Autf(...) over the ruled base; over the plane
@@ -675,19 +632,20 @@ def _twisted_entry(group: str, registry) -> FormalGroup:
     return block
 
 
-def _row1_complex(u: surfaces.GeneratorUniverse, registry, extra_rank3=None) -> RowComplex:
-    """The row-1 complex at ranks 1..3, on the cells of the rank-3 row 0.
+def _row1_complex(u: surfaces.GeneratorUniverse, registry) -> ChainHomology:
+    """The row-1 complex at ranks 1..3, on the cells of the rank-3 row 0, as
+    a chain of FormalHoms in smith's column format: maps[0] from place 1 to
+    place 0, maps[1] from place 2 to place 1.
 
     Place p sums the entries of the rank-(p+1) generators: H1 of the
     generator's group (_model_group) from the registry, or its twisted block
     when the generator is not orientable.  The cells and incidences are those
-    of row 0 truncated at rank 3, whose staircase is the row's, so a block
-    is the row-0 coefficient times the entry map, the product map (all ones)
-    between entry tori; the sign flips at rank 3, where row 0 orients every
-    cell against the cube convention (tests/test_row0_witness.py).
-    Generators whose entry group has no slots carry no block.
-    extra_rank3(gen), keyed by the (family, e) of the rank-2 target, adds
-    the blocks that row 0 cannot see."""
+    of row 0 truncated at rank 3, whose staircase is the row's: a row-0
+    entry c from generator j to generator i adds sign * c at every pair of a
+    slot of j and a slot of i, the product map (all ones) between entry tori.
+    The sign flips at rank 3, where row 0 orients every cell against the
+    cube convention (tests/test_row0_witness.py).  Over the plane, the rank-3
+    columns of _cremona_rank3_blocks add the incidences row 0 cannot see."""
     if u.r_max < 3:
         raise ValueError(f"the row-1 complex needs r_max >= 3, got {u.r_max}")
     cc, gens = surfaces.row0_complex(surfaces.GeneratorUniverse(u.base, u.labels, u.e_max, 3))
@@ -700,25 +658,34 @@ def _row1_complex(u: surfaces.GeneratorUniverse, registry, extra_rank3=None) -> 
                               else _twisted_entry(group, registry))
         return entries[group]
 
-    places = {r: _make_place([(g, entry(g)) for g in gens[r]]) for r in (1, 2, 3)}
+    places = {r: direct_sum_with_layout([entry(g) for g in gens[r]]) for r in (1, 2, 3)}
     maps = []
     for r, sign in ((2, 1), (3, -1)):
-        src_layout, tgt_layout = places[r][2], places[r - 1][2]
-        blocks = {}
+        (source, src_slots), (target, tgt_slots) = places[r], places[r - 1]
+        cols = [{} for _ in source.slots()]
         for j, column in enumerate(cc.boundaries[r - 1]):
             for i, c in column.items():
-                if src_layout[j] and tgt_layout[i]:
-                    block = [[sign * c] * len(src_layout[j]) for _ in tgt_layout[i]]
-                    blocks[(gens[r][j], gens[r - 1][i])] = block
-        if r == 3 and extra_rank3 is not None:
-            by_tag = {(g.family, g.e): g for g in gens[2]}
-            for g in gens[3]:
-                blocks.update(((g, by_tag[t]), b) for t, b in extra_rank3(g).items())
-        maps.append(_entry_hom(places[r], places[r - 1], blocks))
-    return RowComplex(places=[places[1], places[2], places[3]], maps=maps)
+                for s in src_slots[j]:
+                    for t in tgt_slots[i]:
+                        cols[s][t] = cols[s].get(t, 0) + sign * c
+        if r == 3 and u.base is surfaces.BaseCase.CREMONA:
+            by_tag = {(g.family, g.e): i for i, g in enumerate(gens[2])}
+            for j, g in enumerate(gens[3]):
+                for tag, block in _cremona_rank3_blocks(g).items():
+                    ts = tgt_slots[by_tag[tag]]
+                    if len(block) != len(src_slots[j]) or any(
+                            a not in range(len(ts)) for col in block for a in col):
+                        raise FormalGroupError(
+                            f"row-1 block {g} -> {tag} is {block}, expected"
+                            f" {len(src_slots[j])} columns over {len(ts)} target slots")
+                    for s, col in zip(src_slots[j], block):
+                        for a, x in col.items():
+                            cols[s][ts[a]] = cols[s].get(ts[a], 0) + x
+        maps.append(FormalHom(source, target, cols))
+    return ChainHomology(maps)
 
 
-def ruled_row1_complex(u: surfaces.GeneratorUniverse, registry) -> RowComplex:
+def ruled_row1_complex(u: surfaces.GeneratorUniverse, registry) -> ChainHomology:
     """The abelianization row for the ruled universe at ranks 1..3, with the
     staircase invariant bounds."""
     if u.base is not surfaces.BaseCase.RULED:
@@ -728,41 +695,30 @@ def ruled_row1_complex(u: surfaces.GeneratorUniverse, registry) -> RowComplex:
 
 def _cremona_rank3_blocks(gen) -> dict:
     """Row-1 blocks out of a Cremona rank-3 generator, keyed by the (family, e)
-    of the rank-2 target.  Row 0 gives these no target with a nonzero entry:
-    the two positions of S_g,2, S_s,2 and S_e,2 cancel, and the one target of
-    Bl2P2, the quadric, has entry zero."""
+    of the rank-2 target: one column per slot of the generator's entry, each
+    a dict from the target's slot index to an int.  Row 0 gives these pairs
+    no nonzero entry: the two positions of S_g,2, S_s,2 and S_e,2 cancel, and
+    the one target of Bl2P2, the quadric, has entry zero."""
     if gen.family == "dp7":
         # the twisted torus of Bl2P2 meets the conic bundle S_g,1 and F1
-        return {("blowup", 0): [[2], [1]], ("dp8_blowdown", 0): [[-3]]}
+        return {("blowup", 0): [{0: 2, 1: 1}], ("dp8_blowdown", 0): [{0: -3}]}
     if gen.family == "blowup" and gen.partition == (1, 1):
         # entry C* + Z/2 in slot order; only the torus maps, by squares
-        return {("blowup", 0): [[-2, 0], [2, 0]]}
+        return {("blowup", 0): [{0: -2, 1: 2}, {}]}
     if gen.family == "blowup":
         # S_s,2: both blow-downs of the shared section, each antidiagonal
-        return {("blowup", 0): [[1], [-1]], ("min_section", 1): [[1], [-1]]}
+        return {("blowup", 0): [{0: 1, 1: -1}], ("min_section", 1): [{0: 1, 1: -1}]}
     # S_e,2: the blow-downs to e and e + 1, antidiagonal with opposite signs
-    return {("min_section", gen.e): [[1], [-1]], ("min_section", gen.e + 1): [[-1], [1]]}
+    return {("min_section", gen.e): [{0: 1, 1: -1}], ("min_section", gen.e + 1): [{0: -1, 1: 1}]}
 
 
-def cremona_row1_complex(u: surfaces.GeneratorUniverse, registry) -> RowComplex:
+def cremona_row1_complex(u: surfaces.GeneratorUniverse, registry) -> ChainHomology:
     """The abelianization row for the plane's universe at ranks 1..3; the
     non-orientable classes contribute their twisted blocks, computed through
     the long exact sequence."""
     if u.base is not surfaces.BaseCase.CREMONA:
         raise ValueError("this builder is for the cremona universe")
-    return _row1_complex(u, registry, _cremona_rank3_blocks)
-
-
-def row1_homology(row: RowComplex, i: int) -> FormalGroup:
-    """E_{i,1} for i = 0, 1 from a three-place row complex."""
-    if i not in (0, 1):
-        raise ValueError("the three-place row supports degrees 0 and 1")
-    return row.homology.at(i)
-
-
-def row1_degree2_bound(row: RowComplex) -> FormalGroup:
-    """The closed chains at the third place; E_{2,1} is a quotient of this."""
-    return row.homology.at(2)
+    return _row1_complex(u, registry)
 
 
 # -- assembled applications --------------------------------------------------------
@@ -776,8 +732,8 @@ def ruled_grid(u: surfaces.GeneratorUniverse, registry) -> SpectralGrid:
     entries[(0, 0)] = FormalGroup.free(1)
     for i in (1, 2, 3):  # None where the truncation does not reach
         entries[(i, 0)] = FormalGroup.from_fg(surfaces.row0_homology(u, i)) if i <= u.r_max - 2 else None
-    entries[(0, 1)] = row1_homology(row1, 0)
-    entries[(1, 1)] = row1_homology(row1, 1)
+    entries[(0, 1)] = row1.at(0)
+    entries[(1, 1)] = row1.at(1)
     entries[(2, 1)] = None
     entries[(3, 1)] = None
     for p in range(4):
@@ -816,9 +772,7 @@ def cremona_assemble(
     allows.  Row 0 does not enter."""
     u = universe or surfaces.GeneratorUniverse.cremona(3, r_max=5)
     row1 = cremona_row1_complex(u, registry)
-    e01 = row1_homology(row1, 0)
-    e11 = row1_homology(row1, 1)
-    e21_bound = row1_degree2_bound(row1)
+    e01, e11, e21_bound = row1.at(0), row1.at(1), row1.at(2)
     e02 = registry.get("E_{0,2}(Cr2)", 2)
     reach = 0 if force_e21_zero else max(
         (prime_factorization(d).get(3, 0) for d in e21_bound.cyclic), default=0)

@@ -36,10 +36,8 @@ from syzygy.smith import (
 from syzygy.spectral import (
     ExactSequence,
     KnownHomologyRegistry,
-    RowComplex,
     SpectralGrid,
-    _entry_hom,
-    _make_place,
+    direct_sum_with_layout,
     nonorientable_block_homology,
 )
 from syzygy.surfaces import (
@@ -912,11 +910,46 @@ def ordered_fibration_configurations(lat, pairs, reverse_order=False):
 # -- oracle for the row-1 complexes ------------------------------------------------
 #
 # The two hand-written builders: each finds its targets by linear search and
-# lists every incidence block by hand, so they share neither the row-0
-# boundary nor the single assembly of the library.
+# lists every incidence as a dense block by hand, so they share neither the
+# row-0 boundary nor the column assembly of the library.
 
 
-def table_ruled_row1_complex(u: GeneratorUniverse, registry: KnownHomologyRegistry) -> RowComplex:
+class TableRow(NamedTuple):
+    """A row-1 complex as the oracle builds it: ``places`` holds (labels,
+    FormalGroup, layout) per place, ``maps[i]`` maps place i+1 to place i."""
+    places: list
+    maps: list
+
+
+def _entry_hom(src_place, tgt_place, blocks):
+    """Assemble a FormalHom from per-(source gen, target gen) exponent blocks.
+
+    blocks: dict (src_label, tgt_label) -> matrix (target slots x source
+    slots for those generators' entry groups)."""
+    src_labels, src_group, src_layout = src_place
+    tgt_labels, tgt_group, tgt_layout = tgt_place
+    cols = [{} for _ in src_group.slots()]
+    src_index = {lbl: k for k, lbl in enumerate(src_labels)}
+    tgt_index = {lbl: k for k, lbl in enumerate(tgt_labels)}
+    for (sl, tl), block in blocks.items():
+        si = src_layout[src_index[sl]]
+        ti = tgt_layout[tgt_index[tl]]
+        assert len(block) == len(ti) and all(len(row) == len(si) for row in block), (sl, tl)
+        for a, row in enumerate(block):
+            for b, x in enumerate(row):
+                col = cols[si[b]]
+                col[ti[a]] = col.get(ti[a], 0) + x
+    return FormalHom(src_group, tgt_group, cols)
+
+
+def _make_place(entries):
+    """entries: list of (label, FormalGroup); returns (labels, sum, layout)."""
+    labels = [lbl for lbl, _ in entries]
+    total, layout = direct_sum_with_layout([g for _, g in entries])
+    return (labels, total, layout)
+
+
+def table_ruled_row1_complex(u: GeneratorUniverse, registry: KnownHomologyRegistry) -> TableRow:
     """The abelianization row for the ruled universe at ranks 1..3, with the
     staircase invariant bounds."""
     if u.base is not BaseCase.RULED:
@@ -970,7 +1003,7 @@ def table_ruled_row1_complex(u: GeneratorUniverse, registry: KnownHomologyRegist
             blocks32[(g, by(2, family="min_section", points=(q,), e=e))] = [[-1]]
             blocks32[(g, by(2, family="min_section", points=(p,), e=e + 1))] = [[-1]]
             blocks32[(g, by(2, family="min_section", points=(q,), e=e + 1))] = [[1]]
-    return RowComplex(
+    return TableRow(
         places=places,
         maps=[
             _entry_hom(places[1], places[0], blocks21),
@@ -980,7 +1013,7 @@ def table_ruled_row1_complex(u: GeneratorUniverse, registry: KnownHomologyRegist
 
 
 def table_cremona_row1_complex(u: GeneratorUniverse,
-                               registry: KnownHomologyRegistry) -> RowComplex:
+                               registry: KnownHomologyRegistry) -> TableRow:
     """The abelianization row for the plane's universe at ranks 1..3; the
     non-orientable classes contribute their twisted blocks, computed through
     the long exact sequence."""
@@ -1055,7 +1088,7 @@ def table_cremona_row1_complex(u: GeneratorUniverse,
             e = g.e
             blocks32[(g, by(2, family="min_section", e=e))] = [[1], [-1]]
             blocks32[(g, by(2, family="min_section", e=e + 1))] = [[-1], [1]]
-    return RowComplex(
+    return TableRow(
         places=places,
         maps=[
             _entry_hom(places[1], places[0], blocks21),

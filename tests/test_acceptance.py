@@ -28,7 +28,6 @@ from syzygy.spectral import (
     cremona_row1_complex,
     k2_prime_candidates,
     prop_s17_sequence,
-    row1_homology,
     ruled_row1_complex,
     schur_aut_quadric,
     schur_pgl,
@@ -253,13 +252,13 @@ def test_acceptance_08_row1():
     with Timer() as t:
         uc = GeneratorUniverse.cremona(3, r_max=5)
         rowc = cremona_row1_complex(uc, reg)
-        c01 = row1_homology(rowc, 0)
-        c11 = row1_homology(rowc, 1)
+        c01 = rowc.at(0)
+        c11 = rowc.at(1)
         ruled_ok = True
         for points in (3, 4, 5):
             ur = GeneratorUniverse.ruled(points, 3, r_max=4)
             rowr = ruled_row1_complex(ur, reg)
-            got = row1_homology(rowr, 1)
+            got = rowr.at(1)
             ruled_ok = ruled_ok and got == FormalGroup.atom("C*", points - 1)
     ok = c01.is_zero and c11.is_zero and ruled_ok and t.elapsed < 5.0
     assert announce(

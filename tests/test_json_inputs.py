@@ -6,15 +6,17 @@ The shipped tables declare the types of their values, so a rewritten copy
 with a string for a bool, an unknown torsion rule or a registered map
 without its kind is refused.  Starting from the shipped tables and from test
 fixtures, a fuzzer rewrites each input: a rewrite that keeps the meaning
-(key order, whitespace, indentation) must print byte-identical output, and
-one that breaks it (a repeated key, a misspelled key, a value of another
-JSON type, a dropped required key) must exit 1 with the error JSON naming
-the key.  The library reads a rewritten shipped table from a copy of the
+(key order, whitespace, indentation, an equal value written again: escaped
+ASCII characters in a string, -0 for 0) must print byte-identical output,
+and one that breaks it (a repeated key, a misspelled key, a value of
+another JSON type, a dropped required key) must exit 1 with the error JSON
+naming the key.  The library reads a rewritten shipped table from a copy of the
 data directory, with every cache of what it read cleared."""
 
 import contextlib
 import copy
 import json
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -146,6 +148,35 @@ def _shuffled(value, rnd):
     return value
 
 
+# a JSON string literal or number, and one character of a string's body
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+_CHAR = re.compile(r'\\u[0-9a-fA-F]{4}|\\.|.')
+
+
+def _respelled(text: str, rnd) -> str:
+    """``text`` with some equal values written again: ASCII characters of
+    strings and keys as \\uXXXX escapes ("\\u0043*" for "C*"), and 0 as -0."""
+    def char(m):
+        c = m.group()
+        return f"\\u{ord(c):04x}" if len(c) == 1 and c.isascii() and rnd.random() < 0.5 else c
+
+    def token(m):
+        t = m.group()
+        if t.startswith('"'):
+            return '"' + _CHAR.sub(char, t[1:-1]) + '"'
+        return "-0" if t == "0" and rnd.random() < 0.5 else t
+
+    return _TOKEN.sub(token, text)
+
+
+def test_respelling_keeps_the_value():
+    text = json.dumps({"C*": [0, 10, "a\"0"], "\u00e9": -0.5})
+    for seed in range(20):
+        respelled = _respelled(text, random.Random(seed))
+        assert json.loads(respelled) == json.loads(text)
+    assert _respelled('["C*", 0]', random.Random(1)) != '["C*", 0]'
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     name=st.sampled_from(sorted(DOCS)),
@@ -153,11 +184,14 @@ def _shuffled(value, rnd):
     indent=st.sampled_from([None, 0, 1, 4, "\t"]),
     separators=st.sampled_from([(",", ":"), (", ", ": "), (" ,\n", " :\t")]),
     ensure_ascii=st.booleans(),
+    respell=st.booleans(),
 )
 def test_a_rewrite_that_keeps_the_meaning_keeps_the_output(name, rnd, indent, separators,
-                                                          ensure_ascii):
+                                                          ensure_ascii, respell):
     text = json.dumps(_shuffled(DOCS[name], rnd), indent=indent, separators=separators,
                       ensure_ascii=ensure_ascii)
+    if respell:
+        text = _respelled(text, rnd)
     assert outputs(name, text) == baseline(name)
 
 

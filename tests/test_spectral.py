@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -18,8 +19,6 @@ from syzygy.spectral import (
     k2_prime_candidates,
     nonorientable_block_homology,
     pgl_grid,
-    row1_degree2_bound,
-    row1_homology,
     ruled_grid,
     ruled_row1_complex,
     schur_aut_quadric,
@@ -248,32 +247,32 @@ def test_dd_zero_enforced():
 def test_ruled_row1(points, registry):
     u = GeneratorUniverse.ruled(points, 3, r_max=4)
     row = ruled_row1_complex(u, registry)
-    assert row1_homology(row, 0).is_zero
-    assert row1_homology(row, 1) == FormalGroup.atom("C*", points - 1)
+    assert row.at(0).is_zero
+    assert row.at(1) == FormalGroup.atom("C*", points - 1)
 
 
 def test_ruled_row1_stable_in_e(registry):
     values = set()
     for e_max in (3, 4, 5):
         u = GeneratorUniverse.ruled(4, e_max, r_max=4)
-        values.add(str(row1_homology(ruled_row1_complex(u, registry), 1)))
+        values.add(str(ruled_row1_complex(u, registry).at(1)))
     assert len(values) == 1
 
 
 def test_cremona_row1(registry):
     u = GeneratorUniverse.cremona(3, r_max=5)
     row = cremona_row1_complex(u, registry)
-    assert row1_homology(row, 0).is_zero
-    assert row1_homology(row, 1).is_zero
-    bound = row1_degree2_bound(row)
+    assert row.at(0).is_zero
+    assert row.at(1).is_zero
+    bound = row.at(2)  # the closed chains at the third place
     assert bound == Zn(2) + Zn(6)  # = Z/3 + (Z/2)^2 in invariant factors
 
 
-def assert_same_row_complex(row, oracle):
-    for place, expected in zip(row.places, oracle.places):
-        assert place[0] == expected[0]  # labels
-        assert place[1] == expected[1]  # entry groups, summed
-        assert place[2] == expected[2]  # per-generator slots
+def assert_same_row_complex(row, oracle, u):
+    """The row's maps are the oracle's, and the oracle's places list the
+    generators of row 0 at rank 3 in row 0's order."""
+    _, gens = surfaces.row0_complex(GeneratorUniverse(u.base, u.labels, u.e_max, 3))
+    assert [place[0] for place in oracle.places] == [gens[1], gens[2], gens[3]]
     assert len(row.maps) == len(oracle.maps) == 2
     for hom, expected in zip(row.maps, oracle.maps):
         assert (hom.source, hom.target) == (expected.source, expected.target)
@@ -286,7 +285,7 @@ def test_ruled_row1_matches_table_oracle(registry):
             for r_max in (3, 4, 5):
                 u = GeneratorUniverse.ruled(points, e_max, r_max)
                 assert_same_row_complex(
-                    ruled_row1_complex(u, registry), table_ruled_row1_complex(u, registry)
+                    ruled_row1_complex(u, registry), table_ruled_row1_complex(u, registry), u
                 )
 
 
@@ -295,7 +294,7 @@ def test_ruled_row1_matches_table_oracle(registry):
 def test_cremona_row1_matches_table_oracle(e_max, r_max, registry):
     u = GeneratorUniverse.cremona(e_max, r_max)
     assert_same_row_complex(
-        cremona_row1_complex(u, registry), table_cremona_row1_complex(u, registry)
+        cremona_row1_complex(u, registry), table_cremona_row1_complex(u, registry), u
     )
 
 
@@ -314,7 +313,7 @@ def test_cremona_row1_solves_each_twisted_block_once(monkeypatch, registry):
     u = GeneratorUniverse.cremona(60)
     row = cremona_row1_complex(u, registry)
     assert len(calls) == 5
-    assert_same_row_complex(row, table_cremona_row1_complex(u, registry))
+    assert_same_row_complex(row, table_cremona_row1_complex(u, registry), u)
 
 
 @pytest.mark.parametrize(
@@ -355,6 +354,24 @@ def test_row1_twists_exactly_the_non_orientable_generators(monkeypatch, registry
             cremona_row1_complex(GeneratorUniverse.cremona(3), registry)
     finally:
         surfaces.row0_complex.cache_clear()
+
+
+@pytest.mark.parametrize("bad", [[{0: 2, 1: 1}, {}], [{0: 2, 2: 1}]],
+                         ids=["extra-column", "slot-out-of-range"])
+def test_cremona_rank3_blocks_must_fit_their_slots(bad, monkeypatch, registry):
+    """The hand-written rank-3 blocks are checked against the slots of their
+    generator and target: Bl2P2's entry has one slot and S_g,1's two, so a
+    second column or a third target slot is refused by name, also by
+    `syz cremona`."""
+    blocks = spectral._cremona_rank3_blocks
+    monkeypatch.setattr(spectral, "_cremona_rank3_blocks", lambda gen: {
+        **blocks(gen), ("blowup", 0): bad} if gen.family == "dp7" else blocks(gen))
+    message = re.escape(f"row-1 block Bl2P2 -> ('blowup', 0) is {bad}")
+    with pytest.raises(FormalGroupError, match=message):
+        cremona_row1_complex(GeneratorUniverse.cremona(3), registry)
+    res = invoke("cremona")
+    assert res.exit_code == 1
+    assert re.match(message, json.loads(res.output)["error"])
 
 
 def test_row1_builders_refuse_the_other_universe(registry):

@@ -152,6 +152,7 @@ def test_formal_group_normalizes_atoms_and_cyclic_part():
     assert a.atoms == ("C*", "K2(C)") and a.cyclic == (6,)
     assert a == FormalGroup(atoms=("C*", "K2(C)"), cyclic=(6,))
     assert hash(a) == hash(FormalGroup(atoms=("C*", "K2(C)"), cyclic=(6,)))
+    assert FormalGroup(cyclic=(1, 3, 1)) == FormalGroup(cyclic=(3,))  # Z/1 = 0 is dropped
 
 
 @pytest.mark.parametrize(
@@ -184,16 +185,22 @@ def test_row0_complex_is_cached_for_an_equal_universe():
          "atom X: uniquely divisible needs divisible and torsion-free"),
         (lambda: FGAbelianGroup(-1), "negative free rank"),
         (lambda: FGAbelianGroup(0, (2, 3)), "torsion (2, 3) is not a divisibility chain"),
+        (lambda: FGAbelianGroup(0, (0, 2)), "torsion orders must be >= 2"),
         (lambda: GeneratorUniverse(BaseCase.CREMONA, (), 0, 5), "e_max must be >= 1"),
         (lambda: GeneratorUniverse(BaseCase.CREMONA, (), 1, 6), "r_max must be in [1, 5]"),
         (lambda: GeneratorUniverse(BaseCase.RULED, ("P1", "P1"), 1, 3), "labels must be distinct"),
         (lambda: FormalGroup(atoms=("nope",)), "unknown atom 'nope'"),
         (lambda: FormalGroup(free_rank=-1), "negative free rank"),
+        (lambda: FormalGroup(cyclic=(0,)), "cyclic order below 1: (0,)"),
+        (lambda: FormalGroup(cyclic=(2, -2)), "cyclic order below 1: (2, -2)"),
     ],
-    ids=["atom-rule", "atom-unique", "fg-rank", "fg-chain", "e-max", "r-max", "labels",
-         "formal-atom", "formal-rank"],
+    ids=["atom-rule", "atom-unique", "fg-rank", "fg-chain", "fg-order-zero", "e-max", "r-max",
+         "labels", "formal-atom", "formal-rank", "formal-order-zero", "formal-order-negative"],
 )
 def test_constructor_checks_keep_their_messages(make, message):
+    """An order 0 used to reach the chain check of FGAbelianGroup and divide
+    by zero there, and FormalGroup dropped orders 0 and -2 as if they were 1,
+    so Z/0, which is Z, became the zero group."""
     with pytest.raises(ValueError) as exc:
         make()
     assert str(exc.value) == message
