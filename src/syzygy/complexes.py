@@ -2,15 +2,21 @@
 integer homology.
 
 A complex is stored purely combinatorially: cells with a dimension and an
-optional label, plus a signed boundary list per cell.  A cell's link is the
-order complex of the cells above it in the face poset; no geometric
-realization exists anywhere.  Chain groups may carry cyclic annotations
-(generator orders such as Z/2), and homology is read from invariant factors
-by one sweep over the degrees for plain and annotated chain groups alike
-(smith.homology_step): the cycles are a kernel that records, per annotated
-target generator, which multiple of its relation a chain hits, so the same
-engine serves plain cellular homology and the coinvariant complexes
-produced by the surface-model machinery.
+optional label, plus a signed boundary list per cell.  The one simplicial
+builder is the clique rule (clique_complex): a simplex is a set of pairwise
+adjacent vertices.  A cell's link is the clique complex of the cells above
+it under "is a face of", whose cliques are the strict chains of the face
+poset.  The sphere of the three-point blowup of the plane is one too: a
+central model contains exactly the rank-3 models it is made of, so its
+cells are the sets of pairwise orthogonal (-1)- and conic classes, and two
+conic classes meet once, so no cell holds two.  No geometric realization
+exists anywhere.  Chain groups may carry
+cyclic annotations (generator orders such as Z/2), and homology is read
+from invariant factors by one sweep over the degrees for plain and
+annotated chain groups alike (smith.homology_step): the cycles are a kernel
+that records, per annotated target generator, which multiple of its
+relation a chain hits, so the same engine serves plain cellular homology
+and the coinvariant complexes produced by the surface-model machinery.
 
 Boundary matrices are kept in smith's column format from assembly to the
 homology read: one dict per cell of the source degree, mapping the index of
@@ -115,8 +121,9 @@ class RegularCWComplex:
             n = self.dimension
             face_sets = {cid: self.faces(cid) for cid in self.cells}
             for cid, cell in sorted(self.cells.items(), key=lambda kv: repr(kv[0])):
-                above = [m for m in self.cells if cid in face_sets[m]]
-                link = _order_complex(above, face_sets)
+                above = sorted((m for m in self.cells if cid in face_sets[m]),
+                               key=lambda m: self.cells[m].dim)
+                link = clique_complex(above, lambda a, b: a in face_sets[b])
                 expected = n - cell.dim - 1
                 if not _is_sphere_homology(link, expected):
                     link_failures.append(
@@ -231,20 +238,23 @@ class ValidationReport:
         return "; ".join(self.failures + self.link_failures)
 
 
-def _order_complex(ids, face_sets) -> RegularCWComplex:
-    """The simplicial complex of the strict chains among the cells ``ids``
-    under the face order (a below b when a is in face_sets[b]), each chain
-    listed from its least cell up.  On the cells above a cell it is that
-    cell's link in the barycentric subdivision."""
-    chains = [(cid,) for cid in ids]
-    frontier = list(chains)
+def clique_complex(vertices, adjacent) -> RegularCWComplex:
+    """The simplicial complex of all sets of pairwise adjacent vertices
+    (hashable ids), each simplex the tuple of its vertices in the given
+    order and its boundary the alternating sum over the deleted vertex.
+    ``adjacent(a, b)`` is asked for a listed before b only."""
+    vertices = list(vertices)
+    later = [{j for j in range(i + 1, len(vertices)) if adjacent(vertices[i], vertices[j])}
+             for i in range(len(vertices))]
+    frontier = [((i,), later[i]) for i in range(len(vertices))]
+    simplices = []
     while frontier:
-        frontier = [chain + (cid,) for chain in frontier for cid in ids
-                    if chain[-1] in face_sets[cid]]
-        chains += frontier
-    cells = [Cell(id=chain, dim=len(chain) - 1) for chain in chains]
-    boundary = {chain: [(chain[:i] + chain[i + 1:], (-1) ** i) for i in range(len(chain))]
-                for chain in chains if len(chain) > 1}
+        simplices += [s for s, _ in frontier]
+        frontier = [(s + (j,), common & later[j]) for s, common in frontier for j in sorted(common)]
+    ids = [tuple(vertices[i] for i in s) for s in simplices]
+    cells = [Cell(id=sid, dim=len(sid) - 1) for sid in ids]
+    boundary = {sid: [(sid[:i] + sid[i + 1:], (-1) ** i) for i in range(len(sid))]
+                for sid in ids if len(sid) > 1}
     return RegularCWComplex(cells, boundary)
 
 
@@ -263,9 +273,9 @@ class IntegerChainComplex:
     ``ranks[d]`` is the number of degree-d generators; ``boundaries[d]`` is
     the map from degree d to degree d-1 as ranks[d] columns, each a dict
     from a degree-(d-1) index to a nonzero int (``boundaries[0]``, the zero
-    map, is not read).  ``cyclic[d][i] = m`` marks generator i of degree d as
-    a Z/m generator (m >= 2); the homology engine appends the relation
-    m*e_i = 0.  Homology is one sweep from degree 0 up (smith's row-drop
+    map, is not read); there is one list per rank, and one for no ranks.
+    ``cyclic[d][i] = m`` marks generator i of degree d as a Z/m generator
+    (m >= 2); the homology engine appends the relation m*e_i = 0.  Homology is one sweep from degree 0 up (smith's row-drop
     rule): degree k eliminates its lift L_k without the rows settled by the
     pivots of L_{k-1}, whose columns are those rows and whose kernel is
     the cycles up to the signs of the relation columns.  Lifts and steps are
@@ -279,6 +289,9 @@ class IntegerChainComplex:
         self._lifts: dict = {}  # degree -> lift_to_cycles of its window
         self._sweep: list = [(None, ((), frozenset()))]  # then (H, elimination) per degree
         self.cyclic = {int(d): {int(i): int(m) for i, m in v.items()} for d, v in (cyclic or {}).items()}
+        if len(boundaries) != max(len(self.ranks), 1):
+            raise ValueError(f"{len(boundaries)} boundary lists for {len(self.ranks)} ranks,"
+                             f" expected {max(len(self.ranks), 1)}")
         for d in range(1, len(self.ranks)):
             columns = self.boundaries[d]
             if len(columns) != self.ranks[d]:

@@ -299,9 +299,12 @@ class ChainHomology:
     A place is formed only when read, so one needing undeclared atom torsion
     fails alone.  A map with a cross-atom block refuses the places at its
     ends, as homology_at does, and is swept as zero, which no other place
-    sees.  A family whose maps do not compose to zero raises ValueError."""
+    sees.  A family whose maps do not compose to zero raises ValueError, and
+    a chain without maps raises FormalGroupError."""
 
     def __init__(self, maps: list):
+        if not maps:
+            raise FormalGroupError("a chain needs at least one map")
         for a, b in zip(maps, maps[1:]):
             if a.source != b.target:
                 raise FormalGroupError(f"chain is not composable: {b.target} then {a.source}")

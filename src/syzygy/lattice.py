@@ -135,17 +135,6 @@ class BlowupLattice:
                 edges.append((i, j))
         return IncidenceGraph(tuple(vertices), tuple(edges))
 
-    def reducible_fibres(self, conic: DivisorClass) -> list[tuple[DivisorClass, DivisorClass]]:
-        """Unordered pairs of (-1)-classes summing to the given fibration class."""
-        lines = self.enumerate_lines()
-        line_set = set(lines)
-        fibres = []
-        for a in lines:
-            b = conic - a
-            if b in line_set and a.coefficients < b.coefficients:
-                fibres.append((a, b))
-        return fibres
-
     def count_fibration_configurations(self, pairs: int | None = None, reverse_order: bool = False):
         """Count tuples (E1..Ek, L1..Lk) of (-1)-classes with Ei.Li = 1 and all
         other mutual intersections 0, where k = pairs.

@@ -42,7 +42,7 @@ from functools import cache
 from itertools import combinations
 
 from . import DATA_DIR, _Value, lattice, read_json, unpack
-from .complexes import Cell, IntegerChainComplex, RegularCWComplex
+from .complexes import IntegerChainComplex, clique_complex
 from .smith import FGAbelianGroup, partitions
 
 
@@ -411,80 +411,18 @@ def validated_sphere_bl3() -> tuple:
     plane, assembled from Picard-lattice data, and the ValidationReport of its
     one full validation; raises RuntimeError when the sphere fails it.
 
-    Vertices are its nine rank-3 models (six curve contractions plus three
-    conic fibrations), edges its 21 rank-2 models, faces its 14 Mori models;
-    every face is a triangle.
+    A cell is a central model, and its faces are the models it contains, so
+    a cell is a set of pairwise orthogonal rank-3 classes: the sphere is the
+    clique complex of the six (-1)-classes and the three conic classes under
+    C.D = 0, each vertex keyed by its coefficients.  Two conic classes meet
+    once, so no cell holds two.  The vertices are the nine rank-3 models
+    (curve contractions and conic fibrations), the edges the 21 rank-2
+    models and the triangles the 14 Mori models: the plane via three
+    disjoint lines, or a conic with one line from each reducible fibre.
     """
     lat = lattice.BlowupLattice(3)
-    lines = lat.enumerate_lines()
-    conics = lat.enumerate_conic_classes()
-
-    cells = []
-    boundary = {}
-
-    def vid(c):
-        return ("v", c.coefficients)
-
-    for c in lines:
-        cells.append(Cell(id=vid(c), dim=0, label=f"contract {c}"))
-        boundary[vid(c)] = []
-    for f in conics:
-        cells.append(Cell(id=vid(f), dim=0, label=f"fibration {f}"))
-        boundary[vid(f)] = []
-
-    edges = {}
-
-    def add_edge(key, a, b, label):
-        ends = sorted((vid(a), vid(b)), key=repr)
-        edges[key] = ends
-        cells.append(Cell(id=key, dim=1, label=label))
-        boundary[key] = [(ends[1], 1), (ends[0], -1)]
-
-    for a, b in combinations(lines, 2):
-        if lat.intersect(a, b) == 0:
-            key = ("e", tuple(sorted((a.coefficients, b.coefficients))))
-            add_edge(key, a, b, f"contract {a},{b}")
-    vertical = {}
-    for f in conics:
-        vertical[f] = [c for c in lines if lat.intersect(c, f) == 0]
-        for c in vertical[f]:
-            key = ("e", (c.coefficients, ("fib", f.coefficients)))
-            add_edge(key, c, f, f"contract {c} over {f}")
-
-    def face(key, vertex_cycle, label):
-        cells.append(Cell(id=key, dim=2, label=label))
-        sides = []
-        n = len(vertex_cycle)
-        for i in range(n):
-            a, b = vertex_cycle[i], vertex_cycle[(i + 1) % n]
-            for ekey, ends in edges.items():
-                if set(ends) == {a, b}:
-                    sign = 1 if ends == [a, b] else -1
-                    sides.append((ekey, sign))
-                    break
-            else:
-                raise RuntimeError(f"missing edge {a} {b} while building {key}")
-        boundary[key] = sides
-
-    # Mori models over a point: blow down three pairwise disjoint lines.
-    for triple in combinations(lines, 3):
-        if all(lat.intersect(a, b) == 0 for a, b in combinations(triple, 2)):
-            key = ("f", tuple(sorted(c.coefficients for c in triple)))
-            face(key, [vid(c) for c in triple], "plane via " + ",".join(map(str, triple)))
-    # Mori models over the line: a conic together with one contracted line
-    # from each of its two reducible fibres.
-    for f in conics:
-        fibres = lat.reducible_fibres(f)
-        if len(fibres) != 2:
-            raise RuntimeError(f"conic {f} has {len(fibres)} reducible fibres, expected 2")
-        (a1, b1), (a2, b2) = fibres
-        for c1 in (a1, b1):
-            for c2 in (a2, b2):
-                key = ("f", (("fib", f.coefficients), c1.coefficients, c2.coefficients))
-                face(key, [vid(c1), vid(f), vid(c2)],
-                     f"ruled via {f} minus {c1},{c2}")
-
-    sphere = RegularCWComplex(cells, boundary)
+    classes = {c.coefficients: c for c in lat.enumerate_lines() + lat.enumerate_conic_classes()}
+    sphere = clique_complex(classes, lambda a, b: lat.intersect(classes[a], classes[b]) == 0)
     report = sphere.validate()
     if not report.valid:
         raise RuntimeError("sphere construction failed validation: " + report.summary())

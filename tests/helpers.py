@@ -244,6 +244,32 @@ def divisor_multiple(a: DivisorClass, k: int) -> DivisorClass:
     return DivisorClass(tuple(k * x for x in a.coefficients))
 
 
+def reducible_fibres(lat: BlowupLattice, conic: DivisorClass) -> list:
+    """Unordered pairs of (-1)-classes summing to the fibration class, each
+    pair in coefficient order."""
+    return [(a, b) for a, b in combinations(lat.enumerate_lines(), 2) if divisor_sum(a, b) == conic]
+
+
+def bl3_sphere_cells() -> list:
+    """The cells of the three-point blowup's sphere as sets of coefficient
+    tuples, per dimension, listed model by model from the lattice: the six
+    lines and three conic classes; the disjoint line pairs and each conic
+    with each component of its reducible fibres; the triples of pairwise
+    disjoint lines and each conic with one component from each of its two
+    reducible fibres."""
+    lat = BlowupLattice(3)
+    lines, conics = lat.enumerate_lines(), lat.enumerate_conic_classes()
+    fibres = {f: reducible_fibres(lat, f) for f in conics}
+    assert all(len(pairs) == 2 for pairs in fibres.values())
+    edges = [(a, b) for a, b in combinations(lines, 2) if lat.intersect(a, b) == 0]
+    edges += [(f, c) for f, pairs in fibres.items() for pair in pairs for c in pair]
+    faces = [t for t in combinations(lines, 3)
+             if all(lat.intersect(a, b) == 0 for a, b in combinations(t, 2))]
+    faces += [(f, c1, c2) for f, (one, two) in fibres.items() for c1 in one for c2 in two]
+    return [{frozenset(c.coefficients for c in cell) for cell in cells}
+            for cells in ([(v,) for v in lines + conics], edges, faces)]
+
+
 def cyclic_group(n: int) -> FormalGroup:
     return FormalGroup(cyclic=(n,))
 

@@ -9,6 +9,7 @@ from syzygy.complexes import (
     Cell,
     IntegerChainComplex,
     RegularCWComplex,
+    clique_complex,
     load_complex_file,
 )
 from syzygy.smith import FGAbelianGroup
@@ -208,6 +209,19 @@ def test_chain_complex_rejects_a_wrong_column_count():
         IntegerChainComplex([2, 1], [[], [{0: 1}, {1: 1}]])
 
 
+def test_chain_complex_rejects_a_wrong_boundary_count():
+    """One boundary list per rank: a missing one used to raise IndexError
+    and a surplus one was ignored.  No ranks take the one list [[]] that an
+    empty CW complex and an empty chain file build."""
+    with pytest.raises(ValueError, match="1 boundary lists for 2 ranks, expected 2"):
+        IntegerChainComplex([1, 1], [[]])
+    with pytest.raises(ValueError, match="3 boundary lists for 2 ranks, expected 2"):
+        IntegerChainComplex([2, 1], [[], [{0: 1}], [{0: 1}]])
+    assert IntegerChainComplex([], [[]]).top_degree == -1
+    assert RegularCWComplex([], {}).chain_complex().ranks == []
+    assert IntegerChainComplex.from_json_dict({"ranks": []}).ranks == []
+
+
 def test_chain_complex_rejects_a_row_index_out_of_range():
     with pytest.raises(ValueError, match="row index"):
         IntegerChainComplex([2, 1], [[], [{2: 1}]])
@@ -327,6 +341,20 @@ def test_lift_is_formed_once_per_degree(monkeypatch):
     assert [str(cc.homology(d)) for d in range(3)] == ["Z", "0", "Z"]
     assert cc.check_composition()
     assert sorted(lifted) == sorted(cc.ranks)
+
+
+def test_clique_complex_of_the_4_cycle_and_of_k4():
+    """The 4-cycle has no triangle, so its clique complex is a circle; K4
+    spans a solid tetrahedron, whose homology is that of a point."""
+    square = clique_complex(range(4), lambda a, b: (b - a) % 4 in (1, 3))
+    assert [len(square.cells_of_dim(d)) for d in range(2)] == [4, 4]
+    assert [square.homology(d) for d in range(2)] == [Z, Z]
+    k4 = clique_complex("abcd", lambda a, b: True)
+    assert [len(k4.cells_of_dim(d)) for d in range(4)] == [4, 6, 4, 1]
+    assert k4.boundary[("a", "b", "c")] == (
+        (("b", "c"), 1), (("a", "c"), -1), (("a", "b"), 1))
+    assert k4.validate().structure_ok
+    assert [k4.homology(d) for d in range(4)] == [Z, ZERO, ZERO, ZERO]
 
 
 def test_validate_takes_each_face_closure_once(monkeypatch):

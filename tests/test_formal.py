@@ -265,6 +265,13 @@ def test_one_sweep_read_matches_the_window_oracle(maps):
         assert _outcome(chain.at, place) == _outcome(lambda p: window_row_read(maps, p), place)
 
 
+def test_chain_homology_refuses_an_empty_chain():
+    """A chain without maps has no place to read; at(0) used to reach
+    maps[0] and raise IndexError."""
+    with pytest.raises(FormalGroupError, match="at least one map"):
+        ChainHomology([])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(summand_lists, max_size=4))
 @example([["Z/2"], ["Z/3"]])

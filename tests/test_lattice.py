@@ -14,6 +14,7 @@ from helpers import (
     hyperplane_class,
     lattice_roots,
     ordered_fibration_configurations,
+    reducible_fibres,
     weyl_reflect,
 )
 
@@ -161,7 +162,7 @@ def test_fibration_configurations_bl3():
     assert res["ordered"] == 3 * 2 * 4
     # cross-check with the two reducible fibres of each conic
     for conic in lat.enumerate_conic_classes():
-        fibres = lat.reducible_fibres(conic)
+        fibres = reducible_fibres(lat, conic)
         assert len(fibres) == 2
         for a, b in fibres:
             assert divisor_sum(a, b) == conic

@@ -28,6 +28,7 @@ from syzygy.surfaces import (
 
 from helpers import (
     barycentric_subdivision,
+    bl3_sphere_cells,
     columns,
     cycle_basis_homology,
     dense,
@@ -619,6 +620,17 @@ def test_syzygy_sphere():
     report = sphere.validate()
     assert report.valid, report.summary()
     assert [str(sphere.homology(d)) for d in range(3)] == ["Z", "0", "Z"]
+
+
+def test_syzygy_sphere_cells_are_the_listed_models():
+    """Each cell of the clique complex, read as its set of vertex classes,
+    is one of the models listed from the lattice alone, and each listed
+    model is a cell."""
+    sphere = validated_sphere_bl3()[0]
+    cells = [{frozenset(c.id) for c in sphere.cells_of_dim(d)} for d in range(3)]
+    assert all(len(set(c.id)) == c.dim + 1 for c in sphere.cells.values())
+    assert cells == bl3_sphere_cells()
+    assert [len(s) for s in cells] == [9, 21, 14]
 
 
 def test_syzygy_sphere_subdivision_invariance():

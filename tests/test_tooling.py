@@ -389,6 +389,28 @@ def test_only_row0_complex_builds_boundaries():
     assert callers == ["surfaces.py:row0_complex"]
 
 
+def test_only_the_clique_rule_and_the_file_reader_construct_cells():
+    """Every complex in the library is a clique complex or read from a
+    file, so no library function but clique_complex and
+    RegularCWComplex.from_json_dict constructs a Cell: a complex listed by
+    hand cannot come back."""
+    def cell_calls(tree):
+        return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and "Cell" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+    makers = set()
+    for name, tree in _library_modules():
+        owner = {}
+        for node in tree.body:
+            for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(fn, ast.FunctionDef):
+                    qualname = fn.name if fn is node else f"{node.name}.{fn.name}"
+                    owner.update((line, qualname) for line in cell_calls(fn))
+        makers |= {f"{name}:{owner.get(line, line)}" for line in cell_calls(tree)}
+    assert sorted(makers) == ["complexes.py:RegularCWComplex.from_json_dict",
+                              "complexes.py:clique_complex"]
+
+
 VALUE_METHODS = {"__setattr__", "__delattr__", "__reduce__", "__hash__", "__repr__"}
 
 
