@@ -88,11 +88,16 @@ def unpack(obj, what: str, required: dict, optional: dict | None = None) -> list
 
 class _Value:
     """Base of the immutable value types.  A subclass lists its fields in
-    ``__slots__`` in the order its ``__init__`` takes them, and sets them
-    there with ``object.__setattr__``; it gets equality, a hash, a pickle and
-    a dataclass-style repr over that field tuple, and refuses assignment."""
+    ``__slots__`` in the order its ``__init__`` takes them, and ends that
+    ``__init__`` by passing their values to ``_Value.__init__`` in that order;
+    it gets equality, a hash, a pickle and a dataclass-style repr over that
+    field tuple, and refuses assignment."""
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)  # this class's own __setattr__ refuses
 
     def __init_subclass__(cls):
         get = attrgetter(*cls.__slots__)

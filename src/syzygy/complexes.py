@@ -1,10 +1,9 @@
 """Regular CW complexes as face posets with signed incidences, and their
 integer homology.
 
-A complex is stored purely combinatorially: cells with a dimension and an
-optional label, plus a signed boundary list per cell.  The one simplicial
-builder is the clique rule (clique_complex): a simplex is a set of pairwise
-adjacent vertices.  A cell's link is the clique complex of the cells above
+A complex is stored purely combinatorially: cells with a dimension, plus a
+signed boundary list per cell.  The one simplicial builder is the clique
+rule (clique_complex): a simplex is a set of pairwise adjacent vertices.  A cell's link is the clique complex of the cells above
 it under "is a face of", whose cliques are the strict chains of the face
 poset.  The sphere of the three-point blowup of the plane is one too: a
 central model contains exactly the rank-3 models it is made of, so its
@@ -35,16 +34,13 @@ from .smith import FGAbelianGroup, homology_step, lift_to_cycles
 
 
 class Cell(_Value):
-    """One cell: a hashable id, its dimension and a display label.  Cells
-    are immutable values, equal when their fields are."""
+    """One cell: a hashable id and its dimension.  Cells are immutable
+    values, equal when their fields are."""
 
-    __slots__ = ("id", "dim", "label")
+    __slots__ = ("id", "dim")
 
-    def __init__(self, id, dim: int, label: str = ""):
-        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
-        setattr_(self, "id", id)
-        setattr_(self, "dim", dim)
-        setattr_(self, "label", label)
+    def __init__(self, id, dim: int):
+        super().__init__(id, dim)
 
 
 class RegularCWComplex:
@@ -174,8 +170,8 @@ class RegularCWComplex:
                                            {"boundary": {str: [list]}})
         cells = []
         for c in cells_data:
-            raw_id, dim, label = unpack(c, f"cell {c.get('id', c)!r}", {"id": object, "dim": int},
-                                        {"label": str})
+            raw_id, dim = unpack(c, f"cell {c.get('id', c)!r}", {"id": object, "dim": int},
+                                 {"label": str})[:2]  # a label is checked, then dropped
             cid = _as_id(raw_id)
             try:
                 hash(cid)
@@ -183,7 +179,7 @@ class RegularCWComplex:
                 raise ValueError(f"cell id {raw_id!r} is not a string, number or list") from None
             if dim < 0:
                 raise ValueError(f"cell {cid!r} has dim {dim}, not an integer >= 0")
-            cells.append(Cell(id=cid, dim=dim, label=label or ""))
+            cells.append(Cell(id=cid, dim=dim))
         # ids inside boundary lists, like the keys, are matched by their text,
         # so two ids may not share one
         by_text = {}
@@ -381,7 +377,7 @@ def load_complex_file(path):
     has "ranks"); no key may repeat in an object or be unknown.  CW complex:
     required "cells", a list of objects with required "id" (a string,
     number or list) and "dim" (an integer >= 0) and optional "label" (a
-    string); optional "boundary", an object from the text of a cell id to
+    string, which is not kept); optional "boundary", an object from the text of a cell id to
     its faces, each an [id, sign] pair with an integer sign.  Chain complex:
     required "ranks", a list of integers >= 0; optional "boundaries", for
     each degree d >= 1 a list of ranks[d - 1] rows of ranks[d] integers, and

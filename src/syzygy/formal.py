@@ -64,11 +64,7 @@ class Atom(_Value):
             raise ValueError(f"bad torsion rule {torsion_rule!r}")
         if uniquely_divisible and not (divisible and torsion_rule == "none"):
             raise ValueError(f"atom {name}: uniquely divisible needs divisible and torsion-free")
-        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
-        setattr_(self, "name", name)
-        setattr_(self, "divisible", divisible)
-        setattr_(self, "torsion_rule", torsion_rule)
-        setattr_(self, "uniquely_divisible", uniquely_divisible)
+        super().__init__(name, divisible, torsion_rule, uniquely_divisible)
 
     def torsion(self, k: int) -> FGAbelianGroup:
         """The k-torsion subgroup D[k], as an abstract group."""
@@ -127,13 +123,10 @@ class FormalGroup(_Value):
                 raise FormalGroupError(f"unknown atom {a!r}")
         if any(d < 1 for d in cyclic):  # Z/1 = 0 is dropped, but Z/0 is Z
             raise FormalGroupError(f"cyclic order below 1: {cyclic}")
-        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
-        setattr_(self, "atoms", tuple(sorted(atoms)))
-        setattr_(self, "cyclic", FGAbelianGroup.from_orders(0, list(cyclic)).torsion)
-        setattr_(self, "free_rank", free_rank)
-        setattr_(self, "infinite", infinite)
         if free_rank < 0:
             raise FormalGroupError("negative free rank")
+        super().__init__(tuple(sorted(atoms)), FGAbelianGroup.from_orders(0, list(cyclic)).torsion,
+                         free_rank, infinite)
 
     # -- constructors -------------------------------------------------------
 

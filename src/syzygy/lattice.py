@@ -22,24 +22,7 @@ class DivisorClass(_Value):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: tuple[int, ...]):
-        object.__setattr__(self, "coefficients", coefficients)
-
-    def __sub__(self, other):
-        return DivisorClass(tuple(a - b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __str__(self) -> str:
-        names = ["H"] + [f"E{i}" for i in range(1, len(self.coefficients))]
-        terms = []
-        for a, name in zip(self.coefficients, names):
-            if a == 0:
-                continue
-            if a == 1:
-                terms.append(f"+{name}")
-            elif a == -1:
-                terms.append(f"-{name}")
-            else:
-                terms.append(f"{a:+d}{name}")
-        return "".join(terms).lstrip("+") or "0"
+        super().__init__(coefficients)
 
 
 class BlowupLattice:
@@ -206,9 +189,7 @@ class IncidenceGraph(_Value):
     __slots__ = ("vertices", "edges")
 
     def __init__(self, vertices: tuple[DivisorClass, ...], edges: tuple[tuple[int, int], ...]):
-        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
-        setattr_(self, "vertices", vertices)
-        setattr_(self, "edges", edges)
+        super().__init__(vertices, edges)
 
     def degree_sequence(self) -> list[int]:
         deg = [0] * len(self.vertices)

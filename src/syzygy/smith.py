@@ -117,10 +117,7 @@ class SNFResult(_Value):
     __hash__ = None
 
     def __init__(self, U: Matrix, D: Matrix, V: Matrix):
-        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
-        setattr_(self, "U", U)
-        setattr_(self, "D", D)
-        setattr_(self, "V", V)
+        super().__init__(U, D, V)
 
     def diagonal(self) -> list[int]:
         return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0]) if self.D else 0))]
@@ -493,9 +490,7 @@ class FGAbelianGroup(_Value):
         for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError(f"torsion {torsion} is not a divisibility chain")
-        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
-        setattr_(self, "free_rank", free_rank)
-        setattr_(self, "torsion", torsion)
+        super().__init__(free_rank, torsion)
 
     @classmethod
     def from_orders(cls, free_rank: int, orders: list[int]) -> "FGAbelianGroup":

@@ -84,13 +84,17 @@ class KnownHomologyRegistry:
             entries[group, degree] = (parse_value(value, f"{what} value"), note)
         return cls(entries)
 
-    def get(self, group: str, degree: int) -> FormalGroup:
+    def _entry(self, group: str, degree: int) -> tuple:
+        """(value, provenance) of an entry, or KeyError naming the group and degree."""
         if (group, degree) not in self._entries:
             raise KeyError(f"registry has no entry for group {group!r} in degree {degree}")
-        return self._entries[group, degree][0]
+        return self._entries[group, degree]
+
+    def get(self, group: str, degree: int) -> FormalGroup:
+        return self._entry(group, degree)[0]
 
     def provenance(self, group: str, degree: int) -> str:
-        return self._entries[(group, degree)][1]
+        return self._entry(group, degree)[1]
 
 
 @cache
@@ -151,7 +155,8 @@ class SpectralGrid:
     """One page of a first-quadrant spectral sequence in a box.
 
     ``box`` is (p_max, q_max), inclusive; ``entries`` maps (p, q) to a
-    FormalGroup or None (unknown), ``differentials`` maps (p, q) to the
+    FormalGroup, and a spot in the box that it lacks is unknown (entry()
+    reads it as None); ``differentials`` maps (p, q) to the
     FormalHom leaving it, and ``abutment`` maps n to the degree-n target.
     ``zero_from_row0`` marks a split extension, whose differentials leaving
     q = 0 vanish.  The differentials are checked on construction.
@@ -251,8 +256,7 @@ class SpectralGrid:
         for p in range(self.box[0] + 1):
             for q in range(self.box[1] + 1):
                 cur = self.entry(p, q)
-                if cur is None:
-                    new_entries[(p, q)] = None
+                if cur is None:  # unknown on this page, so unknown on the next
                     continue
                 if cur.is_zero:
                     new_entries[(p, q)] = cur
@@ -336,20 +340,13 @@ class ExactSequence:
         self.homs = dict(homs or {})
 
     def solve_forced(self):
-        """Unknown terms flanked by known zeros must be zero; fill them in."""
-        changed = True
-        while changed:
-            changed = False
-            for i in range(1, len(self.terms) - 1):
-                t = self.terms[i]
-                left, right = self.terms[i - 1], self.terms[i + 1]
-                if (
-                    t.group is None
-                    and left.group is not None and left.group.is_zero
-                    and right.group is not None and right.group.is_zero
-                ):
-                    t.group = FormalGroup.zero()
-                    changed = True
+        """Unknown terms flanked by known zeros must be zero; fill them in.
+        One pass suffices: a filled term's neighbours are known zeros
+        already, so filling it makes no other unknown term fillable."""
+        for left, t, right in zip(self.terms, self.terms[1:], self.terms[2:]):
+            if t.group is None and all(s.group is not None and s.group.is_zero
+                                       for s in (left, right)):
+                t.group = FormalGroup.zero()
         return self
 
     def _map(self, i):
@@ -385,38 +382,26 @@ class ExactSequence:
         )
 
 
+def _low_degree_tail(grid: SpectralGrid) -> list:
+    """The terms E_{2,0} -> E_{0,1} -> H1 -> E_{1,0} -> 0 that end both sequences."""
+    return [("E_{2,0}", grid.entry(2, 0)), ("E_{0,1}", grid.entry(0, 1)),
+            ("H1", grid.abutment.get(1)), ("E_{1,0}", grid.entry(1, 0)),
+            ("0", FormalGroup.zero())]
+
+
 def five_term(grid: SpectralGrid) -> ExactSequence:
     """H2 -> E_{2,0} -> E_{0,1} -> H1 -> E_{1,0} -> 0."""
-    terms = [
-        ("H2", grid.abutment.get(2)),
-        ("E_{2,0}", grid.entry(2, 0)),
-        ("E_{0,1}", grid.entry(0, 1)),
-        ("H1", grid.abutment.get(1)),
-        ("E_{1,0}", grid.entry(1, 0)),
-        ("0", FormalGroup.zero()),
-    ]
-    return ExactSequence(terms).solve_forced()
+    return ExactSequence([("H2", grid.abutment.get(2))] + _low_degree_tail(grid)).solve_forced()
 
 
 def seven_term(grid: SpectralGrid) -> ExactSequence:
     """E_{3,0} -> E_{1,1} -> coker(E_{0,2} -> H2) -> E_{2,0} -> E_{0,1}
     -> H1 -> E_{1,0} -> 0."""
-    h2 = grid.abutment.get(2)
     e02 = grid.entry(0, 2)
-    coker_term = None
-    if h2 is not None and e02 is not None and e02.is_zero:
-        coker_term = h2
-    terms = [
-        ("E_{3,0}", grid.entry(3, 0)),
-        ("E_{1,1}", grid.entry(1, 1)),
-        ("coker(E_{0,2}->H2)", coker_term),
-        ("E_{2,0}", grid.entry(2, 0)),
-        ("E_{0,1}", grid.entry(0, 1)),
-        ("H1", grid.abutment.get(1)),
-        ("E_{1,0}", grid.entry(1, 0)),
-        ("0", FormalGroup.zero()),
-    ]
-    return ExactSequence(terms).solve_forced()
+    coker_term = grid.abutment.get(2) if e02 is not None and e02.is_zero else None
+    terms = [("E_{3,0}", grid.entry(3, 0)), ("E_{1,1}", grid.entry(1, 1)),
+             ("coker(E_{0,2}->H2)", coker_term)]
+    return ExactSequence(terms + _low_degree_tail(grid)).solve_forced()
 
 
 # -- the three extension grids -----------------------------------------------------
@@ -425,27 +410,17 @@ def seven_term(grid: SpectralGrid) -> ExactSequence:
 def pgl_grid(n: int, registry: KnownHomologyRegistry) -> SpectralGrid:
     """Second page for the central extension of the projective linear group by
     its scalar subgroup Z/n (n = 2 or 3): rows are homology of Z/n, column
-    p carries homology of the quotient; (2,0) and (3,0) are the unknowns."""
+    p carries homology of the quotient; (2,0), the goal, and (3,0), (2,1)
+    and (3,1) are left out, so unknown."""
     if n not in (2, 3):
         raise ValueError("only n = 2, 3 are wired up")
-    name = f"PGL({n},C)"
-    zn = f"Z/{n}"
-    entries = {}
-    for p in range(4):
-        for q in range(3):
-            entries[(p, q)] = None
+    entries = {(p, 2): FormalGroup.zero() for p in range(4)}  # H2 of a cyclic group vanishes
     entries[(0, 0)] = FormalGroup.free(1)
-    entries[(1, 0)] = registry.get(name, 1)
-    entries[(2, 0)] = None  # the goal
-    entries[(3, 0)] = None
-    entries[(0, 1)] = registry.get(zn, 1)
+    entries[(1, 0)] = registry.get(f"PGL({n},C)", 1)
+    entries[(0, 1)] = registry.get(f"Z/{n}", 1)
     # H1(quotient) = 0 and H0 = Z make E_{1,1} collapse (coefficients are a
     # trivial module; universal coefficients leave H1 tensor + H0 torsion).
     entries[(1, 1)] = FormalGroup.zero()
-    entries[(2, 1)] = None
-    entries[(3, 1)] = None
-    for p in range(4):
-        entries[(p, 2)] = FormalGroup.zero()  # H2 of a cyclic group vanishes
     return SpectralGrid(
         page=2,
         box=(3, 2),
@@ -728,16 +703,11 @@ def ruled_grid(u: surfaces.GeneratorUniverse, registry) -> SpectralGrid:
     """Second page for the ruled universe at finite truncation: row 0 from the
     coinvariant complex, row 1 from the abelianization complex, row 2 unknown."""
     row1 = ruled_row1_complex(u, registry)
-    entries = {}
-    entries[(0, 0)] = FormalGroup.free(1)
-    for i in (1, 2, 3):  # None where the truncation does not reach
-        entries[(i, 0)] = FormalGroup.from_fg(surfaces.row0_homology(u, i)) if i <= u.r_max - 2 else None
+    entries = {(0, 0): FormalGroup.free(1)}
+    for i in range(1, min(3, u.r_max - 2) + 1):  # the degrees the truncation reaches
+        entries[(i, 0)] = FormalGroup.from_fg(surfaces.row0_homology(u, i))
     entries[(0, 1)] = row1.at(0)
     entries[(1, 1)] = row1.at(1)
-    entries[(2, 1)] = None
-    entries[(3, 1)] = None
-    for p in range(4):
-        entries[(p, 2)] = None
     return SpectralGrid(
         page=2,
         box=(3, 2),

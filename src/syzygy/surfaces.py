@@ -74,15 +74,7 @@ class SurfaceCentralModel(_Value):
 
     def __init__(self, rank: int, base: BaseCase, family: str, points: tuple = (), e: int = 0,
                  partition: tuple = (), modulus: str | None = None, orientable: bool = True):
-        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
-        setattr_(self, "rank", rank)
-        setattr_(self, "base", base)
-        setattr_(self, "family", family)
-        setattr_(self, "points", points)
-        setattr_(self, "e", e)
-        setattr_(self, "partition", partition)
-        setattr_(self, "modulus", modulus)
-        setattr_(self, "orientable", orientable)
+        super().__init__(rank, base, family, points, e, partition, modulus, orientable)
 
     def display(self) -> str:
         k = len(self.points)
@@ -148,11 +140,7 @@ class GeneratorUniverse(_Value):
             raise ValueError("r_max must be in [1, 5]")
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
-        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
-        setattr_(self, "base", base)
-        setattr_(self, "labels", labels)
-        setattr_(self, "e_max", e_max)
-        setattr_(self, "r_max", r_max)
+        super().__init__(base, labels, e_max, r_max)
 
     @classmethod
     def ruled(cls, points: int, e_max: int, r_max: int = 4):

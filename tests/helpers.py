@@ -140,8 +140,7 @@ def barycentric_subdivision(cx: RegularCWComplex) -> RegularCWComplex:
     cells = []
     boundary = {}
     for chain in chains:
-        labels = "<".join(str(cx.cells[c].label or c) for c in chain)
-        cells.append(Cell(id=chain, dim=len(chain) - 1, label=labels))
+        cells.append(Cell(id=chain, dim=len(chain) - 1))
         faces = []
         if len(chain) > 1:
             for i in range(len(chain)):
@@ -299,7 +298,7 @@ def fully_known_positions_exact(seq: ExactSequence) -> bool:
 def cw_complex_json(cx: RegularCWComplex) -> dict:
     """The CW-complex file format: cells by dimension, then boundaries."""
     cells = [
-        {"id": c.id, "dim": c.dim, "label": c.label}
+        {"id": c.id, "dim": c.dim}
         for c in sorted(cx.cells.values(), key=lambda c: (c.dim, repr(c.id)))
     ]
     faces_of = {
@@ -308,6 +307,12 @@ def cw_complex_json(cx: RegularCWComplex) -> dict:
         if faces
     }
     return {"cells": cells, "boundary": faces_of}
+
+
+def labelled(data: dict) -> dict:
+    """A CW-complex file's object with a label on every cell, which the
+    reader checks and drops."""
+    return {**data, "cells": [{**c, "label": f"cell {c['id']}"} for c in data["cells"]]}
 
 
 def chain_complex_json(cc: IntegerChainComplex) -> dict:

@@ -23,6 +23,7 @@ from helpers import (
     chain_complex_json,
     cw_complex_json,
     invoke,
+    labelled,
     registry_items,
 )
 
@@ -165,6 +166,22 @@ def test_homology_file_cw(tmp_path):
     path.write_text(json.dumps(cw_complex_json(build_octahedron())), encoding="utf-8")
     data = json.loads(invoke("homology", str(path)).output)
     assert data["result"]["homology"] == ["Z", "0", "Z"]
+
+
+def test_homology_of_a_labelled_cw_file_is_that_of_the_file_without_labels(tmp_path,
+                                                                          monkeypatch):
+    """Both files are cx.json, so the printed path, and all else, agree."""
+    plain = cw_complex_json(validated_sphere_bl3()[0])
+    outputs = []
+    for name, data in (("plain", plain), ("labelled", labelled(plain))):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "cx.json").write_text(json.dumps(data), encoding="utf-8")
+        monkeypatch.chdir(tmp_path / name)
+        res = invoke("homology", "cx.json")
+        assert res.exit_code == 0
+        outputs.append(res.output)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["result"]["homology"] == ["Z", "0", "Z"]
 
 
 def test_homology_file_of_the_sphere(tmp_path):

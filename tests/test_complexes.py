@@ -28,6 +28,7 @@ from helpers import (
     dense,
     dual_block_of,
     is_trivial,
+    labelled,
     link_of,
 )
 
@@ -158,6 +159,17 @@ def test_cw_json_round_trip(tmp_path):
     loaded = load_complex_file(path)
     assert isinstance(loaded, RegularCWComplex)
     assert loaded.homology(1) == Z
+
+
+def test_cell_labels_in_a_file_are_checked_and_dropped():
+    """A cell is its id and dimension; a file may still label its cells."""
+    assert Cell.__slots__ == ("id", "dim")
+    plain = json.loads(json.dumps(cw_complex_json(build_octahedron())))
+    a, b = (RegularCWComplex.from_json_dict(d) for d in (labelled(plain), plain))
+    assert a.cells == b.cells and a.boundary == b.boundary
+    bad = {**plain, "cells": [{**plain["cells"][0], "label": 3}] + plain["cells"][1:]}
+    with pytest.raises(ValueError, match="'label' holds 3, not a string$"):
+        RegularCWComplex.from_json_dict(bad)
 
 
 def test_cw_json_round_trip_keeps_tuple_ids():

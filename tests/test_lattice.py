@@ -56,6 +56,12 @@ def test_intersect_symmetric_bilinear(n, xs, ys, zs, scalar):
     assert lat.intersect(divisor_multiple(a, scalar), b) == scalar * lat.intersect(a, b)
 
 
+def test_divisor_class_is_only_its_coefficients():
+    """No library code subtracts or prints classes."""
+    assert DivisorClass.__slots__ == ("coefficients",)
+    assert not {"__sub__", "__str__"} & set(vars(DivisorClass))
+
+
 def test_dimension_mismatch_rejected():
     lat = BlowupLattice(2)
     with pytest.raises(ValueError):

@@ -59,6 +59,14 @@ def test_registry_audit(registry):
         registry.get("no such group", 1)
 
 
+def test_registry_lookups_name_a_missing_entry(registry):
+    """provenance used to raise KeyError(('X', 1)) where get names the entry."""
+    assert registry.provenance("C*", 1) == "H1 of an abelian group is the group itself."
+    for lookup in (registry.get, registry.provenance):
+        with pytest.raises(KeyError) as exc:
+            lookup("X", 1)
+        assert exc.value.args == ("registry has no entry for group 'X' in degree 1",)
+
 def test_registry_rejects_missing_provenance(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -238,6 +246,60 @@ def test_dd_zero_enforced():
             entries=entries,
             differentials={(2, 0): bad_d1, (4, 1): FormalHom(g, g, [{0: 1}])},
         )
+
+
+def edge_page(source, target, split=False):
+    """A page-2 grid in the box (2, 1) whose only nonzero entries are
+    E_{2,0} = source and E_{0,1} = target, so the one differential that no
+    zero end decides is d2: E_{2,0} -> E_{0,1}."""
+    entries = {(p, q): FormalGroup.zero() for p in range(3) for q in range(2)}
+    entries[2, 0], entries[0, 1] = source, target
+    return SpectralGrid(page=2, box=(2, 1), entries=entries, zero_from_row0=split)
+
+
+@pytest.mark.parametrize(
+    "forced, unforced, reason",
+    [
+        ((Zn(2), FormalGroup.free(1), False), (Zn(2), Cs, False),
+         "finite source, torsion-free target"),
+        ((K2, Zn(2), False), (Cs, Zn(2), False), "uniquely divisible source, finite target"),
+        ((Zn(2), Zn(2), True), (Zn(2), Zn(2), False),
+         "split extension: bottom-row differentials vanish"),
+    ],
+    ids=["finite-to-torsion-free", "uniquely-divisible-to-finite", "split-extension"],
+)
+def test_each_forced_zero_rule_alone_decides_the_page(forced, unforced, reason):
+    """On the first page the rule forces d2 to zero, so the page is stable and
+    turns into itself; on the second, which breaks only the rule's condition
+    (C* has torsion and is not uniquely divisible), nothing forces d2."""
+    grid = edge_page(*forced)
+    assert grid._forced_zero_reason(forced[0], forced[1], 0) == reason
+    assert grid.is_stable()
+    nxt = grid.turn_page()
+    assert nxt.page == 3
+    assert all(nxt.entry(p, q) == grid.entry(p, q) for p in range(3) for q in range(2))
+    grid = edge_page(*unforced)
+    assert grid._forced_zero_reason(unforced[0], unforced[1], 0) is None
+    assert not grid.is_stable()
+    with pytest.raises(FormalGroupError, match=r"missing differentials at \(2, 0\)$"):
+        grid.turn_page()
+
+
+def composable_page(middle: int, first: dict, second: dict) -> SpectralGrid:
+    """A page-2 grid whose two nonzero differentials compose:
+    Z/2 -> Z/middle -> Z/2 from E_{4,0} through E_{2,1} to E_{0,2}."""
+    entries = {(4, 0): Zn(2), (2, 1): Zn(middle), (0, 2): Zn(2)}
+    return SpectralGrid(page=2, box=(4, 2), entries=entries, differentials={
+        (4, 0): FormalHom(Zn(2), Zn(middle), [first]),
+        (2, 1): FormalHom(Zn(middle), Zn(2), [second])})
+
+
+def test_composable_differentials_must_compose_to_zero():
+    """Z/2 -> Z/4 -> Z/2 by 2, then by 1, composes to 2 = 0 and is accepted;
+    the identity of Z/2 twice composes to 1 and is refused."""
+    assert composable_page(4, {0: 2}, {0: 1}).page == 2
+    with pytest.raises(FormalGroupError, match=r"^d o d != 0 through \(2, 1\)$"):
+        composable_page(2, {0: 1}, {0: 1})
 
 
 # -- row-1 instances -----------------------------------------------------------------

@@ -11,7 +11,8 @@ read, only smith touches the dense Smith cluster, and no module imports
 `dataclasses`.  One class rule is checked there too: the value contract is
 written once, so no class but the value base `_Value` in the package's
 `__init__.py` defines `__setattr__`, `__delattr__`, `__reduce__`, `__hash__`
-or `__repr__` with a `def`.  One reading rule as well: only `__init__.py`
+or `__repr__` with a `def`, and only `_Value.__init__` names
+`object.__setattr__`.  One reading rule as well: only `__init__.py`
 opens a file, parses JSON or names the data directory.  A row rule: only
 `surfaces.row0_complex` calls the boundary builder.  A registry rule:
 only `cli.py` calls `default_registry`, and no function in `spectral.py`
@@ -412,6 +413,14 @@ def test_only_the_clique_rule_and_the_file_reader_construct_cells():
 
 
 VALUE_METHODS = {"__setattr__", "__delattr__", "__reduce__", "__hash__", "__repr__"}
+
+
+def test_only_the_value_base_writes_fields_past_the_refusal():
+    """Every value constructor hands its fields to `_Value.__init__`."""
+    writers = [name for name, tree in _library_modules() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+               and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert writers == ["__init__.py"]
 
 
 def test_only_the_value_base_defines_the_value_methods():

@@ -28,8 +28,7 @@ from syzygy.surfaces import (
 
 # class -> (keyword fields of one instance, one other value per field)
 VALUES = {
-    Cell: ({"id": ("v", 0), "dim": 0, "label": "a"},
-           {"id": ("v", 1), "dim": 1, "label": "b"}),
+    Cell: ({"id": ("v", 0), "dim": 0}, {"id": ("v", 1), "dim": 1}),
     Atom: ({"name": "K2(C)", "divisible": True, "torsion_rule": "none", "uniquely_divisible": False},
            {"name": "Q/Z", "divisible": False, "torsion_rule": "cyclic", "uniquely_divisible": True}),
     FormalGroup: ({"atoms": ("C*",), "cyclic": (2,), "free_rank": 1, "infinite": ()},
