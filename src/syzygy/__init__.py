@@ -130,8 +130,8 @@ class _Value:
 # submodule -> the names the package exports from it
 _SUBMODULES = {
     "smith": "FGAbelianGroup SNFResult smith_normal_form",
-    "lattice": "BlowupLattice DivisorClass IncidenceGraph cubic_summary",
-    "complexes": "Cell IntegerChainComplex RegularCWComplex load_complex_file",
+    "lattice": "BlowupLattice IncidenceGraph cubic_summary",
+    "complexes": "IntegerChainComplex RegularCWComplex load_complex_file",
     "surfaces": "BaseCase GeneratorUniverse SurfaceCentralModel boundary"
     " enumerate_generators row0_complex row0_homology validated_sphere_bl3",
     "formal": "Atom FormalGroup FormalHom check_exact cokernel homology_at"

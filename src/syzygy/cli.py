@@ -136,7 +136,7 @@ def _classes(args, enumerate_classes):
     lat = _lattice_from(args.degree, args.blowups)
     cls = enumerate_classes(lat)
     return (
-        {"count": len(cls), "classes": [list(c.coefficients) for c in cls]},
+        {"count": len(cls), "classes": [list(c) for c in cls]},
         [f"exhaustive box search over the {lat.n}-point lattice"],
         [],
     )
@@ -170,9 +170,7 @@ def syzygy(args):
         "edges": len(sphere.cells_of_dim(1)),
         "faces": len(sphere.cells_of_dim(2)),
         "euler_characteristic": sphere.euler_characteristic(),
-        "all_faces_triangles": all(
-            len(sphere.boundary[c.id]) == 3 for c in sphere.cells_of_dim(2)
-        ),
+        "all_faces_triangles": all(len(sphere.boundary[c]) == 3 for c in sphere.cells_of_dim(2)),
         "homology": [str(sphere.homology(d)) for d in range(3)],
     }
     if args.check:

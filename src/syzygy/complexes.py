@@ -1,21 +1,22 @@
 """Regular CW complexes as face posets with signed incidences, and their
 integer homology.
 
-A complex is stored purely combinatorially: cells with a dimension, plus a
-signed boundary list per cell.  The one simplicial builder is the clique
-rule (clique_complex): a simplex is a set of pairwise adjacent vertices.  A cell's link is the clique complex of the cells above
+A complex is stored purely combinatorially: a dict from each cell's id to
+its dimension, plus a signed boundary list per cell.  The one simplicial
+builder is the clique rule (clique_complex): a simplex is a set of pairwise
+adjacent vertices.  A cell's link is the clique complex of the cells above
 it under "is a face of", whose cliques are the strict chains of the face
 poset.  The sphere of the three-point blowup of the plane is one too: a
 central model contains exactly the rank-3 models it is made of, so its
 cells are the sets of pairwise orthogonal (-1)- and conic classes, and two
 conic classes meet once, so no cell holds two.  No geometric realization
-exists anywhere.  Chain groups may carry
-cyclic annotations (generator orders such as Z/2), and homology is read
-from invariant factors by one sweep over the degrees for plain and
-annotated chain groups alike (smith.homology_step): the cycles are a kernel
-that records, per annotated target generator, which multiple of its
-relation a chain hits, so the same engine serves plain cellular homology
-and the coinvariant complexes produced by the surface-model machinery.
+exists anywhere.  Chain groups may carry cyclic annotations (generator
+orders such as Z/2), and homology is read from invariant factors by one
+sweep over the degrees for plain and annotated chain groups alike
+(smith.homology_step): the cycles are a kernel that records, per annotated
+target generator, which multiple of its relation a chain hits, so the same
+engine serves plain cellular homology and the coinvariant complexes
+produced by the surface-model machinery.
 
 Boundary matrices are kept in smith's column format from assembly to the
 homology read: one dict per cell of the source degree, mapping the index of
@@ -29,36 +30,23 @@ sphere of the expected dimension, not that it is homeomorphic to one.
 
 from __future__ import annotations
 
-from . import _Value, read_json, unpack
+from . import read_json, unpack
 from .smith import FGAbelianGroup, homology_step, lift_to_cycles
-
-
-class Cell(_Value):
-    """One cell: a hashable id and its dimension.  Cells are immutable
-    values, equal when their fields are."""
-
-    __slots__ = ("id", "dim")
-
-    def __init__(self, id, dim: int):
-        super().__init__(id, dim)
 
 
 class RegularCWComplex:
     """Face poset with signed boundary incidences.
 
+    ``cells`` maps each cell's id (any hashable value) to its dimension.
     ``boundary[cid]`` lists (face id, sign) pairs, one per codimension-1 face
     of the cell; regularity demands that no face is listed twice.  The chain
     complex is built once, and its d o d check and homology share one sweep.
     """
 
-    def __init__(self, cells, boundary):
-        self.cells: dict = {}
-        for c in cells:
-            if c.id in self.cells:
-                raise ValueError(f"duplicate cell id {c.id!r}")
-            self.cells[c.id] = c
+    def __init__(self, cells: dict, boundary):
+        self.cells = dict(cells)
         self.boundary: dict = {cid: tuple(boundary.get(cid, ())) for cid in self.cells}
-        for cid, faces in boundary.items():
+        for cid in boundary:
             if cid not in self.cells:
                 raise ValueError(f"boundary given for unknown cell {cid!r}")
         self._chain = None  # the cellular chain complex, built at its first read
@@ -67,12 +55,11 @@ class RegularCWComplex:
 
     @property
     def dimension(self) -> int:
-        return max((c.dim for c in self.cells.values()), default=-1)
+        return max(self.cells.values(), default=-1)
 
     def cells_of_dim(self, d: int) -> list:
-        out = [c for c in self.cells.values() if c.dim == d]
-        out.sort(key=lambda c: repr(c.id))
-        return out
+        """The ids of the d-cells, sorted by their repr."""
+        return sorted((cid for cid, dim in self.cells.items() if dim == d), key=repr)
 
     def faces(self, cid) -> set:
         """All proper faces of a cell (transitive closure of the boundary)."""
@@ -86,7 +73,7 @@ class RegularCWComplex:
         return seen
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** c.dim for c in self.cells.values())
+        return sum((-1) ** dim for dim in self.cells.values())
 
     # -- validation --------------------------------------------------------
 
@@ -94,7 +81,7 @@ class RegularCWComplex:
         failures = []
         link_failures = []
         for cid, faces in self.boundary.items():
-            dim = self.cells[cid].dim
+            dim = self.cells[cid]
             seen = set()
             for fid, sign in faces:
                 if fid not in self.cells:
@@ -102,9 +89,9 @@ class RegularCWComplex:
                     continue
                 if sign not in (1, -1):
                     failures.append(f"cell {cid!r}: sign {sign} is not +-1")
-                if self.cells[fid].dim != dim - 1:
+                if self.cells[fid] != dim - 1:
                     failures.append(
-                        f"cell {cid!r} (dim {dim}): face {fid!r} has dim {self.cells[fid].dim}"
+                        f"cell {cid!r} (dim {dim}): face {fid!r} has dim {self.cells[fid]}"
                     )
                 if fid in seen:
                     failures.append(f"cell {cid!r}: face {fid!r} listed twice (regularity)")
@@ -116,14 +103,13 @@ class RegularCWComplex:
         if not failures:
             n = self.dimension
             face_sets = {cid: self.faces(cid) for cid in self.cells}
-            for cid, cell in sorted(self.cells.items(), key=lambda kv: repr(kv[0])):
-                above = sorted((m for m in self.cells if cid in face_sets[m]),
-                               key=lambda m: self.cells[m].dim)
+            for cid, dim in sorted(self.cells.items(), key=lambda kv: repr(kv[0])):
+                above = sorted((m for m in self.cells if cid in face_sets[m]), key=self.cells.get)
                 link = clique_complex(above, lambda a, b: a in face_sets[b])
-                expected = n - cell.dim - 1
+                expected = n - dim - 1
                 if not _is_sphere_homology(link, expected):
                     link_failures.append(
-                        f"cell {cid!r} (dim {cell.dim}): link is not an S^{expected} homology sphere"
+                        f"cell {cid!r} (dim {dim}): link is not an S^{expected} homology sphere"
                     )
         return ValidationReport(
             structure_ok=not failures,
@@ -138,18 +124,15 @@ class RegularCWComplex:
             return self._chain
         dim = self.dimension
         by_dim = [self.cells_of_dim(d) for d in range(dim + 1)]
-        index = {}
-        for d, cells in enumerate(by_dim):
-            for i, c in enumerate(cells):
-                index[c.id] = (d, i)
+        index = {cid: i for cells in by_dim for i, cid in enumerate(cells)}
         ranks = [len(cells) for cells in by_dim]
         boundaries = [[]]
         for d in range(1, dim + 1):
             columns = []
-            for cell in by_dim[d]:
+            for cid in by_dim[d]:
                 col = {}
-                for fid, sign in self.boundary[cell.id]:
-                    i = index[fid][1]
+                for fid, sign in self.boundary[cid]:
+                    i = index[fid]
                     col[i] = col.get(i, 0) + sign
                 columns.append({i: x for i, x in col.items() if x})
             boundaries.append(columns)
@@ -168,7 +151,9 @@ class RegularCWComplex:
         the other conditions of a regular complex are left to validate()."""
         cells_data, boundary_data = unpack(data, "the CW complex", {"cells": [dict]},
                                            {"boundary": {str: [list]}})
-        cells = []
+        # ids inside boundary lists, like the keys, are matched by their text,
+        # so two ids may not share one
+        cells, by_text = {}, {}
         for c in cells_data:
             raw_id, dim = unpack(c, f"cell {c.get('id', c)!r}", {"id": object, "dim": int},
                                  {"label": str})[:2]  # a label is checked, then dropped
@@ -179,34 +164,33 @@ class RegularCWComplex:
                 raise ValueError(f"cell id {raw_id!r} is not a string, number or list") from None
             if dim < 0:
                 raise ValueError(f"cell {cid!r} has dim {dim}, not an integer >= 0")
-            cells.append(Cell(id=cid, dim=dim))
-        # ids inside boundary lists, like the keys, are matched by their text,
-        # so two ids may not share one
-        by_text = {}
-        for c in cells:
-            other = by_text.setdefault(str(c.id), c)
-            if other.id != c.id:
-                raise ValueError(f"cells {other.id!r} and {c.id!r} share the id text {str(c.id)!r}")
+            if cid in cells:
+                raise ValueError(f"duplicate cell id {cid!r}")
+            other = by_text.setdefault(str(cid), cid)
+            if other != cid:
+                raise ValueError(f"cells {other!r} and {cid!r} share the id text {str(cid)!r}")
+            cells[cid] = dim
         boundary = {}
         for key, faces in (boundary_data or {}).items():
-            cell = by_text.get(key)
-            if cell is None:
+            if key not in by_text:
                 raise ValueError(f"boundary references unknown cell {key!r}")
+            cid = by_text[key]
             entries = []
             for f in faces:
                 if len(f) != 2:
-                    raise ValueError(f"cell {cell.id!r}: face {f!r} is not an [id, sign] pair")
-                face, sign = by_text.get(str(_as_id(f[0]))), f[1]
-                if face is None:
-                    raise ValueError(f"cell {cell.id!r}: face {f[0]!r} names no cell")
-                if face.dim != cell.dim - 1:
+                    raise ValueError(f"cell {cid!r}: face {f!r} is not an [id, sign] pair")
+                text, sign = str(_as_id(f[0])), f[1]
+                if text not in by_text:
+                    raise ValueError(f"cell {cid!r}: face {f[0]!r} names no cell")
+                fid = by_text[text]
+                if cells[fid] != cells[cid] - 1:
                     raise ValueError(
-                        f"cell {cell.id!r} (dim {cell.dim}): face {face.id!r} has dim {face.dim}"
+                        f"cell {cid!r} (dim {cells[cid]}): face {fid!r} has dim {cells[fid]}"
                     )
                 if type(sign) is not int:
-                    raise ValueError(f"cell {cell.id!r}: face {face.id!r} has sign {sign!r}")
-                entries.append((face.id, sign))
-            boundary[cell.id] = entries
+                    raise ValueError(f"cell {cid!r}: face {fid!r} has sign {sign!r}")
+                entries.append((fid, sign))
+            boundary[cid] = entries
         return cls(cells, boundary)
 
 
@@ -237,8 +221,9 @@ class ValidationReport:
 def clique_complex(vertices, adjacent) -> RegularCWComplex:
     """The simplicial complex of all sets of pairwise adjacent vertices
     (hashable ids), each simplex the tuple of its vertices in the given
-    order and its boundary the alternating sum over the deleted vertex.
-    ``adjacent(a, b)`` is asked for a listed before b only."""
+    order and its boundary the alternating sum over the deleted vertex; its
+    cells map each such tuple to its length less one.  ``adjacent(a, b)`` is
+    asked for a listed before b only."""
     vertices = list(vertices)
     later = [{j for j in range(i + 1, len(vertices)) if adjacent(vertices[i], vertices[j])}
              for i in range(len(vertices))]
@@ -248,7 +233,7 @@ def clique_complex(vertices, adjacent) -> RegularCWComplex:
         simplices += [s for s, _ in frontier]
         frontier = [(s + (j,), common & later[j]) for s, common in frontier for j in sorted(common)]
     ids = [tuple(vertices[i] for i in s) for s in simplices]
-    cells = [Cell(id=sid, dim=len(sid) - 1) for sid in ids]
+    cells = {sid: len(sid) - 1 for sid in ids}
     boundary = {sid: [(sid[:i] + sid[i + 1:], (-1) ** i) for i in range(len(sid))]
                 for sid in ids if len(sid) > 1}
     return RegularCWComplex(cells, boundary)
@@ -271,12 +256,13 @@ class IntegerChainComplex:
     from a degree-(d-1) index to a nonzero int (``boundaries[0]``, the zero
     map, is not read); there is one list per rank, and one for no ranks.
     ``cyclic[d][i] = m`` marks generator i of degree d as a Z/m generator
-    (m >= 2); the homology engine appends the relation m*e_i = 0.  Homology is one sweep from degree 0 up (smith's row-drop
-    rule): degree k eliminates its lift L_k without the rows settled by the
-    pivots of L_{k-1}, whose columns are those rows and whose kernel is
-    the cycles up to the signs of the relation columns.  Lifts and steps are
-    kept once formed, so each degree is eliminated once per object, and a
-    complex is not changed after its first read.
+    (m >= 2); the homology engine appends the relation m*e_i = 0.  Homology
+    is one sweep from degree 0 up (smith's row-drop rule): degree k
+    eliminates its lift L_k without the rows settled by the pivots of
+    L_{k-1}, whose columns are those rows and whose kernel is the cycles up
+    to the signs of the relation columns.  Lifts and steps are kept once
+    formed, so each degree is eliminated once per object, and a complex is
+    not changed after its first read.
     """
 
     def __init__(self, ranks, boundaries, cyclic=None):
@@ -377,8 +363,9 @@ def load_complex_file(path):
     has "ranks"); no key may repeat in an object or be unknown.  CW complex:
     required "cells", a list of objects with required "id" (a string,
     number or list) and "dim" (an integer >= 0) and optional "label" (a
-    string, which is not kept); optional "boundary", an object from the text of a cell id to
-    its faces, each an [id, sign] pair with an integer sign.  Chain complex:
+    string, which is not kept); optional "boundary", an object from the
+    text of a cell id to its faces, each an [id, sign] pair with an integer
+    sign.  Chain complex:
     required "ranks", a list of integers >= 0; optional "boundaries", for
     each degree d >= 1 a list of ranks[d - 1] rows of ranks[d] integers, and
     "cyclic", an object from a degree to an object from a generator index to

@@ -1,11 +1,11 @@
 """The Picard lattice of a blown-up projective plane.
 
-Classes are integer vectors in the basis (H, E1..En) with the hyperbolic
-diagonal pairing +1, -1, ..., -1.  Curve classes of interest are enumerated
-by exhaustive search over a bounded coefficient box; for points in general
-position the numerical conditions characterize the classes, so no geometric
-effectivity test is performed (and n is capped at 8, where that standard fact
-holds).
+A class is its tuple of integer coefficients (a0, a1, ..., an) in the basis
+(H, E1..En), with the hyperbolic diagonal pairing +1, -1, ..., -1; classes
+sort as tuples.  Curve classes of interest are enumerated by exhaustive
+search over a bounded coefficient box; for points in general position the
+numerical conditions characterize the classes, so no geometric effectivity
+test is performed (and n is capped at 8, where that standard fact holds).
 """
 
 from __future__ import annotations
@@ -14,15 +14,6 @@ from itertools import combinations
 from math import factorial, gcd
 
 from . import _Value
-
-
-class DivisorClass(_Value):
-    """Integer vector a0*H + a1*E1 + ... + an*En; an immutable value."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: tuple[int, ...]):
-        super().__init__(coefficients)
 
 
 class BlowupLattice:
@@ -42,17 +33,17 @@ class BlowupLattice:
         self.n = n
         self.rank = n + 1
 
-    def intersect(self, a: DivisorClass, b: DivisorClass) -> int:
-        if len(a.coefficients) != self.rank or len(b.coefficients) != self.rank:
+    def intersect(self, a: tuple, b: tuple) -> int:
+        if len(a) != self.rank or len(b) != self.rank:
             raise ValueError("divisor class does not match the lattice rank")
-        s = a.coefficients[0] * b.coefficients[0]
-        for x, y in zip(a.coefficients[1:], b.coefficients[1:]):
+        s = a[0] * b[0]
+        for x, y in zip(a[1:], b[1:]):
             s -= x * y
         return s
 
     # -- enumeration ---------------------------------------------------------
 
-    def _search(self, self_int: int, anticanonical_degree: int, box) -> list[DivisorClass]:
+    def _search(self, self_int: int, anticanonical_degree: int, box) -> list[tuple]:
         """All classes C with C.C = self_int and -K.C = anticanonical_degree
         and deg >= 0, by pruned exhaustive search over the box.
 
@@ -89,28 +80,24 @@ class BlowupLattice:
                     f"search box {box} not exhaustive: degree {a0}, "
                     f"multiplicities {mults} touch a box wall"
                 )
-            out.append(DivisorClass((a0,) + tuple(-m for m in mults)))
-        out.sort(key=lambda c: c.coefficients)
+            out.append((a0,) + tuple(-m for m in mults))
+        out.sort()
         return out
 
-    def enumerate_lines(self) -> list[DivisorClass]:
+    def enumerate_lines(self) -> list[tuple]:
         """All (-1)-classes: C.C = -1 and K.C = -1."""
         return self._search(-1, 1, self.LINE_BOX)
 
-    def enumerate_conic_classes(self) -> list[DivisorClass]:
+    def enumerate_conic_classes(self) -> list[tuple]:
         """All primitive fibration classes: F.F = 0, -K.F = 2, degree >= 0."""
-        out = []
-        for c in self._search(0, 2, self.CONIC_BOX):
-            if gcd(*(abs(x) for x in c.coefficients)) == 1:
-                out.append(c)
-        return out
+        return [c for c in self._search(0, 2, self.CONIC_BOX) if gcd(*c) == 1]
 
     # -- derived combinatorics -------------------------------------------------
 
     def incidence_graph(self, classes, threshold: int = 1) -> "IncidenceGraph":
-        vertices = sorted(set(classes), key=lambda c: c.coefficients)
+        vertices = sorted(set(classes))
         for v in vertices:
-            if len(v.coefficients) != self.rank:
+            if len(v) != self.rank:
                 raise ValueError("class does not belong to this lattice")
         edges = []
         for i, j in combinations(range(len(vertices)), 2):
@@ -176,19 +163,18 @@ class BlowupLattice:
             "ordered": len(found) * factorial(pairs) * 2**pairs,
             "unordered": len(found),
             "configurations": sorted(
-                tuple(sorted(tuple(sorted(lines[i].coefficients for i in p)) for p in cfg))
+                tuple(sorted(tuple(sorted(lines[i] for i in p)) for p in cfg))
                 for cfg in found
             ),
         }
 
 
 class IncidenceGraph(_Value):
-    """Simple graph on canonically ordered divisor classes; an immutable
-    value."""
+    """Simple graph on sorted divisor classes; an immutable value."""
 
     __slots__ = ("vertices", "edges")
 
-    def __init__(self, vertices: tuple[DivisorClass, ...], edges: tuple[tuple[int, int], ...]):
+    def __init__(self, vertices: tuple[tuple, ...], edges: tuple[tuple[int, int], ...]):
         super().__init__(vertices, edges)
 
     def degree_sequence(self) -> list[int]:
@@ -224,7 +210,7 @@ class IncidenceGraph(_Value):
 
     def to_json_dict(self) -> dict:
         return {
-            "vertices": [list(v.coefficients) for v in self.vertices],
+            "vertices": [list(v) for v in self.vertices],
             "edges": [list(e) for e in self.edges],
         }
 

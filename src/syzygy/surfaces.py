@@ -402,15 +402,15 @@ def validated_sphere_bl3() -> tuple:
     A cell is a central model, and its faces are the models it contains, so
     a cell is a set of pairwise orthogonal rank-3 classes: the sphere is the
     clique complex of the six (-1)-classes and the three conic classes under
-    C.D = 0, each vertex keyed by its coefficients.  Two conic classes meet
-    once, so no cell holds two.  The vertices are the nine rank-3 models
-    (curve contractions and conic fibrations), the edges the 21 rank-2
-    models and the triangles the 14 Mori models: the plane via three
-    disjoint lines, or a conic with one line from each reducible fibre.
+    C.D = 0, each vertex a coefficient tuple.  Two conic classes meet once,
+    so no cell holds two.  The vertices are the nine rank-3 models (curve
+    contractions and conic fibrations), the edges the 21 rank-2 models and
+    the triangles the 14 Mori models: the plane via three disjoint lines, or
+    a conic with one line from each reducible fibre.
     """
     lat = lattice.BlowupLattice(3)
-    classes = {c.coefficients: c for c in lat.enumerate_lines() + lat.enumerate_conic_classes()}
-    sphere = clique_complex(classes, lambda a, b: lat.intersect(classes[a], classes[b]) == 0)
+    classes = lat.enumerate_lines() + lat.enumerate_conic_classes()
+    sphere = clique_complex(classes, lambda a, b: lat.intersect(a, b) == 0)
     report = sphere.validate()
     if not report.valid:
         raise RuntimeError("sphere construction failed validation: " + report.summary())

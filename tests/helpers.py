@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 from syzygy import smith
 from syzygy.cli import main
-from syzygy.complexes import Cell, IntegerChainComplex, RegularCWComplex
+from syzygy.complexes import IntegerChainComplex, RegularCWComplex
 from syzygy.formal import (
     ZERO,
     FormalGroup,
@@ -21,7 +21,7 @@ from syzygy.formal import (
     atom_registry,
     zero_hom,
 )
-from syzygy.lattice import BlowupLattice, DivisorClass
+from syzygy.lattice import BlowupLattice
 from syzygy.smith import (
     FGAbelianGroup,
     Matrix,
@@ -71,18 +71,17 @@ def invoke(*args) -> CliResult:
 
 
 def build_point():
-    return RegularCWComplex([Cell("p", 0)], {"p": []})
+    return RegularCWComplex({"p": 0}, {"p": []})
 
 
 def build_interval():
-    cells = [Cell("a", 0), Cell("b", 0), Cell("ab", 1)]
+    cells = {"a": 0, "b": 0, "ab": 1}
     return RegularCWComplex(cells, {"ab": [("b", 1), ("a", -1)]})
 
 
 def build_cycle(n):
     """Boundary of an n-gon: n vertices, n edges."""
-    cells = [Cell(f"v{i}", 0) for i in range(n)]
-    cells += [Cell(f"e{i}", 1) for i in range(n)]
+    cells = {f"v{i}": 0 for i in range(n)} | {f"e{i}": 1 for i in range(n)}
     boundary = {f"e{i}": [(f"v{(i + 1) % n}", 1), (f"v{i}", -1)] for i in range(n)}
     return RegularCWComplex(cells, boundary)
 
@@ -92,14 +91,14 @@ def build_octahedron():
     # vertices 0/1, 2/3, 4/5 are antipodal pairs
     vertices = list(range(6))
     antipodal = {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}
-    cells = [Cell(f"v{i}", 0) for i in vertices]
+    cells = {f"v{i}": 0 for i in vertices}
     boundary = {f"v{i}": [] for i in vertices}
     edges = {}
     for a, b in combinations(vertices, 2):
         if antipodal[a] != b:
             eid = f"e{a}{b}"
             edges[(a, b)] = eid
-            cells.append(Cell(eid, 1))
+            cells[eid] = 1
             boundary[eid] = [(f"v{b}", 1), (f"v{a}", -1)]
 
     def edge_sign(a, b):
@@ -110,7 +109,7 @@ def build_octahedron():
         for y in (2, 3):
             for z in (4, 5):
                 fid = f"f{x}{y}{z}"
-                cells.append(Cell(fid, 2))
+                cells[fid] = 2
                 sides = []
                 cycle = [x, y, z]
                 for i in range(3):
@@ -124,7 +123,6 @@ def build_octahedron():
 def barycentric_subdivision(cx: RegularCWComplex) -> RegularCWComplex:
     """Simplicial complex with one vertex per cell and one simplex per
     strict inclusion chain of cells."""
-    order = {cid: (cx.cells[cid].dim, repr(cid)) for cid in cx.cells}
     face_sets = {cid: cx.faces(cid) for cid in cx.cells}
     chains = [(cid,) for cid in cx.cells]
     frontier = list(chains)
@@ -137,10 +135,10 @@ def barycentric_subdivision(cx: RegularCWComplex) -> RegularCWComplex:
                     new.append(chain + (cid,))
         chains.extend(new)
         frontier = new
-    cells = []
+    cells = {}
     boundary = {}
     for chain in chains:
-        cells.append(Cell(id=chain, dim=len(chain) - 1))
+        cells[chain] = len(chain) - 1
         faces = []
         if len(chain) > 1:
             for i in range(len(chain)):
@@ -159,7 +157,7 @@ def _chain_subcomplex(sd, cid, include_cell):
         above.add(cid)
     keep = [chain_id for chain_id in sd.cells if above.issuperset(chain_id)]
     keep_set = set(keep)
-    cells = [sd.cells[c] for c in keep]
+    cells = {c: sd.cells[c] for c in keep}
     boundary = {
         c: [(f, s) for f, s in sd.boundary[c] if f in keep_set] for c in keep
     }
@@ -214,36 +212,36 @@ def displayed_boundary(u: GeneratorUniverse, gen: SurfaceCentralModel) -> dict:
 # load_complex_file reads.
 
 
-def divisor(lat: BlowupLattice, *coefficients: int) -> DivisorClass:
+def divisor(lat: BlowupLattice, *coefficients: int) -> tuple:
     """The class with the given coefficients in lat's basis (H, E1..En)."""
     if len(coefficients) != lat.rank:
         raise ValueError(f"expected {lat.rank} coefficients, got {len(coefficients)}")
-    return DivisorClass(tuple(int(c) for c in coefficients))
+    return tuple(int(c) for c in coefficients)
 
 
-def hyperplane_class(lat: BlowupLattice) -> DivisorClass:
+def hyperplane_class(lat: BlowupLattice) -> tuple:
     return divisor(lat, 1, *([0] * lat.n))
 
 
-def exceptional_class(lat: BlowupLattice, i: int) -> DivisorClass:
+def exceptional_class(lat: BlowupLattice, i: int) -> tuple:
     if not 1 <= i <= lat.n:
         raise ValueError(f"E{i} does not exist in a rank-{lat.rank} lattice")
     return divisor(lat, *(1 if j == i else 0 for j in range(lat.rank)))
 
 
-def canonical_class(lat: BlowupLattice) -> DivisorClass:
-    return DivisorClass((-3,) + (1,) * lat.n)
+def canonical_class(lat: BlowupLattice) -> tuple:
+    return (-3,) + (1,) * lat.n
 
 
-def divisor_sum(a: DivisorClass, b: DivisorClass) -> DivisorClass:
-    return DivisorClass(tuple(x + y for x, y in zip(a.coefficients, b.coefficients)))
+def divisor_sum(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
 
 
-def divisor_multiple(a: DivisorClass, k: int) -> DivisorClass:
-    return DivisorClass(tuple(k * x for x in a.coefficients))
+def divisor_multiple(a: tuple, k: int) -> tuple:
+    return tuple(k * x for x in a)
 
 
-def reducible_fibres(lat: BlowupLattice, conic: DivisorClass) -> list:
+def reducible_fibres(lat: BlowupLattice, conic: tuple) -> list:
     """Unordered pairs of (-1)-classes summing to the fibration class, each
     pair in coefficient order."""
     return [(a, b) for a, b in combinations(lat.enumerate_lines(), 2) if divisor_sum(a, b) == conic]
@@ -265,7 +263,7 @@ def bl3_sphere_cells() -> list:
     faces = [t for t in combinations(lines, 3)
              if all(lat.intersect(a, b) == 0 for a, b in combinations(t, 2))]
     faces += [(f, c1, c2) for f, (one, two) in fibres.items() for c1 in one for c2 in two]
-    return [{frozenset(c.coefficients for c in cell) for cell in cells}
+    return [{frozenset(cell) for cell in cells}
             for cells in ([(v,) for v in lines + conics], edges, faces)]
 
 
@@ -298,8 +296,8 @@ def fully_known_positions_exact(seq: ExactSequence) -> bool:
 def cw_complex_json(cx: RegularCWComplex) -> dict:
     """The CW-complex file format: cells by dimension, then boundaries."""
     cells = [
-        {"id": c.id, "dim": c.dim}
-        for c in sorted(cx.cells.values(), key=lambda c: (c.dim, repr(c.id)))
+        {"id": cid, "dim": dim}
+        for cid, dim in sorted(cx.cells.items(), key=lambda kv: (kv[1], repr(kv[0])))
     ]
     faces_of = {
         str(cid): [[fid, sign] for fid, sign in faces]
@@ -932,7 +930,7 @@ def ordered_fibration_configurations(lat, pairs, reverse_order=False):
         "ordered": ordered,
         "unordered": len(unordered),
         "configurations": sorted(
-            tuple(sorted(tuple(sorted(lines[i].coefficients for i in p)) for p in cfg))
+            tuple(sorted(tuple(sorted(lines[i] for i in p)) for p in cfg))
             for cfg in unordered
         ),
     }

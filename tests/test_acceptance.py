@@ -94,7 +94,7 @@ def test_acceptance_03_syzygy_sphere():
         sphere = validated_sphere_bl3()[0]
         report = sphere.validate()
         vertices = len(sphere.cells_of_dim(0))
-        triangles = all(len(sphere.boundary[c.id]) == 3 for c in sphere.cells_of_dim(2))
+        triangles = all(len(sphere.boundary[c]) == 3 for c in sphere.cells_of_dim(2))
         chi = sphere.euler_characteristic()
     ok = vertices == 9 and triangles and chi == 2 and report.valid and t.elapsed < 1.0
     assert announce(

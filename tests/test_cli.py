@@ -823,3 +823,21 @@ def test_homology_cw_file_rejects_malformed_cells(tmp_path, text):
     assert res.exit_code == 1
     error = json.loads(res.output)["error"]
     assert "cell" in error
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ('[{"id": "a", "dim": 0}, {"id": "a", "dim": 1}]', "duplicate cell id 'a'"),
+        ('[{"id": 1, "dim": 0}, {"id": "1", "dim": 0}]', "cells 1 and '1' share the id text '1'"),
+    ],
+    ids=["repeated-id", "same-id-text"],
+)
+def test_homology_cw_file_names_a_repeated_id_and_a_shared_id_text(tmp_path, cells, message):
+    """A complex maps each cell id to one dimension, and a boundary names a
+    cell by the text of its id, so the reader refuses both files."""
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"cells": {cells}}}', encoding="utf-8")
+    res = invoke("homology", str(path))
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == message

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from syzygy import complexes
 from syzygy.complexes import (
-    Cell,
     IntegerChainComplex,
     RegularCWComplex,
     clique_complex,
@@ -49,7 +48,7 @@ def test_validate_octahedron():
 
 
 def test_validate_flags_repeated_face():
-    cells = [Cell("a", 0), Cell("b", 0), Cell("e", 1), Cell("f", 2)]
+    cells = {"a": 0, "b": 0, "e": 1, "f": 2}
     boundary = {"e": [("b", 1), ("a", -1)], "f": [("e", 1), ("e", -1)]}
     report = RegularCWComplex(cells, boundary).validate()
     assert not report.structure_ok
@@ -58,11 +57,11 @@ def test_validate_flags_repeated_face():
 
 def test_validate_flags_dangling_and_dimension():
     report = RegularCWComplex(
-        [Cell("v", 0), Cell("e", 1)], {"e": [("v", 1), ("w", -1)]}
+        {"v": 0, "e": 1}, {"e": [("v", 1), ("w", -1)]}
     ).validate()
     assert any("dangling" in m for m in report.failures)
     report2 = RegularCWComplex(
-        [Cell("v", 0), Cell("f", 2)], {"f": [("v", 1)]}
+        {"v": 0, "f": 2}, {"f": [("v", 1)]}
     ).validate()
     assert any("dim" in m for m in report2.failures)
 
@@ -103,7 +102,7 @@ def test_subdivision_preserves_homology(builder):
 def test_links_and_dual_blocks():
     octa = build_octahedron()
     # top cell: dual block is a point, link empty
-    face = octa.cells_of_dim(2)[0].id
+    face = octa.cells_of_dim(2)[0]
     assert len(dual_block_of(octa, face).cells) == 1
     assert not link_of(octa, face).cells
     # vertex of the hexagon: link is two points
@@ -163,7 +162,6 @@ def test_cw_json_round_trip(tmp_path):
 
 def test_cell_labels_in_a_file_are_checked_and_dropped():
     """A cell is its id and dimension; a file may still label its cells."""
-    assert Cell.__slots__ == ("id", "dim")
     plain = json.loads(json.dumps(cw_complex_json(build_octahedron())))
     a, b = (RegularCWComplex.from_json_dict(d) for d in (labelled(plain), plain))
     assert a.cells == b.cells and a.boundary == b.boundary
@@ -412,6 +410,5 @@ def test_validate_links_are_the_subdivision_links(builder, monkeypatch):
     assert len(links) == len(cids)
     for cid, link in zip(cids, links):
         oracle = link_of(cx, cid)
-        assert {c.id: c.dim for c in link.cells.values()} == {
-            c.id: c.dim for c in oracle.cells.values()}
+        assert link.cells == oracle.cells
         assert link.boundary == oracle.boundary

@@ -29,7 +29,7 @@ from itertools import combinations
 
 import pytest
 
-from syzygy.lattice import BlowupLattice, DivisorClass
+from syzygy.lattice import BlowupLattice
 from syzygy.surfaces import GeneratorUniverse, row0_complex
 
 # the n of each del Pezzo family that is Bl_n P2; "dp8_quadric" is P1 x P1
@@ -40,12 +40,7 @@ def blowup_classes(n):
     """(-1)-classes and conic classes of Bl_n P2 as coefficient tuples, with
     the lattice's pairing."""
     lat = BlowupLattice(n)
-
-    def dot(a, b):
-        return lat.intersect(DivisorClass(a), DivisorClass(b))
-
-    lines = [c.coefficients for c in lat.enumerate_lines()]
-    return lines, [c.coefficients for c in lat.enumerate_conic_classes()], dot
+    return lat.enumerate_lines(), lat.enumerate_conic_classes(), lat.intersect
 
 
 def quadric_classes():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syzygy.lattice import BlowupLattice, DivisorClass
+from syzygy.lattice import BlowupLattice
 
 from helpers import (
     canonical_class,
@@ -31,7 +31,7 @@ def test_intersection_form():
 
 
 def test_canonical_class():
-    assert canonical_class(BlowupLattice(0)) == DivisorClass((-3,))
+    assert canonical_class(BlowupLattice(0)) == (-3,)
     for n, kk in ((6, 3), (3, 6)):
         lat = BlowupLattice(n)
         k = canonical_class(lat)
@@ -48,24 +48,16 @@ def test_canonical_class():
 )
 def test_intersect_symmetric_bilinear(n, xs, ys, zs, scalar):
     lat = BlowupLattice(n)
-    a = DivisorClass(tuple(xs[: n + 1]))
-    b = DivisorClass(tuple(ys[: n + 1]))
-    c = DivisorClass(tuple(zs[: n + 1]))
+    a, b, c = tuple(xs[: n + 1]), tuple(ys[: n + 1]), tuple(zs[: n + 1])
     assert lat.intersect(a, b) == lat.intersect(b, a)
     assert lat.intersect(divisor_sum(a, b), c) == lat.intersect(a, c) + lat.intersect(b, c)
     assert lat.intersect(divisor_multiple(a, scalar), b) == scalar * lat.intersect(a, b)
 
 
-def test_divisor_class_is_only_its_coefficients():
-    """No library code subtracts or prints classes."""
-    assert DivisorClass.__slots__ == ("coefficients",)
-    assert not {"__sub__", "__str__"} & set(vars(DivisorClass))
-
-
 def test_dimension_mismatch_rejected():
     lat = BlowupLattice(2)
     with pytest.raises(ValueError):
-        lat.intersect(hyperplane_class(lat), DivisorClass((1, 0)))
+        lat.intersect(hyperplane_class(lat), (1, 0))
     with pytest.raises(ValueError):
         BlowupLattice(9)
 
@@ -79,7 +71,7 @@ def test_line_counts(n, count):
     for c in lines:
         assert lat.intersect(c, c) == -1
         assert lat.intersect(k, c) == -1
-    assert lines == sorted(lines, key=lambda c: c.coefficients)
+    assert lines == sorted(lines)
 
 
 @pytest.mark.parametrize("n,count", sorted(CONIC_COUNTS.items()))
@@ -95,7 +87,7 @@ def test_conic_counts(n, count):
 
 def test_conics_bl3_explicit():
     lat = BlowupLattice(3)
-    got = {c.coefficients for c in lat.enumerate_conic_classes()}
+    got = set(lat.enumerate_conic_classes())
     assert got == {(1, -1, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1)}
 
 
@@ -206,7 +198,7 @@ def test_fibration_configurations_cubic_weyl_orbit():
     configurations = lat.count_fibration_configurations()["configurations"]
 
     def as_set(cfg):
-        return frozenset(frozenset(DivisorClass(c) for c in pair) for pair in cfg)
+        return frozenset(frozenset(pair) for pair in cfg)
 
     def reflect(cfg, root):
         return frozenset(frozenset(weyl_reflect(lat, c, root) for c in pair) for pair in cfg)
@@ -236,9 +228,9 @@ def test_fibration_configurations_are_conic_bundles(n):
     assert res["pairs"] == n - 1
     sums = []
     for cfg in res["configurations"]:
-        fibres = {divisor_sum(DivisorClass(a), DivisorClass(b)) for a, b in cfg}
+        fibres = {divisor_sum(a, b) for a, b in cfg}
         assert len(fibres) == 1
         sums.append(fibres.pop())
-    assert sorted(sums, key=lambda c: c.coefficients) == lat.enumerate_conic_classes()
+    assert sorted(sums) == lat.enumerate_conic_classes()
     if n == 7:
         assert res["unordered"] == 126

@@ -67,6 +67,20 @@ def test_registry_lookups_name_a_missing_entry(registry):
             lookup("X", 1)
         assert exc.value.args == ("registry has no entry for group 'X' in degree 1",)
 
+
+def test_registry_groups_are_named_as_row_1_reads_them(registry):
+    """Every automorphism group in the registry has the name _model_group
+    gives a generator of the ruled or the plane universe, or is the Aut+
+    partner of a non-orientable group, so a row reads its entries by the
+    rule row 1 uses."""
+    names = {spectral._model_group(gen)
+             for u in (GeneratorUniverse.ruled(4, 3, 3), GeneratorUniverse.cremona(3, 5))
+             for rank in range(1, u.r_max + 1) for gen in surfaces.enumerate_generators(u, rank)}
+    names |= {"Aut+" + group[len("Aut"):] for group in spectral.SIGMA_ACTIONS}
+    groups = {group for (group, _), _ in registry_items(registry) if group.startswith("Aut")}
+    assert sorted(groups - names) == []
+
+
 def test_registry_rejects_missing_provenance(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -235,17 +249,26 @@ def test_converged_total_at_ruled_row0_sizes():
         (2,) * (10 - 2 * k) + (4,) * k for k in range(5))
 
 
-def test_dd_zero_enforced():
+def test_differential_out_of_the_box_has_wrong_endpoints():
+    """d2 from (4, 1) lands on (2, 2), outside the box (4, 1), where the
+    entry is 0 and not the Z/2 the map names."""
     entries = {(p, q): Zn(2) for p in range(5) for q in range(2)}
     g = Zn(2)
-    bad_d1 = FormalHom(g, g, [{0: 1}])
-    with pytest.raises(FormalGroupError):
+    with pytest.raises(FormalGroupError, match=r"^differential at \(4, 1\) has wrong endpoints$"):
         SpectralGrid(
             page=2,
             box=(4, 1),
             entries=entries,
-            differentials={(2, 0): bad_d1, (4, 1): FormalHom(g, g, [{0: 1}])},
+            differentials={(2, 0): FormalHom(g, g, [{0: 1}]), (4, 1): FormalHom(g, g, [{0: 1}])},
         )
+
+
+def test_differential_into_an_unknown_entry_is_refused():
+    """d2 from (2, 0) lands on (0, 1), a spot in the box that entries lacks."""
+    g = Zn(2)
+    with pytest.raises(FormalGroupError, match=r"^differential at \(2, 0\) touches an unknown entry$"):
+        SpectralGrid(page=2, box=(2, 1), entries={(2, 0): g},
+                     differentials={(2, 0): FormalHom(g, g, [{0: 1}])})
 
 
 def edge_page(source, target, split=False):

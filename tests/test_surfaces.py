@@ -616,7 +616,7 @@ def test_syzygy_sphere():
     assert len(sphere.cells_of_dim(1)) == 21
     assert len(sphere.cells_of_dim(2)) == 14
     assert sphere.euler_characteristic() == 2
-    assert all(len(sphere.boundary[c.id]) == 3 for c in sphere.cells_of_dim(2))
+    assert all(len(sphere.boundary[c]) == 3 for c in sphere.cells_of_dim(2))
     report = sphere.validate()
     assert report.valid, report.summary()
     assert [str(sphere.homology(d)) for d in range(3)] == ["Z", "0", "Z"]
@@ -627,8 +627,8 @@ def test_syzygy_sphere_cells_are_the_listed_models():
     is one of the models listed from the lattice alone, and each listed
     model is a cell."""
     sphere = validated_sphere_bl3()[0]
-    cells = [{frozenset(c.id) for c in sphere.cells_of_dim(d)} for d in range(3)]
-    assert all(len(set(c.id)) == c.dim + 1 for c in sphere.cells.values())
+    cells = [{frozenset(c) for c in sphere.cells_of_dim(d)} for d in range(3)]
+    assert all(len(set(cid)) == dim + 1 for cid, dim in sphere.cells.items())
     assert cells == bl3_sphere_cells()
     assert [len(s) for s in cells] == [9, 21, 14]
 

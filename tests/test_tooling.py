@@ -12,12 +12,15 @@ read, only smith touches the dense Smith cluster, and no module imports
 written once, so no class but the value base `_Value` in the package's
 `__init__.py` defines `__setattr__`, `__delattr__`, `__reduce__`, `__hash__`
 or `__repr__` with a `def`, and only `_Value.__init__` names
-`object.__setattr__`.  One reading rule as well: only `__init__.py`
-opens a file, parses JSON or names the data directory.  A row rule: only
-`surfaces.row0_complex` calls the boundary builder.  A registry rule:
-only `cli.py` calls `default_registry`, and no function in `spectral.py`
-gives its `registry` parameter a default.  And the library
-holds only code that runs: every top-level function and method is
+`object.__setattr__`.  Every value type checks, normalises or computes
+something: its `__init__` does more than hand its arguments to `_Value`,
+or it defines a method of its own.  One reading rule as well: only
+`__init__.py` opens a file, parses JSON or names the data directory.  A
+row rule: only `surfaces.row0_complex` calls the boundary builder.  A
+registry rule: only `cli.py` calls `default_registry`, and no function in
+`spectral.py` gives its `registry` parameter a default.  A complex rule:
+only the clique rule and the file reader construct a `RegularCWComplex`.
+And the library holds only code that runs: every top-level function and method is
 referenced by name somewhere in the library outside its own definition,
 unless it is a package export, a dunder, a name the benchmark's own code
 reaches (its traced SPANS, its set-up probe, its in-process runner), or on
@@ -92,7 +95,7 @@ def test_bench_job_output_matches_its_digest(args):
 UNREAD_ENTRIES = {
     **{("C*", d): "read by tests/helpers.py::h_prime_grid" for d in range(4)},
     **{(group, 2): "kept for the degree-2 row that is to derive E_{0,2}"
-       for group in ("Aut(F1)", "Aut(Se->P1)", "Aut(S_e,1->P1)", "Autf(Fe/P1)")},
+       for group in ("Aut(F1)", "Aut(Fe/P1)", "Aut(S_e,1/P1)", "Autf(Fe/P1)")},
 }
 
 
@@ -259,8 +262,8 @@ def test_sphere_skips_the_formal_calculus():
 # __init__.py, so that an export is dropped or added only on purpose
 EXPORTS = {
     "smith": "FGAbelianGroup SNFResult smith_normal_form",
-    "lattice": "BlowupLattice DivisorClass IncidenceGraph cubic_summary",
-    "complexes": "Cell IntegerChainComplex RegularCWComplex load_complex_file",
+    "lattice": "BlowupLattice IncidenceGraph cubic_summary",
+    "complexes": "IntegerChainComplex RegularCWComplex load_complex_file",
     "surfaces": "BaseCase GeneratorUniverse SurfaceCentralModel boundary enumerate_generators"
     " row0_complex row0_homology validated_sphere_bl3",
     "formal": "Atom FormalGroup FormalHom check_exact cokernel homology_at kernel solve_extension",
@@ -390,14 +393,16 @@ def test_only_row0_complex_builds_boundaries():
     assert callers == ["surfaces.py:row0_complex"]
 
 
-def test_only_the_clique_rule_and_the_file_reader_construct_cells():
+def test_only_the_clique_rule_and_the_file_reader_construct_complexes():
     """Every complex in the library is a clique complex or read from a
     file, so no library function but clique_complex and
-    RegularCWComplex.from_json_dict constructs a Cell: a complex listed by
-    hand cannot come back."""
-    def cell_calls(tree):
+    RegularCWComplex.from_json_dict constructs a RegularCWComplex, by name
+    or as ``cls`` in one of its methods: a complex listed by hand cannot
+    come back."""
+    def constructions(tree, cls_is_cw=False):
+        names = {"RegularCWComplex", "cls"} if cls_is_cw else {"RegularCWComplex"}
         return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-                and "Cell" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+                and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & names]
 
     makers = set()
     for name, tree in _library_modules():
@@ -406,13 +411,34 @@ def test_only_the_clique_rule_and_the_file_reader_construct_cells():
             for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
                 if isinstance(fn, ast.FunctionDef):
                     qualname = fn.name if fn is node else f"{node.name}.{fn.name}"
-                    owner.update((line, qualname) for line in cell_calls(fn))
-        makers |= {f"{name}:{owner.get(line, line)}" for line in cell_calls(tree)}
+                    cls_is_cw = fn is not node and node.name == "RegularCWComplex"
+                    owner.update((line, qualname) for line in constructions(fn, cls_is_cw))
+        lines = set(owner) | set(constructions(tree))
+        makers |= {f"{name}:{owner.get(line, line)}" for line in lines}
     assert sorted(makers) == ["complexes.py:RegularCWComplex.from_json_dict",
                               "complexes.py:clique_complex"]
 
 
 VALUE_METHODS = {"__setattr__", "__delattr__", "__reduce__", "__hash__", "__repr__"}
+
+
+def test_every_value_type_checks_normalises_or_computes():
+    """A `_Value` subclass whose `__init__` only hands its arguments to the
+    base, and which defines no other method, is its fields and nothing
+    more; the library holds such data as it is (a divisor class is its
+    coefficient tuple, a complex's cells map ids to dimensions)."""
+    wrappers = []
+    for name, tree in _library_modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or "_Value" not in map(ast.unparse, node.bases):
+                continue
+            methods = {item.name: item for item in node.body if isinstance(item, ast.FunctionDef)}
+            init = methods.pop("__init__", None)
+            hand_off = init is None or list(map(ast.unparse, init.body)) == [
+                "super().__init__(" + ", ".join(a.arg for a in init.args.args[1:]) + ")"]
+            if hand_off and not methods:
+                wrappers.append(f"{name}:{node.lineno} {node.name}")
+    assert not wrappers
 
 
 def test_only_the_value_base_writes_fields_past_the_refusal():
