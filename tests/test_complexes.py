@@ -66,6 +66,52 @@ def test_validate_flags_dangling_and_dimension():
     assert any("dim" in m for m in report2.failures)
 
 
+def test_cells_are_a_copy_of_the_id_to_dimension_dict():
+    cells = {"v": 0, "w": 0, "e": 1}
+    cx = RegularCWComplex(cells, {"e": [("w", 1), ("v", -1)]})
+    cells["f"] = 2
+    assert cx.cells == {"v": 0, "w": 0, "e": 1} and cx.dimension == 1
+
+
+def test_a_cell_without_a_boundary_entry_has_an_empty_boundary():
+    cx = RegularCWComplex({"v": 0, "w": 0, "e": 1}, {"e": [("w", 1), ("v", -1)]})
+    assert cx.boundary == {"v": (), "w": (), "e": (("w", 1), ("v", -1))}
+
+
+def test_a_boundary_for_an_unknown_cell_is_refused():
+    with pytest.raises(ValueError, match="^boundary given for unknown cell 'x'$"):
+        RegularCWComplex({"v": 0}, {"x": [("v", 1)]})
+
+
+def test_cells_of_dim_sorts_ids_of_mixed_types_by_repr():
+    cx = RegularCWComplex({2: 0, "a": 0, (0, 1): 0, 10: 0, "b": 1}, {"b": [(2, 1), (10, -1)]})
+    assert cx.cells_of_dim(0) == ["a", (0, 1), 10, 2]  # by repr: quote, paren, digits
+    assert cx.cells_of_dim(1) == ["b"] and cx.cells_of_dim(2) == []
+
+
+def test_the_empty_complex_has_dimension_minus_one():
+    empty = RegularCWComplex({}, {})
+    assert empty.dimension == -1 and empty.euler_characteristic() == 0
+    assert empty.cells_of_dim(0) == []
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [build_point, build_interval, lambda: build_cycle(6), build_octahedron,
+     lambda: clique_complex("abcd", lambda a, b: True), lambda: validated_sphere_bl3()[0]],
+    ids=["point", "interval", "hexagon", "octahedron", "k4", "bl3-sphere"],
+)
+def test_cells_of_dim_split_the_cells_by_their_dimension(builder):
+    """Every id sits in the list of its own dimension exactly once, each
+    list in repr order, and the Euler characteristic counts the lists."""
+    cx = builder()
+    by_dim = [cx.cells_of_dim(d) for d in range(cx.dimension + 1)]
+    assert {cid: d for d, ids in enumerate(by_dim) for cid in ids} == cx.cells
+    assert sum(map(len, by_dim)) == len(cx.cells)
+    assert all(ids == sorted(ids, key=repr) for ids in by_dim)
+    assert cx.euler_characteristic() == sum((-1) ** d * len(ids) for d, ids in enumerate(by_dim))
+
+
 def test_interval_is_manifold_with_boundary_not_closed():
     # structure fine, but endpoint links are points, not 0-spheres
     report = build_interval().validate()

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from helpers import (
 )
 
 LINE_COUNTS = {0: 0, 1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
-CONIC_COUNTS = {0: 0, 1: 1, 2: 2, 3: 3, 4: 5, 5: 10, 6: 27}
+CONIC_COUNTS = {0: 0, 1: 1, 2: 2, 3: 3, 4: 5, 5: 10, 6: 27, 7: 126, 8: 2160}
 
 
 def test_intersection_form():
@@ -85,6 +86,21 @@ def test_conic_counts(n, count):
         assert lat.intersect(k, f) == -2
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_classes_are_distinct_sorted_integer_tuples_of_the_lattice_rank(n):
+    """A class is its coefficient tuple: the enumerators return plain tuples
+    of ints, one entry per basis class, in strictly increasing tuple order;
+    fibration classes are primitive and of nonnegative degree."""
+    lat = BlowupLattice(n)
+    lines, conics = lat.enumerate_lines(), lat.enumerate_conic_classes()
+    for classes in (lines, conics):
+        for c in classes:
+            assert type(c) is tuple and len(c) == lat.rank
+            assert all(type(x) is int for x in c)
+        assert all(a < b for a, b in zip(classes, classes[1:]))
+    assert all(f[0] >= 0 and gcd(*f) == 1 for f in conics)
+
+
 def test_conics_bl3_explicit():
     lat = BlowupLattice(3)
     got = set(lat.enumerate_conic_classes())
@@ -113,6 +129,20 @@ def test_incidence_graph_canonical_and_empty():
     assert g1 == g2
     empty = lat.incidence_graph([], 1)
     assert empty.vertices == () and empty.edges == ()
+
+
+def test_incidence_graph_sorts_and_merges_repeated_classes():
+    lat = BlowupLattice(3)
+    lines = lat.enumerate_lines()
+    g = lat.incidence_graph(lines[::-1] + lines[:2], 1)
+    assert g.vertices == tuple(lines)
+    assert g == lat.incidence_graph(lines, 1)
+
+
+def test_incidence_graph_refuses_a_class_of_another_rank():
+    lat = BlowupLattice(3)
+    with pytest.raises(ValueError, match="^class does not belong to this lattice$"):
+        lat.incidence_graph(lat.enumerate_lines() + [(1, -1, 0)], 1)
 
 
 def test_weyl_reflection_examples():
