@@ -111,11 +111,7 @@ class RegularCWComplex:
                     link_failures.append(
                         f"cell {cid!r} (dim {dim}): link is not an S^{expected} homology sphere"
                     )
-        return ValidationReport(
-            structure_ok=not failures,
-            failures=failures,
-            link_failures=link_failures,
-        )
+        return ValidationReport(failures, link_failures)
 
     # -- homology ------------------------------------------------------------
 
@@ -157,11 +153,9 @@ class RegularCWComplex:
         for c in cells_data:
             raw_id, dim = unpack(c, f"cell {c.get('id', c)!r}", {"id": object, "dim": int},
                                  {"label": str})[:2]  # a label is checked, then dropped
+            if not _is_id(raw_id):
+                raise ValueError(f"cell id {raw_id!r} is not a string, number or list")
             cid = _as_id(raw_id)
-            try:
-                hash(cid)
-            except TypeError:
-                raise ValueError(f"cell id {raw_id!r} is not a string, number or list") from None
             if dim < 0:
                 raise ValueError(f"cell {cid!r} has dim {dim}, not an integer >= 0")
             if cid in cells:
@@ -180,7 +174,7 @@ class RegularCWComplex:
                 if len(f) != 2:
                     raise ValueError(f"cell {cid!r}: face {f!r} is not an [id, sign] pair")
                 text, sign = str(_as_id(f[0])), f[1]
-                if text not in by_text:
+                if not _is_id(f[0]) or text not in by_text:
                     raise ValueError(f"cell {cid!r}: face {f[0]!r} names no cell")
                 fid = by_text[text]
                 if cells[fid] != cells[cid] - 1:
@@ -194,6 +188,12 @@ class RegularCWComplex:
         return cls(cells, boundary)
 
 
+def _is_id(value) -> bool:
+    """Is a JSON value a string, a number or a list of such, at every depth?
+    A null or a boolean is not: True would equal the id 1."""
+    return type(value) in (str, int, float) or type(value) is list and all(map(_is_id, value))
+
+
 def _as_id(value):
     """A cell id as read from JSON, with the lists that JSON makes of tuples
     turned back into tuples at every depth."""
@@ -201,16 +201,19 @@ def _as_id(value):
 
 
 class ValidationReport:
-    __slots__ = ("structure_ok", "failures", "link_failures")
+    """The failures of validate(): those of the structure (faces, signs,
+    regularity, d o d) and those of the links, read only when the structure
+    holds.  The complex is valid when both lists are empty."""
 
-    def __init__(self, structure_ok: bool, failures=None, link_failures=None):
-        self.structure_ok = structure_ok
-        self.failures = [] if failures is None else failures
-        self.link_failures = [] if link_failures is None else link_failures
+    __slots__ = ("failures", "link_failures")
+
+    def __init__(self, failures: list, link_failures: list):
+        self.failures = failures
+        self.link_failures = link_failures
 
     @property
     def valid(self) -> bool:
-        return self.structure_ok and not self.link_failures
+        return not self.failures and not self.link_failures
 
     def summary(self) -> str:
         if self.valid:
@@ -362,10 +365,10 @@ def load_complex_file(path):
     """Read a CW-complex file (it has "cells") or a chain-complex file (it
     has "ranks"); no key may repeat in an object or be unknown.  CW complex:
     required "cells", a list of objects with required "id" (a string,
-    number or list) and "dim" (an integer >= 0) and optional "label" (a
-    string, which is not kept); optional "boundary", an object from the
-    text of a cell id to its faces, each an [id, sign] pair with an integer
-    sign.  Chain complex:
+    number or list of these) and "dim" (an integer >= 0) and optional
+    "label" (a string, which is not kept); optional "boundary", an object
+    from the text of a cell id to its faces, each an [id, sign] pair with an
+    integer sign.  Chain complex:
     required "ranks", a list of integers >= 0; optional "boundaries", for
     each degree d >= 1 a list of ranks[d - 1] rows of ranks[d] integers, and
     "cyclic", an object from a degree to an object from a generator index to

@@ -67,7 +67,7 @@ class KnownHomologyRegistry:
     def load(cls, path=None) -> "KnownHomologyRegistry":
         """Read a registry file, the shipped one by default: an object whose one
         key "entries" lists entries.  An entry has exactly the keys "group" (a
-        non-empty string), "degree" (an integer), "value" and "provenance" (a
+        non-empty string), "degree" (an integer >= 0), "value" and "provenance" (a
         non-empty note), all required; no two share a group and degree.  A
         value has the optional keys "atoms" (atom names), "cyclic" (orders
         >= 2), "free" (a rank) and "infinite" ([label, value] pairs), each a
@@ -79,6 +79,8 @@ class KnownHomologyRegistry:
             what = f"registry entry {item.get('group')!r} degree {item.get('degree')!r}"
             group, degree, value, note = unpack(item, what, {
                 "group": str, "degree": int, "value": dict, "provenance": str})
+            if degree < 0:
+                raise ValueError(f"{what}: 'degree' holds {degree}, not an integer >= 0")
             if (group, degree) in entries:
                 raise ValueError(f"{what}: repeats an earlier entry")
             entries[group, degree] = (parse_value(value, f"{what} value"), note)
@@ -321,64 +323,48 @@ class SpectralGrid:
 # -- low-degree exact sequences ---------------------------------------------------
 
 
-class SequenceTerm:
-    """A labelled term of an exact sequence; ``group`` None is unknown."""
-
-    __slots__ = ("label", "group")
-
-    def __init__(self, label: str, group: FormalGroup | None):
-        self.label = label
-        self.group = group
-
-
 class ExactSequence:
-    """A chain of terms with optionally known connecting maps; exactness is
-    checked at interior terms wherever enough data exists."""
+    """A chain of (label, group) terms, group None where unknown, with
+    optionally known connecting maps; exactness is checked at interior
+    terms wherever enough data exists.  An unknown term between two known
+    zeros is zero, and is filled in when the sequence is built; one pass
+    suffices, since a filled term's neighbours are known already."""
 
     def __init__(self, terms, homs=None):
-        self.terms = [SequenceTerm(l, g) for l, g in terms]
+        zero = [False] + [g is not None and g.is_zero for _, g in terms] + [False]
+        self.terms = [(label, ZERO if g is None and zero[i] and zero[i + 2] else g)
+                      for i, (label, g) in enumerate(terms)]
         self.homs = dict(homs or {})
-
-    def solve_forced(self):
-        """Unknown terms flanked by known zeros must be zero; fill them in.
-        One pass suffices: a filled term's neighbours are known zeros
-        already, so filling it makes no other unknown term fillable."""
-        for left, t, right in zip(self.terms, self.terms[1:], self.terms[2:]):
-            if t.group is None and all(s.group is not None and s.group.is_zero
-                                       for s in (left, right)):
-                t.group = FormalGroup.zero()
-        return self
 
     def _map(self, i):
         """Map terms[i] -> terms[i+1], explicit or forced zero."""
         if i in self.homs:
             return self.homs[i]
-        a, b = self.terms[i].group, self.terms[i + 1].group
+        a, b = self.terms[i][1], self.terms[i + 1][1]
         if a is not None and b is not None and (a.is_zero or b.is_zero):
             return zero_hom(a, b)
         return None
 
     def check(self):
         out = []
-        for i in range(1, len(self.terms) - 1):
-            t = self.terms[i]
-            if t.group is None:
-                out.append((t.label, "unknown", "term not computed"))
+        for i, (label, group) in enumerate(self.terms[1:-1], start=1):
+            if group is None:
+                out.append((label, "unknown", "term not computed"))
                 continue
-            if t.group.is_zero:
-                out.append((t.label, "exact", "zero group"))
+            if group.is_zero:
+                out.append((label, "exact", "zero group"))
                 continue
             f, g = self._map(i - 1), self._map(i)
             if f is None or g is None:
-                out.append((t.label, "unknown", "connecting maps not available"))
+                out.append((label, "unknown", "connecting maps not available"))
                 continue
             v = check_exact([f, g])[0]
-            out.append((t.label, v.verdict, v.detail))
+            out.append((label, v.verdict, v.detail))
         return out
 
     def render(self) -> str:
         return " -> ".join(
-            f"{t.label}[{'?' if t.group is None else t.group}]" for t in self.terms
+            f"{label}[{'?' if group is None else group}]" for label, group in self.terms
         )
 
 
@@ -391,7 +377,7 @@ def _low_degree_tail(grid: SpectralGrid) -> list:
 
 def five_term(grid: SpectralGrid) -> ExactSequence:
     """H2 -> E_{2,0} -> E_{0,1} -> H1 -> E_{1,0} -> 0."""
-    return ExactSequence([("H2", grid.abutment.get(2))] + _low_degree_tail(grid)).solve_forced()
+    return ExactSequence([("H2", grid.abutment.get(2))] + _low_degree_tail(grid))
 
 
 def seven_term(grid: SpectralGrid) -> ExactSequence:
@@ -401,7 +387,7 @@ def seven_term(grid: SpectralGrid) -> ExactSequence:
     coker_term = grid.abutment.get(2) if e02 is not None and e02.is_zero else None
     terms = [("E_{3,0}", grid.entry(3, 0)), ("E_{1,1}", grid.entry(1, 1)),
              ("coker(E_{0,2}->H2)", coker_term)]
-    return ExactSequence(terms + _low_degree_tail(grid)).solve_forced()
+    return ExactSequence(terms + _low_degree_tail(grid))
 
 
 # -- the three extension grids -----------------------------------------------------
@@ -435,16 +421,14 @@ def pgl_grid(n: int, registry: KnownHomologyRegistry) -> SpectralGrid:
 
 
 class SchurDerivation:
-    """The second homology of one group, with the candidates it was chosen
-    from, its exact sequence and the notes of its derivation."""
+    """The second homology of one group, the one candidate its derivation
+    allows, with its exact sequence and the notes of its derivation."""
 
-    __slots__ = ("group", "value", "candidates", "sequence", "notes")
+    __slots__ = ("group", "value", "sequence", "notes")
 
-    def __init__(self, group: str, value: FormalGroup, candidates: list,
-                 sequence: ExactSequence, notes: list):
+    def __init__(self, group: str, value: FormalGroup, sequence: ExactSequence, notes: list):
         self.group = group
         self.value = value
-        self.candidates = candidates
         self.sequence = sequence
         self.notes = notes
 
@@ -463,14 +447,11 @@ def schur_pgl(n: int, registry: KnownHomologyRegistry) -> SchurDerivation:
     candidates = solve_extension(h2_cover, e01)
     if len(candidates) != 1:
         raise FormalGroupError(f"extension not unique: {[str(c) for c in candidates]}")
-    value = candidates[0]
-    seq = five_term(grid)
-    seq.terms[1].group = value
+    grid.entries[(2, 0)] = candidates[0]  # the solved E_{2,0} enters the sequence
     return SchurDerivation(
         group=f"PGL({n},C)",
-        value=value,
-        candidates=candidates,
-        sequence=seq,
+        value=candidates[0],
+        sequence=five_term(grid),
         notes=grid.notes,
     )
 
@@ -512,7 +493,6 @@ def _schur_aut_quadric(h2_pgl2: FormalGroup, registry: KnownHomologyRegistry) ->
     return SchurDerivation(
         group="Aut(P1xP1)",
         value=candidates[0],
-        candidates=candidates,
         sequence=five_term(grid),
         notes=page.notes,
     )
@@ -569,8 +549,8 @@ def _model_group(gen) -> str:
     every point set and e: Autf(...) over the ruled base; over the plane
     Aut(...) for a surface, Aut(.../P1) for a conic bundle's pair."""
     k = gen.rank - 1
-    if gen.family in surfaces.POINT_MODEL_NAMES:
-        return f"Aut({surfaces.POINT_MODEL_NAMES[gen.family]})"
+    if gen.family in surfaces.POINT_FAMILIES:
+        return f"Aut({surfaces.POINT_FAMILIES[gen.family][1]})"
     if gen.family == "hirzebruch":
         name = "P1xP1/P1" if gen.e == 0 else "Fe/P1"
     elif gen.family == "min_section":
@@ -726,11 +706,8 @@ def prop_s17_sequence(u: surfaces.GeneratorUniverse, registry) -> ExactSequence:
     return seven_term(ruled_grid(u, registry))
 
 
-def cremona_assemble(
-    registry,
-    universe: surfaces.GeneratorUniverse | None = None,
-    force_e21_zero: bool = False,
-) -> dict:
+def cremona_assemble(registry, u: surfaces.GeneratorUniverse,
+                     force_e21_zero: bool = False) -> dict:
     """Candidates for H2 of the plane's birational automorphism group.
 
     The governing relation is H2 = E_{0,2} / Im(E_{2,1} -> E_{0,2}); the
@@ -740,7 +717,6 @@ def cremona_assemble(
     with 3^m its largest cyclic 3-power, the image divides E_{0,2}'s one
     3-divisible cyclic factor by 3^j for j = 0..m, as far as that factor
     allows.  Row 0 does not enter."""
-    u = universe or surfaces.GeneratorUniverse.cremona(3, r_max=5)
     row1 = cremona_row1_complex(u, registry)
     e01, e11, e21_bound = row1.at(0), row1.at(1), row1.at(2)
     e02 = registry.get("E_{0,2}(Cr2)", 2)

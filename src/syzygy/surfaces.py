@@ -25,7 +25,8 @@ chain-complex engine.  Over the plane a cell of the base curve's families
 is the class of the ruled cell with its points forgotten: every position's
 face is the one empty point set, the positions' terms add up, and an entry on
 an order-2 row is kept mod 2 (a cell whose stabiliser reverses its orientation
-leaves a Z/2 among the coinvariants).  Only the del Pezzo families keep a table.
+leaves a Z/2 among the coinvariants).  The families over a point keep one
+table, POINT_FAMILIES: each family's rank, model name and faces.
 
 Truncation: generators are listed up to the requested e_max; internally the
 chain complex keeps rank r up to e_max + (r_max - r), a staircase under which
@@ -51,51 +52,61 @@ class BaseCase(Enum):
     CREMONA = "cremona"
 
 
+def _tag(family, partition=(), e=0, modulus=None) -> tuple:
+    return (family, partition, modulus, e)
+
+
 # Families over the base curve (both universes):
 #   hirzebruch    rank-1 ruled surface with invariant e >= 0 (e = 0: the quadric)
 #   blowup        blowup of the quadric at k points, tagged by the partition of
 #                 the points into common minimal sections
 #   min_section   blowup of the e-th surface (e >= 1) at k points on its
 #                 minimal section
-# Extra rank-r families over a point (cremona universe only):
-#   plane, dp8_blowdown, dp8_quadric, dp7, dp6, dp5
-POINT_FAMILIES = ("plane", "dp8_blowdown", "dp8_quadric", "dp7", "dp6", "dp5")
-DEL_PEZZO_RANK = {"plane": 1, "dp8_blowdown": 2, "dp8_quadric": 2, "dp7": 3, "dp6": 4, "dp5": 5}
-POINT_MODEL_NAMES = {"plane": "P2", "dp8_blowdown": "F1", "dp8_quadric": "P1xP1", "dp7": "Bl2P2",
-                     "dp6": "Bl3P2", "dp5": "Bl4P2"}
+# The families over a point (cremona universe only): family -> (rank, model
+# name, faces), the faces being the (position, target tag, coefficient)
+# terms of its boundary at the empty point set.  The plane's boundary is
+# the augmentation.
+POINT_FAMILIES = {
+    "plane": (1, "P2", []),
+    "dp8_blowdown": (2, "F1", [(0, _tag("hirzebruch", e=1), 1), (0, _tag("plane"), -1)]),
+    "dp8_quadric": (2, "P1xP1", []),
+    "dp7": (3, "Bl2P2", [(0, _tag("dp8_quadric"), 1)]),
+    "dp6": (4, "Bl3P2", [(0, _tag("blowup", (1, 1)), 1)]),
+    "dp5": (5, "Bl4P2", [(0, _tag("blowup", (1, 1, 1)), 1)]),
+}
 
 
 class SurfaceCentralModel(_Value):
     """One central model: its rank, base case and family, marked points,
-    invariant e, partition tag, modulus and orientability.  An immutable
-    value, used as a generator label and a dict key."""
+    invariant e, partition tag and modulus.  Its orientability is read from
+    the orientability table, not stored.  An immutable value, used as a
+    generator label and a dict key."""
 
-    __slots__ = ("rank", "base", "family", "points", "e", "partition", "modulus", "orientable")
+    __slots__ = ("rank", "base", "family", "points", "e", "partition", "modulus")
 
     def __init__(self, rank: int, base: BaseCase, family: str, points: tuple = (), e: int = 0,
-                 partition: tuple = (), modulus: str | None = None, orientable: bool = True):
-        super().__init__(rank, base, family, points, e, partition, modulus, orientable)
+                 partition: tuple = (), modulus: str | None = None):
+        super().__init__(rank, base, family, points, e, partition, modulus)
+
+    @property
+    def orientable(self) -> bool:
+        return is_orientable(self.base, self.family, self.rank - 1)
 
     def display(self) -> str:
-        k = len(self.points)
-        pts = "{" + ",".join(self.points) + "}" if self.points else ""
+        k = self.rank - 1
         if self.family == "hirzebruch":
             name = "P1xP1/P1" if self.e == 0 else f"F{self.e}/P1"
-        elif self.family in POINT_MODEL_NAMES:
-            name = POINT_MODEL_NAMES[self.family]
+        elif self.family in POINT_FAMILIES:
+            name = POINT_FAMILIES[self.family][1]
         elif self.family == "min_section":
-            name = f"S_e={self.e},{k or self.rank - 1}"
-        else:  # blowup
-            k = k or self.rank - 1
-            if self.partition == (1,) * k:
-                name = f"S_g,{k}" + (f"({self.modulus})" if self.modulus else "")
-            elif self.partition == (k,):
-                name = f"S_s,{k}"
-            else:
-                name = "S_(" + ",".join(str(b) for b in self.partition) + f"),{k}"
-        if self.modulus and self.family != "blowup":
-            name += f"[{self.modulus}]"
-        return name + (f"@{pts}" if pts else "")
+            name = f"S_e={self.e},{k}"
+        elif self.partition == (1,) * k:  # blowup
+            name = f"S_g,{k}" + (f"({self.modulus})" if self.modulus else "")
+        elif self.partition == (k,):
+            name = f"S_s,{k}"
+        else:
+            name = "S_(" + ",".join(str(b) for b in self.partition) + f"),{k}"
+        return name + ("@{" + ",".join(self.points) + "}" if self.points else "")
 
     def __str__(self) -> str:
         return self.display()
@@ -108,7 +119,7 @@ def orientability_table() -> dict:
     table = read_json(DATA_DIR / "orientability.json")
     if type(table) is not dict:
         raise ValueError("the orientability table must be an object")
-    families = POINT_FAMILIES + ("hirzebruch", "blowup", "min_section")
+    families = (*POINT_FAMILIES, "hirzebruch", "blowup", "min_section")
     key_form = f"({'|'.join(b.value for b in BaseCase)})/({'|'.join(families)})(/k=[1-9][0-9]*)?"
     for key in table:
         if not re.fullmatch(key_form, key):
@@ -154,16 +165,7 @@ class GeneratorUniverse(_Value):
 
 
 def _mk(base, rank, family, points=(), e=0, partition=(), modulus=None):
-    return SurfaceCentralModel(
-        rank=rank,
-        base=base,
-        family=family,
-        points=tuple(points),
-        e=e,
-        partition=tuple(partition),
-        modulus=modulus,
-        orientable=is_orientable(base, family, rank - 1),
-    )
+    return SurfaceCentralModel(rank, base, family, tuple(points), e, tuple(partition), modulus)
 
 
 def _point_sets(u: GeneratorUniverse, rank: int) -> list:
@@ -174,10 +176,6 @@ def _point_sets(u: GeneratorUniverse, rank: int) -> list:
     return [()]
 
 
-def _tag(family, partition=(), e=0, modulus=None) -> tuple:
-    return (family, partition, modulus, e)
-
-
 def _tags(u: GeneratorUniverse, rank: int, e_bound: int) -> list:
     """The configuration tags (family, partition, modulus, e) of the rank's
     generators with e <= e_bound, in generator order: over the plane the del
@@ -186,7 +184,7 @@ def _tags(u: GeneratorUniverse, rank: int, e_bound: int) -> list:
         raise ValueError(f"rank must be in [1, {u.r_max}], got {rank}")
     k = rank - 1
     ruled = u.base is BaseCase.RULED
-    tags = [] if ruled else [_tag(f) for f in POINT_FAMILIES if DEL_PEZZO_RANK[f] == rank]
+    tags = [] if ruled else [_tag(f) for f, (r, _, _) in POINT_FAMILIES.items() if r == rank]
     if rank == 1:
         return tags + [_tag("hirzebruch", e=e) for e in range(e_bound + 1)]
     if rank == 5 and not ruled:
@@ -241,13 +239,12 @@ class BoundaryMatrix:
     generators up to the target invariant bound.  ``matrix`` holds one dict
     per column, row index -> nonzero coefficient (smith's column format)."""
 
-    __slots__ = ("rank", "columns", "rows", "matrix")
+    __slots__ = ("columns", "rows", "matrix")
 
-    def __init__(self, rank: int, columns=None, rows=None, matrix=None):
-        self.rank = rank
-        self.columns = [] if columns is None else columns
-        self.rows = [] if rows is None else rows
-        self.matrix = [] if matrix is None else matrix
+    def __init__(self, columns: list, rows: list, matrix: list):
+        self.columns = columns
+        self.rows = rows
+        self.matrix = matrix
 
 
 def _ruled_boundary_targets(rank: int, tag: tuple) -> list:
@@ -268,16 +265,6 @@ def _ruled_boundary_targets(rank: int, tag: tuple) -> list:
     ]
 
 
-# The targets of the families that exist only over the plane, at the empty face.
-_DEL_PEZZO_TRANSITIONS = {
-    "dp8_blowdown": [(0, _tag("hirzebruch", e=1), 1), (0, _tag("plane"), -1)],
-    "dp8_quadric": [],
-    "dp7": [(0, _tag("dp8_quadric"), 1)],
-    "dp6": [(0, _tag("blowup", (1, 1)), 1)],
-    "dp5": [(0, _tag("blowup", (1, 1, 1)), 1)],
-}
-
-
 def boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
              target_e_bound: int | None = None, rows: list | None = None) -> BoundaryMatrix:
     """Boundary matrix from rank to rank-1 generators; ``rows`` reuses the latter's list.
@@ -294,8 +281,7 @@ def boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
     e_cols = u.e_max if e_bound is None else e_bound
     cols = enumerate_generators(u, rank, e_cols)  # refuses ranks outside [1, r_max]
     if rank == 1:
-        return BoundaryMatrix(rank=1, columns=cols, rows=["Z (augmentation)"],
-                              matrix=[{0: 1} for _ in cols])
+        return BoundaryMatrix(cols, ["Z (augmentation)"], [{0: 1} for _ in cols])
     e_rows = (e_cols + 1) if target_e_bound is None else target_e_bound
     rows = enumerate_generators(u, rank - 1, e_rows) if rows is None else rows
     row_tags = _tags(u, rank - 1, e_rows)
@@ -305,7 +291,7 @@ def boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
     transitions = []  # per column tag: (position, target tag index, coefficient)
     for tag in _tags(u, rank, e_cols):
         entries = []
-        targets = (_DEL_PEZZO_TRANSITIONS[tag[0]] if tag[0] in _DEL_PEZZO_TRANSITIONS
+        targets = (POINT_FAMILIES[tag[0]][2] if tag[0] in POINT_FAMILIES
                    else _ruled_boundary_targets(rank, tag))
         for pos, target, coeff in targets:
             if target not in tag_index:
@@ -326,7 +312,7 @@ def boundary(u: GeneratorUniverse, rank: int, e_bound: int | None = None,
             if order2:
                 column = {i: x % 2 if i in order2 else x for i, x in column.items()}
             matrix.append({i: x for i, x in column.items() if x})
-    return BoundaryMatrix(rank=rank, columns=cols, rows=rows, matrix=matrix)
+    return BoundaryMatrix(cols, rows, matrix)
 
 
 @cache

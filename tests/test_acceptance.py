@@ -294,13 +294,13 @@ def test_acceptance_10_five_term_instance():
     with Timer() as t:
         u = GeneratorUniverse.ruled(4, 3, r_max=5)
         seq = prop_s17_sequence(u, reg)
-        labels = [term.label for term in seq.terms]
+        labels = [label for label, _ in seq.terms]
         shape_ok = labels == [
             "E_{3,0}", "E_{1,1}", "coker(E_{0,2}->H2)", "E_{2,0}",
             "E_{0,1}", "H1", "E_{1,0}", "0",
         ]
-        e30 = seq.terms[0].group
-        e11 = seq.terms[1].group
+        e30 = seq.terms[0][1]
+        e11 = seq.terms[1][1]
         known_ok = fully_known_positions_exact(seq)
     ok = (
         shape_ok
@@ -320,7 +320,7 @@ def test_acceptance_10_five_term_instance():
 def test_acceptance_11_final_assembly():
     reg = KnownHomologyRegistry.load()
     with Timer() as t:
-        res = cremona_assemble(reg)
+        res = cremona_assemble(reg, GeneratorUniverse.cremona(3, r_max=5))
         names = {str(c) for c in res["candidates"]}
     expected = {
         "K2(C) (+) (+)_{Z}(Z/2)",

@@ -97,7 +97,7 @@ def test_syzygy_check_validates_the_sphere_once(monkeypatch):
 def test_syzygy_failing_sphere_raises(monkeypatch, flag):
     monkeypatch.setattr(
         RegularCWComplex, "validate",
-        lambda self: ValidationReport(structure_ok=False, failures=["broken"]),
+        lambda self: ValidationReport(["broken"], []),
     )
     with pytest.raises(RuntimeError, match="broken"):
         invoke("syzygy", "bl3", flag)
@@ -809,9 +809,10 @@ def test_cremona_candidates_refuse_two_factors_divisible_by_3(tmp_path):
         ' {"id": "f", "dim": 2}], "boundary": {"e": [["b", 1], ["a", -1]], "f": [["a", 1]]}}',
         '{"cells": [{"id": 1, "dim": 0}, {"id": "1", "dim": 0}, {"id": "e", "dim": 1}],'
         ' "boundary": {"e": [[1, 1], ["1", -1]]}}',
+        '{"cells": [{"id": "True", "dim": 0}, {"id": "e", "dim": 1}], "boundary": {"e": [[true, 1]]}}',
     ],
     ids=["cells", "dim-string", "dim-missing", "face-no-sign", "face-unknown", "self-face",
-         "face-too-low", "same-id-text"],
+         "face-too-low", "same-id-text", "face-boolean"],
 )
 def test_homology_cw_file_rejects_malformed_cells(tmp_path, text):
     """Each file used to end in a traceback, an error that named only a
@@ -841,3 +842,23 @@ def test_homology_cw_file_names_a_repeated_id_and_a_shared_id_text(tmp_path, cel
     res = invoke("homology", str(path))
     assert res.exit_code == 1
     assert json.loads(res.output)["error"] == message
+
+
+@pytest.mark.parametrize(
+    "cells, shown",
+    [
+        ('[{"id": null, "dim": 0}]', "None"),
+        ('[{"id": true, "dim": 0}]', "True"),
+        ('[{"id": ["a", [true, null]], "dim": 0}]', "['a', [True, None]]"),
+        ('[{"id": true, "dim": 0}, {"id": 1, "dim": 0}]', "True"),
+    ],
+    ids=["null", "boolean", "nested", "boolean-and-one"],
+)
+def test_homology_cw_file_refuses_null_and_boolean_ids(tmp_path, cells, shown):
+    """A null or boolean id, at any depth, used to load; an id true beside
+    an id 1 was refused as a duplicate of 1, since True == 1 in Python."""
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"cells": {cells}}}', encoding="utf-8")
+    res = invoke("homology", str(path))
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == f"cell id {shown} is not a string, number or list"

@@ -51,7 +51,7 @@ def test_validate_flags_repeated_face():
     cells = {"a": 0, "b": 0, "e": 1, "f": 2}
     boundary = {"e": [("b", 1), ("a", -1)], "f": [("e", 1), ("e", -1)]}
     report = RegularCWComplex(cells, boundary).validate()
-    assert not report.structure_ok
+    assert report.failures
     assert any("twice" in msg for msg in report.failures)
 
 
@@ -115,7 +115,7 @@ def test_cells_of_dim_split_the_cells_by_their_dimension(builder):
 def test_interval_is_manifold_with_boundary_not_closed():
     # structure fine, but endpoint links are points, not 0-spheres
     report = build_interval().validate()
-    assert report.structure_ok
+    assert not report.failures
     assert len(report.link_failures) == 2
 
 
@@ -123,7 +123,7 @@ def test_barycentric_subdivision_interval():
     sd = barycentric_subdivision(build_interval())
     assert len(sd.cells_of_dim(0)) == 3
     assert len(sd.cells_of_dim(1)) == 2
-    assert sd.validate().structure_ok
+    assert not sd.validate().failures
 
 
 def test_barycentric_subdivision_hexagon():
@@ -409,7 +409,7 @@ def test_clique_complex_of_the_4_cycle_and_of_k4():
     assert [len(k4.cells_of_dim(d)) for d in range(4)] == [4, 6, 4, 1]
     assert k4.boundary[("a", "b", "c")] == (
         (("b", "c"), 1), (("a", "c"), -1), (("a", "b"), 1))
-    assert k4.validate().structure_ok
+    assert not k4.validate().failures
     assert [k4.homology(d) for d in range(4)] == [Z, ZERO, ZERO, ZERO]
 
 

@@ -125,6 +125,18 @@ def test_shipped_tables_declare_their_value_types(name, edit, key):
         load()
 
 
+def test_registry_refuses_a_negative_degree(tmp_path):
+    """A degree below 0 used to load, and get(group, -1) then returned a group."""
+    table = copy.deepcopy(DOCS["registry.json"])
+    table["entries"][0]["degree"] = -1
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    what = f"registry entry {table['entries'][0]['group']!r} degree -1"
+    message = f"{what}: 'degree' holds -1, not an integer >= 0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spectral.KnownHomologyRegistry.load(path)
+
+
 @pytest.mark.parametrize("key", ["ruled/hirzebruchx", "ruled/blowup/k=1 ", "ruled/blowup/k=0",
                                  "cremona/dp7/k=01", "ruled/blowup/k=", "ruled/blowup/k=1/k=2",
                                  "ruled/plane/x", "plane/ruled", "ruled"])

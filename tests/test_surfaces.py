@@ -216,12 +216,18 @@ def test_cremona_columns_are_ruled_columns_with_the_points_forgotten(e_max):
     assert checked == 6 + 3 * e_max
 
 
-def test_del_pezzo_table_covers_the_point_families_above_rank_one():
-    """A point family missing from the table would take the base curve's
-    transitions, a two-ray game at rank 2, without an error."""
-    above_one = {f for f in surfaces.POINT_FAMILIES if surfaces.DEL_PEZZO_RANK[f] >= 2}
-    assert above_one == set(surfaces.POINT_FAMILIES) - {"plane"}
-    assert set(surfaces._DEL_PEZZO_TRANSITIONS) == above_one
+def test_point_families_face_tags_one_rank_below():
+    """The plane is the only rank-1 point family, and every face of a
+    rank-r point family is a tag of rank r - 1 over the plane, at the one
+    position of the empty point set."""
+    families = surfaces.POINT_FAMILIES
+    assert [f for f, (rank, _, _) in families.items() if rank == 1] == ["plane"]
+    u = GeneratorUniverse.cremona(1)
+    for family, (rank, _, faces) in families.items():
+        below = surfaces._tags(u, rank - 1, 1) if rank > 1 else []
+        assert all(pos == 0 and target in below for pos, target, _ in faces), family
+    assert families["dp7"][2] == [(0, surfaces._tag("dp8_quadric"), 1)]
+    assert families["dp5"][2] == [(0, surfaces._tag("blowup", (1, 1, 1)), 1)]
 
 
 def _oracle_universes(points):
@@ -272,7 +278,7 @@ def test_row0_boundaries_commute_with_relabelling(sigma):
         for m in gens[rank]:
             image = [relabel[p] for p in m.points]
             moved = SurfaceCentralModel(m.rank, m.base, m.family, tuple(sorted(image)), m.e,
-                                        m.partition, m.modulus, m.orientable)
+                                        m.partition, m.modulus)
             out.append((index[moved], _sort_sign(image)))
         return out
 

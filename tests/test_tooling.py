@@ -25,7 +25,9 @@ referenced by name somewhere in the library outside its own definition,
 unless it is a package export, a dunder, a name the benchmark's own code
 reaches (its traced SPANS, its set-up probe, its in-process runner), or on
 a short allowlist that gives its reason.  Code only tests call lives in
-tests/helpers.py."""
+tests/helpers.py.  Likewise every parameter of a library function is read
+in its body, unless the function is a dunder or the parameter is on an
+allowlist that gives its reason."""
 
 import ast
 import importlib
@@ -528,3 +530,33 @@ def test_every_library_function_is_referenced_in_the_library():
         if not reads:
             unreferenced.append(f"{module}:{fn.lineno} {qualname}")
     assert not unreferenced
+
+
+# parameters a library function takes but does not read, with the reason
+UNREAD_PARAMETERS_ALLOWED = {
+    "cubic.args": "every syz command takes the parsed arguments; cubic reads none",
+    "presented_homology.n_target": "the tracer reads the relations at positions 4 and 5",
+    "_click_shaped_main.standalone_mode": "the in-process runner's call shape",
+}
+
+
+def test_every_library_function_reads_its_parameters():
+    """Each parameter of a function, method or lambda is read as a name in
+    its body, unless the function is a dunder (its parameters are the
+    protocol's) or the parameter is on the allowlist above."""
+    unread = []
+    for module, tree in _library_modules():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                continue
+            name = getattr(fn, "name", "<lambda>")
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unread += [f"{module}:{fn.lineno} {name}.{p}" for p in params
+                       if p not in read and f"{name}.{p}" not in UNREAD_PARAMETERS_ALLOWED]
+    assert not unread

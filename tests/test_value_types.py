@@ -13,14 +13,12 @@ import pickle
 import pytest
 
 from syzygy import _Value
-from syzygy.complexes import ValidationReport
 from syzygy.formal import Atom, FormalGroup
 from syzygy.lattice import IncidenceGraph
 from syzygy.smith import FGAbelianGroup, SNFResult
 from syzygy.spectral import SpectralGrid
 from syzygy.surfaces import (
     BaseCase,
-    BoundaryMatrix,
     GeneratorUniverse,
     SurfaceCentralModel,
     row0_complex,
@@ -40,9 +38,9 @@ VALUES = {
     FGAbelianGroup: ({"free_rank": 1, "torsion": (2, 4)}, {"free_rank": 0, "torsion": (3,)}),
     SurfaceCentralModel: (
         {"rank": 2, "base": BaseCase.RULED, "family": "blowup", "points": ("P1",), "e": 0,
-         "partition": (1,), "modulus": None, "orientable": True},
+         "partition": (1,), "modulus": None},
         {"rank": 3, "base": BaseCase.CREMONA, "family": "min_section", "points": ("P2",), "e": 1,
-         "partition": (2,), "modulus": "l0", "orientable": False},
+         "partition": (2,), "modulus": "l0"},
     ),
     GeneratorUniverse: (
         {"base": BaseCase.RULED, "labels": ("P1", "P2"), "e_max": 2, "r_max": 3},
@@ -151,11 +149,9 @@ def test_formal_group_normalizes_atoms_and_cyclic_part():
 @pytest.mark.parametrize(
     "make, fields",
     [
-        (lambda: ValidationReport(True), ("failures", "link_failures")),
         (lambda: SpectralGrid(page=2, box=(1, 1)), ("entries", "differentials", "abutment", "notes")),
-        (lambda: BoundaryMatrix(rank=1), ("columns", "rows", "matrix")),
     ],
-    ids=["ValidationReport", "SpectralGrid", "BoundaryMatrix"],
+    ids=["SpectralGrid"],
 )
 def test_default_containers_are_fresh_per_instance(make, fields):
     a, b = make(), make()
