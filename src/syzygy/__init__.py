@@ -31,11 +31,21 @@ def _refuse_repeated_keys(pairs: list) -> dict:
     return obj
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not a JSON value")
+
+
 def read_json(path) -> object:
     """The JSON document in a UTF-8 file.  A key given twice in one object
-    raises ValueError naming it; json would keep the last copy."""
+    raises ValueError naming it; json would keep the last copy.  So do the
+    tokens NaN, Infinity and -Infinity, which json accepts though JSON has
+    no such value, and a document nested too deeply for the decoder."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=_refuse_repeated_keys)
+        try:
+            return json.load(fh, object_pairs_hook=_refuse_repeated_keys,
+                             parse_constant=_refuse_constant)
+        except RecursionError:
+            raise ValueError(f"{path} nests arrays or objects too deeply to read") from None
 
 
 _NAMES = {int: "an integer", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}

@@ -173,10 +173,9 @@ class RegularCWComplex:
             for f in faces:
                 if len(f) != 2:
                     raise ValueError(f"cell {cid!r}: face {f!r} is not an [id, sign] pair")
-                text, sign = str(_as_id(f[0])), f[1]
-                if not _is_id(f[0]) or text not in by_text:
+                if not _is_id(f[0]) or (text := str(_as_id(f[0]))) not in by_text:
                     raise ValueError(f"cell {cid!r}: face {f[0]!r} names no cell")
-                fid = by_text[text]
+                fid, sign = by_text[text], f[1]
                 if cells[fid] != cells[cid] - 1:
                     raise ValueError(
                         f"cell {cid!r} (dim {cells[cid]}): face {fid!r} has dim {cells[fid]}"
@@ -188,10 +187,21 @@ class RegularCWComplex:
         return cls(cells, boundary)
 
 
+_ID_DEPTH = 32  # lists a cell id may nest; ids built of classes nest two
+
+
 def _is_id(value) -> bool:
     """Is a JSON value a string, a number or a list of such, at every depth?
-    A null or a boolean is not: True would equal the id 1."""
-    return type(value) in (str, int, float) or type(value) is list and all(map(_is_id, value))
+    A null or a boolean is not: True would equal the id 1.  A value inside
+    more than _ID_DEPTH lists raises ValueError; the check walks one level
+    at a time, so no depth makes it recurse."""
+    level = [value]
+    for _ in range(_ID_DEPTH + 1):
+        if not all(type(v) in (str, int, float, list) for v in level):
+            return False
+        if not (level := [x for v in level if type(v) is list for x in v]):
+            return True
+    raise ValueError(f"a cell id nests lists more than {_ID_DEPTH} deep")
 
 
 def _as_id(value):
@@ -365,10 +375,10 @@ def load_complex_file(path):
     """Read a CW-complex file (it has "cells") or a chain-complex file (it
     has "ranks"); no key may repeat in an object or be unknown.  CW complex:
     required "cells", a list of objects with required "id" (a string,
-    number or list of these) and "dim" (an integer >= 0) and optional
-    "label" (a string, which is not kept); optional "boundary", an object
-    from the text of a cell id to its faces, each an [id, sign] pair with an
-    integer sign.  Chain complex:
+    number or list of these, no value inside more than _ID_DEPTH lists)
+    and "dim" (an integer >= 0) and optional "label" (a string, which is
+    not kept); optional "boundary", an object from the text of a cell id to
+    its faces, each an [id, sign] pair with an integer sign.  Chain complex:
     required "ranks", a list of integers >= 0; optional "boundaries", for
     each degree d >= 1 a list of ranks[d - 1] rows of ranks[d] integers, and
     "cyclic", an object from a degree to an object from a generator index to

@@ -19,13 +19,12 @@ from . import _Value
 class BlowupLattice:
     """Pic of the blowup of the plane in n general points, 0 <= n <= 8."""
 
-    # Search boxes in (degree, multiplicity) coordinates, for classes written
+    # The search box in (degree, multiplicity) coordinates, for classes written
     # a0*H - sum mi*Ei.  Cauchy-Schwarz gives (3*a0 - t)^2 <= n*(a0^2 - s) for a
     # class with C.C = s and -K.C = t, which caps a0 at 7 for (-1)-classes and
     # 11 for fibration classes when n <= 8; multiplicities then stay below 4.
-    # The enumerators assert that no solution touches a box wall.
-    LINE_BOX = (7, -2, 4)  # (degree max, mult min, mult max)
-    CONIC_BOX = (12, -2, 5)
+    # One box holds both, and _search asserts that no solution touches a wall.
+    BOX = (12, -2, 5)  # (degree max, mult min, mult max)
 
     def __init__(self, n: int):
         if not 0 <= n <= 8:
@@ -43,14 +42,14 @@ class BlowupLattice:
 
     # -- enumeration ---------------------------------------------------------
 
-    def _search(self, self_int: int, anticanonical_degree: int, box) -> list[tuple]:
+    def _search(self, self_int: int, anticanonical_degree: int) -> list[tuple]:
         """All classes C with C.C = self_int and -K.C = anticanonical_degree
-        and deg >= 0, by pruned exhaustive search over the box.
+        and deg >= 0, by pruned exhaustive search over BOX.
 
         For a0*H - sum mi*Ei the constraints read sum mi = 3*a0 - t and
         sum mi^2 = a0^2 - s; the recursion prunes on both partial sums.
         """
-        deg_max, lo, hi = box
+        deg_max, lo, hi = self.BOX
         n = self.n
         found = []
         mag = max(lo * lo, hi * hi)
@@ -77,7 +76,7 @@ class BlowupLattice:
             a0 = (sum(mults) + anticanonical_degree) // 3
             if a0 == deg_max or any(m in (lo, hi) for m in mults):
                 raise RuntimeError(
-                    f"search box {box} not exhaustive: degree {a0}, "
+                    f"search box {self.BOX} not exhaustive: degree {a0}, "
                     f"multiplicities {mults} touch a box wall"
                 )
             out.append((a0,) + tuple(-m for m in mults))
@@ -86,11 +85,11 @@ class BlowupLattice:
 
     def enumerate_lines(self) -> list[tuple]:
         """All (-1)-classes: C.C = -1 and K.C = -1."""
-        return self._search(-1, 1, self.LINE_BOX)
+        return self._search(-1, 1)
 
     def enumerate_conic_classes(self) -> list[tuple]:
         """All primitive fibration classes: F.F = 0, -K.F = 2, degree >= 0."""
-        return [c for c in self._search(0, 2, self.CONIC_BOX) if gcd(*c) == 1]
+        return [c for c in self._search(0, 2) if gcd(*c) == 1]
 
     # -- derived combinatorics -------------------------------------------------
 
@@ -105,9 +104,10 @@ class BlowupLattice:
                 edges.append((i, j))
         return IncidenceGraph(tuple(vertices), tuple(edges))
 
-    def count_fibration_configurations(self, pairs: int | None = None, reverse_order: bool = False):
-        """Count tuples (E1..Ek, L1..Lk) of (-1)-classes with Ei.Li = 1 and all
-        other mutual intersections 0, where k = pairs.
+    def count_fibration_configurations(self, lines, pairs: int | None = None):
+        """Count tuples (E1..Ek, L1..Lk) of (-1)-classes from ``lines``, as
+        enumerate_lines lists them, with Ei.Li = 1 and all other mutual
+        intersections 0, where k = pairs.
 
         The default k is n - 1: a conic bundle on the degree-(9 - n) surface
         has n - 1 singular fibres, each a pair of (-1)-curves meeting once
@@ -124,8 +124,7 @@ class BlowupLattice:
 
         Returns a dict with the ordered count, the count of unordered sets of
         unordered pairs, and the sorted list of unordered configurations.
-        Passing reverse_order walks the reversed line ordering, which must
-        give identical results (order-independence check).
+        None of these depends on the order of ``lines``.
         """
         if pairs is None:
             if self.n == 0:
@@ -133,19 +132,16 @@ class BlowupLattice:
             pairs = self.n - 1
         if pairs < 0:
             raise ValueError(f"number of pairs must be >= 0, got {pairs}")
-        lines = self.enumerate_lines()
-        if reverse_order:
-            lines = list(reversed(lines))
         nl = len(lines)
         orthogonal = [0] * nl  # bitmask of lines meeting line i in 0
-        for i in range(nl):
-            for j in range(nl):
-                if i != j and self.intersect(lines[i], lines[j]) == 0:
-                    orthogonal[i] |= 1 << j
-        meet_pairs = [
-            (i, j) for i, j in combinations(range(nl), 2)
-            if self.intersect(lines[i], lines[j]) == 1
-        ]
+        meet_pairs = []
+        for i, j in combinations(range(nl), 2):
+            product = self.intersect(lines[i], lines[j])
+            if product == 0:
+                orthogonal[i] |= 1 << j
+                orthogonal[j] |= 1 << i
+            elif product == 1:
+                meet_pairs.append((i, j))
         found = []
 
         def extend(start, chosen, allowed):
@@ -224,11 +220,9 @@ def cubic_summary() -> dict:
     lines = lat.enumerate_lines()
     conics = lat.enumerate_conic_classes()
     graph = lat.incidence_graph(lines, 1)
-    cfg = lat.count_fibration_configurations()
-    cfg_rev = lat.count_fibration_configurations(reverse_order=True)
-    disjoint_pairs = sum(
-        1 for a, b in combinations(lines, 2) if lat.intersect(a, b) == 0
-    )
+    cfg = lat.count_fibration_configurations(lines)
+    cfg_rev = lat.count_fibration_configurations(lines[::-1])
+    disjoint_pairs = len(lat.incidence_graph(lines, 0).edges)
     recorded_fibrations = 216
     recorded_vertices = 243
     report = {

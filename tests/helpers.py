@@ -874,12 +874,9 @@ def h_prime_grid(e: int, registry: KnownHomologyRegistry) -> SpectralGrid:
 
 # -- the Weyl group of the blowup lattice -----------------------------------------
 
-ROOT_BOX = (7, -2, 4)  # (degree max, mult min, mult max), as BlowupLattice.LINE_BOX
-
-
 def lattice_roots(lat) -> list:
     """All (-2)-classes orthogonal to K (simple reflections live here)."""
-    return lat._search(-2, 0, ROOT_BOX)
+    return lat._search(-2, 0)
 
 
 def weyl_reflect(lat, c, root):
@@ -896,11 +893,8 @@ def weyl_reflect(lat, c, root):
 # counting formula of the library.
 
 
-def ordered_fibration_configurations(lat, pairs, reverse_order=False):
+def ordered_fibration_configurations(lat, lines, pairs):
     """count_fibration_configurations by walking every ordered tuple."""
-    lines = lat.enumerate_lines()
-    if reverse_order:
-        lines = list(reversed(lines))
     nl = len(lines)
     orthogonal = [0] * nl  # bitmask of lines meeting line i in 0
     for i in range(nl):

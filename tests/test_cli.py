@@ -862,3 +862,36 @@ def test_homology_cw_file_refuses_null_and_boolean_ids(tmp_path, cells, shown):
     res = invoke("homology", str(path))
     assert res.exit_code == 1
     assert json.loads(res.output)["error"] == f"cell id {shown} is not a string, number or list"
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_homology_cw_file_refuses_non_json_constants(tmp_path, token):
+    """Python's json reads NaN, Infinity and -Infinity, which JSON has no
+    value for: an id NaN was refused as sharing its id text with itself
+    (NaN != NaN), and an id Infinity loaded."""
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"cells": [{{"id": {token}, "dim": 0}}]}}', encoding="utf-8")
+    res = invoke("homology", str(path))
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == f"{token} is not a JSON value"
+
+
+@pytest.mark.parametrize(
+    "depth, message",
+    [(900, "a cell id nests lists more than 32 deep"),
+     (100_000, "nests arrays or objects too deeply to read")],
+    ids=["id-check", "decoder"],
+)
+def test_homology_cw_file_refuses_deep_nesting(tmp_path, depth, message):
+    """A one-cell file whose id is a list nested 900 deep loaded, then ended
+    in a RecursionError traceback in the id check; nested 100,000 deep, it
+    ended in one in the decoder.  Both run as processes, so the depth of the
+    test's own stack plays no part."""
+    path = tmp_path / "deep.json"
+    path.write_text(f'{{"cells": [{{"id": {"[" * depth}{"]" * depth}, "dim": 0}}]}}',
+                    encoding="utf-8")
+    out = subprocess.run([sys.executable, "-m", "syzygy.cli", "homology", str(path)],
+                         capture_output=True, text=True, env=_child_env(), check=False)
+    assert out.returncode == 1
+    assert out.stderr == ""
+    assert json.loads(out.stdout)["error"].endswith(message)

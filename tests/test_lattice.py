@@ -172,8 +172,9 @@ def test_weyl_reflections_preserve_curve_classes(n):
 
 def test_fibration_configurations_cubic():
     lat = BlowupLattice(6)
-    res = lat.count_fibration_configurations()
-    rev = lat.count_fibration_configurations(reverse_order=True)
+    lines = lat.enumerate_lines()
+    res = lat.count_fibration_configurations(lines)
+    rev = lat.count_fibration_configurations(lines[::-1])
     assert res["ordered"] == rev["ordered"]
     assert res["unordered"] == rev["unordered"]
     # every unordered configuration is the fibre set of one conic class
@@ -184,7 +185,7 @@ def test_fibration_configurations_cubic():
 
 def test_fibration_configurations_bl3():
     lat = BlowupLattice(3)
-    res = lat.count_fibration_configurations()
+    res = lat.count_fibration_configurations(lat.enumerate_lines())
     assert res["pairs"] == 2
     assert res["unordered"] == 3
     assert res["ordered"] == 3 * 2 * 4
@@ -198,12 +199,13 @@ def test_fibration_configurations_bl3():
 
 
 def test_fibration_configurations_reject_bad_pairs():
+    lat = BlowupLattice(6)
     with pytest.raises(ValueError, match=">= 0"):
-        BlowupLattice(6).count_fibration_configurations(-1)
+        lat.count_fibration_configurations(lat.enumerate_lines(), -1)
     # P^2 has no conic bundle, so there is no default number of pairs
     with pytest.raises(ValueError, match="no conic bundle"):
-        BlowupLattice(0).count_fibration_configurations()
-    assert BlowupLattice(0).count_fibration_configurations(0)["unordered"] == 1
+        BlowupLattice(0).count_fibration_configurations([])
+    assert BlowupLattice(0).count_fibration_configurations([], 0)["unordered"] == 1
 
 
 ORACLE_CASES = [
@@ -217,15 +219,16 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("n,pairs,reverse", ORACLE_CASES)
 def test_fibration_configurations_match_ordered_oracle(n, pairs, reverse):
     lat = BlowupLattice(n)
-    got = lat.count_fibration_configurations(pairs, reverse_order=reverse)
-    assert got == ordered_fibration_configurations(lat, pairs, reverse_order=reverse)
+    lines = lat.enumerate_lines()[::-1] if reverse else lat.enumerate_lines()
+    got = lat.count_fibration_configurations(lines, pairs)
+    assert got == ordered_fibration_configurations(lat, lines, pairs)
 
 
 def test_fibration_configurations_cubic_weyl_orbit():
     """W(E6) permutes the 27 configurations transitively: the orbit of one
     under the reflections in every root is the whole set."""
     lat = BlowupLattice(6)
-    configurations = lat.count_fibration_configurations()["configurations"]
+    configurations = lat.count_fibration_configurations(lat.enumerate_lines())["configurations"]
 
     def as_set(cfg):
         return frozenset(frozenset(pair) for pair in cfg)
@@ -254,7 +257,7 @@ def test_fibration_configurations_are_conic_bundles(n):
     fibres of one conic bundle: all its pairs sum to the same fibre class, and
     every primitive fibration class arises exactly once."""
     lat = BlowupLattice(n)
-    res = lat.count_fibration_configurations()
+    res = lat.count_fibration_configurations(lat.enumerate_lines())
     assert res["pairs"] == n - 1
     sums = []
     for cfg in res["configurations"]:

@@ -142,6 +142,20 @@ def test_traced_bench_job_prints_its_digest(args, layer):
     assert record["layers"][f"{layer}.calls"] > 0
 
 
+def test_traced_cubic_searches_once_per_class_list():
+    """`cubic` searches the lattice once for its lines and once for its
+    conic classes, and walks the configurations over the one line list in
+    two orders."""
+    out = subprocess.run(
+        [sys.executable, str(BENCH / "inproc.py"), "1", "cubic"],
+        capture_output=True, text=True, check=False,
+    )
+    assert out.returncode == 0, out.stderr
+    layers = json.loads(out.stdout)["layers"]
+    assert layers["lattice.search.calls"] == 2
+    assert layers["lattice.count_configurations.calls"] == 2
+
+
 @pytest.mark.parametrize(
     "args, annotated",
     [(["ruled", "--points", "6", "--e-max", "5", "--r-max", "5"], False), (["cremona"], True)],
