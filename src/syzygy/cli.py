@@ -36,10 +36,11 @@ SCHEMA_VERSION = 1
 def _lattice_from(degree, blowups):
     if (degree is None) == (blowups is None):
         raise ValueError("give exactly one of --degree or --blowups")
-    n = 9 - degree if degree is not None else blowups
-    if not 0 <= n <= 8:
-        raise ValueError(f"blowup count {n} out of range [0, 8]")
-    return lattice.BlowupLattice(n)
+    if degree is not None and not 1 <= degree <= 9:
+        raise ValueError(f"--degree {degree} out of range [1, 9]")
+    if blowups is not None and not 0 <= blowups <= 8:
+        raise ValueError(f"--blowups {blowups} out of range [0, 8]")
+    return lattice.BlowupLattice(9 - degree if degree is not None else blowups)
 
 
 def _echo(line):
@@ -60,26 +61,56 @@ def _echo(line):
         data = data[raw.write(data):]
 
 
+def _dumps(value, indent="\n"):
+    """The text of json.dumps(value, sort_keys=True, indent=2), byte for byte.
+
+    With an indent, json.dumps leaves its C encoder for the pure-Python one,
+    which takes longer to write a large lattice report than the lattice
+    takes to compute it.  This writer lays out containers the same way,
+    writes a list of ints in one join, and hands every key and every other
+    scalar to json.dumps, so escaping, true/false/null and floats stay
+    json's own.  Every report keys its objects by text, as this writer
+    assumes.  `indent` is the newline and indentation of the value's own
+    line."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + ",".join(f"{inner}{json.dumps(k)}: {_dumps(v, inner)}"
+                              for k, v in sorted(value.items())) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):
+            return "[" + inner + ("," + inner).join(map(str, value)) + indent + "]"
+        return "[" + ",".join(inner + _dumps(v, inner) for v in value) + indent + "]"
+    return json.dumps(value)
+
+
 def _render_table(value, indent=0):
     pad = "  " * (indent + 1)
     if isinstance(value, dict):
         for k, v in value.items():
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
+            if isinstance(v, (dict, list, tuple)) and v and not _is_flat(v):
                 _echo(f"{pad}{k}:")
                 _render_table(v, indent + 1)
             else:
-                _echo(f"{pad}{k} = {v}")
-    elif isinstance(value, list):
+                _echo(f"{pad}{k} = {_shown(v)}")
+    elif isinstance(value, (list, tuple)) and not _is_flat(value):
         for v in value:
             _render_table(v, indent)
     else:
-        _echo(f"{pad}{value}")
+        _echo(f"{pad}{_shown(value)}")
 
 
 def _is_flat(v):
-    if isinstance(v, list):
-        return all(not isinstance(x, (dict, list)) for x in v)
-    return False
+    """A list or tuple of scalars, shown on one line."""
+    return isinstance(v, (list, tuple)) and all(not isinstance(x, (dict, list, tuple)) for x in v)
+
+
+def _shown(v):
+    """A value as the table shows it: a tuple as a list, anything else as it is."""
+    return list(v) if isinstance(v, tuple) else v
 
 
 def default_registry():
@@ -112,13 +143,13 @@ def _run(args):
         # str() of a KeyError is the repr of its one argument, quotes and all
         one_key = isinstance(exc, KeyError) and len(exc.args) == 1
         report["error"] = str(exc.args[0]) if one_key else str(exc)
-        _echo(json.dumps(report, sort_keys=True, indent=2))
+        _echo(_dumps(report))
         sys.exit(1)
     parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     if args.format == "json":
         report.update(parameters=parameters, result=result, provenance=list(provenance),
                       warnings=list(warnings))
-        _echo(json.dumps(report, sort_keys=True, indent=2))
+        _echo(_dumps(report))
         return
     _echo(f"== {args.command} ==")
     for k, v in parameters.items():
@@ -136,7 +167,7 @@ def _classes(args, enumerate_classes):
     lat = _lattice_from(args.degree, args.blowups)
     cls = enumerate_classes(lat)
     return (
-        {"count": len(cls), "classes": [list(c) for c in cls]},
+        {"count": len(cls), "classes": cls},
         [f"exhaustive box search over the {lat.n}-point lattice"],
         [],
     )
@@ -156,10 +187,8 @@ def graph(args):
     """Incidence graph of the (-1)-classes at a pairing threshold."""
     lat = _lattice_from(args.degree, args.blowups)
     g = lat.incidence_graph(lat.enumerate_lines(), args.threshold)
-    data = g.to_json_dict()
-    data["degree_sequence"] = g.degree_sequence()
-    data["single_cycle"] = g.is_single_cycle()
-    return data, [], []
+    return {"vertices": g.vertices, "edges": g.edges, "degree_sequence": g.degree_sequence(),
+            "single_cycle": g.is_single_cycle()}, [], []
 
 
 def syzygy(args):

@@ -885,6 +885,48 @@ def weyl_reflect(lat, c, root):
     return divisor_sum(c, divisor_multiple(root, lat.intersect(c, root)))
 
 
+# -- oracle for BlowupLattice._search ---------------------------------------------
+#
+# The ordered search: every sequence of multiplicities in the box, position by
+# position, pruned only on the two partial sums.  It reads the lattice's n and
+# BOX and nothing else, so it shares neither the orbit recursion nor the
+# expansion into arrangements of the library.
+
+
+def ordered_search(lat, self_int, anticanonical_degree):
+    """_search by trying every ordering of the multiplicities."""
+    deg_max, lo, hi = lat.BOX
+    n = lat.n
+    found = []
+    mag = max(lo * lo, hi * hi)
+
+    def recurse(mults, s_left, q_left):
+        k = n - len(mults)
+        if k == 0:
+            if s_left == 0 and q_left == 0:
+                found.append(mults)
+            return
+        if q_left < 0 or q_left > k * mag or not k * lo <= s_left <= k * hi:
+            return
+        if k * q_left < s_left * s_left:  # Cauchy-Schwarz
+            return
+        for m in range(lo, hi + 1):
+            recurse(mults + (m,), s_left - m, q_left - m * m)
+
+    for a0 in range(deg_max + 1):
+        recurse((), 3 * a0 - anticanonical_degree, a0 * a0 - self_int)
+    out = []
+    for mults in found:
+        a0 = (sum(mults) + anticanonical_degree) // 3
+        if a0 == deg_max or lo in mults or hi in mults:
+            raise RuntimeError(
+                f"search box {lat.BOX} not exhaustive: degree {a0}, "
+                f"multiplicities {mults} touch a box wall"
+            )
+        out.append((a0,) + tuple(-m for m in mults))
+    return sorted(out)
+
+
 # -- oracle for count_fibration_configurations -----------------------------------
 #
 # The ordered walker: every ordered tuple of meeting pairs, each pair in both

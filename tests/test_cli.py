@@ -8,10 +8,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import syzygy
 from syzygy import complexes, smith, surfaces
-from syzygy.cli import default_registry
+from syzygy.cli import _dumps, default_registry
 from syzygy.complexes import RegularCWComplex, ValidationReport
 from syzygy.formal import ChainHomology
 from syzygy.spectral import KnownHomologyRegistry
@@ -45,6 +46,65 @@ def test_lines_by_blowups_and_conflicts():
     assert "error" in json.loads(res.output)
     res = invoke("lines")
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "command, option, value, error",
+    [
+        ("lines", "--degree", "10", "--degree 10 out of range [1, 9]"),
+        ("conics", "--degree", "0", "--degree 0 out of range [1, 9]"),
+        ("graph", "--degree", "-3", "--degree -3 out of range [1, 9]"),
+        ("lines", "--blowups", "9", "--blowups 9 out of range [0, 8]"),
+        ("graph", "--blowups", "-1", "--blowups -1 out of range [0, 8]"),
+    ],
+    ids=["lines-degree-10", "conics-degree-0", "graph-degree-3", "lines-blowups-9",
+         "graph-blowups-1"],
+)
+def test_lattice_size_out_of_range_names_the_option_given(command, option, value, error):
+    """A degree out of range used to be reported as the blowup count 9 - d
+    (`--degree 10` as "blowup count -1 out of range [0, 8]"); each option
+    is now named with its own range.  The report is json.dumps's text of
+    the error JSON, byte for byte."""
+    res = invoke(command, option, value)
+    assert res.exit_code == 1
+    expected = {"schema_version": 1, "command": command, "error": error}
+    assert res.output == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner) | st.lists(st.integers())),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"": [], "a": {}, "b": (), "c": [[], {}, ()]})
+@example(["\x00\x1f\"\\/\u00e9\u2028\U0001f600", -0.0, 1e300, 5e-324, True, False, None])
+@example({"k\u00e9\n": [2**100, -(2**100), 0, -1], "k": [1, True, 2]})
+def test_report_writer_prints_json_dumps_bytes(value):
+    """The report writer prints exactly what json.dumps(value,
+    sort_keys=True, indent=2) does, for every JSON value built from None,
+    bools, ints, finite floats, text, lists, tuples and text-keyed dicts."""
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_error_report_escapes_as_json_dumps_does(tmp_path):
+    """An error text with quotes, a tab and non-ASCII characters (here a
+    registry path that does not exist) is written as json.dumps writes it."""
+    path = tmp_path / 'r\u00e9"g\tistry\u2603.json'
+    res = invoke("--registry", str(path), "schur", "--target", "pgl2")
+    assert res.exit_code == 1
+    data = json.loads(res.output)
+    assert repr(str(path)) in data["error"]
+    assert res.output == json.dumps(data, sort_keys=True, indent=2) + "\n"
+    assert "\\u00e9" in res.output and "\\u2603" in res.output
 
 
 def test_json_output_is_deterministic():
@@ -523,6 +583,32 @@ def test_table_format():
     res = invoke("--format", "table", "lines", "--degree", "3")
     assert res.exit_code == 0
     assert "count = 27" in res.output
+
+
+@pytest.mark.parametrize(
+    "args, lines",
+    [
+        (("conics", "--blowups", "2"),
+         ["== conics ==", "  param degree = None", "  param blowups = 2",
+          "    count = 2", "    classes:", "      [1, -1, 0]", "      [1, 0, -1]",
+          "  note: exhaustive box search over the 2-point lattice"]),
+        (("graph", "--degree", "7"),
+         ["== graph ==", "  param degree = 7", "  param blowups = None", "  param threshold = 1",
+          "    vertices:", "      [0, 0, 1]", "      [0, 1, 0]", "      [1, -1, -1]",
+          "    edges:", "      [0, 2]", "      [1, 2]",
+          "    degree_sequence = [1, 1, 2]", "    single_cycle = False"]),
+    ],
+    ids=["conics", "graph"],
+)
+def test_table_prints_each_class_and_edge_on_one_line(args, lines):
+    """A list of scalars inside a list prints on one line, as a dict's flat
+    list does; the integers of all classes (or edges) used to print one per
+    line, so nothing showed where one ended and the next began."""
+    res = invoke("--format", "table", *args)
+    assert res.exit_code == 0
+    out = res.output.splitlines()
+    assert out[:-1] == lines
+    assert re.fullmatch(r"  \(\d+\.\d{3}s\)", out[-1])
 
 
 @pytest.mark.parametrize(

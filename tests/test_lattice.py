@@ -15,6 +15,7 @@ from helpers import (
     hyperplane_class,
     lattice_roots,
     ordered_fibration_configurations,
+    ordered_search,
     reducible_fibres,
     weyl_reflect,
 )
@@ -99,6 +100,43 @@ def test_classes_are_distinct_sorted_integer_tuples_of_the_lattice_rank(n):
             assert all(type(x) is int for x in c)
         assert all(a < b for a, b in zip(classes, classes[1:]))
     assert all(f[0] >= 0 and gcd(*f) == 1 for f in conics)
+
+
+SEARCHES = [(-1, 1), (0, 2), (-2, 0)]  # lines, fibration classes, roots
+
+
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("self_int, anticanonical_degree", SEARCHES,
+                         ids=["lines", "fibrations", "roots"])
+def test_search_matches_the_ordered_oracle(n, self_int, anticanonical_degree):
+    """The orbit search and its expansion into arrangements list exactly the
+    classes that trying every ordering of the multiplicities finds."""
+    lat = BlowupLattice(n)
+    assert lat._search(self_int, anticanonical_degree) == ordered_search(
+        lat, self_int, anticanonical_degree)
+
+
+@pytest.mark.parametrize(
+    "box, n, search",
+    [((3, -2, 5), 8, (-1, 1)), ((12, -2, 2), 8, (-1, 1)), ((12, -1, 5), 1, (-1, 1)),
+     ((12, -1, 5), 8, (-2, 0)), ((2, -2, 5), 6, (0, 2))],
+    ids=["degree-wall", "upper-wall", "lower-wall", "roots-lower-wall", "fibrations-degree-wall"],
+)
+def test_search_refuses_a_box_wall_as_the_oracle_does(box, n, search):
+    """A box too small for the classes is refused, never truncated: a
+    solution on a wall raises the same RuntimeError, naming the same degree
+    and multiplicities, in the orbit search and in the ordered one."""
+
+    class SmallBox(BlowupLattice):
+        BOX = box
+
+    lat = SmallBox(n)
+    with pytest.raises(RuntimeError) as oracle:
+        ordered_search(lat, *search)
+    assert str(oracle.value).startswith(f"search box {box} not exhaustive: degree ")
+    with pytest.raises(RuntimeError) as got:
+        lat._search(*search)
+    assert str(got.value) == str(oracle.value)
 
 
 def test_conics_bl3_explicit():
