@@ -39,11 +39,15 @@ def read_json(path) -> object:
     """The JSON document in a UTF-8 file.  A key given twice in one object
     raises ValueError naming it; json would keep the last copy.  So do the
     tokens NaN, Infinity and -Infinity, which json accepts though JSON has
-    no such value, and a document nested too deeply for the decoder."""
+    no such value, and a document nested too deeply for the decoder.  Text
+    that does not decode or parse raises ValueError naming the file and the
+    decoder's message, json's line and column included."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=_refuse_repeated_keys,
                              parse_constant=_refuse_constant)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path} does not parse as JSON: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path} nests arrays or objects too deeply to read") from None
 

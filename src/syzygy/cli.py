@@ -298,7 +298,7 @@ def homology(args):
 def five_term_cmd(args):
     """The low-degree exact sequence of the ruled universe's grid."""
     u = surfaces.GeneratorUniverse.ruled(args.points, args.e_max, r_max=5)
-    seq = spectral.prop_s17_sequence(u, _registry(args))
+    seq = spectral.seven_term(spectral.ruled_grid(u, _registry(args)))
     verdicts = [{"position": lbl, "verdict": v, "detail": d} for lbl, v, d in seq.check()]
     return (
         {"sequence": seq.render(), "verdicts": verdicts},

@@ -8,7 +8,9 @@ k-th power (k-multiple) map, entries into cyclic summands reduce, and maps
 between distinct atoms are forbidden unless registered.  A homomorphism is
 stored in smith's column format (one dict per source slot, target slot ->
 nonzero int), the format its family blocks are read in, so no dense matrix
-occurs in the calculus.
+occurs in the calculus.  A group states four facts about itself, read from
+its normal form and its atoms' declared structure: whether it is zero,
+finite, torsion-free and uniquely divisible.
 
 Homology is read per family (one atom's copies, or the cyclic and free
 slots): a chain of homomorphisms by one sweep of each family's exponent
@@ -164,6 +166,18 @@ class FormalGroup(_Value):
     def is_finite(self) -> bool:
         return not self.atoms and self.free_rank == 0 and not self.infinite
 
+    @property
+    def is_torsion_free(self) -> bool:
+        """No cyclic or infinite summand, and every atom declares no torsion."""
+        return not self.cyclic and not self.infinite and all(
+            atom_registry()[a].torsion_rule == "none" for a in self.atoms)
+
+    @property
+    def is_uniquely_divisible(self) -> bool:
+        """Only atoms, each declared uniquely divisible."""
+        return not self.cyclic and self.free_rank == 0 and not self.infinite and all(
+            atom_registry()[a].uniquely_divisible for a in self.atoms)
+
     def slots(self) -> list:
         """Slot descriptors in canonical order: atoms, cyclic, free."""
         out = [("atom", a) for a in self.atoms]
@@ -272,17 +286,9 @@ class FormalHom:
         return blocks
 
 
-def zero_hom(source: FormalGroup, target: FormalGroup) -> FormalHom:
-    return FormalHom(source, target)
-
-
 def _family(slot) -> str:
     """The family of a slot: its atom's name, or "fg" for a cyclic or free slot."""
     return slot[1] if slot[0] == "atom" else "fg"
-
-
-def _fg_relations(slots):
-    return {i: s[1] for i, s in enumerate(slots) if s[0] == "cyclic"}
 
 
 class ChainHomology:
@@ -321,7 +327,8 @@ class ChainHomology:
                                      else split.get(fam, []) for i, split in enumerate(self._splits)]
                 self._complexes[fam] = complexes.IntegerChainComplex(
                     [len(m) for m in members], boundaries,
-                    {d: _fg_relations(m) for d, m in enumerate(members)} if fam == "fg" else None)
+                    {d: {i: s[1] for i, s in enumerate(m) if s[0] == "cyclic"}
+                     for d, m in enumerate(members)} if fam == "fg" else None)
         for i in (p, p - 1):  # as homology_at splits its incoming map first
             if 0 <= i < len(self.maps) and isinstance(self._splits[i], Exception):
                 raise self._splits[i]
@@ -349,12 +356,12 @@ class ChainHomology:
 
 def kernel(h: FormalHom) -> FormalGroup:
     """ker(h), the homology of the window 0 -> A -> B."""
-    return homology_at(zero_hom(ZERO, h.source), h)
+    return homology_at(FormalHom(ZERO, h.source), h)
 
 
 def cokernel(h: FormalHom) -> FormalGroup:
     """coker(h), the homology of the window A -> B -> 0."""
-    return homology_at(h, zero_hom(h.target, ZERO))
+    return homology_at(h, FormalHom(h.target, ZERO))
 
 
 def homology_at(f: FormalHom, g: FormalHom) -> FormalGroup:
@@ -373,11 +380,10 @@ class ExactnessVerdict:
     """The verdict at one term of a chain A_1 -> A_2 -> ...: ``position`` is
     its 1-based index, ``verdict`` "exact", "fail" or "unknown"."""
 
-    __slots__ = ("position", "group", "verdict", "detail")
+    __slots__ = ("position", "verdict", "detail")
 
-    def __init__(self, position: int, group: FormalGroup | None, verdict: str, detail: str = ""):
+    def __init__(self, position: int, verdict: str, detail: str = ""):
         self.position = position
-        self.group = group
         self.verdict = verdict
         self.detail = detail
 
@@ -405,23 +411,21 @@ def check_exact(seq: list[FormalHom]) -> list[ExactnessVerdict]:
         f, g = seq[i], seq[i + 1]
         position = i + 2  # f maps A_{i+1} -> A_{i+2}
         if f.target.is_zero:
-            out.append(ExactnessVerdict(position, f.target, "exact", "zero group"))
+            out.append(ExactnessVerdict(position, "exact", "zero group"))
             continue
         if not _zero_modulo_target(g.compose(f)):
             out.append(ExactnessVerdict(
-                position, f.target, "fail",
-                "the image is not contained in the kernel (not a complex here)",
-            ))
+                position, "fail", "the image is not contained in the kernel (not a complex here)"))
             continue
         try:
             h = homology_at(f, g)
         except InsufficientAtomData as exc:
-            out.append(ExactnessVerdict(position, None, "unknown", str(exc)))
+            out.append(ExactnessVerdict(position, "unknown", str(exc)))
             continue
         if h.is_zero:
-            out.append(ExactnessVerdict(position, h, "exact"))
+            out.append(ExactnessVerdict(position, "exact"))
         else:
-            out.append(ExactnessVerdict(position, h, "fail", f"homology {h}"))
+            out.append(ExactnessVerdict(position, "fail", f"homology {h}"))
     return out
 
 

@@ -28,12 +28,10 @@ from .formal import (
     InsufficientAtomData,
     ZERO,
     _zero_modulo_target,
-    atom_registry,
     check_exact,
     cokernel,
     homology_at,
     solve_extension,
-    zero_hom,
 )
 from . import DATA_DIR, read_json, surfaces, unpack
 from .smith import prime_factorization
@@ -211,41 +209,21 @@ class SpectralGrid:
             return None
         # an unknown end of a forced-zero map stands in as 0: the map
         # contributes nothing to the homology at its known end
-        return zero_hom(ZERO if src is None else src, ZERO if tgt is None else tgt)
+        return FormalHom(ZERO if src is None else src, ZERO if tgt is None else tgt)
 
     def _forced_zero_reason(self, src, tgt, src_q):
-        reg = atom_registry()
-
-        def is_zero(g):
-            return g is not None and g.is_zero
-
-        def finite(g):
-            return g is not None and g.is_finite and not g.infinite
-
-        def torsion_free(g):
-            return (
-                g is not None
-                and not g.cyclic
-                and not g.infinite
-                and all(reg[a].torsion_rule == "none" for a in g.atoms)
-            )
-
-        def uniquely_divisible(g):
-            return (
-                g is not None
-                and not g.cyclic
-                and g.free_rank == 0
-                and not g.infinite
-                and all(reg[a].uniquely_divisible for a in g.atoms)
-            )
-
-        if is_zero(src) or is_zero(tgt):
+        """Why the differential from ``src`` (in row ``src_q``) to ``tgt`` is
+        zero, read from the groups' stated facts; None when nothing forces
+        it.  An unknown end (None) is neither zero, finite nor divisible."""
+        if src is not None and src.is_zero or tgt is not None and tgt.is_zero:
             return "zero end"
         if self.zero_from_row0 and src_q == 0:
             return "split extension: bottom-row differentials vanish"
-        if finite(src) and torsion_free(tgt):
+        if src is None or tgt is None:
+            return None
+        if src.is_finite and tgt.is_torsion_free:
             return "finite source, torsion-free target"
-        if uniquely_divisible(src) and finite(tgt):
+        if src.is_uniquely_divisible and tgt.is_finite:
             return "uniquely divisible source, finite target"
         return None
 
@@ -342,7 +320,7 @@ class ExactSequence:
             return self.homs[i]
         a, b = self.terms[i][1], self.terms[i + 1][1]
         if a is not None and b is not None and (a.is_zero or b.is_zero):
-            return zero_hom(a, b)
+            return FormalHom(a, b)
         return None
 
     def check(self):
@@ -481,9 +459,10 @@ def aut_quadric_grid(h2_pgl2: FormalGroup, registry: KnownHomologyRegistry) -> S
     )
 
 
-def _schur_aut_quadric(h2_pgl2: FormalGroup, registry: KnownHomologyRegistry) -> SchurDerivation:
-    """schur_aut_quadric from an already derived H2(PGL(2,C))."""
-    grid = aut_quadric_grid(h2_pgl2, registry)
+def schur_aut_quadric(registry: KnownHomologyRegistry) -> SchurDerivation:
+    """H2 of the quadric's automorphism group: K2(C) + Z/2, the one group
+    surviving in total degree 2 on the stable page of the swap extension."""
+    grid = aut_quadric_grid(schur_pgl(2, registry).value, registry)
     page = grid
     while not page.is_stable():
         page = page.turn_page()
@@ -496,12 +475,6 @@ def _schur_aut_quadric(h2_pgl2: FormalGroup, registry: KnownHomologyRegistry) ->
         sequence=five_term(grid),
         notes=page.notes,
     )
-
-
-def schur_aut_quadric(registry: KnownHomologyRegistry) -> SchurDerivation:
-    """H2 of the quadric's automorphism group: K2(C) + Z/2, the one group
-    surviving in total degree 2 on the stable page of the swap extension."""
-    return _schur_aut_quadric(schur_pgl(2, registry).value, registry)
 
 
 def nonorientable_block_homology(i: int, sigma_action: FormalHom, low_full: FormalGroup,
@@ -532,7 +505,7 @@ def k2_prime_candidates(registry: KnownHomologyRegistry) -> list:
     """The two candidates for the degree-2 twisted block of the quadric over a
     point: the extension of Z/2 by K2(C) + Z/2."""
     h2_pgl2 = schur_pgl(2, registry).value
-    h2_full = _schur_aut_quadric(h2_pgl2, registry).value
+    h2_full = schur_aut_quadric(registry).value
     h2_plus = h2_pgl2 + h2_pgl2  # Kunneth for PGL2 x PGL2 with vanishing H1
     diag = _swap_antidiagonal(h2_full)  # a -> (a, a^{-1}) across the swap
     if diag.target != h2_plus:
@@ -698,12 +671,6 @@ def ruled_grid(u: surfaces.GeneratorUniverse, registry) -> SpectralGrid:
             "row 1: abelianizations of the fibrewise automorphism groups",
         ],
     )
-
-
-def prop_s17_sequence(u: surfaces.GeneratorUniverse, registry) -> ExactSequence:
-    """The seven-term sequence of the ruled grid (finite instance of the
-    low-degree exact sequence for the relative automorphism group)."""
-    return seven_term(ruled_grid(u, registry))
 
 
 def cremona_assemble(registry, u: surfaces.GeneratorUniverse,

@@ -92,7 +92,7 @@ class SurfaceCentralModel(_Value):
     def orientable(self) -> bool:
         return is_orientable(self.base, self.family, self.rank - 1)
 
-    def display(self) -> str:
+    def __str__(self) -> str:
         k = self.rank - 1
         if self.family == "hirzebruch":
             name = "P1xP1/P1" if self.e == 0 else f"F{self.e}/P1"
@@ -107,9 +107,6 @@ class SurfaceCentralModel(_Value):
         else:
             name = "S_(" + ",".join(str(b) for b in self.partition) + f"),{k}"
         return name + ("@{" + ",".join(self.points) + "}" if self.points else "")
-
-    def __str__(self) -> str:
-        return self.display()
 
 
 @cache
@@ -164,10 +161,6 @@ class GeneratorUniverse(_Value):
         return cls(BaseCase.CREMONA, (), e_max, r_max)
 
 
-def _mk(base, rank, family, points=(), e=0, partition=(), modulus=None):
-    return SurfaceCentralModel(rank, base, family, tuple(points), e, tuple(partition), modulus)
-
-
 def _point_sets(u: GeneratorUniverse, rank: int) -> list:
     """The marked point sets of the rank's generators: the (rank-1)-subsets
     of the sorted labels over the ruled base, the empty set over the plane."""
@@ -200,7 +193,7 @@ def enumerate_generators(u: GeneratorUniverse, rank: int, e_bound: int | None = 
     (defaulting to the universe's e_max): the point sets times the tags."""
     tags = _tags(u, rank, u.e_max if e_bound is None else e_bound)
     return [
-        _mk(u.base, rank, family, points, e, partition, modulus)
+        SurfaceCentralModel(rank, u.base, family, points, e, partition, modulus)
         for points in _point_sets(u, rank)
         for family, partition, modulus, e in tags
     ]

@@ -16,10 +16,8 @@ from syzygy.formal import (
     FormalGroupError,
     FormalHom,
     InsufficientAtomData,
-    _fg_relations,
     _zero_modulo_target,
     atom_registry,
-    zero_hom,
 )
 from syzygy.lattice import BlowupLattice
 from syzygy.smith import (
@@ -44,7 +42,6 @@ from syzygy.surfaces import (
     BaseCase,
     GeneratorUniverse,
     SurfaceCentralModel,
-    _mk,
     boundary,
     enumerate_generators,
 )
@@ -338,16 +335,18 @@ def two_ray_game(model: SurfaceCentralModel):
         raise ValueError("the two-ray game needs a rank-2 central model")
     base = model.base
     if model.family == "dp8_blowdown":
-        return (_mk(base, 1, "hirzebruch", e=1), _mk(base, 1, "plane"))
+        return (SurfaceCentralModel(1, base, "hirzebruch", e=1),
+                SurfaceCentralModel(1, base, "plane"))
     if model.family == "dp8_quadric":
-        return (_mk(base, 1, "hirzebruch", e=0),
-                _mk(base, 1, "hirzebruch", e=0, modulus="second ruling"))
+        return (SurfaceCentralModel(1, base, "hirzebruch", e=0),
+                SurfaceCentralModel(1, base, "hirzebruch", e=0, modulus="second ruling"))
     if model.family == "blowup":
-        return (_mk(base, 1, "hirzebruch", e=1), _mk(base, 1, "hirzebruch", e=0))
+        return (SurfaceCentralModel(1, base, "hirzebruch", e=1),
+                SurfaceCentralModel(1, base, "hirzebruch", e=0))
     if model.family == "min_section":
         return (
-            _mk(base, 1, "hirzebruch", e=model.e + 1),
-            _mk(base, 1, "hirzebruch", e=model.e),
+            SurfaceCentralModel(1, base, "hirzebruch", e=model.e + 1),
+            SurfaceCentralModel(1, base, "hirzebruch", e=model.e),
         )
     raise ValueError(f"no two-ray game for {model}")
 
@@ -651,8 +650,10 @@ def per_family_kernel(h: FormalHom) -> FormalGroup:
                 [],
                 len(cols),
                 len(rows),
-                relations_mid=_fg_relations([src[j] for j in cols]),
-                relations_target=_fg_relations([tgt[i] for i in rows]),
+                relations_mid={n: src[j][1] for n, j in enumerate(cols)
+                               if src[j][0] == "cyclic"},
+                relations_target={n: tgt[i][1] for n, i in enumerate(rows)
+                                  if tgt[i][0] == "cyclic"},
             )
             out = out + FormalGroup.from_fg(g)
             continue
@@ -675,7 +676,8 @@ def per_family_cokernel(h: FormalHom) -> FormalGroup:
                 block,
                 len(rows),
                 0,
-                relations_mid=_fg_relations([tgt[i] for i in rows]),
+                relations_mid={n: tgt[i][1] for n, i in enumerate(rows)
+                               if tgt[i][0] == "cyclic"},
             )
             out = out + FormalGroup.from_fg(g)
             continue
@@ -733,8 +735,10 @@ def window_homology_at(f: FormalHom, g: FormalHom) -> FormalGroup:
         if fam == "fg":
             out = out + FormalGroup.from_fg(presented_homology(
                 g_block, f_block, n_mid, n_tgt,
-                relations_mid=_fg_relations([mid[j] for j in mid_cols]),
-                relations_target=_fg_relations([tgt[i] for i in g_rows]),
+                relations_mid={n: mid[j][1] for n, j in enumerate(mid_cols)
+                               if mid[j][0] == "cyclic"},
+                relations_target={n: tgt[i][1] for n, i in enumerate(g_rows)
+                                  if tgt[i][0] == "cyclic"},
             ))
             continue
         out = out + _window_atom_result(atom_registry()[fam], g_block, f_block, n_mid, n_tgt)
@@ -745,10 +749,10 @@ def window_row_read(maps: list, place: int) -> FormalGroup:
     """The homology at a place of the three-place row whose ``maps[i]`` maps
     place i+1 to place i, by the window that holds the place."""
     if place == 0:
-        return window_homology_at(maps[0], zero_hom(maps[0].target, ZERO))
+        return window_homology_at(maps[0], FormalHom(maps[0].target, ZERO))
     if place == 1:
         return window_homology_at(maps[1], maps[0])
-    return window_homology_at(zero_hom(ZERO, maps[1].source), maps[1])
+    return window_homology_at(FormalHom(ZERO, maps[1].source), maps[1])
 
 
 # -- oracle for the slot layout of a direct sum -----------------------------------
@@ -1166,7 +1170,7 @@ def table_cremona_row1_complex(u: GeneratorUniverse,
 #
 # The model-by-model assembly: every generator list is sorted by a model key,
 # every boundary target is built as a fresh model and found in a dict keyed by
-# the models.  It shares the library's `_mk` and `partitions`, but neither its
+# the models.  It shares the library's `partitions`, but neither its
 # point-set/tag product nor its transition tables nor its index arithmetic.
 
 
@@ -1194,41 +1198,43 @@ def table_enumerate_generators(u: GeneratorUniverse, rank: int, e_bound: int | N
     out = []
     if u.base is BaseCase.RULED:
         if rank == 1:
-            out = [_mk(u.base, 1, "hirzebruch", e=e) for e in range(0, e_bound + 1)]
+            out = [SurfaceCentralModel(1, u.base, "hirzebruch", e=e) for e in range(0, e_bound + 1)]
         else:
             for pts in combinations(sorted(u.labels), k):
                 for part in partitions(k):
                     if part == (1,) * k and k == 4:
                         out.extend(
-                            _mk(u.base, rank, "blowup", pts, partition=part, modulus=m)
+                            SurfaceCentralModel(rank, u.base, "blowup", pts, partition=part,
+                                                modulus=m)
                             for m in ("l0", "l1")
                         )
                     else:
-                        out.append(_mk(u.base, rank, "blowup", pts, partition=part))
+                        out.append(SurfaceCentralModel(rank, u.base, "blowup", pts, partition=part))
                 out.extend(
-                    _mk(u.base, rank, "min_section", pts, e=e)
+                    SurfaceCentralModel(rank, u.base, "min_section", pts, e=e)
                     for e in range(1, e_bound + 1)
                 )
         out.sort(key=table_sort_key)
         return out
     # cremona universe: one generator per configuration tag, no point labels
     if rank == 1:
-        out = [_mk(u.base, 1, "plane")]
-        out += [_mk(u.base, 1, "hirzebruch", e=e) for e in range(0, e_bound + 1)]
+        out = [SurfaceCentralModel(1, u.base, "plane")]
+        out += [SurfaceCentralModel(1, u.base, "hirzebruch", e=e) for e in range(0, e_bound + 1)]
     elif rank == 2:
-        out = [_mk(u.base, 2, "dp8_blowdown"), _mk(u.base, 2, "dp8_quadric")]
-        out += [_mk(u.base, 2, "blowup", partition=(1,))]
-        out += [_mk(u.base, 2, "min_section", e=e) for e in range(1, e_bound + 1)]
+        out = [SurfaceCentralModel(2, u.base, "dp8_blowdown"),
+               SurfaceCentralModel(2, u.base, "dp8_quadric")]
+        out += [SurfaceCentralModel(2, u.base, "blowup", partition=(1,))]
+        out += [SurfaceCentralModel(2, u.base, "min_section", e=e) for e in range(1, e_bound + 1)]
     elif rank == 3:
-        out = [_mk(u.base, 3, "dp7")]
-        out += [_mk(u.base, 3, "blowup", partition=p) for p in partitions(2)]
-        out += [_mk(u.base, 3, "min_section", e=e) for e in range(1, e_bound + 1)]
+        out = [SurfaceCentralModel(3, u.base, "dp7")]
+        out += [SurfaceCentralModel(3, u.base, "blowup", partition=p) for p in partitions(2)]
+        out += [SurfaceCentralModel(3, u.base, "min_section", e=e) for e in range(1, e_bound + 1)]
     elif rank == 4:
-        out = [_mk(u.base, 4, "dp6")]
-        out += [_mk(u.base, 4, "blowup", partition=p) for p in partitions(3)]
-        out += [_mk(u.base, 4, "min_section", e=e) for e in range(1, e_bound + 1)]
+        out = [SurfaceCentralModel(4, u.base, "dp6")]
+        out += [SurfaceCentralModel(4, u.base, "blowup", partition=p) for p in partitions(3)]
+        out += [SurfaceCentralModel(4, u.base, "min_section", e=e) for e in range(1, e_bound + 1)]
     else:  # rank 5: only the del Pezzo is classified in this universe
-        out = [_mk(u.base, 5, "dp5")]
+        out = [SurfaceCentralModel(5, u.base, "dp5")]
     return out
 
 
@@ -1309,15 +1315,15 @@ def _table_target_model(u, rank, gen, removed_pos, descriptor):
     else:
         rest = ()
     if fam == "hirzebruch":
-        return _mk(u.base, rank - 1, "hirzebruch", e=data)
+        return SurfaceCentralModel(rank - 1, u.base, "hirzebruch", e=data)
     if fam == "plane":
-        return _mk(u.base, rank - 1, "plane")
+        return SurfaceCentralModel(rank - 1, u.base, "plane")
     if fam == "dp8_quadric":
-        return _mk(u.base, rank - 1, "dp8_quadric")
+        return SurfaceCentralModel(rank - 1, u.base, "dp8_quadric")
     if fam == "min_section":
-        return _mk(u.base, rank - 1, "min_section", rest, e=data)
+        return SurfaceCentralModel(rank - 1, u.base, "min_section", rest, e=data)
     if fam == "blowup":
-        return _mk(u.base, rank - 1, "blowup", rest, partition=data)
+        return SurfaceCentralModel(rank - 1, u.base, "blowup", rest, partition=data)
     raise ValueError(f"unknown target family {fam}")
 
 

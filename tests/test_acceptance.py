@@ -27,10 +27,11 @@ from syzygy.spectral import (
     cremona_assemble,
     cremona_row1_complex,
     k2_prime_candidates,
-    prop_s17_sequence,
+    ruled_grid,
     ruled_row1_complex,
     schur_aut_quadric,
     schur_pgl,
+    seven_term,
 )
 from syzygy.surfaces import (
     GeneratorUniverse,
@@ -293,7 +294,7 @@ def test_acceptance_10_five_term_instance():
     reg = KnownHomologyRegistry.load()
     with Timer() as t:
         u = GeneratorUniverse.ruled(4, 3, r_max=5)
-        seq = prop_s17_sequence(u, reg)
+        seq = seven_term(ruled_grid(u, reg))
         labels = [label for label, _ in seq.terms]
         shape_ok = labels == [
             "E_{3,0}", "E_{1,1}", "coker(E_{0,2}->H2)", "E_{2,0}",

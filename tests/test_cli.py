@@ -697,6 +697,37 @@ def test_bad_registry_is_reported_as_the_error_json(tmp_path, monkeypatch, text)
         assert "error" in json.loads(res.output)
 
 
+def _decode_error(data):
+    """The decoder's own message for bytes that do not decode or parse."""
+    with pytest.raises(ValueError) as info:
+        json.loads(data.decode("utf-8"))
+    return str(info.value)
+
+
+@pytest.mark.parametrize("source, data", [
+    ("option", SHIPPED_REGISTRY.read_bytes()[:300]),
+    ("variable", SHIPPED_REGISTRY.read_bytes()[:300]),
+    ("homology", b'{"ranks": [2, 1], "boundaries": [[[1, 0'),
+    ("homology", b'{"ranks": [1], "boundaries": [], "note": "\xff"}'),
+], ids=["option", "variable", "homology", "homology-not-utf8"])
+def test_unreadable_json_file_is_named_in_the_error(tmp_path, monkeypatch, source, data):
+    """A file that does not parse, or is not UTF-8, used to be reported by
+    the decoder's message alone ("Expecting value: line 1 column 14 (char
+    13)"), while every other refusal of the file named it."""
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(data)
+    if source == "option":
+        res = invoke("--registry", str(path), "schur", "--target", "pgl2")
+    elif source == "variable":
+        monkeypatch.setenv("SYZ_REGISTRY", str(path))
+        res = invoke("schur", "--target", "pgl2")
+    else:
+        res = invoke("homology", str(path))
+    assert res.exit_code == 1
+    assert json.loads(res.output)["error"] == (
+        f"{path} does not parse as JSON: {_decode_error(data)}")
+
+
 def test_registry_option_wins_over_the_variable(tmp_path, monkeypatch):
     """SYZ_REGISTRY is read only when --registry is absent, and an empty
     SYZ_REGISTRY names no file."""
@@ -880,6 +911,35 @@ def test_cremona_candidates_refuse_two_factors_divisible_by_3(tmp_path):
     res = invoke("--registry", _e02_registry(tmp_path, [3, 3]), "cremona")
     assert res.exit_code == 1
     assert json.loads(res.output)["error"].startswith("E_{0,2} = ")
+
+
+def _entry_set_to(group, degree, cyclic):
+    """A registry edit giving the (group, degree) entry the value Z/cyclic."""
+    def edit(entries):
+        [entry] = [e for e in entries if (e["group"], e["degree"]) == (group, degree)]
+        entry["value"] = {"cyclic": [cyclic]}
+        return entries
+    return edit
+
+
+@pytest.mark.parametrize("group, degree, cyclic, targets, error", [
+    ("Aut+(P1xP1)", 1, 2, ["k2prime"], "need the degree-1 comparison map Z/2 -> Z/2"),
+    ("SL(2,C)", 1, 2, ["pgl2", "quadric", "k2prime"],
+     "surjectivity onto E_{0,1} needs H1 = E_{1,0} = 0"),
+    ("SL(2,C)", 2, 4, ["pgl2", "quadric", "k2prime"],
+     "extension not unique: ['Z/2 (+) Z/4', 'Z/8']"),
+], ids=["comparison-map", "surjectivity", "extension"])
+def test_schur_derivations_refuse_a_registry_they_cannot_solve(tmp_path, group, degree, cyclic,
+                                                               targets, error):
+    """Each refusal of the Schur derivations reaches the error JSON.  The
+    quadric and its twisted block derive H2(PGL(2,C)) themselves, so they
+    refuse what that derivation refuses; only the twisted block reads the
+    degree-1 entry of Aut+(P1xP1)."""
+    path = _registry_file(tmp_path, _entry_set_to(group, degree, cyclic))
+    for target in targets:
+        res = invoke("--registry", path, "schur", "--target", target)
+        assert res.exit_code == 1, target
+        assert json.loads(res.output)["error"] == error, target
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from syzygy import formal
 from syzygy.formal import (
     ZERO,
+    Atom,
     ChainHomology,
     FormalGroup,
     FormalGroupError,
@@ -19,7 +21,6 @@ from syzygy.formal import (
     kernel,
     registered_cross_maps,
     solve_extension,
-    zero_hom,
 )
 
 from syzygy.spectral import direct_sum_with_layout
@@ -70,6 +71,40 @@ def test_infinite_summand_display_only():
         FormalHom(g, g)
 
 
+# atom -> (torsion-free, uniquely divisible) for the atom alone; "T" is a
+# torsion-free atom that is not divisible, which the shipped table lacks
+ATOM_FACTS = {
+    "C*": (False, False),  # torsion rule "cyclic"
+    "K2(C)": (True, True),  # "none", declared uniquely divisible
+    "C*^C*": (False, False),  # "unknown"
+    "T": (True, False),  # "none", not divisible
+}
+
+
+@pytest.mark.parametrize("extra", ["nothing", "Z/2", "Z", "infinite"])
+@pytest.mark.parametrize("atom", [*ATOM_FACTS, None])
+def test_torsion_freeness_and_unique_divisibility_follow_the_declared_structure(
+        monkeypatch, atom, extra):
+    """A group is torsion-free when it has no cyclic or infinite summand and
+    each atom's torsion rule is "none"; uniquely divisible when, besides,
+    it has no free summand and each atom is declared so.  Without atoms
+    the zero group is both and Z only torsion-free."""
+    shipped = atom_registry()
+    monkeypatch.setattr(formal, "atom_registry",
+                        lambda: {**shipped, "T": Atom("T", False, "none", False)})
+    parts = {"nothing": ZERO, "Z/2": Zn(2), "Z": Z, "infinite": infinite_sum("Z", Zn(2))}
+    g = (ZERO if atom is None else FormalGroup.atom(atom)) + parts[extra]
+    torsion_free, uniquely_divisible = ATOM_FACTS.get(atom, (True, True))
+    assert g.is_torsion_free == (torsion_free and extra in ("nothing", "Z"))
+    assert g.is_uniquely_divisible == (uniquely_divisible and extra == "nothing")
+
+
+def test_one_atom_with_torsion_breaks_both_facts():
+    g = K2 + Cs
+    assert not g.is_torsion_free and not g.is_uniquely_divisible
+    assert (K2 + K2).is_uniquely_divisible
+
+
 def test_hom_validation():
     with pytest.raises(FormalGroupError):
         FormalHom(Cs, K2, [{0: 1}])  # unregistered atom pair
@@ -116,8 +151,8 @@ def test_kernel_cokernel_examples():
     p6 = FormalHom(Cs, Cs, [{0: 6}])
     assert kernel(p6) == Zn(6)
     assert cokernel(p6).is_zero  # divisible
-    assert kernel(zero_hom(Cs, Cs)) == Cs
-    assert cokernel(zero_hom(Cs, Cs)) == Cs
+    assert kernel(FormalHom(Cs, Cs)) == Cs
+    assert cokernel(FormalHom(Cs, Cs)) == Cs
 
 
 def test_unknown_torsion_fails_loudly():
@@ -253,7 +288,7 @@ C2 = FormalGroup.atom("C*^C*")
 
 @settings(max_examples=200, deadline=None)
 @given(two_step_complexes())
-@example((zero_hom(C2 + Zn(2), ZERO), FormalHom(C2, C2 + Zn(2), [{0: 2}])))
+@example((FormalHom(C2 + Zn(2), ZERO), FormalHom(C2, C2 + Zn(2), [{0: 2}])))
 def test_one_sweep_read_matches_the_window_oracle(maps):
     """Every place of the row C <- B <- A, read by one sweep per family,
     is the group or the refusal that its window gives.  The example is a
@@ -295,7 +330,7 @@ def test_direct_sum_is_the_sum_of_its_parts():
 def test_homology_at_examples():
     # zero maps leave the middle group unchanged
     mid = Cs + Zn(4)
-    h = homology_at(zero_hom(FormalGroup.zero(), mid), zero_hom(mid, FormalGroup.zero()))
+    h = homology_at(FormalHom(FormalGroup.zero(), mid), FormalHom(mid, FormalGroup.zero()))
     assert h == mid
     # exact at the middle of the standard diagonal sequence
     diag = FormalHom(Cs, Cs + Cs, [{0: 1, 1: 1}])
@@ -313,24 +348,24 @@ def test_homology_at_torsion_correction():
     assert homology_at(f, g).is_zero
     # ... while torsion enters through kernels of power maps: ker(c -> c^3)
     # is the cube roots of unity
-    h = homology_at(zero_hom(FormalGroup.zero(), Cs), FormalHom(Cs, Cs, [{0: 3}]))
+    h = homology_at(FormalHom(FormalGroup.zero(), Cs), FormalHom(Cs, Cs, [{0: 3}]))
     assert h == Zn(3)
 
 
 def test_check_exact_reports():
     x2 = FormalHom(Z, Z, [{0: 2}])
     seq = [
-        zero_hom(FormalGroup.zero(), Z),
+        FormalHom(FormalGroup.zero(), Z),
         x2,
         FormalHom(Z, Zn(2), [{0: 1}]),
-        zero_hom(Zn(2), FormalGroup.zero()),
+        FormalHom(Zn(2), FormalGroup.zero()),
     ]
     assert all(v.verdict == "exact" for v in check_exact(seq))
     bad = [
-        zero_hom(FormalGroup.zero(), Z),
+        FormalHom(FormalGroup.zero(), Z),
         x2,
         FormalHom(Z, Zn(3), [{0: 1}]),
-        zero_hom(Zn(3), FormalGroup.zero()),
+        FormalHom(Zn(3), FormalGroup.zero()),
     ]
     verdicts = check_exact(bad)
     assert [v.verdict for v in verdicts] == ["exact", "fail", "exact"]

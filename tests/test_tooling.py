@@ -27,9 +27,12 @@ referenced by name somewhere in the library outside its own definition,
 unless it is a package export, a dunder, a name the benchmark's own code
 reaches (its traced SPANS, its set-up probe, its in-process runner), or on
 a short allowlist that gives its reason.  Code only tests call lives in
-tests/helpers.py.  Likewise every parameter of a library function is read
-in its body, unless the function is a dunder or the parameter is on an
-allowlist that gives its reason."""
+tests/helpers.py.  No library function only forwards: one whose body is
+one `return` of one call to another library function or class, and which
+has at most one library caller, is exempt on the same terms (a property
+too) or it goes, and its caller makes the call.  Likewise every parameter
+of a library function is read in its body, unless the function is a dunder
+or the parameter is on an allowlist that gives its reason."""
 
 import ast
 import importlib
@@ -555,25 +558,55 @@ def _reads(tree):
     return attrs, names
 
 
-def test_every_library_function_is_referenced_in_the_library():
-    """A top-level function counts as referenced when its name is read as a
-    name or an attribute elsewhere in the library; a method only as an
-    attribute (`obj.method`)."""
-    attrs, names = Counter(), Counter()
-    defs = []  # (module, owning class or None, def node)
+def _global_reads(tree):
+    """The plain names read under a syntax tree that can mean a module-level
+    name: a read inside a function that binds the name, as a parameter or an
+    assignment target, reads the local one."""
+    reads = Counter()
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            a = node.args
+            body = node.body if isinstance(node.body, list) else [node.body]
+            local = local | {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg,
+                                             a.kwarg) if p} | {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+            reads[node.id] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
+    return reads
+
+
+def _library_defs():
+    """(module, owning class or None, def node) for every top-level function
+    and method of the library."""
+    defs = []
     for module, tree in _library_modules():
-        tree_attrs, tree_names = _reads(tree)
-        attrs += tree_attrs
-        names += tree_names
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 defs.append((module, None, node))
             elif isinstance(node, ast.ClassDef):
                 defs += [(module, node.name, item) for item in node.body
                          if isinstance(item, ast.FunctionDef)]
+    return defs
+
+
+def test_every_library_function_is_referenced_in_the_library():
+    """A top-level function counts as referenced when its name is read as a
+    name or an attribute elsewhere in the library; a method only as an
+    attribute (`obj.method`)."""
+    attrs, names = Counter(), Counter()
+    for _, tree in _library_modules():
+        tree_attrs, tree_names = _reads(tree)
+        attrs += tree_attrs
+        names += tree_names
     exempt = _bench_reached_names() | {n for ns in syzygy._SUBMODULES.values() for n in ns.split()}
     unreferenced = []
-    for module, owner, fn in defs:
+    for module, owner, fn in _library_defs():
         qualname = f"{owner}.{fn.name}" if owner else fn.name
         dunder = fn.name.startswith("__") and fn.name.endswith("__")
         if dunder or fn.name in exempt or qualname in UNREFERENCED_ALLOWED:
@@ -585,6 +618,51 @@ def test_every_library_function_is_referenced_in_the_library():
         if not reads:
             unreferenced.append(f"{module}:{fn.lineno} {qualname}")
     assert not unreferenced
+
+
+# forwarding functions kept although one library caller at most reaches
+# them, with the reason
+FORWARDERS_ALLOWED = {
+    "lines": "a syz command, whose docstring is the command's help text",
+    "conics": "a syz command, whose docstring is the command's help text",
+    "coinvariants_of_swap": "a named operation of the quadric's grid, with its own test",
+}
+
+
+def test_no_library_function_only_forwards_to_another():
+    """A function whose body, after its docstring, is one `return` of one
+    call to another library function or class, and which has at most one
+    library caller, is that call written twice: its caller can make the
+    call itself.  Package exports, names the benchmark reaches, dunders and
+    properties are exempt, as are the forwarders allowed above."""
+    attrs, names, callables = Counter(), Counter(), set()
+    for _, tree in _library_modules():
+        attrs += _reads(tree)[0]
+        names += _global_reads(tree)
+        callables |= {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    defs = _library_defs()
+    callables |= {fn.name for _, _, fn in defs}
+    exempt = _bench_reached_names() | {n for ns in syzygy._SUBMODULES.values() for n in ns.split()}
+    forwarders = []
+    for module, owner, fn in defs:
+        body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+        if not (len(body) == 1 and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Call)):
+            continue
+        func = body[0].value.func
+        callee = getattr(func, "id", getattr(func, "attr", None))
+        dunder = fn.name.startswith("__") and fn.name.endswith("__")
+        prop = any(ast.unparse(d) == "property" for d in fn.decorator_list)
+        if callee not in callables - {fn.name} or dunder or prop or fn.name in exempt \
+                or fn.name in FORWARDERS_ALLOWED:
+            continue
+        callers = attrs[fn.name] - _reads(fn)[0][fn.name]
+        if owner is None:
+            callers += names[fn.name] - _global_reads(fn)[fn.name]
+        if callers <= 1:
+            qualname = f"{owner}.{fn.name}" if owner else fn.name
+            forwarders.append(f"{module}:{fn.lineno} {qualname} -> {callee}")
+    assert not forwarders
 
 
 # parameters a library function takes but does not read, with the reason
