@@ -36,17 +36,18 @@ def _refuse_constant(token: str):
 
 
 def read_json(path) -> object:
-    """The JSON document in a UTF-8 file.  A key given twice in one object
-    raises ValueError naming it; json would keep the last copy.  So do the
-    tokens NaN, Infinity and -Infinity, which json accepts though JSON has
-    no such value, and a document nested too deeply for the decoder.  Text
-    that does not decode or parse raises ValueError naming the file and the
-    decoder's message, json's line and column included."""
+    """The JSON document in a UTF-8 file.  Text that does not decode or
+    parse raises ValueError "<path> does not parse as JSON: <reason>", the
+    reason being the decoder's message, json's line and column included, or
+    one of the refusals json itself lacks: a key given twice in one object,
+    which json would keep the last copy of, and the tokens NaN, Infinity and
+    -Infinity, which json accepts though JSON has no such value.  A document
+    nested too deeply for the decoder raises ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=_refuse_repeated_keys,
                              parse_constant=_refuse_constant)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # the decoders' errors and the hooks' refusals
             raise ValueError(f"{path} does not parse as JSON: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path} nests arrays or objects too deeply to read") from None
@@ -148,8 +149,7 @@ _SUBMODULES = {
     "complexes": "IntegerChainComplex RegularCWComplex load_complex_file",
     "surfaces": "BaseCase GeneratorUniverse SurfaceCentralModel boundary"
     " enumerate_generators row0_complex row0_homology validated_sphere_bl3",
-    "formal": "Atom FormalGroup FormalHom check_exact cokernel homology_at"
-    " kernel solve_extension",
+    "formal": "Atom FormalGroup FormalHom cokernel homology_at kernel solve_extension",
     "spectral": "KnownHomologyRegistry SpectralGrid cremona_assemble"
     " default_registry five_term k2_prime_candidates schur_aut_quadric"
     " schur_pgl seven_term",

@@ -8,9 +8,12 @@ k-th power (k-multiple) map, entries into cyclic summands reduce, and maps
 between distinct atoms are forbidden unless registered.  A homomorphism is
 stored in smith's column format (one dict per source slot, target slot ->
 nonzero int), the format its family blocks are read in, so no dense matrix
-occurs in the calculus.  A group states four facts about itself, read from
-its normal form and its atoms' declared structure: whether it is zero,
-finite, torsion-free and uniquely divisible.
+occurs in the calculus; an entry into Z/m is stored mod m, so the zero map
+is the one with no entries.  A group states four facts about itself, read
+from its normal form and its atoms' declared structure: whether it is zero,
+finite, torsion-free and uniquely divisible.  forced_zero_reason reads from
+them why every map between two groups is zero; spectral grids and exact
+sequences default an unknown map to zero only by it.
 
 Homology is read per family (one atom's copies, or the cyclic and free
 slots): a chain of homomorphisms by one sweep of each family's exponent
@@ -200,10 +203,26 @@ class FormalGroup(_Value):
 ZERO = FormalGroup.zero()
 
 
+def forced_zero_reason(source, target):
+    """Why every homomorphism ``source`` -> ``target`` is zero, read from
+    the groups' stated facts, or None when nothing forces it.  An unknown
+    end (None) is neither zero, finite nor divisible."""
+    if source is not None and source.is_zero or target is not None and target.is_zero:
+        return "zero end"
+    if source is None or target is None:
+        return None
+    if source.is_finite and target.is_torsion_free:
+        return "finite source, torsion-free target"
+    if source.is_uniquely_divisible and target.is_finite:
+        return "uniquely divisible source, finite target"
+    return None
+
+
 class FormalHom:
     """Integer block matrix between formal groups in smith's column format:
     one dict per source slot, mapping a target slot index to a nonzero int.
-    ``columns=None`` is the zero map."""
+    ``columns=None`` is the zero map.  Entries are validated as given, then
+    stored mod m where they go into Z/m, so is_zero() is the zero test."""
 
     def __init__(self, source: FormalGroup, target: FormalGroup, columns=None):
         if source.infinite or target.infinite:
@@ -217,42 +236,30 @@ class FormalHom:
             raise FormalGroupError(
                 f"{len(columns)} columns do not match the {len(src)} source slots"
             )
+        cross = registered_cross_maps()
         self.columns = []
-        for j, col in enumerate(columns):
+        for j, (s, col) in enumerate(zip(src, columns)):
             if not isinstance(col, dict):
-                raise FormalGroupError(
-                    f"column {j} is {col!r}, not a dict of target slot -> int"
-                )
+                raise FormalGroupError(f"column {j} is {col!r}, not a dict of target slot -> int")
             if any(i not in range(len(tgt)) for i in col):
                 raise FormalGroupError(
-                    f"column {j} has a key outside the {len(tgt)} target slots: {col!r}"
-                )
-            self.columns.append({i: int(x) for i, x in col.items() if x})
-        self._validate(src, tgt)
-
-    def _validate(self, src, tgt):
-        cross = registered_cross_maps()
-        for scol, col in zip(src, self.columns):
-            for i, k in col.items():
-                trow = tgt[i]
-                skind, tkind = scol[0], trow[0]
-                if skind == "atom" and tkind == "atom":
-                    if scol[1] != trow[1] and (scol[1], trow[1]) not in cross:
-                        raise FormalGroupError(
-                            f"no registered map {scol[1]} -> {trow[1]}"
-                        )
-                elif skind == "atom" or tkind == "atom":
-                    raise FormalGroupError(
-                        f"maps between {scol} and {trow} are not defined"
-                    )
-                elif skind == "cyclic" and tkind == "free":
+                    f"column {j} has a key outside the {len(tgt)} target slots: {col!r}")
+            self.columns.append({})
+            for i, k in ((i, int(x)) for i, x in col.items() if x):
+                t = tgt[i]
+                if s[0] == t[0] == "atom":
+                    if s[1] != t[1] and (s[1], t[1]) not in cross:
+                        raise FormalGroupError(f"no registered map {s[1]} -> {t[1]}")
+                elif s[0] == "atom" or t[0] == "atom":
+                    raise FormalGroupError(f"maps between {s} and {t} are not defined")
+                elif s[0] == "cyclic" and t[0] == "free":
                     raise FormalGroupError("no nonzero map from a finite cyclic group to Z")
-                elif skind == "cyclic" and tkind == "cyclic":
-                    n, m = scol[1], trow[1]
-                    if (k * n) % m != 0:
-                        raise FormalGroupError(
-                            f"entry {k}: Z/{n} -> Z/{m} is not well defined"
-                        )
+                elif s[0] == t[0] == "cyclic" and (k * s[1]) % t[1]:
+                    raise FormalGroupError(f"entry {k}: Z/{s[1]} -> Z/{t[1]} is not well defined")
+                if t[0] == "cyclic":
+                    k %= t[1]
+                if k:
+                    self.columns[-1][i] = k
 
     def is_zero(self) -> bool:
         return not any(self.columns)
@@ -368,65 +375,12 @@ def homology_at(f: FormalHom, g: FormalHom) -> FormalGroup:
     """ker(g)/im(f) for a two-step window  f: A -> B,  g: B -> C: the middle
     place of the chain g, f, whose finitely generated family is read by
     presented_homology."""
-    if not _zero_modulo_target(g.compose(f)):
+    if not g.compose(f).is_zero():
         raise FormalGroupError("the window does not compose to zero")
     chain = ChainHomology([g, f])
     fg = chain._families(1).get("fg")
     return chain.atoms_at(1) + (FormalGroup.from_fg(presented_homology(*fg._window(1)))
                                 if fg else ZERO)
-
-
-class ExactnessVerdict:
-    """The verdict at one term of a chain A_1 -> A_2 -> ...: ``position`` is
-    its 1-based index, ``verdict`` "exact", "fail" or "unknown"."""
-
-    __slots__ = ("position", "verdict", "detail")
-
-    def __init__(self, position: int, verdict: str, detail: str = ""):
-        self.position = position
-        self.verdict = verdict
-        self.detail = detail
-
-
-def _zero_modulo_target(h: FormalHom) -> bool:
-    """Is the hom zero as a map (entries into cyclic targets reduce)?"""
-    tgt = h.target.slots()
-    return all(
-        tgt[i][0] == "cyclic" and x % tgt[i][1] == 0
-        for col in h.columns
-        for i, x in col.items()
-    )
-
-
-def check_exact(seq: list[FormalHom]) -> list[ExactnessVerdict]:
-    """Exactness verdicts at every interior term of a composable chain
-    A_1 -> A_2 -> ... -> A_{k+1} given as k homomorphisms."""
-    for a, b in zip(seq, seq[1:]):
-        if a.target != b.source:
-            raise FormalGroupError(
-                f"chain is not composable: {a.target} followed by {b.source}"
-            )
-    out = []
-    for i in range(len(seq) - 1):
-        f, g = seq[i], seq[i + 1]
-        position = i + 2  # f maps A_{i+1} -> A_{i+2}
-        if f.target.is_zero:
-            out.append(ExactnessVerdict(position, "exact", "zero group"))
-            continue
-        if not _zero_modulo_target(g.compose(f)):
-            out.append(ExactnessVerdict(
-                position, "fail", "the image is not contained in the kernel (not a complex here)"))
-            continue
-        try:
-            h = homology_at(f, g)
-        except InsufficientAtomData as exc:
-            out.append(ExactnessVerdict(position, "unknown", str(exc)))
-            continue
-        if h.is_zero:
-            out.append(ExactnessVerdict(position, "exact"))
-        else:
-            out.append(ExactnessVerdict(position, "fail", f"homology {h}"))
-    return out
 
 
 # -- extension problems ----------------------------------------------------------

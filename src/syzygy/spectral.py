@@ -9,9 +9,11 @@ the classical fact it imports.  The registry is read-only and every
 derivation requires it; a derived H2 is returned, never read from the
 registry, so an entry for a derived group goes unread.  Differentials the
 source material leaves implicit are defaulted to zero only when a sound rule
-forces it (a zero end, a finite source against a torsion-free target, a
-uniquely divisible source against a finite target, or a split extension's
-bottom row); otherwise page turning refuses and names the offending spot.
+forces it: formal.forced_zero_reason (a zero end, a finite source against a
+torsion-free target, a uniquely divisible source against a finite target),
+which the low-degree exact sequences read too, or a split extension's
+bottom row; otherwise page turning refuses and names the offending spot.
+A map is zero when FormalHom.is_zero says so, its entries stored mod m.
 Row q = 1 is built in smith's column format straight from row 0 and read
 by formal.ChainHomology, as every other formal chain is.
 """
@@ -27,9 +29,8 @@ from .formal import (
     FormalGroupError,
     InsufficientAtomData,
     ZERO,
-    _zero_modulo_target,
-    check_exact,
     cokernel,
+    forced_zero_reason,
     homology_at,
     solve_extension,
 )
@@ -188,7 +189,7 @@ class SpectralGrid:
         for (p, q), d in self.differentials.items():
             upstream = self.differentials.get((p + r, q - r + 1))
             if upstream is not None:
-                if not _zero_modulo_target(d.compose(upstream)):
+                if not d.compose(upstream).is_zero():
                     raise FormalGroupError(f"d o d != 0 through {(p, q)}")
 
     def entry(self, p: int, q: int):
@@ -213,19 +214,13 @@ class SpectralGrid:
 
     def _forced_zero_reason(self, src, tgt, src_q):
         """Why the differential from ``src`` (in row ``src_q``) to ``tgt`` is
-        zero, read from the groups' stated facts; None when nothing forces
-        it.  An unknown end (None) is neither zero, finite nor divisible."""
-        if src is not None and src.is_zero or tgt is not None and tgt.is_zero:
-            return "zero end"
-        if self.zero_from_row0 and src_q == 0:
+        zero: formal.forced_zero_reason, where an unknown end (None) is
+        neither zero, finite nor divisible, or else a split extension's
+        bottom row; None when nothing forces it."""
+        reason = forced_zero_reason(src, tgt)
+        if reason is None and self.zero_from_row0 and src_q == 0:
             return "split extension: bottom-row differentials vanish"
-        if src is None or tgt is None:
-            return None
-        if src.is_finite and tgt.is_torsion_free:
-            return "finite source, torsion-free target"
-        if src.is_uniquely_divisible and tgt.is_finite:
-            return "uniquely divisible source, finite target"
-        return None
+        return reason
 
     def turn_page(self) -> "SpectralGrid":
         """Next page: homology at every spot.  Refuses when a needed
@@ -303,42 +298,58 @@ class SpectralGrid:
 
 class ExactSequence:
     """A chain of (label, group) terms, group None where unknown, with
-    optionally known connecting maps; exactness is checked at interior
-    terms wherever enough data exists.  An unknown term between two known
-    zeros is zero, and is filled in when the sequence is built; one pass
-    suffices, since a filled term's neighbours are known already."""
+    optionally known connecting maps, ``homs[i]`` from terms[i] to
+    terms[i+1]; a map whose index or endpoints are not its terms' is
+    refused.  An unknown term between two known zeros is zero, and is
+    filled in when the sequence is built; one pass suffices, since a filled
+    term's neighbours are known already."""
 
     def __init__(self, terms, homs=None):
         zero = [False] + [g is not None and g.is_zero for _, g in terms] + [False]
         self.terms = [(label, ZERO if g is None and zero[i] and zero[i + 2] else g)
                       for i, (label, g) in enumerate(terms)]
         self.homs = dict(homs or {})
+        for i, h in self.homs.items():
+            if i not in range(len(self.terms) - 1):
+                raise FormalGroupError(f"map {i} is outside the {len(self.terms)} terms")
+            (a, ga), (b, gb) = self.terms[i], self.terms[i + 1]
+            if h.source != ga or h.target != gb:
+                raise FormalGroupError(
+                    f"map {i} is {h.source} -> {h.target}, not {a}[{ga}] -> {b}[{gb}]")
 
     def _map(self, i):
         """Map terms[i] -> terms[i+1], explicit or forced zero."""
         if i in self.homs:
             return self.homs[i]
         a, b = self.terms[i][1], self.terms[i + 1][1]
-        if a is not None and b is not None and (a.is_zero or b.is_zero):
+        if a is not None and b is not None and forced_zero_reason(a, b):
             return FormalHom(a, b)
         return None
 
-    def check(self):
-        out = []
-        for i, (label, group) in enumerate(self.terms[1:-1], start=1):
-            if group is None:
-                out.append((label, "unknown", "term not computed"))
-                continue
-            if group.is_zero:
-                out.append((label, "exact", "zero group"))
-                continue
-            f, g = self._map(i - 1), self._map(i)
-            if f is None or g is None:
-                out.append((label, "unknown", "connecting maps not available"))
-                continue
-            v = check_exact([f, g])[0]
-            out.append((label, v.verdict, v.detail))
-        return out
+    def check(self) -> list:
+        """(label, verdict, detail) at each interior term, the verdict
+        "exact", "fail" or "unknown"."""
+        return [(label, *self._verdict(i))
+                for i, (label, _) in enumerate(self.terms[1:-1], start=1)]
+
+    def _verdict(self, i) -> tuple:
+        """(verdict, detail) at terms[i]: unknown without the term or a map at
+        it, or when its homology needs atom torsion that is not declared."""
+        group = self.terms[i][1]
+        if group is None:
+            return "unknown", "term not computed"
+        if group.is_zero:
+            return "exact", "zero group"
+        f, g = self._map(i - 1), self._map(i)
+        if f is None or g is None:
+            return "unknown", "connecting maps not available"
+        if not g.compose(f).is_zero():
+            return "fail", "the image is not contained in the kernel (not a complex here)"
+        try:
+            h = homology_at(f, g)
+        except InsufficientAtomData as exc:
+            return "unknown", str(exc)
+        return ("exact", "") if h.is_zero else ("fail", f"homology {h}")
 
     def render(self) -> str:
         return " -> ".join(

@@ -16,13 +16,13 @@ from syzygy.formal import (
     FormalGroupError,
     FormalHom,
     InsufficientAtomData,
-    _zero_modulo_target,
     atom_registry,
 )
 from syzygy.lattice import BlowupLattice
 from syzygy.smith import (
     FGAbelianGroup,
     Matrix,
+    column_product,
     mat_mul,
     partitions,
     presented_homology,
@@ -718,12 +718,15 @@ def _window_atom_result(atom, mat_out, mat_in, n_mid, n_tgt) -> FormalGroup:
 
 
 def window_homology_at(f: FormalHom, g: FormalHom) -> FormalGroup:
-    """ker(g)/im(f) for a two-step window  f: A -> B,  g: B -> C."""
+    """ker(g)/im(f) for a two-step window  f: A -> B,  g: B -> C.  The
+    composite is zero when every entry goes into a cyclic slot Z/m and is a
+    multiple of m, tested here on the product of the columns."""
     if f.target != g.source:
         raise FormalGroupError("homology window mismatch: target of f must be source of g")
-    if not _zero_modulo_target(g.compose(f)):
-        raise FormalGroupError("the window does not compose to zero")
     mid, tgt = g.source.slots(), g.target.slots()
+    if not all(tgt[i][0] == "cyclic" and x % tgt[i][1] == 0
+               for col in column_product(g.columns, f.columns) for i, x in col.items()):
+        raise FormalGroupError("the window does not compose to zero")
     fblocks = dense_family_blocks(f)
     gblocks = dense_family_blocks(g)
     out = FormalGroup.zero()
@@ -849,6 +852,48 @@ def oracle_solve_extension(sub: tuple, quot: tuple) -> list[tuple]:
     for finite cyclic orders ``sub`` and ``quot``, sorted."""
     return sorted(total for total in abelian_groups_of_order(prod(sub) * prod(quot))
                   if _has_extension(sub, total, quot))
+
+
+# -- oracle for ExactSequence.check ------------------------------------------------
+#
+# Exactness read by enumerating elements: every map is applied to every
+# element of its finite source, and a homology group is the abelian group of
+# the counted order whose d-torsion has the counted size for every divisor d
+# of that order.  It reads the drawn columns, not a FormalHom.
+
+
+def _apply_columns(cols: list, orders: tuple, x: tuple) -> tuple:
+    """The image of x under the columns, in the group Z/orders."""
+    return tuple(sum(col.get(i, 0) * c for col, c in zip(cols, x)) % m
+                 for i, m in enumerate(orders))
+
+
+def oracle_exactness(groups: list, maps: list) -> list:
+    """(verdict, detail) at each interior group of the chain groups[0] ->
+    groups[1] -> ..., worded as ExactSequence.check words them.  Each group
+    is a finite invariant-factor chain of cyclic orders, and ``maps[i]``
+    takes groups[i] to groups[i+1] in column format."""
+    out = []
+    for i in range(1, len(groups) - 1):
+        here = groups[i]
+        if not here:
+            out.append(("exact", "zero group"))
+            continue
+        image = {_apply_columns(maps[i - 1], here, y)
+                 for y in product(*map(range, groups[i - 1]))}
+        zero = (0,) * len(groups[i + 1])
+        kernel = [x for x in product(*map(range, here))
+                  if _apply_columns(maps[i], groups[i + 1], x) == zero]
+        if not image <= set(kernel):
+            out.append(("fail", "the image is not contained in the kernel (not a complex here)"))
+            continue
+        order = len(kernel) // len(image)
+        torsion = {d: sum(tuple(d * c % m for c, m in zip(x, here)) in image for x in kernel)
+                   // len(image) for d in range(1, order + 1) if order % d == 0}
+        [h] = [g for g in abelian_groups_of_order(order)
+               if all(prod(gcd(d, e) for e in g) == n for d, n in torsion.items())]
+        out.append(("exact", "") if order == 1 else ("fail", f"homology {FormalGroup(cyclic=h)}"))
+    return out
 
 
 # -- a grid concentrated in row 0 --------------------------------------------------

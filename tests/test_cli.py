@@ -704,16 +704,22 @@ def _decode_error(data):
     return str(info.value)
 
 
-@pytest.mark.parametrize("source, data", [
-    ("option", SHIPPED_REGISTRY.read_bytes()[:300]),
-    ("variable", SHIPPED_REGISTRY.read_bytes()[:300]),
-    ("homology", b'{"ranks": [2, 1], "boundaries": [[[1, 0'),
-    ("homology", b'{"ranks": [1], "boundaries": [], "note": "\xff"}'),
-], ids=["option", "variable", "homology", "homology-not-utf8"])
-def test_unreadable_json_file_is_named_in_the_error(tmp_path, monkeypatch, source, data):
+@pytest.mark.parametrize("source, data, reason", [
+    ("option", SHIPPED_REGISTRY.read_bytes()[:300], None),
+    ("variable", SHIPPED_REGISTRY.read_bytes()[:300], None),
+    ("homology", b'{"ranks": [2, 1], "boundaries": [[[1, 0', None),
+    ("homology", b'{"ranks": [1], "boundaries": [], "note": "\xff"}', None),
+    ("option", b'{"entries": [], "entries": []}', "key 'entries' is repeated in one object"),
+    ("homology", b'{"ranks": [1], "boundaries": [], "ranks": [1]}',
+     "key 'ranks' is repeated in one object"),
+], ids=["option", "variable", "homology", "homology-not-utf8", "option-repeated-key",
+        "homology-repeated-key"])
+def test_unreadable_json_file_is_named_in_the_error(tmp_path, monkeypatch, source, data, reason):
     """A file that does not parse, or is not UTF-8, used to be reported by
     the decoder's message alone ("Expecting value: line 1 column 14 (char
-    13)"), while every other refusal of the file named it."""
+    13)"), while every other refusal of the file named it.  A key repeated
+    in one object, which json itself accepts, was later reported by the
+    reader's reason alone."""
     path = tmp_path / "unreadable.json"
     path.write_bytes(data)
     if source == "option":
@@ -725,7 +731,7 @@ def test_unreadable_json_file_is_named_in_the_error(tmp_path, monkeypatch, sourc
         res = invoke("homology", str(path))
     assert res.exit_code == 1
     assert json.loads(res.output)["error"] == (
-        f"{path} does not parse as JSON: {_decode_error(data)}")
+        f"{path} does not parse as JSON: {reason or _decode_error(data)}")
 
 
 def test_registry_option_wins_over_the_variable(tmp_path, monkeypatch):
@@ -1014,12 +1020,14 @@ def test_homology_cw_file_refuses_null_and_boolean_ids(tmp_path, cells, shown):
 def test_homology_cw_file_refuses_non_json_constants(tmp_path, token):
     """Python's json reads NaN, Infinity and -Infinity, which JSON has no
     value for: an id NaN was refused as sharing its id text with itself
-    (NaN != NaN), and an id Infinity loaded."""
+    (NaN != NaN), and an id Infinity loaded.  The refusal names the file,
+    as every other refusal of text that does not parse does."""
     path = tmp_path / "bad.json"
     path.write_text(f'{{"cells": [{{"id": {token}, "dim": 0}}]}}', encoding="utf-8")
     res = invoke("homology", str(path))
     assert res.exit_code == 1
-    assert json.loads(res.output)["error"] == f"{token} is not a JSON value"
+    assert json.loads(res.output)["error"] == (
+        f"{path} does not parse as JSON: {token} is not a JSON value")
 
 
 @pytest.mark.parametrize(

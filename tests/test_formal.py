@@ -15,7 +15,6 @@ from syzygy.formal import (
     FormalHom,
     InsufficientAtomData,
     atom_registry,
-    check_exact,
     cokernel,
     homology_at,
     kernel,
@@ -132,6 +131,19 @@ def test_hom_refuses_malformed_columns():
         FormalHom(Z + Z, Z, [[1, 1]])
     assert FormalHom(Cs, Cs, [{0: 0}]).columns == [{}]  # zeros are not stored
     assert not hasattr(FormalHom(Cs, Cs), "matrix")
+
+
+def test_entries_into_cyclic_slots_are_stored_mod_the_order():
+    """An entry into Z/m is validated as given, then stored mod m, so a map
+    whose entries are multiples of m has none and is_zero() says so."""
+    assert FormalHom(Z, Zn(3), [{0: 3}]).is_zero()
+    assert FormalHom(Zn(4), Zn(8), [{0: -6}]).columns == [{0: 2}]
+    # slots run atoms, cyclic, free: C* -> C* keeps its power 7, Z -> Z/5 reduces
+    assert FormalHom(Cs + Z, Cs + Zn(5), [{0: 7}, {1: 7}]).columns == [{0: 7}, {1: 2}]
+    with pytest.raises(FormalGroupError):
+        FormalHom(Cs, Zn(2), [{0: 2}])  # refused before any entry reduces
+    with pytest.raises(FormalGroupError):
+        FormalHom(Zn(4), Zn(8), [{0: 9}])  # 9 is 1 mod 8, and 1 is not well defined
 
 
 def test_registered_cross_map_blocks_computations():
@@ -352,29 +364,7 @@ def test_homology_at_torsion_correction():
     assert h == Zn(3)
 
 
-def test_check_exact_reports():
-    x2 = FormalHom(Z, Z, [{0: 2}])
-    seq = [
-        FormalHom(FormalGroup.zero(), Z),
-        x2,
-        FormalHom(Z, Zn(2), [{0: 1}]),
-        FormalHom(Zn(2), FormalGroup.zero()),
-    ]
-    assert all(v.verdict == "exact" for v in check_exact(seq))
-    bad = [
-        FormalHom(FormalGroup.zero(), Z),
-        x2,
-        FormalHom(Z, Zn(3), [{0: 1}]),
-        FormalHom(Zn(3), FormalGroup.zero()),
-    ]
-    verdicts = check_exact(bad)
-    assert [v.verdict for v in verdicts] == ["exact", "fail", "exact"]
-    assert verdicts[1].position == 3
-    with pytest.raises(FormalGroupError):
-        check_exact([x2, x2.compose(x2), FormalHom(Cs, Cs, [{0: 1}])])
-
-
-def test_check_exact_kernel_cokernel_resolution():
+def test_kernel_and_cokernel_match_presented_homology():
     """For any hom h: 0 -> ker -> A -> B -> coker -> 0 is exact."""
     rng = random.Random(3)
     for _ in range(20):

@@ -1,11 +1,13 @@
 import json
 import re
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syzygy import spectral, surfaces
 
-from syzygy.formal import FormalGroup, FormalGroupError, FormalHom
+from syzygy.formal import ZERO, FormalGroup, FormalGroupError, FormalHom
 from syzygy.spectral import (
     ExactSequence,
     KnownHomologyRegistry,
@@ -28,10 +30,12 @@ from syzygy.spectral import (
 from syzygy.surfaces import GeneratorUniverse
 
 from helpers import (
+    abelian_groups_of_order,
     cyclic_group,
     fully_known_positions_exact,
     h_prime_grid,
     invoke,
+    oracle_exactness,
     registry_audit,
     registry_items,
     table_cremona_row1_complex,
@@ -40,6 +44,7 @@ from helpers import (
 
 Cs = FormalGroup.atom("C*")
 K2 = FormalGroup.atom("K2(C)")
+Z = FormalGroup.free(1)
 
 
 def Zn(n):
@@ -324,6 +329,16 @@ def test_composable_differentials_must_compose_to_zero():
         composable_page(2, {0: 1}, {0: 1})
 
 
+def test_a_differential_with_entries_that_reduce_to_zero_is_stable():
+    """d2: Z/2 -> Z/2 given as multiplication by 2 is the zero map, so the
+    page is stable; is_stable used to see its entry and call it nonzero."""
+    entries = {(p, q): FormalGroup.zero() for p in range(3) for q in range(2)}
+    entries[2, 0] = entries[0, 1] = Zn(2)
+    grid = SpectralGrid(page=2, box=(2, 1), entries=entries,
+                        differentials={(2, 0): FormalHom(Zn(2), Zn(2), [{0: 2}])})
+    assert grid.is_stable()
+
+
 # -- row-1 instances -----------------------------------------------------------------
 
 
@@ -520,3 +535,72 @@ def test_exact_sequence_detects_failure():
     # at B: image 2Z, kernel Z: fails
     verdicts = dict((lbl, v) for lbl, v, _ in seq.check())
     assert verdicts["B"] == "fail"
+
+
+def test_exact_sequence_reports():
+    """0 -> Z -2-> Z -> Z/2 -> 0 is exact at every term; with Z/3 for Z/2
+    the map by 2 lands outside the kernel of Z -> Z/3, so the middle Z
+    fails; a map between groups that are not its terms is refused."""
+    x2 = FormalHom(Z, Z, [{0: 2}])
+
+    def chain(n):
+        terms = [("0", ZERO), ("A", Z), ("B", Z), ("C", Zn(n)), ("0", ZERO)]
+        return ExactSequence(terms, {1: x2, 2: FormalHom(Z, Zn(n), [{0: 1}])})
+
+    assert [v for _, v, _ in chain(2).check()] == ["exact"] * 3
+    assert chain(3).check() == [
+        ("A", "exact", ""),
+        ("B", "fail", "the image is not contained in the kernel (not a complex here)"),
+        ("C", "exact", "")]
+    terms = [("A", Z), ("B", Z), ("C", Z), ("D", Z)]
+    with pytest.raises(FormalGroupError, match=r"^map 2 is C\* -> C\*, not C\[Z\] -> D\[Z\]$"):
+        ExactSequence(terms, {0: x2, 1: x2.compose(x2), 2: FormalHom(Cs, Cs, [{0: 1}])})
+
+
+def test_exact_sequence_refuses_a_map_between_other_groups():
+    """homs[1] runs A -> B = Z/2, but Z -> Z was given: it used to be read
+    as that map, and A reported exact against Z."""
+    terms = [("0", ZERO), ("A", Z), ("B", Zn(2)), ("C", None), ("0", ZERO)]
+    with pytest.raises(FormalGroupError, match=r"^map 1 is Z -> Z, not A\[Z\] -> B\[Z/2\]$"):
+        ExactSequence(terms, {1: FormalHom(Z, Z, [{0: 1}])})
+    with pytest.raises(FormalGroupError, match="^map 4 is outside the 5 terms$"):
+        ExactSequence(terms, {4: FormalHom(ZERO, ZERO)})
+    with pytest.raises(FormalGroupError, match=r"not B\[Z/2\] -> C\[None\]$"):
+        ExactSequence(terms, {2: FormalHom(Zn(2), Zn(2))})
+
+
+@pytest.mark.parametrize("a, b", [(Zn(2), Z), (K2, Zn(3))],
+                         ids=["finite-to-torsion-free", "uniquely-divisible-to-finite"])
+def test_exact_sequence_reads_the_forced_zero_rules(a, b):
+    """Every map A -> B is zero, so 0 -> A -> B -> 0 fails at both terms,
+    with their own groups as homology; only a zero end used to force a map,
+    and both terms read "connecting maps not available"."""
+    seq = ExactSequence([("0", ZERO), ("A", a), ("B", b), ("0", ZERO)])
+    assert seq.check() == [("A", "fail", f"homology {a}"), ("B", "fail", f"homology {b}")]
+
+
+# every finite group of order at most 64, as its invariant-factor chain
+SMALL_FINITE = [g for n in range(1, 65) for g in abelian_groups_of_order(n)]
+
+
+@st.composite
+def finite_chains(draw):
+    """Groups A_0, ..., A_k (k = 3 or 4) of order at most 64 and maps A_i ->
+    A_{i+1}: an entry from Z/n to Z/m is a multiple of m / gcd(n, m), the
+    well-defined ones, drawn past m and below 0 so that entries reduce."""
+    groups = draw(st.lists(st.sampled_from(SMALL_FINITE), min_size=4, max_size=5))
+    maps = [[{i: x for i, m in enumerate(b) if (x := draw(st.integers(-3, 3)) * (m // gcd(n, m)))}
+             for n in a] for a, b in zip(groups, groups[1:])]
+    return groups, maps
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_chains())
+def test_exact_sequence_verdicts_match_the_counting_oracle(chain):
+    """A fully known chain of finite groups gets at each interior term the
+    verdict, and for a failure the homology, that counting elements gives."""
+    groups, maps = chain
+    terms = [(f"A{i}", FormalGroup(cyclic=g)) for i, g in enumerate(groups)]
+    homs = {i: FormalHom(terms[i][1], terms[i + 1][1], cols) for i, cols in enumerate(maps)}
+    seq = ExactSequence(terms, homs)
+    assert [(v, d) for _, v, d in seq.check()] == oracle_exactness(groups, maps)

@@ -7,10 +7,11 @@ recursions.  The package loads its submodules on first use: each command
 executes only the modules it calls, and every exported name still resolves.
 Importing the CLI loads nothing outside the standard library and the package,
 and no job loads `inspect` or `dataclasses`, whose import costs more than
-most jobs compute.  The project runs no linter, so three import rules of the
+most jobs compute.  The project runs no linter, so four import rules of the
 library are checked here on its syntax trees: every module-level import is
-read, only smith touches the dense Smith cluster, and no module imports
-`dataclasses`.  One class rule is checked there too: the value contract is
+read, only smith touches the dense Smith cluster, no module imports
+`dataclasses`, and no module imports a `_`-prefixed name of a sibling
+module.  One class rule is checked there too: the value contract is
 written once, so no class but the value base `_Value` in the package's
 `__init__.py` defines `__setattr__`, `__delattr__`, `__reduce__`, `__hash__`
 or `__repr__` with a `def`, and only `_Value.__init__` names
@@ -326,7 +327,7 @@ EXPORTS = {
     "complexes": "IntegerChainComplex RegularCWComplex load_complex_file",
     "surfaces": "BaseCase GeneratorUniverse SurfaceCentralModel boundary enumerate_generators"
     " row0_complex row0_homology validated_sphere_bl3",
-    "formal": "Atom FormalGroup FormalHom check_exact cokernel homology_at kernel solve_extension",
+    "formal": "Atom FormalGroup FormalHom cokernel homology_at kernel solve_extension",
     "spectral": "KnownHomologyRegistry SpectralGrid cremona_assemble default_registry five_term"
     " k2_prime_candidates schur_aut_quadric schur_pgl seven_term",
 }
@@ -397,6 +398,25 @@ def test_no_library_module_imports_dataclasses():
             elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
                 users.append(f"{name}:{node.lineno}")
     assert not users
+
+
+def test_no_library_module_imports_a_private_name_of_another():
+    """A `_`-prefixed name belongs to its own module: no library module
+    imports one from a sibling (`from .formal import _name`) or reads one
+    off it (`formal._name`).  The package's `__init__.py` is exempt as a
+    source, since it holds the shared base `_Value` of the value types."""
+    siblings = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    private = []
+    for name, tree in _library_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module in siblings:
+                private += [f"{name}:{node.lineno} {a.name}" for a in node.names
+                            if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                    and not node.attr.endswith("__") \
+                    and isinstance(node.value, ast.Name) and node.value.id in siblings:
+                private.append(f"{name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert not private
 
 
 def test_only_the_package_init_reads_files():
