@@ -442,19 +442,17 @@ def prime_factorization(n: int) -> dict[int, int]:
 
 
 def partitions(k: int) -> list[tuple]:
-    """Partitions of k, largest part first, ordered by (number of parts,
-    parts)."""
+    """Partitions of k, each with its largest part first, in tuple order."""
     out = []
 
     def rec(remaining, maxpart, acc):
         if remaining == 0:
             out.append(tuple(acc))
             return
-        for part in range(min(remaining, maxpart), 0, -1):
+        for part in range(1, min(remaining, maxpart) + 1):  # ascending: tuple order
             rec(remaining - part, part, acc + [part])
 
     rec(k, k, [])
-    out.sort(key=lambda p: (len(p), p))
     return out
 
 

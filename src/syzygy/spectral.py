@@ -580,11 +580,9 @@ def _row1_complex(u: surfaces.GeneratorUniverse, registry) -> ChainHomology:
     generator's group (_model_group) from the registry, or its twisted block
     when the generator is not orientable.  The cells and incidences are those
     of row 0 truncated at rank 3, whose staircase is the row's: a row-0
-    entry c from generator j to generator i adds sign * c at every pair of a
-    slot of j and a slot of i, the product map (all ones) between entry tori.
-    The sign flips at rank 3, where row 0 orients every cell against the
-    cube convention (tests/test_row0_witness.py).  Over the plane, the rank-3
-    columns of _cremona_rank3_blocks add the incidences row 0 cannot see."""
+    entry c from generator j to generator i adds c, unsigned, at every pair
+    of a slot of j and a slot of i: the all-ones product map between entry tori.
+    Over the plane, _cremona_rank3_blocks adds what row 0 cannot see."""
     if u.r_max < 3:
         raise ValueError(f"the row-1 complex needs r_max >= 3, got {u.r_max}")
     cc, gens = surfaces.row0_complex(surfaces.GeneratorUniverse(u.base, u.labels, u.e_max, 3))
@@ -599,14 +597,14 @@ def _row1_complex(u: surfaces.GeneratorUniverse, registry) -> ChainHomology:
 
     places = {r: direct_sum_with_layout([entry(g) for g in gens[r]]) for r in (1, 2, 3)}
     maps = []
-    for r, sign in ((2, 1), (3, -1)):
+    for r in (2, 3):
         (source, src_slots), (target, tgt_slots) = places[r], places[r - 1]
         cols = [{} for _ in source.slots()]
         for j, column in enumerate(cc.boundaries[r - 1]):
             for i, c in column.items():
                 for s in src_slots[j]:
                     for t in tgt_slots[i]:
-                        cols[s][t] = cols[s].get(t, 0) + sign * c
+                        cols[s][t] = cols[s].get(t, 0) + c
         if r == 3 and u.base is surfaces.BaseCase.CREMONA:
             by_tag = {(g.family, g.e): i for i, g in enumerate(gens[2])}
             for j, g in enumerate(gens[3]):

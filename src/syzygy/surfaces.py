@@ -28,6 +28,17 @@ an order-2 row is kept mod 2 (a cell whose stabiliser reverses its orientation
 leaves a Z/2 among the coinvariants).  The families over a point keep one
 table, POINT_FAMILIES: each family's rank, model name and faces.
 
+Orientation, stated once.  A cell with k marked points is the k-cube {0,1}^k
+over its sorted points, coordinate i recording which (-1)-curve over the
+i-th point, E_i (0) or f-E_i (1), is contracted.  The facet x_i = x has the
+sign (-1)^i (2x - 1), times -1 when its corner invariants e match the
+target's cube only after an odd number of coordinate reflections; a
+transition coefficient sums the two facets with (-1)^i taken out.  A face of
+a family over a point has its rank's general blowup sign (over the plane only
+the parity of a rank >= 3 entry counts).  tests/test_row0_witness.py derives
+ranks 2 to 4 in this orientation, and row 1 reads it unsigned.  Rank 5
+(k = 4) follows the same tables, and only d o d = 0 checks it.
+
 Truncation: generators are listed up to the requested e_max; internally the
 chain complex keeps rank r up to e_max + (r_max - r), a staircase under which
 every boundary formula of every retained generator is fully expressible, so
@@ -70,9 +81,9 @@ POINT_FAMILIES = {
     "plane": (1, "P2", []),
     "dp8_blowdown": (2, "F1", [(0, _tag("hirzebruch", e=1), 1), (0, _tag("plane"), -1)]),
     "dp8_quadric": (2, "P1xP1", []),
-    "dp7": (3, "Bl2P2", [(0, _tag("dp8_quadric"), 1)]),
-    "dp6": (4, "Bl3P2", [(0, _tag("blowup", (1, 1)), 1)]),
-    "dp5": (5, "Bl4P2", [(0, _tag("blowup", (1, 1, 1)), 1)]),
+    "dp7": (3, "Bl2P2", [(0, _tag("dp8_quadric"), -1)]),
+    "dp6": (4, "Bl3P2", [(0, _tag("blowup", (1, 1)), -1)]),
+    "dp5": (5, "Bl4P2", [(0, _tag("blowup", (1, 1, 1)), -1)]),
 }
 
 
@@ -182,7 +193,7 @@ def _tags(u: GeneratorUniverse, rank: int, e_bound: int) -> list:
         return tags + [_tag("hirzebruch", e=e) for e in range(e_bound + 1)]
     if rank == 5 and not ruled:
         return tags  # only the del Pezzo is classified here
-    for part in sorted(partitions(k)) if ruled else partitions(k):
+    for part in partitions(k):
         moduli = ("l0", "l1") if part == (1,) * k and k == 4 else (None,)
         tags += [_tag("blowup", part, modulus=m) for m in moduli]
     return tags + [_tag("min_section", e=e) for e in range(1, e_bound + 1)]
@@ -199,31 +210,23 @@ def enumerate_generators(u: GeneratorUniverse, rank: int, e_bound: int | None = 
     ]
 
 
-# Per-point transition tables for the ruled families.  A model with k marked
-# points is a k-cube whose coordinate over a point picks which of the two
-# (-1)-curves in its fibre, E or f-E, is contracted; the two facets over a
-# point are those contractions and land on the listed targets.  A coefficient
-# is the sum over the two facets of the cube sign times +1 or -1, according as
-# the facet's corner invariants e run along the target's orientation or
-# against it.  For the general configuration both facets over a point are the
-# same target with opposite corner orders, hence the 2.  The multiset does not
-# depend on which point is removed, which is exactly why the alternating-sign
-# boundary squares to zero.  tests/test_row0_witness.py derives these entries
-# from the negative sections of each configuration.
+# Per-point transition tables for the ruled families at k >= 2 points, in the
+# module docstring's orientation.  In the general configuration both facets
+# over a point are the same target with opposite corner orders, hence the -2.
 def _blowup_transitions(partition: tuple) -> list[tuple]:
     k = sum(partition)
     if partition == (1,) * k:
-        return [(_tag("blowup", (1,) * (k - 1)), 2)]
+        return [(_tag("blowup", (1,) * (k - 1)), -2)]
     if partition == (k,):
-        return [(_tag("blowup", (k - 1,)), 1), (_tag("min_section", e=1), -1)]
+        return [(_tag("blowup", (k - 1,)), -1), (_tag("min_section", e=1), 1)]
     if partition == (2, 1):
-        return [(_tag("blowup", (1, 1)), 1), (_tag("blowup", (2,)), 1)]
+        return [(_tag("blowup", (1, 1)), -1), (_tag("blowup", (2,)), -1)]
     if partition == (2, 1, 1):
-        return [(_tag("blowup", (1, 1, 1)), 1), (_tag("blowup", (2, 1)), 1)]
+        return [(_tag("blowup", (1, 1, 1)), -1), (_tag("blowup", (2, 1)), -1)]
     if partition == (2, 2):
-        return [(_tag("blowup", (2, 1)), 2)]
+        return [(_tag("blowup", (2, 1)), -2)]
     if partition == (3, 1):
-        return [(_tag("blowup", (3,)), 1), (_tag("blowup", (2, 1)), 1)]
+        return [(_tag("blowup", (3,)), -1), (_tag("blowup", (2, 1)), -1)]
     raise ValueError(f"no transition table for partition {partition}")
 
 
@@ -249,7 +252,7 @@ def _ruled_boundary_targets(rank: int, tag: tuple) -> list:
     if rank == 2:
         return [(0, _tag("hirzebruch", e=e + 1), 1), (0, _tag("hirzebruch", e=e), -1)]
     if family == "min_section":
-        trans = [(_tag("min_section", e=e), 1), (_tag("min_section", e=e + 1), -1)]
+        trans = [(_tag("min_section", e=e), -1), (_tag("min_section", e=e + 1), 1)]
     else:
         trans = _blowup_transitions(partition)
     return [

@@ -1287,18 +1287,18 @@ def _table_blowup_transitions(partition: tuple) -> list[tuple]:
     k = sum(partition)
     general = (1,) * (k - 1)
     if partition == (1,) * k:
-        return [(("blowup", general), 2)]
+        return [(("blowup", general), -2)]
     if partition == (k,):
         down = (k - 1,) if k - 1 >= 1 else ()
-        return [(("blowup", down), 1), (("min_section", 1), -1)]
+        return [(("blowup", down), -1), (("min_section", 1), 1)]
     if partition == (2, 1):
-        return [(("blowup", (1, 1)), 1), (("blowup", (2,)), 1)]
+        return [(("blowup", (1, 1)), -1), (("blowup", (2,)), -1)]
     if partition == (2, 1, 1):
-        return [(("blowup", (1, 1, 1)), 1), (("blowup", (2, 1)), 1)]
+        return [(("blowup", (1, 1, 1)), -1), (("blowup", (2, 1)), -1)]
     if partition == (2, 2):
-        return [(("blowup", (2, 1)), 2)]
+        return [(("blowup", (2, 1)), -2)]
     if partition == (3, 1):
-        return [(("blowup", (3,)), 1), (("blowup", (2, 1)), 1)]
+        return [(("blowup", (3,)), -1), (("blowup", (2, 1)), -1)]
     raise ValueError(f"no transition table for partition {partition}")
 
 
@@ -1314,7 +1314,7 @@ def _table_ruled_boundary_targets(gen):
             out.append((0, ("hirzebruch", gen.e), -1))
         return out
     if gen.family == "min_section":
-        trans = [(("min_section", gen.e), 1), (("min_section", gen.e + 1), -1)]
+        trans = [(("min_section", gen.e), -1), (("min_section", gen.e + 1), 1)]
     else:
         trans = _table_blowup_transitions(gen.partition)
     for pos in range(len(gen.points)):

@@ -473,6 +473,19 @@ def test_cremona_rank3_blocks_must_fit_their_slots(bad, monkeypatch, registry):
     assert re.match(message, json.loads(res.output)["error"])
 
 
+@pytest.mark.parametrize("e_max,blocks", [(1, 7), (2, 9), (3, 11), (5, 15), (60, 125)])
+def test_cremona_rank3_blocks_sit_on_no_row0_entry(e_max, blocks):
+    """Row 1 adds each hand-written rank-3 block to the product map of the
+    row-0 incidence at the same (generator, target) pair; row 0 gives every
+    such pair a zero entry, so no block and incidence add up unseen."""
+    cc, gens = surfaces.row0_complex(GeneratorUniverse.cremona(e_max, r_max=3))
+    by_tag = {(g.family, g.e): i for i, g in enumerate(gens[2])}
+    pairs = [(j, tag) for j, g in enumerate(gens[3]) for tag in spectral._cremona_rank3_blocks(g)]
+    assert len(pairs) == blocks
+    for j, tag in pairs:
+        assert cc.boundaries[2][j].get(by_tag[tag], 0) == 0, (gens[3][j], tag)
+
+
 def test_row1_builders_refuse_the_other_universe(registry):
     with pytest.raises(ValueError):
         ruled_row1_complex(GeneratorUniverse.cremona(3), registry)

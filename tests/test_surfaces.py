@@ -122,7 +122,7 @@ def test_displayed_boundary_general_two_points():
         m for m in enumerate_generators(u, 3) if m.partition == (1, 1)
     )
     terms = {str(k): v for k, v in displayed_boundary(u, gen).items()}
-    assert terms == {"S_g,1@{P2}": 2, "S_g,1@{P1}": -2}
+    assert terms == {"S_g,1@{P2}": -2, "S_g,1@{P1}": 2}
 
 
 def test_displayed_boundary_special_two_points():
@@ -130,10 +130,10 @@ def test_displayed_boundary_special_two_points():
     gen = next(m for m in enumerate_generators(u, 3) if m.partition == (2,))
     terms = {str(k): v for k, v in displayed_boundary(u, gen).items()}
     assert terms == {
-        "S_g,1@{P2}": 1,
-        "S_e=1,1@{P2}": -1,
-        "S_e=1,1@{P1}": 1,
-        "S_g,1@{P1}": -1,
+        "S_g,1@{P2}": -1,
+        "S_e=1,1@{P2}": 1,
+        "S_e=1,1@{P1}": -1,
+        "S_g,1@{P1}": 1,
     }
 
 
@@ -192,8 +192,8 @@ def _tag_of(m):
 def test_cremona_columns_are_ruled_columns_with_the_points_forgotten(e_max):
     """Each plane blowup or minimal-section column of rank 2..4 is the ruled
     column of the same tag on rank - 1 points, summed by target tag, with the
-    entries on the plane's order-2 rows taken mod 2.  The universes order
-    their partitions differently, so both sides are keyed by tag."""
+    entries on the plane's order-2 rows taken mod 2.  The two sides index
+    their rows differently, so both are keyed by tag."""
     plane = GeneratorUniverse.cremona(e_max)
     checked = 0
     for rank in (2, 3, 4):
@@ -216,6 +216,21 @@ def test_cremona_columns_are_ruled_columns_with_the_points_forgotten(e_max):
     assert checked == 6 + 3 * e_max
 
 
+@pytest.mark.parametrize("e_max", [1, 2, 3, 4, 5, 60])
+def test_cremona_rank3_and_up_entries_lie_on_order2_rows(e_max):
+    """Over the plane every nonzero entry of a rank >= 3 column lies on an
+    order-2 row, where it is kept mod 2.  So the orientation of the cells of
+    rank 3 and up, which the ruled tables fix, leaves the plane's row 0, its
+    table oracle and the plane's row 1 as they are: only parities reach
+    them."""
+    for r_max in (3, 4, 5):
+        cc, gens = row0_complex(GeneratorUniverse.cremona(e_max, r_max))
+        for rank in range(3, r_max + 1):
+            order2 = cc.cyclic.get(rank - 2, {})
+            for m, column in zip(gens[rank], cc.boundaries[rank - 1]):
+                assert set(column) <= set(order2), (r_max, m)
+
+
 def test_point_families_face_tags_one_rank_below():
     """The plane is the only rank-1 point family, and every face of a
     rank-r point family is a tag of rank r - 1 over the plane, at the one
@@ -226,8 +241,8 @@ def test_point_families_face_tags_one_rank_below():
     for family, (rank, _, faces) in families.items():
         below = surfaces._tags(u, rank - 1, 1) if rank > 1 else []
         assert all(pos == 0 and target in below for pos, target, _ in faces), family
-    assert families["dp7"][2] == [(0, surfaces._tag("dp8_quadric"), 1)]
-    assert families["dp5"][2] == [(0, surfaces._tag("blowup", (1, 1, 1)), 1)]
+    assert families["dp7"][2] == [(0, surfaces._tag("dp8_quadric"), -1)]
+    assert families["dp5"][2] == [(0, surfaces._tag("blowup", (1, 1, 1)), -1)]
 
 
 def _oracle_universes(points):

@@ -23,6 +23,9 @@ row rule: only `surfaces.row0_complex` calls the boundary builder.  A
 registry rule: only `cli.py` calls `default_registry`, and no function in
 `spectral.py` gives its `registry` parameter a default.  A complex rule:
 only the clique rule and the file reader construct a `RegularCWComplex`.
+A witness rule: tests/test_row0_witness.py imports from the package only
+`BaseCase`, `GeneratorUniverse`, `is_orientable` and `row0_complex`, and
+nothing from tests/helpers.py.
 And the library holds only code that runs: every top-level function and method is
 referenced by name somewhere in the library outside its own definition,
 unless it is a package export, a dunder, a name the benchmark's own code
@@ -471,6 +474,25 @@ def test_only_row0_complex_builds_boundaries():
                             if isinstance(node, ast.Call) and "boundary" in (
                                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert callers == ["surfaces.py:row0_complex"]
+
+
+def test_the_row0_witness_reads_only_the_complex_it_checks():
+    """tests/test_row0_witness.py is the one exact arbiter of row 0's signs,
+    so it derives its columns without the tables they are checked against:
+    from the package it imports only the universe, the orientability lookup
+    and row0_complex, and it imports nothing from tests/helpers.py."""
+    tree = ast.parse((Path(__file__).parent / "test_row0_witness.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module}.{a.name}" for a in node.names]
+    assert not [m for m in imported if m.split(".")[0] == "helpers"]
+    assert sorted(m for m in imported if m.split(".")[0] == "syzygy") == [
+        "syzygy.surfaces.BaseCase", "syzygy.surfaces.GeneratorUniverse",
+        "syzygy.surfaces.is_orientable", "syzygy.surfaces.row0_complex",
+    ]
 
 
 def test_only_the_clique_rule_and_the_file_reader_construct_complexes():
