@@ -249,6 +249,8 @@ def ruled(args):
 
 def cremona(args):
     """Row homology and the final candidates for the plane's universe."""
+    if args.points < 0:
+        raise ValueError(f"points must be >= 0, got {args.points}")
     u = surfaces.GeneratorUniverse.cremona(args.e_max, args.r_max)
     wanted, result = _row0(u, args.rows)
     asm = spectral.cremona_assemble(_registry(args), u)

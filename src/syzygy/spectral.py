@@ -14,8 +14,8 @@ torsion-free target, a uniquely divisible source against a finite target),
 which the low-degree exact sequences read too, or a split extension's
 bottom row; otherwise page turning refuses and names the offending spot.
 A map is zero when FormalHom.is_zero says so, its entries stored mod m.
-Row q = 1 is built in smith's column format straight from row 0 and read
-by formal.ChainHomology, as every other formal chain is.
+Row q = 1 is built in smith's column format straight from the grid's own
+row 0 and read by formal.ChainHomology, as every other formal chain is.
 """
 
 from __future__ import annotations
@@ -565,27 +565,24 @@ def _twisted_entry(group: str, registry) -> FormalGroup:
     if group not in SIGMA_ACTIONS:
         raise FormalGroupError(f"no 1+sigma action is known for the non-orientable group {group!r}")
     plus = "Aut+" + group[len("Aut"):]
-    action = FormalHom(registry.get(group, 1), registry.get(plus, 1), SIGMA_ACTIONS[group])
-    h0 = FormalGroup.free(1)  # H0 of every group, so the block's quotient vanishes
-    [block] = nonorientable_block_homology(1, action, h0, h0)
-    return block
+    # 1+sigma is 2 on H0 = Z, injective there, so the long exact sequence leaves its cokernel
+    return cokernel(FormalHom(registry.get(group, 1), registry.get(plus, 1), SIGMA_ACTIONS[group]))
 
 
 def _row1_complex(u: surfaces.GeneratorUniverse, registry) -> ChainHomology:
-    """The row-1 complex at ranks 1..3, on the cells of the rank-3 row 0, as
-    a chain of FormalHoms in smith's column format: maps[0] from place 1 to
-    place 0, maps[1] from place 2 to place 1.
+    """The row-1 complex at ranks 1..3, a chain of FormalHoms in smith's column
+    format: maps[0] from place 1 to place 0, maps[1] from place 2 to place 1.
 
-    Place p sums the entries of the rank-(p+1) generators: H1 of the
-    generator's group (_model_group) from the registry, or its twisted block
-    when the generator is not orientable.  The cells and incidences are those
-    of row 0 truncated at rank 3, whose staircase is the row's: a row-0
-    entry c from generator j to generator i adds c, unsigned, at every pair
-    of a slot of j and a slot of i: the all-ones product map between entry tori.
+    Place p sums the entries of row 0's own rank-(p+1) generators, under the
+    universe's one staircase e <= e_max + (r_max - r): H1 of the generator's
+    group (_model_group) from the registry, or its twisted block when the
+    generator is not orientable.  The incidences are row 0's: an entry c
+    from generator j to generator i adds c, unsigned, at every pair of a
+    slot of j and a slot of i: the all-ones product map between entry tori.
     Over the plane, _cremona_rank3_blocks adds what row 0 cannot see."""
     if u.r_max < 3:
         raise ValueError(f"the row-1 complex needs r_max >= 3, got {u.r_max}")
-    cc, gens = surfaces.row0_complex(surfaces.GeneratorUniverse(u.base, u.labels, u.e_max, 3))
+    cc, gens = surfaces.row0_complex(u)
     entries = {}  # model group -> its entry, so each twisted block is solved once
 
     def entry(gen):

@@ -43,7 +43,8 @@ Truncation: generators are listed up to the requested e_max; internally the
 chain complex keeps rank r up to e_max + (r_max - r), a staircase under which
 every boundary formula of every retained generator is fully expressible, so
 the truncated object is an honest complex and homology in low degrees agrees
-with the untruncated answers on the stabilized range.
+with the untruncated answers on the stabilized range.  Rows 0 and 1 of a grid
+read this one staircase: row 1 sits on row 0's cells of ranks 1 to 3.
 """
 
 from __future__ import annotations

@@ -1068,7 +1068,7 @@ def table_ruled_row1_complex(u: GeneratorUniverse, registry: KnownHomologyRegist
     staircase invariant bounds."""
     if u.base is not BaseCase.RULED:
         raise ValueError("this builder is for the ruled universe")
-    bound = {r: u.e_max + (3 - r) for r in (1, 2, 3)}
+    bound = {r: u.e_max + (u.r_max - r) for r in (1, 2, 3)}
 
     def entry(gen):
         if gen.rank == 1:
@@ -1133,7 +1133,7 @@ def table_cremona_row1_complex(u: GeneratorUniverse,
     the long exact sequence."""
     if u.base is not BaseCase.CREMONA:
         raise ValueError("this builder is for the cremona universe")
-    bound = {r: u.e_max + (3 - r) for r in (1, 2, 3)}
+    bound = {r: u.e_max + (u.r_max - r) for r in (1, 2, 3)}
 
     def block_entry(full, plus, columns):
         action = FormalHom(registry.get(full, 1), registry.get(plus, 1), columns)

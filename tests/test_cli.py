@@ -455,6 +455,7 @@ def test_five_term_command():
     [
         (("ruled", "--points", "-2"), "points must be >= 0, got -2"),
         (("five-term", "--points", "-1"), "points must be >= 0, got -1"),
+        (("cremona", "--points", "-2"), "points must be >= 0, got -2"),
         (("ruled", "--points", "3", "--rows", "7"), "--rows takes rows 0 and 1 only, got '7'"),
         (("ruled", "--points", "3", "--rows", "0,5"),
          "--rows takes rows 0 and 1 only, got '0,5'"),
@@ -462,12 +463,13 @@ def test_five_term_command():
         (("cremona", "--rows", "0,5"), "--rows takes rows 0 and 1 only, got '0,5'"),
         (("ruled", "--points", "3", "--rows", "a"), "--rows takes rows 0 and 1 only, got 'a'"),
     ],
-    ids=["ruled-points", "five-term-points", "ruled-rows", "ruled-extra-row",
+    ids=["ruled-points", "five-term-points", "cremona-points", "ruled-rows", "ruled-extra-row",
          "cremona-rows", "cremona-extra-row", "ruled-row-not-a-number"],
 )
 def test_impossible_parameters_are_refused(args, error):
     """Each request used to print a result for fewer labels or rows than
-    asked for and exit 0; a row that is not a number used to be refused in
+    asked for and exit 0 (cremona printed its result for a negative label
+    count with a warning); a row that is not a number used to be refused in
     the words of Python's int()."""
     res = invoke(*args)
     assert res.exit_code == 1

@@ -369,8 +369,8 @@ def test_cremona_row1(registry):
 
 def assert_same_row_complex(row, oracle, u):
     """The row's maps are the oracle's, and the oracle's places list the
-    generators of row 0 at rank 3 in row 0's order."""
-    _, gens = surfaces.row0_complex(GeneratorUniverse(u.base, u.labels, u.e_max, 3))
+    generators of ranks 1..3 of the universe's own row 0 in row 0's order."""
+    _, gens = surfaces.row0_complex(u)
     assert [place[0] for place in oracle.places] == [gens[1], gens[2], gens[3]]
     assert len(row.maps) == len(oracle.maps) == 2
     for hom, expected in zip(row.maps, oracle.maps):
@@ -399,29 +399,35 @@ def test_cremona_row1_matches_table_oracle(e_max, r_max, registry):
 
 def test_cremona_row1_solves_each_twisted_block_once(monkeypatch, registry):
     """Generators that share a twisted block share its group: at e_max = 60
-    the 64 generators with a block need five distinct (full, plus) pairs,
-    each solved once."""
+    the 66 generators with a block need five distinct (full, plus) pairs,
+    each solved once, by one cokernel of its 1+sigma action."""
     calls = []
-    solve_block = spectral.nonorientable_block_homology
+    solve_block = spectral.cokernel
 
     def counting(*args):
         calls.append(args)
         return solve_block(*args)
 
-    monkeypatch.setattr(spectral, "nonorientable_block_homology", counting)
+    monkeypatch.setattr(spectral, "cokernel", counting)
     u = GeneratorUniverse.cremona(60)
     row = cremona_row1_complex(u, registry)
     assert len(calls) == 5
     assert_same_row_complex(row, table_cremona_row1_complex(u, registry), u)
 
 
-@pytest.mark.parametrize(
-    "args", [("ruled", "--points", "4", "--r-max", "3"), ("cremona", "--r-max", "3")], ids=" ".join)
-def test_row1_reads_its_cells_from_row0(args, monkeypatch):
-    """Row 1 takes its generators and incidences from row 0 truncated at
-    rank 3, which at --r-max 3 is row 0's own cached build: the ranks 2 and
-    3 boundaries are built once each.  Row 1 used to build them again from
-    its own copy of the staircase, 4 builds in all."""
+@pytest.mark.parametrize("args, builds", [
+    (("ruled", "--points", "4", "--r-max", "3"), 2),
+    (("cremona", "--r-max", "3"), 2),
+    (("ruled", "--points", "4", "--r-max", "5"), 4),
+    (("cremona",), 4),
+    (("five-term", "--points", "4"), 4),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_row1_reads_its_cells_from_row0(args, builds, monkeypatch):
+    """Row 1 takes its generators and incidences from the row-0 complex of
+    the command's own universe, which row 0 has already built and cached:
+    each boundary of ranks 2..r_max is built once.  Row 1 used to truncate
+    the universe again at rank 3, which above --r-max 3 built the ranks 2
+    and 3 a second time: 6 builds at --r-max 5."""
     built = []
     build = surfaces.boundary
 
@@ -435,7 +441,23 @@ def test_row1_reads_its_cells_from_row0(args, monkeypatch):
         assert invoke(*args).exit_code == 0
     finally:
         surfaces.row0_complex.cache_clear()
-    assert len(built) == 2
+    assert len(built) == builds
+
+
+@pytest.mark.parametrize("e_max", [1, 3, 5])
+@pytest.mark.parametrize("r_max", [3, 4, 5])
+def test_points0_row1_has_one_torus_per_rank1_cell_of_row0(e_max, r_max):
+    """Over an empty label set the rank-1 cells are F_0..F_n of row 0's
+    staircase, and reduced H0 is free on F_1..F_n; row 1 gives each F_e with
+    e >= 1 the torus of Autf(Fe/P1) and has no rank-2 cells, so E_{0,1} has
+    one C* per generator of reduced H0.  Row 1 used to stop at F_{e_max+2}
+    while row 0 ran on to F_{e_max+r_max-1}."""
+    result = invoke("ruled", "--points", "0", "--e-max", str(e_max), "--r-max", str(r_max))
+    assert result.exit_code == 0
+    out = json.loads(result.output)["result"]
+    rank = int(re.fullmatch(r"Z\^(\d+)", out["reduced_H0"])[1])
+    tori = out["E_{0,1}"].split(" (+) ")
+    assert set(tori) == {"C*"} and len(tori) == rank == e_max + r_max - 1
 
 
 def test_row1_twists_exactly_the_non_orientable_generators(monkeypatch, registry):

@@ -20,6 +20,8 @@ something: its `__init__` does more than hand its arguments to `_Value`,
 or it defines a method of its own.  One reading rule as well: only
 `__init__.py` opens a file, parses JSON or names the data directory.  A
 row rule: only `surfaces.row0_complex` calls the boundary builder.  A
+universe rule: only `cli.py` constructs a `GeneratorUniverse`, so rows 0
+and 1 of a command's grid read one truncation.  A
 registry rule: only `cli.py` calls `default_registry`, and no function in
 `spectral.py` gives its `registry` parameter a default.  A complex rule:
 only the clique rule and the file reader construct a `RegularCWComplex`.
@@ -474,6 +476,26 @@ def test_only_row0_complex_builds_boundaries():
                             if isinstance(node, ast.Call) and "boundary" in (
                                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert callers == ["surfaces.py:row0_complex"]
+
+
+def test_only_the_cli_constructs_a_universe():
+    """A command's grid reads its rows off one truncation, so no library
+    module but cli.py calls GeneratorUniverse(...), GeneratorUniverse.ruled
+    or GeneratorUniverse.cremona; the classmethods' own cls(...) calls are
+    not constructions by another module."""
+    def universe(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "GeneratorUniverse"
+
+    makers = []
+    for name, tree in _library_modules():
+        if name == "cli.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    universe(node.func) or isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("ruled", "cremona") and universe(node.func.value)):
+                makers.append(f"{name}:{node.lineno} {ast.unparse(node.func)}")
+    assert not makers
 
 
 def test_the_row0_witness_reads_only_the_complex_it_checks():
