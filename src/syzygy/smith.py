@@ -384,10 +384,8 @@ def _eliminate(a: Columns, settled: frozenset = frozenset()) -> tuple:
         residual_cols = sorted(j for j, members in cols.items() if members)
         residual = [[entries.get(j, 0) for j in residual_cols] for entries in rows.values()]
         diagonal = [d for d in smith_normal_form(residual).diagonal() if d]
-        if not orders:  # units only: the residual's chain needs no merge
-            return (1,) * rank + tuple(diagonal), pivot_columns
         rank += len(diagonal)
-        orders += diagonal
+        orders += [d for d in diagonal if d > 1]
     chain = _merge_invariant_factors(orders)
     return (1,) * (rank - len(chain)) + tuple(chain), pivot_columns
 

@@ -159,6 +159,7 @@ class SpectralGrid:
     FormalGroup, and a spot in the box that it lacks is unknown (entry()
     reads it as None); ``differentials`` maps (p, q) to the
     FormalHom leaving it, and ``abutment`` maps n to the degree-n target.
+    An entry or differential keyed outside the box is refused.
     ``zero_from_row0`` marks a split extension, whose differentials leaving
     q = 0 vanish.  The differentials are checked on construction.
     """
@@ -175,6 +176,10 @@ class SpectralGrid:
         self.abutment = {} if abutment is None else abutment
         self.notes = [] if notes is None else notes
         self.zero_from_row0 = zero_from_row0
+        for p, q in (*self.entries, *self.differentials):
+            if not (0 <= p <= box[0] and 0 <= q <= box[1]):
+                raise FormalGroupError(
+                    f"spot {(p, q)} lies outside the box 0..{box[0]} x 0..{box[1]}")
         for (p, q), hom in self.differentials.items():
             tp, tq = p - self.page, q + self.page - 1
             src, tgt = self.entry(p, q), self.entry(tp, tq)
@@ -528,26 +533,6 @@ def k2_prime_candidates(registry: KnownHomologyRegistry) -> list:
 # -- row-1 complexes -------------------------------------------------------------
 
 
-def _model_group(gen) -> str:
-    """The registry name of a generator's automorphism group, the same for
-    every point set and e: Autf(...) over the ruled base; over the plane
-    Aut(...) for a surface, Aut(.../P1) for a conic bundle's pair."""
-    k = gen.rank - 1
-    if gen.family in surfaces.POINT_FAMILIES:
-        return f"Aut({surfaces.POINT_FAMILIES[gen.family][1]})"
-    if gen.family == "hirzebruch":
-        name = "P1xP1/P1" if gen.e == 0 else "Fe/P1"
-    elif gen.family == "min_section":
-        name = f"S_e,{k}"
-    elif gen.partition in ((1,) * k, (k,)):
-        name = f"S_{'g' if gen.partition == (1,) * k else 's'},{k}"
-    else:
-        name = "S_(" + ",".join(map(str, gen.partition)) + f"),{k}"
-    if gen.base is surfaces.BaseCase.RULED:
-        return f"Autf({name})"
-    return f"Aut({name})" if gen.family == "hirzebruch" else f"Aut({name}/P1)"
-
-
 # 1+sigma from H1 of a non-orientable group to H1 of its orientation-preserving
 # subgroup Aut+(...), in smith's column format; None is the zero map
 SIGMA_ACTIONS = {
@@ -575,10 +560,10 @@ def _row1_complex(u: surfaces.GeneratorUniverse, registry) -> ChainHomology:
 
     Place p sums the entries of row 0's own rank-(p+1) generators, under the
     universe's one staircase e <= e_max + (r_max - r): H1 of the generator's
-    group (_model_group) from the registry, or its twisted block when the
-    generator is not orientable.  The incidences are row 0's: an entry c
-    from generator j to generator i adds c, unsigned, at every pair of a
-    slot of j and a slot of i: the all-ones product map between entry tori.
+    group (SurfaceCentralModel.group) from the registry, or its twisted block
+    when the generator is not orientable.  The incidences are row 0's: an
+    entry c from generator j to generator i adds c, unsigned, at every pair
+    of a slot of j and a slot of i: the all-ones product map between entry tori.
     Over the plane, _cremona_rank3_blocks adds what row 0 cannot see."""
     if u.r_max < 3:
         raise ValueError(f"the row-1 complex needs r_max >= 3, got {u.r_max}")
@@ -586,7 +571,7 @@ def _row1_complex(u: surfaces.GeneratorUniverse, registry) -> ChainHomology:
     entries = {}  # model group -> its entry, so each twisted block is solved once
 
     def entry(gen):
-        group = _model_group(gen)
+        group = gen.group
         if group not in entries:
             entries[group] = (registry.get(group, 1) if gen.orientable
                               else _twisted_entry(group, registry))

@@ -26,7 +26,8 @@ is the class of the ruled cell with its points forgotten: every position's
 face is the one empty point set, the positions' terms add up, and an entry on
 an order-2 row is kept mod 2 (a cell whose stabiliser reverses its orientation
 leaves a Z/2 among the coinvariants).  The families over a point keep one
-table, POINT_FAMILIES: each family's rank, model name and faces.
+table, POINT_FAMILIES: each family's rank, model name and faces.  A model names
+its group (SurfaceCentralModel.group), the registry name of its cell's stabiliser.
 
 Orientation, stated once.  A cell with k marked points is the k-cube {0,1}^k
 over its sorted points, coordinate i recording which (-1)-curve over the
@@ -104,21 +105,36 @@ class SurfaceCentralModel(_Value):
     def orientable(self) -> bool:
         return is_orientable(self.base, self.family, self.rank - 1)
 
+    @property
+    def group(self) -> str:
+        """The registry name of the model's automorphism group."""
+        return self._name(group=True)
+
     def __str__(self) -> str:
-        k = self.rank - 1
+        return self._name(group=False)
+
+    def _name(self, group: bool) -> str:
+        """The one name rule: the model shows its e, modulus and points; its
+        group leaves them out, as Autf(...) over the ruled base, and over the
+        plane Aut(...) for a surface, Aut(.../P1) for a conic bundle's pair."""
+        k, e = self.rank - 1, "e" if group else self.e
         if self.family == "hirzebruch":
-            name = "P1xP1/P1" if self.e == 0 else f"F{self.e}/P1"
+            name = "P1xP1/P1" if self.e == 0 else f"F{e}/P1"
         elif self.family in POINT_FAMILIES:
             name = POINT_FAMILIES[self.family][1]
         elif self.family == "min_section":
-            name = f"S_e={self.e},{k}"
+            name = f"S_e,{k}" if group else f"S_e={e},{k}"
         elif self.partition == (1,) * k:  # blowup
-            name = f"S_g,{k}" + (f"({self.modulus})" if self.modulus else "")
+            name = f"S_g,{k}" + (f"({self.modulus})" if self.modulus and not group else "")
         elif self.partition == (k,):
             name = f"S_s,{k}"
         else:
             name = "S_(" + ",".join(str(b) for b in self.partition) + f"),{k}"
-        return name + ("@{" + ",".join(self.points) + "}" if self.points else "")
+        if not group:
+            return name + ("@{" + ",".join(self.points) + "}" if self.points else "")
+        if self.base is BaseCase.RULED:
+            return f"Autf({name})"
+        return f"Aut({name}/P1)" if self.family in ("blowup", "min_section") else f"Aut({name})"
 
 
 @cache

@@ -36,7 +36,6 @@ from syzygy.spectral import (
     KnownHomologyRegistry,
     SpectralGrid,
     direct_sum_with_layout,
-    nonorientable_block_homology,
 )
 from syzygy.surfaces import (
     BaseCase,
@@ -1129,18 +1128,16 @@ def table_ruled_row1_complex(u: GeneratorUniverse, registry: KnownHomologyRegist
 def table_cremona_row1_complex(u: GeneratorUniverse,
                                registry: KnownHomologyRegistry) -> TableRow:
     """The abelianization row for the plane's universe at ranks 1..3; the
-    non-orientable classes contribute their twisted blocks, computed through
-    the long exact sequence."""
+    non-orientable classes contribute their twisted blocks, the cokernels
+    of their 1+sigma actions (1+sigma is 2 on H0 = Z, so the long exact
+    sequence leaves the cokernel), read by the window oracle above."""
     if u.base is not BaseCase.CREMONA:
         raise ValueError("this builder is for the cremona universe")
     bound = {r: u.e_max + (u.r_max - r) for r in (1, 2, 3)}
 
     def block_entry(full, plus, columns):
         action = FormalHom(registry.get(full, 1), registry.get(plus, 1), columns)
-        out = nonorientable_block_homology(1, action, FormalGroup.free(1), FormalGroup.free(1))
-        if len(out) != 1:
-            raise FormalGroupError(f"ambiguous degree-1 block for {full}")
-        return out[0]
+        return window_homology_at(action, FormalHom(action.target, ZERO))
 
     def entry(gen):
         if gen.rank == 1:

@@ -74,11 +74,11 @@ def test_registry_lookups_name_a_missing_entry(registry):
 
 
 def test_registry_groups_are_named_as_row_1_reads_them(registry):
-    """Every automorphism group in the registry has the name _model_group
-    gives a generator of the ruled or the plane universe, or is the Aut+
-    partner of a non-orientable group, so a row reads its entries by the
-    rule row 1 uses."""
-    names = {spectral._model_group(gen)
+    """Every automorphism group in the registry is the group a generator of
+    the ruled or the plane universe names (SurfaceCentralModel.group), or
+    the Aut+ partner of a non-orientable group, so a row reads its entries
+    by the rule row 1 uses."""
+    names = {gen.group
              for u in (GeneratorUniverse.ruled(4, 3, 3), GeneratorUniverse.cremona(3, 5))
              for rank in range(1, u.r_max + 1) for gen in surfaces.enumerate_generators(u, rank)}
     names |= {"Aut+" + group[len("Aut"):] for group in spectral.SIGMA_ACTIONS}
@@ -267,6 +267,17 @@ def test_differential_out_of_the_box_has_wrong_endpoints():
         )
 
 
+def test_spots_outside_the_box_are_refused():
+    """An entry or a differential keyed outside the box would be read as 0
+    whatever it holds, so the grid refuses it."""
+    box = re.escape("outside the box 0..1 x 0..1")
+    with pytest.raises(FormalGroupError, match=r"^spot \(5, 5\) lies " + box + "$"):
+        SpectralGrid(2, (1, 1), entries={(0, 0): FormalGroup.free(1), (5, 5): Zn(2)})
+    with pytest.raises(FormalGroupError, match=r"^spot \(2, 0\) lies " + box + "$"):
+        SpectralGrid(2, (1, 1), entries={(0, 1): FormalGroup.free(1)},
+                     differentials={(2, 0): FormalHom(ZERO, FormalGroup.free(1))})
+
+
 def test_differential_into_an_unknown_entry_is_refused():
     """d2 from (2, 0) lands on (0, 1), a spot in the box that entries lacks."""
     g = Zn(2)
@@ -395,6 +406,23 @@ def test_cremona_row1_matches_table_oracle(e_max, r_max, registry):
     assert_same_row_complex(
         cremona_row1_complex(u, registry), table_cremona_row1_complex(u, registry), u
     )
+
+
+def test_cremona_row1_oracle_sees_a_faulty_cokernel(monkeypatch, registry):
+    """The table oracle computes each twisted block without spectral's
+    cokernel, so a cokernel that doubles every cyclic order is caught."""
+    solve_block = spectral.cokernel
+
+    def doubled(*args):
+        out = solve_block(*args)
+        return FormalGroup(out.atoms, tuple(2 * d for d in out.cyclic), out.free_rank)
+
+    monkeypatch.setattr(spectral, "cokernel", doubled)
+    u = GeneratorUniverse.cremona(3)
+    with pytest.raises(AssertionError):
+        assert_same_row_complex(
+            cremona_row1_complex(u, registry), table_cremona_row1_complex(u, registry), u
+        )
 
 
 def test_cremona_row1_solves_each_twisted_block_once(monkeypatch, registry):

@@ -85,6 +85,31 @@ def test_cremona_classification():
     assert [str(m) for m in enumerate_generators(u, 5)] == ["Bl4P2"]
 
 
+def test_every_rank_names_its_groups():
+    """A model's group leaves out its points, e and modulus: over the plane
+    rank 4 gives the five rank-4 groups a rank-4 place of row 1 reads, and
+    over the ruled base both moduli of the general family share Autf(S_g,4)."""
+    def groups(u):
+        return {r: {g.group for g in enumerate_generators(u, r)} for r in range(1, 6)}
+
+    assert groups(GeneratorUniverse.cremona(2, 5)) == {
+        1: {"Aut(P2)", "Aut(P1xP1/P1)", "Aut(Fe/P1)"},
+        2: {"Aut(F1)", "Aut(P1xP1)", "Aut(S_g,1/P1)", "Aut(S_e,1/P1)"},
+        3: {"Aut(Bl2P2)", "Aut(S_g,2/P1)", "Aut(S_s,2/P1)", "Aut(S_e,2/P1)"},
+        4: {"Aut(Bl3P2)", "Aut(S_(2,1),3/P1)", "Aut(S_e,3/P1)", "Aut(S_g,3/P1)",
+            "Aut(S_s,3/P1)"},
+        5: {"Aut(Bl4P2)"},
+    }
+    assert groups(GeneratorUniverse.ruled(4, 2, 5)) == {
+        1: {"Autf(P1xP1/P1)", "Autf(Fe/P1)"},
+        2: {"Autf(S_g,1)", "Autf(S_e,1)"},
+        3: {"Autf(S_g,2)", "Autf(S_s,2)", "Autf(S_e,2)"},
+        4: {"Autf(S_(2,1),3)", "Autf(S_e,3)", "Autf(S_g,3)", "Autf(S_s,3)"},
+        5: {"Autf(S_(2,1,1),4)", "Autf(S_(2,2),4)", "Autf(S_(3,1),4)", "Autf(S_e,4)",
+            "Autf(S_g,4)", "Autf(S_s,4)"},
+    }
+
+
 def test_orientability_flags():
     u = GeneratorUniverse.cremona(2)
     flags = {str(m): m.orientable for m in enumerate_generators(u, 2)}

@@ -20,6 +20,9 @@ something: its `__init__` does more than hand its arguments to `_Value`,
 or it defines a method of its own.  One reading rule as well: only
 `__init__.py` opens a file, parses JSON or names the data directory.  A
 row rule: only `surfaces.row0_complex` calls the boundary builder.  A
+name rule: only `surfaces.py` formats a group name, an f-string whose first
+literal part starts with `Aut`, so a cell's registry entry is read by the name
+its model gives.  A
 universe rule: only `cli.py` constructs a `GeneratorUniverse`, so rows 0
 and 1 of a command's grid read one truncation.  A
 registry rule: only `cli.py` calls `default_registry`, and no function in
@@ -463,6 +466,22 @@ def test_only_the_cli_falls_back_to_the_default_registry():
                 if "registry" in [a.arg for a in defaulted]:
                     fallbacks.append(f"{name}:{node.lineno} {node.name} defaults registry")
     assert not fallbacks
+
+
+def test_only_surfaces_formats_a_group_name():
+    """A cell's stabiliser is read off the registry by the name its model
+    gives (SurfaceCentralModel.group), so no library module but surfaces.py
+    has an f-string whose first literal part starts with `Aut`."""
+    formatters = []
+    for name, tree in _library_modules():
+        if name == "surfaces.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                first = next((v.value for v in node.values if isinstance(v, ast.Constant)), "")
+                if first.startswith("Aut"):
+                    formatters.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert not formatters
 
 
 def test_only_row0_complex_builds_boundaries():
