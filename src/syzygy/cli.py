@@ -231,7 +231,7 @@ def _row0(u, rows, reduced_h0=False):
         result["boundary_squares_to_zero"] = True
         if reduced_h0:
             result["reduced_H0"] = str(surfaces.row0_reduced_h0(u))
-        for i in range(1, u.r_max - 1):
+        for i in surfaces.row0_degrees(u):
             result[f"E_{{{i},0}}"] = str(surfaces.row0_homology(u, i))
     return wanted, result
 

@@ -502,14 +502,13 @@ def nonorientable_block_homology(i: int, sigma_action: FormalHom, low_full: Form
 
     ``sigma_action`` is 1+s, from H_i(full) to H_i(plus); ``low_full`` and
     ``low_plus`` are H_{i-1}(full) and H_{i-1}(plus).  Returns the candidate
-    list, one group when the extension is determined."""
+    list, one group when the extension is determined.  Row 1 solves its
+    twisted entries at i = 1, k2_prime_candidates the quadric's at i = 2."""
     sub = cokernel(sigma_action)
-    if i - 1 == 0:
-        quot = FormalGroup.zero()  # 1+sigma is multiplication by 2 on H0 = Z
+    if i == 1 or low_full.is_zero:  # H_{i-1}(full) injects: at i = 1, 1+sigma is 2 on Z
+        quot = FormalGroup.zero()
     elif low_plus.is_zero:
         quot = low_full
-    elif low_full.is_zero:
-        quot = FormalGroup.zero()
     else:
         raise InsufficientAtomData(
             f"need the degree-{i - 1} comparison map {low_full} -> {low_plus}"
@@ -526,15 +525,16 @@ def k2_prime_candidates(registry: KnownHomologyRegistry) -> list:
     diag = _swap_antidiagonal(h2_full)  # a -> (a, a^{-1}) across the swap
     if diag.target != h2_plus:
         raise FormalGroupError("Kunneth shape mismatch for the quadric")
+    quadric = surfaces.SurfaceCentralModel(2, surfaces.BaseCase.CREMONA, "dp8_quadric")
     return nonorientable_block_homology(
-        2, diag, registry.get("Aut(P1xP1)", 1), registry.get("Aut+(P1xP1)", 1))
+        2, diag, registry.get(quadric.group, 1), registry.get(quadric.plus_group, 1))
 
 
 # -- row-1 complexes -------------------------------------------------------------
 
 
 # 1+sigma from H1 of a non-orientable group to H1 of its orientation-preserving
-# subgroup Aut+(...), in smith's column format; None is the zero map
+# subgroup (SurfaceCentralModel.plus_group), in smith's column format; None is the zero map
 SIGMA_ACTIONS = {
     "Aut(P1xP1)": None,
     "Aut(Bl2P2)": [{0: 1, 1: 1}],  # the diagonal on the torus abelianization
@@ -542,29 +542,23 @@ SIGMA_ACTIONS = {
     "Aut(S_s,2/P1)": [{0: 2}],
     "Aut(S_e,2/P1)": [{0: 2}],
 }
+H0 = FormalGroup.free(1)  # H_0 of every group, with coefficients Z
 
 
-def _twisted_entry(group: str, registry) -> FormalGroup:
-    """The degree-1 twisted block of a non-orientable group, solved through
-    the long exact sequence of its 1+sigma action."""
-    if group not in SIGMA_ACTIONS:
-        raise FormalGroupError(f"no 1+sigma action is known for the non-orientable group {group!r}")
-    plus = "Aut+" + group[len("Aut"):]
-    # 1+sigma is 2 on H0 = Z, injective there, so the long exact sequence leaves its cokernel
-    return cokernel(FormalHom(registry.get(group, 1), registry.get(plus, 1), SIGMA_ACTIONS[group]))
-
-
-def _row1_complex(u: surfaces.GeneratorUniverse, registry) -> ChainHomology:
-    """The row-1 complex at ranks 1..3, a chain of FormalHoms in smith's column
-    format: maps[0] from place 1 to place 0, maps[1] from place 2 to place 1.
+def _row1_complex(u: surfaces.GeneratorUniverse, registry, base) -> ChainHomology:
+    """The row-1 complex over ``base`` at ranks 1..3, FormalHoms in smith's
+    column format: maps[0] from place 1 to place 0, maps[1] from place 2 to 1.
 
     Place p sums the entries of row 0's own rank-(p+1) generators, under the
     universe's one staircase e <= e_max + (r_max - r): H1 of the generator's
-    group (SurfaceCentralModel.group) from the registry, or its twisted block
-    when the generator is not orientable.  The incidences are row 0's: an
-    entry c from generator j to generator i adds c, unsigned, at every pair
+    group (SurfaceCentralModel.group) from the registry, or when it is not
+    orientable its twisted block, nonorientable_block_homology at degree 1
+    of SIGMA_ACTIONS into H1 of the plus_group.  The incidences are row 0's:
+    an entry c from generator j to generator i adds c, unsigned, at every pair
     of a slot of j and a slot of i: the all-ones product map between entry tori.
     Over the plane, _cremona_rank3_blocks adds what row 0 cannot see."""
+    if u.base is not base:
+        raise ValueError(f"this builder is for the {base.value} universe")
     if u.r_max < 3:
         raise ValueError(f"the row-1 complex needs r_max >= 3, got {u.r_max}")
     cc, gens = surfaces.row0_complex(u)
@@ -572,9 +566,15 @@ def _row1_complex(u: surfaces.GeneratorUniverse, registry) -> ChainHomology:
 
     def entry(gen):
         group = gen.group
-        if group not in entries:
-            entries[group] = (registry.get(group, 1) if gen.orientable
-                              else _twisted_entry(group, registry))
+        if group not in entries and gen.orientable:
+            entries[group] = registry.get(group, 1)
+        elif group not in entries and group not in SIGMA_ACTIONS:
+            raise FormalGroupError(
+                f"no 1+sigma action is known for the non-orientable group {group!r}")
+        elif group not in entries:
+            sigma = FormalHom(registry.get(group, 1), registry.get(gen.plus_group, 1),
+                              SIGMA_ACTIONS[group])
+            [entries[group]] = nonorientable_block_homology(1, sigma, H0, H0)
         return entries[group]
 
     places = {r: direct_sum_with_layout([entry(g) for g in gens[r]]) for r in (1, 2, 3)}
@@ -605,11 +605,8 @@ def _row1_complex(u: surfaces.GeneratorUniverse, registry) -> ChainHomology:
 
 
 def ruled_row1_complex(u: surfaces.GeneratorUniverse, registry) -> ChainHomology:
-    """The abelianization row for the ruled universe at ranks 1..3, with the
-    staircase invariant bounds."""
-    if u.base is not surfaces.BaseCase.RULED:
-        raise ValueError("this builder is for the ruled universe")
-    return _row1_complex(u, registry)
+    """The abelianization row for the ruled universe (see _row1_complex)."""
+    return _row1_complex(u, registry, surfaces.BaseCase.RULED)
 
 
 def _cremona_rank3_blocks(gen) -> dict:
@@ -632,12 +629,8 @@ def _cremona_rank3_blocks(gen) -> dict:
 
 
 def cremona_row1_complex(u: surfaces.GeneratorUniverse, registry) -> ChainHomology:
-    """The abelianization row for the plane's universe at ranks 1..3; the
-    non-orientable classes contribute their twisted blocks, computed through
-    the long exact sequence."""
-    if u.base is not surfaces.BaseCase.CREMONA:
-        raise ValueError("this builder is for the cremona universe")
-    return _row1_complex(u, registry)
+    """The abelianization row for the plane's universe (see _row1_complex)."""
+    return _row1_complex(u, registry, surfaces.BaseCase.CREMONA)
 
 
 # -- assembled applications --------------------------------------------------------
@@ -647,9 +640,9 @@ def ruled_grid(u: surfaces.GeneratorUniverse, registry) -> SpectralGrid:
     """Second page for the ruled universe at finite truncation: row 0 from the
     coinvariant complex, row 1 from the abelianization complex, row 2 unknown."""
     row1 = ruled_row1_complex(u, registry)
-    entries = {(0, 0): FormalGroup.free(1)}
-    for i in range(1, min(3, u.r_max - 2) + 1):  # the degrees the truncation reaches
-        entries[(i, 0)] = FormalGroup.from_fg(surfaces.row0_homology(u, i))
+    entries = {(i, 0): FormalGroup.from_fg(surfaces.row0_homology(u, i))
+               for i in surfaces.row0_degrees(u) if i <= 3}  # the degrees in the box
+    entries[(0, 0)] = H0
     entries[(0, 1)] = row1.at(0)
     entries[(1, 1)] = row1.at(1)
     return SpectralGrid(

@@ -27,7 +27,7 @@ face is the one empty point set, the positions' terms add up, and an entry on
 an order-2 row is kept mod 2 (a cell whose stabiliser reverses its orientation
 leaves a Z/2 among the coinvariants).  The families over a point keep one
 table, POINT_FAMILIES: each family's rank, model name and faces.  A model names
-its group (SurfaceCentralModel.group), the registry name of its cell's stabiliser.
+its cell's stabiliser and that group's orientation-preserving subgroup (group, plus_group).
 
 Orientation, stated once.  A cell with k marked points is the k-cube {0,1}^k
 over its sorted points, coordinate i recording which (-1)-curve over the
@@ -91,9 +91,9 @@ POINT_FAMILIES = {
 
 class SurfaceCentralModel(_Value):
     """One central model: its rank, base case and family, marked points,
-    invariant e, partition tag and modulus.  Its orientability is read from
-    the orientability table, not stored.  An immutable value, used as a
-    generator label and a dict key."""
+    invariant e, partition tag and modulus; its orientability is read from the
+    orientability table, and one name rule names it, its group and plus_group.
+    An immutable value, used as a generator label and a dict key."""
 
     __slots__ = ("rank", "base", "family", "points", "e", "partition", "modulus")
 
@@ -108,33 +108,38 @@ class SurfaceCentralModel(_Value):
     @property
     def group(self) -> str:
         """The registry name of the model's automorphism group."""
-        return self._name(group=True)
+        return self._name("")
+
+    @property
+    def plus_group(self) -> str:
+        """The registry name "Aut+(...)" of the group's orientation-preserving subgroup."""
+        return self._name("+")
 
     def __str__(self) -> str:
-        return self._name(group=False)
+        return self._name(None)
 
-    def _name(self, group: bool) -> str:
-        """The one name rule: the model shows its e, modulus and points; its
-        group leaves them out, as Autf(...) over the ruled base, and over the
-        plane Aut(...) for a surface, Aut(.../P1) for a conic bundle's pair."""
-        k, e = self.rank - 1, "e" if group else self.e
+    def _name(self, mark: str | None) -> str:
+        """The one name rule: the model (mark None) shows e, modulus and points; a
+        group (mark "" for Aut, "+" for Aut+) leaves them out: Autf<mark>(...) over the
+        ruled base, over the plane Aut<mark>(...), for a conic bundle's pair Aut<mark>(.../P1)."""
+        k, e = self.rank - 1, self.e if mark is None else "e"
         if self.family == "hirzebruch":
             name = "P1xP1/P1" if self.e == 0 else f"F{e}/P1"
         elif self.family in POINT_FAMILIES:
             name = POINT_FAMILIES[self.family][1]
         elif self.family == "min_section":
-            name = f"S_e,{k}" if group else f"S_e={e},{k}"
+            name = f"S_e={e},{k}" if mark is None else f"S_e,{k}"
         elif self.partition == (1,) * k:  # blowup
-            name = f"S_g,{k}" + (f"({self.modulus})" if self.modulus and not group else "")
+            name = f"S_g,{k}" + (f"({self.modulus})" if self.modulus and mark is None else "")
         elif self.partition == (k,):
             name = f"S_s,{k}"
         else:
             name = "S_(" + ",".join(str(b) for b in self.partition) + f"),{k}"
-        if not group:
+        if mark is None:
             return name + ("@{" + ",".join(self.points) + "}" if self.points else "")
         if self.base is BaseCase.RULED:
-            return f"Autf({name})"
-        return f"Aut({name}/P1)" if self.family in ("blowup", "min_section") else f"Aut({name})"
+            return f"Autf{mark}({name})"
+        return f"Aut{mark}({name}{'/P1' if self.family in ('blowup', 'min_section') else ''})"
 
 
 @cache
@@ -365,18 +370,20 @@ def row0_reduced_h0(u: GeneratorUniverse) -> FGAbelianGroup:
     return FGAbelianGroup(h0.free_rank - 1, h0.torsion)
 
 
+def row0_degrees(u: GeneratorUniverse) -> range:
+    """Row 0's reach, the positive degrees 1..r_max - 2 of E_{degree,0}."""
+    return range(1, u.r_max - 1)
+
+
 def row0_homology(u: GeneratorUniverse, degree: int) -> FGAbelianGroup:
     """E_{degree,0}: homology of the coinvariant complex at the given degree.
 
-    Degrees above r_max - 2 are refused: the first missing boundary would
-    make the kernel spurious there.
+    A negative degree or one above row0_degrees(u) is refused: the first
+    missing boundary would make the kernel spurious there.
     """
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    if degree > u.r_max - 2:
-        raise ValueError(
-            f"truncation r_max={u.r_max} only supports degrees <= {u.r_max - 2}"
-        )
+    top = row0_degrees(u).stop - 1
+    if not 0 <= degree <= top:
+        raise ValueError(f"truncation r_max={u.r_max} supports degrees 0..{top}, got {degree}")
     cc, _ = row0_complex(u)
     return cc.homology(degree)
 

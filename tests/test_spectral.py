@@ -1,13 +1,15 @@
 import json
 import re
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from syzygy import spectral, surfaces
 
-from syzygy.formal import ZERO, FormalGroup, FormalGroupError, FormalHom
+from syzygy.formal import (
+    ZERO, FormalGroup, FormalGroupError, FormalHom, InsufficientAtomData, atom_registry)
 from syzygy.spectral import (
     ExactSequence,
     KnownHomologyRegistry,
@@ -76,14 +78,36 @@ def test_registry_lookups_name_a_missing_entry(registry):
 def test_registry_groups_are_named_as_row_1_reads_them(registry):
     """Every automorphism group in the registry is the group a generator of
     the ruled or the plane universe names (SurfaceCentralModel.group), or
-    the Aut+ partner of a non-orientable group, so a row reads its entries
-    by the rule row 1 uses."""
-    names = {gen.group
-             for u in (GeneratorUniverse.ruled(4, 3, 3), GeneratorUniverse.cremona(3, 5))
-             for rank in range(1, u.r_max + 1) for gen in surfaces.enumerate_generators(u, rank)}
-    names |= {"Aut+" + group[len("Aut"):] for group in spectral.SIGMA_ACTIONS}
+    the Aut+ partner a non-orientable generator names (plus_group), so a
+    row reads its entries by the rule row 1 uses."""
+    gens = [gen for u in (GeneratorUniverse.ruled(4, 3, 3), GeneratorUniverse.cremona(3, 5))
+            for rank in range(1, u.r_max + 1) for gen in surfaces.enumerate_generators(u, rank)]
+    names = {gen.group for gen in gens} | {gen.plus_group for gen in gens if not gen.orientable}
     groups = {group for (group, _), _ in registry_items(registry) if group.startswith("Aut")}
     assert sorted(groups - names) == []
+
+
+def test_h1_of_a_non_orientable_cell_has_a_z2_quotient(registry):
+    """The law behind a twisted entry, with today's violators pinned.  A
+    cell is non-orientable when some element of its stabiliser G reverses
+    its orientation.  That sign is a homomorphism from G onto {+1, -1}, and
+    it factors through H1(G), so H1(G) must map onto Z/2: it needs an even
+    cyclic order, a free rank, or an atom not declared divisible.  Over the
+    plane at ranks 1-3, Aut(P1xP1) = Z/2 and Aut(S_g,2/P1) = (Z/2)^2 pass.
+    The stored H1 = C* of Aut(Bl2P2), Aut(S_s,2/P1) and Aut(S_e,2/P1)
+    breaks the law, since atoms.json declares C* divisible; this test pins
+    that finding and does not mend the registry."""
+    def has_z2_quotient(h):
+        return (any(d % 2 == 0 for d in h.cyclic) or h.free_rank > 0
+                or any(not atom_registry()[a].divisible for a in h.atoms))
+
+    u = GeneratorUniverse.cremona(3, 5)
+    h1 = {gen.group: registry.get(gen.group, 1) for rank in (1, 2, 3)
+          for gen in surfaces.enumerate_generators(u, rank) if not gen.orientable}
+    assert {group: str(h) for group, h in h1.items() if has_z2_quotient(h)} == {
+        "Aut(P1xP1)": "Z/2", "Aut(S_g,2/P1)": "Z/2 (+) Z/2"}
+    assert {group: str(h) for group, h in h1.items() if not has_z2_quotient(h)} == {
+        "Aut(Bl2P2)": "C*", "Aut(S_s,2/P1)": "C*", "Aut(S_e,2/P1)": "C*"}
 
 
 def test_registry_rejects_missing_provenance(tmp_path):
@@ -523,6 +547,35 @@ def test_cremona_rank3_blocks_must_fit_their_slots(bad, monkeypatch, registry):
     assert re.match(message, json.loads(res.output)["error"])
 
 
+def test_composition_fixes_each_plane_rank3_block_entry(monkeypatch, registry):
+    """d o d = 0 alone fixes every entry of _cremona_rank3_blocks: set on
+    its own to any other integer in -8..8, each of the 29 entries at
+    e_max = 3, r_max = 5 makes the E_{2,1} bound refuse to compose, and the
+    shipped table gives Z/2 (+) Z/6.  The 29 are dp7's three (the -3 to F1
+    among them), S_g,2's two, S_s,2's four and four for each S_e,2 with
+    e = 1..5.  Joint changes, such as flipping the sign of a whole block,
+    are not covered."""
+    u = GeneratorUniverse.cremona(3, 5)
+    blocks = spectral._cremona_rank3_blocks
+    places = [(str(gen), tag, c, a, x) for gen in surfaces.row0_complex(u)[1][3]
+              for tag, block in blocks(gen).items()
+              for c, column in enumerate(block) for a, x in column.items()]
+    assert len(places) == 29
+    assert str(cremona_row1_complex(u, registry).at(2)) == "Z/2 (+) Z/6"
+    for name, tag, c, a, shipped in places:
+        for value in set(range(-8, 9)) - {shipped}:
+            def changed(gen, value=value):
+                out = blocks(gen)
+                if str(gen) == name:
+                    out[tag] = [{**col, a: value} if i == c else col
+                                for i, col in enumerate(out[tag])]
+                return out
+
+            monkeypatch.setattr(spectral, "_cremona_rank3_blocks", changed)
+            with pytest.raises(ValueError, match="boundary maps do not compose to zero"):
+                cremona_row1_complex(u, registry).at(2)
+
+
 @pytest.mark.parametrize("e_max,blocks", [(1, 7), (2, 9), (3, 11), (5, 15), (60, 125)])
 def test_cremona_rank3_blocks_sit_on_no_row0_entry(e_max, blocks):
     """Row 1 adds each hand-written rank-3 block to the product map of the
@@ -558,6 +611,37 @@ def test_cremona_assemble(registry):
     ]
 
 
+def _bound_row1(monkeypatch, bound):
+    """Stub the plane's row 1 so that E_{0,1} = E_{1,1} = 0 and the E_{2,1}
+    bound is ``bound``."""
+    row = SimpleNamespace(at=lambda p: bound if p == 2 else ZERO)
+    monkeypatch.setattr(spectral, "cremona_row1_complex", lambda u, registry: row)
+
+
+def _e02_registry(*cyclic):
+    return KnownHomologyRegistry({("E_{0,2}(Cr2)", 2): (FormalGroup(cyclic=cyclic), "test datum")})
+
+
+def test_cremona_assemble_reaches_as_far_as_the_bounds_3_part(monkeypatch, registry):
+    """The image of E_{2,1} divides E_{0,2}'s 3-divisible cyclic factor by
+    3^j for j up to the 3-part of the bound: 3^0 when E_{2,1} is forced to
+    0 or the bound has no 3-part, up to 3^2 for a bound Z/9 against Z/9.
+    The candidates used to be tested only at the shipped bound, whose
+    3-part is exactly 3, so a reach forced to at least 1 passed."""
+    u = GeneratorUniverse.cremona(3, 5)
+
+    def candidates(reg, **kwargs):
+        return [str(c) for c in cremona_assemble(reg, u, **kwargs)["candidates"]]
+
+    assert candidates(registry, force_e21_zero=True) == ["K2(C) (+) Z/3 (+) (+)_{Z}(Z/2)"]
+    _bound_row1(monkeypatch, Cs + Zn(2) + Zn(2))  # the bound with no dp7 blocks
+    assert candidates(registry) == ["K2(C) (+) Z/3 (+) (+)_{Z}(Z/2)"]
+    _bound_row1(monkeypatch, Zn(9))
+    assert candidates(_e02_registry(9)) == ["Z/9", "Z/3", "0"]
+    with pytest.raises(InsufficientAtomData, match="has 2 cyclic factors divisible by 3"):
+        cremona_assemble(_e02_registry(3, 9), u)
+
+
 # -- the assembled ruled grid ---------------------------------------------------------
 
 
@@ -576,6 +660,21 @@ def test_ruled_grid_and_seven_term(registry):
     assert fully_known_positions_exact(seq)
     verdicts = dict((lbl, v) for lbl, v, _ in seq.check())
     assert verdicts["E_{0,1}"] == "exact"
+
+
+@pytest.mark.parametrize("r_max", [3, 4, 5])
+def test_ruled_grid_holds_row0_where_the_truncation_reaches(r_max, registry):
+    """The grid holds E_{i,0} exactly for 1 <= i <= r_max - 2, the degrees
+    row0_homology computes, and leaves the rest of row 0 in its box
+    unknown.  No test used to build a ruled grid below r_max = 5, so a
+    grid reaching one degree further went unseen."""
+    u = GeneratorUniverse.ruled(4, 3, r_max)
+    grid = ruled_grid(u, registry)
+    for i in range(1, 4):
+        if i <= r_max - 2:
+            assert grid.entry(i, 0) == FormalGroup.from_fg(surfaces.row0_homology(u, i)), i
+        else:
+            assert grid.entry(i, 0) is None, i
 
 
 def test_five_term_forced_zero_inference():

@@ -110,6 +110,21 @@ def test_every_rank_names_its_groups():
     }
 
 
+def test_a_model_names_its_groups_orientation_preserving_subgroup():
+    """plus_group is the name rule's group with the mark "+": over the plane
+    each non-orientable group of ranks 2 and 3 has the Aut+ partner whose H1
+    row 1 reads, and over the ruled base the mark follows Autf."""
+    u = GeneratorUniverse.cremona(2, 5)
+    pairs = {g.group: g.plus_group for r in (2, 3) for g in enumerate_generators(u, r)
+             if not g.orientable}
+    assert pairs == {
+        "Aut(P1xP1)": "Aut+(P1xP1)", "Aut(Bl2P2)": "Aut+(Bl2P2)",
+        "Aut(S_g,2/P1)": "Aut+(S_g,2/P1)", "Aut(S_s,2/P1)": "Aut+(S_s,2/P1)",
+        "Aut(S_e,2/P1)": "Aut+(S_e,2/P1)"}
+    ruled = enumerate_generators(GeneratorUniverse.ruled(2, 2, 3), 2)
+    assert {g.plus_group for g in ruled} == {"Autf+(S_g,1)", "Autf+(S_e,1)"}
+
+
 def test_orientability_flags():
     u = GeneratorUniverse.cremona(2)
     flags = {str(m): m.orientable for m in enumerate_generators(u, 2)}

@@ -468,19 +468,36 @@ def test_only_the_cli_falls_back_to_the_default_registry():
     assert not fallbacks
 
 
+def _group_name_builders(tree) -> list:
+    """The f-strings of ``tree`` whose first literal part starts with `Aut`,
+    and its BinOps (a concatenation or a % format) with a string operand
+    that starts with `Aut`."""
+    def aut(node):
+        return isinstance(node, ast.Constant) and str(node.value).startswith("Aut")
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            first = next((v for v in node.values if isinstance(v, ast.Constant)), None)
+            if aut(first):
+                found.append(node)
+        elif isinstance(node, ast.BinOp) and (aut(node.left) or aut(node.right)):
+            found.append(node)
+    return found
+
+
 def test_only_surfaces_formats_a_group_name():
-    """A cell's stabiliser is read off the registry by the name its model
-    gives (SurfaceCentralModel.group), so no library module but surfaces.py
-    has an f-string whose first literal part starts with `Aut`."""
-    formatters = []
-    for name, tree in _library_modules():
-        if name == "surfaces.py":
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.JoinedStr):
-                first = next((v.value for v in node.values if isinstance(v, ast.Constant)), "")
-                if first.startswith("Aut"):
-                    formatters.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    """A cell's stabiliser and its orientation-preserving subgroup are read
+    off the registry by the names its model gives (SurfaceCentralModel.group
+    and .plus_group), so no library module but surfaces.py builds an `Aut…`
+    name, by an f-string or by concatenation.  The rule catches the splice
+    that row 1 once used for the partner name."""
+    splice = ast.parse('plus = "Aut+" + group[len("Aut"):]')
+    assert [ast.unparse(n) for n in _group_name_builders(splice)] == [
+        "'Aut+' + group[len('Aut'):]"]
+    formatters = [f"{name}:{node.lineno} {ast.unparse(node)}"
+                  for name, tree in _library_modules() if name != "surfaces.py"
+                  for node in _group_name_builders(tree)]
     assert not formatters
 
 
