@@ -13,6 +13,11 @@ forces it: formal.forced_zero_reason (a zero end, a finite source against a
 torsion-free target, a uniquely divisible source against a finite target),
 which the low-degree exact sequences read too, or a split extension's
 bottom row; otherwise page turning refuses and names the offending spot.
+One pass, SpectralGrid._differentials, decides a page's differentials for
+is_stable, turn_page and converged_total.  An abutment is read off
+E-infinity only: converged_total refuses unless the pass finds every
+differential zero on the grid's page and on each later page with a
+differential inside the box, which then equals it.
 A map is zero when FormalHom.is_zero says so, its entries stored mod m.
 Row q = 1 is built in smith's column format straight from the grid's own
 row 0 and read by formal.ChainHomology, as every other formal chain is.
@@ -204,18 +209,22 @@ class SpectralGrid:
             return FormalGroup.zero()
         return self.entries.get((p, q))
 
-    def _resolve_differential(self, p, q):
-        """The page-r differential out of (p, q): explicit, forced zero, or None."""
-        if (p, q) in self.differentials:
-            return self.differentials[(p, q)]
-        r = self.page
-        tp, tq = p - r, q + r - 1
-        src, tgt = self.entry(p, q), self.entry(tp, tq)
-        if self._forced_zero_reason(src, tgt, q) is None:
-            return None
-        # an unknown end of a forced-zero map stands in as 0: the map
-        # contributes nothing to the homology at its known end
-        return FormalHom(ZERO if src is None else src, ZERO if tgt is None else tgt)
+    def _differentials(self, r: int) -> dict:
+        """The one pass that decides page r: each spot with a known nonzero
+        entry, mapped to (d_out, d_in), its d_r out and in.  Each is explicit
+        (on the grid's own page only), forced zero by _forced_zero_reason, or
+        None; an unknown end of a forced-zero map stands in as 0, since the
+        map contributes nothing to the homology at its known end."""
+        def resolve(p, q):
+            if r == self.page and (p, q) in self.differentials:
+                return self.differentials[p, q]
+            src, tgt = self.entry(p, q), self.entry(p - r, q + r - 1)
+            if self._forced_zero_reason(src, tgt, q) is None:
+                return None
+            return FormalHom(ZERO if src is None else src, ZERO if tgt is None else tgt)
+
+        return {(p, q): (resolve(p, q), resolve(p + r, q - r + 1))
+                for (p, q), g in sorted(self.entries.items()) if g is not None and not g.is_zero}
 
     def _forced_zero_reason(self, src, tgt, src_q):
         """Why the differential from ``src`` (in row ``src_q``) to ``tgt`` is
@@ -227,38 +236,28 @@ class SpectralGrid:
             return "split extension: bottom-row differentials vanish"
         return reason
 
+    def _live_spots(self, r: int) -> list:
+        """The spots whose d_r, out or in, the pass does not find zero."""
+        return [spot for spot, ds in self._differentials(r).items()
+                if any(d is None or not d.is_zero() for d in ds)]
+
     def turn_page(self) -> "SpectralGrid":
         """Next page: homology at every spot.  Refuses when a needed
         differential is neither supplied nor forced zero."""
         r = self.page
-        missing = []
-        new_entries = {}
-        for p in range(self.box[0] + 1):
-            for q in range(self.box[1] + 1):
-                cur = self.entry(p, q)
-                if cur is None:  # unknown on this page, so unknown on the next
-                    continue
-                if cur.is_zero:
-                    new_entries[(p, q)] = cur
-                    continue
-                d_out = self._resolve_differential(p, q)
-                d_in = self._resolve_differential(p + r, q - r + 1)
-                if d_out is None:
-                    missing.append((p, q))
-                    continue
-                if d_in is None:
-                    missing.append((p + r, q - r + 1))
-                    continue
-                new_entries[(p, q)] = homology_at(d_in, d_out)
+        decided = self._differentials(r)
+        missing = sorted({(p, q) if d_out is None else (p + r, q - r + 1)
+                          for (p, q), (d_out, d_in) in decided.items()
+                          if d_out is None or d_in is None})
         if missing:
             raise FormalGroupError(
-                "cannot turn the page: missing differentials at "
-                + ", ".join(map(str, sorted(set(missing))))
-            )
+                "cannot turn the page: missing differentials at " + ", ".join(map(str, missing)))
+        homology = {spot: homology_at(d_in, d_out) for spot, (d_out, d_in) in decided.items()}
         return SpectralGrid(
             page=r + 1,
             box=self.box,
-            entries=new_entries,
+            entries={spot: homology.get(spot, g) for spot, g in sorted(self.entries.items())
+                     if g is not None},
             differentials={},
             abutment=dict(self.abutment),
             notes=self.notes + [f"page {r} -> {r + 1}"],
@@ -266,22 +265,22 @@ class SpectralGrid:
         )
 
     def is_stable(self) -> bool:
-        """All differentials in the box resolve to zero on this page."""
-        r = self.page
-        for p in range(self.box[0] + 1):
-            for q in range(self.box[1] + 1):
-                cur = self.entry(p, q)
-                if cur is None or cur.is_zero:
-                    continue
-                for key in ((p, q), (p + r, q - r + 1)):
-                    d = self._resolve_differential(*key)
-                    if d is None or not d.is_zero():
-                        return False
-        return True
+        """Every differential in the box is zero on this page: E_{r+1} = E_r.
+        E-infinity needs that on every later page too (converged_total)."""
+        return not self._live_spots(self.page)
 
     def converged_total(self, n: int) -> list[FormalGroup]:
-        """Candidates for the degree-n abutment, assembled from the stable
-        antidiagonal through iterated extension problems."""
+        """Candidates for the degree-n abutment, assembled from the
+        antidiagonal through iterated extension problems.  It is read off
+        E-infinity only: the pass must find every differential zero on this
+        page and on each later one up to min(p_max, q_max + 1), the last with
+        a differential inside the box, which reuse this page's entries and see
+        no explicit maps; otherwise it refuses, naming the page and spots."""
+        for r in range(self.page, min(self.box[0], self.box[1] + 1) + 1):
+            if live := self._live_spots(r):
+                raise FormalGroupError(
+                    f"cannot assemble degree {n}: page {r} is not E-infinity, as differentials"
+                    " at " + ", ".join(map(str, live)) + " are not known to be zero")
         pieces = []
         for p in range(n + 1):
             g = self.entry(p, n - p)

@@ -374,6 +374,64 @@ def test_a_differential_with_entries_that_reduce_to_zero_is_stable():
     assert grid.is_stable()
 
 
+def test_converged_total_waits_for_e_infinity():
+    """E_{3,0} = E_{0,2} = Z/2 and zeros elsewhere in the box (3, 2): page 2
+    is stable, but nothing decides d3: E_{3,0} -> E_{0,2}, so the page is
+    not E-infinity and degree 2 is not assembled from it.  Split, the
+    bottom row's d3 vanishes and the one candidate is Z/2."""
+    entries = {(p, q): FormalGroup.zero() for p in range(4) for q in range(3)}
+    entries[3, 0] = entries[0, 2] = Zn(2)
+    grid = SpectralGrid(page=2, box=(3, 2), entries=entries)
+    assert grid.is_stable()
+    with pytest.raises(FormalGroupError, match=re.escape(
+            "cannot assemble degree 2: page 3 is not E-infinity, as differentials at"
+            " (0, 2), (3, 0) are not known to be zero")):
+        grid.converged_total(2)
+    split = SpectralGrid(page=2, box=(3, 2), entries=entries, zero_from_row0=True)
+    assert split.converged_total(2) == [Zn(2)]
+
+
+def test_converged_total_refuses_a_nonzero_differential_on_its_own_page():
+    """A nonzero d2: E_{2,0} -> E_{0,1} leaves page 2 short of E-infinity."""
+    entries = {(p, q): FormalGroup.zero() for p in range(3) for q in range(2)}
+    entries[2, 0] = entries[0, 1] = Zn(2)
+    grid = SpectralGrid(page=2, box=(2, 1), entries=entries,
+                        differentials={(2, 0): FormalHom(Zn(2), Zn(2), [{0: 1}])})
+    with pytest.raises(FormalGroupError, match=r"page 2 is not E-infinity.* \(0, 1\), \(2, 0\) "):
+        grid.converged_total(1)
+    assert all(grid.turn_page().entry(p, q).is_zero for p in range(3) for q in range(2))
+
+
+def _total_or_refusal(grid, n):
+    try:
+        return [str(c) for c in grid.converged_total(n)]
+    except FormalGroupError:
+        return "refused"
+
+
+# zero half the time or more, so that about half the grids turn their page
+GRID_ENTRIES = st.one_of(st.just(ZERO), st.sampled_from([ZERO, Z, Zn(2), Zn(3), Cs, K2]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(GRID_ENTRIES, min_size=12, max_size=12), st.booleans())
+def test_one_pass_decides_stability_turning_and_the_abutment(values, split):
+    """On a page-2 grid in the box (3, 2) with no explicit differentials,
+    is_stable() holds exactly when turn_page() succeeds, and then the next
+    page has the same entries; whenever the page turns, converged_total(2)
+    agrees on both pages: both refuse, or both give the same candidates."""
+    entries = dict(zip([(p, q) for p in range(4) for q in range(3)], values))
+    grid = SpectralGrid(page=2, box=(3, 2), entries=entries, zero_from_row0=split)
+    try:
+        nxt = grid.turn_page()
+    except FormalGroupError:
+        assert not grid.is_stable()
+        return
+    assert grid.is_stable()
+    assert nxt.entries == grid.entries
+    assert _total_or_refusal(nxt, 2) == _total_or_refusal(grid, 2)
+
+
 # -- row-1 instances -----------------------------------------------------------------
 
 

@@ -20,6 +20,11 @@ something: its `__init__` does more than hand its arguments to `_Value`,
 or it defines a method of its own.  One reading rule as well: only
 `__init__.py` opens a file, parses JSON or names the data directory.  A
 row rule: only `surfaces.row0_complex` calls the boundary builder.  A
+resolver rule: only `SpectralGrid._differentials`, the one pass that
+decides a page's differentials, calls the grid's zero rule, and only that
+rule and `ExactSequence._map` call `formal.forced_zero_reason`.  Every
+mutant that tests/mutants.py applies by hand names an old text that occurs
+exactly once in its file.  A
 name rule: only `surfaces.py` formats a group name, an f-string whose first
 literal part starts with `Aut`, so a cell's registry entry is read by the name
 its model gives.  A
@@ -512,6 +517,37 @@ def test_only_row0_complex_builds_boundaries():
                             if isinstance(node, ast.Call) and "boundary" in (
                                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert callers == ["surfaces.py:row0_complex"]
+
+
+def test_one_pass_resolves_the_spectral_differentials():
+    """A spectral page's differentials are decided in one pass, so in the
+    library only SpectralGrid._differentials calls the grid's zero rule,
+    SpectralGrid._forced_zero_reason, and only that rule and
+    ExactSequence._map call formal.forced_zero_reason."""
+    callers = {"_forced_zero_reason": set(), "forced_zero_reason": set()}
+    for module, owner, fn in _library_defs():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in callers:
+                    callers[name].add(f"{module}:{owner}.{fn.name}" if owner
+                                      else f"{module}:{fn.name}")
+    assert callers == {
+        "_forced_zero_reason": {"spectral.py:SpectralGrid._differentials"},
+        "forced_zero_reason": {"spectral.py:SpectralGrid._forced_zero_reason",
+                               "spectral.py:ExactSequence._map"},
+    }
+
+
+def test_every_mutant_applies_to_one_place():
+    """tests/mutants.py edits each old text of its list in a copy of the
+    tree, so each must occur exactly once in its library file."""
+    from mutants import MUTANTS
+
+    assert MUTANTS and {verdict for *_, verdict in MUTANTS} <= {"killed", "survived"}
+    counts = {(file, old): (SRC / file).read_text(encoding="utf-8").count(old)
+              for file, old, _, _ in MUTANTS}
+    assert {key: n for key, n in counts.items() if n != 1} == {}
 
 
 def test_only_the_cli_constructs_a_universe():
