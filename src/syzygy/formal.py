@@ -1,26 +1,30 @@
 """A symbolic calculus of abelian groups.
 
-Groups are finite direct sums of *atoms* (named infinite groups such as C*,
-the second K-group of the complex numbers, wedge and tensor squares of C*,
-Q/Z), cyclic groups Z/n, and free summands Z.  Homomorphisms are integer
-block matrices: an entry k between two copies of the same atom means the
-k-th power (k-multiple) map, entries into cyclic summands reduce, and maps
-between distinct atoms are forbidden unless registered.  A homomorphism is
-stored in smith's column format (one dict per source slot, target slot ->
-nonzero int), the format its family blocks are read in, so no dense matrix
-occurs in the calculus; an entry into Z/m is stored mod m, so the zero map
-is the one with no entries.  A group states four facts about itself, read
-from its normal form and its atoms' declared structure: whether it is zero,
-finite, torsion-free and uniquely divisible.  forced_zero_reason reads from
-them why every map between two groups is zero; spectral grids and exact
-sequences default an unknown map to zero only by it.
+Groups are finite direct sums of *atoms* (named infinite divisible groups:
+C*, the second K-group of the complex numbers, wedge and tensor squares of
+C*, Q/Z), cyclic groups Z/n, and free summands Z; an atom declares only its
+torsion.  Homomorphisms are integer block matrices: an entry k between two
+copies of the same atom means the k-th power (k-multiple) map, entries into
+cyclic summands reduce, and maps between distinct atoms are forbidden
+unless registered.  A homomorphism is stored in smith's column format (one
+dict per source slot, target slot -> nonzero int), the format its family
+blocks are read in, so no dense matrix occurs in the calculus; an entry
+into Z/m is stored mod m, so the zero map is the one with no entries.  A
+group states four facts about itself, read from its normal form and its
+atoms' declared torsion: whether it is zero, finite, torsion-free and
+divisible (only atoms).  forced_zero_reason reads from them why every map
+between two groups is zero; a divisible source against a target with no
+atom summand is one reason, since a divisible image in a direct sum of
+copies of Z/n and Z is 0 (Fuchs, Infinite Abelian Groups, vol. I, 1970).
+Spectral grids and exact sequences default an unknown map to zero only by
+forced_zero_reason.
 
 Homology is read per family (one atom's copies, or the cyclic and free
 slots): a chain of homomorphisms by one sweep of each family's exponent
 complex (ChainHomology), a window A -> B -> C (homology_at) as the middle
 of that chain with its finitely generated family by presented_homology, and
-kernel and cokernel as the windows 0 -> A -> B and A -> B -> 0.  For a
-divisible atom D, universal coefficients give H_p (x) D (+) Tor(H_{p-1}, D):
+kernel and cokernel as the windows 0 -> A -> B and A -> B -> 0.  For an
+atom D, universal coefficients give H_p (x) D (+) Tor(H_{p-1}, D):
 the free rank of H_p contributes copies of D, its finite cyclic pieces die
 (D/kD = 0), and each torsion order k of H_{p-1} contributes D[k] by the
 atom's declared torsion rule.  Atoms whose torsion is not declared (the
@@ -59,28 +63,23 @@ class InsufficientAtomData(FormalGroupError):
 
 
 class Atom(_Value):
-    """A named infinite group with its declared structure; an immutable
-    value.  ``torsion_rule`` is "cyclic", "none" or "unknown"."""
+    """A named infinite divisible group with its declared torsion; an
+    immutable value.  ``torsion_rule`` is "cyclic", "none" or "unknown"."""
 
-    __slots__ = ("name", "divisible", "torsion_rule", "uniquely_divisible")
+    __slots__ = ("name", "torsion_rule")
 
-    def __init__(self, name: str, divisible: bool, torsion_rule: str, uniquely_divisible: bool):
+    def __init__(self, name: str, torsion_rule: str):
         if torsion_rule not in ("cyclic", "none", "unknown"):
             raise ValueError(f"bad torsion rule {torsion_rule!r}")
-        if uniquely_divisible and not (divisible and torsion_rule == "none"):
-            raise ValueError(f"atom {name}: uniquely divisible needs divisible and torsion-free")
-        super().__init__(name, divisible, torsion_rule, uniquely_divisible)
+        super().__init__(name, torsion_rule)
 
     def torsion(self, k: int) -> FGAbelianGroup:
-        """The k-torsion subgroup D[k], as an abstract group."""
-        k = abs(k)
-        if k in (0, 1):
-            # D[1] = 0; D[0] = D handled by callers (it is the whole atom)
-            return FGAbelianGroup(0)
+        """The k-torsion subgroup D[k] for a torsion order k >= 2, as an
+        abstract group."""
         if self.torsion_rule == "none":
             return FGAbelianGroup(0)
         if self.torsion_rule == "cyclic":
-            return FGAbelianGroup(0, (k,)) if k >= 2 else FGAbelianGroup(0)
+            return FGAbelianGroup(0, (k,))
         raise InsufficientAtomData(
             f"torsion of {self.name} is not declared; cannot evaluate {self.name}[{k}]"
         )
@@ -94,13 +93,12 @@ def _load_atoms() -> tuple[dict, set]:
     for entry in atoms_data:
         what = f"atom {entry.get('name')!r}"
         atom = Atom(*unpack(entry, what, {
-            "name": str, "divisible": bool, "torsion_rule": {"cyclic", "none", "unknown"},
-            "uniquely_divisible": bool, "provenance": str})[:4])
+            "name": str, "torsion_rule": {"cyclic", "none", "unknown"}, "provenance": str})[:2])
         if atom.name in atoms:
             raise ValueError(f"{what}: repeats an earlier atom")
         atoms[atom.name] = atom
     cross = {tuple(unpack(m, f"registered map {m.get('from')!r} -> {m.get('to')!r}", {
-        "from": str, "to": str, "kind": str, "provenance": str})[:2]) for m in maps}
+        "from": str, "to": str, "provenance": str})[:2]) for m in maps}
     return atoms, cross
 
 
@@ -176,10 +174,9 @@ class FormalGroup(_Value):
             atom_registry()[a].torsion_rule == "none" for a in self.atoms)
 
     @property
-    def is_uniquely_divisible(self) -> bool:
-        """Only atoms, each declared uniquely divisible."""
-        return not self.cyclic and self.free_rank == 0 and not self.infinite and all(
-            atom_registry()[a].uniquely_divisible for a in self.atoms)
+    def is_divisible(self) -> bool:
+        """Only atoms, each a divisible group."""
+        return not self.cyclic and self.free_rank == 0 and not self.infinite
 
     def slots(self) -> list:
         """Slot descriptors in canonical order: atoms, cyclic, free."""
@@ -213,8 +210,8 @@ def forced_zero_reason(source, target):
         return None
     if source.is_finite and target.is_torsion_free:
         return "finite source, torsion-free target"
-    if source.is_uniquely_divisible and target.is_finite:
-        return "uniquely divisible source, finite target"
+    if source.is_divisible and not target.atoms:
+        return "divisible source, target with no atom summand"
     return None
 
 
@@ -346,11 +343,8 @@ class ChainHomology:
         out = ZERO
         for fam, cc in self._families(p).items():
             if fam != "fg":
-                atom, h = atom_registry()[fam], cc.homology(p)
-                if h.torsion and not atom.divisible:
-                    raise InsufficientAtomData(
-                        f"{fam}/{h.torsion[0]}{fam} is not computable for a non-divisible atom")
-                out = out + FormalGroup.atom(fam, h.free_rank)
+                atom = atom_registry()[fam]
+                out = out + FormalGroup.atom(fam, cc.homology(p).free_rank)  # D/kD = 0
                 for t in cc.homology(p - 1).torsion:
                     out = out + FormalGroup.from_fg(atom.torsion(t))
         return out
@@ -429,8 +423,8 @@ def solve_extension(sub: FormalGroup, quot: FormalGroup) -> list[FormalGroup]:
     """All candidates (up to isomorphism) for the middle of
     0 -> sub -> E -> quot -> 0.
 
-    Divisible atom summands of ``sub`` are injective, hence split off; the
-    remaining problem must be finite-by-finite.  It splits into p-primary
+    Atom summands of ``sub`` are divisible, hence injective, and split off;
+    the remaining problem must be finite-by-finite.  It splits into p-primary
     parts, and a p-part of type lam is a middle for parts of types mu and nu
     exactly when c^lam_{mu nu} > 0 (see the module docstring), so the
     candidates are the products over p of such lam, sorted by their str.
@@ -441,12 +435,6 @@ def solve_extension(sub: FormalGroup, quot: FormalGroup) -> list[FormalGroup]:
         return [quot]
     if quot.is_zero:
         return [sub]
-    reg = atom_registry()
-    for a in sub.atoms:
-        if not reg[a].divisible:
-            raise FormalGroupError(
-                f"extension with non-divisible atom {a} in the subgroup is unsupported"
-            )
     if sub.free_rank or quot.free_rank or quot.atoms:
         raise FormalGroupError(
             "only extensions of a finite group by (divisible atoms + finite) are supported"

@@ -10,9 +10,10 @@ derivation requires it; a derived H2 is returned, never read from the
 registry, so an entry for a derived group goes unread.  Differentials the
 source material leaves implicit are defaulted to zero only when a sound rule
 forces it: formal.forced_zero_reason (a zero end, a finite source against a
-torsion-free target, a uniquely divisible source against a finite target),
-which the low-degree exact sequences read too, or a split extension's
-bottom row; otherwise page turning refuses and names the offending spot.
+torsion-free target, a divisible source against a target with no atom
+summand), which the low-degree exact sequences read too, or a split
+extension's bottom row; otherwise page turning refuses and names each
+undecided differential's source spot.
 One pass, SpectralGrid._differentials, decides a page's differentials for
 is_stable, turn_page and converged_total.  An abutment is read off
 E-infinity only: converged_total refuses unless the pass finds every
@@ -243,12 +244,13 @@ class SpectralGrid:
 
     def turn_page(self) -> "SpectralGrid":
         """Next page: homology at every spot.  Refuses when a needed
-        differential is neither supplied nor forced zero."""
+        differential is neither supplied nor forced zero, naming each such
+        differential by its source spot."""
         r = self.page
         decided = self._differentials(r)
-        missing = sorted({(p, q) if d_out is None else (p + r, q - r + 1)
-                          for (p, q), (d_out, d_in) in decided.items()
-                          if d_out is None or d_in is None})
+        missing = sorted({spot for (p, q), (d_out, d_in) in decided.items()
+                          for spot, d in (((p, q), d_out), ((p + r, q - r + 1), d_in))
+                          if d is None})
         if missing:
             raise FormalGroupError(
                 "cannot turn the page: missing differentials at " + ", ".join(map(str, missing)))
@@ -428,8 +430,8 @@ class SchurDerivation:
 
 def schur_pgl(n: int, registry: KnownHomologyRegistry) -> SchurDerivation:
     """H2 of PGL(n,C) for n = 2, 3, solved from the five-term sequence of the
-    central extension: 0 -> K2(C) -> H2 -> Z/n -> 0, split by unique
-    divisibility."""
+    central extension: 0 -> K2(C) -> H2 -> Z/n -> 0, split since K2(C) is
+    divisible."""
     grid = pgl_grid(n, registry)
     h2_cover = grid.abutment[2]
     e01 = grid.entry(0, 1)
@@ -660,15 +662,20 @@ def cremona_assemble(registry, u: surfaces.GeneratorUniverse,
                      force_e21_zero: bool = False) -> dict:
     """Candidates for H2 of the plane's birational automorphism group.
 
-    The governing relation is H2 = E_{0,2} / Im(E_{2,1} -> E_{0,2}); the
-    differential is undetermined, so every candidate is reported unless the
-    caller forces E_{2,1} = 0.  The infinite 2-torsion sum absorbs any
+    The governing relation is H2 = E_{0,2} / Im(E_{2,1} -> E_{0,2}), which
+    holds only when E_{1,1} = 0; otherwise FormalGroupError names E_{1,1}.
+    The differential is undetermined, so every candidate is reported unless
+    the caller forces E_{2,1} = 0.  The infinite 2-torsion sum absorbs any
     2-torsion image, so only the 3-part of E_{2,1} can change the answer:
     with 3^m its largest cyclic 3-power, the image divides E_{0,2}'s one
     3-divisible cyclic factor by 3^j for j = 0..m, as far as that factor
-    allows.  Row 0 does not enter."""
+    allows.  Row 0 does not enter: E_{2,0} is row 0's entry, printed beside
+    the relation."""
     row1 = cremona_row1_complex(u, registry)
     e01, e11, e21_bound = row1.at(0), row1.at(1), row1.at(2)
+    if not e11.is_zero:
+        raise FormalGroupError(f"E_{{1,1}} = {e11} is not zero, so H2 is not"
+                               " E_{0,2} / Im(E_{2,1} -> E_{0,2})")
     e02 = registry.get("E_{0,2}(Cr2)", 2)
     reach = 0 if force_e21_zero else max(
         (prime_factorization(d).get(3, 0) for d in e21_bound.cyclic), default=0)

@@ -680,14 +680,8 @@ def per_family_cokernel(h: FormalHom) -> FormalGroup:
             )
             out = out + FormalGroup.from_fg(g)
             continue
-        atom = atom_registry()[fam]
-        factors = invariant_factors(block)
-        out = out + FormalGroup.atom(fam, len(rows) - len(factors))
-        for d in factors:
-            if d >= 2 and not atom.divisible:
-                raise InsufficientAtomData(
-                    f"{fam}/{d}{fam} is not computable for a non-divisible atom"
-                )
+        # the finite pieces of the cokernel die on a divisible atom (D/dD = 0)
+        out = out + FormalGroup.atom(fam, len(rows) - len(invariant_factors(block)))
     return out
 
 
@@ -704,13 +698,7 @@ def _window_atom_result(atom, mat_out, mat_in, n_mid, n_tgt) -> FormalGroup:
     """ker(mat_out)/im(mat_in) on copies of a divisible atom, via the integer
     homology of the exponent window (universal coefficients)."""
     h_mid = presented_homology(mat_out, mat_in, n_mid, n_tgt)
-    out = FormalGroup.atom(atom.name, h_mid.free_rank)
-    for d in h_mid.torsion:
-        if atom.divisible:
-            continue  # D/dD = 0
-        raise InsufficientAtomData(
-            f"{atom.name}/{d}{atom.name} is not computable for a non-divisible atom"
-        )
+    out = FormalGroup.atom(atom.name, h_mid.free_rank)  # its torsion dies: D/dD = 0
     for t in (d for d in invariant_factors(mat_out) if d > 1):
         out = out + FormalGroup.from_fg(atom.torsion(t))
     return out

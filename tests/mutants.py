@@ -31,6 +31,12 @@ MUTANTS = [
      "            entries[group] = sigma.target", "killed"),
     # the finite -> torsion-free forced-zero rule turned off
     ("formal.py", "    if source.is_finite and target.is_torsion_free:", "    if False:", "killed"),
+    # the divisible-source forced-zero rule limited back to finite targets
+    ("formal.py", "    if source.is_divisible and not target.atoms:",
+     "    if source.is_divisible and target.is_finite:", "killed"),
+    # a group with cyclic summands read as divisible
+    ("formal.py", "        return not self.cyclic and self.free_rank == 0 and not self.infinite",
+     "        return self.free_rank == 0 and not self.infinite", "killed"),
     # the dp7 block's -3 set to 3
     ("spectral.py", '("dp8_blowdown", 0): [{0: -3}]', '("dp8_blowdown", 0): [{0: 3}]', "killed"),
     # order-2 rows of row 0 kept mod 4

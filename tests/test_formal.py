@@ -5,10 +5,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from syzygy import formal
 from syzygy.formal import (
     ZERO,
-    Atom,
     ChainHomology,
     FormalGroup,
     FormalGroupError,
@@ -16,6 +14,7 @@ from syzygy.formal import (
     InsufficientAtomData,
     atom_registry,
     cokernel,
+    forced_zero_reason,
     homology_at,
     kernel,
     registered_cross_maps,
@@ -49,7 +48,8 @@ def Zn(n):
 
 def test_atom_registry_invariants():
     reg = atom_registry()
-    assert reg["K2(C)"].uniquely_divisible
+    assert all(FormalGroup.atom(name).is_divisible for name in reg)
+    assert reg["K2(C)"].torsion_rule == "none"
     assert reg["C*"].torsion_rule == "cyclic"
     assert reg["C*^C*"].torsion_rule == "unknown"
 
@@ -70,38 +70,68 @@ def test_infinite_summand_display_only():
         FormalHom(g, g)
 
 
-# atom -> (torsion-free, uniquely divisible) for the atom alone; "T" is a
-# torsion-free atom that is not divisible, which the shipped table lacks
+# atom -> whether the atom alone is torsion-free; every atom is divisible
 ATOM_FACTS = {
-    "C*": (False, False),  # torsion rule "cyclic"
-    "K2(C)": (True, True),  # "none", declared uniquely divisible
-    "C*^C*": (False, False),  # "unknown"
-    "T": (True, False),  # "none", not divisible
+    "C*": False,  # torsion rule "cyclic"
+    "K2(C)": True,  # "none"
+    "C*^C*": False,  # "unknown"
 }
 
 
 @pytest.mark.parametrize("extra", ["nothing", "Z/2", "Z", "infinite"])
 @pytest.mark.parametrize("atom", [*ATOM_FACTS, None])
-def test_torsion_freeness_and_unique_divisibility_follow_the_declared_structure(
-        monkeypatch, atom, extra):
+def test_torsion_freeness_and_divisibility_follow_the_declared_structure(atom, extra):
     """A group is torsion-free when it has no cyclic or infinite summand and
-    each atom's torsion rule is "none"; uniquely divisible when, besides,
-    it has no free summand and each atom is declared so.  Without atoms
-    the zero group is both and Z only torsion-free."""
-    shipped = atom_registry()
-    monkeypatch.setattr(formal, "atom_registry",
-                        lambda: {**shipped, "T": Atom("T", False, "none", False)})
+    each atom's torsion rule is "none"; divisible when it has only atoms.
+    Without atoms the zero group is both and Z only torsion-free."""
     parts = {"nothing": ZERO, "Z/2": Zn(2), "Z": Z, "infinite": infinite_sum("Z", Zn(2))}
     g = (ZERO if atom is None else FormalGroup.atom(atom)) + parts[extra]
-    torsion_free, uniquely_divisible = ATOM_FACTS.get(atom, (True, True))
-    assert g.is_torsion_free == (torsion_free and extra in ("nothing", "Z"))
-    assert g.is_uniquely_divisible == (uniquely_divisible and extra == "nothing")
+    assert g.is_torsion_free == (ATOM_FACTS.get(atom, True) and extra in ("nothing", "Z"))
+    assert g.is_divisible == (extra == "nothing")
 
 
-def test_one_atom_with_torsion_breaks_both_facts():
+def test_one_atom_with_torsion_breaks_torsion_freeness_only():
     g = K2 + Cs
-    assert not g.is_torsion_free and not g.is_uniquely_divisible
-    assert (K2 + K2).is_uniquely_divisible
+    assert not g.is_torsion_free and g.is_divisible
+    assert (K2 + K2).is_torsion_free and (K2 + K2).is_divisible
+
+
+def test_a_display_summand_is_no_atom_summand():
+    """A display summand sums copies of one finite group, so a divisible
+    source maps into it only by zero, as into Z/2; an atom beside it
+    still leaves the map undecided."""
+    shown = infinite_sum("Z", Zn(2))
+    assert forced_zero_reason(Cs, shown) == "divisible source, target with no atom summand"
+    assert forced_zero_reason(Cs, K2 + shown) is None
+
+
+# the groups a hom is drawn between: each fact of forced_zero_reason is met
+# by some of them and missed by others
+HOM_ENDS = [ZERO, Z, Zn(2), Zn(3), Zn(4), Cs, K2, Cs + Zn(2), Z + Zn(2), K2 + Zn(3)]
+
+
+@st.composite
+def candidate_homs(draw):
+    """Groups A and B from HOM_ENDS and one column per slot of A, with an
+    entry in -3..3 at every slot of B."""
+    a, b = draw(st.sampled_from(HOM_ENDS)), draw(st.sampled_from(HOM_ENDS))
+    cols = [{i: draw(st.integers(-3, 3)) for i in range(len(b.slots()))} for _ in a.slots()]
+    return a, b, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_homs())
+def test_formal_hom_agrees_with_the_forced_zero_rules(hom):
+    """Where forced_zero_reason says every map A -> B is zero, FormalHom
+    refuses the columns or stores the zero map."""
+    a, b, cols = hom
+    if forced_zero_reason(a, b) is None:
+        return
+    try:
+        h = FormalHom(a, b, cols)
+    except FormalGroupError:
+        return
+    assert h.is_zero()
 
 
 def test_hom_validation():

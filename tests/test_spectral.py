@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from syzygy import spectral, surfaces
 
 from syzygy.formal import (
-    ZERO, FormalGroup, FormalGroupError, FormalHom, InsufficientAtomData, atom_registry)
+    ZERO, FormalGroup, FormalGroupError, FormalHom, InsufficientAtomData)
 from syzygy.spectral import (
     ExactSequence,
     KnownHomologyRegistry,
@@ -92,14 +92,13 @@ def test_h1_of_a_non_orientable_cell_has_a_z2_quotient(registry):
     cell is non-orientable when some element of its stabiliser G reverses
     its orientation.  That sign is a homomorphism from G onto {+1, -1}, and
     it factors through H1(G), so H1(G) must map onto Z/2: it needs an even
-    cyclic order, a free rank, or an atom not declared divisible.  Over the
+    cyclic order or a free rank, since an atom is divisible.  Over the
     plane at ranks 1-3, Aut(P1xP1) = Z/2 and Aut(S_g,2/P1) = (Z/2)^2 pass.
     The stored H1 = C* of Aut(Bl2P2), Aut(S_s,2/P1) and Aut(S_e,2/P1)
-    breaks the law, since atoms.json declares C* divisible; this test pins
-    that finding and does not mend the registry."""
+    breaks the law, since C* is divisible; this test pins that finding and
+    does not mend the registry."""
     def has_z2_quotient(h):
-        return (any(d % 2 == 0 for d in h.cyclic) or h.free_rank > 0
-                or any(not atom_registry()[a].divisible for a in h.atoms))
+        return any(d % 2 == 0 for d in h.cyclic) or h.free_rank > 0
 
     u = GeneratorUniverse.cremona(3, 5)
     h1 = {gen.group: registry.get(gen.group, 1) for rank in (1, 2, 3)
@@ -227,6 +226,18 @@ def test_turn_page_refuses_unforced_missing_differential(registry):
     assert "(2, 0)" in str(err.value)
 
 
+def test_turn_page_names_both_missing_differentials_at_a_spot():
+    """At E_{2,1} = Z/2 neither d2 out, to E_{0,2} = Z/2, nor d2 in, from the
+    unknown E_{4,0}, is decided; the refusal used to name (2, 1) alone."""
+    entries = {(p, q): ZERO for p in range(5) for q in range(3)}
+    entries[2, 1] = entries[0, 2] = Zn(2)
+    del entries[4, 0]
+    grid = SpectralGrid(page=2, box=(4, 2), entries=entries)
+    with pytest.raises(FormalGroupError, match=r"^cannot turn the page: missing differentials"
+                                               r" at \(2, 1\), \(4, 0\)$"):
+        grid.turn_page()
+
+
 def test_turn_page_idempotent_once_stable(registry):
     grid = h_prime_grid(1, registry)
     assert grid.is_stable()
@@ -310,6 +321,9 @@ def test_differential_into_an_unknown_entry_is_refused():
                      differentials={(2, 0): FormalHom(g, g, [{0: 1}])})
 
 
+DIVISIBLE_RULE = "divisible source, target with no atom summand"
+
+
 def edge_page(source, target, split=False):
     """A page-2 grid in the box (2, 1) whose only nonzero entries are
     E_{2,0} = source and E_{0,1} = target, so the one differential that no
@@ -324,16 +338,22 @@ def edge_page(source, target, split=False):
     [
         ((Zn(2), FormalGroup.free(1), False), (Zn(2), Cs, False),
          "finite source, torsion-free target"),
-        ((K2, Zn(2), False), (Cs, Zn(2), False), "uniquely divisible source, finite target"),
+        ((K2, Zn(2), False), (Z, Zn(2), False), DIVISIBLE_RULE),
+        ((Cs, Zn(2), False), (Cs, Cs, False), DIVISIBLE_RULE),
+        ((K2, Z, False), (Z, Zn(2), False), DIVISIBLE_RULE),
+        ((Cs + K2, Z + Zn(3), False), (Cs, Cs, False), DIVISIBLE_RULE),
         ((Zn(2), Zn(2), True), (Zn(2), Zn(2), False),
          "split extension: bottom-row differentials vanish"),
     ],
-    ids=["finite-to-torsion-free", "uniquely-divisible-to-finite", "split-extension"],
+    ids=["finite-to-torsion-free", "uniquely-divisible-to-finite", "divisible-with-torsion",
+         "divisible-to-free", "divisible-to-mixed", "split-extension"],
 )
 def test_each_forced_zero_rule_alone_decides_the_page(forced, unforced, reason):
     """On the first page the rule forces d2 to zero, so the page is stable and
     turns into itself; on the second, which breaks only the rule's condition
-    (C* has torsion and is not uniquely divisible), nothing forces d2."""
+    (Z is not divisible, C* is an atom summand), nothing forces d2.  The
+    divisible rule used to need a uniquely divisible source and a finite
+    target, and C* -> Z/2 was pinned as unforced."""
     grid = edge_page(*forced)
     assert grid._forced_zero_reason(forced[0], forced[1], 0) == reason
     assert grid.is_stable()
@@ -669,10 +689,10 @@ def test_cremona_assemble(registry):
     ]
 
 
-def _bound_row1(monkeypatch, bound):
-    """Stub the plane's row 1 so that E_{0,1} = E_{1,1} = 0 and the E_{2,1}
-    bound is ``bound``."""
-    row = SimpleNamespace(at=lambda p: bound if p == 2 else ZERO)
+def _bound_row1(monkeypatch, bound, e11=ZERO):
+    """Stub the plane's row 1 so that E_{0,1} = 0, E_{1,1} = ``e11`` and the
+    E_{2,1} bound is ``bound``."""
+    row = SimpleNamespace(at=lambda p: {1: e11, 2: bound}.get(p, ZERO))
     monkeypatch.setattr(spectral, "cremona_row1_complex", lambda u, registry: row)
 
 
@@ -698,6 +718,14 @@ def test_cremona_assemble_reaches_as_far_as_the_bounds_3_part(monkeypatch, regis
     assert candidates(_e02_registry(9)) == ["Z/9", "Z/3", "0"]
     with pytest.raises(InsufficientAtomData, match="has 2 cyclic factors divisible by 3"):
         cremona_assemble(_e02_registry(3, 9), u)
+
+
+def test_cremona_assemble_refuses_a_nonzero_e11(monkeypatch, registry):
+    """H2 = E_{0,2} / Im(E_{2,1} -> E_{0,2}) holds only when E_{1,1} = 0;
+    with E_{1,1} = Z/2 candidates used to be returned all the same."""
+    _bound_row1(monkeypatch, ZERO, e11=Zn(2))
+    with pytest.raises(FormalGroupError, match=r"^E_\{1,1\} = Z/2 is not zero"):
+        cremona_assemble(registry, GeneratorUniverse.cremona(3, 5))
 
 
 # -- the assembled ruled grid ---------------------------------------------------------
@@ -789,8 +817,10 @@ def test_exact_sequence_refuses_a_map_between_other_groups():
         ExactSequence(terms, {2: FormalHom(Zn(2), Zn(2))})
 
 
-@pytest.mark.parametrize("a, b", [(Zn(2), Z), (K2, Zn(3))],
-                         ids=["finite-to-torsion-free", "uniquely-divisible-to-finite"])
+@pytest.mark.parametrize(
+    "a, b", [(Zn(2), Z), (K2, Zn(3)), (Cs, Zn(2)), (K2, Z), (Cs + K2, Z + Zn(3))],
+    ids=["finite-to-torsion-free", "uniquely-divisible-to-finite", "divisible-with-torsion",
+         "divisible-to-free", "divisible-to-mixed"])
 def test_exact_sequence_reads_the_forced_zero_rules(a, b):
     """Every map A -> B is zero, so 0 -> A -> B -> 0 fails at both terms,
     with their own groups as homology; only a zero end used to force a map,

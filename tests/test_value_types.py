@@ -26,8 +26,7 @@ from syzygy.surfaces import (
 
 # class -> (keyword fields of one instance, one other value per field)
 VALUES = {
-    Atom: ({"name": "K2(C)", "divisible": True, "torsion_rule": "none", "uniquely_divisible": False},
-           {"name": "Q/Z", "divisible": False, "torsion_rule": "cyclic", "uniquely_divisible": True}),
+    Atom: ({"name": "K2(C)", "torsion_rule": "none"}, {"name": "Q/Z", "torsion_rule": "cyclic"}),
     FormalGroup: ({"atoms": ("C*",), "cyclic": (2,), "free_rank": 1, "infinite": ()},
                   {"atoms": ("K2(C)",), "cyclic": (3,), "free_rank": 2,
                    "infinite": (("Z", FormalGroup(cyclic=(2,))),)}),
@@ -169,9 +168,7 @@ def test_row0_complex_is_cached_for_an_equal_universe():
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: Atom("X", True, "sometimes", False), "bad torsion rule 'sometimes'"),
-        (lambda: Atom("X", True, "cyclic", True),
-         "atom X: uniquely divisible needs divisible and torsion-free"),
+        (lambda: Atom("X", "sometimes"), "bad torsion rule 'sometimes'"),
         (lambda: FGAbelianGroup(-1), "negative free rank"),
         (lambda: FGAbelianGroup(0, (2, 3)), "torsion (2, 3) is not a divisibility chain"),
         (lambda: FGAbelianGroup(0, (0, 2)), "torsion orders must be >= 2"),
@@ -183,7 +180,7 @@ def test_row0_complex_is_cached_for_an_equal_universe():
         (lambda: FormalGroup(cyclic=(0,)), "cyclic order below 1: (0,)"),
         (lambda: FormalGroup(cyclic=(2, -2)), "cyclic order below 1: (2, -2)"),
     ],
-    ids=["atom-rule", "atom-unique", "fg-rank", "fg-chain", "fg-order-zero", "e-max", "r-max",
+    ids=["atom-rule", "fg-rank", "fg-chain", "fg-order-zero", "e-max", "r-max",
          "labels", "formal-atom", "formal-rank", "formal-order-zero", "formal-order-negative"],
 )
 def test_constructor_checks_keep_their_messages(make, message):
